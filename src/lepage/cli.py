@@ -469,7 +469,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         n = int(grid) if grid is not None else 33
         if n < 3:
             raise ProblemError("grid must be at least 3")
-        start = GridField.dirichlet(rect, (n, n), BUILTIN_SURFACES[boundary])
+        fn, shape, values = BUILTIN_SURFACES[boundary], (n, n), None
     else:
         path = Path(boundary)
         if not path.exists():
@@ -480,7 +480,20 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         if grid is not None and values.shape != (int(grid), int(grid)):
             raise ProblemError(f"boundary file shape {values.shape} does not "
                                f"match --grid {grid}")
-        start = GridField(rect, values)
+    try:
+        if values is None:
+            # a builtin surface off its domain gives nan/inf, rejected below
+            with np.errstate(invalid="ignore", divide="ignore"):
+                start = GridField.dirichlet(rect, shape, fn)
+        else:
+            start = GridField(rect, values)
+    except ValueError as ex:
+        raise ProblemError(f"domain {list(rect)}: {ex}") from ex
+    bad = int(np.count_nonzero(~np.isfinite(start.values)))
+    if bad:
+        raise ProblemError(f"boundary data is not finite: {bad} of "
+                           f"{start.values.size} grid values are nan or inf "
+                           f"on domain {list(start.rect)}")
 
     try:
         result = solve_minimal_surface(start, tol=float(tol),

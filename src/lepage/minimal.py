@@ -17,9 +17,6 @@ from math import factorial
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from . import _kernels
 from .charts import ChartError, JetChart
@@ -329,6 +326,28 @@ BUILTIN_SURFACES: dict[str, Callable] = {
 # Newton solver
 # ---------------------------------------------------------------------------
 
+# scipy is imported on the first solve, so processes that never solve do not
+# pay for it; solve_minimal_surface looks both names up as module globals.
+
+def csr_matrix(*args, **kwargs):
+    """scipy.sparse.csr_matrix, imported on first call."""
+    from scipy.sparse import csr_matrix as _csr_matrix
+    return _csr_matrix(*args, **kwargs)
+
+
+def spsolve(J, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b with one MMD-ordered sparse LU factorization.
+
+    An exactly singular J gives a non-finite x, as scipy's spsolve does.
+    """
+    from scipy.sparse.linalg import splu
+    try:
+        lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # "Factor is exactly singular"
+        return np.full(b.shape, np.nan)
+    return lu.solve(b)
+
+
 @dataclass
 class SolveResult:
     field: GridField
@@ -471,10 +490,18 @@ class ReconstructionReport:
                 f"(gate {self.gate:.3e})")
 
 
+def _cumulative_trapezoid(y: np.ndarray, d: float) -> np.ndarray:
+    # along the last axis from 0, in the operation order of scipy's
+    # cumulative_trapezoid(y, dx=d, initial=0), so the sums agree bit for bit
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return out
+
+
 def _potential(P: np.ndarray, Q: np.ndarray, hx: float, hy: float) -> np.ndarray:
     # cumulative trapezoid along the first row, then up each column
-    row = cumulative_trapezoid(P[:, 0], dx=hx, initial=0.0)
-    cols = cumulative_trapezoid(Q, dx=hy, axis=1, initial=0.0)
+    row = _cumulative_trapezoid(P[:, 0], hx)
+    cols = _cumulative_trapezoid(Q, hy)
     return row[:, None] + cols
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
 
 from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
     formal_derivative
@@ -156,6 +155,7 @@ def flow(xi: VectorFieldSpec, t: float, values: np.ndarray
     A = xi.linear_matrix()
     if A is None:
         raise ChartError("closed-form flow needs a constant or linear field")
+    from scipy.linalg import expm
     T = expm(t * A)
     return T @ values, T
 

@@ -211,6 +211,34 @@ def test_minsurf_unknown_boundary(capsys):
     assert "scherk" in err
 
 
+def test_minsurf_degenerate_domain(capsys):
+    code, out, err = run_cli(capsys, "minsurf", "--grid", "5",
+                             "--domain=1,-1,-1,1")
+    assert code == 2
+    assert out == ""
+    assert "degenerate rectangle" in err
+
+
+def test_minsurf_rejects_non_finite_builtin_boundary(capsys):
+    # log(cos x / cos y) is nan where cos x and cos y differ in sign
+    code, out, err = run_cli(capsys, "minsurf", "--grid", "9",
+                             "--boundary", "scherk", "--domain=-2,2,-2,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: boundary data is not finite")
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_minsurf_rejects_non_finite_boundary_file(capsys, tmp_path, bad):
+    csv = tmp_path / "surface.csv"
+    csv.write_text(f"0,0,0\n0,0,0\n0,0,{bad}\n")
+    code, out, err = run_cli(capsys, "minsurf", "--boundary", str(csv))
+    assert code == 2
+    assert out == ""
+    assert "1 of 9 grid values are nan or inf" in err
+
+
 # ---------------------------------------------------------------------------
 # problem file validation
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+import lepage.minimal
 from lepage import _kernels
 from lepage.charts import ChartError, JetChart
 from lepage.equivalents import (Lagrangian, fundamental_homogeneous,
@@ -339,9 +341,62 @@ def test_solver_leaves_paraboloid_boundary_for_other_interior():
     assert np.min(np.abs(graph_el_residual(parab))) >= 3.0
 
 
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, lepage.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_solver_scipy_entry_points_are_module_globals():
+    # the solver looks these up at call time, so a caller may rebind them
+    for name in ("spsolve", "csr_matrix"):
+        assert callable(vars(lepage.minimal).get(name))
+        assert name in lepage.minimal.solve_minimal_surface.__code__.co_names
+
+
+def test_spsolve_matches_dense_solve():
+    rng = np.random.default_rng(3)
+    A = np.diag(np.full(6, 4.0)) + rng.uniform(-1, 1, (6, 6))
+    b = rng.standard_normal(6)
+    x = lepage.minimal.spsolve(lepage.minimal.csr_matrix(A), b)
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-13)
+
+
+def test_spsolve_singular_matrix_gives_non_finite():
+    J = lepage.minimal.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    x = lepage.minimal.spsolve(J, np.array([1.0, 1.0]))
+    assert x.shape == (2,)
+    assert not np.all(np.isfinite(x))
+
+
+def test_solver_nan_interior_reports_singular_jacobian():
+    bound = GridField.dirichlet(SQUARE, (9, 9), BUILTIN_SURFACES["plane"])
+    bound.values[1:-1, 1:-1] = np.nan
+    res = solve_minimal_surface(bound)
+    assert not res.converged and res.iterations == 0
+    assert res.message == "singular Jacobian"
+
+
 # ---------------------------------------------------------------------------
 # conservation laws and reconstruction
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_potential_matches_scipy_bit_for_bit(seed):
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(3, 40, size=2)
+    P, Q = rng.standard_normal((2, nx, ny))
+    hx, hy = rng.uniform(1e-3, 0.5, size=2)
+    ref = (integrate.cumulative_trapezoid(P[:, 0], dx=hx, initial=0.0)[:, None]
+           + integrate.cumulative_trapezoid(Q, dx=hy, axis=1, initial=0.0))
+    assert np.array_equal(lepage.minimal._potential(P, Q, hx, hy), ref)
+
 
 def test_conservation_planar_zero():
     plane = GridField.from_function(SQUARE, (17, 17), BUILTIN_SURFACES["plane"])
