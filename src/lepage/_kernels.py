@@ -1,106 +1,20 @@
-"""Grid stencil kernels, in a numba-compiled and a vectorized numpy flavor.
+"""Vectorized numpy stencil kernels for the graph equation on uniform grids.
 
-The loop bodies below are written in numba-compilable form; when numba is
-available they are jitted, otherwise (or when ``LEPAGE_NO_NUMBA=1`` is set)
-the module falls back to equivalent vectorized numpy implementations.  Both
-flavors return identical values; ``benchmarks/bench_kernels.py`` compares
-their speed.
+``interior_residual`` evaluates the central-difference graph equation at the
+interior nodes, ``interior_jacobian_csr`` writes its Jacobian with respect to
+the interior values as canonical CSR arrays, and ``cell_circulation`` takes
+trapezoid-rule loop integrals around the grid cells.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "interior_residual", "interior_jacobian_coo",
-           "cell_circulation", "numpy_kernels", "numba_kernels"]
+__all__ = ["BACKEND", "interior_residual", "interior_jacobian_csr",
+           "cell_circulation"]
 
+BACKEND = "numpy"
 
-# ---------------------------------------------------------------------------
-# loop bodies (numba-compilable)
-# ---------------------------------------------------------------------------
-
-def _residual_loop(u, hx, hy):
-    nx, ny = u.shape
-    out = np.empty((nx - 2, ny - 2))
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            ux = (u[i + 1, j] - u[i - 1, j]) / (2.0 * hx)
-            uy = (u[i, j + 1] - u[i, j - 1]) / (2.0 * hy)
-            uxx = (u[i + 1, j] - 2.0 * u[i, j] + u[i - 1, j]) / (hx * hx)
-            uyy = (u[i, j + 1] - 2.0 * u[i, j] + u[i, j - 1]) / (hy * hy)
-            uxy = (u[i + 1, j + 1] - u[i + 1, j - 1]
-                   - u[i - 1, j + 1] + u[i - 1, j - 1]) / (4.0 * hx * hy)
-            out[i - 1, j - 1] = ((1.0 + uy * uy) * uxx
-                                 - 2.0 * ux * uy * uxy
-                                 + (1.0 + ux * ux) * uyy)
-    return out
-
-
-def _jacobian_loop(u, hx, hy):
-    # triplets of the interior-to-interior Jacobian of the residual stencil;
-    # boundary nodes are Dirichlet data and contribute no columns
-    nx, ny = u.shape
-    mx, my = nx - 2, ny - 2
-    cap = 9 * mx * my
-    rows = np.empty(cap, dtype=np.int64)
-    cols = np.empty(cap, dtype=np.int64)
-    vals = np.empty(cap)
-    k = 0
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            ux = (u[i + 1, j] - u[i - 1, j]) / (2.0 * hx)
-            uy = (u[i, j + 1] - u[i, j - 1]) / (2.0 * hy)
-            uxx = (u[i + 1, j] - 2.0 * u[i, j] + u[i - 1, j]) / (hx * hx)
-            uyy = (u[i, j + 1] - 2.0 * u[i, j] + u[i, j - 1]) / (hy * hy)
-            uxy = (u[i + 1, j + 1] - u[i + 1, j - 1]
-                   - u[i - 1, j + 1] + u[i - 1, j - 1]) / (4.0 * hx * hy)
-            A = 1.0 + uy * uy
-            B = 1.0 + ux * ux
-            C = -2.0 * ux * uy
-            D = 2.0 * ux * uyy - 2.0 * uy * uxy
-            E = 2.0 * uy * uxx - 2.0 * ux * uxy
-            r = (i - 1) * my + (j - 1)
-            for di in range(-1, 2):
-                for dj in range(-1, 2):
-                    ii = i + di
-                    jj = j + dj
-                    if ii < 1 or ii > nx - 2 or jj < 1 or jj > ny - 2:
-                        continue
-                    if di == 0 and dj == 0:
-                        v = -2.0 * A / (hx * hx) - 2.0 * B / (hy * hy)
-                    elif dj == 0:
-                        v = A / (hx * hx) + di * D / (2.0 * hx)
-                    elif di == 0:
-                        v = B / (hy * hy) + dj * E / (2.0 * hy)
-                    else:
-                        v = di * dj * C / (4.0 * hx * hy)
-                    rows[k] = r
-                    cols[k] = (ii - 1) * my + (jj - 1)
-                    vals[k] = v
-                    k += 1
-    return rows[:k], cols[:k], vals[:k]
-
-
-def _circulation_loop(P, Q, hx, hy):
-    # trapezoid-rule loop integral around each grid cell, normalized by the
-    # cell area so closed smooth currents give O(h^2)
-    nx, ny = P.shape
-    out = np.empty((nx - 1, ny - 1))
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            bottom = 0.5 * (P[i, j] + P[i + 1, j]) * hx
-            right = 0.5 * (Q[i + 1, j] + Q[i + 1, j + 1]) * hy
-            top = 0.5 * (P[i + 1, j + 1] + P[i, j + 1]) * hx
-            left = 0.5 * (Q[i, j + 1] + Q[i, j]) * hy
-            out[i, j] = (bottom + right - top - left) / (hx * hy)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy flavor
-# ---------------------------------------------------------------------------
 
 def _stencil_derivatives(u, hx, hy):
     c = u[1:-1, 1:-1]
@@ -112,86 +26,54 @@ def _stencil_derivatives(u, hx, hy):
     return ux, uy, uxx, uyy, uxy
 
 
-def _residual_numpy(u, hx, hy):
+def interior_residual(u, hx, hy):
     ux, uy, uxx, uyy, uxy = _stencil_derivatives(u, hx, hy)
     return (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy + (1.0 + ux * ux) * uyy
 
 
-def _jacobian_numpy(u, hx, hy):
-    nx, ny = u.shape
-    mx, my = nx - 2, ny - 2
+def _in_range(n, steps):
+    # [k, a]: index k + steps[a] lies in 0 .. n-1
+    shifted = np.arange(n)[:, None] + steps
+    return (shifted >= 0) & (shifted < n)
+
+
+def interior_jacobian_csr(u, hx, hy):
+    """(data, indices, indptr) of the interior-to-interior residual Jacobian.
+
+    Interior node (i, j) is row and column i*my + j.  Each row holds its
+    in-grid stencil columns in ascending order, exact zeros included, so the
+    arrays are scipy's canonical CSR form with int32 indices.  Boundary nodes
+    are Dirichlet data and contribute no columns.
+    """
+    mx, my = u.shape[0] - 2, u.shape[1] - 2
     ux, uy, uxx, uyy, uxy = _stencil_derivatives(u, hx, hy)
     A = 1.0 + uy * uy
     B = 1.0 + ux * ux
     C = -2.0 * ux * uy
     D = 2.0 * ux * uyy - 2.0 * uy * uxy
     E = 2.0 * uy * uxx - 2.0 * ux * uxy
-    I, J = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    r = (I * my + J).ravel()
-    rows, cols, vals = [], [], []
-    stencil = {(0, 0): -2.0 * A / (hx * hx) - 2.0 * B / (hy * hy),
-               (1, 0): A / (hx * hx) + D / (2.0 * hx),
-               (-1, 0): A / (hx * hx) - D / (2.0 * hx),
-               (0, 1): B / (hy * hy) + E / (2.0 * hy),
-               (0, -1): B / (hy * hy) - E / (2.0 * hy),
-               (1, 1): C / (4.0 * hx * hy), (-1, -1): C / (4.0 * hx * hy),
-               (1, -1): -C / (4.0 * hx * hy), (-1, 1): -C / (4.0 * hx * hy)}
-    for (di, dj), coeff in stencil.items():
-        keep = (((I + di) >= 0) & ((I + di) < mx)
-                & ((J + dj) >= 0) & ((J + dj) < my)).ravel()
-        rows.append(r[keep])
-        cols.append((((I + di) * my + (J + dj)).ravel())[keep])
-        vals.append(coeff.ravel()[keep])
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    ax, dx = A / (hx * hx), D / (2.0 * hx)
+    by, ey = B / (hy * hy), E / (2.0 * hy)
+    cxy = C / (4.0 * hx * hy)
+    centre = -2.0 * A / (hx * hx) - 2.0 * B / (hy * hy)
+    # stencil offsets (di, dj) in row-major order, i.e. ascending columns
+    coeffs = np.stack([cxy, ax - dx, -cxy, by - ey, centre, by + ey,
+                       -cxy, ax + dx, cxy], axis=-1)
+    steps = np.array([-1, 0, 1])
+    in_i, in_j = _in_range(mx, steps), _in_range(my, steps)
+    keep = (in_i[:, None, :, None] & in_j[None, :, None, :]).reshape(mx, my, 9)
+    offsets = (steps[:, None] * my + steps[None, :]).ravel().astype(np.int32)
+    cols = np.arange(mx * my, dtype=np.int32).reshape(mx, my, 1) + offsets
+    indptr = np.zeros(mx * my + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
+    return coeffs[keep], cols[keep], indptr
 
 
-def _circulation_numpy(P, Q, hx, hy):
+def cell_circulation(P, Q, hx, hy):
+    """Trapezoid-rule loop integral around each grid cell over the cell area,
+    so closed smooth currents give O(h^2)."""
     bottom = 0.5 * (P[:-1, :-1] + P[1:, :-1]) * hx
     right = 0.5 * (Q[1:, :-1] + Q[1:, 1:]) * hy
     top = 0.5 * (P[1:, 1:] + P[:-1, 1:]) * hx
     left = 0.5 * (Q[:-1, 1:] + Q[:-1, :-1]) * hy
     return (bottom + right - top - left) / (hx * hy)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def numpy_kernels() -> dict:
-    return {"interior_residual": _residual_numpy,
-            "interior_jacobian_coo": _jacobian_numpy,
-            "cell_circulation": _circulation_numpy}
-
-
-_NUMBA_CACHE: dict | None = None
-
-
-def numba_kernels() -> dict | None:
-    """Jitted kernel set, or None when numba is not importable."""
-    global _NUMBA_CACHE
-    if _NUMBA_CACHE is not None:
-        return _NUMBA_CACHE
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    _NUMBA_CACHE = {
-        "interior_residual": njit(cache=True)(_residual_loop),
-        "interior_jacobian_coo": njit(cache=True)(_jacobian_loop),
-        "cell_circulation": njit(cache=True)(_circulation_loop),
-    }
-    return _NUMBA_CACHE
-
-
-if os.environ.get("LEPAGE_NO_NUMBA") == "1":
-    _selected, BACKEND = numpy_kernels(), "numpy"
-else:
-    _jitted = numba_kernels()
-    if _jitted is None:
-        _selected, BACKEND = numpy_kernels(), "numpy"
-    else:
-        _selected, BACKEND = _jitted, "numba"
-
-interior_residual = _selected["interior_residual"]
-interior_jacobian_coo = _selected["interior_jacobian_coo"]
-cell_circulation = _selected["cell_circulation"]

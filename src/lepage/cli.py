@@ -435,6 +435,20 @@ def _domain(text: str) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
+# conservation_residuals and reconstruct_and_check take differences across
+# the interior nodes, so every side needs at least three of them
+MIN_GRID = 5
+
+
+def _integer_setting(value: object, name: str, least: int) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ProblemError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ProblemError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
 def _load_grid_values(path: Path) -> np.ndarray:
     try:
         if path.suffix.lower() == ".csv":
@@ -445,9 +459,17 @@ def _load_grid_values(path: Path) -> np.ndarray:
         raise ProblemError(f"cannot read boundary file: {ex}") from ex
     except (json.JSONDecodeError, ValueError) as ex:
         raise ProblemError(f"boundary file is not a numeric grid: {ex}") from ex
-    if values.ndim != 2 or min(values.shape) < 3:
-        raise ProblemError("boundary file must hold a 2D grid, at least 3x3")
+    if values.ndim != 2:
+        raise ProblemError("boundary file must hold a 2D grid")
     return values
+
+
+def _require_finite(values: np.ndarray, rect: tuple) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ProblemError(f"boundary data is not finite: {bad} of "
+                           f"{values.size} grid values are nan or inf "
+                           f"on domain {list(rect)}")
 
 
 def _cmd_minsurf(args: argparse.Namespace) -> int:
@@ -455,20 +477,28 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
     if args.problem is not None:
         solver = load_problem(args.problem).solver
     grid = args.grid if args.grid is not None else solver.get("grid")
+    if grid is not None:
+        grid = _integer_setting(grid, "grid", MIN_GRID)
     rect = args.domain if args.domain is not None else \
-        tuple(solver.get("domain", (-1.0, 1.0, -1.0, 1.0)))
-    if len(rect) != 4:
+        solver.get("domain", (-1.0, 1.0, -1.0, 1.0))
+    if not isinstance(rect, (list, tuple)) or len(rect) != 4:
         raise ProblemError("solver domain takes four numbers a,b,c,d")
+    rect = tuple(rect)
     boundary = args.boundary if args.boundary is not None else \
         solver.get("boundary", "scherk")
+    if not isinstance(boundary, str):
+        raise ProblemError(f"boundary must be a builtin surface name or a "
+                           f"file path, got {boundary!r}")
     tol = args.tol if args.tol is not None else solver.get("tol", 1e-10)
-    max_iter = args.max_iter if args.max_iter is not None else \
-        solver.get("max_iter", 20)
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 < tol < float("inf")):
+        raise ProblemError(f"tol must be a positive number, got {tol!r}")
+    max_iter = _integer_setting(
+        args.max_iter if args.max_iter is not None
+        else solver.get("max_iter", 20), "max_iter", 0)
 
     if boundary in BUILTIN_SURFACES:
-        n = int(grid) if grid is not None else 33
-        if n < 3:
-            raise ProblemError("grid must be at least 3")
+        n = grid if grid is not None else 33
         fn, shape, values = BUILTIN_SURFACES[boundary], (n, n), None
     else:
         path = Path(boundary)
@@ -477,7 +507,11 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
                 f"boundary {boundary!r} is neither a builtin "
                 f"({', '.join(sorted(BUILTIN_SURFACES))}) nor a file")
         values = _load_grid_values(path)
-        if grid is not None and values.shape != (int(grid), int(grid)):
+        _require_finite(values, rect)
+        if min(values.shape) < MIN_GRID:
+            raise ProblemError(f"boundary file grid {values.shape} is smaller "
+                               f"than {MIN_GRID}x{MIN_GRID}")
+        if grid is not None and values.shape != (grid, grid):
             raise ProblemError(f"boundary file shape {values.shape} does not "
                                f"match --grid {grid}")
     try:
@@ -489,17 +523,9 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
             start = GridField(rect, values)
     except ValueError as ex:
         raise ProblemError(f"domain {list(rect)}: {ex}") from ex
-    bad = int(np.count_nonzero(~np.isfinite(start.values)))
-    if bad:
-        raise ProblemError(f"boundary data is not finite: {bad} of "
-                           f"{start.values.size} grid values are nan or inf "
-                           f"on domain {list(start.rect)}")
+    _require_finite(start.values, rect)
 
-    try:
-        result = solve_minimal_surface(start, tol=float(tol),
-                                       max_iter=int(max_iter))
-    except ValueError as ex:
-        raise ProblemError(str(ex)) from ex
+    result = solve_minimal_surface(start, tol=float(tol), max_iter=max_iter)
     cons = conservation_residuals(result.field)
     rec = reconstruct_and_check(result.field)
     payload = _report(

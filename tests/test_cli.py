@@ -239,6 +239,46 @@ def test_minsurf_rejects_non_finite_boundary_file(capsys, tmp_path, bad):
     assert "1 of 9 grid values are nan or inf" in err
 
 
+@pytest.mark.parametrize("grid", ["3", "4"])
+def test_minsurf_rejects_grid_below_five(capsys, grid):
+    code, out, err = run_cli(capsys, "minsurf", "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid must be at least 5, got {grid}\n"
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"grid": "abc"}, "grid must be an integer, got 'abc'"),
+    ({"grid": [33]}, "grid must be an integer, got [33]"),
+    ({"grid": 4.5}, "grid must be an integer, got 4.5"),
+    ({"grid": 4}, "grid must be at least 5, got 4"),
+    ({"tol": None}, "tol must be a positive number, got None"),
+    ({"tol": 0}, "tol must be a positive number, got 0"),
+    ({"max_iter": None}, "max_iter must be an integer, got None"),
+    ({"domain": None}, "solver domain takes four numbers"),
+    ({"boundary": None}, "boundary must be a builtin surface name"),
+])
+def test_minsurf_rejects_bad_solver_block(capsys, tmp_path, solver, message):
+    path = write_problem(tmp_path, base_problem(solver=solver))
+    code, out, err = run_cli(capsys, "minsurf", "--problem", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_minsurf_solver_block_accepts_integral_float_grid(capsys, tmp_path):
+    path = write_problem(tmp_path, base_problem(solver={"grid": 9.0}))
+    code, report = run_json(capsys, "minsurf", "--problem", path)
+    assert code == 0
+    assert report["grid"]["nx"] == 9
+
+
+def test_minsurf_rejects_boundary_file_below_five(capsys, tmp_path):
+    csv = tmp_path / "surface.csv"
+    np.savetxt(csv, np.zeros((4, 4)), delimiter=",")
+    code, out, err = run_cli(capsys, "minsurf", "--boundary", str(csv))
+    assert (code, out) == (2, "")
+    assert err == "error: boundary file grid (4, 4) is smaller than 5x5\n"
+
+
 # ---------------------------------------------------------------------------
 # problem file validation
 # ---------------------------------------------------------------------------

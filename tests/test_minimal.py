@@ -240,34 +240,103 @@ def random_surface(shape=(14, 13)):
     return np.cumsum(rng.standard_normal(shape), axis=0) * 0.01
 
 
-def test_kernel_backends_agree():
-    jitted = _kernels.numba_kernels()
-    if jitted is None:
-        pytest.skip("numba not importable")
-    plain = _kernels.numpy_kernels()
-    u = random_surface()
+# Reference loops: the graph-equation residual and the triplets of its
+# interior-to-interior Jacobian, one stencil node at a time.
+
+def residual_loop(u, hx, hy):
+    nx, ny = u.shape
+    out = np.empty((nx - 2, ny - 2))
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            ux = (u[i + 1, j] - u[i - 1, j]) / (2.0 * hx)
+            uy = (u[i, j + 1] - u[i, j - 1]) / (2.0 * hy)
+            uxx = (u[i + 1, j] - 2.0 * u[i, j] + u[i - 1, j]) / (hx * hx)
+            uyy = (u[i, j + 1] - 2.0 * u[i, j] + u[i, j - 1]) / (hy * hy)
+            uxy = (u[i + 1, j + 1] - u[i + 1, j - 1]
+                   - u[i - 1, j + 1] + u[i - 1, j - 1]) / (4.0 * hx * hy)
+            out[i - 1, j - 1] = ((1.0 + uy * uy) * uxx
+                                 - 2.0 * ux * uy * uxy
+                                 + (1.0 + ux * ux) * uyy)
+    return out
+
+
+def jacobian_loop(u, hx, hy):
+    # boundary nodes are Dirichlet data and contribute no columns
+    nx, ny = u.shape
+    my = ny - 2
+    rows, cols, vals = [], [], []
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            ux = (u[i + 1, j] - u[i - 1, j]) / (2.0 * hx)
+            uy = (u[i, j + 1] - u[i, j - 1]) / (2.0 * hy)
+            uxx = (u[i + 1, j] - 2.0 * u[i, j] + u[i - 1, j]) / (hx * hx)
+            uyy = (u[i, j + 1] - 2.0 * u[i, j] + u[i, j - 1]) / (hy * hy)
+            uxy = (u[i + 1, j + 1] - u[i + 1, j - 1]
+                   - u[i - 1, j + 1] + u[i - 1, j - 1]) / (4.0 * hx * hy)
+            A = 1.0 + uy * uy
+            B = 1.0 + ux * ux
+            C = -2.0 * ux * uy
+            D = 2.0 * ux * uyy - 2.0 * uy * uxy
+            E = 2.0 * uy * uxx - 2.0 * ux * uxy
+            r = (i - 1) * my + (j - 1)
+            for di in range(-1, 2):
+                for dj in range(-1, 2):
+                    ii = i + di
+                    jj = j + dj
+                    if ii < 1 or ii > nx - 2 or jj < 1 or jj > ny - 2:
+                        continue
+                    if di == 0 and dj == 0:
+                        v = -2.0 * A / (hx * hx) - 2.0 * B / (hy * hy)
+                    elif dj == 0:
+                        v = A / (hx * hx) + di * D / (2.0 * hx)
+                    elif di == 0:
+                        v = B / (hy * hy) + dj * E / (2.0 * hy)
+                    else:
+                        v = di * dj * C / (4.0 * hx * hy)
+                    rows.append(r)
+                    cols.append((ii - 1) * my + (jj - 1))
+                    vals.append(v)
+    return np.array(rows), np.array(cols), np.array(vals)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 3), (14, 13), (33, 33)])
+def test_kernels_match_reference_loops_bit_for_bit(shape):
+    u = random_surface(shape)
     hx, hy = 0.03, 0.05
-    assert np.allclose(plain["interior_residual"](u, hx, hy),
-                       jitted["interior_residual"](u, hx, hy), atol=1e-14)
-    n = (u.shape[0] - 2) * (u.shape[1] - 2)
-    tri_a = plain["interior_jacobian_coo"](u, hx, hy)
-    tri_b = jitted["interior_jacobian_coo"](u, hx, hy)
-    A = csr_matrix((tri_a[2], (tri_a[0], tri_a[1])), shape=(n, n))
-    B = csr_matrix((tri_b[2], (tri_b[0], tri_b[1])), shape=(n, n))
-    assert abs(A - B).max() < 1e-14
-    P, Q = np.sin(u), np.cos(u)
-    assert np.allclose(plain["cell_circulation"](P, Q, hx, hy),
-                       jitted["cell_circulation"](P, Q, hx, hy), atol=1e-14)
+    assert_same_bits(_kernels.interior_residual(u, hx, hy),
+                     residual_loop(u, hx, hy))
+    rows, cols, vals = jacobian_loop(u, hx, hy)
+    n = (shape[0] - 2) * (shape[1] - 2)
+    want = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    data, indices, indptr = _kernels.interior_jacobian_csr(u, hx, hy)
+    assert_same_bits(data, want.data)
+    assert_same_bits(indices, want.indices)
+    assert_same_bits(indptr, want.indptr)
+
+
+def test_jacobian_csr_keeps_exact_zeros():
+    # flat data: every first difference vanishes, so the diagonal-neighbour
+    # entries are exact zeros that must still be stored
+    mx, my = 5, 4
+    data, _, indptr = _kernels.interior_jacobian_csr(
+        np.zeros((mx + 2, my + 2)), 0.1, 0.2)
+    # 9 entries per node, minus 3 per node on each side, plus the 4 corners
+    assert indptr[-1] == data.size == 9 * mx * my - 6 * (mx + my) + 4
+    assert np.count_nonzero(data == 0.0) == 4 * (mx - 1) * (my - 1)
 
 
 def test_jacobian_matches_central_differences():
-    plain = _kernels.numpy_kernels()
     u = random_surface((8, 7))
     hx, hy = 0.03, 0.05
     my = u.shape[1] - 2
     n = (u.shape[0] - 2) * my
-    tri = plain["interior_jacobian_coo"](u, hx, hy)
-    A = csr_matrix((tri[2], (tri[0], tri[1])), shape=(n, n)).toarray()
+    A = csr_matrix(_kernels.interior_jacobian_csr(u, hx, hy),
+                   shape=(n, n)).toarray()
     eps = 1e-6
     J = np.zeros((n, n))
     for i in range(1, u.shape[0] - 1):
@@ -276,17 +345,9 @@ def test_jacobian_matches_central_differences():
             up[i, j] += eps
             dn[i, j] -= eps
             col = (i - 1) * my + (j - 1)
-            J[:, col] = (plain["interior_residual"](up, hx, hy).ravel()
-                         - plain["interior_residual"](dn, hx, hy).ravel()) / (2 * eps)
+            J[:, col] = (_kernels.interior_residual(up, hx, hy).ravel()
+                         - _kernels.interior_residual(dn, hx, hy).ravel()) / (2 * eps)
     assert np.max(np.abs(A - J)) < 1e-6
-
-
-def test_numpy_backend_env_flag():
-    code = "import lepage._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, LEPAGE_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +418,30 @@ def test_solver_scipy_entry_points_are_module_globals():
     for name in ("spsolve", "csr_matrix"):
         assert callable(vars(lepage.minimal).get(name))
         assert name in lepage.minimal.solve_minimal_surface.__code__.co_names
+
+
+def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
+    # the factorization is the memory peak of a Newton step; anything as
+    # large as J's entries kept alive by the solver adds to that peak
+    seen = []
+    factor_solve = lepage.minimal.spsolve
+
+    def inspecting_spsolve(J, b):
+        caller = sys._getframe(1)
+        owned = {id(J.data), id(J.indices), id(J.indptr)}
+        values = []
+        for v in caller.f_locals.values():
+            values.extend(v if isinstance(v, (tuple, list)) else [v])
+        large = [v for v in values if isinstance(v, np.ndarray)
+                 and v.size >= J.nnz and id(v) not in owned]
+        seen.append((caller.f_code.co_name, J.nnz, len(large)))
+        return factor_solve(J, b)
+
+    monkeypatch.setattr(lepage.minimal, "spsolve", inspecting_spsolve)
+    res = scherk_solution(33)
+    assert res.converged
+    assert seen and all(name == "solve_minimal_surface" and nnz > 33 * 33
+                        and large == 0 for name, nnz, large in seen)
 
 
 def test_spsolve_matches_dense_solve():
