@@ -23,17 +23,17 @@ import numpy as np
 from .charts import AdaptedChart, ChartError, JetChart
 from .equivalents import (Lagrangian, caratheodory, euler_lagrange,
                           fundamental, fundamental_homogeneous,
-                          hilbert_caratheodory, poincare_cartan)
-from .expr import (ONE, Expr, ExprError, ParseError, PointAssignment, parse,
+                          hilbert_caratheodory, is_lepage, poincare_cartan)
+from .expr import (Expr, ExprError, ParseError, PointAssignment, parse,
                    to_dsl, to_latex)
-from .forms import (DiffForm, FormError, Immersion, VectorField, contract,
-                    ext_d, form_equal, form_to_json, horizontalize,
-                    pullback_immersion, volume_form, zero_form)
+from .forms import (DiffForm, FormError, Immersion, ext_d, form_to_json,
+                    pullback_immersion)
 from .homogeneity import grassmann_form, zermelo_residuals
 from .minimal import (BUILTIN_SURFACES, GridField, MetricSpec,
                       conservation_residuals, krupka_form, minimal_lagrangian,
                       reconstruct_and_check, solve_minimal_surface)
-from .variation import VectorFieldSpec, noether_current, noether_residual
+from .variation import (VectorFieldSpec, is_invariance_generator,
+                        noether_current)
 from .acceptance import run_all
 
 __all__ = ["ProblemError", "ProblemSpec", "load_problem", "main"]
@@ -330,39 +330,25 @@ def _cmd_check_lepage(args: argparse.Namespace) -> int:
     seed, tol, trials = _sampling(args, prob)
     kind, rho = _build_equivalent(args.kind, prob, seed=seed, tol=tol,
                                   trials=trials)
-    chart = prob.chart
-    lam = prob.lagrangian
-    guards = [lam.L]
-    carried = form_equal(horizontalize(rho),
-                         volume_form(chart).scale(lam.L),
-                         trials=trials, tol=tol, seed=seed, guards=guards)
-    # the defining property: horizontalized contractions of the differential
-    # vanish along every vertical direction, and contraction is pointwise
-    # linear in the field, so the jet-direction basis decides all of them
-    drho = ext_d(rho)
-    witness = None
-    for s in chart.jet1_symbols():
-        defect = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
-        res = form_equal(defect, zero_form(chart, chart.n, defect.mode),
-                         trials=trials, tol=tol, seed=seed, guards=guards)
-        if res.verdict != "equal":
-            witness = {"direction": str(s), "word": _witness_json(res.word)}
-            if res.detail is not None:
-                witness["values"] = list(res.detail.witness_values)
-                witness["point"] = _witness_json(res.detail.witness)
-            break
-    passed = witness is None and carried.verdict == "equal"
-    payload = _report("check-lepage", kind=kind, passed=passed,
-                      vertical_contractions_vanish=witness is None,
-                      carries_lagrangian=carried.verdict == "equal")
-    if witness is not None:
+    verdict = is_lepage(rho, prob.lagrangian, trials=trials, tol=tol,
+                        seed=seed, guards=[prob.lagrangian.L])
+    payload = _report("check-lepage", kind=kind, passed=verdict.passed,
+                      vertical_contractions_vanish=verdict.direction is None,
+                      carries_lagrangian=verdict.carries_lagrangian)
+    res = verdict.result
+    if verdict.direction is not None:
+        witness = {"direction": str(verdict.direction),
+                   "word": _witness_json(res.word)}
+        if res.detail is not None:
+            witness["values"] = list(res.detail.witness_values)
+            witness["point"] = _witness_json(res.detail.witness)
         payload["witness"] = witness
-    elif carried.verdict != "equal":
+    elif not verdict.carries_lagrangian:
         payload["witness"] = {"detail": "horizontal part differs from the "
                                         "Lagrangian volume form",
-                              "word": _witness_json(carried.word)}
+                              "word": _witness_json(res.word)}
     _emit(payload)
-    return 0 if passed else 1
+    return 0 if verdict.passed else 1
 
 
 def _cmd_check_zermelo(args: argparse.Namespace) -> int:
@@ -397,20 +383,22 @@ def _cmd_noether(args: argparse.Namespace) -> int:
     entries = []
     currents = []
     witness = None
+    seed, tol, trials = _sampling(args, prob)
     for pos, xi in enumerate(prob.fields):
-        residual = noether_residual(xi, WG)
+        report = is_invariance_generator(xi, WG, trials=trials, tol=tol,
+                                         seed=seed)
         current = noether_current(xi, WG)
         currents.append(current)
         entry = {
             "components": [to_dsl(c) for c in xi.components],
-            "invariant": residual.is_zero,
+            "invariant": bool(report),
             "current": form_to_json(current),
         }
         if prob.immersion is not None:
             pulled = pullback_immersion(current, prob.immersion)
             entry["closed_along_immersion"] = ext_d(pulled).is_zero
-        if not residual.is_zero and witness is None:
-            witness = {"field": pos, "residual": form_to_json(residual)}
+        if not report and witness is None:
+            witness = {"field": pos, "residual": form_to_json(report.residual)}
         entries.append(entry)
     passed = all(e["invariant"] for e in entries)
     if args.format == "latex":
@@ -642,10 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ProblemError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (ChartError, ExprError, FormError, ParseError, OSError) as ex:
+    except (ProblemError, ExprError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -4,15 +4,15 @@ Constructors: the Poincare-Cartan form, the fundamental equivalent built from
 iterated jet derivatives of the Lagrange function, the Caratheodory product
 form, and the two incarnations specific to positive-homogeneous Lagrange
 functions (the closed-form fundamental equivalent on pure fiber differentials
-and the Hilbert-Caratheodory form).  The criteria side provides the horizontal
-Lepage test for skew coefficient systems, the induced Lagrange function, the
+and the Hilbert-Caratheodory form).  The criteria side provides the Lepage
+test of an n-form against a Lagrangian, the induced Lagrange function, the
 Euler-Lagrange expressions and the identity relating them to the 1-contact
 part of the exterior derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -20,13 +20,13 @@ from typing import Mapping, Sequence
 
 from .charts import ChartError, JetChart, formal_derivative
 from .expr import (
-    Expr, ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum,
-    free_symbols, levi_civita, sym_expr,
+    Expr, ExprError, ONE, Sym, ZERO, const, diff, expr_sum, free_symbols,
+    levi_civita,
 )
 from .forms import (
-    DiffForm, FormError, dx, dy, om, form, zero_form, wedge, wedge_all,
-    volume_form, omega_marginal, horizontalize, contact_component, ext_d,
-    form_equal,
+    DiffForm, FormEqualResult, FormError, VectorField, dx, dy, om, form,
+    zero_form, wedge, wedge_all, volume_form, omega_marginal, horizontalize,
+    contact_component, contract, ext_d, form_equal,
 )
 
 __all__ = [
@@ -261,8 +261,17 @@ def lagrangian_of(rho: HorizontalNForm) -> Lagrangian:
 
 @dataclass
 class LepageVerdict:
+    """Outcome of a Lepage test and the comparison that decided a failure.
+
+    ``direction`` is the first jet symbol whose contraction does not vanish,
+    or ``None``; ``result`` is that contraction's comparison, or else the
+    failing horizontal-part comparison.
+    """
+
     passed: bool
-    witness: object = None
+    carries_lagrangian: bool = True
+    direction: Sym | None = None
+    result: FormEqualResult | None = None
     detail: str = ""
 
     def __bool__(self):
@@ -272,41 +281,36 @@ class LepageVerdict:
         return "pass" if self.passed else f"fail: {self.detail}"
 
 
-def _lepage_defect(rho: HorizontalNForm, P: int, s: int) -> Expr:
-    """Contraction of the jet-derivative of the coefficients with jets."""
-    chart = rho.chart
-    n, M = chart.n, chart.M
-    pieces = []
-    for Ks in product(range(1, M + 1), repeat=n):
-        dA = diff(rho.coefficient(Ks), Sym("y1", P, s))
-        if dA.is_zero:
-            continue
-        for p in permutations(range(1, n + 1)):
-            sign = levi_civita(p)
-            term = const(sign) * dA
-            for K, j in zip(Ks, p):
-                term = term * sym_expr(Sym("y1", K, j))
-            pieces.append(term)
-    return expr_sum(pieces)
+def is_lepage(rho: DiffForm, lam: Lagrangian, *, trials: int = 50,
+              tol: float = 1e-9, seed: int = 0,
+              guards: Sequence[Expr] = ()) -> LepageVerdict:
+    """Lepage test: h(rho) is the Lagrangian volume form and h(i_xi d rho) = 0.
 
-
-def is_lepage(rho: HorizontalNForm, *, trials: int = 50, tol: float = 1e-9,
-              seed: int = 0, guards: Sequence[Expr] = ()) -> LepageVerdict:
-    """Horizontal Lepage test: jet-contracted coefficient derivatives vanish."""
-    chart = rho.chart
-    for P in range(1, chart.M + 1):
-        for s in range(1, chart.n + 1):
-            defect = _lepage_defect(rho, P, s)
-            if defect.is_zero:
-                continue
-            res = equal(defect, ZERO, trials=trials, tol=tol, seed=seed,
-                        guards=guards)
-            if res.verdict == "equal":
-                continue
+    Fields vertical over the configuration space are pointwise combinations
+    of the first-jet coordinate fields and contraction is pointwise linear,
+    so those fields decide the condition; they are checked in
+    ``chart.jet1_symbols()`` order up to the first one not sampled equal to
+    zero.
+    """
+    chart = lam.chart
+    options = dict(trials=trials, tol=tol, seed=seed, guards=guards)
+    carried = form_equal(horizontalize(rho), lam.volume(), **options)
+    carries = carried.verdict == "equal"
+    drho = ext_d(rho)
+    for s in chart.jet1_symbols():
+        defect = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
+        res = form_equal(defect, zero_form(chart, chart.n, defect.mode),
+                         **options)
+        if res.verdict != "equal":
             return LepageVerdict(
-                False, witness=res.witness,
-                detail=f"defect at fiber index {P}, base index {s}: "
-                       + res.describe())
+                False, carries, s, res,
+                f"defect at fiber index {s.a}, base index {s.b}: "
+                + res.describe())
+    if not carries:
+        return LepageVerdict(
+            False, False, None, carried,
+            "horizontal part differs from the Lagrangian volume form: "
+            + carried.describe())
     return LepageVerdict(True)
 
 
@@ -326,12 +330,13 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
                   seed: int = 0, guards: Sequence[Expr] = ()) -> LepageVerdict:
     """The 1-contact part of d rho carries exactly the Euler-Lagrange terms."""
     chart = rho.chart
-    lepage = is_lepage(rho, trials=trials, tol=tol, seed=seed, guards=guards)
+    lam = lagrangian_of(rho)
+    lepage = is_lepage(rho.form, lam, trials=trials, tol=tol, seed=seed,
+                       guards=guards)
     if not lepage.passed:
-        return LepageVerdict(False, witness=lepage.witness,
-                             detail="not a Lepage form: " + lepage.detail)
+        return replace(lepage, detail="not a Lepage form: " + lepage.detail)
     one_contact = contact_component(ext_d(rho.form), 1)
-    expressions = euler_lagrange(lagrangian_of(rho))
+    expressions = euler_lagrange(lam)
     expected: dict[tuple, Expr] = {}
     base_word = tuple(dx(i) for i in range(1, chart.n + 1))
     for K in range(1, chart.M + 1):
@@ -344,6 +349,6 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
     res = form_equal(lifted, target, trials=trials, tol=tol, seed=seed,
                      guards=guards)
     if res.verdict == "unequal":
-        return LepageVerdict(False, witness=res.word,
+        return LepageVerdict(False, result=res,
                              detail="1-contact part mismatch: " + res.describe())
     return LepageVerdict(True)

@@ -22,8 +22,7 @@ from .expr import (
 
 __all__ = [
     "ZermeloReport", "EquivarianceResult", "zermelo_residuals",
-    "check_zermelo", "check_equivariance", "grassmann_projection",
-    "grassmann_form",
+    "check_equivariance", "grassmann_projection", "grassmann_form",
 ]
 
 
@@ -73,10 +72,6 @@ def zermelo_residuals(F: Expr, chart: JetChart, *, trials: int = 50,
                 verdicts[(j, l)] = equal(residual, ZERO, trials=trials,
                                          tol=tol, seed=seed, guards=guards)
     return ZermeloReport(chart, residuals, verdicts)
-
-
-def check_zermelo(F: Expr, chart: JetChart, **kwargs) -> bool:
-    return zermelo_residuals(F, chart, **kwargs).passed
 
 
 @dataclass

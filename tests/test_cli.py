@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from lepage.cli import main
+from lepage.equivalents import poincare_cartan
+from lepage.expr import const, sqrt_expr
+from lepage.forms import DiffForm, dw
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 MINIMAL = str(PROBLEMS / "minimal_r3.json")
@@ -99,6 +102,77 @@ def test_check_lepage_passes_each_kind(capsys, kind):
     assert report["vertical_contractions_vanish"] is True
 
 
+# stdout of a failing check-lepage at seed 0, one report per witness shape
+CHECK_LEPAGE_FAILURES = {
+    "volume form": (
+        '{\n'
+        '  "carries_lagrangian": true,\n'
+        '  "command": "check-lepage",\n'
+        '  "kind": "poincare-cartan",\n'
+        '  "passed": false,\n'
+        '  "schema": "lepage-report/1",\n'
+        '  "vertical_contractions_vanish": false,\n'
+        '  "witness": {\n'
+        '    "direction": "y1_1",\n'
+        '    "point": {\n'
+        '      "y1_1": -0.3416433777220934,\n'
+        '      "y1_2": -1.5364787639477437,\n'
+        '      "y2_1": -1.882135688122143,\n'
+        '      "y2_2": 0.8156659015199832,\n'
+        '      "y3_1": 1.694519742534911,\n'
+        '      "y3_2": 1.5716221578655523\n'
+        '    },\n'
+        '    "values": [\n'
+        '      0.11494572989297092,\n'
+        '      0.0\n'
+        '    ],\n'
+        '    "word": [\n'
+        '      "dx1",\n'
+        '      "dx2"\n'
+        '    ]\n'
+        '  }\n'
+        '}\n'
+    ),
+    "doubled Poincare-Cartan form": (
+        '{\n'
+        '  "carries_lagrangian": false,\n'
+        '  "command": "check-lepage",\n'
+        '  "kind": "poincare-cartan",\n'
+        '  "passed": false,\n'
+        '  "schema": "lepage-report/1",\n'
+        '  "vertical_contractions_vanish": true,\n'
+        '  "witness": {\n'
+        '    "detail": "horizontal part differs from the Lagrangian volume form",\n'
+        '    "word": [\n'
+        '      "dx1",\n'
+        '      "dx2"\n'
+        '    ]\n'
+        '  }\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CHECK_LEPAGE_FAILURES))
+def test_check_lepage_failure_reports(capsys, monkeypatch, label):
+    # the volume form alone keeps its horizontal part but not the vertical
+    # contractions; twice the Poincare-Cartan form keeps the contractions but
+    # carries twice the Lagrangian
+    import lepage.cli as cli
+
+    def build(kind, prob, **_):
+        lam = prob.lagrangian
+        if label == "volume form":
+            return "poincare-cartan", lam.volume()
+        return "poincare-cartan", poincare_cartan(lam).scale(const(2))
+
+    monkeypatch.setattr(cli, "_build_equivalent", build)
+    code, out, _ = run_cli(capsys, "check-lepage", "--problem", MINIMAL,
+                           "--kind", "theta", "--seed", "0")
+    assert code == 1
+    assert out == CHECK_LEPAGE_FAILURES[label]
+
+
 def test_krupka_requires_metric(capsys):
     code, _, err = run_cli(capsys, "lepage", "--problem", ARCLENGTH,
                            "--kind", "krupka")
@@ -154,6 +228,28 @@ def test_noether_scaling_field_fails(capsys, tmp_path):
     assert code == 1
     assert report["passed"] is False
     assert report["witness"]["field"] == 0
+
+
+def test_noether_residual_zero_but_not_canonical(capsys, monkeypatch):
+    # sqrt(2)*sqrt(3) - sqrt(6) does not simplify to structural zero, yet it
+    # vanishes at every sample, so each field is still an invariance generator
+    import lepage.variation as variation
+    reduce = variation.reduce_contact_ideal
+    root2, root3, root6 = (sqrt_expr(const(k)) for k in (2, 3, 6))
+
+    def residual(a):
+        r = reduce(a)
+        extra = DiffForm(r.chart, r.degree, r.mode,
+                         {(dw(1), dw(2)): root2 * root3 - root6},
+                         adapted=r.adapted)
+        return r + extra
+
+    monkeypatch.setattr(variation, "reduce_contact_ideal", residual)
+    code, report = run_json(capsys, "noether", "--problem", MINIMAL)
+    assert code == 0
+    assert report["passed"] is True
+    assert all(entry["invariant"] is True for entry in report["currents"])
+    assert "witness" not in report
 
 
 def test_noether_requires_fields(capsys, tmp_path):

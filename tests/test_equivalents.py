@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
 
 from lepage.charts import ChartError, JetChart
 from lepage.expr import (
-    ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum, sqrt_expr,
-    sym_expr, to_dsl, x, yj, yy,
+    ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum, levi_civita,
+    sqrt_expr, sym_expr, to_dsl, x, yj, yy,
 )
 from lepage.forms import (
     VectorField, contract, dx, dy, ext_d, form, form_equal, horizontalize,
@@ -20,6 +21,7 @@ from lepage.equivalents import (
     el_form_check, euler_lagrange, fundamental, fundamental_homogeneous,
     hilbert_caratheodory, is_lepage, lagrangian_of, poincare_cartan,
 )
+from lepage.minimal import MetricSpec, krupka_form
 
 CH21 = JetChart(n=2, m=1, order=1)
 CH22 = JetChart(n=2, m=2, order=1)
@@ -222,13 +224,14 @@ def test_is_lepage_constant_coefficients():
     rho = HorizontalNForm(CH21, form(CH21, "coordinate",
                                      {(dy(1), dy(2)): const(3),
                                       (dy(1), dy(3)): ONE}))
-    assert is_lepage(rho, trials=10, seed=1).passed
+    assert is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1).passed
 
 
 def test_is_lepage_area_form():
     lam = area_lagrangian(CH21)
     W = fundamental_homogeneous(lam, verify=False, trials=10, seed=1)
-    verdict = is_lepage(HorizontalNForm(CH21, W), trials=10, seed=1)
+    rho = HorizontalNForm(CH21, W)
+    verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
     assert verdict.passed
     assert verdict.describe() == "pass"
 
@@ -236,16 +239,69 @@ def test_is_lepage_area_form():
 def test_is_lepage_rejects_jet_dependent_defect():
     rho = HorizontalNForm(CH21, form(CH21, "coordinate",
                                      {(dy(1), dy(2)): yj(1, 1)}))
-    verdict = is_lepage(rho, trials=10, seed=1)
+    verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
     assert not verdict.passed
     assert "defect at fiber index 1" in verdict.detail
+
+
+def closed_defect(rho: HorizontalNForm, P: int, s: int):
+    """Reference h(d/dy^P_s -| d rho) for a pure-dy form, by closed formula.
+
+    Only the jet-dependence of the coefficients survives the contraction, and
+    the horizontal dy^K_1 ^ ... ^ dy^K_n pairs with the jet determinant sum.
+    """
+    n, M = rho.chart.n, rho.chart.M
+    pieces = []
+    for Ks in product(range(1, M + 1), repeat=n):
+        dA = diff(rho.coefficient(Ks), Sym("y1", P, s))
+        if dA.is_zero:
+            continue
+        for p in permutations(range(1, n + 1)):
+            term = const(levi_civita(p)) * dA
+            for K, j in zip(Ks, p):
+                term = term * yj(K, j)
+            pieces.append(term)
+    return expr_sum(pieces)
+
+
+ORACLE_TERMS = {
+    "constant": {(dy(1), dy(2)): const(3), (dy(1), dy(3)): ONE},
+    "jet-dependent": {(dy(1), dy(2)): yj(1, 1)},
+    "configuration": {(dy(1), dy(3)): yy(2) * const(2)},
+}
+
+
+@pytest.mark.parametrize("label", [*ORACLE_TERMS, "krupka"])
+def test_is_lepage_matches_closed_defect_formula(label):
+    # every jet direction: the closed formula is structurally zero exactly
+    # where the generic contraction vanishes, and is_lepage fails at the
+    # first direction where it does not
+    if label == "krupka":
+        rho = krupka_form(MetricSpec.euclidean(3), 2)
+    else:
+        rho = HorizontalNForm(CH21, form(CH21, "coordinate",
+                                         ORACLE_TERMS[label]))
+    chart = rho.chart
+    drho = ext_d(rho.form)
+    vanishes = {}
+    for s in chart.jet1_symbols():
+        vanishes[s] = closed_defect(rho, s.a, s.b).is_zero
+        generic = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
+        res = form_equal(generic, zero_form(chart, chart.n, generic.mode),
+                         trials=10, seed=1)
+        assert (res.verdict == "equal") == vanishes[s], s
+    verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
+    assert verdict.passed == all(vanishes.values())
+    assert verdict.direction == next(
+        (s for s in chart.jet1_symbols() if not vanishes[s]), None)
+    assert (label == "jet-dependent") == (not verdict.passed)
 
 
 def test_lepage_horizontal_forms_have_homogeneous_lagrangian():
     from lepage.homogeneity import zermelo_residuals
     rho = HorizontalNForm(CH21, form(CH21, "coordinate",
                                      {(dy(1), dy(3)): yy(2) * const(2)}))
-    assert is_lepage(rho, trials=10, seed=1).passed
+    assert is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1).passed
     lam = lagrangian_of(rho)
     assert zermelo_residuals(lam.L, CH21, trials=10, seed=1).passed
 

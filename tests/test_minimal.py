@@ -19,7 +19,7 @@ from lepage.equivalents import (Lagrangian, fundamental_homogeneous,
 from lepage.expr import (ONE, PointAssignment, Sym, atan_expr, const, equal,
                          evaluate, exp_expr, expr_sum, sqrt_expr, substitute,
                          x, yj, yy)
-from lepage.homogeneity import check_zermelo
+from lepage.homogeneity import zermelo_residuals
 from lepage.minimal import (BUILTIN_SURFACES, GridField,
                             MetricSpec, coincidence_report,
                             conservation_residuals, graph_el_residual,
@@ -88,9 +88,11 @@ def test_area_lagrangian_graph_substitution():
 
 
 def test_area_lagrangians_are_homogeneous():
-    assert check_zermelo(minimal_lagrangian(EUC3, 2).L, JetChart(2, 1, 1))
+    assert zermelo_residuals(minimal_lagrangian(EUC3, 2).L,
+                             JetChart(2, 1, 1)).passed
     curved = MetricSpec.diagonal(exp_expr(yy(1)), ONE, ONE)
-    assert check_zermelo(minimal_lagrangian(curved, 2).L, JetChart(2, 1, 1))
+    assert zermelo_residuals(minimal_lagrangian(curved, 2).L,
+                             JetChart(2, 1, 1)).passed
 
 
 def test_dimension_guards():
@@ -118,7 +120,8 @@ def test_krupka_form_carries_the_area_lagrangian():
 
 
 def test_krupka_form_is_lepage():
-    assert is_lepage(krupka_form(EUC3, 2), trials=10, seed=0).passed
+    K = krupka_form(EUC3, 2)
+    assert is_lepage(K.form, lagrangian_of(K), trials=10, seed=0).passed
 
 
 # ---------------------------------------------------------------------------
