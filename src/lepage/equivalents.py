@@ -292,11 +292,16 @@ def is_lepage(rho: DiffForm, lam: Lagrangian, *, trials: int = 50,
     ``chart.jet1_symbols()`` order up to the first one not sampled equal to
     zero.
     """
+    return _lepage_verdict(rho, ext_d(rho), lam, trials=trials, tol=tol,
+                           seed=seed, guards=guards)
+
+
+def _lepage_verdict(rho: DiffForm, drho: DiffForm, lam: Lagrangian,
+                    **options) -> LepageVerdict:
+    # is_lepage with d rho given, for callers that need d rho themselves
     chart = lam.chart
-    options = dict(trials=trials, tol=tol, seed=seed, guards=guards)
     carried = form_equal(horizontalize(rho), lam.volume(), **options)
     carries = carried.verdict == "equal"
-    drho = ext_d(rho)
     for s in chart.jet1_symbols():
         defect = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
         res = form_equal(defect, zero_form(chart, chart.n, defect.mode),
@@ -331,11 +336,12 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
     """The 1-contact part of d rho carries exactly the Euler-Lagrange terms."""
     chart = rho.chart
     lam = lagrangian_of(rho)
-    lepage = is_lepage(rho.form, lam, trials=trials, tol=tol, seed=seed,
-                       guards=guards)
+    drho = ext_d(rho.form)
+    lepage = _lepage_verdict(rho.form, drho, lam, trials=trials, tol=tol,
+                             seed=seed, guards=guards)
     if not lepage.passed:
         return replace(lepage, detail="not a Lepage form: " + lepage.detail)
-    one_contact = contact_component(ext_d(rho.form), 1)
+    one_contact = contact_component(drho, 1)
     expressions = euler_lagrange(lam)
     expected: dict[tuple, Expr] = {}
     base_word = tuple(dx(i) for i in range(1, chart.n + 1))

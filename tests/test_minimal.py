@@ -32,9 +32,13 @@ EUC3 = MetricSpec.euclidean(3)
 SQUARE = (-1.0, 1.0, -1.0, 1.0)
 
 
-def scherk_solution(N: int):
-    bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES["scherk"])
+def newton_solve(name: str, N: int):
+    bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES[name])
     return solve_minimal_surface(bound, tol=1e-10, max_iter=12)
+
+
+def scherk_solution(N: int):
+    return newton_solve("scherk", N)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +451,33 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
                         and large == 0 for name, nnz, large in seen)
 
 
+# Reference factor-solve: one float64 MMD-ordered SuperLU of J, the solver's
+# factorization before the mixed-precision one.
+
+def float64_spsolve(J, b):
+    from scipy.sparse.linalg import splu
+    try:
+        lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=4)
+    except RuntimeError:
+        return np.full(b.shape, np.nan)
+    return lu.solve(b)
+
+
+@pytest.fixture
+def factor_dtypes(monkeypatch):
+    """dtype names of the matrices splu is asked to factor, in call order."""
+    import scipy.sparse.linalg
+    dtypes = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(A, *args, **kwargs):
+        dtypes.append(A.dtype.name)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    return dtypes
+
+
 def test_spsolve_matches_dense_solve():
     rng = np.random.default_rng(3)
     A = np.diag(np.full(6, 4.0)) + rng.uniform(-1, 1, (6, 6))
@@ -455,11 +486,14 @@ def test_spsolve_matches_dense_solve():
     assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-13)
 
 
-def test_spsolve_singular_matrix_gives_non_finite():
-    J = lepage.minimal.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    x = lepage.minimal.spsolve(J, np.array([1.0, 1.0]))
-    assert x.shape == (2,)
-    assert not np.all(np.isfinite(x))
+def test_spsolve_singular_matrix_gives_non_finite(factor_dtypes):
+    for A in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]):
+        factor_dtypes.clear()
+        J = lepage.minimal.csr_matrix(np.array(A))
+        x = lepage.minimal.spsolve(J, np.array([1.0, 1.0]))
+        assert factor_dtypes == ["float32", "float64"]
+        assert x.shape == (2,)
+        assert not np.all(np.isfinite(x))
 
 
 def test_solver_nan_interior_reports_singular_jacobian():
@@ -468,6 +502,61 @@ def test_solver_nan_interior_reports_singular_jacobian():
     res = solve_minimal_surface(bound)
     assert not res.converged and res.iterations == 0
     assert res.message == "singular Jacobian"
+
+
+def test_spsolve_float32_singular_falls_back_to_float64(factor_dtypes):
+    # 1 + 1e-9 rounds to 1 in float32, so only the float64 factor exists
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    b = np.array([1.0, 2.0])
+    J = lepage.minimal.csr_matrix(A)
+    x = lepage.minimal.spsolve(J, b)
+    assert factor_dtypes == ["float32", "float64"]
+    assert np.array_equal(x, float64_spsolve(J, b))
+    assert np.max(np.abs(A @ x - b)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+def test_spsolve_beyond_float32_range_falls_back_to_float64(factor_dtypes):
+    rng = np.random.default_rng(4)
+    A = (np.diag(np.full(5, 4.0)) + rng.uniform(-1, 1, (5, 5))) * 1e39
+    b = rng.standard_normal(5)
+    x = lepage.minimal.spsolve(lepage.minimal.csr_matrix(A), b)
+    assert factor_dtypes == ["float64"]
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-13, atol=0)
+
+
+def test_spsolve_ill_conditioned_hilbert_matches_dense_solve(factor_dtypes):
+    # cond(H_8) = 1.5e10 is beyond what refining a float32 factor can reach
+    H = 1.0 / (np.arange(8)[:, None] + np.arange(8)[None, :] + 1.0)
+    b = np.ones(8)
+    x = lepage.minimal.spsolve(lepage.minimal.csr_matrix(H), b)
+    assert factor_dtypes == ["float32", "float64"]
+    want = np.linalg.solve(H, b)
+    # both solves carry an error of order cond * eps = 3e-6
+    assert np.allclose(x, want, rtol=1e-5, atol=0)
+
+
+NEWTON_GRIDS = [(name, N) for name in ("scherk", "paraboloid")
+                for N in (65, 129)]
+
+
+@pytest.mark.parametrize("name, N", NEWTON_GRIDS)
+def test_mixed_precision_newton_matches_float64_reference(monkeypatch,
+                                                          name, N):
+    got = newton_solve(name, N)
+    monkeypatch.setattr(lepage.minimal, "spsolve", float64_spsolve)
+    want = newton_solve(name, N)
+    assert got.converged == want.converged and got.converged
+    assert got.iterations == want.iterations
+    assert np.allclose(got.history, want.history, rtol=1e-9, atol=0)
+    assert np.max(np.abs(got.field.values - want.field.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("name, N", NEWTON_GRIDS)
+def test_each_newton_step_makes_one_float32_factorization(factor_dtypes,
+                                                          name, N):
+    res = newton_solve(name, N)
+    assert res.converged and res.iterations > 0
+    assert factor_dtypes == ["float32"] * res.iterations
 
 
 # ---------------------------------------------------------------------------
