@@ -237,25 +237,9 @@ class AdaptedChart:
     def from_adapted(self, g: Expr) -> Expr:
         return substitute(g, self.w_in_terms_of_y())
 
-    def adapted_symbols(self) -> list[Sym]:
-        out = [Sym("w", K) for K in range(1, self.chart.M + 1)]
-        out += [Sym("w1", it, j) for it in self.selected
-                for j in range(1, self.chart.n + 1)]
-        out += [Sym("w1", s, it) for s in self.complement for it in self.selected]
-        return out
-
-    def grassmann_symbols(self) -> list[Sym]:
-        """Coordinates that descend to the Grassmann quotient."""
-        out = [Sym("w", K) for K in range(1, self.chart.M + 1)]
-        out += [Sym("w1", s, it) for s in self.complement for it in self.selected]
-        return out
-
     def guards(self) -> list[Expr]:
         """Positivity guards for sampling on this chart's branch."""
         return [self.minor_det_y()]
-
-    def guards_w(self) -> list[Expr]:
-        return [self.minor_det_w()]
 
 
 def adapted_derivative(f: Expr, i: int, adapted: AdaptedChart) -> Expr:

@@ -60,9 +60,11 @@ class ProblemSpec:
     fields: tuple[VectorFieldSpec, ...]
     immersion: Immersion | None
     solver: dict
-    seed: int
-    tol: float
-    trials: int
+    # sampling defaults as the file gives them; _sampling checks them after
+    # the command-line flags are merged in
+    seed: object
+    tol: object
+    trials: object
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,24 @@ class ProblemSpec:
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ProblemError(message)
+
+
+def _integer_setting(value: object, name: str, least: int) -> int:
+    """An integer of at least ``least``; an integral float such as 2.0 counts."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ProblemError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ProblemError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive_tol(value: object) -> float:
+    """A tolerance: a positive finite number, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < float("inf")):
+        raise ProblemError(f"tol must be a positive number, got {value!r}")
+    return float(value)
 
 
 def _parse_expr(text: object, chart: JetChart, where: str) -> Expr:
@@ -131,9 +151,11 @@ def load_problem(path: str | Path) -> ProblemSpec:
     chart_obj = raw.get("chart")
     _expect(isinstance(chart_obj, dict) and set(chart_obj) == {"n", "m"},
             "problem file must declare a chart object with keys 'n' and 'm'")
+    n = _integer_setting(chart_obj["n"], "chart n", 1)
+    m = _integer_setting(chart_obj["m"], "chart m", 1)
     try:
-        chart = JetChart(int(chart_obj["n"]), int(chart_obj["m"]), 1)
-    except (ChartError, TypeError, ValueError) as ex:
+        chart = JetChart(n, m, 1)
+    except ChartError as ex:
         raise ProblemError(f"chart: {ex}") from ex
 
     has_metric = "metric" in raw
@@ -176,15 +198,9 @@ def load_problem(path: str | Path) -> ProblemSpec:
     _expect(isinstance(solver, dict) and set(solver) <= _SOLVER_KEYS,
             f"solver block accepts keys {sorted(_SOLVER_KEYS)}")
 
-    seed = raw.get("seed", 0)
-    tol = raw.get("tol", 1e-9)
-    trials = raw.get("trials", 20)
-    _expect(isinstance(seed, int), "seed must be an integer")
-    _expect(isinstance(tol, (int, float)) and tol > 0, "tol must be positive")
-    _expect(isinstance(trials, int) and trials > 0,
-            "trials must be a positive integer")
     return ProblemSpec(chart, lagrangian, metric, tuple(fields), immersion,
-                       dict(solver), int(seed), float(tol), int(trials))
+                       dict(solver), raw.get("seed", 0), raw.get("tol", 1e-9),
+                       raw.get("trials", 20))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +308,13 @@ def _build_equivalent(kind: str, prob: ProblemSpec, *, seed: int, tol: float,
 # ---------------------------------------------------------------------------
 
 def _sampling(args: argparse.Namespace, prob: ProblemSpec) -> tuple[int, float, int]:
+    """Seed, tol and trials, each flag in place of the file's value, checked."""
     seed = prob.seed if args.seed is None else args.seed
     tol = prob.tol if args.tol is None else args.tol
     trials = prob.trials if args.trials is None else args.trials
-    return seed, tol, trials
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ProblemError(f"seed must be an integer, got {seed!r}")
+    return seed, _positive_tol(tol), _integer_setting(trials, "trials", 1)
 
 
 def _cmd_derive_el(args: argparse.Namespace) -> int:
@@ -428,15 +447,6 @@ def _domain(text: str) -> tuple[float, float, float, float]:
 MIN_GRID = 5
 
 
-def _integer_setting(value: object, name: str, least: int) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
-        raise ProblemError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ProblemError(f"{name} must be at least {least}, got {value!r}")
-    return int(value)
-
-
 def _load_grid_values(path: Path) -> np.ndarray:
     try:
         if path.suffix.lower() == ".csv":
@@ -477,10 +487,8 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
     if not isinstance(boundary, str):
         raise ProblemError(f"boundary must be a builtin surface name or a "
                            f"file path, got {boundary!r}")
-    tol = args.tol if args.tol is not None else solver.get("tol", 1e-10)
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not 0 < tol < float("inf")):
-        raise ProblemError(f"tol must be a positive number, got {tol!r}")
+    tol = _positive_tol(args.tol if args.tol is not None
+                        else solver.get("tol", 1e-10))
     max_iter = _integer_setting(
         args.max_iter if args.max_iter is not None
         else solver.get("max_iter", 20), "max_iter", 0)
@@ -513,7 +521,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         raise ProblemError(f"domain {list(rect)}: {ex}") from ex
     _require_finite(start.values, rect)
 
-    result = solve_minimal_surface(start, tol=float(tol), max_iter=max_iter)
+    result = solve_minimal_surface(start, tol=tol, max_iter=max_iter)
     cons = conservation_residuals(result.field)
     rec = reconstruct_and_check(result.field)
     payload = _report(

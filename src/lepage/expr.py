@@ -327,15 +327,6 @@ def _p_pow(p: Poly, k: int) -> Poly:
     return result
 
 
-def _p_diffable_atoms(p: Poly):
-    seen = set()
-    for mono in p:
-        for at, _ in mono:
-            if at not in seen:
-                seen.add(at)
-                yield at
-
-
 def _atom_content(p: Poly) -> dict:
     """Atoms occurring in every monomial, with their minimal exponents."""
     it = iter(p.items())
@@ -1098,12 +1089,6 @@ class PointAssignment:
 
     symbols: Mapping[Sym, float]
     functions: Mapping[tuple, object] = field(default_factory=dict)
-
-    def covers(self, e: Expr) -> bool:
-        if any(s not in self.symbols for s in free_symbols(e)):
-            return False
-        return all((name, deriv) in self.functions
-                   for name, deriv, _ in opaque_signatures(e))
 
     def describe(self) -> str:
         parts = [f"{sym_name(s)}={v:.6g}"

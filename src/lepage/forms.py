@@ -16,9 +16,9 @@ covector kinds may occur:
 * ``adapted-contact`` dw^i, omt, dw_j         (adapted chart)
 * ``base``            dx with coefficients in the base variables only
 
-Conversions between coordinate and contact mode exist twice: the definitional
-covector rewrite, and the skew coefficient-tensor transform with binomial
-weights; the two agree and the tests cross-check them.
+Coordinate and contact mode are exchanged in one way only, by the
+definitional covector rewrite dy^K = om^K + y^K_j dx^j (``to_contact``) and
+its inverse (``to_coordinate``); every constructor and checker goes through it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import comb, factorial
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .charts import AdaptedChart, ChartError, JetChart, contains_order2
@@ -44,7 +43,7 @@ __all__ = [
     "dx", "dy", "dyj", "om", "omj", "dw", "dwj", "omt",
     "form", "zero_form", "volume_form", "omega_marginal", "wedge",
     "wedge_all", "ext_d", "contract", "horizontalize", "contact_component",
-    "to_contact", "to_coordinate", "basis_convert", "lie_derivative",
+    "to_contact", "to_coordinate", "lie_derivative",
     "pullback_immersion", "to_adapted_contact", "from_adapted_contact",
     "reduce_contact_ideal", "form_equal", "form_to_json", "form_from_json",
 ]
@@ -599,139 +598,6 @@ def contact_component(a: DiffForm, k: int) -> DiffForm:
     out = {w: coeff for w, coeff in c.terms.items()
            if sum(1 for cov in w if cov.kind in ("om", "om1")) == k}
     return DiffForm(c.chart, c.degree, "contact", out, adapted=c.adapted)
-
-
-# ---------------------------------------------------------------------------
-# tensor-based basis conversion (first-order words: dx/dy vs dx/om)
-# ---------------------------------------------------------------------------
-
-def _tensor_get(T: Mapping, Ks: Sequence[int], Is: Sequence[int]) -> Expr:
-    ks = tuple(Ks)
-    iss = tuple(Is)
-    if len(set(ks)) != len(ks) or len(set(iss)) != len(iss):
-        return ZERO
-    sk = levi_civita(tuple(sorted(range(len(ks)), key=lambda t: ks[t])[t] + 1
-                           for t in range(len(ks)))) if ks else 1
-    si = levi_civita(tuple(sorted(range(len(iss)), key=lambda t: iss[t])[t] + 1
-                           for t in range(len(iss)))) if iss else 1
-    val = T.get((tuple(sorted(ks)), tuple(sorted(iss))), ZERO)
-    sign = sk * si
-    return val if sign == 1 else -val
-
-
-def _perm_sign_rel(perm: Sequence[int], base: Sequence[int]) -> int:
-    index = {v: i for i, v in enumerate(base)}
-    return levi_civita(tuple(index[v] + 1 for v in perm))
-
-
-def _extract_tensors(a: DiffForm, fiber_kind: str) -> dict[int, dict]:
-    """Split a first-order form into skew tensors per contact/fiber degree."""
-    q = a.degree
-    tensors: dict[int, dict] = {}
-    for word, coeff in a.terms.items():
-        Ks = tuple(c.a for c in word if c.kind == fiber_kind)
-        Is = tuple(c.a for c in word if c.kind == "dx")
-        if len(Ks) + len(Is) != q:
-            raise FormError(
-                f"tensor conversion expects words over dx and {fiber_kind}")
-        l = len(Ks)
-        # stored words put the dx block first; the tensor convention puts the
-        # fiber block first, which costs the block-swap sign below
-        sign = -1 if (l * (q - l)) % 2 else 1
-        tensors.setdefault(l, {})[(Ks, Is)] = coeff if sign == 1 else -coeff
-    return tensors
-
-
-def _rebuild_from_tensors(chart: JetChart, q: int, tensors: Mapping[int, Mapping],
-                          fiber_kind: str, mode: str) -> DiffForm:
-    fiber_cov = {"dy": dy, "om": om}[fiber_kind]
-    out: dict[Word, Expr] = {}
-    for l, T in tensors.items():
-        for (Ks, Is), coeff in T.items():
-            if coeff.is_zero:
-                continue
-            sign = -1 if (l * (q - l)) % 2 else 1
-            word = tuple(dx(i) for i in Is) + tuple(fiber_cov(K) for K in Ks)
-            out[word] = out.get(word, ZERO) + (coeff if sign == 1 else -coeff)
-    return DiffForm(chart, q, mode, out)
-
-
-def _convert_tensor_family(tensors: Mapping[int, Mapping], q: int,
-                           chart: JetChart, alternating_sign: bool) -> dict[int, dict]:
-    """The binomial-weighted exchange between coordinate and contact tensors.
-
-    For each target fiber degree k,
-
-        T'_{K1..Kk i_{k+1}..i_q} = sum_{l=k}^{q} (+-1)^{l-k} C(q-k, q-l)
-            Alt(i_{k+1}..i_q) [ T_{K1..Kk Q_{k+1}..Q_l i_{l+1}..i_q}
-                                y^{Q_{k+1}}_{i_{k+1}} ... y^{Q_l}_{i_l} ]
-
-    with the minus signs present exactly in the contact-to-coordinate
-    direction.
-    """
-    M, n = chart.M, chart.n
-    out: dict[int, dict] = {}
-    for k in range(0, q + 1):
-        if q - k > n:
-            continue
-        target: dict = {}
-        for Ks in combinations(range(1, M + 1), k):
-            for Is in combinations(range(1, n + 1), q - k):
-                pieces = []
-                for l in range(k, q + 1):
-                    T = tensors.get(l)
-                    if T is None:
-                        continue
-                    take = l - k  # jet factors consumed from the free base slots
-                    if take > len(Is):
-                        continue
-                    weight = Fraction(comb(q - k, q - l),
-                                      factorial(q - k) if Is else 1)
-                    if alternating_sign and take % 2:
-                        weight = -weight
-                    for perm in permutations(Is):
-                        psign = _perm_sign_rel(perm, Is)
-                        iy, irest = perm[:take], perm[take:]
-                        for Qs in product(range(1, M + 1), repeat=take):
-                            val = _tensor_get(T, Ks + Qs, irest)
-                            if val.is_zero:
-                                continue
-                            factor = ONE
-                            for Q, ii in zip(Qs, iy):
-                                factor = factor * sym_expr(Sym("y1", Q, ii))
-                            pieces.append(const(psign * weight) * val * factor)
-                total = expr_sum(pieces)
-                if not total.is_zero:
-                    target[(Ks, Is)] = total
-        if target:
-            out[k] = target
-    return out
-
-
-def basis_convert(a: DiffForm, target: str) -> DiffForm:
-    """Exchange coordinate and contact bases through the skew tensors."""
-    if target not in ("coordinate", "contact"):
-        raise FormError(f"unsupported conversion target {target!r}")
-    if a.mode == target:
-        return a
-    if a.mode == "coordinate":
-        bad = [c for w in a.terms for c in w if c.kind == "dy1"]
-        if bad:
-            return to_contact(a)
-        tensors = _extract_tensors(a, "dy")
-        converted = _convert_tensor_family(tensors, a.degree, a.chart,
-                                           alternating_sign=False)
-        return _rebuild_from_tensors(a.chart, a.degree, converted, "om", "contact")
-    if a.mode == "contact":
-        bad = [c for w in a.terms for c in w if c.kind == "om1"]
-        if bad:
-            return to_coordinate(a)
-        tensors = _extract_tensors(a, "om")
-        converted = _convert_tensor_family(tensors, a.degree, a.chart,
-                                           alternating_sign=True)
-        return _rebuild_from_tensors(a.chart, a.degree, converted, "dy",
-                                     "coordinate")
-    raise FormError(f"cannot convert mode {a.mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,56 @@ def test_check_zermelo_fails_with_witness(capsys, tmp_path):
     assert report["witness"]["point"]
 
 
+def nonhomogeneous_problem(tmp_path, extra: str = "") -> str:
+    """A problem whose integrand y1_1^2 fails the Zermelo conditions.
+
+    ``extra`` is spliced into the JSON text as written, so that literals such
+    as 1e999 reach the parser unchanged.
+    """
+    path = tmp_path / "problem.json"
+    path.write_text('{"schema": "lepage-problem/1", "chart": {"n": 1, "m": 1}, '
+                    '"lagrangian": "y1_1^2"' + extra + '}')
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--trials", "0"), "trials must be at least 1, got 0"),
+    (("--trials", "-2"), "trials must be at least 1, got -2"),
+    (("--tol", "nan"), "tol must be a positive number, got nan"),
+    (("--tol", "inf"), "tol must be a positive number, got inf"),
+    (("--tol", "-1"), "tol must be a positive number, got -1.0"),
+])
+def test_check_zermelo_rejects_bad_sampling_flags(capsys, tmp_path, flags,
+                                                  message):
+    path = nonhomogeneous_problem(tmp_path)
+    code, out, err = run_cli(capsys, "check-zermelo", "--problem", path, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (', "tol": 1e999', "tol must be a positive number, got inf"),
+    (', "tol": true', "tol must be a positive number, got True"),
+    (', "trials": 2.5', "trials must be an integer, got 2.5"),
+    (', "seed": true', "seed must be an integer, got True"),
+])
+def test_check_zermelo_rejects_bad_sampling_settings(capsys, tmp_path, extra,
+                                                     message):
+    path = nonhomogeneous_problem(tmp_path, extra)
+    code, out, err = run_cli(capsys, "check-zermelo", "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_sampling_flags_are_checked_after_overriding_the_file(capsys,
+                                                              tmp_path):
+    path = nonhomogeneous_problem(tmp_path, ', "trials": 0, "tol": -1')
+    code, report = run_json(capsys, "check-zermelo", "--problem", path,
+                            "--trials", "5", "--tol", "1e-9", "--seed", "-3")
+    assert code == 1
+    assert report["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # noether
 # ---------------------------------------------------------------------------
@@ -405,6 +455,32 @@ def test_problem_rejects_metric_and_lagrangian(capsys, tmp_path):
     path = write_problem(tmp_path, base_problem(lagrangian="y1_1"))
     code, _, err = run_cli(capsys, "derive-el", "--problem", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("chart, message", [
+    ({"n": 1.9, "m": 1}, "chart n must be an integer, got 1.9"),
+    ({"n": "1", "m": 1}, "chart n must be an integer, got '1'"),
+    ({"n": 1, "m": True}, "chart m must be an integer, got True"),
+    ({"n": 0, "m": 1}, "chart n must be at least 1, got 0"),
+    ({"n": 5, "m": 1}, "chart: base dimension must lie in 1..4, got 5"),
+])
+def test_problem_rejects_bad_chart_sizes(capsys, tmp_path, chart, message):
+    path = write_problem(tmp_path, {"schema": "lepage-problem/1",
+                                    "chart": chart, "lagrangian": "y1_1^2"})
+    code, out, err = run_cli(capsys, "derive-el", "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_problem_accepts_integral_float_chart_sizes(capsys, tmp_path):
+    reports = []
+    for n in (1, 1.0):
+        path = write_problem(tmp_path, {"schema": "lepage-problem/1",
+                                        "chart": {"n": n, "m": 1},
+                                        "lagrangian": "y1_1^2"})
+        reports.append(run_cli(capsys, "derive-el", "--problem", path))
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1]
 
 
 def test_problem_rejects_bad_fiber_index(capsys, tmp_path):

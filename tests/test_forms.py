@@ -5,17 +5,20 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import comb, factorial
+from typing import Mapping, Sequence
 
 import pytest
 
+from lepage.acceptance import _random_form as criterion11_random_form
 from lepage.charts import AdaptedChart, JetChart
 from lepage.expr import (
-    ONE, Sym, ZERO, const, cos_expr, equal, expr_sum, free_symbols, sin_expr,
-    sqrt_expr, sym_expr, wj, ww, x, yj, yy,
+    ONE, Expr, Sym, ZERO, const, cos_expr, equal, expr_sum, free_symbols,
+    levi_civita, sin_expr, sqrt_expr, sym_expr, wj, ww, x, yj, yy,
 )
 from lepage.forms import (
-    Covector, DiffForm, FormError, Immersion, VectorField, basis_convert,
-    contact_component, contract, covector_from_name, dw, dwj, dx, dy, dyj,
+    Covector, DiffForm, FormError, Immersion, VectorField, contact_component, contract, covector_from_name, dw, dwj, dx, dy, dyj,
     ext_d, form, form_equal, form_from_json, form_to_json,
     from_adapted_contact, horizontalize, lie_derivative, om, omega_marginal,
     omj, omt, pullback_immersion, reduce_contact_ideal, to_adapted_contact,
@@ -139,18 +142,177 @@ def test_contact_coordinate_roundtrip():
         assert (to_contact(to_coordinate(b)) - b).is_zero
 
 
+# Reference engine: the coordinate <-> contact exchange on skew coefficient
+# tensors with binomial weights, an independent derivation of what
+# to_contact/to_coordinate do by covector substitution.  It handles
+# first-order words (dx with dy, or dx with om) only.
+
+def _tensor_get(T: Mapping, Ks: Sequence[int], Is: Sequence[int]) -> Expr:
+    ks = tuple(Ks)
+    iss = tuple(Is)
+    if len(set(ks)) != len(ks) or len(set(iss)) != len(iss):
+        return ZERO
+    sk = levi_civita(tuple(sorted(range(len(ks)), key=lambda t: ks[t])[t] + 1
+                           for t in range(len(ks)))) if ks else 1
+    si = levi_civita(tuple(sorted(range(len(iss)), key=lambda t: iss[t])[t] + 1
+                           for t in range(len(iss)))) if iss else 1
+    val = T.get((tuple(sorted(ks)), tuple(sorted(iss))), ZERO)
+    sign = sk * si
+    return val if sign == 1 else -val
+
+
+def _perm_sign_rel(perm: Sequence[int], base: Sequence[int]) -> int:
+    index = {v: i for i, v in enumerate(base)}
+    return levi_civita(tuple(index[v] + 1 for v in perm))
+
+
+def _extract_tensors(a: DiffForm, fiber_kind: str) -> dict[int, dict]:
+    """Split a first-order form into skew tensors per contact/fiber degree."""
+    q = a.degree
+    tensors: dict[int, dict] = {}
+    for word, coeff in a.terms.items():
+        Ks = tuple(c.a for c in word if c.kind == fiber_kind)
+        Is = tuple(c.a for c in word if c.kind == "dx")
+        if len(Ks) + len(Is) != q:
+            raise FormError(
+                f"tensor conversion expects words over dx and {fiber_kind}")
+        l = len(Ks)
+        # stored words put the dx block first; the tensor convention puts the
+        # fiber block first, which costs the block-swap sign below
+        sign = -1 if (l * (q - l)) % 2 else 1
+        tensors.setdefault(l, {})[(Ks, Is)] = coeff if sign == 1 else -coeff
+    return tensors
+
+
+def _rebuild_from_tensors(chart: JetChart, q: int, tensors: Mapping[int, Mapping],
+                          fiber_kind: str, mode: str) -> DiffForm:
+    fiber_cov = {"dy": dy, "om": om}[fiber_kind]
+    out: dict = {}
+    for l, T in tensors.items():
+        for (Ks, Is), coeff in T.items():
+            if coeff.is_zero:
+                continue
+            sign = -1 if (l * (q - l)) % 2 else 1
+            word = tuple(dx(i) for i in Is) + tuple(fiber_cov(K) for K in Ks)
+            out[word] = out.get(word, ZERO) + (coeff if sign == 1 else -coeff)
+    return DiffForm(chart, q, mode, out)
+
+
+def _convert_tensor_family(tensors: Mapping[int, Mapping], q: int,
+                           chart: JetChart, alternating_sign: bool) -> dict[int, dict]:
+    """The binomial-weighted exchange between coordinate and contact tensors.
+
+    For each target fiber degree k,
+
+        T'_{K1..Kk i_{k+1}..i_q} = sum_{l=k}^{q} (+-1)^{l-k} C(q-k, q-l)
+            Alt(i_{k+1}..i_q) [ T_{K1..Kk Q_{k+1}..Q_l i_{l+1}..i_q}
+                                y^{Q_{k+1}}_{i_{k+1}} ... y^{Q_l}_{i_l} ]
+
+    with the minus signs present exactly in the contact-to-coordinate
+    direction.
+    """
+    M, n = chart.M, chart.n
+    out: dict[int, dict] = {}
+    for k in range(0, q + 1):
+        if q - k > n:
+            continue
+        target: dict = {}
+        for Ks in combinations(range(1, M + 1), k):
+            for Is in combinations(range(1, n + 1), q - k):
+                pieces = []
+                for l in range(k, q + 1):
+                    T = tensors.get(l)
+                    if T is None:
+                        continue
+                    take = l - k  # jet factors consumed from the free base slots
+                    if take > len(Is):
+                        continue
+                    weight = Fraction(comb(q - k, q - l),
+                                      factorial(q - k) if Is else 1)
+                    if alternating_sign and take % 2:
+                        weight = -weight
+                    for perm in permutations(Is):
+                        psign = _perm_sign_rel(perm, Is)
+                        iy, irest = perm[:take], perm[take:]
+                        for Qs in product(range(1, M + 1), repeat=take):
+                            val = _tensor_get(T, Ks + Qs, irest)
+                            if val.is_zero:
+                                continue
+                            factor = ONE
+                            for Q, ii in zip(Qs, iy):
+                                factor = factor * sym_expr(Sym("y1", Q, ii))
+                            pieces.append(const(psign * weight) * val * factor)
+                total = expr_sum(pieces)
+                if not total.is_zero:
+                    target[(Ks, Is)] = total
+        if target:
+            out[k] = target
+    return out
+
+
+def tensor_basis_convert(a: DiffForm, target: str) -> DiffForm:
+    """Exchange coordinate and contact bases through the skew tensors."""
+    if a.mode == target:
+        return a
+    if a.mode == "coordinate" and target == "contact":
+        tensors = _extract_tensors(a, "dy")
+        converted = _convert_tensor_family(tensors, a.degree, a.chart,
+                                           alternating_sign=False)
+        return _rebuild_from_tensors(a.chart, a.degree, converted, "om", "contact")
+    if a.mode == "contact" and target == "coordinate":
+        tensors = _extract_tensors(a, "om")
+        converted = _convert_tensor_family(tensors, a.degree, a.chart,
+                                           alternating_sign=True)
+        return _rebuild_from_tensors(a.chart, a.degree, converted, "dy",
+                                     "coordinate")
+    raise FormError(f"cannot convert mode {a.mode!r} to {target!r}")
+
+
+def assert_engines_agree(a: DiffForm) -> None:
+    """Both engines give the same representation in both directions."""
+    if a.mode == "coordinate":
+        forward, backward = to_contact, to_coordinate
+        there, home = "contact", "coordinate"
+    else:
+        forward, backward = to_coordinate, to_contact
+        there, home = "coordinate", "contact"
+    converted = forward(a)
+    assert tensor_basis_convert(a, there) == converted
+    assert tensor_basis_convert(converted, home) == backward(converted)
+
+
+def criterion11_corpus() -> list[DiffForm]:
+    """The 50 forms that selftest criterion 11 draws at seed 0."""
+    rng = random.Random(0)
+    chart = JetChart(2, 1, 1)
+    return [criterion11_random_form(chart, 1 + k % 2,
+                                    "coordinate" if k % 4 < 2 else "contact",
+                                    rng)
+            for k in range(50)]
+
+
 def test_tensor_conversion_matches_definitional():
     rng = random.Random(23)
     for degree in (1, 2):
         for _ in range(10):
-            a = random_form(CH21, degree, "coordinate", rng)
-            fast = basis_convert(a, "contact")
-            slow = to_contact(a)
-            assert (fast - slow).is_zero
-            back = basis_convert(fast, "coordinate")
-            assert (back - a).is_zero
-            c = random_form(CH21, degree, "contact", rng)
-            assert (basis_convert(c, "coordinate") - to_coordinate(c)).is_zero
+            assert_engines_agree(random_form(CH21, degree, "coordinate", rng))
+            assert_engines_agree(random_form(CH21, degree, "contact", rng))
+    for degree in (1, 2, 3):
+        assert_engines_agree(random_form(CH22, degree, "coordinate", rng,
+                                         terms=4))
+
+
+def test_tensor_conversion_matches_definitional_on_criterion11_corpus():
+    corpus = criterion11_corpus()
+    assert len(corpus) == 50
+    for a in corpus:
+        assert_engines_agree(a)
+
+
+def test_tensor_oracle_rejects_second_order_words():
+    a = form(CH21, "coordinate", {(dx(1), dyj(1, 2)): ONE})
+    with pytest.raises(FormError):
+        tensor_basis_convert(a, "contact")
 
 
 def test_contact_decomposition_is_complete():
