@@ -113,9 +113,8 @@ def _homogeneity_suite(seed: int) -> tuple[bool, str]:
     controls = (("affine slope", yj(1, 1) + ONE), ("squared slope", yj(1, 1) ** 2))
     for label, ctrl in controls:
         rep = zermelo_residuals(ctrl, lam.chart, trials=20, seed=seed)
-        bad = next(((ij, v) for ij, v in sorted(rep.verdicts.items())
-                    if v.verdict != "equal"), None)
-        if rep.passed or bad is None:
+        bad = rep.witness()
+        if bad is None:
             ok = False
             parts.append(f"{label} control unexpectedly passes")
         else:
@@ -168,10 +167,9 @@ def _fundamental_vs_homogeneous(seed: int) -> tuple[bool, str]:
     res = form_equal(fundamental_homogeneous(lam, trials=8, seed=seed),
                      caratheodory(lam), trials=20, tol=1e-9, seed=seed,
                      guards=[L])
-    if res.verdict == "unequal" and res.detail is not None:
-        point = {str(s): round(v, 4)
-                 for s, v in res.detail.witness.symbols.items()}
-        a, b = res.detail.witness_values
+    if res.witness is not None:
+        point = {str(s): round(v, 4) for s, v in res.witness.symbols.items()}
+        a, b = res.witness_values
         parts.append(f"antisymmetric pairing separates the homogeneous and "
                      f"product forms at word {res.word}: {a:.6g} vs {b:.6g} "
                      f"at {point}")
@@ -299,7 +297,7 @@ def _first_variation(seed: int) -> tuple[bool, str]:
     zeta = Immersion(lam.chart, (x(1), x(2),
                                  x(1) * x(2) * const(Fraction(1, 10))))
     rep = first_variation_check(rho, xi, zeta, UNIT, points=64)
-    return rep.passed(1e-6), rep.describe()
+    return rep.rel_difference <= 1e-6, rep.describe()
 
 
 def _invariance_suite(seed: int) -> tuple[bool, str]:
@@ -322,7 +320,7 @@ def _invariance_suite(seed: int) -> tuple[bool, str]:
     zeta = Immersion(ch, (x(1), x(2), x(1) * x(2) * const(Fraction(1, 10))))
     shear = x(2) ** 2 * const(Fraction(1, 10))
     rep = reparameterization_invariance(lam, zeta, shear, UNIT, points=24)
-    ok = all(residuals) and all(closed) and rep.passed(1e-9)
+    ok = all(residuals) and all(closed) and rep.rel_difference <= 1e-9
     return ok, (f"{sum(residuals)}/3 translation residuals vanish; "
                 f"{sum(closed)}/3 pulled-back currents are closed along a "
                 f"plane solution; {rep.describe()}")

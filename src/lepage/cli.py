@@ -24,16 +24,16 @@ from .charts import AdaptedChart, ChartError, JetChart
 from .equivalents import (Lagrangian, caratheodory, euler_lagrange,
                           fundamental, fundamental_homogeneous,
                           hilbert_caratheodory, is_lepage, poincare_cartan)
-from .expr import (Expr, ExprError, ParseError, PointAssignment, parse,
-                   to_dsl, to_latex)
-from .forms import (DiffForm, FormError, Immersion, ext_d, form_to_json,
-                    pullback_immersion)
+from .expr import (EqualResult, Expr, ExprError, ParseError, PointAssignment,
+                   parse, to_dsl, to_latex)
+from .forms import (DiffForm, FormError, Immersion, ext_d, form_equal,
+                    form_to_json, pullback_immersion, zero_form)
 from .homogeneity import grassmann_form, zermelo_residuals
 from .minimal import (BUILTIN_SURFACES, GridField, MetricSpec,
                       conservation_residuals, krupka_form, minimal_lagrangian,
                       reconstruct_and_check, solve_minimal_surface)
 from .variation import (VectorFieldSpec, is_invariance_generator,
-                        noether_current)
+                        noether_current, noether_residual)
 from .acceptance import run_all
 
 __all__ = ["ProblemError", "ProblemSpec", "load_problem", "main"]
@@ -78,6 +78,9 @@ def _expect(condition: bool, message: str) -> None:
 
 def _integer_setting(value: object, name: str, least: int) -> int:
     """An integer of at least ``least``; an integral float such as 2.0 counts."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ProblemError(f"{name} is out of range: an integer of "
+                           f"{len(str(abs(value)))} digits")
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not float(value).is_integer()):
         raise ProblemError(f"{name} must be an integer, got {value!r}")
@@ -140,7 +143,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
         raw = json.loads(Path(path).read_text())
     except OSError as ex:
         raise ProblemError(f"cannot read problem file: {ex}") from ex
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # bad JSON, or an integer past Python's digit cap
         raise ProblemError(f"problem file is not valid JSON: {ex}") from ex
     _expect(isinstance(raw, dict), "problem file must hold a JSON object")
     unknown = set(raw) - _PROBLEM_KEYS
@@ -238,14 +241,17 @@ def _point_json(assign: PointAssignment) -> dict:
                                          key=lambda kv: str(kv[0]))}
 
 
-def _witness_json(obj: object) -> object:
-    if obj is None:
-        return None
-    if isinstance(obj, PointAssignment):
-        return _point_json(obj)
-    if isinstance(obj, tuple):
-        return [getattr(c, "name", lambda: str(c))() for c in obj]
-    return str(obj)
+def _word_json(word: tuple | None) -> list[str] | None:
+    return None if word is None else [c.name() for c in word]
+
+
+def _witness(res: EqualResult, **fields: object) -> dict:
+    """A failing verdict's witness: ``fields``, then the sampled values and
+    point when the verdict has a witness point (an unknown one has none)."""
+    if res.witness is not None:
+        fields["values"] = list(res.witness_values)
+        fields["point"] = _point_json(res.witness)
+    return fields
 
 
 def _report(command: str, **payload: object) -> dict:
@@ -356,16 +362,12 @@ def _cmd_check_lepage(args: argparse.Namespace) -> int:
                       carries_lagrangian=verdict.carries_lagrangian)
     res = verdict.result
     if verdict.direction is not None:
-        witness = {"direction": str(verdict.direction),
-                   "word": _witness_json(res.word)}
-        if res.detail is not None:
-            witness["values"] = list(res.detail.witness_values)
-            witness["point"] = _witness_json(res.detail.witness)
-        payload["witness"] = witness
+        payload["witness"] = _witness(res, direction=str(verdict.direction),
+                                      word=_word_json(res.word))
     elif not verdict.carries_lagrangian:
         payload["witness"] = {"detail": "horizontal part differs from the "
                                         "Lagrangian volume form",
-                              "word": _witness_json(res.word)}
+                              "word": _word_json(res.word)}
     _emit(payload)
     return 0 if verdict.passed else 1
 
@@ -378,15 +380,11 @@ def _cmd_check_zermelo(args: argparse.Namespace) -> int:
     verdicts = {f"{i},{j}": res.verdict
                 for (i, j), res in sorted(report.verdicts.items())}
     payload = _report("check-zermelo", passed=report.passed, verdicts=verdicts)
-    if not report.passed:
-        (i, j), res = next(((ij, r) for ij, r in sorted(report.verdicts.items())
-                            if r.verdict != "equal"))
-        payload["witness"] = {
-            "index": [i, j],
-            "residual": to_dsl(report.residuals[(i, j)]),
-            "values": list(res.witness_values),
-            "point": _witness_json(res.witness),
-        }
+    bad = report.witness()
+    if bad is not None:
+        (i, j), res = bad
+        payload["witness"] = _witness(
+            res, index=[i, j], residual=to_dsl(report.residuals[(i, j)]))
     _emit(payload)
     return 0 if report.passed else 1
 
@@ -404,20 +402,23 @@ def _cmd_noether(args: argparse.Namespace) -> int:
     witness = None
     seed, tol, trials = _sampling(args, prob)
     for pos, xi in enumerate(prob.fields):
-        report = is_invariance_generator(xi, WG, trials=trials, tol=tol,
-                                         seed=seed)
+        invariant = bool(is_invariance_generator(xi, WG, trials=trials,
+                                                 tol=tol, seed=seed))
         current = noether_current(xi, WG)
         currents.append(current)
         entry = {
             "components": [to_dsl(c) for c in xi.components],
-            "invariant": bool(report),
+            "invariant": invariant,
             "current": form_to_json(current),
         }
         if prob.immersion is not None:
-            pulled = pullback_immersion(current, prob.immersion)
-            entry["closed_along_immersion"] = ext_d(pulled).is_zero
-        if not report and witness is None:
-            witness = {"field": pos, "residual": form_to_json(report.residual)}
+            closure = ext_d(pullback_immersion(current, prob.immersion))
+            zero = zero_form(closure.chart, closure.degree, closure.mode)
+            entry["closed_along_immersion"] = bool(form_equal(
+                closure, zero, trials=trials, tol=tol, seed=seed))
+        if not invariant and witness is None:
+            witness = {"field": pos, "residual":
+                       form_to_json(noether_residual(xi, WG))}
         entries.append(entry)
     passed = all(e["invariant"] for e in entries)
     if args.format == "latex":

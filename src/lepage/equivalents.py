@@ -20,11 +20,11 @@ from typing import Mapping, Sequence
 
 from .charts import ChartError, JetChart, formal_derivative
 from .expr import (
-    Expr, ExprError, ONE, Sym, ZERO, const, diff, expr_sum, free_symbols,
-    levi_civita,
+    EqualResult, Expr, ExprError, ONE, Sym, ZERO, const, diff, expr_sum,
+    free_symbols, levi_civita,
 )
 from .forms import (
-    DiffForm, FormEqualResult, FormError, VectorField, dx, dy, om, form,
+    DiffForm, FormError, VectorField, dx, dy, om, form,
     zero_form, wedge, wedge_all, volume_form, omega_marginal, horizontalize,
     contact_component, contract, ext_d, form_equal,
 )
@@ -271,7 +271,7 @@ class LepageVerdict:
     passed: bool
     carries_lagrangian: bool = True
     direction: Sym | None = None
-    result: FormEqualResult | None = None
+    result: EqualResult | None = None
     detail: str = ""
 
     def __bool__(self):
@@ -301,12 +301,12 @@ def _lepage_verdict(rho: DiffForm, drho: DiffForm, lam: Lagrangian,
     # is_lepage with d rho given, for callers that need d rho themselves
     chart = lam.chart
     carried = form_equal(horizontalize(rho), lam.volume(), **options)
-    carries = carried.verdict == "equal"
+    carries = bool(carried)
     for s in chart.jet1_symbols():
         defect = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
         res = form_equal(defect, zero_form(chart, chart.n, defect.mode),
                          **options)
-        if res.verdict != "equal":
+        if not res:
             return LepageVerdict(
                 False, carries, s, res,
                 f"defect at fiber index {s.a}, base index {s.b}: "
@@ -354,7 +354,7 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
                       one_contact.terms)
     res = form_equal(lifted, target, trials=trials, tol=tol, seed=seed,
                      guards=guards)
-    if res.verdict == "unequal":
+    if not res:
         return LepageVerdict(False, result=res,
                              detail="1-contact part mismatch: " + res.describe())
     return LepageVerdict(True)

@@ -1163,11 +1163,18 @@ def evaluate(e: Expr, assign: PointAssignment) -> float:
 
 @dataclass
 class EqualResult:
+    """Verdict of a sampled comparison of two expressions or two forms.
+
+    'unknown' means every sample was skipped; it never passes.  ``word`` is
+    the basis word that decided a failed form comparison.
+    """
+
     verdict: str  # 'equal' | 'unequal' | 'unknown'
     witness: PointAssignment | None = None
     witness_values: tuple[float, float] | None = None
     samples: int = 0
     max_deviation: float = 0.0
+    word: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.verdict == "equal"
@@ -1176,10 +1183,15 @@ class EqualResult:
         if self.verdict == "equal":
             return (f"equal ({self.samples} samples, "
                     f"max deviation {self.max_deviation:.3g})")
+        at = "" if self.word is None else \
+            f"{self.verdict} at word {'^'.join(c.name() for c in self.word)}"
         if self.verdict == "unknown":
-            return "unknown (all sampled points violated a domain guard)"
+            return at or "unknown (all sampled points violated a domain guard)"
+        if self.witness is None:
+            return "unequal: the forms differ in degree"
         va, vb = self.witness_values
-        return (f"unequal: lhs={va:.9g} rhs={vb:.9g} at "
+        head = at + ": " if at else ""
+        return (f"{head}unequal: lhs={va:.9g} rhs={vb:.9g} at "
                 f"{self.witness.describe()}")
 
 

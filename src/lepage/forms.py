@@ -32,14 +32,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .charts import AdaptedChart, ChartError, JetChart, contains_order2
 from .expr import (
-    Expr, ExprError, ONE, PointAssignment, Sym, ZERO, const, diff, equal,
-    expr_sum, free_symbols, levi_civita, parse, substitute, sym_expr, sym_name,
-    to_dsl,
+    EqualResult, Expr, ExprError, ONE, PointAssignment, Sym, ZERO, const,
+    diff, equal, expr_sum, free_symbols, levi_civita, parse, substitute,
+    sym_expr, sym_name, to_dsl,
 )
 
 __all__ = [
-    "Covector", "DiffForm", "FormError", "FormEqualResult", "Immersion",
-    "VectorField", "covector_from_name",
+    "Covector", "DiffForm", "FormError", "Immersion", "VectorField",
+    "covector_from_name",
     "dx", "dy", "dyj", "om", "omj", "dw", "dwj", "omt",
     "form", "zero_form", "volume_form", "omega_marginal", "wedge",
     "wedge_all", "ext_d", "contract", "horizontalize", "contact_component",
@@ -793,24 +793,6 @@ def reduce_contact_ideal(a: DiffForm) -> DiffForm:
 # comparison and serialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FormEqualResult:
-    verdict: str  # 'equal' | 'unequal' | 'unknown'
-    word: Word | None = None
-    detail: object = None
-
-    def __bool__(self):
-        return self.verdict == "equal"
-
-    def describe(self) -> str:
-        if self.verdict == "equal":
-            return "equal"
-        label = "^".join(c.name() for c in self.word) if self.word else "?"
-        if self.verdict == "unknown":
-            return f"unknown at word {label}"
-        return f"unequal at word {label}: {self.detail.describe()}"
-
-
 def _align(a: DiffForm, b: DiffForm) -> tuple[DiffForm, DiffForm]:
     if a.mode == b.mode:
         return a, b
@@ -824,22 +806,34 @@ def _align(a: DiffForm, b: DiffForm) -> tuple[DiffForm, DiffForm]:
 
 
 def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
-               seed: int = 0, guards: Sequence[Expr] = ()) -> FormEqualResult:
-    """Coefficient-wise comparison after aligning the basis modes."""
+               seed: int = 0, guards: Sequence[Expr] = ()) -> EqualResult:
+    """Coefficient-wise comparison after aligning the basis modes.
+
+    A failure is the first unequal coefficient's verdict, or else the last
+    unknown one, with ``word`` set; 'equal' sums the coefficients' samples
+    and keeps their largest deviation.
+    """
     if a.degree != b.degree:
-        return FormEqualResult("unequal", None, None)
+        return EqualResult("unequal")
     a2, b2 = _align(a, b)
     words = sorted(set(a2.terms) | set(b2.terms),
                    key=lambda w: tuple(c.key for c in w))
     unknown = None
+    samples = 0
+    worst = 0.0
     for word in words:
         res = equal(a2.terms.get(word, ZERO), b2.terms.get(word, ZERO),
                     trials=trials, tol=tol, seed=seed, guards=guards)
+        res.word = word
         if res.verdict == "unequal":
-            return FormEqualResult("unequal", word, res)
+            return res
         if res.verdict == "unknown":
-            unknown = FormEqualResult("unknown", word, res)
-    return unknown or FormEqualResult("equal")
+            unknown = res
+        samples += res.samples
+        worst = max(worst, res.max_deviation)
+    if unknown is not None:
+        return unknown
+    return EqualResult("equal", samples=samples, max_deviation=worst)
 
 
 def form_to_json(a: DiffForm) -> dict:

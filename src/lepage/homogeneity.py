@@ -36,18 +36,17 @@ class ZermeloReport:
 
     @property
     def passed(self) -> bool:
-        return all(v.verdict == "equal" for v in self.verdicts.values())
+        return all(self.verdicts.values())
 
-    def witness(self):
-        for key, v in sorted(self.verdicts.items()):
-            if v.verdict != "equal":
-                return key, v
-        return None
+    def witness(self) -> tuple[tuple[int, int], EqualResult] | None:
+        """The first index pair in sorted order whose verdict is not equal."""
+        return next(((key, v) for key, v in sorted(self.verdicts.items())
+                     if not v), None)
 
     def describe(self) -> str:
-        if self.passed:
-            return "all residuals vanish"
         bad = self.witness()
+        if bad is None:
+            return "all residuals vanish"
         (j, l), verdict = bad
         return f"residual at (j={j}, l={l}) is {verdict.describe()}"
 
@@ -66,11 +65,8 @@ def zermelo_residuals(F: Expr, chart: JetChart, *, trials: int = 50,
                 for K in range(1, chart.M + 1))
             residual = contracted - F if j == l else contracted
             residuals[(j, l)] = residual
-            if residual.is_zero:
-                verdicts[(j, l)] = EqualResult("equal", samples=0)
-            else:
-                verdicts[(j, l)] = equal(residual, ZERO, trials=trials,
-                                         tol=tol, seed=seed, guards=guards)
+            verdicts[(j, l)] = equal(residual, ZERO, trials=trials, tol=tol,
+                                     seed=seed, guards=guards)
     return ZermeloReport(chart, residuals, verdicts)
 
 

@@ -22,10 +22,10 @@ from . import _kernels
 from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, fundamental_homogeneous,
                           hilbert_caratheodory)
-from .expr import (Expr, ExprError, ONE, PointAssignment, Sym, ZERO, const,
-                   cos_expr, det_expr, diff, evaluate, expr_sum, free_symbols,
-                   log_expr, sqrt_expr, sym_expr, yj)
-from .forms import DiffForm, FormEqualResult, form_equal
+from .expr import (EqualResult, Expr, ExprError, ONE, PointAssignment, Sym,
+                   ZERO, const, cos_expr, det_expr, diff, evaluate, expr_sum,
+                   free_symbols, log_expr, sqrt_expr, sym_expr, yj)
+from .forms import DiffForm, form_equal
 
 __all__ = [
     "MetricSpec", "GridField", "CoincidenceReport", "SolveResult",
@@ -149,15 +149,15 @@ def krupka_form(g: MetricSpec, n: int) -> HorizontalNForm:
 class CoincidenceReport:
     """Pairwise comparison verdicts among labelled horizontal forms."""
 
-    results: dict[tuple[str, str], FormEqualResult]
+    results: dict[tuple[str, str], EqualResult]
 
     @property
     def passed(self) -> bool:
-        return all(r.verdict == "equal" for r in self.results.values())
+        return all(self.results.values())
 
     def witnesses(self) -> dict[tuple[str, str], str]:
-        return {pair: r.describe() for pair, r in self.results.items()
-                if r.verdict != "equal"}
+        return {pair: r.describe()
+                for pair, r in self.results.items() if not r}
 
     def describe(self) -> str:
         lines = [f"{a} vs {b}: {r.describe()}"

@@ -18,8 +18,8 @@ from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
 from .equivalents import HorizontalNForm, Lagrangian, euler_lagrange, \
     lagrangian_of
 from .expr import (
-    Expr, PointAssignment, Sym, ZERO, const, diff, evaluate, expr_sum,
-    free_symbols, substitute, sym_expr, x,
+    EqualResult, Expr, PointAssignment, Sym, ZERO, const, diff, evaluate,
+    expr_sum, free_symbols, substitute, sym_expr, x,
 )
 from .forms import (
     DiffForm, FormError, Immersion, VectorField, contract, dx, form_equal,
@@ -27,7 +27,7 @@ from .forms import (
 )
 
 __all__ = [
-    "VectorFieldSpec", "FirstVariationReport", "InvarianceReport",
+    "VectorFieldSpec", "FirstVariationReport",
     "prolong_jet", "prolong_grassmann", "noether_residual",
     "is_invariance_generator", "noether_current", "flow",
     "first_variation_check", "reparameterization_invariance",
@@ -175,30 +175,15 @@ def noether_residual(xi: VectorFieldSpec, eta: DiffForm) -> DiffForm:
     return reduce_contact_ideal(lie_derivative(prolonged, eta))
 
 
-@dataclass
-class InvarianceReport:
-    verdict: str  # 'equal' | 'unequal' | 'unknown'
-    residual: DiffForm
-    detail: object = None
-
-    def __bool__(self):
-        return self.verdict == "equal"
-
-    def describe(self) -> str:
-        if self.verdict == "equal":
-            return "invariance residual vanishes"
-        return f"residual nonzero: {self.detail.describe()}"
-
-
 def is_invariance_generator(xi: VectorFieldSpec, eta: DiffForm, *,
                             trials: int = 20, tol: float = 1e-9,
-                            seed: int = 0, guards=()) -> InvarianceReport:
+                            seed: int = 0, guards=()) -> EqualResult:
+    """Sampled verdict on the invariance residual being zero."""
     residual = noether_residual(xi, eta)
-    res = form_equal(residual, zero_form(residual.chart, residual.degree,
-                                         residual.mode,
-                                         adapted=residual.adapted),
-                     trials=trials, tol=tol, seed=seed, guards=guards)
-    return InvarianceReport(res.verdict, residual, res)
+    return form_equal(residual, zero_form(residual.chart, residual.degree,
+                                          residual.mode,
+                                          adapted=residual.adapted),
+                      trials=trials, tol=tol, seed=seed, guards=guards)
 
 
 def noether_current(xi: VectorFieldSpec, W: DiffForm) -> DiffForm:
@@ -276,9 +261,6 @@ class FirstVariationReport:
         scale = max(1.0, abs(self.lhs), abs(self.rhs))
         return self.abs_difference / scale
 
-    def passed(self, tol: float = 1e-6) -> bool:
-        return self.rel_difference <= tol
-
     def describe(self) -> str:
         return (f"lhs={self.lhs:.12g} rhs={self.rhs:.12g} "
                 f"(volume {self.volume_term:.12g} + boundary "
@@ -331,9 +313,6 @@ class ReparameterizationReport:
     def rel_difference(self) -> float:
         scale = max(1.0, abs(self.original), abs(self.reparameterized))
         return self.abs_difference / scale
-
-    def passed(self, tol: float = 1e-6) -> bool:
-        return self.rel_difference <= tol
 
     def describe(self) -> str:
         return (f"integral {self.original:.12g} vs reparameterized "

@@ -12,8 +12,8 @@ import pytest
 
 from lepage.cli import main
 from lepage.equivalents import poincare_cartan
-from lepage.expr import const, sqrt_expr
-from lepage.forms import DiffForm, dw
+from lepage.expr import EqualResult, ONE, const, sqrt_expr
+from lepage.forms import DiffForm, dw, dx
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 MINIMAL = str(PROBLEMS / "minimal_r3.json")
@@ -173,6 +173,24 @@ def test_check_lepage_failure_reports(capsys, monkeypatch, label):
     assert out == CHECK_LEPAGE_FAILURES[label]
 
 
+def test_check_lepage_reports_unknown_defect(capsys, monkeypatch):
+    # with every sample skipped the volume form's defect is undecided: the
+    # report fails, and its witness has no sampled values or point
+    import lepage.cli as cli
+    import lepage.forms as forms
+
+    monkeypatch.setattr(cli, "_build_equivalent", lambda kind, prob, **_: (
+        "poincare-cartan", prob.lagrangian.volume()))
+    monkeypatch.setattr(forms, "equal",
+                        lambda a, b, **_: EqualResult("unknown"))
+    code, report = run_json(capsys, "check-lepage", "--problem", MINIMAL,
+                            "--kind", "theta")
+    assert code == 1
+    assert report["passed"] is False
+    assert report["carries_lagrangian"] is False
+    assert report["witness"] == {"direction": "y1_1", "word": ["dx1", "dx2"]}
+
+
 def test_krupka_requires_metric(capsys):
     code, _, err = run_cli(capsys, "lepage", "--problem", ARCLENGTH,
                            "--kind", "krupka")
@@ -203,6 +221,21 @@ def test_check_zermelo_fails_with_witness(capsys, tmp_path):
     assert report["passed"] is False
     assert report["witness"]["index"]
     assert report["witness"]["point"]
+
+
+def test_check_zermelo_reports_unknown_verdict(capsys, tmp_path):
+    # every sample violates the radicand guard, so the residual is undecided
+    path = write_problem(tmp_path, {
+        "schema": "lepage-problem/1",
+        "chart": {"n": 1, "m": 1},
+        "lagrangian": "sqrt(-1 - y1_1^2)",
+    })
+    code, report = run_json(capsys, "check-zermelo", "--problem", path)
+    assert code == 1
+    assert report["passed"] is False
+    assert report["verdicts"] == {"1,1": "unknown"}
+    assert set(report["witness"]) == {"index", "residual"}
+    assert report["witness"]["index"] == [1, 1]
 
 
 def nonhomogeneous_problem(tmp_path, extra: str = "") -> str:
@@ -300,6 +333,27 @@ def test_noether_residual_zero_but_not_canonical(capsys, monkeypatch):
     assert report["passed"] is True
     assert all(entry["invariant"] is True for entry in report["currents"])
     assert "witness" not in report
+
+
+@pytest.mark.parametrize("extra, closed", [
+    (sqrt_expr(const(2)) * sqrt_expr(const(3)) - sqrt_expr(const(6)), True),
+    (ONE, False),
+])
+def test_noether_closedness_is_sampled(capsys, monkeypatch, extra, closed):
+    # d of each pulled-back current gains extra*dx1^dx2; sqrt(2)*sqrt(3) -
+    # sqrt(6) is not a structural zero, yet it vanishes at every sample
+    import lepage.cli as cli
+    exterior = cli.ext_d
+
+    def ext_d(a):
+        d = exterior(a)
+        return d + DiffForm(d.chart, d.degree, d.mode, {(dx(1), dx(2)): extra})
+
+    monkeypatch.setattr(cli, "ext_d", ext_d)
+    code, report = run_json(capsys, "noether", "--problem", MINIMAL)
+    assert code == 0
+    assert [entry["closed_along_immersion"] for entry in report["currents"]] \
+        == [closed] * 3
 
 
 def test_noether_requires_fields(capsys, tmp_path):
@@ -408,6 +462,44 @@ def test_minsurf_rejects_bad_solver_block(capsys, tmp_path, solver, message):
     code, out, err = run_cli(capsys, "minsurf", "--problem", path)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+HUGE = 10 ** 400  # beyond the float range
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("minsurf", "--grid", str(HUGE)), "grid"),
+    (("minsurf", "--max-iter", str(HUGE)), "max_iter"),
+    (("check-zermelo", "--problem", MINIMAL, "--trials", str(HUGE)), "trials"),
+])
+def test_huge_integer_flags_are_rejected(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} is out of range: an integer of 401 digits\n"
+
+
+@pytest.mark.parametrize("payload, name", [
+    (base_problem(solver={"grid": HUGE}), "grid"),
+    ({"schema": "lepage-problem/1", "chart": {"n": 1, "m": HUGE},
+      "lagrangian": "y1_1^2"}, "chart m"),
+])
+def test_huge_integer_settings_are_rejected(capsys, tmp_path, payload, name):
+    path = write_problem(tmp_path, payload)
+    command = "minsurf" if "solver" in payload else "derive-el"
+    code, out, err = run_cli(capsys, command, "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} is out of range: an integer of 401 digits\n"
+
+
+def test_problem_integer_past_digit_limit_is_rejected(capsys, tmp_path):
+    # Python refuses to parse integers of more than 4300 digits
+    path = tmp_path / "problem.json"
+    path.write_text('{"schema": "lepage-problem/1", "chart": {"n": 1'
+                    + "0" * 5000 + ', "m": 1}, "lagrangian": "y1_1^2"}')
+    code, out, err = run_cli(capsys, "derive-el", "--problem", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: problem file is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_minsurf_solver_block_accepts_integral_float_grid(capsys, tmp_path):

@@ -9,8 +9,8 @@ import pytest
 
 from lepage.charts import ChartError, JetChart
 from lepage.expr import (
-    ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum, levi_civita,
-    sqrt_expr, sym_expr, to_dsl, x, yj, yy,
+    EqualResult, ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum,
+    levi_civita, sqrt_expr, sym_expr, to_dsl, x, yj, yy,
 )
 from lepage.forms import (
     VectorField, contract, dx, dy, ext_d, form, form_equal, horizontalize,
@@ -244,6 +244,16 @@ def test_is_lepage_rejects_jet_dependent_defect():
     assert "defect at fiber index 1" in verdict.detail
 
 
+def test_is_lepage_degree_mismatch_fails_with_description():
+    # an (n+1)-form cannot carry the Lagrangian volume n-form
+    rho = form(CH11, "coordinate", {(dx(1), dy(1)): ONE})
+    verdict = is_lepage(rho, Lagrangian(CH11, yj(1, 1) ** 2), trials=5,
+                        seed=0)
+    assert not verdict.passed
+    assert verdict.describe() == ("fail: defect at fiber index 1, base index "
+                                  "1: unequal: the forms differ in degree")
+
+
 def closed_defect(rho: HorizontalNForm, P: int, s: int):
     """Reference h(d/dy^P_s -| d rho) for a pure-dy form, by closed formula.
 
@@ -343,6 +353,27 @@ def test_el_form_check_area_form():
     W = fundamental_homogeneous(lam, verify=False, trials=10, seed=1)
     verdict = el_form_check(HorizontalNForm(CH21, W), trials=6, seed=3)
     assert verdict.passed
+
+
+def test_el_form_check_fails_on_unknown_one_contact_part(monkeypatch):
+    # a 1-contact comparison whose samples were all skipped is no evidence
+    import lepage.equivalents as equivalents
+    compare = equivalents.form_equal
+    word = (om(1), dx(1), dx(2))
+
+    def skipped(a, b, **options):
+        if a.degree == CH21.n + 1:
+            return EqualResult("unknown", word=word)
+        return compare(a, b, **options)
+
+    monkeypatch.setattr(equivalents, "form_equal", skipped)
+    rho = HorizontalNForm(CH21, form(CH21, "coordinate",
+                                     {(dy(1), dy(2)): yy(3)}))
+    verdict = el_form_check(rho, trials=8, seed=3)
+    assert not verdict.passed
+    assert verdict.result.verdict == "unknown"
+    assert verdict.detail == ("1-contact part mismatch: "
+                              "unknown at word om1^dx1^dx2")
 
 
 def test_el_form_check_gate():

@@ -576,6 +576,35 @@ def test_form_equal_across_modes():
     assert "unequal at word" in res.describe()
 
 
+def test_form_equal_degree_mismatch_describes_itself():
+    res = form_equal(form(CH21, "coordinate", {(dx(1),): ONE}),
+                     volume_form(CH21), trials=5, seed=0)
+    assert not res and res.verdict == "unequal"
+    assert res.word is None and res.witness is None
+    assert res.describe() == "unequal: the forms differ in degree"
+
+
+def test_form_equal_verdict_fields():
+    # no coefficient difference is a structural zero, so each is sampled
+    root2, root3, root5, root6, root10 = (sqrt_expr(const(k))
+                                          for k in (2, 3, 5, 6, 10))
+    a = form(CH21, "coordinate", {(dx(1),): root2 * root3,
+                                  (dx(2),): root2 * root5 * yy(1)})
+    b = form(CH21, "coordinate", {(dx(1),): root6, (dx(2),): root10 * yy(1)})
+    res = form_equal(a, b, trials=5, seed=0)
+    assert res.verdict == "equal" and res.word is None
+    assert res.samples == 10 and res.max_deviation < 1e-12
+    unequal = form_equal(a, b + form(CH21, "coordinate", {(dx(1),): ONE}),
+                         trials=5, seed=0)
+    assert unequal.word == (dx(1),)
+    assert unequal.describe().startswith("unequal at word dx1: unequal: lhs=")
+    # a guard that never holds skips every sample
+    unknown = form_equal(a, b, trials=5, seed=0, guards=[-ONE])
+    assert unknown.verdict == "unknown" and not unknown
+    assert unknown.witness is None and unknown.word == (dx(2),)
+    assert unknown.describe() == "unknown at word dx2"
+
+
 def test_form_json_roundtrip():
     a = form(CH21, "coordinate",
              {(dy(1), dx(2)): yy(2) * x(1), (dy(3), dy(2)): sqrt_expr(
