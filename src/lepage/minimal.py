@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from numbers import Integral, Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -354,26 +355,37 @@ def _float32_or_none(v: np.ndarray):
     return v32 if np.all(np.isfinite(v32)) else None
 
 
+def _float32_factor(A):
+    """SuperLU of A^T in float32 (A in CSR), or None when it cannot be made.
+
+    A's CSR arrays are read as the CSC arrays of A^T, so no float64 copy of A
+    is made, and the factor's values take half the memory of a float64 one.
+    None means an entry beyond float32 range or an exactly singular factor.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+    data32 = _float32_or_none(A.data)
+    if data32 is None:
+        return None
+    AT = csc_matrix((data32, A.indices, A.indptr), shape=A.shape[::-1])
+    try:
+        return splu(AT, permc_spec="MMD_AT_PLUS_A", panel_size=4)
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
+
+
 def _refined_float32_solve(J, b: np.ndarray):
     """Single-precision LU of J^T with double-precision iterative refinement.
 
-    J's CSR arrays are read as the CSC arrays of J^T, so no float64 copy of J
-    is made, and the factor's values take half the memory of a float64 one.
     Refinement repeats r = b - J x, x += (LU)^-T r until LAPACK dsgesv's
     test ||r|| <= ||x|| ||J|| eps sqrt(n) holds (max norms).  Returns None
     when it cannot: float32 overflow, an exactly singular float32 factor, or
     no convergence in _REFINE_STEPS steps (J too ill-conditioned).
     """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
     tol = _inf_norm(J) * np.finfo(np.float64).eps * np.sqrt(b.size)
-    data32, b32 = _float32_or_none(J.data), _float32_or_none(b)
-    if data32 is None or b32 is None:
-        return None
-    JT = csc_matrix((data32, J.indices, J.indptr), shape=J.shape[::-1])
-    try:
-        lu = splu(JT, permc_spec="MMD_AT_PLUS_A", panel_size=4)
-    except RuntimeError:  # "Factor is exactly singular"
+    b32 = _float32_or_none(b)
+    lu = None if b32 is None else _float32_factor(J)
+    if lu is None:
         return None
     x = lu.solve(b32, trans="T").astype(np.float64)
     for step in range(_REFINE_STEPS + 1):
@@ -386,20 +398,119 @@ def _refined_float32_solve(J, b: np.ndarray):
         x += lu.solve(r32, trans="T")
 
 
-def spsolve(J, b: np.ndarray) -> np.ndarray:
-    """Solve J x = b (J in CSR) by a mixed-precision sparse factor-solve.
+_COARSEST_SIDE = 31  # grids with no longer side are factored directly
+_INNER_RTOL = 1e-8   # BiCGSTAB's relative residual target per outer step
+_INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
 
-    J^T is factored once in float32 by an MMD-ordered SuperLU with panels of
-    4 columns (SuperLU's default is 10, which costs a fifth more work memory
-    at N=513), and float64 iterative refinement restores double-precision
-    accuracy, typically in two steps (Buttari et al., ACM TOMS 34(4),
-    2008).  When the float32 path fails -- J or b outside float32 range, a
-    float32 factor that is exactly singular, or refinement that does not
-    converge -- J is factored again in float64.  Only an exactly singular
+
+def _grid_levels(mx: int, my: int) -> list[tuple[int, int]]:
+    """Interior shapes of the multigrid hierarchy, finest first.
+
+    A side of 2m + 1 nodes coarsens to m while both sides are odd, at least
+    3, and the longer one exceeds _COARSEST_SIDE.
+    """
+    shapes = [(mx, my)]
+    while mx % 2 and my % 2 and min(mx, my) >= 3 and max(mx, my) > _COARSEST_SIDE:
+        mx, my = (mx - 1) // 2, (my - 1) // 2
+        shapes.append((mx, my))
+    return shapes
+
+
+def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
+    """One V(1,1)-cycle for stencils[level] x = f from x = 0."""
+    if level == len(stencils) - 1:
+        with np.errstate(over="ignore"):
+            f32 = f.ravel().astype(np.float32)
+        return coarse.solve(f32, trans="T").astype(np.float64).reshape(f.shape)
+    k, S = _kernels, stencils[level]
+    xp = np.zeros((f.shape[0] + 2, f.shape[1] + 2))
+    k.colour_gauss_seidel(S, xp, f)
+    x = xp[1:-1, 1:-1]
+    r = k.restrict(f - k.stencil_apply(S, x))
+    x += k.prolong(_vcycle(stencils, coarse, level + 1, r))
+    k.colour_gauss_seidel(S, xp, f, order=(3, 2, 1, 0))
+    return x
+
+
+def _multigrid_solve(J, b: np.ndarray, shapes):
+    """Solve J x = b by float64 refinement, each correction by BiCGSTAB
+    preconditioned with a Galerkin V(1,1)-cycle.
+
+    Level 0 is J's 9-point stencil on the grid ``shapes[0]``; coarser
+    operators are P^T A P with bilinear P.  The smoother is four-colour
+    Gauss-Seidel, and only the coarsest operator is factored, as a float32
+    LU of its transpose.  The outer loop stops at the test of
+    _refined_float32_solve.  Returns None when the coarsest factor cannot
+    be made, or when an outer step does not shrink the residual or the
+    test still fails after _REFINE_STEPS steps.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import LinearOperator, bicgstab
+    k = _kernels
+    mx, my = shapes[0]
+    stencils = [k.probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my),
+                                mx, my)]
+    for shape in shapes[1:]:
+        fine = stencils[-1]
+        stencils.append(k.probe_stencil(
+            lambda e: k.restrict(k.stencil_apply(fine, k.prolong(e))), *shape))
+    n = shapes[-1][0] * shapes[-1][1]
+    coarse = _float32_factor(coo_matrix(
+        k.stencil_coo(stencils[-1], *shapes[-1]), shape=(n, n)).tocsr())
+    if coarse is None:
+        return None
+
+    M = LinearOperator(J.shape, dtype=np.float64, matvec=lambda v: _vcycle(
+        stencils, coarse, 0, v.reshape(mx, my)).ravel())
+    tol = _inf_norm(J) * np.finfo(np.float64).eps * np.sqrt(b.size)
+    x, last = np.zeros(b.size), np.inf
+    for step in range(_REFINE_STEPS + 1):
+        r = b - J @ x
+        rmax = np.max(np.abs(r))
+        if rmax <= np.max(np.abs(x)) * tol:
+            return x
+        if not rmax < last or step == _REFINE_STEPS:  # nan, or no progress
+            return None
+        last = rmax
+        # bicgstab's breakdown tests are absolute, so it sees r at unit scale
+        with np.errstate(all="ignore"):
+            x += rmax * bicgstab(J, r / rmax, rtol=_INNER_RTOL, atol=0.0,
+                                 maxiter=_INNER_STEPS, M=M)[0]
+
+
+def spsolve(J, b: np.ndarray, grid: tuple[int, int] | None = None) -> np.ndarray:
+    """Solve J x = b (J in CSR) by a mixed-precision sparse solve.
+
+    ``grid`` is the interior shape (mx, my) when J is a 9-point operator on
+    that grid with row i*my + j for node (i, j), as the Newton solver's
+    Jacobians are.  Such a grid is coarsened into a multigrid hierarchy:
+    a side of 2m + 1 nodes becomes m while both sides are odd, at least 3,
+    and the longer one exceeds 31 nodes.  Even sides do not coarsen.  The
+    coarse operators are Galerkin products P^T A P with bilinear P, the
+    smoother is four-colour Gauss-Seidel in a V(1,1)-cycle, and only the
+    coarsest operator, at most 31 x 31 nodes, is factored, in float32.  A
+    float64 loop then refines x until LAPACK dsgesv's test ||b - J x|| <=
+    ||x|| ||J|| eps sqrt(n) holds (max norms), at most 30 times, each
+    correction by BiCGSTAB preconditioned with the V-cycle.
+
+    Without ``grid``, or when it does not coarsen, J^T itself is factored
+    once in float32 by an MMD-ordered SuperLU with panels of 4 columns
+    (SuperLU's default is 10, which costs a fifth more work memory), and
+    float64 iterative refinement restores double-precision accuracy to the
+    same test, typically in two steps (Buttari et al., ACM TOMS 34(4),
+    2008).  When either path fails -- J or b outside float32 range, a
+    float32 factor that is exactly singular, or a loop that does not reach
+    the test -- J is factored again in float64.  Only an exactly singular
     float64 factor gives a non-finite x, as scipy's spsolve does.
     """
     J.sum_duplicates()  # in place; J^T shares J's index arrays
-    x = _refined_float32_solve(J, b)
+    if grid is not None and grid[0] * grid[1] != b.size:
+        raise ValueError(f"grid {tuple(grid)} does not match {b.size} unknowns")
+    shapes = [grid] if grid is None else _grid_levels(*grid)
+    if len(shapes) > 1:
+        x = _multigrid_solve(J, b, shapes)
+    else:
+        x = _refined_float32_solve(J, b)
     if x is not None:
         return x
     from scipy.sparse.linalg import splu
@@ -429,19 +540,39 @@ class SolveResult:
                 + (f" ({self.message})" if self.message else ""))
 
 
+def _roundoff_floor(u: np.ndarray, hx: float, hy: float) -> float:
+    """eps max|u| (2/hx^2 + 2/hy^2)(1 + max|grad u|^2).
+
+    The size of the residual change that rounding u to double precision
+    can cause: an ulp of u, amplified by the second-difference stencil and
+    by the gradient factors of the equation's coefficients.
+    """
+    ux, uy = _kernels._stencil_derivatives(u, hx, hy)[:2]
+    return (np.finfo(np.float64).eps * float(np.max(np.abs(u)))
+            * (2.0 / hx ** 2 + 2.0 / hy ** 2)
+            * (1.0 + float(np.max(ux * ux + uy * uy))))
+
+
 def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
                           max_iter: int = 20) -> SolveResult:
     """Damped Newton iteration on the central-difference graph equation.
 
     Boundary nodes are Dirichlet data; interior values of the input serve as
     the initial guess.  Steps are halved while they increase the max-norm
-    residual.
+    residual.  A step that no halving improves ends the iteration; the
+    result counts as converged when the residual is at or below the
+    roundoff floor of the grid (``_roundoff_floor``), however small ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if (isinstance(tol, bool) or not isinstance(tol, Real)
+            or not 0 < tol < float("inf")):
+        raise ValueError(f"tolerance must be a positive finite number, "
+                         f"got {tol!r}")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, Integral)
+            or max_iter < 0):
+        raise ValueError(f"max_iter must be a non-negative integer, "
+                         f"got {max_iter!r}")
     u = boundary.values.copy()
     hx, hy = boundary.hx, boundary.hy
-    my = boundary.ny - 2
     res = _kernels.interior_residual(u, hx, hy)
     rmax = float(np.max(np.abs(res)))
     history = [rmax]
@@ -452,14 +583,14 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
         # J owns the kernel's arrays; no other copy lives through the solve
         J = csr_matrix(_kernels.interior_jacobian_csr(u, hx, hy),
                        shape=(res.size, res.size))
-        delta = spsolve(J, -res.ravel())
+        delta = spsolve(J, -res.ravel(), grid=res.shape)
         if not np.all(np.isfinite(delta)):
             return SolveResult(GridField(boundary.rect, u), False, it - 1,
                                history, "singular Jacobian")
         step = 1.0
         while True:
             trial = u.copy()
-            trial[1:-1, 1:-1] += step * delta.reshape(-1, my)
+            trial[1:-1, 1:-1] += step * delta.reshape(res.shape)
             res_new = _kernels.interior_residual(trial, hx, hy)
             rmax_new = float(np.max(np.abs(res_new)))
             if rmax_new < rmax or step < 1e-8:
@@ -467,6 +598,11 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
             step *= 0.5
         if rmax_new >= rmax:
             history.append(rmax_new)
+            floor = _roundoff_floor(u, hx, hy)
+            if rmax_new <= floor:
+                return SolveResult(GridField(boundary.rect, u), True, it,
+                                   history, f"stagnated at the roundoff "
+                                   f"floor {floor:.3e}")
             return SolveResult(GridField(boundary.rect, u), False, it,
                                history, "stagnated under damping")
         u, res, rmax = trial, res_new, rmax_new

@@ -381,6 +381,18 @@ def test_minsurf_converges_and_reports(capsys):
     assert report["residuals"]["relation"] <= gate
 
 
+@pytest.mark.parametrize("boundary", ["scherk", "paraboloid"])
+def test_minsurf_stagnation_at_the_roundoff_floor_exits_zero(capsys, boundary):
+    # tol 1e-14 is below what double precision can reach on a 65 x 65 grid
+    code, report = run_json(capsys, "minsurf", "--grid", "65",
+                            "--boundary", boundary, "--tol", "1e-14")
+    assert code == 0
+    assert report["converged"] is True
+    assert report["message"].startswith("stagnated at the roundoff floor ")
+    floor = float(report["message"].rsplit(" ", 1)[1])
+    assert 1e-14 < report["residuals"]["equation"] <= floor
+
+
 def test_minsurf_solver_block_defaults(capsys):
     code, report = run_json(capsys, "minsurf", "--problem", MINIMAL)
     assert code == 0

@@ -306,6 +306,32 @@ def jacobian_loop(u, hx, hy):
     return np.array(rows), np.array(cols), np.array(vals)
 
 
+def jacobian_csr_stacked(u, hx, hy):
+    # the kernel's earlier form: a stack of all nine coefficient fields and
+    # of their columns, masked down to the in-grid entries
+    mx, my = u.shape[0] - 2, u.shape[1] - 2
+    ux, uy, uxx, uyy, uxy = _kernels._stencil_derivatives(u, hx, hy)
+    A = 1.0 + uy * uy
+    B = 1.0 + ux * ux
+    C = -2.0 * ux * uy
+    D = 2.0 * ux * uyy - 2.0 * uy * uxy
+    E = 2.0 * uy * uxx - 2.0 * ux * uxy
+    ax, dx = A / (hx * hx), D / (2.0 * hx)
+    by, ey = B / (hy * hy), E / (2.0 * hy)
+    cxy = C / (4.0 * hx * hy)
+    centre = -2.0 * A / (hx * hx) - 2.0 * B / (hy * hy)
+    coeffs = np.stack([cxy, ax - dx, -cxy, by - ey, centre, by + ey,
+                       -cxy, ax + dx, cxy], axis=-1)
+    steps = np.array([-1, 0, 1])
+    in_i, in_j = _kernels._in_range(mx, steps), _kernels._in_range(my, steps)
+    keep = (in_i[:, None, :, None] & in_j[None, :, None, :]).reshape(mx, my, 9)
+    offsets = (steps[:, None] * my + steps[None, :]).ravel().astype(np.int32)
+    cols = np.arange(mx * my, dtype=np.int32).reshape(mx, my, 1) + offsets
+    indptr = np.zeros(mx * my + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
+    return coeffs[keep], cols[keep], indptr
+
+
 def assert_same_bits(a: np.ndarray, b: np.ndarray):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -326,6 +352,17 @@ def test_kernels_match_reference_loops_bit_for_bit(shape):
     assert_same_bits(indptr, want.indptr)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (3, 9), (9, 3),
+                                   (14, 13), (12, 17), (33, 33)])
+def test_jacobian_csr_matches_stacked_kernel(shape):
+    u = random_surface(shape)
+    got = _kernels.interior_jacobian_csr(u, 0.03, 0.05)
+    want = jacobian_csr_stacked(u, 0.03, 0.05)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_bits(a, b)
+
+
 def test_jacobian_csr_keeps_exact_zeros():
     # flat data: every first difference vanishes, so the diagonal-neighbour
     # entries are exact zeros that must still be stored
@@ -335,6 +372,78 @@ def test_jacobian_csr_keeps_exact_zeros():
     # 9 entries per node, minus 3 per node on each side, plus the 4 corners
     assert indptr[-1] == data.size == 9 * mx * my - 6 * (mx + my) + 4
     assert np.count_nonzero(data == 0.0) == 4 * (mx - 1) * (my - 1)
+
+
+# ---------------------------------------------------------------------------
+# multigrid grid operations
+# ---------------------------------------------------------------------------
+
+def interpolation_matrix(m):
+    # 1-D linear interpolation from m coarse to 2m + 1 fine interior nodes
+    P = np.zeros((2 * m + 1, m))
+    for c in range(m):
+        P[2 * c:2 * c + 3, c] = (0.5, 1.0, 0.5)
+    return P
+
+
+def probed(u):
+    mx, my = u.shape[0] - 2, u.shape[1] - 2
+    J = csr_matrix(_kernels.interior_jacobian_csr(u, 0.03, 0.05),
+                   shape=(mx * my,) * 2)
+    blocks = _kernels.probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my),
+                                    mx, my)
+    return J, blocks, mx, my
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 9), (14, 13), (17, 17)])
+def test_probe_stencil_recovers_the_jacobian(shape):
+    from scipy.sparse import coo_matrix
+    J, blocks, mx, my = probed(random_surface(shape))
+    got = coo_matrix(_kernels.stencil_coo(blocks, mx, my), shape=J.shape)
+    assert np.array_equal(got.toarray(), J.toarray())
+    x = np.random.default_rng(1).standard_normal((mx, my))
+    assert np.allclose(_kernels.stencil_apply(blocks, x).ravel(), J @ x.ravel(),
+                       rtol=1e-14, atol=1e-12)
+
+
+def test_restrict_is_the_transpose_of_prolong():
+    Px, Py = interpolation_matrix(4), interpolation_matrix(7)
+    rng = np.random.default_rng(2)
+    xc, f = rng.standard_normal((4, 7)), rng.standard_normal((9, 15))
+    assert np.allclose(_kernels.prolong(xc), Px @ xc @ Py.T, rtol=0, atol=1e-15)
+    assert np.allclose(_kernels.restrict(f), Px.T @ f @ Py, rtol=0, atol=1e-14)
+
+
+def test_coarse_stencil_is_the_galerkin_product():
+    from scipy.sparse import coo_matrix
+    k = _kernels
+    J, blocks, mx, my = probed(random_surface((17, 11)))
+    coarse = k.probe_stencil(
+        lambda e: k.restrict(k.stencil_apply(blocks, k.prolong(e))), 7, 4)
+    P = np.kron(interpolation_matrix(7), interpolation_matrix(4))
+    want = P.T @ J.toarray() @ P
+    got = coo_matrix(k.stencil_coo(coarse, 7, 4), shape=want.shape).toarray()
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-9)
+    # the product is itself a 9-point operator, so probing lost nothing
+    assert np.count_nonzero(want[np.abs(got) == 0]) == 0
+
+
+def test_colour_gauss_seidel_is_gauss_seidel_in_colour_order():
+    J, blocks, mx, my = probed(random_surface((12, 9)))
+    A = J.toarray()
+    rng = np.random.default_rng(3)
+    f, x0 = rng.standard_normal((mx, my)), rng.standard_normal((mx, my))
+    xp = np.zeros((mx + 2, my + 2))
+    xp[1:-1, 1:-1] = x0
+    _kernels.colour_gauss_seidel(blocks, xp, f, order=(2, 0, 3, 1))
+    x = x0.ravel().copy()
+    for c in (2, 0, 3, 1):
+        p, q = _kernels.COLOURS[c]
+        for i in range(p, mx, 2):
+            for j in range(q, my, 2):
+                r = i * my + j
+                x[r] += (f.ravel()[r] - A[r] @ x) / A[r, r]
+    assert np.allclose(xp[1:-1, 1:-1].ravel(), x, rtol=1e-13, atol=1e-13)
 
 
 def test_jacobian_matches_central_differences():
@@ -399,6 +508,59 @@ def test_solver_rejects_bad_tolerance():
         solve_minimal_surface(bound, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10, True, "1e-10"])
+def test_solver_rejects_non_finite_or_non_positive_tolerance(tol):
+    bound = GridField.dirichlet(SQUARE, (9, 9), BUILTIN_SURFACES["scherk"])
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_minimal_surface(bound, tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [-3, 2.5, 3.0, True, None])
+def test_solver_rejects_non_integer_or_negative_max_iter(max_iter):
+    bound = GridField.dirichlet(SQUARE, (9, 9), BUILTIN_SURFACES["scherk"])
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_minimal_surface(bound, max_iter=max_iter)
+
+
+def test_solver_accepts_zero_and_numpy_max_iter():
+    bound = GridField.dirichlet(SQUARE, (9, 9), BUILTIN_SURFACES["scherk"])
+    assert solve_minimal_surface(bound, max_iter=0).iterations == 0
+    res = solve_minimal_surface(bound, tol=np.float64(1e-10),
+                                max_iter=np.int64(12))
+    assert res.converged
+
+
+@pytest.mark.parametrize("name", ["scherk", "paraboloid"])
+def test_solver_stagnation_at_the_roundoff_floor_counts_as_converged(name):
+    bound = GridField.dirichlet(SQUARE, (65, 65), BUILTIN_SURFACES[name])
+    res = solve_minimal_surface(bound, tol=1e-14, max_iter=20)
+    floor = lepage.minimal._roundoff_floor(res.field.values, bound.hx, bound.hy)
+    assert res.converged and res.iterations < 20
+    assert res.message == f"stagnated at the roundoff floor {floor:.3e}"
+    assert 1e-14 < res.final_residual <= floor
+    # the same solve reports the history it reports at tol 1e-10, extended
+    coarse = solve_minimal_surface(bound, tol=1e-10, max_iter=20)
+    assert res.history[:len(coarse.history)] == coarse.history
+
+
+def test_solver_stagnation_above_the_floor_still_fails(monkeypatch):
+    monkeypatch.setattr(lepage.minimal, "_roundoff_floor",
+                        lambda u, hx, hy: 0.0)
+    bound = GridField.dirichlet(SQUARE, (65, 65), BUILTIN_SURFACES["scherk"])
+    res = solve_minimal_surface(bound, tol=1e-14, max_iter=20)
+    assert not res.converged
+    assert res.message == "stagnated under damping"
+
+
+def test_roundoff_floor_formula():
+    u = np.zeros((5, 5))
+    u[2, 2] = 3.0  # central differences give |grad u| = 3 / (2 h) next to it
+    hx, hy = 0.5, 0.25
+    want = (np.finfo(float).eps * 3.0 * (2 / hx ** 2 + 2 / hy ** 2)
+            * (1 + (3.0 / (2 * hy)) ** 2))
+    assert lepage.minimal._roundoff_floor(u, hx, hy) == pytest.approx(want)
+
+
 def test_solver_leaves_paraboloid_boundary_for_other_interior():
     bound = GridField.dirichlet(SQUARE, (33, 33), BUILTIN_SURFACES["paraboloid"])
     res = solve_minimal_surface(bound, tol=1e-10, max_iter=12)
@@ -433,7 +595,7 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
     seen = []
     factor_solve = lepage.minimal.spsolve
 
-    def inspecting_spsolve(J, b):
+    def inspecting_spsolve(J, b, **kwargs):
         caller = sys._getframe(1)
         owned = {id(J.data), id(J.indices), id(J.indptr)}
         values = []
@@ -442,7 +604,7 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
         large = [v for v in values if isinstance(v, np.ndarray)
                  and v.size >= J.nnz and id(v) not in owned]
         seen.append((caller.f_code.co_name, J.nnz, len(large)))
-        return factor_solve(J, b)
+        return factor_solve(J, b, **kwargs)
 
     monkeypatch.setattr(lepage.minimal, "spsolve", inspecting_spsolve)
     res = scherk_solution(33)
@@ -454,7 +616,7 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
 # Reference factor-solve: one float64 MMD-ordered SuperLU of J, the solver's
 # factorization before the mixed-precision one.
 
-def float64_spsolve(J, b):
+def float64_spsolve(J, b, grid=None):
     from scipy.sparse.linalg import splu
     try:
         lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=4)
@@ -476,6 +638,21 @@ def factor_dtypes(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     return dtypes
+
+
+@pytest.fixture
+def factor_rows(monkeypatch):
+    """Row counts of the matrices splu is asked to factor, in call order."""
+    import scipy.sparse.linalg
+    rows = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(A, *args, **kwargs):
+        rows.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    return rows
 
 
 def test_spsolve_matches_dense_solve():
@@ -557,6 +734,100 @@ def test_each_newton_step_makes_one_float32_factorization(factor_dtypes,
     res = newton_solve(name, N)
     assert res.converged and res.iterations > 0
     assert factor_dtypes == ["float32"] * res.iterations
+
+
+@pytest.mark.parametrize("name", ["scherk", "paraboloid"])
+def test_multigrid_factors_only_the_coarsest_grid(factor_dtypes, factor_rows,
+                                                   name):
+    res = newton_solve(name, 257)
+    assert res.converged and res.iterations > 0
+    # no fallback on a benchmark grid: one float32 factor per Newton step,
+    # each of the 31 x 31 coarsest grid, not of the 255 x 255 interior
+    assert factor_dtypes == ["float32"] * res.iterations
+    assert factor_rows == [31 * 31] * res.iterations
+
+
+def test_grid_levels():
+    levels = lepage.minimal._grid_levels
+    assert levels(511, 511) == [(511, 511), (255, 255), (127, 127),
+                                (63, 63), (31, 31)]
+    assert levels(63, 31) == [(63, 31), (31, 15)]
+    assert levels(31, 127) == [(31, 127), (15, 63), (7, 31)]
+    # even sides, and grids no longer side of which exceeds 31, stay whole
+    for shape in [(62, 62), (64, 63), (63, 64), (31, 31), (15, 15), (1, 63)]:
+        assert levels(*shape) == [shape]
+
+
+def one_newton_system(name, shape):
+    bound = GridField.dirichlet(SQUARE, shape, BUILTIN_SURFACES[name])
+    u, hx, hy = bound.values, bound.hx, bound.hy
+    res = _kernels.interior_residual(u, hx, hy)
+    J = csr_matrix(_kernels.interior_jacobian_csr(u, hx, hy),
+                   shape=(res.size, res.size))
+    return J, -res.ravel(), res.shape
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (64, 64), (66, 65), (33, 33)])
+def test_grids_that_do_not_coarsen_keep_the_float32_factor_solve(shape):
+    J, b, grid = one_newton_system("paraboloid", shape)
+    want = lepage.minimal._refined_float32_solve(J, b)
+    assert_same_bits(lepage.minimal.spsolve(J, b, grid=grid), want)
+    assert_same_bits(lepage.minimal.spsolve(J, b), want)
+
+
+def test_grids_that_do_not_coarsen_solve_as_without_grid(monkeypatch):
+    got = newton_solve("paraboloid", 64)
+    factor_solve = lepage.minimal.spsolve
+    monkeypatch.setattr(lepage.minimal, "spsolve",
+                        lambda J, b, grid=None: factor_solve(J, b))
+    want = newton_solve("paraboloid", 64)
+    assert got.history == want.history
+    assert_same_bits(got.field.values, want.field.values)
+
+
+@pytest.mark.parametrize("name", ["scherk", "paraboloid"])
+@pytest.mark.parametrize("shape", [(65, 33), (33, 129)])
+def test_multigrid_newton_matches_float64_reference_on_rectangles(
+        monkeypatch, factor_dtypes, name, shape):
+    assert len(lepage.minimal._grid_levels(shape[0] - 2, shape[1] - 2)) > 1
+    bound = GridField.dirichlet(SQUARE, shape, BUILTIN_SURFACES[name])
+    got = solve_minimal_surface(bound, tol=1e-10, max_iter=12)
+    assert factor_dtypes == ["float32"] * got.iterations
+    monkeypatch.setattr(lepage.minimal, "spsolve", float64_spsolve)
+    want = solve_minimal_surface(bound, tol=1e-10, max_iter=12)
+    assert got.converged == want.converged and got.converged
+    assert got.iterations == want.iterations
+    assert np.allclose(got.history[:-1], want.history[:-1], rtol=1e-9, atol=0)
+    # the last residual sits at the roundoff floor, where a one-ulp change
+    # of the field moves it by its own size
+    floor = lepage.minimal._roundoff_floor(want.field.values, bound.hx, bound.hy)
+    assert abs(got.history[-1] - want.history[-1]) <= floor
+    assert np.max(np.abs(got.field.values - want.field.values)) <= 1e-14
+
+
+def test_multigrid_solve_meets_the_double_precision_test():
+    J, b, grid = one_newton_system("scherk", (129, 129))
+    x = lepage.minimal.spsolve(J, b, grid=grid)
+    tol = (lepage.minimal._inf_norm(J) * np.finfo(float).eps
+           * np.sqrt(b.size))
+    assert np.max(np.abs(b - J @ x)) <= np.max(np.abs(x)) * tol
+    assert np.allclose(x, float64_spsolve(J, b), rtol=0,
+                       atol=1e-12 * np.max(np.abs(x)))
+
+
+def test_spsolve_rejects_a_grid_that_does_not_match_j():
+    J, b, _ = one_newton_system("scherk", (65, 65))
+    with pytest.raises(ValueError, match="grid"):
+        lepage.minimal.spsolve(J, b, grid=(127, 31))
+
+
+def test_multigrid_failure_falls_back_to_float64(factor_dtypes):
+    # a float32 overflow in the coarsest operator ends the multigrid path
+    J, b, grid = one_newton_system("scherk", (65, 65))
+    J.data *= 1e36
+    x = lepage.minimal.spsolve(J, b, grid=grid)
+    assert factor_dtypes == ["float64"]
+    assert np.array_equal(x, float64_spsolve(J, b))
 
 
 # ---------------------------------------------------------------------------
