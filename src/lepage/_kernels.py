@@ -121,12 +121,6 @@ def cell_circulation(P, Q, hx, hy):
 COLOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pad(x):
-    xp = np.zeros((x.shape[0] + 2, x.shape[1] + 2))
-    xp[1:-1, 1:-1] = x
-    return xp
-
-
 def _colour_apply(Sc, xp, p, q):
     # (S x) at the nodes of colour (p, q), x given with a zero border
     mx, my = xp.shape[0] - 2, xp.shape[1] - 2
@@ -140,7 +134,8 @@ def _colour_apply(Sc, xp, p, q):
 
 def stencil_apply(blocks, x):
     """S x on an (mx, my) grid."""
-    xp, y = _pad(x), np.empty(x.shape)
+    xp, y = np.zeros((x.shape[0] + 2, x.shape[1] + 2)), np.empty(x.shape)
+    xp[1:-1, 1:-1] = x
     for (p, q), Sc in zip(COLOURS, blocks):
         y[p::2, q::2] = _colour_apply(Sc, xp, p, q)
     return y

@@ -360,7 +360,6 @@ def test_jacobian_csr_matches_stacked_kernel(shape):
     want = jacobian_csr_stacked(u, 0.03, 0.05)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert_same_bits(a, b)
 
 
 def test_jacobian_csr_keeps_exact_zeros():
@@ -773,16 +772,6 @@ def test_grids_that_do_not_coarsen_keep_the_float32_factor_solve(shape):
     want = lepage.minimal._refined_float32_solve(J, b)
     assert_same_bits(lepage.minimal.spsolve(J, b, grid=grid), want)
     assert_same_bits(lepage.minimal.spsolve(J, b), want)
-
-
-def test_grids_that_do_not_coarsen_solve_as_without_grid(monkeypatch):
-    got = newton_solve("paraboloid", 64)
-    factor_solve = lepage.minimal.spsolve
-    monkeypatch.setattr(lepage.minimal, "spsolve",
-                        lambda J, b, grid=None: factor_solve(J, b))
-    want = newton_solve("paraboloid", 64)
-    assert got.history == want.history
-    assert_same_bits(got.field.values, want.field.values)
 
 
 @pytest.mark.parametrize("name", ["scherk", "paraboloid"])
