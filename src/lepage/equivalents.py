@@ -26,7 +26,7 @@ from .expr import (
 from .forms import (
     DiffForm, FormError, VectorField, dx, dy, om, form,
     zero_form, wedge, wedge_all, volume_form, omega_marginal, horizontalize,
-    contact_component, contract, ext_d, form_equal,
+    contact_component, contract, ext_d, form_equal, to_contact,
 )
 
 __all__ = [
@@ -265,7 +265,9 @@ class LepageVerdict:
 
     ``direction`` is the first jet symbol whose contraction does not vanish,
     or ``None``; ``result`` is that contraction's comparison, or else the
-    failing horizontal-part comparison.
+    failing horizontal-part comparison.  ``decided_by`` names the test that
+    gave the verdict: ``"contact"`` for the structural comparison with the
+    Poincare-Cartan form, ``"definitional"`` for the sampled contractions.
     """
 
     passed: bool
@@ -273,6 +275,7 @@ class LepageVerdict:
     direction: Sym | None = None
     result: EqualResult | None = None
     detail: str = ""
+    decided_by: str = "definitional"
 
     def __bool__(self):
         return self.passed
@@ -286,19 +289,44 @@ def is_lepage(rho: DiffForm, lam: Lagrangian, *, trials: int = 50,
               guards: Sequence[Expr] = ()) -> LepageVerdict:
     """Lepage test: h(rho) is the Lagrangian volume form and h(i_xi d rho) = 0.
 
-    Fields vertical over the configuration space are pointwise combinations
-    of the first-jet coordinate fields and contraction is pointwise linear,
-    so those fields decide the condition; they are checked in
-    ``chart.jet1_symbols()`` order up to the first one not sampled equal to
-    zero.
+    An n-form on the first-order chart whose 0- and 1-contact parts are
+    structurally those of the Poincare-Cartan form Theta passes without
+    sampling, since rho - Theta is then at least 2-contact and:
+    d keeps a form at least 2-contact, because d om^K = -om^K_j ^ dx^j;
+    i_xi removes at most one contact factor;
+    h kills every contact form, so h(i_xi d rho) = h(i_xi d Theta) = 0.
+    Any other form gets the definitional test.  Fields vertical over the
+    configuration space are pointwise combinations of the first-jet
+    coordinate fields and contraction is pointwise linear, so those fields
+    decide the condition; they are checked in ``chart.jet1_symbols()`` order
+    up to the first one not sampled equal to zero.
     """
+    if _matches_poincare_cartan(rho, lam):
+        return LepageVerdict(True, decided_by="contact")
     return _lepage_verdict(rho, ext_d(rho), lam, trials=trials, tol=tol,
                            seed=seed, guards=guards)
 
 
+def _matches_poincare_cartan(rho: DiffForm, lam: Lagrangian) -> bool:
+    # the 0- and 1-contact parts of rho and Theta agree word by word
+    chart = lam.chart
+    if (chart.order != 1 or rho.chart != chart or rho.degree != chart.n
+            or rho.mode not in ("coordinate", "contact")):
+        return False
+    c, theta = to_contact(rho), poincare_cartan(lam)
+    for k in (0, 1):
+        ours = contact_component(c, k).terms
+        theirs = contact_component(theta, k).terms
+        for word in ours.keys() | theirs.keys():
+            if not (ours.get(word, ZERO) - theirs.get(word, ZERO)).is_zero:
+                return False
+    return True
+
+
 def _lepage_verdict(rho: DiffForm, drho: DiffForm, lam: Lagrangian,
                     **options) -> LepageVerdict:
-    # is_lepage with d rho given, for callers that need d rho themselves
+    # is_lepage's definitional test with d rho given, for callers that need
+    # d rho themselves or want this test whatever rho is
     chart = lam.chart
     carried = form_equal(horizontalize(rho), lam.volume(), **options)
     carries = bool(carried)

@@ -597,9 +597,9 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
                 break
             step *= 0.5
         if rmax_new >= rmax:
-            history.append(rmax_new)
+            # the rejected trial leaves u, and so history[-1], as it was
             floor = _roundoff_floor(u, hx, hy)
-            if rmax_new <= floor:
+            if rmax <= floor:
                 return SolveResult(GridField(boundary.rect, u), True, it,
                                    history, f"stagnated at the roundoff "
                                    f"floor {floor:.3e}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lepage.cli import main
-from lepage.equivalents import poincare_cartan
+from lepage.equivalents import is_lepage, poincare_cartan
 from lepage.expr import EqualResult, ONE, const, sqrt_expr
 from lepage.forms import DiffForm, dw, dx
 
@@ -93,13 +93,25 @@ def test_lepage_kind_aliases_agree(capsys):
 @pytest.mark.parametrize("kind", ["poincare-cartan", "fundamental",
                                   "caratheodory", "fundamental-homogeneous",
                                   "hilbert-caratheodory", "krupka"])
-def test_check_lepage_passes_each_kind(capsys, kind):
-    code, report = run_json(capsys, "check-lepage", "--problem", MINIMAL,
-                            "--kind", kind)
+def test_check_lepage_passes_each_kind(capsys, monkeypatch, kind):
+    # every kind is decided by the contact comparison, which stays internal
+    import lepage.cli as cli
+    verdicts = []
+
+    def recorded(*args, **kwargs):
+        verdicts.append(is_lepage(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cli, "is_lepage", recorded)
+    code, out, _ = run_cli(capsys, "check-lepage", "--problem", MINIMAL,
+                           "--kind", kind)
+    report = json.loads(out)
     assert code == 0, report
     assert report["passed"] is True
     assert report["carries_lagrangian"] is True
     assert report["vertical_contractions_vanish"] is True
+    assert [v.decided_by for v in verdicts] == ["contact"]
+    assert "decided_by" not in out
 
 
 # stdout of a failing check-lepage at seed 0, one report per witness shape

@@ -7,21 +7,23 @@ from itertools import permutations, product
 
 import pytest
 
+from lepage.acceptance import _jacobian_lagrangian
 from lepage.charts import ChartError, JetChart
 from lepage.expr import (
     EqualResult, ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum,
     levi_civita, sqrt_expr, sym_expr, to_dsl, x, yj, yy,
 )
 from lepage.forms import (
-    VectorField, contract, dx, dy, ext_d, form, form_equal, horizontalize,
-    om, to_coordinate, volume_form, zero_form,
+    DiffForm, VectorField, contract, dx, dy, ext_d, form, form_equal,
+    horizontalize, om, to_contact, to_coordinate, volume_form, zero_form,
 )
 from lepage.equivalents import (
-    DerivativeTensors, HorizontalNForm, Lagrangian, caratheodory,
-    el_form_check, euler_lagrange, fundamental, fundamental_homogeneous,
-    hilbert_caratheodory, is_lepage, lagrangian_of, poincare_cartan,
+    DerivativeTensors, HorizontalNForm, Lagrangian, _lepage_verdict,
+    caratheodory, el_form_check, euler_lagrange, fundamental,
+    fundamental_homogeneous, hilbert_caratheodory, is_lepage, lagrangian_of,
+    poincare_cartan,
 )
-from lepage.minimal import MetricSpec, krupka_form
+from lepage.minimal import MetricSpec, krupka_form, minimal_lagrangian
 
 CH21 = JetChart(n=2, m=1, order=1)
 CH22 = JetChart(n=2, m=2, order=1)
@@ -250,6 +252,7 @@ def test_is_lepage_degree_mismatch_fails_with_description():
     verdict = is_lepage(rho, Lagrangian(CH11, yj(1, 1) ** 2), trials=5,
                         seed=0)
     assert not verdict.passed
+    assert verdict.decided_by == "definitional"
     assert verdict.describe() == ("fail: defect at fiber index 1, base index "
                                   "1: unequal: the forms differ in degree")
 
@@ -314,6 +317,107 @@ def test_lepage_horizontal_forms_have_homogeneous_lagrangian():
     assert is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1).passed
     lam = lagrangian_of(rho)
     assert zermelo_residuals(lam.L, CH21, trials=10, seed=1).passed
+
+
+# ---------------------------------------------------------------------------
+# is_lepage's contact path: compare with the Poincare-Cartan form
+# ---------------------------------------------------------------------------
+
+INTEGRANDS = {
+    "arclength": lambda: minimal_lagrangian(MetricSpec.euclidean(2), 1),
+    "area": lambda: minimal_lagrangian(MetricSpec.euclidean(3), 2),
+    "jacobian": _jacobian_lagrangian,
+}
+CONSTRUCTORS = {
+    "poincare_cartan": poincare_cartan,
+    "fundamental": fundamental,
+    "caratheodory": caratheodory,
+    "fundamental_homogeneous": lambda lam: fundamental_homogeneous(
+        lam, trials=8, seed=0),
+    "hilbert_caratheodory": lambda lam: hilbert_caratheodory(
+        lam, trials=8, seed=0),
+    "krupka": lambda lam: krupka_form(MetricSpec.euclidean(3), 2).form,
+}
+# the selftest's nine generic cases plus the homogeneous and metric forms
+# of the area integrand
+CONTACT_CASES = [(i, c) for i in INTEGRANDS
+                 for c in ("poincare_cartan", "fundamental", "caratheodory")]
+CONTACT_CASES += [("area", c) for c in ("fundamental_homogeneous",
+                                        "hilbert_caratheodory", "krupka")]
+
+
+def definitional(rho: DiffForm, lam: Lagrangian, **options):
+    return _lepage_verdict(rho, ext_d(rho), lam, **options)
+
+
+@pytest.mark.parametrize("integrand,ctor", CONTACT_CASES)
+def test_constructors_take_the_contact_path(integrand, ctor):
+    lam = INTEGRANDS[integrand]()
+    verdict = is_lepage(CONSTRUCTORS[ctor](lam), lam, trials=20, seed=0,
+                        guards=[lam.L])
+    assert verdict.passed and verdict.carries_lagrangian
+    assert verdict.decided_by == "contact"
+
+
+@pytest.mark.parametrize("ctor", sorted(CONSTRUCTORS))
+def test_contact_path_agrees_with_definitional(ctor):
+    lam = INTEGRANDS["area"]()
+    rho = CONSTRUCTORS[ctor](lam)
+    fast = is_lepage(rho, lam, trials=20, seed=0, guards=[lam.L])
+    slow = definitional(rho, lam, trials=20, seed=0, guards=[lam.L])
+    assert fast.decided_by == "contact"
+    assert slow.decided_by == "definitional"
+    assert fast.passed and slow.passed and slow.carries_lagrangian
+
+
+def random_two_contact(chart, rng: random.Random) -> DiffForm:
+    """Random polynomial multiple of each om^K ^ om^L on an n = 2 chart."""
+    atoms = [x(1), x(2), *(yy(K) for K in range(1, chart.M + 1)),
+             *(yj(K, j) for K in range(1, chart.M + 1) for j in (1, 2))]
+    terms = {}
+    for K in range(1, chart.M + 1):
+        for L in range(K + 1, chart.M + 1):
+            a, b = rng.sample(atoms, 2)
+            terms[(om(K), om(L))] = (const(rng.randint(-3, 3)) * a * b
+                                     + const(rng.randint(1, 3)) * a)
+    return form(chart, "contact", terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_theta_plus_two_contact_form_passes_both_paths(seed):
+    lam = dirichlet_lagrangian()
+    rho = poincare_cartan(lam) + random_two_contact(CH21, random.Random(seed))
+    for candidate in (rho, to_coordinate(rho)):
+        verdict = is_lepage(candidate, lam, trials=10, seed=1)
+        assert verdict.passed and verdict.decided_by == "contact"
+        assert definitional(candidate, lam, trials=10, seed=1).passed
+
+
+def test_one_contact_perturbation_falls_through_and_fails():
+    lam = dirichlet_lagrangian()
+    bump = form(CH21, "contact", {(om(1), dx(1)): yj(1, 1)})
+    rho = poincare_cartan(lam) + bump
+    verdict = is_lepage(rho, lam, trials=10, seed=1)
+    assert verdict == definitional(rho, lam, trials=10, seed=1)
+    assert verdict.decided_by == "definitional"
+    assert not verdict.passed
+    assert verdict.detail.startswith("defect at fiber index 1, base index 2")
+
+
+def test_exact_contact_term_falls_through_and_passes():
+    # Theta + d(f om^1) is Lepage but has a different 1-contact part
+    lam = dirichlet_lagrangian()
+    nu = DiffForm(CH21, 1, "contact", {(om(1),): yy(2) * yj(3, 1)})
+    rho = poincare_cartan(lam) + to_contact(ext_d(nu))
+    verdict = is_lepage(rho, lam, trials=10, seed=1)
+    assert verdict.passed
+    assert verdict.decided_by == "definitional"
+
+
+def test_order_two_chart_falls_through():
+    raised = Lagrangian(CH21.raised(), dirichlet_lagrangian().L)
+    verdict = is_lepage(poincare_cartan(raised), raised, trials=10, seed=1)
+    assert verdict.decided_by == "definitional"
 
 
 # ---------------------------------------------------------------------------

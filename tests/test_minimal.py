@@ -540,6 +540,10 @@ def test_solver_stagnation_at_the_roundoff_floor_counts_as_converged(name):
     # the same solve reports the history it reports at tol 1e-10, extended
     coarse = solve_minimal_surface(bound, tol=1e-10, max_iter=20)
     assert res.history[:len(coarse.history)] == coarse.history
+    # the reported residual is the returned field's own
+    own = _kernels.interior_residual(res.field.values, bound.hx, bound.hy)
+    assert res.final_residual == float(np.max(np.abs(own)))
+    assert res.final_residual < res.history[-2]
 
 
 def test_solver_stagnation_above_the_floor_still_fails(monkeypatch):
