@@ -1,19 +1,20 @@
 """Vectorized numpy stencil kernels for the graph equation on uniform grids.
 
 ``interior_residual`` evaluates the central-difference graph equation at the
-interior nodes, ``interior_jacobian_csr`` writes its Jacobian with respect to
-the interior values as canonical CSR arrays, and ``cell_circulation`` takes
-trapezoid-rule loop integrals around the grid cells.  The rest are the
-multigrid preconditioner's grid operations on 9-point operators: probing a
-stencil, applying it, a colour Gauss-Seidel sweep, bilinear prolongation
-and its transpose.
+interior nodes, ``interior_jacobian_stencil`` writes its Jacobian with
+respect to the interior values as a 9-point operator, and
+``cell_circulation`` takes trapezoid-rule loop integrals around the grid
+cells.  The rest are the Newton solver's grid operations on 9-point
+operators: probing a stencil, applying it, a colour Gauss-Seidel sweep,
+bilinear prolongation and its transpose, and the operator's sparse
+triplets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "interior_residual", "interior_jacobian_csr",
+__all__ = ["BACKEND", "interior_residual", "interior_jacobian_stencil",
            "cell_circulation"]
 
 BACKEND = "numpy"
@@ -34,21 +35,13 @@ def interior_residual(u, hx, hy):
     return (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy + (1.0 + ux * ux) * uyy
 
 
-def _in_range(n, steps):
-    # [k, a]: index k + steps[a] lies in 0 .. n-1
-    shifted = np.arange(n)[:, None] + steps
-    return (shifted >= 0) & (shifted < n)
+def interior_jacobian_stencil(u, hx, hy):
+    """Colour blocks of the interior-to-interior residual Jacobian.
 
-
-def interior_jacobian_csr(u, hx, hy):
-    """(data, indices, indptr) of the interior-to-interior residual Jacobian.
-
-    Interior node (i, j) is row and column i*my + j.  Each row holds its
-    in-grid stencil columns in ascending order, exact zeros included, so the
-    arrays are scipy's canonical CSR form with int32 indices.  Boundary nodes
-    are Dirichlet data and contribute no columns.  Each stencil coefficient
-    is written straight into place, so data and indices are the only arrays
-    of nnz entries.
+    The layout is that of the 9-point operators below: S[di + 1, dj + 1,
+    i, j] is the derivative of the residual at interior node (i, j) with
+    respect to u at (i + di, j + dj).  Boundary nodes are Dirichlet data,
+    so couplings that reach them are 0.
     """
     mx, my = u.shape[0] - 2, u.shape[1] - 2
     ux, uy, uxx, uyy, uxy = _stencil_derivatives(u, hx, hy)
@@ -70,30 +63,20 @@ def interior_jacobian_csr(u, hx, hy):
             return ax + di * dx
         return by + dj * ey if dj else centre
 
-    steps = np.array([-1, 0, 1])
-    in_i, in_j = _in_range(mx, steps), _in_range(my, steps)
-    # in row (i, j), offset (di, dj) follows before_i[i, di] whole runs of
-    # n_j[j] columns and before_j[j, dj] columns of its own run
-    n_j = in_j.sum(axis=1)
-    before_i = np.cumsum(in_i, axis=1) - in_i
-    before_j = np.cumsum(in_j, axis=1) - in_j
-    indptr = np.zeros(mx * my + 1, dtype=np.int32)
-    np.cumsum((in_i.sum(axis=1)[:, None] * n_j).ravel(), out=indptr[1:])
-    start = indptr[:-1].reshape(mx, my)
-    node = np.arange(mx * my, dtype=np.int32).reshape(mx, my)
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    # stencil offsets (di, dj) in row-major order, i.e. ascending columns
-    for a, di in enumerate(steps):
-        for b, dj in enumerate(steps):
-            rows = slice(max(0, -di), min(mx, mx - di))
-            cols = slice(max(0, -dj), min(my, my - dj))
-            pos = (start[rows, cols] + before_i[rows, a, None] * n_j[cols]
-                   + before_j[cols, b])
-            data[pos] = coefficient(di, dj)[rows, cols]
-            indices[pos] = node[rows.start + di:rows.stop + di,
-                                cols.start + dj:cols.stop + dj]
-    return data, indices, indptr
+    blocks = [np.empty((3, 3, len(range(p, mx, 2)), len(range(q, my, 2))))
+              for p, q in COLOURS]
+    # row (column) edge[a] couples at offset a - 1 to a boundary node
+    edge = (0, None, -1)
+    for a in range(3):
+        for b in range(3):
+            S = coefficient(a - 1, b - 1)  # a fresh array unless a == b == 1
+            if a != 1:
+                S[edge[a]] = 0.0
+            if b != 1:
+                S[:, edge[b]] = 0.0
+            for (p, q), Sc in zip(COLOURS, blocks):
+                Sc[a, b] = S[p::2, q::2]
+    return blocks
 
 
 def cell_circulation(P, Q, hx, hy):
@@ -107,7 +90,7 @@ def cell_circulation(P, Q, hx, hy):
 
 
 # ---------------------------------------------------------------------------
-# 9-point operators on interior grids, for the multigrid preconditioner
+# 9-point operators on interior grids
 # ---------------------------------------------------------------------------
 #
 # An operator couples interior node (i, j) to (i + di, j + dj) with

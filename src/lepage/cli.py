@@ -89,12 +89,26 @@ def _integer_setting(value: object, name: str, least: int) -> int:
     return int(value)
 
 
+def _finite_number(value: object) -> bool:
+    """An int or float within float range, not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _positive_tol(value: object) -> float:
     """A tolerance: a positive finite number, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value < float("inf")):
+    if not (_finite_number(value) and value > 0):
         raise ProblemError(f"tol must be a positive number, got {value!r}")
     return float(value)
+
+
+def _domain_setting(value: object) -> tuple:
+    """The solver domain: four finite numbers, none a bool."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 4
+            and all(map(_finite_number, value))):
+        raise ProblemError(f"solver domain takes four numbers a,b,c,d, "
+                           f"finite and not bools, got {value!r}")
+    return tuple(value)
 
 
 def _parse_expr(text: object, chart: JetChart, where: str) -> Expr:
@@ -479,10 +493,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
     if grid is not None:
         grid = _integer_setting(grid, "grid", MIN_GRID)
     rect = args.domain if args.domain is not None else \
-        solver.get("domain", (-1.0, 1.0, -1.0, 1.0))
-    if not isinstance(rect, (list, tuple)) or len(rect) != 4:
-        raise ProblemError("solver domain takes four numbers a,b,c,d")
-    rect = tuple(rect)
+        _domain_setting(solver.get("domain", (-1.0, 1.0, -1.0, 1.0)))
     boundary = args.boundary if args.boundary is not None else \
         solver.get("boundary", "scherk")
     if not isinstance(boundary, str):

@@ -328,7 +328,7 @@ BUILTIN_SURFACES: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 
 # scipy is imported on the first solve, so processes that never solve do not
-# pay for it; solve_minimal_surface looks both names up as module globals.
+# pay for it; the solver looks both names up as module globals.
 
 def csr_matrix(*args, **kwargs):
     """scipy.sparse.csr_matrix, imported on first call."""
@@ -336,23 +336,13 @@ def csr_matrix(*args, **kwargs):
     return _csr_matrix(*args, **kwargs)
 
 
+def _stencil_csr(S, mx: int, my: int):
+    """The 9-point operator S on an (mx, my) grid as a CSR matrix, with row
+    and column i*my + j for node (i, j)."""
+    return csr_matrix(_kernels.stencil_coo(S, mx, my), shape=(mx * my,) * 2)
+
+
 _REFINE_STEPS = 30  # LAPACK dsgesv's ITERMAX
-
-
-def _inf_norm(J) -> float:
-    """max_i sum_j |J_ij| of a CSR matrix, from its data and indptr."""
-    starts = J.indptr[:-1]
-    starts = starts[starts < J.indptr[1:]]  # rows with stored entries
-    if starts.size == 0:
-        return 0.0
-    return float(np.max(np.add.reduceat(np.abs(J.data), starts)))
-
-
-def _float32_or_none(v: np.ndarray):
-    """v in single precision, or None where an entry leaves float32's range."""
-    with np.errstate(over="ignore"):
-        v32 = v.astype(np.float32)
-    return v32 if np.all(np.isfinite(v32)) else None
 
 
 def _float32_factor(A):
@@ -364,38 +354,15 @@ def _float32_factor(A):
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
-    data32 = _float32_or_none(A.data)
-    if data32 is None:
+    with np.errstate(over="ignore"):
+        data32 = A.data.astype(np.float32)
+    if not np.all(np.isfinite(data32)):
         return None
     AT = csc_matrix((data32, A.indices, A.indptr), shape=A.shape[::-1])
     try:
         return splu(AT, permc_spec="MMD_AT_PLUS_A", panel_size=4)
     except RuntimeError:  # "Factor is exactly singular"
         return None
-
-
-def _refined_float32_solve(J, b: np.ndarray):
-    """Single-precision LU of J^T with double-precision iterative refinement.
-
-    Refinement repeats r = b - J x, x += (LU)^-T r until LAPACK dsgesv's
-    test ||r|| <= ||x|| ||J|| eps sqrt(n) holds (max norms).  Returns None
-    when it cannot: float32 overflow, an exactly singular float32 factor, or
-    no convergence in _REFINE_STEPS steps (J too ill-conditioned).
-    """
-    tol = _inf_norm(J) * np.finfo(np.float64).eps * np.sqrt(b.size)
-    b32 = _float32_or_none(b)
-    lu = None if b32 is None else _float32_factor(J)
-    if lu is None:
-        return None
-    x = lu.solve(b32, trans="T").astype(np.float64)
-    for step in range(_REFINE_STEPS + 1):
-        r = b - J @ x
-        if np.max(np.abs(r)) <= np.max(np.abs(x)) * tol:
-            return x
-        r32 = _float32_or_none(r)  # None also when x is no longer finite
-        if r32 is None or step == _REFINE_STEPS:
-            return None
-        x += lu.solve(r32, trans="T")
 
 
 _COARSEST_SIDE = 31  # grids with no longer side are factored directly
@@ -432,93 +399,83 @@ def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
     return x
 
 
-def _multigrid_solve(J, b: np.ndarray, shapes):
-    """Solve J x = b by float64 refinement, each correction by BiCGSTAB
-    preconditioned with a Galerkin V(1,1)-cycle.
+def _multigrid_solve(S, b: np.ndarray):
+    """x with S x = b by float64 refinement of float32 corrections, or None.
 
-    Level 0 is J's 9-point stencil on the grid ``shapes[0]``; coarser
-    operators are P^T A P with bilinear P.  The smoother is four-colour
-    Gauss-Seidel, and only the coarsest operator is factored, as a float32
-    LU of its transpose.  The outer loop stops at the test of
-    _refined_float32_solve.  Returns None when the coarsest factor cannot
-    be made, or when an outer step does not shrink the residual or the
-    test still fails after _REFINE_STEPS steps.
+    Returns None when the coarsest factor cannot be made, or when a step
+    does not shrink the residual or the test still fails after the first
+    solve and _REFINE_STEPS refinements.
     """
-    from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import LinearOperator, bicgstab
     k = _kernels
-    mx, my = shapes[0]
-    stencils = [k.probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my),
-                                mx, my)]
+    shapes = _grid_levels(*b.shape)
+    stencils = [S]
     for shape in shapes[1:]:
         fine = stencils[-1]
         stencils.append(k.probe_stencil(
             lambda e: k.restrict(k.stencil_apply(fine, k.prolong(e))), *shape))
-    n = shapes[-1][0] * shapes[-1][1]
-    coarse = _float32_factor(coo_matrix(
-        k.stencil_coo(stencils[-1], *shapes[-1]), shape=(n, n)).tocsr())
+    coarse = _float32_factor(_stencil_csr(stencils[-1], *shapes[-1]))
     if coarse is None:
         return None
 
-    M = LinearOperator(J.shape, dtype=np.float64, matvec=lambda v: _vcycle(
-        stencils, coarse, 0, v.reshape(mx, my)).ravel())
-    tol = _inf_norm(J) * np.finfo(np.float64).eps * np.sqrt(b.size)
-    x, last = np.zeros(b.size), np.inf
-    for step in range(_REFINE_STEPS + 1):
-        r = b - J @ x
+    def grid_map(fn):
+        return LinearOperator((b.size, b.size), dtype=np.float64,
+                              matvec=lambda v: fn(v.reshape(b.shape)).ravel())
+    A = grid_map(lambda v: k.stencil_apply(S, v))
+    M = grid_map(lambda v: _vcycle(stencils, coarse, 0, v))
+    norm = max(float(np.abs(Sc).sum(axis=(0, 1)).max(initial=0.0)) for Sc in S)
+    tol = norm * np.finfo(np.float64).eps * np.sqrt(b.size)
+    x, last = np.zeros(b.shape), np.inf
+    for solves in range(_REFINE_STEPS + 2):  # the first, then refinements
+        r = b - k.stencil_apply(S, x)
         rmax = np.max(np.abs(r))
         if rmax <= np.max(np.abs(x)) * tol:
-            return x
-        if not rmax < last or step == _REFINE_STEPS:  # nan, or no progress
+            return x.ravel()
+        if not rmax < last or solves > _REFINE_STEPS:  # nan, or no progress
             return None
         last = rmax
+        if len(stencils) == 1:  # the coarse factor-solve itself
+            x += _vcycle(stencils, coarse, 0, r)
+            continue
         # bicgstab's breakdown tests are absolute, so it sees r at unit scale
         with np.errstate(all="ignore"):
-            x += rmax * bicgstab(J, r / rmax, rtol=_INNER_RTOL, atol=0.0,
-                                 maxiter=_INNER_STEPS, M=M)[0]
+            x += rmax * bicgstab(A, (r / rmax).ravel(), rtol=_INNER_RTOL,
+                                 atol=0.0, maxiter=_INNER_STEPS,
+                                 M=M)[0].reshape(b.shape)
 
 
-def spsolve(J, b: np.ndarray, grid: tuple[int, int] | None = None) -> np.ndarray:
-    """Solve J x = b (J in CSR) by a mixed-precision sparse solve.
+def spsolve(S, b: np.ndarray) -> np.ndarray:
+    """Solve S x = b by a mixed-precision multigrid solve; x comes flat.
 
-    ``grid`` is the interior shape (mx, my) when J is a 9-point operator on
-    that grid with row i*my + j for node (i, j), as the Newton solver's
-    Jacobians are.  Such a grid is coarsened into a multigrid hierarchy:
-    a side of 2m + 1 nodes becomes m while both sides are odd, at least 3,
-    and the longer one exceeds 31 nodes.  Even sides do not coarsen.  The
-    coarse operators are Galerkin products P^T A P with bilinear P, the
-    smoother is four-colour Gauss-Seidel in a V(1,1)-cycle, and only the
-    coarsest operator, at most 31 x 31 nodes, is factored, in float32.  A
-    float64 loop then refines x until LAPACK dsgesv's test ||b - J x|| <=
-    ||x|| ||J|| eps sqrt(n) holds (max norms), at most 30 times, each
-    correction by BiCGSTAB preconditioned with the V-cycle.
-
-    Without ``grid``, or when it does not coarsen, J^T itself is factored
-    once in float32 by an MMD-ordered SuperLU with panels of 4 columns
-    (SuperLU's default is 10, which costs a fifth more work memory), and
-    float64 iterative refinement restores double-precision accuracy to the
-    same test, typically in two steps (Buttari et al., ACM TOMS 34(4),
-    2008).  When either path fails -- J or b outside float32 range, a
-    float32 factor that is exactly singular, or a loop that does not reach
-    the test -- J is factored again in float64.  Only an exactly singular
-    float64 factor gives a non-finite x, as scipy's spsolve does.
+    S is a 9-point operator in ``_kernels``' colour-block layout on the
+    interior grid of shape ``b.shape``, as the Newton solver's Jacobians
+    are.  The grid is coarsened into a multigrid hierarchy: a side of
+    2m + 1 nodes becomes m while both sides are odd, at least 3, and the
+    longer one exceeds 31 nodes; even sides do not coarsen.  The coarse
+    operators are Galerkin products P^T S P with bilinear P, and only the
+    coarsest one is factored: once, in float32, by an MMD-ordered SuperLU
+    of its transpose with panels of 4 columns.  A float64 loop refines x
+    until LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S|| eps sqrt(n)
+    holds (max norms), for at most 30 refinements after the first solve
+    (Buttari et al., ACM TOMS 34(4), 2008).  On a grid that does not
+    coarsen each correction is the float32 factor-solve; on one that
+    does, it is BiCGSTAB preconditioned with a V(1,1)-cycle whose smoother
+    is four-colour Gauss-Seidel.  When this fails -- S or b outside
+    float32 range, a float32 factor that is exactly singular, or a loop
+    that stalls or does not reach the test -- S is factored in float64.
+    Only an exactly singular float64 factor gives a non-finite x, as
+    scipy's spsolve does.
     """
-    J.sum_duplicates()  # in place; J^T shares J's index arrays
-    if grid is not None and grid[0] * grid[1] != b.size:
-        raise ValueError(f"grid {tuple(grid)} does not match {b.size} unknowns")
-    shapes = [grid] if grid is None else _grid_levels(*grid)
-    if len(shapes) > 1:
-        x = _multigrid_solve(J, b, shapes)
-    else:
-        x = _refined_float32_solve(J, b)
+    x = _multigrid_solve(S, b)
     if x is not None:
         return x
     from scipy.sparse.linalg import splu
     try:
-        lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=4)
+        lu = splu(_stencil_csr(S, *b.shape).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", panel_size=4)
     except RuntimeError:  # "Factor is exactly singular"
-        return np.full(b.shape, np.nan)
-    return lu.solve(b)
+        return np.full(b.size, np.nan)
+    return lu.solve(b.ravel())
 
 
 @dataclass
@@ -562,6 +519,8 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
     residual.  A step that no halving improves ends the iteration; the
     result counts as converged when the residual is at or below the
     roundoff floor of the grid (``_roundoff_floor``), however small ``tol``.
+    ``iterations`` counts the accepted steps, so ``history`` holds
+    ``iterations + 1`` residuals on every exit.
     """
     if (isinstance(tol, bool) or not isinstance(tol, Real)
             or not 0 < tol < float("inf")):
@@ -580,10 +539,7 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
         if rmax < tol:
             return SolveResult(GridField(boundary.rect, u), True, it - 1,
                                history)
-        # J owns the kernel's arrays; no other copy lives through the solve
-        J = csr_matrix(_kernels.interior_jacobian_csr(u, hx, hy),
-                       shape=(res.size, res.size))
-        delta = spsolve(J, -res.ravel(), grid=res.shape)
+        delta = spsolve(_kernels.interior_jacobian_stencil(u, hx, hy), -res)
         if not np.all(np.isfinite(delta)):
             return SolveResult(GridField(boundary.rect, u), False, it - 1,
                                history, "singular Jacobian")
@@ -600,10 +556,10 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
             # the rejected trial leaves u, and so history[-1], as it was
             floor = _roundoff_floor(u, hx, hy)
             if rmax <= floor:
-                return SolveResult(GridField(boundary.rect, u), True, it,
+                return SolveResult(GridField(boundary.rect, u), True, it - 1,
                                    history, f"stagnated at the roundoff "
                                    f"floor {floor:.3e}")
-            return SolveResult(GridField(boundary.rect, u), False, it,
+            return SolveResult(GridField(boundary.rect, u), False, it - 1,
                                history, "stagnated under damping")
         u, res, rmax = trial, res_new, rmax_new
         history.append(rmax)

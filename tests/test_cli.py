@@ -480,6 +480,14 @@ def test_minsurf_rejects_grid_below_five(capsys, grid):
     ({"max_iter": None}, "max_iter must be an integer, got None"),
     ({"domain": None}, "solver domain takes four numbers"),
     ({"boundary": None}, "boundary must be a builtin surface name"),
+    ({"domain": [[1], 2, 3, 4]}, "solver domain takes four numbers a,b,c,d, "
+     "finite and not bools, got [[1], 2, 3, 4]"),
+    ({"domain": ["-1", "1", "-1", "1"]}, "solver domain takes four numbers"),
+    ({"domain": True}, "solver domain takes four numbers"),
+    ({"domain": [-1, 1, -1, True]}, "solver domain takes four numbers"),
+    ({"domain": [-1, 1e400, -1, 1]}, "solver domain takes four numbers"),
+    ({"domain": [-1, 1, -1, 10 ** 400]}, "solver domain takes four numbers"),
+    ({"tol": 10 ** 400}, "tol must be a positive number"),
 ])
 def test_minsurf_rejects_bad_solver_block(capsys, tmp_path, solver, message):
     path = write_problem(tmp_path, base_problem(solver=solver))

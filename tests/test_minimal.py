@@ -306,9 +306,16 @@ def jacobian_loop(u, hx, hy):
     return np.array(rows), np.array(cols), np.array(vals)
 
 
+def in_range(n, steps):
+    # [k, a]: index k + steps[a] lies in 0 .. n-1
+    shifted = np.arange(n)[:, None] + steps
+    return (shifted >= 0) & (shifted < n)
+
+
 def jacobian_csr_stacked(u, hx, hy):
-    # the kernel's earlier form: a stack of all nine coefficient fields and
-    # of their columns, masked down to the in-grid entries
+    # canonical CSR arrays of the Jacobian from a stack of all nine
+    # coefficient fields and of their columns, masked down to the in-grid
+    # entries
     mx, my = u.shape[0] - 2, u.shape[1] - 2
     ux, uy, uxx, uyy, uxy = _kernels._stencil_derivatives(u, hx, hy)
     A = 1.0 + uy * uy
@@ -323,7 +330,7 @@ def jacobian_csr_stacked(u, hx, hy):
     coeffs = np.stack([cxy, ax - dx, -cxy, by - ey, centre, by + ey,
                        -cxy, ax + dx, cxy], axis=-1)
     steps = np.array([-1, 0, 1])
-    in_i, in_j = _kernels._in_range(mx, steps), _kernels._in_range(my, steps)
+    in_i, in_j = in_range(mx, steps), in_range(my, steps)
     keep = (in_i[:, None, :, None] & in_j[None, :, None, :]).reshape(mx, my, 9)
     offsets = (steps[:, None] * my + steps[None, :]).ravel().astype(np.int32)
     cols = np.arange(mx * my, dtype=np.int32).reshape(mx, my, 1) + offsets
@@ -337,6 +344,16 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray):
     assert a.tobytes() == b.tobytes()
 
 
+def stencil_matrix(S, mx, my):
+    # the 9-point operator S on an (mx, my) grid as a CSR matrix
+    return csr_matrix(_kernels.stencil_coo(S, mx, my), shape=(mx * my,) * 2)
+
+
+def kernel_stencil(u, hx=0.03, hy=0.05):
+    return (_kernels.interior_jacobian_stencil(u, hx, hy),
+            u.shape[0] - 2, u.shape[1] - 2)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 3), (14, 13), (33, 33)])
 def test_kernels_match_reference_loops_bit_for_bit(shape):
     u = random_surface(shape)
@@ -344,21 +361,32 @@ def test_kernels_match_reference_loops_bit_for_bit(shape):
     assert_same_bits(_kernels.interior_residual(u, hx, hy),
                      residual_loop(u, hx, hy))
     rows, cols, vals = jacobian_loop(u, hx, hy)
-    n = (shape[0] - 2) * (shape[1] - 2)
-    want = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    data, indices, indptr = _kernels.interior_jacobian_csr(u, hx, hy)
-    assert_same_bits(data, want.data)
-    assert_same_bits(indices, want.indices)
-    assert_same_bits(indptr, want.indptr)
+    S, mx, my = kernel_stencil(u, hx, hy)
+    assert all(Sc.flags.c_contiguous for Sc in S)
+    data, (got_rows, got_cols) = _kernels.stencil_coo(S, mx, my)
+    # the loop lists each row's entries in ascending columns
+    order = np.lexsort((got_cols, got_rows))
+    assert np.array_equal(got_rows[order], rows)
+    assert np.array_equal(got_cols[order], cols)
+    assert_same_bits(data[order], vals)
+    # couplings that reach boundary nodes are 0
+    full = np.empty((3, 3, mx, my))
+    for (p, q), Sc in zip(_kernels.COLOURS, S):
+        full[:, :, p::2, q::2] = Sc
+    for edge in (full[0, :, 0], full[2, :, -1], full[:, 0, :, 0],
+                 full[:, 2, :, -1]):
+        assert np.all(edge == 0.0)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (3, 9), (9, 3),
                                    (14, 13), (12, 17), (33, 33)])
 def test_jacobian_csr_matches_stacked_kernel(shape):
+    # the CSR matrix that SuperLU factors is the Jacobian's canonical CSR
+    # form, int32 indices included
     u = random_surface(shape)
-    got = _kernels.interior_jacobian_csr(u, 0.03, 0.05)
+    got = lepage.minimal._stencil_csr(*kernel_stencil(u))
     want = jacobian_csr_stacked(u, 0.03, 0.05)
-    for a, b in zip(got, want):
+    for a, b in zip((got.data, got.indices, got.indptr), want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -366,11 +394,11 @@ def test_jacobian_csr_keeps_exact_zeros():
     # flat data: every first difference vanishes, so the diagonal-neighbour
     # entries are exact zeros that must still be stored
     mx, my = 5, 4
-    data, _, indptr = _kernels.interior_jacobian_csr(
-        np.zeros((mx + 2, my + 2)), 0.1, 0.2)
+    A = lepage.minimal._stencil_csr(
+        *kernel_stencil(np.zeros((mx + 2, my + 2)), 0.1, 0.2))
     # 9 entries per node, minus 3 per node on each side, plus the 4 corners
-    assert indptr[-1] == data.size == 9 * mx * my - 6 * (mx + my) + 4
-    assert np.count_nonzero(data == 0.0) == 4 * (mx - 1) * (my - 1)
+    assert A.nnz == 9 * mx * my - 6 * (mx + my) + 4
+    assert np.count_nonzero(A.data == 0.0) == 4 * (mx - 1) * (my - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +414,19 @@ def interpolation_matrix(m):
 
 
 def probed(u):
-    mx, my = u.shape[0] - 2, u.shape[1] - 2
-    J = csr_matrix(_kernels.interior_jacobian_csr(u, 0.03, 0.05),
-                   shape=(mx * my,) * 2)
-    blocks = _kernels.probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my),
-                                    mx, my)
-    return J, blocks, mx, my
+    # J from the reference loop, and the kernel's stencil
+    rows, cols, vals = jacobian_loop(u, 0.03, 0.05)
+    blocks, mx, my = kernel_stencil(u)
+    return csr_matrix((vals, (rows, cols)), shape=(mx * my,) * 2), blocks, mx, my
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 9), (14, 13), (17, 17)])
 def test_probe_stencil_recovers_the_jacobian(shape):
-    from scipy.sparse import coo_matrix
     J, blocks, mx, my = probed(random_surface(shape))
-    got = coo_matrix(_kernels.stencil_coo(blocks, mx, my), shape=J.shape)
-    assert np.array_equal(got.toarray(), J.toarray())
+    got = _kernels.probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my),
+                                 mx, my)
+    for a, b in zip(got, blocks):
+        assert np.array_equal(a, b)
     x = np.random.default_rng(1).standard_normal((mx, my))
     assert np.allclose(_kernels.stencil_apply(blocks, x).ravel(), J @ x.ravel(),
                        rtol=1e-14, atol=1e-12)
@@ -414,14 +441,13 @@ def test_restrict_is_the_transpose_of_prolong():
 
 
 def test_coarse_stencil_is_the_galerkin_product():
-    from scipy.sparse import coo_matrix
     k = _kernels
     J, blocks, mx, my = probed(random_surface((17, 11)))
     coarse = k.probe_stencil(
         lambda e: k.restrict(k.stencil_apply(blocks, k.prolong(e))), 7, 4)
     P = np.kron(interpolation_matrix(7), interpolation_matrix(4))
     want = P.T @ J.toarray() @ P
-    got = coo_matrix(k.stencil_coo(coarse, 7, 4), shape=want.shape).toarray()
+    got = stencil_matrix(coarse, 7, 4).toarray()
     assert np.allclose(got, want, rtol=1e-13, atol=1e-9)
     # the product is itself a 9-point operator, so probing lost nothing
     assert np.count_nonzero(want[np.abs(got) == 0]) == 0
@@ -450,8 +476,7 @@ def test_jacobian_matches_central_differences():
     hx, hy = 0.03, 0.05
     my = u.shape[1] - 2
     n = (u.shape[0] - 2) * my
-    A = csr_matrix(_kernels.interior_jacobian_csr(u, hx, hy),
-                   shape=(n, n)).toarray()
+    A = stencil_matrix(*kernel_stencil(u, hx, hy)).toarray()
     eps = 1e-6
     J = np.zeros((n, n))
     for i in range(1, u.shape[0] - 1):
@@ -555,6 +580,32 @@ def test_solver_stagnation_above_the_floor_still_fails(monkeypatch):
     assert res.message == "stagnated under damping"
 
 
+EXITS = {  # exit: tol, max_iter, converged, message, accepted steps
+    "converged": (1e-10, 20, True, "", 2),
+    "max_iter": (1e-14, 1, False, "residual ", 1),
+    "floor": (1e-14, 20, True, "stagnated at the roundoff floor ", 3),
+    "damping": (1e-14, 20, False, "stagnated under damping", 3),
+    "singular": (1e-10, 20, False, "singular Jacobian", 0),
+}
+
+
+@pytest.mark.parametrize("exit", EXITS)
+def test_every_exit_counts_accepted_steps(monkeypatch, exit):
+    tol, max_iter, converged, message, steps = EXITS[exit]
+    if exit == "damping":
+        monkeypatch.setattr(lepage.minimal, "_roundoff_floor",
+                            lambda u, hx, hy: 0.0)
+    bound = GridField.dirichlet(SQUARE, (17, 17), BUILTIN_SURFACES["scherk"])
+    if exit == "singular":
+        bound.values[1:-1, 1:-1] = np.nan
+    res = solve_minimal_surface(bound, tol=tol, max_iter=max_iter)
+    assert res.converged == converged
+    assert res.message.startswith(message) and bool(res.message) == bool(message)
+    # history holds the start residual and one per accepted step
+    assert res.iterations == steps
+    assert len(res.history) == steps + 1
+
+
 def test_roundoff_floor_formula():
     u = np.zeros((5, 5))
     u[2, 2] = 3.0  # central differences give |grad u| = 3 / (2 h) next to it
@@ -585,47 +636,83 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_solver_scipy_entry_points_are_module_globals():
-    # the solver looks these up at call time, so a caller may rebind them
-    for name in ("spsolve", "csr_matrix"):
-        assert callable(vars(lepage.minimal).get(name))
-        assert name in lepage.minimal.solve_minimal_surface.__code__.co_names
+def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
+    # the solver looks these up at call time, so a caller may rebind them:
+    # spsolve once per Newton step, csr_matrix wherever a matrix is built
+    m = lepage.minimal
+    for name, user in (("spsolve", m.solve_minimal_surface),
+                       ("csr_matrix", m._stencil_csr)):
+        assert callable(vars(m).get(name))
+        assert name in user.__code__.co_names
+    calls = []
+    factor_solve = m.spsolve
+
+    def counting_spsolve(S, b):
+        calls.append(b.shape)
+        return factor_solve(S, b)
+
+    monkeypatch.setattr(m, "spsolve", counting_spsolve)
+    res = scherk_solution(33)
+    assert res.converged and res.iterations > 0
+    assert calls == [(31, 31)] * res.iterations
 
 
 def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
-    # the factorization is the memory peak of a Newton step; anything as
-    # large as J's entries kept alive by the solver adds to that peak
+    # the solve is the memory peak of a Newton step; anything as large as a
+    # colour block of J kept alive by the solver adds to that peak
     seen = []
     factor_solve = lepage.minimal.spsolve
 
-    def inspecting_spsolve(J, b, **kwargs):
+    def inspecting_spsolve(S, b):
         caller = sys._getframe(1)
-        owned = {id(J.data), id(J.indices), id(J.indptr)}
+        owned = {id(Sc) for Sc in S}
+        least = min(Sc.size for Sc in S)
         values = []
         for v in caller.f_locals.values():
             values.extend(v if isinstance(v, (tuple, list)) else [v])
         large = [v for v in values if isinstance(v, np.ndarray)
-                 and v.size >= J.nnz and id(v) not in owned]
-        seen.append((caller.f_code.co_name, J.nnz, len(large)))
-        return factor_solve(J, b, **kwargs)
+                 and v.size >= least and id(v) not in owned]
+        seen.append((caller.f_code.co_name, sum(Sc.size for Sc in S),
+                     len(large)))
+        return factor_solve(S, b)
 
     monkeypatch.setattr(lepage.minimal, "spsolve", inspecting_spsolve)
     res = scherk_solution(33)
     assert res.converged
-    assert seen and all(name == "solve_minimal_surface" and nnz > 33 * 33
-                        and large == 0 for name, nnz, large in seen)
+    assert seen and all(name == "solve_minimal_surface" and size == 9 * 31 * 31
+                        and large == 0 for name, size, large in seen)
 
 
-# Reference factor-solve: one float64 MMD-ordered SuperLU of J, the solver's
-# factorization before the mixed-precision one.
+# Reference factor-solve: one float64 MMD-ordered SuperLU of the operator,
+# the solver's fallback.
 
-def float64_spsolve(J, b, grid=None):
+def float64_spsolve(S, b):
     from scipy.sparse.linalg import splu
+    J = stencil_matrix(S, *b.shape)
     try:
         lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=4)
     except RuntimeError:
-        return np.full(b.shape, np.nan)
-    return lu.solve(b)
+        return np.full(b.size, np.nan)
+    return lu.solve(b.ravel())
+
+
+def stencil_of(A, shape):
+    # the 9-point operator with matrix A on an interior grid of this shape
+    A = np.asarray(A, dtype=float)
+    S = _kernels.probe_stencil(lambda e: (A @ e.ravel()).reshape(shape), *shape)
+    assert np.array_equal(stencil_matrix(S, *shape).toarray(), A)
+    return S
+
+
+def random_stencil(shape, seed):
+    # diagonally dominant, with random couplings
+    rng = np.random.default_rng(seed)
+    S = [rng.uniform(-1, 1, (3, 3, len(range(p, shape[0], 2)),
+                             len(range(q, shape[1], 2))))
+         for p, q in _kernels.COLOURS]
+    for Sc in S:
+        Sc[1, 1] += 8.0
+    return S
 
 
 @pytest.fixture
@@ -659,18 +746,17 @@ def factor_rows(monkeypatch):
 
 
 def test_spsolve_matches_dense_solve():
-    rng = np.random.default_rng(3)
-    A = np.diag(np.full(6, 4.0)) + rng.uniform(-1, 1, (6, 6))
-    b = rng.standard_normal(6)
-    x = lepage.minimal.spsolve(lepage.minimal.csr_matrix(A), b)
-    assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-13)
+    S = random_stencil((5, 4), 3)
+    b = np.random.default_rng(3).standard_normal((5, 4))
+    x = lepage.minimal.spsolve(S, b)
+    want = np.linalg.solve(stencil_matrix(S, 5, 4).toarray(), b.ravel())
+    assert np.allclose(x, want, rtol=0, atol=1e-13)
 
 
 def test_spsolve_singular_matrix_gives_non_finite(factor_dtypes):
     for A in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]):
         factor_dtypes.clear()
-        J = lepage.minimal.csr_matrix(np.array(A))
-        x = lepage.minimal.spsolve(J, np.array([1.0, 1.0]))
+        x = lepage.minimal.spsolve(stencil_of(A, (1, 2)), np.array([[1.0, 1.0]]))
         assert factor_dtypes == ["float32", "float64"]
         assert x.shape == (2,)
         assert not np.all(np.isfinite(x))
@@ -687,32 +773,35 @@ def test_solver_nan_interior_reports_singular_jacobian():
 def test_spsolve_float32_singular_falls_back_to_float64(factor_dtypes):
     # 1 + 1e-9 rounds to 1 in float32, so only the float64 factor exists
     A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
-    b = np.array([1.0, 2.0])
-    J = lepage.minimal.csr_matrix(A)
-    x = lepage.minimal.spsolve(J, b)
+    S, b = stencil_of(A, (1, 2)), np.array([[1.0, 2.0]])
+    x = lepage.minimal.spsolve(S, b)
     assert factor_dtypes == ["float32", "float64"]
-    assert np.array_equal(x, float64_spsolve(J, b))
-    assert np.max(np.abs(A @ x - b)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+    assert np.array_equal(x, float64_spsolve(S, b))
+    assert (np.max(np.abs(A @ x - b.ravel()))
+            <= 4 * np.finfo(float).eps * np.max(np.abs(x)))
 
 
 def test_spsolve_beyond_float32_range_falls_back_to_float64(factor_dtypes):
-    rng = np.random.default_rng(4)
-    A = (np.diag(np.full(5, 4.0)) + rng.uniform(-1, 1, (5, 5))) * 1e39
-    b = rng.standard_normal(5)
-    x = lepage.minimal.spsolve(lepage.minimal.csr_matrix(A), b)
+    S = [Sc * 1e39 for Sc in random_stencil((3, 2), 4)]
+    b = np.random.default_rng(4).standard_normal((3, 2))
+    x = lepage.minimal.spsolve(S, b)
     assert factor_dtypes == ["float64"]
-    assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-13, atol=0)
+    want = np.linalg.solve(stencil_matrix(S, 3, 2).toarray(), b.ravel())
+    assert np.allclose(x, want, rtol=1e-13, atol=0)
 
 
-def test_spsolve_ill_conditioned_hilbert_matches_dense_solve(factor_dtypes):
-    # cond(H_8) = 1.5e10 is beyond what refining a float32 factor can reach
-    H = 1.0 / (np.arange(8)[:, None] + np.arange(8)[None, :] + 1.0)
-    b = np.ones(8)
-    x = lepage.minimal.spsolve(lepage.minimal.csr_matrix(H), b)
+def test_spsolve_too_ill_conditioned_to_refine_matches_dense_solve(
+        factor_dtypes):
+    # a 1-D Laplacian on a 1 x 10 grid, shifted to 4e-10 above singular:
+    # cond = 1e10 is beyond what refining a float32 factor can reach
+    k = 10
+    diag = 2.0 * np.cos(np.pi / (k + 1)) + 4e-10
+    A = np.diag(np.full(k, diag)) - np.eye(k, k=1) - np.eye(k, k=-1)
+    b = np.ones((1, k))
+    x = lepage.minimal.spsolve(stencil_of(A, (1, k)), b)
     assert factor_dtypes == ["float32", "float64"]
-    want = np.linalg.solve(H, b)
-    # both solves carry an error of order cond * eps = 3e-6
-    assert np.allclose(x, want, rtol=1e-5, atol=0)
+    # both solves carry an error of order cond * eps = 1e-6
+    assert np.allclose(x, np.linalg.solve(A, b.ravel()), rtol=1e-5, atol=0)
 
 
 NEWTON_GRIDS = [(name, N) for name in ("scherk", "paraboloid")
@@ -764,18 +853,37 @@ def test_grid_levels():
 def one_newton_system(name, shape):
     bound = GridField.dirichlet(SQUARE, shape, BUILTIN_SURFACES[name])
     u, hx, hy = bound.values, bound.hx, bound.hy
-    res = _kernels.interior_residual(u, hx, hy)
-    J = csr_matrix(_kernels.interior_jacobian_csr(u, hx, hy),
-                   shape=(res.size, res.size))
-    return J, -res.ravel(), res.shape
+    return (_kernels.interior_jacobian_stencil(u, hx, hy),
+            -_kernels.interior_residual(u, hx, hy))
+
+
+def inf_norm(J):
+    return float(abs(J).sum(axis=1).max())
+
+
+# Reference: one float32 SuperLU of J^T, refined in float64 until LAPACK
+# dsgesv's test holds, at most 30 times; None when it does not.
+
+def refined_float32_solve(J, b):
+    from scipy.sparse.linalg import splu
+    tol = inf_norm(J) * np.finfo(float).eps * np.sqrt(b.size)
+    lu = splu(J.T.astype(np.float32), permc_spec="MMD_AT_PLUS_A", panel_size=4)
+    x = lu.solve(b.astype(np.float32), trans="T").astype(np.float64)
+    for _ in range(30):
+        r = b - J @ x
+        if np.max(np.abs(r)) <= np.max(np.abs(x)) * tol:
+            return x
+        x += lu.solve(r.astype(np.float32), trans="T")
+    return None
 
 
 @pytest.mark.parametrize("shape", [(17, 17), (64, 64), (66, 65), (33, 33)])
 def test_grids_that_do_not_coarsen_keep_the_float32_factor_solve(shape):
-    J, b, grid = one_newton_system("paraboloid", shape)
-    want = lepage.minimal._refined_float32_solve(J, b)
-    assert_same_bits(lepage.minimal.spsolve(J, b, grid=grid), want)
-    assert_same_bits(lepage.minimal.spsolve(J, b), want)
+    S, b = one_newton_system("paraboloid", shape)
+    assert len(lepage.minimal._grid_levels(*b.shape)) == 1
+    want = refined_float32_solve(stencil_matrix(S, *b.shape), b.ravel())
+    assert want is not None
+    assert_same_bits(lepage.minimal.spsolve(S, b), want)
 
 
 @pytest.mark.parametrize("name", ["scherk", "paraboloid"])
@@ -799,28 +907,22 @@ def test_multigrid_newton_matches_float64_reference_on_rectangles(
 
 
 def test_multigrid_solve_meets_the_double_precision_test():
-    J, b, grid = one_newton_system("scherk", (129, 129))
-    x = lepage.minimal.spsolve(J, b, grid=grid)
-    tol = (lepage.minimal._inf_norm(J) * np.finfo(float).eps
-           * np.sqrt(b.size))
-    assert np.max(np.abs(b - J @ x)) <= np.max(np.abs(x)) * tol
-    assert np.allclose(x, float64_spsolve(J, b), rtol=0,
+    S, b = one_newton_system("scherk", (129, 129))
+    J = stencil_matrix(S, *b.shape)
+    x = lepage.minimal.spsolve(S, b)
+    tol = inf_norm(J) * np.finfo(float).eps * np.sqrt(b.size)
+    assert np.max(np.abs(b.ravel() - J @ x)) <= np.max(np.abs(x)) * tol
+    assert np.allclose(x, float64_spsolve(S, b), rtol=0,
                        atol=1e-12 * np.max(np.abs(x)))
-
-
-def test_spsolve_rejects_a_grid_that_does_not_match_j():
-    J, b, _ = one_newton_system("scherk", (65, 65))
-    with pytest.raises(ValueError, match="grid"):
-        lepage.minimal.spsolve(J, b, grid=(127, 31))
 
 
 def test_multigrid_failure_falls_back_to_float64(factor_dtypes):
     # a float32 overflow in the coarsest operator ends the multigrid path
-    J, b, grid = one_newton_system("scherk", (65, 65))
-    J.data *= 1e36
-    x = lepage.minimal.spsolve(J, b, grid=grid)
+    S, b = one_newton_system("scherk", (65, 65))
+    S = [Sc * 1e36 for Sc in S]
+    x = lepage.minimal.spsolve(S, b)
     assert factor_dtypes == ["float64"]
-    assert np.array_equal(x, float64_spsolve(J, b))
+    assert np.array_equal(x, float64_spsolve(S, b))
 
 
 # ---------------------------------------------------------------------------
