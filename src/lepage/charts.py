@@ -13,23 +13,16 @@ the orientation branch det(minor) > 0; samplers must guard minors positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping, Sequence
-
-import numpy as np
 
 from .expr import (
-    DomainError, Expr, ExprError, PointAssignment, Sym, cancel_candidate,
-    const, det_expr, diff, equal, evaluate, expr_sum, free_symbols,
-    sqrt_extract_candidate, substitute, sym_expr,
+    Expr, ExprError, Sym, cancel_candidate, const, det_expr, diff, expr_sum,
+    free_symbols, sqrt_extract_candidate, substitute, sym_expr,
 )
 
 __all__ = [
-    "ChartError", "JetChart", "AdaptedChart", "GroupElement",
-    "formal_derivative", "adapted_derivative", "regular_blocks",
-    "gl_act", "gl_act_symbolic", "chart_from_json", "chart_to_json",
+    "ChartError", "JetChart", "AdaptedChart",
+    "formal_derivative", "adapted_derivative", "gl_act_symbolic",
 ]
 
 
@@ -237,10 +230,6 @@ class AdaptedChart:
     def from_adapted(self, g: Expr) -> Expr:
         return substitute(g, self.w_in_terms_of_y())
 
-    def guards(self) -> list[Expr]:
-        """Positivity guards for sampling on this chart's branch."""
-        return [self.minor_det_y()]
-
 
 def adapted_derivative(f: Expr, i: int, adapted: AdaptedChart) -> Expr:
     """The cut derivative D_i f = df/dw^i + w^s_i df/dw^s on the adapted chart."""
@@ -259,68 +248,9 @@ def adapted_derivative(f: Expr, i: int, adapted: AdaptedChart) -> Expr:
     return expr_sum(pieces)
 
 
-def regular_blocks(assign: PointAssignment, chart: JetChart,
-                   tol: float = 1e-12) -> list[tuple[int, ...]]:
-    """Selected tuples whose jet minor is nonsingular at the given point."""
-    out = []
-    for sel in combinations(range(1, chart.M + 1), chart.n):
-        mat = np.array([[assign.symbols.get(Sym("y1", it, j), 0.0)
-                         for j in range(1, chart.n + 1)] for it in sel])
-        if abs(np.linalg.det(mat)) > tol:
-            out.append(sel)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # jet group action
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of the orientation-preserving linear jet group."""
-
-    entries: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        mat = np.array(self.entries, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ChartError("group element must be a square matrix")
-        if np.linalg.det(mat) <= 0:
-            raise ChartError("group element must have positive determinant")
-        object.__setattr__(self, "entries",
-                           tuple(tuple(float(v) for v in row) for row in mat))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def det(self) -> float:
-        return float(np.linalg.det(np.array(self.entries)))
-
-    @staticmethod
-    def random_near_identity(n: int, rng, spread: float = 0.3,
-                             min_det: float = 0.1) -> "GroupElement":
-        while True:
-            mat = np.eye(n) + spread * (2 * rng.random((n, n)) - 1)
-            if np.linalg.det(mat) > min_det:
-                return GroupElement(tuple(tuple(row) for row in mat))
-
-
-def gl_act(assign: PointAssignment, a: GroupElement,
-           chart: JetChart) -> PointAssignment:
-    """Right action on first-order jets: y^K_j -> sum_l y^K_l a^l_j."""
-    if a.n != chart.n:
-        raise ChartError("group element size does not match the chart")
-    values = dict(assign.symbols)
-    for K in range(1, chart.M + 1):
-        row = [assign.symbols.get(Sym("y1", K, l), 0.0)
-               for l in range(1, chart.n + 1)]
-        for j in range(1, chart.n + 1):
-            values[Sym("y1", K, j)] = sum(
-                row[l - 1] * a.entries[l - 1][j - 1]
-                for l in range(1, chart.n + 1))
-    return PointAssignment(values, assign.functions)
-
 
 def gl_act_symbolic(f: Expr, chart: JetChart) -> Expr:
     """Substitute the group action with formal entries a^l_j."""
@@ -336,29 +266,3 @@ def gl_act_symbolic(f: Expr, chart: JetChart) -> Expr:
 def group_det_symbolic(n: int) -> Expr:
     return det_expr([[sym_expr(Sym("a", i, j)) for j in range(1, n + 1)]
                      for i in range(1, n + 1)])
-
-
-# ---------------------------------------------------------------------------
-# JSON chart declarations
-# ---------------------------------------------------------------------------
-
-def chart_from_json(data) -> tuple[JetChart, AdaptedChart | None]:
-    """Build charts from {"n":2,"m":1,"order":2,"adapted":[1,2]}."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    try:
-        chart = JetChart(n=int(data["n"]), m=int(data["m"]),
-                         order=int(data.get("order", 1)))
-    except KeyError as exc:
-        raise ChartError(f"chart declaration is missing {exc}") from None
-    adapted = None
-    if data.get("adapted") is not None:
-        adapted = AdaptedChart(chart, tuple(int(v) for v in data["adapted"]))
-    return chart, adapted
-
-
-def chart_to_json(chart: JetChart, adapted: AdaptedChart | None = None) -> dict:
-    out = {"n": chart.n, "m": chart.m, "order": chart.order}
-    if adapted is not None:
-        out["adapted"] = list(adapted.selected)
-    return out

@@ -190,8 +190,11 @@ def load_problem(path: str | Path) -> ProblemSpec:
         lagrangian = Lagrangian(chart, _parse_expr(raw["lagrangian"], chart,
                                                    "lagrangian"))
 
+    raw_fields = raw.get("fields", [])
+    _expect(isinstance(raw_fields, list),
+            f"fields must be a list of vector fields, got {raw_fields!r}")
     fields: list[VectorFieldSpec] = []
-    for pos, comps in enumerate(raw.get("fields", ())):
+    for pos, comps in enumerate(raw_fields):
         _expect(isinstance(comps, list) and len(comps) == chart.M,
                 f"field {pos} needs {chart.M} components")
         try:

@@ -13,10 +13,9 @@ stay canonical:
   evaluation domain; evaluation rejects points where a radicand is negative),
 * ``sin(u)^2 -> 1 - cos(u)^2``.
 
-Because construction always canonicalizes, ``normalize`` is idempotent by
-design and structural equality of two results means the computations agree
-coefficient by coefficient.  ``equal`` settles the remaining cases by seeded
-random evaluation.
+Because construction always canonicalizes, structural equality of two
+results means the computations agree coefficient by coefficient.  ``equal``
+settles the remaining cases by seeded random evaluation.
 
 The printable surface syntax is::
 
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -52,12 +50,12 @@ __all__ = [
     "const", "sym_expr", "x", "yy", "yj", "yjk", "ww", "wj", "zz", "aa",
     "sqrt_expr", "opaque", "analytic", "sin_expr", "cos_expr", "exp_expr",
     "log_expr", "atan_expr", "det_expr", "levi_civita",
-    "diff", "substitute", "transform_atoms", "normalize", "node_count",
+    "diff", "substitute", "transform_atoms",
     "evaluate", "equal", "parse", "to_dsl", "to_latex", "expr_sum",
     "free_symbols", "opaque_signatures", "sqrt_extract_candidate",
 ]
 
-DEFAULT_NODE_CAP = 500_000
+NODE_CAP = 500_000  # largest polynomial product, in nodes
 GUARD_EPS = 1e-3
 DEN_EPS = 1e-9
 
@@ -86,16 +84,6 @@ class MissingValueError(EvalError):
 
 class ExpressionSizeError(ExprError):
     pass
-
-
-def _node_cap() -> int:
-    raw = os.environ.get("LEPAGE_NODE_CAP", "")
-    if raw:
-        try:
-            return max(int(raw), 1000)
-        except ValueError:
-            pass
-    return DEFAULT_NODE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +233,10 @@ def _p_size(p: Poly) -> int:
 
 
 def _check_size(p: Poly) -> Poly:
-    cap = _node_cap()
     size = _p_size(p)
-    if size > cap:
+    if size > NODE_CAP:
         raise ExpressionSizeError(
-            f"normal form grew to {size} nodes, above the cap {cap}; "
-            "raise LEPAGE_NODE_CAP to proceed")
+            f"normal form grew to {size} nodes, above the cap {NODE_CAP}")
     return p
 
 
@@ -848,34 +834,6 @@ def opaque_signatures(e: Expr) -> set:
 
     walk(e)
     return out
-
-
-def node_count(e: Expr) -> int:
-    total = 0
-
-    def walk(t: Expr):
-        nonlocal total
-        for terms in (t.num, t.den):
-            for mono, _ in terms:
-                total += 1 + len(mono)
-                for at, _e in mono:
-                    if isinstance(at, Fun):
-                        for a in at.args:
-                            walk(a)
-                    elif isinstance(at, Root):
-                        walk(at.arg)
-
-    walk(e)
-    return total
-
-
-def normalize(e: Expr) -> Expr:
-    """Expressions are canonical on construction; audit the size and return."""
-    size = node_count(e)
-    cap = _node_cap()
-    if size > cap:
-        raise ExpressionSizeError(f"expression holds {size} nodes, cap is {cap}")
-    return e
 
 
 def transform_atoms(e: Expr, fn: Callable) -> Expr:

@@ -23,29 +23,25 @@ its inverse (``to_coordinate``); every constructor and checker goes through it.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .charts import AdaptedChart, ChartError, JetChart, contains_order2
+from .charts import AdaptedChart, JetChart
 from .expr import (
-    EqualResult, Expr, ExprError, ONE, PointAssignment, Sym, ZERO, const,
-    diff, equal, expr_sum, free_symbols, levi_civita, parse, substitute,
-    sym_expr, sym_name, to_dsl,
+    EqualResult, Expr, ExprError, ONE, Sym, ZERO, const, diff, equal,
+    expr_sum, free_symbols, levi_civita, substitute, sym_expr, to_dsl,
 )
 
 __all__ = [
     "Covector", "DiffForm", "FormError", "Immersion", "VectorField",
-    "covector_from_name",
     "dx", "dy", "dyj", "om", "omj", "dw", "dwj", "omt",
     "form", "zero_form", "volume_form", "omega_marginal", "wedge",
     "wedge_all", "ext_d", "contract", "horizontalize", "contact_component",
     "to_contact", "to_coordinate", "lie_derivative",
     "pullback_immersion", "to_adapted_contact", "from_adapted_contact",
-    "reduce_contact_ideal", "form_equal", "form_to_json", "form_from_json",
+    "reduce_contact_ideal", "form_equal", "form_to_json",
 ]
 
 
@@ -118,21 +114,6 @@ def dwj(s: int, i: int) -> Covector:
 
 def omt(s: int) -> Covector:
     return Covector("omt", s)
-
-
-_COV_NAME_RE = re.compile(r"^(dx|dy|om|dw|omt)(\d)(?:_(\d))?$")
-
-
-def covector_from_name(name: str) -> Covector:
-    m = _COV_NAME_RE.match(name)
-    if not m:
-        raise FormError(f"cannot parse covector name {name!r}")
-    kind, a, b = m.group(1), int(m.group(2)), m.group(3)
-    if b is None:
-        return Covector(kind, a)
-    if kind in ("dy", "om", "dw"):
-        return Covector(kind + "1", a, int(b))
-    raise FormError(f"covector {name!r} cannot carry a base subscript")
 
 
 _MODE_KINDS = {
@@ -648,31 +629,8 @@ class Immersion:
 
     def adapted_substitution(self, ad: AdaptedChart) -> dict[Sym, Expr]:
         """Values of the adapted coordinates along the prolonged immersion."""
-        n = self.chart.n
-        A = [[self.jet1(it, j + 1) for j in range(n)] for it in ad.selected]
-        from .expr import det_expr
-        det = det_expr(A) if n > 1 else A[0][0]
-        out: dict[Sym, Expr] = {}
-        for K in range(1, self.chart.M + 1):
-            out[Sym("w", K)] = self.components[K - 1]
-        for it in ad.selected:
-            for j in range(1, n + 1):
-                out[Sym("w1", it, j)] = self.jet1(it, j)
-        for s in ad.complement:
-            for t, it in enumerate(ad.selected):
-                # w^s_{i_t} = sum_j (A^{-1})[j][t] d_j zeta^s
-                pieces = []
-                for j in range(n):
-                    sub = [[A[r][c] for c in range(n) if c != j]
-                           for r in range(n) if r != t]
-                    if sub:
-                        cof = det_expr(sub) if len(sub) > 1 else sub[0][0]
-                    else:
-                        cof = ONE
-                    sign = -1 if (t + j) % 2 else 1
-                    pieces.append(const(sign) * cof * self.jet1(s, j + 1))
-                out[Sym("w1", s, it)] = expr_sum(pieces) / det
-        return out
+        jets = self.substitution(order=1)
+        return {s: substitute(v, jets) for s, v in ad.w_in_terms_of_y().items()}
 
 
 def pullback_immersion(a: DiffForm, zeta: Immersion) -> DiffForm:
@@ -843,15 +801,3 @@ def form_to_json(a: DiffForm) -> dict:
         "terms": [{"word": [c.name() for c in word], "coeff": to_dsl(coeff)}
                   for word, coeff in a.items()],
     }
-
-
-def form_from_json(data, chart: JetChart,
-                   adapted: AdaptedChart | None = None) -> DiffForm:
-    if isinstance(data, str):
-        data = json.loads(data)
-    terms: dict[Word, Expr] = {}
-    for item in data["terms"]:
-        word = tuple(covector_from_name(nm) for nm in item["word"])
-        terms[word] = parse(item["coeff"])
-    return form(chart, data["mode"], terms, adapted=adapted) if terms else \
-        zero_form(chart, data["degree"], data["mode"], adapted=adapted)

@@ -1,9 +1,8 @@
 """Positive homogeneity of velocity functions.
 
-Residuals of the homogeneity identities, numeric equivariance under the
-orientation-preserving linear group, the differentiated identities of
-homogeneous functions, and the projection onto the quotient chart obtained
-by extracting the selected-minor determinant.
+Residuals of the homogeneity identities, equivariance under the
+orientation-preserving linear group, and the projection onto the quotient
+chart obtained by extracting the selected-minor determinant.
 """
 
 from __future__ import annotations
@@ -11,17 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .charts import AdaptedChart, GroupElement, JetChart, gl_act
+from .charts import AdaptedChart, JetChart, gl_act_symbolic, group_det_symbolic
 from .expr import (
-    DomainError, EqualResult, Expr, ExprError, Sym, ZERO, diff, equal,
-    evaluate, expr_sum, free_symbols, opaque_signatures, sample_assignment,
-    sym_expr,
+    EqualResult, Expr, ExprError, Sym, ZERO, diff, equal, expr_sum,
+    free_symbols, sym_expr,
 )
 
 __all__ = [
-    "ZermeloReport", "EquivarianceResult", "zermelo_residuals",
+    "ZermeloReport", "zermelo_residuals",
     "check_equivariance", "grassmann_projection", "grassmann_form",
 ]
 
@@ -70,62 +66,19 @@ def zermelo_residuals(F: Expr, chart: JetChart, *, trials: int = 50,
     return ZermeloReport(chart, residuals, verdicts)
 
 
-@dataclass
-class EquivarianceResult:
-    verdict: str  # 'equal' | 'unequal' | 'unknown'
-    samples: int = 0
-    max_deviation: float = 0.0
-    witness: object = None
-
-    def __bool__(self):
-        return self.verdict == "equal"
-
-    def describe(self) -> str:
-        if self.verdict == "equal":
-            return (f"equivariant over {self.samples} samples "
-                    f"(max deviation {self.max_deviation:.3e})")
-        if self.verdict == "unknown":
-            return "all samples skipped by domain guards"
-        return f"not equivariant, witness {self.witness}"
-
-
 def check_equivariance(F: Expr, chart: JetChart, *, trials: int = 20,
                        tol: float = 1e-9, seed: int = 0,
-                       guards: Sequence[Expr] = ()) -> EquivarianceResult:
-    """Sample the determinant-weighted equivariance of a velocity function."""
+                       guards: Sequence[Expr] = ()) -> EqualResult:
+    """Decide F(y a) = det(a) F(y) over the orientation-preserving group.
+
+    The group entries a^l_j are sampled with the jets, and det(a) joins the
+    guards, so a sample counts only where det(a) > GUARD_EPS; a witness
+    point names the a entries it was drawn at.
+    """
     chart.validate_expr(F, max_order=1)
-    symbols = set(free_symbols(F))
-    symbols.update(Sym("y1", K, j) for K in range(1, chart.M + 1)
-                   for j in range(1, chart.n + 1))
-    signatures = opaque_signatures(F)
-    used = 0
-    worst = 0.0
-    for trial in range(trials):
-        assign = sample_assignment(sorted(symbols, key=lambda s: s.key),
-                                   signatures, seed=seed, trial=trial)
-        rng = np.random.default_rng((seed + 1) * 7919 + trial)
-        a = GroupElement.random_near_identity(chart.n, rng)
-        try:
-            for g in guards:
-                if abs(evaluate(g, assign)) <= 1e-3:
-                    raise DomainError("guard too small")
-            va = evaluate(F, assign)
-            vb = evaluate(F, gl_act(assign, a, chart))
-        except DomainError:
-            continue
-        used += 1
-        target = a.det() * va
-        deviation = abs(vb - target) / max(1.0, abs(vb), abs(target))
-        worst = max(worst, deviation)
-        if deviation > tol:
-            return EquivarianceResult("unequal", samples=used,
-                                      max_deviation=worst,
-                                      witness={"point": assign.describe(),
-                                               "matrix": a.entries,
-                                               "deviation": deviation})
-    if used == 0:
-        return EquivarianceResult("unknown")
-    return EquivarianceResult("equal", samples=used, max_deviation=worst)
+    det = group_det_symbolic(chart.n)
+    return equal(gl_act_symbolic(F, chart), det * F, trials=trials, tol=tol,
+                 seed=seed, guards=[det, *guards])
 
 
 def grassmann_projection(F: Expr, adapted: AdaptedChart, *, trials: int = 30,

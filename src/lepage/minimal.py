@@ -23,9 +23,9 @@ from . import _kernels
 from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, fundamental_homogeneous,
                           hilbert_caratheodory)
-from .expr import (EqualResult, Expr, ExprError, ONE, PointAssignment, Sym,
-                   ZERO, const, cos_expr, det_expr, diff, evaluate, expr_sum,
-                   free_symbols, log_expr, sqrt_expr, sym_expr, yj)
+from .expr import (EqualResult, Expr, ExprError, ONE, Sym, ZERO, const,
+                   cos_expr, det_expr, diff, expr_sum, free_symbols, log_expr,
+                   sqrt_expr, sym_expr, yj)
 from .forms import DiffForm, form_equal
 
 __all__ = [
@@ -79,18 +79,6 @@ class MetricSpec:
 
     def entry(self, K: int, L: int) -> Expr:
         return self.entries[K - 1][L - 1]
-
-    def matrix_at(self, assign: PointAssignment) -> np.ndarray:
-        return np.array([[evaluate(e, assign) for e in row]
-                         for row in self.entries])
-
-    def definite_at(self, assign: PointAssignment) -> bool:
-        """Positive definiteness at a sample, by Cholesky success."""
-        try:
-            np.linalg.cholesky(self.matrix_at(assign))
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
 
 # ---------------------------------------------------------------------------

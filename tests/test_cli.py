@@ -375,6 +375,17 @@ def test_noether_requires_fields(capsys, tmp_path):
     assert "fields" in err
 
 
+@pytest.mark.parametrize("fields, shown", [
+    (5, "5"), (None, "None"), (True, "True"), ("abc", "'abc'"),
+])
+def test_problem_rejects_fields_that_are_not_a_list(capsys, tmp_path, fields,
+                                                    shown):
+    path = write_problem(tmp_path, base_problem(fields=fields))
+    code, out, err = run_cli(capsys, "noether", "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: fields must be a list of vector fields, got {shown}\n"
+
+
 # ---------------------------------------------------------------------------
 # minsurf
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -18,8 +17,8 @@ from lepage.expr import (
     levi_civita, sin_expr, sqrt_expr, sym_expr, wj, ww, x, yj, yy,
 )
 from lepage.forms import (
-    Covector, DiffForm, FormError, Immersion, VectorField, contact_component, contract, covector_from_name, dw, dwj, dx, dy, dyj,
-    ext_d, form, form_equal, form_from_json, form_to_json,
+    Covector, DiffForm, FormError, Immersion, VectorField, contact_component, contract, dw, dwj, dx, dy, dyj,
+    ext_d, form, form_equal,
     from_adapted_contact, horizontalize, lie_derivative, om, omega_marginal,
     omj, omt, pullback_immersion, reduce_contact_ideal, to_adapted_contact,
     to_contact, to_coordinate, volume_form, wedge, wedge_all, zero_form,
@@ -120,13 +119,6 @@ def test_form_validation_errors():
         DiffForm(CH21, 1, "adapted", {(dw(1),): ONE})  # needs adapted chart
     with pytest.raises(FormError):
         form(CH21, "coordinate", {})
-
-
-def test_covector_names_roundtrip():
-    for cov in (dx(2), dy(3), dyj(1, 2), om(2), dw(3), dwj(3, 1), omt(3)):
-        if cov.kind in ("dy1", "om1"):
-            continue  # second-level names stay internal
-        assert covector_from_name(cov.name()).key == cov.key
 
 
 # ---------------------------------------------------------------------------
@@ -603,19 +595,3 @@ def test_form_equal_verdict_fields():
     assert unknown.verdict == "unknown" and not unknown
     assert unknown.witness is None and unknown.word == (dx(2),)
     assert unknown.describe() == "unknown at word dx2"
-
-
-def test_form_json_roundtrip():
-    a = form(CH21, "coordinate",
-             {(dy(1), dx(2)): yy(2) * x(1), (dy(3), dy(2)): sqrt_expr(
-                 ONE + yj(3, 1) ** 2)})
-    data = form_to_json(a)
-    text = json.dumps(data, sort_keys=True)
-    b = form_from_json(json.loads(text), CH21)
-    assert (b - a).is_zero
-    assert json.dumps(form_to_json(b), sort_keys=True) == text
-
-
-def test_zero_form_json():
-    z = zero_form(CH21, 2, "coordinate")
-    assert form_from_json(form_to_json(z), CH21).is_zero
