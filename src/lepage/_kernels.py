@@ -12,7 +12,7 @@ triplets.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 __all__ = ["BACKEND", "interior_residual", "interior_jacobian_stencil",
            "cell_circulation"]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .charts import AdaptedChart, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _lepage_verdict,
                           caratheodory, euler_lagrange, fundamental,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .charts import AdaptedChart, ChartError, JetChart
 from .equivalents import (Lagrangian, caratheodory, euler_lagrange,
                           fundamental, fundamental_homogeneous,
@@ -519,11 +518,12 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
                 f"({', '.join(sorted(BUILTIN_SURFACES))}) nor a file")
         values = _load_grid_values(path)
         _require_finite(values, rect)
-        if min(values.shape) < MIN_GRID:
-            raise ProblemError(f"boundary file grid {values.shape} is smaller "
+        shape = values.shape
+        if min(shape) < MIN_GRID:
+            raise ProblemError(f"boundary file grid {shape} is smaller "
                                f"than {MIN_GRID}x{MIN_GRID}")
-        if grid is not None and values.shape != (grid, grid):
-            raise ProblemError(f"boundary file shape {values.shape} does not "
+        if grid is not None and shape != (grid, grid):
+            raise ProblemError(f"boundary file shape {shape} does not "
                                f"match --grid {grid}")
     try:
         if values is None:
@@ -534,6 +534,9 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
             start = GridField(rect, values)
     except ValueError as ex:
         raise ProblemError(f"domain {list(rect)}: {ex}") from ex
+    except MemoryError as ex:
+        raise ProblemError(f"a {shape[0]}x{shape[1]} grid does not fit in "
+                           f"memory: {ex}") from ex
     _require_finite(start.values, rect)
 
     result = solve_minimal_surface(start, tol=tol, max_iter=max_iter)

@@ -17,9 +17,8 @@ from math import factorial
 from numbers import Integral, Real
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import _kernels
+from ._numpy import np
 from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, fundamental_homogeneous,
                           hilbert_caratheodory)

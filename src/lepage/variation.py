@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
+from ._numpy import np
 from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
     formal_derivative
 from .equivalents import HorizontalNForm, Lagrangian, euler_lagrange, \
@@ -202,6 +200,8 @@ def noether_current(xi: VectorFieldSpec, W: DiffForm) -> DiffForm:
 # ---------------------------------------------------------------------------
 
 def _gauss_nodes(a: float, b: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(points)
     half = (b - a) / 2.0
     return (a + b) / 2.0 + half * nodes, half * weights

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lepage import cli
+from lepage.acceptance import CriterionResult
 from lepage.cli import main
 from lepage.equivalents import is_lepage, poincare_cartan
 from lepage.expr import EqualResult, ONE, const, sqrt_expr
@@ -552,6 +555,15 @@ def test_minsurf_solver_block_accepts_integral_float_grid(capsys, tmp_path):
     assert report["grid"]["nx"] == 9
 
 
+def test_minsurf_grid_beyond_memory_is_a_problem_error(capsys):
+    # 10^7 x 10^7 float64 nodes are 728 TiB: the allocation fails at once
+    code, out, err = run_cli(capsys, "minsurf", "--grid", "10000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a 10000000x10000000 grid does not fit "
+                          "in memory: ")
+    assert err.count("\n") == 1
+
+
 def test_minsurf_rejects_boundary_file_below_five(capsys, tmp_path):
     csv = tmp_path / "surface.csv"
     np.savetxt(csv, np.zeros((4, 4)), delimiter=",")
@@ -648,9 +660,25 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
-def test_selftest_subprocess_exits_zero():
+def test_selftest_json_subprocess_matches_golden():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(root / "src"),
+                                         os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "lepage.cli", "selftest"],
+        [sys.executable, "-m", "lepage.cli", "selftest", "--format", "json",
+         "--seed", "0"], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "11/11 criteria passed" in proc.stdout
+    assert proc.stdout == (root / "tests" / "golden"
+                           / "selftest_json.out").read_text()
+
+
+def test_selftest_text_reports_each_criterion_and_fails(capsys, monkeypatch):
+    results = [CriterionResult(1, "one", True, "fine", 0.5),
+               CriterionResult(2, "two", False, "broken", 1.25)]
+    monkeypatch.setattr(cli, "run_all", lambda seed: results)
+    code, out, err = run_cli(capsys, "selftest")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["PASS  1 one: fine [0.50s]",
+                                "FAIL  2 two: broken [1.25s]",
+                                "1/2 criteria passed"]

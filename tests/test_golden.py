@@ -1,8 +1,11 @@
 """Golden corpus: byte-for-byte stdout of fixed CLI commands at seed 0.
 
-The corpus holds the nine commands of the benchmark's symbolic CLI mix and
-``check-lepage`` for every equivalent kind on both problem files.  A change
-that alters printed output on purpose re-baselines it with
+The corpus holds the nine commands of the benchmark's symbolic CLI mix,
+``check-lepage`` for every equivalent kind on both problem files, and
+``selftest --format json``.  The selftest file is checked against a
+``python -m lepage.cli`` process by ``tests/test_cli.py``, not here, so the
+criteria run once per test session.  A change that alters printed output on
+purpose re-baselines it with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,8 +25,8 @@ from lepage.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-PROBLEMS = {"arclength": "problems/arclength_r2.json",
-            "minimal_r3": "problems/minimal_r3.json"}
+PROBLEMS = {"arclength": str(ROOT / "problems/arclength_r2.json"),
+            "minimal_r3": str(ROOT / "problems/minimal_r3.json")}
 KINDS = ("poincare-cartan", "fundamental", "caratheodory",
          "fundamental-homogeneous", "hilbert-caratheodory", "krupka")
 
@@ -50,14 +53,14 @@ def _cases() -> dict[str, tuple[tuple[str, ...], int]]:
 
 
 CASES = _cases()
+SELFTEST = {"selftest_json": (("selftest", "--format", "json"), 0)}
 
 
 def run(argv: tuple[str, ...]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        status = main([*argv[:2], str(ROOT / argv[2]), *argv[3:],
-                       "--seed", "0"])
+        status = main([*argv, "--seed", "0"])
     return status, out.getvalue()
 
 
@@ -71,7 +74,7 @@ def test_golden_stdout(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, status) in sorted(CASES.items()):
+    for name, (argv, status) in sorted({**CASES, **SELFTEST}.items()):
         got_status, got = run(argv)
         if got_status != status:
             sys.exit(f"{name}: exit status {got_status}, expected {status}")

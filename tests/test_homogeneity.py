@@ -200,12 +200,45 @@ def test_projection_rejects_inhomogeneous():
 # import graph
 # ---------------------------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# The benchmark's nine symbolic CLI commands, each run at --seed 0 by the
+# process below; numpy's package body imports numpy.* submodules, so none
+# being loaded after them shows that the body never ran.  minsurf then needs
+# numpy in the same process and must still find it.
+CLI_NO_NUMPY = """
+import contextlib, io, sys
+from lepage.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+arclength, minimal = "problems/arclength_r2.json", "problems/minimal_r3.json"
+commands = [("derive-el", "--problem", arclength),
+            ("check-zermelo", "--problem", arclength),
+            ("noether", "--problem", minimal),
+            ("lepage", "--problem", minimal, "--kind", "w")]
+commands += [("check-lepage", "--problem", minimal, "--kind", kind)
+             for kind in ("krupka", "poincare-cartan", "caratheodory",
+                          "fundamental", "fundamental-homogeneous")]
+print([run(*argv, "--seed", "0") for argv in commands])
+print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+print(run("minsurf", "--grid", "17"))
+"""
+
+
+def fresh_python(code: str) -> str:
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_symbolic_modules_load_no_numpy():
     code = ("import sys, lepage.equivalents, lepage.homogeneity; "
             "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+    assert fresh_python(CLI_NO_NUMPY).splitlines() == [str([0] * 9), "[]", "0"]
