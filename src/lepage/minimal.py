@@ -503,9 +503,10 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
 
     Boundary nodes are Dirichlet data; interior values of the input serve as
     the initial guess.  Steps are halved while they increase the max-norm
-    residual.  A step that no halving improves ends the iteration; the
-    result counts as converged when the residual is at or below the
-    roundoff floor of the grid (``_roundoff_floor``), however small ``tol``.
+    residual.  A residual at or below the roundoff floor of the grid
+    (``_roundoff_floor``) ends the iteration before the next solve and
+    counts as converged, however small ``tol``; a step that no halving
+    improves above the floor ends it as a failure.
     ``iterations`` counts the accepted steps, so ``history`` holds
     ``iterations + 1`` residuals on every exit.
     """
@@ -526,6 +527,13 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
         if rmax < tol:
             return SolveResult(GridField(boundary.rect, u), True, it - 1,
                                history)
+        # below the floor, which steps a solve finds depends on the last
+        # bits of the linear solve, so none is tried
+        floor = _roundoff_floor(u, hx, hy)
+        if rmax <= floor:
+            return SolveResult(GridField(boundary.rect, u), True, it - 1,
+                               history, f"stagnated at the roundoff floor "
+                               f"{floor:.3e}")
         delta = spsolve(_kernels.interior_jacobian_stencil(u, hx, hy), -res)
         if not np.all(np.isfinite(delta)):
             return SolveResult(GridField(boundary.rect, u), False, it - 1,
@@ -541,11 +549,6 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
             step *= 0.5
         if rmax_new >= rmax:
             # the rejected trial leaves u, and so history[-1], as it was
-            floor = _roundoff_floor(u, hx, hy)
-            if rmax <= floor:
-                return SolveResult(GridField(boundary.rect, u), True, it - 1,
-                                   history, f"stagnated at the roundoff "
-                                   f"floor {floor:.3e}")
             return SolveResult(GridField(boundary.rect, u), False, it - 1,
                                history, "stagnated under damping")
         u, res, rmax = trial, res_new, rmax_new

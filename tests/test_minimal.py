@@ -580,7 +580,7 @@ def test_solver_stagnation_above_the_floor_still_fails(monkeypatch):
 EXITS = {  # exit: tol, max_iter, converged, message, accepted steps
     "converged": (1e-10, 20, True, "", 2),
     "max_iter": (1e-14, 1, False, "residual ", 1),
-    "floor": (1e-14, 20, True, "stagnated at the roundoff floor ", 3),
+    "floor": (1e-14, 20, True, "stagnated at the roundoff floor ", 2),
     "damping": (1e-14, 20, False, "stagnated under damping", 3),
     "singular": (1e-10, 20, False, "singular Jacobian", 0),
 }
