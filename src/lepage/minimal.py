@@ -314,8 +314,9 @@ BUILTIN_SURFACES: dict[str, Callable] = {
 # Newton solver
 # ---------------------------------------------------------------------------
 
-# scipy is imported on the first solve, so processes that never solve do not
-# pay for it; the solver looks both names up as module globals.
+# scipy is imported only where a SuperLU factor is made (see spsolve), so
+# processes that never make one do not pay for it; the solver looks
+# spsolve and csr_matrix up as module globals.
 
 def csr_matrix(*args, **kwargs):
     """scipy.sparse.csr_matrix, imported on first call."""
@@ -332,6 +333,13 @@ def _stencil_csr(S, mx: int, my: int):
 _REFINE_STEPS = 30  # LAPACK dsgesv's ITERMAX
 
 
+def _float32(data: np.ndarray):
+    """data cast to float32, or None when an entry is beyond float32 range."""
+    with np.errstate(over="ignore"):
+        data32 = data.astype(np.float32)
+    return data32 if np.all(np.isfinite(data32)) else None
+
+
 def _float32_factor(A):
     """SuperLU of A^T in float32 (A in CSR), or None when it cannot be made.
 
@@ -341,9 +349,8 @@ def _float32_factor(A):
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
-    with np.errstate(over="ignore"):
-        data32 = A.data.astype(np.float32)
-    if not np.all(np.isfinite(data32)):
+    data32 = _float32(A.data)
+    if data32 is None:
         return None
     AT = csc_matrix((data32, A.indices, A.indptr), shape=A.shape[::-1])
     try:
@@ -352,9 +359,35 @@ def _float32_factor(A):
         return None
 
 
-_COARSEST_SIDE = 31  # grids with no longer side are factored directly
+_COARSEST_SIDE = 15  # grids with no longer side are solved directly
 _INNER_RTOL = 1e-8   # BiCGSTAB's relative residual target per outer step
 _INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
+
+
+def _coarse_solver(S, mx: int, my: int):
+    """A float32 solve f -> x of S x = f on an (mx, my) grid, or None.
+
+    Up to _COARSEST_SIDE ** 2 nodes the matrix is inverted densely, which
+    needs no scipy; a larger grid, one whose sides stopped coarsening early,
+    gets _float32_factor.  None means an entry beyond float32 range or a
+    matrix that float32 finds singular.
+    """
+    if mx * my > _COARSEST_SIDE ** 2:
+        lu = _float32_factor(_stencil_csr(S, mx, my))
+        return None if lu is None else (lambda f: lu.solve(f, trans="T"))
+    data, (rows, cols) = _kernels.stencil_coo(S, mx, my)
+    data32 = _float32(data)
+    if data32 is None:
+        return None
+    A = np.zeros((mx * my,) * 2, dtype=np.float32)
+    A[rows, cols] = data32
+    try:
+        inverse = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # "Singular matrix"
+        return None
+    if not np.all(np.isfinite(inverse)):
+        return None
+    return lambda f: inverse @ f
 
 
 def _grid_levels(mx: int, my: int) -> list[tuple[int, int]]:
@@ -375,7 +408,7 @@ def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
     if level == len(stencils) - 1:
         with np.errstate(over="ignore"):
             f32 = f.ravel().astype(np.float32)
-        return coarse.solve(f32, trans="T").astype(np.float64).reshape(f.shape)
+        return coarse(f32).astype(np.float64).reshape(f.shape)
     k, S = _kernels, stencils[level]
     xp = np.zeros((f.shape[0] + 2, f.shape[1] + 2))
     k.colour_gauss_seidel(S, xp, f)
@@ -386,14 +419,65 @@ def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
     return x
 
 
+def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
+              psolve) -> np.ndarray:
+    """Right-preconditioned BiCGSTAB for A x = b from x = 0 (H. A. van der
+    Vorst, SIAM J. Sci. Stat. Comput. 13, 1992).
+
+    The arithmetic of scipy 1.17's ``bicgstab`` with atol = rtol ||b||: it
+    stops when ||r|| < atol, and returns the current x on a rho or omega
+    breakdown (below eps^2), when <r~, v> = 0, or after maxiter steps.
+    psolve must not write to its argument.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b
+    atol = rtol * float(bnorm)
+    breakdown = np.finfo(np.float64).eps ** 2
+    x, r = np.zeros_like(b), b.copy()
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < breakdown:
+            return x
+        if iteration:
+            if np.abs(omega) < breakdown:
+                return x
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = psolve(p)
+        v = matvec(phat)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x
+        alpha = rho / rv
+        r -= alpha * v  # r is now scipy's s
+        if np.linalg.norm(r) < atol:
+            x += alpha * phat
+            return x
+        shat = psolve(r)
+        t = matvec(shat)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x
+
+
 def _multigrid_solve(S, b: np.ndarray):
     """x with S x = b by float64 refinement of float32 corrections, or None.
 
-    Returns None when the coarsest factor cannot be made, or when a step
+    Returns None when the coarsest solve cannot be made, or when a step
     does not shrink the residual or the test still fails after the first
     solve and _REFINE_STEPS refinements.
     """
-    from scipy.sparse.linalg import LinearOperator, bicgstab
     k = _kernels
     shapes = _grid_levels(*b.shape)
     stencils = [S]
@@ -401,15 +485,16 @@ def _multigrid_solve(S, b: np.ndarray):
         fine = stencils[-1]
         stencils.append(k.probe_stencil(
             lambda e: k.restrict(k.stencil_apply(fine, k.prolong(e))), *shape))
-    coarse = _float32_factor(_stencil_csr(stencils[-1], *shapes[-1]))
+    coarse = _coarse_solver(stencils[-1], *shapes[-1])
     if coarse is None:
         return None
 
-    def grid_map(fn):
-        return LinearOperator((b.size, b.size), dtype=np.float64,
-                              matvec=lambda v: fn(v.reshape(b.shape)).ravel())
-    A = grid_map(lambda v: k.stencil_apply(S, v))
-    M = grid_map(lambda v: _vcycle(stencils, coarse, 0, v))
+    def matvec(v):
+        return k.stencil_apply(S, v.reshape(b.shape)).ravel()
+
+    def psolve(v):
+        return _vcycle(stencils, coarse, 0, v.reshape(b.shape)).ravel()
+
     norm = max(float(np.abs(Sc).sum(axis=(0, 1)).max(initial=0.0)) for Sc in S)
     tol = norm * np.finfo(np.float64).eps * np.sqrt(b.size)
     x, last = np.zeros(b.shape), np.inf
@@ -421,14 +506,13 @@ def _multigrid_solve(S, b: np.ndarray):
         if not rmax < last or solves > _REFINE_STEPS:  # nan, or no progress
             return None
         last = rmax
-        if len(stencils) == 1:  # the coarse factor-solve itself
+        if len(stencils) == 1:  # the coarse solve itself
             x += _vcycle(stencils, coarse, 0, r)
             continue
-        # bicgstab's breakdown tests are absolute, so it sees r at unit scale
+        # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale
         with np.errstate(all="ignore"):
-            x += rmax * bicgstab(A, (r / rmax).ravel(), rtol=_INNER_RTOL,
-                                 atol=0.0, maxiter=_INNER_STEPS,
-                                 M=M)[0].reshape(b.shape)
+            x += rmax * _bicgstab(matvec, (r / rmax).ravel(), _INNER_RTOL,
+                                  _INNER_STEPS, psolve).reshape(b.shape)
 
 
 def spsolve(S, b: np.ndarray) -> np.ndarray:
@@ -438,20 +522,24 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     interior grid of shape ``b.shape``, as the Newton solver's Jacobians
     are.  The grid is coarsened into a multigrid hierarchy: a side of
     2m + 1 nodes becomes m while both sides are odd, at least 3, and the
-    longer one exceeds 31 nodes; even sides do not coarsen.  The coarse
+    longer one exceeds 15 nodes; even sides do not coarsen.  The coarse
     operators are Galerkin products P^T S P with bilinear P, and only the
-    coarsest one is factored: once, in float32, by an MMD-ordered SuperLU
-    of its transpose with panels of 4 columns.  A float64 loop refines x
-    until LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S|| eps sqrt(n)
-    holds (max norms), for at most 30 refinements after the first solve
-    (Buttari et al., ACM TOMS 34(4), 2008).  On a grid that does not
-    coarsen each correction is the float32 factor-solve; on one that
-    does, it is BiCGSTAB preconditioned with a V(1,1)-cycle whose smoother
-    is four-colour Gauss-Seidel.  When this fails -- S or b outside
-    float32 range, a float32 factor that is exactly singular, or a loop
-    that stalls or does not reach the test -- S is factored in float64.
-    Only an exactly singular float64 factor gives a non-finite x, as
-    scipy's spsolve does.
+    coarsest one is solved directly, once per call and in float32: up to
+    15 x 15 = 225 nodes by a dense inverse applied as a matrix-vector
+    product, above that (a side that stopped coarsening early) by an
+    MMD-ordered SuperLU of its transpose with panels of 4 columns.  A
+    float64 loop refines x until LAPACK dsgesv's test
+    ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max norms), for at most
+    30 refinements after the first solve (Buttari et al., ACM TOMS 34(4),
+    2008).  On a grid that does not coarsen each correction is the float32
+    coarse solve; on one that does, it is BiCGSTAB preconditioned with a
+    V(1,1)-cycle whose smoother is four-colour Gauss-Seidel.  When this
+    fails -- S or b outside float32 range, a float32 matrix that is
+    singular, or a loop that stalls or does not reach the test -- S is
+    factored in float64 by SuperLU.  Only an exactly singular float64
+    factor gives a non-finite x, as scipy's spsolve does.  scipy is
+    imported only for a SuperLU factor, so a solve whose coarsest grid has
+    at most 225 nodes and that needs no fallback loads none of it.
     """
     x = _multigrid_solve(S, b)
     if x is not None:

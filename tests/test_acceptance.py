@@ -1,6 +1,13 @@
-"""Acceptance suite: one test per end-to-end criterion, fixed seed."""
+"""Acceptance suite: one test per end-to-end criterion, fixed seed.
+
+The verdicts come from the session's ``selftest --format json`` process
+(``conftest.selftest_json``); one criterion also runs in this process, so
+that ``run_one`` itself stays covered.
+"""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -14,10 +21,23 @@ def test_registry_is_complete():
     assert NUMBERS == list(range(1, 12))
 
 
+@pytest.fixture(scope="module")
+def reported(selftest_json) -> dict[int, dict]:
+    report = json.loads(selftest_json.stdout)
+    return {entry["number"]: entry for entry in report["criteria"]}
+
+
 @pytest.mark.parametrize("number", NUMBERS,
                          ids=[f"{n:02d}-{TITLES[n].replace(' ', '-')}"
                               for n in NUMBERS])
-def test_criterion(number):
-    result = run_one(number, seed=0)
+def test_criterion(reported, number):
+    entry = reported[number]
+    assert entry["title"] == TITLES[number]
+    assert entry["passed"], entry["detail"]
+
+
+def test_run_one_in_process():
+    result = run_one(1, seed=0)
     print(result.line())
+    assert (result.number, result.title) == (1, TITLES[1])
     assert result.passed, result.line()

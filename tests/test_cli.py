@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -660,16 +657,10 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
-def test_selftest_json_subprocess_matches_golden():
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, (str(root / "src"),
-                                         os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lepage.cli", "selftest", "--format", "json",
-         "--seed", "0"], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=600)
+def test_selftest_json_subprocess_matches_golden(selftest_json):
+    proc = selftest_json
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == (root / "tests" / "golden"
+    assert proc.stdout == (PROBLEMS.parent / "tests" / "golden"
                            / "selftest_json.out").read_text()
 
 

@@ -2,9 +2,10 @@
 
 The corpus holds the nine commands of the benchmark's symbolic CLI mix,
 ``check-lepage`` for every equivalent kind on both problem files, and
-``selftest --format json``.  The selftest file is checked against a
-``python -m lepage.cli`` process by ``tests/test_cli.py``, not here, so the
-criteria run once per test session.  A change that alters printed output on
+``selftest --format json``.  The selftest file is checked by
+``tests/test_cli.py`` against the session's one ``python -m lepage.cli``
+selftest process (``conftest.selftest_json``), which the acceptance tests
+read too, so the criteria run once per test session.  A change that alters printed output on
 purpose re-baselines it with
 
     PYTHONPATH=src python tests/test_golden.py

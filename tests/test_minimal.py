@@ -581,7 +581,7 @@ EXITS = {  # exit: tol, max_iter, converged, message, accepted steps
     "converged": (1e-10, 20, True, "", 2),
     "max_iter": (1e-14, 1, False, "residual ", 1),
     "floor": (1e-14, 20, True, "stagnated at the roundoff floor ", 2),
-    "damping": (1e-14, 20, False, "stagnated under damping", 3),
+    "damping": (1e-14, 20, False, "stagnated under damping", 5),
     "singular": (1e-10, 20, False, "singular Jacobian", 0),
 }
 
@@ -622,15 +622,27 @@ def test_solver_leaves_paraboloid_boundary_for_other_interior():
     assert np.min(np.abs(graph_el_residual(parab))) >= 3.0
 
 
+SOLVES_WITHOUT_SCIPY = """
+import contextlib, io
+from lepage.acceptance import run_one
+from lepage.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["minsurf", "--grid", "65"]) == 0
+assert run_one(7).passed and run_one(8).passed
+"""
+
+
 def test_cli_import_loads_no_scipy():
-    code = ("import sys, lepage.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # nor do Newton solves whose coarsest grid is solved by the dense inverse
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    for code in ("import lepage.cli", SOLVES_WITHOUT_SCIPY):
+        out = subprocess.run([sys.executable, "-c",
+                              f"import sys\n{code}\n{report}"],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
@@ -713,33 +725,26 @@ def random_stencil(shape, seed):
 
 
 @pytest.fixture
-def factor_dtypes(monkeypatch):
-    """dtype names of the matrices splu is asked to factor, in call order."""
+def factors(monkeypatch):
+    """(how, dtype name, rows) of each matrix factored, in call order: "inv"
+    for a dense inverse by np.linalg.inv, "splu" for a SuperLU factor."""
     import scipy.sparse.linalg
-    dtypes = []
-    splu = scipy.sparse.linalg.splu
+    calls = []
 
-    def recording_splu(A, *args, **kwargs):
-        dtypes.append(A.dtype.name)
-        return splu(A, *args, **kwargs)
+    def recording(how, module):
+        original = getattr(module, how)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    return dtypes
+        def record(A, *args, **kwargs):
+            calls.append((how, A.dtype.name, A.shape[0]))
+            return original(A, *args, **kwargs)
+        monkeypatch.setattr(module, how, record)
+
+    recording("inv", np.linalg)
+    recording("splu", scipy.sparse.linalg)
+    return calls
 
 
-@pytest.fixture
-def factor_rows(monkeypatch):
-    """Row counts of the matrices splu is asked to factor, in call order."""
-    import scipy.sparse.linalg
-    rows = []
-    splu = scipy.sparse.linalg.splu
-
-    def recording_splu(A, *args, **kwargs):
-        rows.append(A.shape[0])
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    return rows
+DENSE_NODES = lepage.minimal._COARSEST_SIDE ** 2
 
 
 def test_spsolve_matches_dense_solve():
@@ -750,11 +755,11 @@ def test_spsolve_matches_dense_solve():
     assert np.allclose(x, want, rtol=0, atol=1e-13)
 
 
-def test_spsolve_singular_matrix_gives_non_finite(factor_dtypes):
+def test_spsolve_singular_matrix_gives_non_finite(factors):
     for A in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]):
-        factor_dtypes.clear()
+        factors.clear()
         x = lepage.minimal.spsolve(stencil_of(A, (1, 2)), np.array([[1.0, 1.0]]))
-        assert factor_dtypes == ["float32", "float64"]
+        assert factors == [("inv", "float32", 2), ("splu", "float64", 2)]
         assert x.shape == (2,)
         assert not np.all(np.isfinite(x))
 
@@ -767,28 +772,28 @@ def test_solver_nan_interior_reports_singular_jacobian():
     assert res.message == "singular Jacobian"
 
 
-def test_spsolve_float32_singular_falls_back_to_float64(factor_dtypes):
+def test_spsolve_float32_singular_falls_back_to_float64(factors):
     # 1 + 1e-9 rounds to 1 in float32, so only the float64 factor exists
     A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
     S, b = stencil_of(A, (1, 2)), np.array([[1.0, 2.0]])
     x = lepage.minimal.spsolve(S, b)
-    assert factor_dtypes == ["float32", "float64"]
+    assert factors == [("inv", "float32", 2), ("splu", "float64", 2)]
     assert np.array_equal(x, float64_spsolve(S, b))
     assert (np.max(np.abs(A @ x - b.ravel()))
             <= 4 * np.finfo(float).eps * np.max(np.abs(x)))
 
 
-def test_spsolve_beyond_float32_range_falls_back_to_float64(factor_dtypes):
+def test_spsolve_beyond_float32_range_falls_back_to_float64(factors):
     S = [Sc * 1e39 for Sc in random_stencil((3, 2), 4)]
     b = np.random.default_rng(4).standard_normal((3, 2))
     x = lepage.minimal.spsolve(S, b)
-    assert factor_dtypes == ["float64"]
+    assert factors == [("splu", "float64", 6)]
     want = np.linalg.solve(stencil_matrix(S, 3, 2).toarray(), b.ravel())
     assert np.allclose(x, want, rtol=1e-13, atol=0)
 
 
 def test_spsolve_too_ill_conditioned_to_refine_matches_dense_solve(
-        factor_dtypes):
+        factors):
     # a 1-D Laplacian on a 1 x 10 grid, shifted to 4e-10 above singular:
     # cond = 1e10 is beyond what refining a float32 factor can reach
     k = 10
@@ -796,7 +801,7 @@ def test_spsolve_too_ill_conditioned_to_refine_matches_dense_solve(
     A = np.diag(np.full(k, diag)) - np.eye(k, k=1) - np.eye(k, k=-1)
     b = np.ones((1, k))
     x = lepage.minimal.spsolve(stencil_of(A, (1, k)), b)
-    assert factor_dtypes == ["float32", "float64"]
+    assert factors == [("inv", "float32", k), ("splu", "float64", k)]
     # both solves carry an error of order cond * eps = 1e-6
     assert np.allclose(x, np.linalg.solve(A, b.ravel()), rtol=1e-5, atol=0)
 
@@ -818,32 +823,29 @@ def test_mixed_precision_newton_matches_float64_reference(monkeypatch,
 
 
 @pytest.mark.parametrize("name, N", NEWTON_GRIDS)
-def test_each_newton_step_makes_one_float32_factorization(factor_dtypes,
-                                                          name, N):
+def test_each_newton_step_makes_one_float32_factorization(factors, name, N):
     res = newton_solve(name, N)
     assert res.converged and res.iterations > 0
-    assert factor_dtypes == ["float32"] * res.iterations
+    assert factors == [("inv", "float32", 15 * 15)] * res.iterations
 
 
 @pytest.mark.parametrize("name", ["scherk", "paraboloid"])
-def test_multigrid_factors_only_the_coarsest_grid(factor_dtypes, factor_rows,
-                                                   name):
+def test_multigrid_factors_only_the_coarsest_grid(factors, name):
     res = newton_solve(name, 257)
     assert res.converged and res.iterations > 0
-    # no fallback on a benchmark grid: one float32 factor per Newton step,
-    # each of the 31 x 31 coarsest grid, not of the 255 x 255 interior
-    assert factor_dtypes == ["float32"] * res.iterations
-    assert factor_rows == [31 * 31] * res.iterations
+    # no fallback on a benchmark grid: one float32 inverse per Newton step,
+    # each of the 15 x 15 coarsest grid, not of the 255 x 255 interior
+    assert factors == [("inv", "float32", 15 * 15)] * res.iterations
 
 
 def test_grid_levels():
     levels = lepage.minimal._grid_levels
     assert levels(511, 511) == [(511, 511), (255, 255), (127, 127),
-                                (63, 63), (31, 31)]
-    assert levels(63, 31) == [(63, 31), (31, 15)]
-    assert levels(31, 127) == [(31, 127), (15, 63), (7, 31)]
-    # even sides, and grids no longer side of which exceeds 31, stay whole
-    for shape in [(62, 62), (64, 63), (63, 64), (31, 31), (15, 15), (1, 63)]:
+                                (63, 63), (31, 31), (15, 15)]
+    assert levels(63, 31) == [(63, 31), (31, 15), (15, 7)]
+    assert levels(31, 127) == [(31, 127), (15, 63), (7, 31), (3, 15)]
+    # even sides, and grids no longer side of which exceeds 15, stay whole
+    for shape in [(62, 62), (64, 63), (63, 64), (15, 15), (7, 15), (1, 63)]:
         assert levels(*shape) == [shape]
 
 
@@ -858,39 +860,55 @@ def inf_norm(J):
     return float(abs(J).sum(axis=1).max())
 
 
-# Reference: one float32 SuperLU of J^T, refined in float64 until LAPACK
-# dsgesv's test holds, at most 30 times; None when it does not.
+# Reference: one float32 inverse of J up to DENSE_NODES rows, else one
+# float32 SuperLU of J^T, refined in float64 until LAPACK dsgesv's test
+# holds, at most 30 times; None when it does not.
 
 def refined_float32_solve(J, b):
     from scipy.sparse.linalg import splu
     tol = inf_norm(J) * np.finfo(float).eps * np.sqrt(b.size)
-    lu = splu(J.T.astype(np.float32), permc_spec="MMD_AT_PLUS_A", panel_size=4)
-    x = lu.solve(b.astype(np.float32), trans="T").astype(np.float64)
+    if b.size <= DENSE_NODES:
+        solve = np.linalg.inv(J.toarray().astype(np.float32)).__matmul__
+    else:
+        lu = splu(J.T.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                  panel_size=4)
+
+        def solve(f):
+            return lu.solve(f, trans="T")
+    x = solve(b.astype(np.float32)).astype(np.float64)
     for _ in range(30):
         r = b - J @ x
         if np.max(np.abs(r)) <= np.max(np.abs(x)) * tol:
             return x
-        x += lu.solve(r.astype(np.float32), trans="T")
+        x += solve(r.astype(np.float32))
     return None
 
 
-@pytest.mark.parametrize("shape", [(17, 17), (64, 64), (66, 65), (33, 33)])
-def test_grids_that_do_not_coarsen_keep_the_float32_factor_solve(shape):
+# 15 x 15 nodes are inverted densely; 16 x 16 (an even side) and larger
+# grids that stopped coarsening are factored by SuperLU
+@pytest.mark.parametrize("shape", [(17, 17), (64, 64), (66, 65), (18, 18)])
+def test_grids_that_do_not_coarsen_keep_the_float32_factor_solve(factors,
+                                                                 shape):
     S, b = one_newton_system("paraboloid", shape)
     assert len(lepage.minimal._grid_levels(*b.shape)) == 1
+    x = lepage.minimal.spsolve(S, b)
+    how = "inv" if b.size <= DENSE_NODES else "splu"
+    assert factors == [(how, "float32", b.size)]
     want = refined_float32_solve(stencil_matrix(S, *b.shape), b.ravel())
     assert want is not None
-    assert_same_bits(lepage.minimal.spsolve(S, b), want)
+    assert_same_bits(x, want)
 
 
 @pytest.mark.parametrize("name", ["scherk", "paraboloid"])
 @pytest.mark.parametrize("shape", [(65, 33), (33, 129)])
 def test_multigrid_newton_matches_float64_reference_on_rectangles(
-        monkeypatch, factor_dtypes, name, shape):
-    assert len(lepage.minimal._grid_levels(shape[0] - 2, shape[1] - 2)) > 1
+        monkeypatch, factors, name, shape):
+    levels = lepage.minimal._grid_levels(shape[0] - 2, shape[1] - 2)
+    assert len(levels) > 1
     bound = GridField.dirichlet(SQUARE, shape, BUILTIN_SURFACES[name])
     got = solve_minimal_surface(bound, tol=1e-10, max_iter=12)
-    assert factor_dtypes == ["float32"] * got.iterations
+    mx, my = levels[-1]
+    assert factors == [("inv", "float32", mx * my)] * got.iterations
     monkeypatch.setattr(lepage.minimal, "spsolve", float64_spsolve)
     want = solve_minimal_surface(bound, tol=1e-10, max_iter=12)
     assert got.converged == want.converged and got.converged
@@ -903,6 +921,32 @@ def test_multigrid_newton_matches_float64_reference_on_rectangles(
     assert np.max(np.abs(got.field.values - want.field.values)) <= 1e-14
 
 
+@pytest.mark.parametrize("shape", [(65, 65), (33, 129)])
+def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
+    # every BiCGSTAB call of a multigrid solve, against scipy's on the same
+    # operator and V-cycle preconditioner
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    m = lepage.minimal
+    S, b = one_newton_system("paraboloid", shape)
+    assert len(m._grid_levels(*b.shape)) > 1
+    ours, same = m._bicgstab, []
+
+    def both(matvec, rhs, rtol, maxiter, psolve):
+        x = ours(matvec, rhs, rtol, maxiter, psolve)
+
+        def operator(fn):
+            return linalg.LinearOperator((rhs.size,) * 2, matvec=fn,
+                                         dtype=np.float64)
+        want, _ = linalg.bicgstab(operator(matvec), rhs, rtol=rtol, atol=0.0,
+                                  maxiter=maxiter, M=operator(psolve))
+        same.append(x.tobytes() == want.tobytes())
+        return x
+
+    monkeypatch.setattr(m, "_bicgstab", both)
+    assert np.all(np.isfinite(m.spsolve(S, b)))
+    assert len(same) > 1 and all(same)
+
+
 def test_multigrid_solve_meets_the_double_precision_test():
     S, b = one_newton_system("scherk", (129, 129))
     J = stencil_matrix(S, *b.shape)
@@ -913,12 +957,12 @@ def test_multigrid_solve_meets_the_double_precision_test():
                        atol=1e-12 * np.max(np.abs(x)))
 
 
-def test_multigrid_failure_falls_back_to_float64(factor_dtypes):
+def test_multigrid_failure_falls_back_to_float64(factors):
     # a float32 overflow in the coarsest operator ends the multigrid path
     S, b = one_newton_system("scherk", (65, 65))
     S = [Sc * 1e36 for Sc in S]
     x = lepage.minimal.spsolve(S, b)
-    assert factor_dtypes == ["float64"]
+    assert factors == [("splu", "float64", 63 * 63)]
     assert np.array_equal(x, float64_spsolve(S, b))
 
 
