@@ -1,13 +1,13 @@
 """Vectorized numpy stencil kernels for the graph equation on uniform grids.
 
 ``interior_residual`` evaluates the central-difference graph equation at the
-interior nodes, ``interior_jacobian_stencil`` writes its Jacobian with
-respect to the interior values as a 9-point operator, and
-``cell_circulation`` takes trapezoid-rule loop integrals around the grid
-cells.  The rest are the Newton solver's grid operations on 9-point
-operators: probing a stencil, applying it, a colour Gauss-Seidel sweep,
-bilinear prolongation and its transpose, and the operator's sparse
-triplets.
+interior nodes, ``interior_gradient`` gives its first differences alone,
+``interior_jacobian_stencil`` writes its Jacobian with respect to the
+interior values as a 9-point operator, and ``cell_circulation`` takes
+trapezoid-rule loop integrals around the grid cells.  The rest are the
+Newton solver's grid operations on 9-point operators: probing a stencil,
+applying it, its residual, a colour Gauss-Seidel sweep, bilinear
+prolongation and its transpose, and the operator's sparse triplets.
 """
 
 from __future__ import annotations
@@ -20,10 +20,16 @@ __all__ = ["BACKEND", "interior_residual", "interior_jacobian_stencil",
 BACKEND = "numpy"
 
 
-def _stencil_derivatives(u, hx, hy):
-    c = u[1:-1, 1:-1]
+def interior_gradient(u, hx, hy):
+    """(u_x, u_y) by central differences at the interior nodes."""
     ux = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * hx)
     uy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * hy)
+    return ux, uy
+
+
+def _stencil_derivatives(u, hx, hy):
+    c = u[1:-1, 1:-1]
+    ux, uy = interior_gradient(u, hx, hy)
     uxx = (u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]) / (hx * hx)
     uyy = (u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]) / (hy * hy)
     uxy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * hx * hy)
@@ -82,11 +88,13 @@ def interior_jacobian_stencil(u, hx, hy):
 def cell_circulation(P, Q, hx, hy):
     """Trapezoid-rule loop integral around each grid cell over the cell area,
     so closed smooth currents give O(h^2)."""
-    bottom = 0.5 * (P[:-1, :-1] + P[1:, :-1]) * hx
-    right = 0.5 * (Q[1:, :-1] + Q[1:, 1:]) * hy
-    top = 0.5 * (P[1:, 1:] + P[:-1, 1:]) * hx
-    left = 0.5 * (Q[:-1, 1:] + Q[:-1, :-1]) * hy
-    return (bottom + right - top - left) / (hx * hy)
+    # bottom + right - top - left, summed in place in that order
+    circ = 0.5 * (P[:-1, :-1] + P[1:, :-1]) * hx
+    circ += 0.5 * (Q[1:, :-1] + Q[1:, 1:]) * hy
+    circ -= 0.5 * (P[1:, 1:] + P[:-1, 1:]) * hx
+    circ -= 0.5 * (Q[:-1, 1:] + Q[:-1, :-1]) * hy
+    circ /= hx * hy
+    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +130,15 @@ def stencil_apply(blocks, x):
     for (p, q), Sc in zip(COLOURS, blocks):
         y[p::2, q::2] = _colour_apply(Sc, xp, p, q)
     return y
+
+
+def stencil_residual(blocks, xp, f):
+    """f - S x on an (mx, my) grid, x given with a zero border as xp."""
+    r = np.empty(f.shape)
+    for (p, q), Sc in zip(COLOURS, blocks):
+        np.subtract(f[p::2, q::2], _colour_apply(Sc, xp, p, q),
+                    out=r[p::2, q::2])
+    return r
 
 
 def colour_gauss_seidel(blocks, xp, f, order=(0, 1, 2, 3)):

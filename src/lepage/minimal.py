@@ -15,17 +15,19 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 from numbers import Integral, Real
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import _kernels
 from ._numpy import np
-from .charts import ChartError, JetChart
-from .equivalents import (HorizontalNForm, Lagrangian, fundamental_homogeneous,
-                          hilbert_caratheodory)
-from .expr import (EqualResult, Expr, ExprError, ONE, Sym, ZERO, const,
-                   cos_expr, det_expr, diff, expr_sum, free_symbols, log_expr,
-                   sqrt_expr, sym_expr, yj)
-from .forms import DiffForm, form_equal
+
+# The numeric workbench needs only numpy and _kernels: the symbolic layers
+# are imported inside the functions that use them, so a process that only
+# solves loads none of them.
+if TYPE_CHECKING:
+    from .charts import JetChart
+    from .equivalents import HorizontalNForm, Lagrangian
+    from .expr import EqualResult, Expr
+    from .forms import DiffForm
 
 __all__ = [
     "MetricSpec", "GridField", "CoincidenceReport", "SolveResult",
@@ -48,6 +50,7 @@ class MetricSpec:
     entries: tuple[tuple[Expr, ...], ...]
 
     def __post_init__(self):
+        from .expr import ExprError, free_symbols
         dim = len(self.entries)
         if dim == 0 or any(len(row) != dim for row in self.entries):
             raise ExprError("metric entries must form a square matrix")
@@ -62,11 +65,13 @@ class MetricSpec:
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpec":
+        from .expr import ONE, ZERO
         return cls(tuple(tuple(ONE if K == L else ZERO for L in range(dim))
                          for K in range(dim)))
 
     @classmethod
     def diagonal(cls, *diag) -> "MetricSpec":
+        from .expr import ZERO
         entries = tuple(
             tuple(d if K == L else ZERO for L in range(len(diag)))
             for K, d in enumerate(diag))
@@ -85,6 +90,7 @@ class MetricSpec:
 # ---------------------------------------------------------------------------
 
 def _metric_chart(g: MetricSpec, n: int) -> JetChart:
+    from .charts import ChartError, JetChart
     if n > 3:
         raise ChartError("Gram determinant expansion is guarded to n <= 3")
     if g.dim <= n:
@@ -94,6 +100,8 @@ def _metric_chart(g: MetricSpec, n: int) -> JetChart:
 
 def minimal_lagrangian(g: MetricSpec, n: int) -> Lagrangian:
     """Area Lagrangian sqrt(det(g_KL y^K_j y^L_k)) of n-dimensional submanifolds."""
+    from .equivalents import Lagrangian
+    from .expr import det_expr, expr_sum, sqrt_expr, yj
     chart = _metric_chart(g, n)
     M = g.dim
     gram = [[expr_sum(g.entry(K, L) * yj(K, j) * yj(L, k)
@@ -109,6 +117,8 @@ def krupka_form(g: MetricSpec, n: int) -> HorizontalNForm:
     Coefficient tensor (1/n!)(1/L) g_{K1 L1} ... g_{Kn Ln} D^{L1...Ln} where
     D^{L1...Ln} is the determinant of the jet rows y^{L_t}_k.
     """
+    from .equivalents import HorizontalNForm
+    from .expr import ONE, ZERO, const, det_expr, yj
     chart = _metric_chart(g, n)
     M = g.dim
     L_fun = minimal_lagrangian(g, n).L
@@ -156,6 +166,7 @@ class CoincidenceReport:
 def coincidence_report(forms: Mapping[str, DiffForm], *, trials: int = 50,
                        tol: float = 1e-9, seed: int = 0,
                        guards=()) -> CoincidenceReport:
+    from .forms import form_equal
     results = {}
     for (na, fa), (nb, fb) in combinations(forms.items(), 2):
         results[(na, nb)] = form_equal(fa, fb, trials=trials, tol=tol,
@@ -166,6 +177,8 @@ def coincidence_report(forms: Mapping[str, DiffForm], *, trials: int = 50,
 def verify_coincidence(g: MetricSpec, n: int, *, trials: int = 50,
                        tol: float = 1e-9, seed: int = 0) -> CoincidenceReport:
     """Compare the three homogeneous Lepage constructions of the area Lagrangian."""
+    from .charts import ChartError
+    from .equivalents import fundamental_homogeneous, hilbert_caratheodory
     chart = _metric_chart(g, n)
     if chart.n not in (1, 2) or chart.m not in (1, 2):
         raise ChartError("coincidence check is guarded to n, m in {1, 2}")
@@ -273,9 +286,6 @@ class GridField:
 # graph equation, symbolic and numeric
 # ---------------------------------------------------------------------------
 
-_BASE_SYMS = (Sym("x", 1), Sym("x", 2))
-
-
 def graph_el_residual(u):
     """(1+u_y^2)u_xx - 2 u_x u_y u_xy + (1+u_x^2)u_yy.
 
@@ -285,12 +295,13 @@ def graph_el_residual(u):
     """
     if isinstance(u, GridField):
         return _kernels.interior_residual(u.values, u.hx, u.hy)
+    from .expr import ONE, Expr, ExprError, Sym, const, diff, free_symbols
     if not isinstance(u, Expr):
         raise TypeError("expected an expression or a GridField")
-    extra = [s for s in free_symbols(u) if s not in _BASE_SYMS]
+    X1, X2 = Sym("x", 1), Sym("x", 2)
+    extra = [s for s in free_symbols(u) if s not in (X1, X2)]
     if extra:
         raise ExprError(f"graph function depends on non-base symbols {extra}")
-    X1, X2 = _BASE_SYMS
     ux, uy = diff(u, X1), diff(u, X2)
     uxx, uxy, uyy = diff(ux, X1), diff(ux, X2), diff(uy, X2)
     return ((ONE + uy * uy) * uxx - const(2) * ux * uy * uxy
@@ -299,8 +310,9 @@ def graph_el_residual(u):
 
 def scherk_expr() -> Expr:
     """The doubly periodic saddle log(cos x / cos y) as a closed form."""
-    return (log_expr(cos_expr(sym_expr(_BASE_SYMS[0])))
-            - log_expr(cos_expr(sym_expr(_BASE_SYMS[1]))))
+    from .expr import Sym, cos_expr, log_expr, sym_expr
+    return (log_expr(cos_expr(sym_expr(Sym("x", 1))))
+            - log_expr(cos_expr(sym_expr(Sym("x", 2)))))
 
 
 BUILTIN_SURFACES: dict[str, Callable] = {
@@ -412,8 +424,8 @@ def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
     k, S = _kernels, stencils[level]
     xp = np.zeros((f.shape[0] + 2, f.shape[1] + 2))
     k.colour_gauss_seidel(S, xp, f)
+    r = k.restrict(k.stencil_residual(S, xp, f))
     x = xp[1:-1, 1:-1]
-    r = k.restrict(f - k.stencil_apply(S, x))
     x += k.prolong(_vcycle(stencils, coarse, level + 1, r))
     k.colour_gauss_seidel(S, xp, f, order=(3, 2, 1, 0))
     return x
@@ -427,7 +439,14 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
     The arithmetic of scipy 1.17's ``bicgstab`` with atol = rtol ||b||: it
     stops when ||r|| < atol, and returns the current x on a rho or omega
     breakdown (below eps^2), when <r~, v> = 0, or after maxiter steps.
-    psolve must not write to its argument.
+
+    Besides b it holds x, r and p, v from its matvec to the next update of
+    p, and p^ or s^ only until its multiple is added to x; alpha p^ goes
+    into x as soon as alpha is known, before s^ is made, which adds the
+    same terms to x in the same order as scipy.  b itself serves as the
+    shadow residual r~, so neither the caller nor psolve may write to b
+    while this runs, and psolve must not write to its argument.  A zero b
+    is returned as it is.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
@@ -435,11 +454,10 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
     atol = rtol * float(bnorm)
     breakdown = np.finfo(np.float64).eps ** 2
     x, r = np.zeros_like(b), b.copy()
-    rtilde = r.copy()
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x
-        rho = np.dot(rtilde, r)
+        rho = np.dot(b, r)
         if np.abs(rho) < breakdown:
             return x
         if iteration:
@@ -447,26 +465,31 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
                 return x
             beta = (rho / rho_prev) * (alpha / omega)
             p -= omega * v
+            del v
             p *= beta
             p += r
         else:
             p = r.copy()
         phat = psolve(p)
         v = matvec(phat)
-        rv = np.dot(rtilde, v)
+        rv = np.dot(b, v)
         if rv == 0:
             return x
         alpha = rho / rv
+        phat *= alpha
+        x += phat
+        del phat
         r -= alpha * v  # r is now scipy's s
         if np.linalg.norm(r) < atol:
-            x += alpha * phat
             return x
         shat = psolve(r)
         t = matvec(shat)
         omega = np.dot(t, r) / np.dot(t, t)
-        x += alpha * phat
-        x += omega * shat
+        shat *= omega
+        x += shat
+        del shat
         r -= omega * t
+        del t
         rho_prev = rho
     return x
 
@@ -511,8 +534,10 @@ def _multigrid_solve(S, b: np.ndarray):
             continue
         # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale
         with np.errstate(all="ignore"):
-            x += rmax * _bicgstab(matvec, (r / rmax).ravel(), _INNER_RTOL,
-                                  _INNER_STEPS, psolve).reshape(b.shape)
+            r /= rmax
+            y = _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve)
+            y *= rmax
+            x += y.reshape(b.shape)
 
 
 def spsolve(S, b: np.ndarray) -> np.ndarray:
@@ -579,7 +604,7 @@ def _roundoff_floor(u: np.ndarray, hx: float, hy: float) -> float:
     can cause: an ulp of u, amplified by the second-difference stencil and
     by the gradient factors of the equation's coefficients.
     """
-    ux, uy = _kernels._stencil_derivatives(u, hx, hy)[:2]
+    ux, uy = _kernels.interior_gradient(u, hx, hy)
     return (np.finfo(np.float64).eps * float(np.max(np.abs(u)))
             * (2.0 / hx ** 2 + 2.0 / hy ** 2)
             * (1.0 + float(np.max(ux * ux + uy * uy))))
@@ -622,7 +647,9 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
             return SolveResult(GridField(boundary.rect, u), True, it - 1,
                                history, f"stagnated at the roundoff floor "
                                f"{floor:.3e}")
-        delta = spsolve(_kernels.interior_jacobian_stencil(u, hx, hy), -res)
+        # res becomes the right-hand side; below, only its shape is read
+        np.negative(res, out=res)
+        delta = spsolve(_kernels.interior_jacobian_stencil(u, hx, hy), res)
         if not np.all(np.isfinite(delta)):
             return SolveResult(GridField(boundary.rect, u), False, it - 1,
                                history, "singular Jacobian")
@@ -635,6 +662,7 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
             if rmax_new < rmax or step < 1e-8:
                 break
             step *= 0.5
+        del delta  # not held through the next step's solve
         if rmax_new >= rmax:
             # the rejected trial leaves u, and so history[-1], as it was
             return SolveResult(GridField(boundary.rect, u), False, it - 1,
@@ -651,15 +679,14 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
 # conservation currents on graphs
 # ---------------------------------------------------------------------------
 
-def _current_components(ux: np.ndarray, uy: np.ndarray) -> dict[str, tuple]:
-    # the three closed 1-forms P dx + Q dy attached to a minimal graph;
-    # their potentials are the f, g, h of the reconstruction step
+def _current_components(ux: np.ndarray, uy: np.ndarray):
+    # the three closed 1-forms P dx + Q dy attached to a minimal graph, as
+    # (name, (P, Q)) one at a time; their potentials are the f, g, h of the
+    # reconstruction step
     S = np.sqrt(1.0 + ux ** 2 + uy ** 2)
-    return {
-        "f": (ux * uy / S, (1.0 + uy ** 2) / S),
-        "g": (-(1.0 + ux ** 2) / S, -ux * uy / S),
-        "h": (-uy / S, ux / S),
-    }
+    yield "f", (ux * uy / S, (1.0 + uy ** 2) / S)
+    yield "g", (-(1.0 + ux ** 2) / S, -ux * uy / S)
+    yield "h", (-uy / S, ux / S)
 
 
 @dataclass
@@ -693,10 +720,11 @@ def conservation_residuals(u: GridField) -> ConservationReport:
     keep the derivative error a smooth field; circulations over boundary
     cells would amplify the one-sided stencil mismatch by 1/h.
     """
-    jets = u.interior_derivatives()
-    circ = {name: _kernels.cell_circulation(P, Q, u.hx, u.hy)
-            for name, (P, Q) in
-            _current_components(jets["ux"], jets["uy"]).items()}
+    ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
+    circ = {}
+    for name, (P, Q) in _current_components(ux, uy):
+        circ[name] = _kernels.cell_circulation(P, Q, u.hx, u.hy)
+        del P, Q  # before the next pair is made
     return ConservationReport(circ, u.hx, u.hy)
 
 
@@ -738,6 +766,20 @@ def _potential(P: np.ndarray, Q: np.ndarray, hx: float, hy: float) -> np.ndarray
     return row[:, None] + cols
 
 
+def _potential_defect(pots: dict[str, np.ndarray], ux: np.ndarray,
+                      uy: np.ndarray, h: float, axis: int) -> float:
+    # max |u_x f' + u_y g' - h'| for the derivatives along one axis, summed
+    # in place in that order
+    defect = np.gradient(pots["f"], h, axis=axis, edge_order=2)
+    defect *= ux
+    dg = np.gradient(pots["g"], h, axis=axis, edge_order=2)
+    dg *= uy
+    defect += dg
+    del dg
+    defect -= np.gradient(pots["h"], h, axis=axis, edge_order=2)
+    return float(np.max(np.abs(defect, out=defect)))
+
+
 def reconstruct_and_check(u: GridField, *,
                           gate_factor: float = 10.0) -> ReconstructionReport:
     """Integrate the currents to potentials f, g, h and close the loop.
@@ -747,18 +789,17 @@ def reconstruct_and_check(u: GridField, *,
     and the graph equation residual is below the same gate.
     """
     report = conservation_residuals(u)
-    gate = report.gate(gate_factor)
-    circ_max = report.max_circulation
-    jets = u.interior_derivatives()
-    ux, uy = jets["ux"], jets["uy"]
-    pots = {name: _potential(P, Q, u.hx, u.hy)
-            for name, (P, Q) in _current_components(ux, uy).items()}
+    gate, circ_max = report.gate(gate_factor), report.max_circulation
+    del report  # its circulations are not part of the result
+    ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
+    pots = {}
+    for name, (P, Q) in _current_components(ux, uy):
+        pots[name] = _potential(P, Q, u.hx, u.hy)
+        del P, Q  # before the next pair is made
     rovnice = 0.0
     for axis, h in ((0, u.hx), (1, u.hy)):
-        df = np.gradient(pots["f"], h, axis=axis, edge_order=2)
-        dg = np.gradient(pots["g"], h, axis=axis, edge_order=2)
-        dh = np.gradient(pots["h"], h, axis=axis, edge_order=2)
-        rovnice = max(rovnice, float(np.max(np.abs(ux * df + uy * dg - dh))))
+        rovnice = max(rovnice, _potential_defect(pots, ux, uy, h, axis))
+    del ux, uy  # graph_el_residual makes its own
     el = float(np.max(np.abs(graph_el_residual(u))))
     if circ_max > gate:
         stage = "closedness"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -631,13 +632,42 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert run_one(7).passed and run_one(8).passed
 """
 
+# the README's numeric quick tour
+NUMERIC_TOUR = """
+from lepage.minimal import (BUILTIN_SURFACES, GridField,
+                            conservation_residuals, reconstruct_and_check,
+                            solve_minimal_surface)
+bound = GridField.dirichlet((-1, 1, -1, 1), (65, 65),
+                            BUILTIN_SURFACES["scherk"])
+out = solve_minimal_surface(bound, tol=1e-10, max_iter=12)
+assert out.converged
+assert conservation_residuals(out.field).passed()
+assert reconstruct_and_check(out.field).passed
+"""
+
+SYMBOLIC_FROM_MINIMAL = """
+from lepage.minimal import (MetricSpec, graph_el_residual, minimal_lagrangian,
+                            scherk_expr)
+assert minimal_lagrangian(MetricSpec.euclidean(3), 2).chart.n == 2
+assert graph_el_residual(scherk_expr()).is_zero
+"""
+
+SYMBOLIC_LAYERS = [f"lepage.{name}" for name in (
+    "expr", "charts", "forms", "equivalents", "homogeneity", "variation",
+    "acceptance", "cli")]
+
 
 def test_cli_import_loads_no_scipy():
-    # nor do Newton solves whose coarsest grid is solved by the dense inverse
+    # nor do Newton solves whose coarsest grid is solved by the dense inverse;
+    # the numeric workbench alone loads no symbolic layer either, and the
+    # symbolic functions of lepage.minimal import the layers they use
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    for code in ("import lepage.cli", SOLVES_WITHOUT_SCIPY):
+    for code, banned in (("import lepage.cli", []), (SOLVES_WITHOUT_SCIPY, []),
+                         (NUMERIC_TOUR, SYMBOLIC_LAYERS),
+                         (SYMBOLIC_FROM_MINIMAL, [])):
+        report = (f"print(sorted(m for m in sys.modules "
+                  f"if m.startswith('scipy') or m in {banned!r}))")
         out = subprocess.run([sys.executable, "-c",
                               f"import sys\n{code}\n{report}"],
                              env=dict(os.environ, PYTHONPATH=path),
@@ -932,7 +962,10 @@ def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
     ours, same = m._bicgstab, []
 
     def both(matvec, rhs, rtol, maxiter, psolve):
+        kept = rhs.copy()
         x = ours(matvec, rhs, rtol, maxiter, psolve)
+        # rhs doubles as the shadow residual, so nothing may write to it
+        assert rhs.tobytes() == kept.tobytes()
 
         def operator(fn):
             return linalg.LinearOperator((rhs.size,) * 2, matvec=fn,
@@ -945,6 +978,42 @@ def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
     monkeypatch.setattr(m, "_bicgstab", both)
     assert np.all(np.isfinite(m.spsolve(S, b)))
     assert len(same) > 1 and all(same)
+
+
+def traced_peak(fn, nodes):
+    """fn() and its allocation high-water mark over entry, in float64
+    arrays of `nodes` entries; numpy reports its buffers to tracemalloc,
+    so the reading does not depend on the allocator or the machine."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (peak - entry) / (8 * nodes)
+
+
+def test_newton_solve_and_conservation_check_hold_few_arrays():
+    # Scherk N=257, a grid that coarsens to 15 x 15.  The solve must hold
+    # the Jacobian's 9 coefficients per node, u, the residual, the Krylov
+    # vectors and the operator's scratch, and no copies of them; the
+    # conservation check and reconstruction hold the circulations and
+    # potentials they return plus one current pair at a time
+    scherk_solution(33)  # lazy set-up happens outside the reading
+    N = 257
+    bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES["scherk"])
+    res, solve = traced_peak(
+        lambda: solve_minimal_surface(bound, tol=1e-10, max_iter=12),
+        (N - 2) ** 2)
+    assert res.converged
+    (cons, rec), check = traced_peak(
+        lambda: (conservation_residuals(res.field),
+                 reconstruct_and_check(res.field)), (N - 2) ** 2)
+    assert cons.passed() and rec.passed
+    assert solve <= 28.5
+    assert check <= 18.0
 
 
 def test_multigrid_solve_meets_the_double_precision_test():
