@@ -106,8 +106,9 @@ def cell_circulation(P, Q, hx, hy):
 # are zero.  It is stored as four colour blocks, blocks[c] = S[:, :, p::2,
 # q::2] for (p, q) = COLOURS[c], each contiguous, so that a Gauss-Seidel
 # colour reads its coefficients without strides.  No two nodes of one
-# colour share a 9-point stencil.  Coarse node (I, J) sits on fine node
-# (2I + 1, 2J + 1), so a fine side of 2m + 1 nodes coarsens to m.
+# colour share a 9-point stencil.  Coarse node I of a side that coarsens
+# sits on fine node 2I + 1, so a fine side of 2m + 1 or 2m nodes coarsens
+# to m.
 
 COLOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -153,23 +154,44 @@ def colour_gauss_seidel(blocks, xp, f, order=(0, 1, 2, 3)):
             (f[p::2, q::2] - _colour_apply(Sc, xp, p, q)) / Sc[1, 1])
 
 
-def prolong(xc):
-    """Bilinear interpolation from an (m, n) grid to (2m + 1, 2n + 1)."""
-    for axis in (0, 1):
+def prolong(xc, shape):
+    """Bilinear interpolation from an (m, n) grid to ``shape``.
+
+    A side of m nodes goes to 2m + 1, or to 2m as if to 2m + 1 with the
+    last fine node dropped; a side whose length ``shape`` keeps is left as
+    it is.
+    """
+    for axis, n in enumerate(shape):
         v = np.moveaxis(xc, axis, 0)
-        out = np.empty((2 * v.shape[0] + 1,) + v.shape[1:])
+        m = v.shape[0]
+        if n == m:
+            continue
+        out = np.empty((n,) + v.shape[1:])
         out[1::2] = v
-        out[2:-1:2] = 0.5 * (v[:-1] + v[1:])
-        out[0], out[-1] = 0.5 * v[0], 0.5 * v[-1]
+        out[0] = 0.5 * v[0]
+        out[2:2 * m:2] = 0.5 * (v[:-1] + v[1:])
+        if n % 2:  # node 2m
+            out[-1] = 0.5 * v[-1]
         xc = np.moveaxis(out, 0, axis)
     return xc
 
 
-def restrict(f):
-    """The transpose of ``prolong``, from (2m + 1, 2n + 1) to (m, n)."""
-    for axis in (0, 1):
+def restrict(f, shape):
+    """The transpose of ``prolong``, from a fine grid to ``shape``."""
+    for axis, m in enumerate(shape):
         v = np.moveaxis(f, axis, 0)
-        f = np.moveaxis(v[1::2] + 0.5 * (v[:-1:2] + v[2::2]), 0, axis)
+        if m == v.shape[0]:
+            continue
+        # v[1::2] + 0.5 (v[:-1:2] + v[2::2]) in f's memory order, where a
+        # side of 2m has no node 2m to add
+        left, right = v[:-1:2], v[2::2]
+        out = np.empty_like(left)
+        k = len(right)
+        np.add(left[:k], right, out=out[:k])
+        out[k:] = left[k:]
+        out *= 0.5
+        out += v[1::2]
+        f = np.moveaxis(out, 0, axis)
     return f
 
 

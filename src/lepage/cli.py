@@ -526,22 +526,22 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
             raise ProblemError(f"boundary file shape {shape} does not "
                                f"match --grid {grid}")
     try:
-        if values is None:
-            # a builtin surface off its domain gives nan/inf, rejected below
-            with np.errstate(invalid="ignore", divide="ignore"):
-                start = GridField.dirichlet(rect, shape, fn)
-        else:
-            start = GridField(rect, values)
-    except ValueError as ex:
-        raise ProblemError(f"domain {list(rect)}: {ex}") from ex
+        try:
+            if values is None:
+                # off its domain a builtin surface gives nan/inf, caught below
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    start = GridField.dirichlet(rect, shape, fn)
+            else:
+                start = GridField(rect, values)
+        except ValueError as ex:
+            raise ProblemError(f"domain {list(rect)}: {ex}") from ex
+        _require_finite(start.values, rect)
+        result = solve_minimal_surface(start, tol=tol, max_iter=max_iter)
+        cons = conservation_residuals(result.field)
+        rec = reconstruct_and_check(result.field)
     except MemoryError as ex:
         raise ProblemError(f"a {shape[0]}x{shape[1]} grid does not fit in "
                            f"memory: {ex}") from ex
-    _require_finite(start.values, rect)
-
-    result = solve_minimal_surface(start, tol=tol, max_iter=max_iter)
-    cons = conservation_residuals(result.field)
-    rec = reconstruct_and_check(result.field)
     payload = _report(
         "minsurf",
         grid={"nx": result.field.nx, "ny": result.field.ny,

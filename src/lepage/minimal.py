@@ -326,9 +326,9 @@ BUILTIN_SURFACES: dict[str, Callable] = {
 # Newton solver
 # ---------------------------------------------------------------------------
 
-# scipy is imported only where a SuperLU factor is made (see spsolve), so
-# processes that never make one do not pay for it; the solver looks
-# spsolve and csr_matrix up as module globals.
+# scipy is imported only by spsolve's float64 fallback, so processes that
+# never fall back do not pay for it; the solver looks spsolve and
+# csr_matrix up as module globals.
 
 def csr_matrix(*args, **kwargs):
     """scipy.sparse.csr_matrix, imported on first call."""
@@ -343,34 +343,6 @@ def _stencil_csr(S, mx: int, my: int):
 
 
 _REFINE_STEPS = 30  # LAPACK dsgesv's ITERMAX
-
-
-def _float32(data: np.ndarray):
-    """data cast to float32, or None when an entry is beyond float32 range."""
-    with np.errstate(over="ignore"):
-        data32 = data.astype(np.float32)
-    return data32 if np.all(np.isfinite(data32)) else None
-
-
-def _float32_factor(A):
-    """SuperLU of A^T in float32 (A in CSR), or None when it cannot be made.
-
-    A's CSR arrays are read as the CSC arrays of A^T, so no float64 copy of A
-    is made, and the factor's values take half the memory of a float64 one.
-    None means an entry beyond float32 range or an exactly singular factor.
-    """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-    data32 = _float32(A.data)
-    if data32 is None:
-        return None
-    AT = csc_matrix((data32, A.indices, A.indptr), shape=A.shape[::-1])
-    try:
-        return splu(AT, permc_spec="MMD_AT_PLUS_A", panel_size=4)
-    except RuntimeError:  # "Factor is exactly singular"
-        return None
-
-
 _COARSEST_SIDE = 15  # grids with no longer side are solved directly
 _INNER_RTOL = 1e-8   # BiCGSTAB's relative residual target per outer step
 _INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
@@ -379,17 +351,14 @@ _INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
 def _coarse_solver(S, mx: int, my: int):
     """A float32 solve f -> x of S x = f on an (mx, my) grid, or None.
 
-    Up to _COARSEST_SIDE ** 2 nodes the matrix is inverted densely, which
-    needs no scipy; a larger grid, one whose sides stopped coarsening early,
-    gets _float32_factor.  None means an entry beyond float32 range or a
-    matrix that float32 finds singular.
+    The grid has at most _COARSEST_SIDE ** 2 nodes, so the matrix is
+    inverted densely.  None means an entry beyond float32 range or a matrix
+    that float32 finds singular.
     """
-    if mx * my > _COARSEST_SIDE ** 2:
-        lu = _float32_factor(_stencil_csr(S, mx, my))
-        return None if lu is None else (lambda f: lu.solve(f, trans="T"))
     data, (rows, cols) = _kernels.stencil_coo(S, mx, my)
-    data32 = _float32(data)
-    if data32 is None:
+    with np.errstate(over="ignore"):
+        data32 = data.astype(np.float32)
+    if not np.all(np.isfinite(data32)):
         return None
     A = np.zeros((mx * my,) * 2, dtype=np.float32)
     A[rows, cols] = data32
@@ -405,18 +374,22 @@ def _coarse_solver(S, mx: int, my: int):
 def _grid_levels(mx: int, my: int) -> list[tuple[int, int]]:
     """Interior shapes of the multigrid hierarchy, finest first.
 
-    A side of 2m + 1 nodes coarsens to m while both sides are odd, at least
-    3, and the longer one exceeds _COARSEST_SIDE.
+    While the longer side exceeds _COARSEST_SIDE, each side longer than
+    _COARSEST_SIDE coarsens, a side of 2m + 1 or 2m nodes to m, and a side
+    of _COARSEST_SIDE or fewer stays as it is.  The coarsest grid thus has
+    no side longer than _COARSEST_SIDE.
     """
     shapes = [(mx, my)]
-    while mx % 2 and my % 2 and min(mx, my) >= 3 and max(mx, my) > _COARSEST_SIDE:
-        mx, my = (mx - 1) // 2, (my - 1) // 2
+    while max(mx, my) > _COARSEST_SIDE:
+        mx, my = (n // 2 if n > _COARSEST_SIDE else n for n in (mx, my))
         shapes.append((mx, my))
     return shapes
 
 
-def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
-    """One V(1,1)-cycle for stencils[level] x = f from x = 0."""
+def _vcycle(stencils, shapes, coarse, level: int,
+            f: np.ndarray) -> np.ndarray:
+    """One V(1,1)-cycle for stencils[level] x = f from x = 0, on the grids
+    of the given interior shapes."""
     if level == len(stencils) - 1:
         with np.errstate(over="ignore"):
             f32 = f.ravel().astype(np.float32)
@@ -424,9 +397,9 @@ def _vcycle(stencils, coarse, level: int, f: np.ndarray) -> np.ndarray:
     k, S = _kernels, stencils[level]
     xp = np.zeros((f.shape[0] + 2, f.shape[1] + 2))
     k.colour_gauss_seidel(S, xp, f)
-    r = k.restrict(k.stencil_residual(S, xp, f))
+    r = k.restrict(k.stencil_residual(S, xp, f), shapes[level + 1])
     x = xp[1:-1, 1:-1]
-    x += k.prolong(_vcycle(stencils, coarse, level + 1, r))
+    x += k.prolong(_vcycle(stencils, shapes, coarse, level + 1, r), f.shape)
     k.colour_gauss_seidel(S, xp, f, order=(3, 2, 1, 0))
     return x
 
@@ -504,10 +477,11 @@ def _multigrid_solve(S, b: np.ndarray):
     k = _kernels
     shapes = _grid_levels(*b.shape)
     stencils = [S]
-    for shape in shapes[1:]:
-        fine = stencils[-1]
+    for fine, shape in zip(shapes, shapes[1:]):
+        S_fine = stencils[-1]
         stencils.append(k.probe_stencil(
-            lambda e: k.restrict(k.stencil_apply(fine, k.prolong(e))), *shape))
+            lambda e: k.restrict(k.stencil_apply(S_fine, k.prolong(e, fine)),
+                                 shape), *shape))
     coarse = _coarse_solver(stencils[-1], *shapes[-1])
     if coarse is None:
         return None
@@ -516,7 +490,8 @@ def _multigrid_solve(S, b: np.ndarray):
         return k.stencil_apply(S, v.reshape(b.shape)).ravel()
 
     def psolve(v):
-        return _vcycle(stencils, coarse, 0, v.reshape(b.shape)).ravel()
+        return _vcycle(stencils, shapes, coarse, 0,
+                       v.reshape(b.shape)).ravel()
 
     norm = max(float(np.abs(Sc).sum(axis=(0, 1)).max(initial=0.0)) for Sc in S)
     tol = norm * np.finfo(np.float64).eps * np.sqrt(b.size)
@@ -530,7 +505,7 @@ def _multigrid_solve(S, b: np.ndarray):
             return None
         last = rmax
         if len(stencils) == 1:  # the coarse solve itself
-            x += _vcycle(stencils, coarse, 0, r)
+            x += _vcycle(stencils, shapes, coarse, 0, r)
             continue
         # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale
         with np.errstate(all="ignore"):
@@ -545,26 +520,24 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
 
     S is a 9-point operator in ``_kernels``' colour-block layout on the
     interior grid of shape ``b.shape``, as the Newton solver's Jacobians
-    are.  The grid is coarsened into a multigrid hierarchy: a side of
-    2m + 1 nodes becomes m while both sides are odd, at least 3, and the
-    longer one exceeds 15 nodes; even sides do not coarsen.  The coarse
-    operators are Galerkin products P^T S P with bilinear P, and only the
-    coarsest one is solved directly, once per call and in float32: up to
-    15 x 15 = 225 nodes by a dense inverse applied as a matrix-vector
-    product, above that (a side that stopped coarsening early) by an
-    MMD-ordered SuperLU of its transpose with panels of 4 columns.  A
-    float64 loop refines x until LAPACK dsgesv's test
-    ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max norms), for at most
-    30 refinements after the first solve (Buttari et al., ACM TOMS 34(4),
-    2008).  On a grid that does not coarsen each correction is the float32
-    coarse solve; on one that does, it is BiCGSTAB preconditioned with a
-    V(1,1)-cycle whose smoother is four-colour Gauss-Seidel.  When this
-    fails -- S or b outside float32 range, a float32 matrix that is
+    are.  The grid is coarsened into a multigrid hierarchy: while the
+    longer side exceeds 15 nodes, each side longer than 15 becomes m, from
+    2m + 1 or 2m nodes, so a thin grid coarsens along its long side only.
+    The coarse operators are Galerkin products P^T S P with bilinear P, and
+    only the coarsest one, of at most 15 x 15 = 225 nodes, is solved
+    directly, once per call: its float32 dense inverse is applied as a
+    matrix-vector product.  A float64 loop refines x until LAPACK dsgesv's
+    test ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max norms), for at
+    most 30 refinements after the first solve (Buttari et al., ACM TOMS
+    34(4), 2008).  On a grid that does not coarsen each correction is the
+    float32 coarse solve; on one that does, it is BiCGSTAB preconditioned
+    with a V(1,1)-cycle whose smoother is four-colour Gauss-Seidel.  When
+    this fails -- S or b outside float32 range, a float32 matrix that is
     singular, or a loop that stalls or does not reach the test -- S is
-    factored in float64 by SuperLU.  Only an exactly singular float64
-    factor gives a non-finite x, as scipy's spsolve does.  scipy is
-    imported only for a SuperLU factor, so a solve whose coarsest grid has
-    at most 225 nodes and that needs no fallback loads none of it.
+    factored in float64 by an MMD-ordered SuperLU with panels of 4 columns.
+    Only an exactly singular float64 factor gives a non-finite x, as
+    scipy's spsolve does.  scipy is imported only for that factor, so a
+    solve that needs no fallback loads none of it.
     """
     x = _multigrid_solve(S, b)
     if x is not None:

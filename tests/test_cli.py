@@ -561,6 +561,18 @@ def test_minsurf_grid_beyond_memory_is_a_problem_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_minsurf_solve_beyond_memory_is_a_problem_error(capsys, monkeypatch):
+    # a grid that fits can still need more memory than the solve finds
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    monkeypatch.setattr(cli, "solve_minimal_surface", out_of_memory)
+    code, out, err = run_cli(capsys, "minsurf", "--grid", "9")
+    assert (code, out) == (2, "")
+    assert err == ("error: a 9x9 grid does not fit in memory: "
+                   "Unable to allocate 2.00 GiB\n")
+
+
 def test_minsurf_rejects_boundary_file_below_five(capsys, tmp_path):
     csv = tmp_path / "surface.csv"
     np.savetxt(csv, np.zeros((4, 4)), delimiter=",")
