@@ -961,9 +961,17 @@ def test_grids_that_do_not_coarsen_keep_the_float32_factor_solve(factors,
     assert_same_bits(x, want)
 
 
+# Thin grids, whose hx and hy differ many times over (5 x 129: 32 times).
+# There a residual before the last can sit a few decades above the roundoff
+# floor (Scherk: 6.95e-7 against 4.3e-12) and differ from the float64
+# reference's by a tenth of the floor, which rtol 1e-9 does not allow; their
+# earlier residuals are compared within the floor, as the last one is.
+THIN_GRIDS = {(5, 129)}
+
+
 @pytest.mark.parametrize("name", ["scherk", "paraboloid"])
 @pytest.mark.parametrize("shape", [(65, 33), (33, 129), (64, 64), (66, 65),
-                                   (18, 18), (5, 129)])
+                                   (18, 18), *THIN_GRIDS])
 def test_multigrid_newton_matches_float64_reference_on_rectangles(
         monkeypatch, factors, name, shape):
     levels = lepage.minimal._grid_levels(shape[0] - 2, shape[1] - 2)
@@ -977,11 +985,12 @@ def test_multigrid_newton_matches_float64_reference_on_rectangles(
     assert got.converged == want.converged and got.converged
     assert got.iterations == want.iterations
     # the solves agree to roundoff, and a one-ulp change of the field moves
-    # a residual by up to the roundoff floor: the last residual sits at the
-    # floor, and on thin grids such as 5 x 129 an earlier one differs by a
-    # tenth of it
+    # a residual by up to the roundoff floor, where the last residual sits
     floor = lepage.minimal._roundoff_floor(want.field.values, bound.hx, bound.hy)
-    assert np.allclose(got.history, want.history, rtol=1e-9, atol=floor)
+    earlier = floor if shape in THIN_GRIDS else 0.0
+    assert np.allclose(got.history[:-1], want.history[:-1], rtol=1e-9,
+                       atol=earlier)
+    assert abs(got.history[-1] - want.history[-1]) <= floor
     assert np.max(np.abs(got.field.values - want.field.values)) <= 1e-14
 
 
