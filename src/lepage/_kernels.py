@@ -3,14 +3,18 @@
 ``interior_residual`` evaluates the central-difference graph equation at the
 interior nodes, ``interior_gradient`` gives its first differences alone,
 ``interior_jacobian_stencil`` writes its Jacobian with respect to the
-interior values as a 9-point operator, and ``cell_circulation`` takes
-trapezoid-rule loop integrals around the grid cells.  The rest are the
-Newton solver's grid operations on 9-point operators: probing a stencil,
-applying it, its residual, a colour Gauss-Seidel sweep, bilinear
+interior values as a 9-point operator kept as five coefficient fields per
+node (``FiveFieldBlock``), and ``cell_circulation`` takes trapezoid-rule
+loop integrals around the grid cells.  The rest are the Newton solver's
+grid operations on 9-point operators, in the dtype of their operands:
+probing a stencil, applying it, its residual, a colour Gauss-Seidel sweep,
+a copy as 9-point blocks of a given dtype, the max norm, bilinear
 prolongation and its transpose, and the operator's sparse triplets.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ._numpy import np
 
@@ -44,45 +48,35 @@ def interior_residual(u, hx, hy):
 def interior_jacobian_stencil(u, hx, hy):
     """Colour blocks of the interior-to-interior residual Jacobian.
 
-    The layout is that of the 9-point operators below: S[di + 1, dj + 1,
-    i, j] is the derivative of the residual at interior node (i, j) with
-    respect to u at (i + di, j + dj).  Boundary nodes are Dirichlet data,
-    so couplings that reach them are 0.
+    The layout is that of the 9-point operators below: Sc[a, b] holds, at
+    the nodes (i, j) of its colour, the derivative of the residual at (i, j)
+    with respect to u at (i + a - 1, j + b - 1).  Each block keeps the five
+    coefficient fields of ``FiveFieldBlock``, 5 values per node instead of
+    9.  Boundary nodes are Dirichlet data, so couplings that reach them are
+    0.  The fields are made one at a time, each from the derivatives it
+    needs, and go into the blocks as they are made.
     """
     mx, my = u.shape[0] - 2, u.shape[1] - 2
-    ux, uy, uxx, uyy, uxy = _stencil_derivatives(u, hx, hy)
-    A = 1.0 + uy * uy
-    B = 1.0 + ux * ux
-    C = -2.0 * ux * uy
-    D = 2.0 * ux * uyy - 2.0 * uy * uxy
-    E = 2.0 * uy * uxx - 2.0 * ux * uxy
-    ax, dx = A / (hx * hx), D / (2.0 * hx)
-    by, ey = B / (hy * hy), E / (2.0 * hy)
-    cxy = C / (4.0 * hx * hy)
-    centre = -2.0 * A / (hx * hx) - 2.0 * B / (hy * hy)
-    del ux, uy, uxx, uyy, uxy, A, B, C, D, E
-
-    def coefficient(di, dj):  # one mx x my array at a time
-        if di and dj:
-            return (di * dj) * cxy
-        if di:
-            return ax + di * dx
-        return by + dj * ey if dj else centre
-
-    blocks = [np.empty((3, 3, len(range(p, mx, 2)), len(range(q, my, 2))))
+    blocks = [np.empty((5, len(range(p, mx, 2)), len(range(q, my, 2))))
               for p, q in COLOURS]
-    # row (column) edge[a] couples at offset a - 1 to a boundary node
-    edge = (0, None, -1)
-    for a in range(3):
-        for b in range(3):
-            S = coefficient(a - 1, b - 1)  # a fresh array unless a == b == 1
-            if a != 1:
-                S[edge[a]] = 0.0
-            if b != 1:
-                S[:, edge[b]] = 0.0
-            for (p, q), Sc in zip(COLOURS, blocks):
-                Sc[a, b] = S[p::2, q::2]
-    return blocks
+
+    def store(k, F):
+        for (p, q), Fc in zip(COLOURS, blocks):
+            Fc[k] = F[p::2, q::2]
+
+    ux, uy = interior_gradient(u, hx, hy)
+    store(0, (1.0 + uy * uy) / (hx * hx))  # ax = A / hx^2
+    store(2, (1.0 + ux * ux) / (hy * hy))  # by = B / hy^2
+    store(4, -2.0 * ux * uy / (4.0 * hx * hy))  # cxy = C / 4 hx hy
+    c = u[1:-1, 1:-1]
+    uxy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * hx * hy)
+    uyy = (u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]) / (hy * hy)
+    store(1, (2.0 * ux * uyy - 2.0 * uy * uxy) / (2.0 * hx))  # dx = D / 2 hx
+    del uyy
+    uxx = (u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]) / (hx * hx)
+    store(3, (2.0 * uy * uxx - 2.0 * ux * uxy) / (2.0 * hy))  # ey = E / 2 hy
+    return [FiveFieldBlock(F, _edges(p, mx), _edges(q, my))
+            for (p, q), F in zip(COLOURS, blocks)]
 
 
 def cell_circulation(P, Q, hx, hy):
@@ -103,55 +97,151 @@ def cell_circulation(P, Q, hx, hy):
 #
 # An operator couples interior node (i, j) to (i + di, j + dj) with
 # coefficient S[di + 1, dj + 1, i, j]; entries that reach outside the grid
-# are zero.  It is stored as four colour blocks, blocks[c] = S[:, :, p::2,
-# q::2] for (p, q) = COLOURS[c], each contiguous, so that a Gauss-Seidel
-# colour reads its coefficients without strides.  No two nodes of one
-# colour share a 9-point stencil.  Coarse node I of a side that coarsens
-# sits on fine node 2I + 1, so a fine side of 2m + 1 or 2m nodes coarsens
-# to m.
+# are zero.  It is stored as four colour blocks, one per (p, q) in COLOURS,
+# for the nodes (p::2, q::2), so that a Gauss-Seidel colour reads its
+# coefficients without strides.  The kernels read a block Sc only through
+# Sc[a, b], the (a, b) coefficient at the block's nodes: a block is either
+# a contiguous (3, 3, ...) array, S[:, :, p::2, q::2], of any float dtype,
+# or a FiveFieldBlock.  They skip the couplings that leave the grid rather
+# than pad the grid.  No two nodes of one colour share a 9-point stencil.
+# Coarse node I of a side that coarsens sits on fine node 2I + 1, so a fine
+# side of 2m + 1 or 2m nodes coarsens to m.
 
 COLOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _colour_apply(Sc, xp, p, q):
-    # (S x) at the nodes of colour (p, q), x given with a zero border
-    mx, my = xp.shape[0] - 2, xp.shape[1] - 2
-    y = Sc[0, 0] * xp[p:mx:2, q:my:2]
+def _edges(p, n):
+    # by offset a, the node of colour p on a side of n nodes whose
+    # neighbour at offset a - 1 is a boundary node, or None
+    return (0 if p == 0 else None, None,
+            -1 if (n - 1 - p) % 2 == 0 else None)
+
+
+class FiveFieldBlock:
+    """A colour block of the graph equation's Jacobian as five fields.
+
+    ``fields`` is a contiguous (5, ...) array of ax = A/hx^2, dx = D/2hx,
+    by = B/hy^2, ey = E/2hy and cxy = C/4hxhy at the block's nodes, and
+    Sc[a, b] forms a fresh coefficient array from them: ax -+ dx at (0, 1)
+    and (2, 1), by -+ ey at (1, 0) and (1, 2), cxy at (0, 0) and (2, 2),
+    -cxy at (0, 2) and (2, 0), and -2 ax - 2 by at the centre, with 0 on
+    couplings that reach a boundary node.  Each entry is, bit for bit, the
+    one formed node by node from A to E: A/hx^2 +- D/2hx and so on, and
+    -2A/hx^2 - 2B/hy^2 at the centre, because doubling is exact.
+    """
+
+    __slots__ = ("fields", "rows", "cols")
+
+    def __init__(self, fields, rows, cols):
+        self.fields, self.rows, self.cols = fields, rows, cols
+
+    @property
+    def dtype(self):
+        return self.fields.dtype
+
+    @property
+    def shape(self):
+        return (3, 3) + self.fields.shape[1:]
+
+    def __getitem__(self, ab):
+        a, b = ab
+        ax, dx, by, ey, cxy = self.fields
+        if a != 1 and b != 1:
+            S = cxy.copy() if a == b else -cxy
+        elif a != 1:
+            S = ax + dx if a else ax - dx
+        elif b != 1:
+            S = by + ey if b else by - ey
+        else:
+            S = -2.0 * ax - 2.0 * by
+        if self.rows[a] is not None:
+            S[self.rows[a]] = 0.0
+        if self.cols[b] is not None:
+            S[:, self.cols[b]] = 0.0
+        return S
+
+
+@lru_cache(maxsize=None)
+def _reach(p, n):
+    # by offset a, (nodes, neighbours): the nodes p, p + 2, ... of a side of
+    # n nodes whose neighbour at offset a - 1 lies on the side, as a slice
+    # of the colour, and those neighbours, as a slice of the side
+    out = []
+    for s in range(p - 1, p + 2):  # the neighbour of node p
+        lo = 1 if s < 0 else 0
+        hi = max(lo, min(len(range(p, n, 2)), (n - 1 - s) // 2 + 1))
+        out.append((slice(lo, hi), slice(s + 2 * lo, s + 2 * hi, 2)))
+    return tuple(out)
+
+
+def _colour_apply(Sc, x, p, q):
+    # (S x) at the nodes of colour (p, q), from the couplings that stay in
+    # the grid, summed in (a, b) order as a CSR row sums its entries
+    rows, cols = _reach(p, x.shape[0]), _reach(q, x.shape[1])
+    (k, i), (l, j) = rows[0], cols[0]
+    S = Sc[0, 0]
+    y = np.empty(S.shape, np.result_type(S, x))
+    # nodes whose (0, 0) neighbour is off the grid start from 0
+    y[:k.start] = 0.0
+    y[:, :l.start] = 0.0
+    np.multiply(S[k, l], x[i, j], out=y[k, l])
     for a in range(3):
         for b in range(3):
             if a or b:
-                y += Sc[a, b] * xp[a + p:a + mx:2, b + q:b + my:2]
+                (k, i), (l, j) = rows[a], cols[b]
+                yc = y[k, l]
+                yc += Sc[a, b][k, l] * x[i, j]
     return y
 
 
 def stencil_apply(blocks, x):
     """S x on an (mx, my) grid."""
-    xp, y = np.zeros((x.shape[0] + 2, x.shape[1] + 2)), np.empty(x.shape)
-    xp[1:-1, 1:-1] = x
+    y = np.empty(x.shape, np.result_type(blocks[0].dtype, x))
     for (p, q), Sc in zip(COLOURS, blocks):
-        y[p::2, q::2] = _colour_apply(Sc, xp, p, q)
+        y[p::2, q::2] = _colour_apply(Sc, x, p, q)
     return y
 
 
-def stencil_residual(blocks, xp, f):
-    """f - S x on an (mx, my) grid, x given with a zero border as xp."""
-    r = np.empty(f.shape)
+def stencil_residual(blocks, x, f):
+    """f - S x on an (mx, my) grid."""
+    r = np.empty(f.shape, np.result_type(blocks[0].dtype, x, f))
     for (p, q), Sc in zip(COLOURS, blocks):
-        np.subtract(f[p::2, q::2], _colour_apply(Sc, xp, p, q),
+        np.subtract(f[p::2, q::2], _colour_apply(Sc, x, p, q),
                     out=r[p::2, q::2])
     return r
 
 
-def colour_gauss_seidel(blocks, xp, f, order=(0, 1, 2, 3)):
+def colour_gauss_seidel(blocks, x, f, order=(0, 1, 2, 3)):
     """One Gauss-Seidel sweep for S x = f, colour by colour, in place.
 
-    xp is x with a zero border; each colour is one vectorized update.
+    Each colour is one vectorized update.
     """
-    mx, my = f.shape
     for c in order:
         (p, q), Sc = COLOURS[c], blocks[c]
-        xp[1 + p:1 + mx:2, 1 + q:1 + my:2] += (
-            (f[p::2, q::2] - _colour_apply(Sc, xp, p, q)) / Sc[1, 1])
+        xc = x[p::2, q::2]
+        xc += (f[p::2, q::2] - _colour_apply(Sc, x, p, q)) / Sc[1, 1]
+
+
+def stencil_blocks(blocks, dtype):
+    """The operator as contiguous (3, 3, ...) colour blocks of ``dtype``.
+
+    Entries beyond the range of ``dtype`` become infinite.
+    """
+    out = []
+    with np.errstate(over="ignore"):
+        for Sc in blocks:
+            S = np.empty(Sc.shape, dtype)
+            for a in range(3):
+                for b in range(3):
+                    S[a, b] = Sc[a, b]
+            out.append(S)
+    return out
+
+
+def stencil_norm(blocks):
+    """The operator's max norm: its largest row sum of |S[a, b]|."""
+    return max(float(sum(np.abs(Sc[a, b]) for a in range(3) for b in range(3))
+                     .max(initial=0.0)) for Sc in blocks)
 
 
 def prolong(xc, shape):
@@ -166,7 +256,7 @@ def prolong(xc, shape):
         m = v.shape[0]
         if n == m:
             continue
-        out = np.empty((n,) + v.shape[1:])
+        out = np.empty((n,) + v.shape[1:], v.dtype)
         out[1::2] = v
         out[0] = 0.5 * v[0]
         out[2:2 * m:2] = 0.5 * (v[:-1] + v[1:])
@@ -225,7 +315,9 @@ def stencil_coo(blocks, mx, my):
     """(data, (rows, cols)) triplets of the in-grid entries of the stencil."""
     S = np.zeros((3, 3, mx, my))
     for (p, q), Sc in zip(COLOURS, blocks):
-        S[:, :, p::2, q::2] = Sc
+        for a in range(3):
+            for b in range(3):
+                S[a, b, p::2, q::2] = Sc[a, b]
     node = np.arange(mx * my).reshape(mx, my)
     rows, cols, vals = [], [], []
     for a in range(3):

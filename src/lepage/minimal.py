@@ -344,7 +344,7 @@ def _stencil_csr(S, mx: int, my: int):
 
 _REFINE_STEPS = 30  # LAPACK dsgesv's ITERMAX
 _COARSEST_SIDE = 15  # grids with no longer side are solved directly
-_INNER_RTOL = 1e-8   # BiCGSTAB's relative residual target per outer step
+_INNER_RTOL = 1e-3   # float32 BiCGSTAB's relative residual target per outer step
 _INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
 
 
@@ -389,18 +389,15 @@ def _grid_levels(mx: int, my: int) -> list[tuple[int, int]]:
 def _vcycle(stencils, shapes, coarse, level: int,
             f: np.ndarray) -> np.ndarray:
     """One V(1,1)-cycle for stencils[level] x = f from x = 0, on the grids
-    of the given interior shapes."""
+    of the given interior shapes, in f's dtype."""
     if level == len(stencils) - 1:
-        with np.errstate(over="ignore"):
-            f32 = f.ravel().astype(np.float32)
-        return coarse(f32).astype(np.float64).reshape(f.shape)
+        return coarse(f.ravel()).reshape(f.shape)
     k, S = _kernels, stencils[level]
-    xp = np.zeros((f.shape[0] + 2, f.shape[1] + 2))
-    k.colour_gauss_seidel(S, xp, f)
-    r = k.restrict(k.stencil_residual(S, xp, f), shapes[level + 1])
-    x = xp[1:-1, 1:-1]
+    x = np.zeros_like(f)
+    k.colour_gauss_seidel(S, x, f)
+    r = k.restrict(k.stencil_residual(S, x, f), shapes[level + 1])
     x += k.prolong(_vcycle(stencils, shapes, coarse, level + 1, r), f.shape)
-    k.colour_gauss_seidel(S, xp, f, order=(3, 2, 1, 0))
+    k.colour_gauss_seidel(S, x, f, order=(3, 2, 1, 0))
     return x
 
 
@@ -409,9 +406,10 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
     """Right-preconditioned BiCGSTAB for A x = b from x = 0 (H. A. van der
     Vorst, SIAM J. Sci. Stat. Comput. 13, 1992).
 
-    The arithmetic of scipy 1.17's ``bicgstab`` with atol = rtol ||b||: it
-    stops when ||r|| < atol, and returns the current x on a rho or omega
-    breakdown (below eps^2), when <r~, v> = 0, or after maxiter steps.
+    The arithmetic of scipy 1.17's ``bicgstab`` with atol = rtol ||b||, in
+    b's dtype: it stops when ||r|| < atol, and returns the current x on a
+    rho or omega breakdown (below eps^2 of that dtype), when <r~, v> = 0,
+    or after maxiter steps.
 
     Besides b it holds x, r and p, v from its matvec to the next update of
     p, and p^ or s^ only until its multiple is added to x; alpha p^ goes
@@ -425,7 +423,7 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
     if bnorm == 0:
         return b
     atol = rtol * float(bnorm)
-    breakdown = np.finfo(np.float64).eps ** 2
+    breakdown = np.finfo(b.dtype).eps ** 2
     x, r = np.zeros_like(b), b.copy()
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
@@ -470,49 +468,61 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
 def _multigrid_solve(S, b: np.ndarray):
     """x with S x = b by float64 refinement of float32 corrections, or None.
 
-    Returns None when the coarsest solve cannot be made, or when a step
-    does not shrink the residual or the test still fails after the first
-    solve and _REFINE_STEPS refinements.
+    S serves only the float64 refinement residual b - S x and the Galerkin
+    product of the first coarse level.  The corrections run in float32, on
+    a float32 copy of S and on coarse operators that are each made in
+    float64 from the next finer one and kept in float32.  Returns None when
+    an operator is beyond float32 range, the coarsest solve cannot be made,
+    or a step does not shrink the residual or the test still fails after
+    the first solve and _REFINE_STEPS refinements.
     """
     k = _kernels
     shapes = _grid_levels(*b.shape)
-    stencils = [S]
+    stencils, level = [], S
     for fine, shape in zip(shapes, shapes[1:]):
-        S_fine = stencils[-1]
-        stencils.append(k.probe_stencil(
-            lambda e: k.restrict(k.stencil_apply(S_fine, k.prolong(e, fine)),
-                                 shape), *shape))
-    coarse = _coarse_solver(stencils[-1], *shapes[-1])
+        stencils.append(k.stencil_blocks(level, np.float32))
+        if not all(np.isfinite(Sc).all() for Sc in stencils[-1]):
+            return None
+        level = k.probe_stencil(
+            lambda e, finer=level: k.restrict(
+                k.stencil_apply(finer, k.prolong(e, fine)), shape), *shape)
+    stencils.append(level)  # the coarsest, solved by `coarse` alone
+    coarse = _coarse_solver(level, *shapes[-1])
     if coarse is None:
         return None
 
     def matvec(v):
-        return k.stencil_apply(S, v.reshape(b.shape)).ravel()
+        return k.stencil_apply(stencils[0], v.reshape(b.shape)).ravel()
 
     def psolve(v):
-        return _vcycle(stencils, shapes, coarse, 0,
-                       v.reshape(b.shape)).ravel()
+        return _vcycle(stencils, shapes, coarse, 0, v.reshape(b.shape)).ravel()
 
-    norm = max(float(np.abs(Sc).sum(axis=(0, 1)).max(initial=0.0)) for Sc in S)
-    tol = norm * np.finfo(np.float64).eps * np.sqrt(b.size)
+    tol = k.stencil_norm(S) * np.finfo(np.float64).eps * np.sqrt(b.size)
     x, last = np.zeros(b.shape), np.inf
     for solves in range(_REFINE_STEPS + 2):  # the first, then refinements
         r = b - k.stencil_apply(S, x)
         rmax = np.max(np.abs(r))
-        if rmax <= np.max(np.abs(x)) * tol:
+        passed = rmax <= np.max(np.abs(x)) * tol
+        if passed and (len(stencils) == 1 or rmax == 0):
             return x.ravel()
-        if not rmax < last or solves > _REFINE_STEPS:  # nan, or no progress
-            return None
+        if not passed and (not rmax < last or solves > _REFINE_STEPS):
+            return None  # nan, or no progress
         last = rmax
         if len(stencils) == 1:  # the coarse solve itself
-            x += _vcycle(stencils, shapes, coarse, 0, r)
+            with np.errstate(over="ignore"):
+                x += coarse(r.ravel().astype(np.float32)).reshape(b.shape)
             continue
-        # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale
+        # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale;
+        # once the test holds, one more correction settles x further inside
+        # it, where a float64 inner solve would have left it
         with np.errstate(all="ignore"):
             r /= rmax
+            r = r.astype(np.float32)
             y = _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve)
-            y *= rmax
-            x += y.reshape(b.shape)
+            del r
+            x += rmax * y.reshape(b.shape)
+        if passed:
+            return x.ravel()
 
 
 def spsolve(S, b: np.ndarray) -> np.ndarray:
@@ -520,21 +530,28 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
 
     S is a 9-point operator in ``_kernels``' colour-block layout on the
     interior grid of shape ``b.shape``, as the Newton solver's Jacobians
-    are.  The grid is coarsened into a multigrid hierarchy: while the
-    longer side exceeds 15 nodes, each side longer than 15 becomes m, from
-    2m + 1 or 2m nodes, so a thin grid coarsens along its long side only.
-    The coarse operators are Galerkin products P^T S P with bilinear P, and
-    only the coarsest one, of at most 15 x 15 = 225 nodes, is solved
-    directly, once per call: its float32 dense inverse is applied as a
-    matrix-vector product.  A float64 loop refines x until LAPACK dsgesv's
+    are, whose blocks keep five float64 coefficient fields per node.  The
+    grid is coarsened into a multigrid hierarchy: while the longer side
+    exceeds 15 nodes, each side longer than 15 becomes m, from 2m + 1 or 2m
+    nodes, so a thin grid coarsens along its long side only.  The coarse
+    operators are Galerkin products P^T S P with bilinear P, each made in
+    float64 from the next finer one and kept in float32, and only the
+    coarsest one, of at most 15 x 15 = 225 nodes, is solved directly, once
+    per call: its float32 dense inverse is applied as a matrix-vector
+    product.  The solve uses three precisions (Carson & Higham, SIAM J.
+    Sci. Comput. 40, 2018): a float64 loop refines x until LAPACK dsgesv's
     test ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max norms), for at
     most 30 refinements after the first solve (Buttari et al., ACM TOMS
-    34(4), 2008).  On a grid that does not coarsen each correction is the
-    float32 coarse solve; on one that does, it is BiCGSTAB preconditioned
-    with a V(1,1)-cycle whose smoother is four-colour Gauss-Seidel.  When
-    this fails -- S or b outside float32 range, a float32 matrix that is
-    singular, or a loop that stalls or does not reach the test -- S is
-    factored in float64 by an MMD-ordered SuperLU with panels of 4 columns.
+    34(4), 2008), and the corrections are float32.  On a grid that does not
+    coarsen each correction is the float32 coarse solve, and x is returned
+    as soon as the test holds.  On one that does, each correction is
+    float32 BiCGSTAB, to a relative residual of 1e-3 or 20 iterations, on a
+    float32 copy of S and preconditioned with a float32 V(1,1)-cycle whose
+    smoother is four-colour Gauss-Seidel; once the test holds, one more
+    correction is made.  When this fails -- S or b outside float32 range, a
+    float32 matrix that is singular, or a loop that stalls or does not
+    reach the test -- S is factored in float64 by an MMD-ordered SuperLU
+    with panels of 4 columns.
     Only an exactly singular float64 factor gives a non-finite x, as
     scipy's spsolve does.  scipy is imported only for that factor, so a
     solve that needs no fallback loads none of it.
@@ -662,6 +679,11 @@ def _current_components(ux: np.ndarray, uy: np.ndarray):
     yield "h", (-uy / S, ux / S)
 
 
+def _gate(hx: float, hy: float, factor: float) -> float:
+    # closed smooth currents circulate O(h^2) per unit cell area
+    return factor * max(hx, hy) ** 2
+
+
 @dataclass
 class ConservationReport:
     """Per-cell circulations of the three graph currents, area-normalized."""
@@ -675,7 +697,7 @@ class ConservationReport:
         return max(float(np.max(np.abs(c))) for c in self.circulations.values())
 
     def gate(self, factor: float = 10.0) -> float:
-        return factor * max(self.hx, self.hy) ** 2
+        return _gate(self.hx, self.hy, factor)
 
     def passed(self, factor: float = 10.0) -> bool:
         return self.max_circulation <= self.gate(factor)
@@ -759,16 +781,19 @@ def reconstruct_and_check(u: GridField, *,
 
     Passes when the currents are numerically closed, the reconstructed
     potentials satisfy u_x f_* + u_y g_* - h_* = 0 in both base directions,
-    and the graph equation residual is below the same gate.
+    and the graph equation residual is below the same gate.  The closedness
+    figures are those of ``conservation_residuals``, taken from the same
+    current pairs that are integrated.
     """
-    report = conservation_residuals(u)
-    gate, circ_max = report.gate(gate_factor), report.max_circulation
-    del report  # its circulations are not part of the result
     ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
-    pots = {}
+    circs, pots = [], {}
     for name, (P, Q) in _current_components(ux, uy):
+        circ = _kernels.cell_circulation(P, Q, u.hx, u.hy)
+        circs.append(float(np.max(np.abs(circ))))
+        del circ  # only its maximum is part of the result
         pots[name] = _potential(P, Q, u.hx, u.hy)
         del P, Q  # before the next pair is made
+    gate, circ_max = _gate(u.hx, u.hy, gate_factor), max(circs)
     rovnice = 0.0
     for axis, h in ((0, u.hx), (1, u.hy)):
         rovnice = max(rovnice, _potential_defect(pots, ux, uy, h, axis))

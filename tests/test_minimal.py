@@ -375,17 +375,26 @@ def test_kernels_match_reference_loops_bit_for_bit(shape):
                      circulation_loop(P, Q, hx, hy))
     rows, cols, vals = jacobian_loop(u, hx, hy)
     S, mx, my = kernel_stencil(u, hx, hy)
-    assert all(Sc.flags.c_contiguous for Sc in S)
+    # five contiguous float64 coefficient fields per node
+    assert all(Sc.fields.shape[0] == 5 and Sc.fields.dtype == np.float64
+               and Sc.fields.flags.c_contiguous for Sc in S)
     data, (got_rows, got_cols) = _kernels.stencil_coo(S, mx, my)
     # the loop lists each row's entries in ascending columns
     order = np.lexsort((got_cols, got_rows))
     assert np.array_equal(got_rows[order], rows)
     assert np.array_equal(got_cols[order], cols)
     assert_same_bits(data[order], vals)
-    # couplings that reach boundary nodes are 0
+    # every Sc[a, b] is the loop's coefficient bit for bit, and +0.0 on the
+    # couplings that reach boundary nodes, which the loop leaves out
+    want = np.zeros((3, 3, mx, my))
+    (i, j), (ii, jj) = divmod(rows, my), divmod(cols, my)
+    want[ii - i + 1, jj - j + 1, i, j] = vals
     full = np.empty((3, 3, mx, my))
     for (p, q), Sc in zip(_kernels.COLOURS, S):
-        full[:, :, p::2, q::2] = Sc
+        for a in range(3):
+            for b in range(3):
+                assert_same_bits(Sc[a, b], want[a, b, p::2, q::2])
+                full[a, b, p::2, q::2] = Sc[a, b]
     for edge in (full[0, :, 0], full[2, :, -1], full[:, 0, :, 0],
                  full[:, 2, :, -1]):
         assert np.all(edge == 0.0)
@@ -442,14 +451,12 @@ def test_probe_stencil_recovers_the_jacobian(shape):
     J, blocks, mx, my = probed(random_surface(shape))
     got = _kernels.probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my),
                                  mx, my)
-    for a, b in zip(got, blocks):
+    for a, b in zip(got, _kernels.stencil_blocks(blocks, np.float64)):
         assert np.array_equal(a, b)
     x, f = np.random.default_rng(1).standard_normal((2, mx, my))
     Sx = _kernels.stencil_apply(blocks, x)
     assert np.allclose(Sx.ravel(), J @ x.ravel(), rtol=1e-14, atol=1e-12)
-    xp = np.zeros((mx + 2, my + 2))
-    xp[1:-1, 1:-1] = x
-    assert_same_bits(_kernels.stencil_residual(blocks, xp, f), f - Sx)
+    assert_same_bits(_kernels.stencil_residual(blocks, x, f), f - Sx)
 
 
 # (coarse, fine) interior shapes: odd sides 2m + 1, even sides 2m, and
@@ -489,9 +496,8 @@ def test_colour_gauss_seidel_is_gauss_seidel_in_colour_order():
     A = J.toarray()
     rng = np.random.default_rng(3)
     f, x0 = rng.standard_normal((mx, my)), rng.standard_normal((mx, my))
-    xp = np.zeros((mx + 2, my + 2))
-    xp[1:-1, 1:-1] = x0
-    _kernels.colour_gauss_seidel(blocks, xp, f, order=(2, 0, 3, 1))
+    got = x0.copy()
+    _kernels.colour_gauss_seidel(blocks, got, f, order=(2, 0, 3, 1))
     x = x0.ravel().copy()
     for c in (2, 0, 3, 1):
         p, q = _kernels.COLOURS[c]
@@ -499,7 +505,7 @@ def test_colour_gauss_seidel_is_gauss_seidel_in_colour_order():
             for j in range(q, my, 2):
                 r = i * my + j
                 x[r] += (f.ravel()[r] - A[r] @ x) / A[r, r]
-    assert np.allclose(xp[1:-1, 1:-1].ravel(), x, rtol=1e-13, atol=1e-13)
+    assert np.allclose(got.ravel(), x, rtol=1e-13, atol=1e-13)
 
 
 def test_jacobian_matches_central_differences():
@@ -733,27 +739,28 @@ def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
 
 def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
     # the solve is the memory peak of a Newton step; anything as large as a
-    # colour block of J kept alive by the solver adds to that peak
+    # colour block of J kept alive by the solver adds to that peak.  J comes
+    # as five float64 coefficient fields per node
     seen = []
     factor_solve = lepage.minimal.spsolve
 
     def inspecting_spsolve(S, b):
         caller = sys._getframe(1)
-        owned = {id(Sc) for Sc in S}
-        least = min(Sc.size for Sc in S)
+        owned = {id(Sc.fields) for Sc in S}
+        least = min(Sc.fields.size for Sc in S)
         values = []
         for v in caller.f_locals.values():
             values.extend(v if isinstance(v, (tuple, list)) else [v])
         large = [v for v in values if isinstance(v, np.ndarray)
                  and v.size >= least and id(v) not in owned]
-        seen.append((caller.f_code.co_name, sum(Sc.size for Sc in S),
-                     len(large)))
+        seen.append((caller.f_code.co_name,
+                     sum(Sc.fields.size for Sc in S), len(large)))
         return factor_solve(S, b)
 
     monkeypatch.setattr(lepage.minimal, "spsolve", inspecting_spsolve)
     res = scherk_solution(33)
     assert res.converged
-    assert seen and all(name == "solve_minimal_surface" and size == 9 * 31 * 31
+    assert seen and all(name == "solve_minimal_surface" and size == 5 * 31 * 31
                         and large == 0 for name, size, large in seen)
 
 
@@ -997,7 +1004,7 @@ def test_multigrid_newton_matches_float64_reference_on_rectangles(
 @pytest.mark.parametrize("shape", [(65, 65), (33, 129)])
 def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
     # every BiCGSTAB call of a multigrid solve, against scipy's on the same
-    # operator and V-cycle preconditioner
+    # float32 operands: right-hand side, operator and V-cycle preconditioner
     linalg = pytest.importorskip("scipy.sparse.linalg")
     m = lepage.minimal
     S, b = one_newton_system("paraboloid", shape)
@@ -1012,10 +1019,11 @@ def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
 
         def operator(fn):
             return linalg.LinearOperator((rhs.size,) * 2, matvec=fn,
-                                         dtype=np.float64)
+                                         dtype=np.float32)
         want, _ = linalg.bicgstab(operator(matvec), rhs, rtol=rtol, atol=0.0,
                                   maxiter=maxiter, M=operator(psolve))
-        same.append(x.tobytes() == want.tobytes())
+        same.append(rhs.dtype == x.dtype == want.dtype == np.float32
+                    and x.tobytes() == want.tobytes())
         return x
 
     monkeypatch.setattr(m, "_bicgstab", both)
@@ -1039,14 +1047,20 @@ def traced_peak(fn, nodes):
 
 
 def test_newton_solve_and_conservation_check_hold_few_arrays():
-    # Scherk N=257, a grid that coarsens to 15 x 15.  The solve must hold
-    # the Jacobian's 9 coefficients per node, u, the residual, the Krylov
-    # vectors and the operator's scratch, and no copies of them; the
-    # conservation check and reconstruction hold the circulations and
-    # potentials they return plus one current pair at a time
+    # Scherk N=257, a grid that coarsens to 15 x 15.  Assembly holds the
+    # Jacobian's 5 float64 fields per node and the derivatives that the
+    # field being made needs.  The solve must hold those fields, their
+    # float32 9-point copy and the coarse float32 operators, u, the
+    # residual, the refinement iterate, the float32 Krylov vectors and the
+    # operator's scratch, and no copies of them; the conservation check and
+    # reconstruction hold the circulations and potentials they return plus
+    # one current pair at a time
     scherk_solution(33)  # lazy set-up happens outside the reading
     N = 257
     bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES["scherk"])
+    _, assembly = traced_peak(
+        lambda: _kernels.interior_jacobian_stencil(bound.values, bound.hx,
+                                                   bound.hy), (N - 2) ** 2)
     res, solve = traced_peak(
         lambda: solve_minimal_surface(bound, tol=1e-10, max_iter=12),
         (N - 2) ** 2)
@@ -1056,7 +1070,8 @@ def test_newton_solve_and_conservation_check_hold_few_arrays():
                  reconstruct_and_check(res.field)), (N - 2) ** 2)
     assert cons.passed() and rec.passed
     # float64 values per interior node
-    assert solve <= 28.5
+    assert assembly <= 13.5
+    assert solve <= 21.0
     assert check <= 18.0
 
 
@@ -1071,9 +1086,10 @@ def test_multigrid_solve_meets_the_double_precision_test():
 
 
 def test_multigrid_failure_falls_back_to_float64(factors):
-    # a float32 overflow in the coarsest operator ends the multigrid path
+    # a float32 overflow in the operator ends the multigrid path
     S, b = one_newton_system("scherk", (65, 65))
-    S = [Sc * 1e36 for Sc in S]
+    S = [_kernels.FiveFieldBlock(Sc.fields * 1e36, Sc.rows, Sc.cols)
+         for Sc in S]
     x = lepage.minimal.spsolve(S, b)
     assert factors == [("splu", "float64", 63 * 63)]
     assert np.array_equal(x, float64_spsolve(S, b))
