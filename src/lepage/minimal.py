@@ -519,7 +519,6 @@ def _multigrid_solve(S, b: np.ndarray):
             r /= rmax
             r = r.astype(np.float32)
             y = _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve)
-            del r
             x += rmax * y.reshape(b.shape)
         if passed:
             return x.ravel()
