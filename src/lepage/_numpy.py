@@ -1,4 +1,8 @@
-"""numpy, bound lazily: its package body runs on the first attribute access."""
+"""numpy, bound lazily: its package body runs on the first attribute access.
+
+``lazy`` binds any module that way; ``lepage.cli`` uses it for the layers a
+subcommand may not need.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,8 @@ import importlib.util
 import sys
 
 
-def _lazy(name: str):
+def lazy(name: str):
+    """The module ``name``, in sys.modules and on its package, unexecuted."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -16,11 +21,12 @@ def _lazy(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module
 
 
 # _kernels, minimal, variation, acceptance and cli take np from here, so the
-# symbolic commands never run numpy.  Those modules are still imported by
-# `import lepage.cli`: perfbench/tracer.py wraps each layer's functions by
-# reading its module from sys.modules right after that import.
-np = _lazy("numpy")
+# symbolic commands never run numpy.
+np = lazy("numpy")

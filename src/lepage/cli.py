@@ -16,9 +16,9 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ._numpy import np
+from ._numpy import lazy, np
 from .charts import AdaptedChart, ChartError, JetChart
 from .equivalents import (Lagrangian, caratheodory, euler_lagrange,
                           fundamental, fundamental_homogeneous,
@@ -27,13 +27,19 @@ from .expr import (EqualResult, Expr, ExprError, ParseError, PointAssignment,
                    parse, to_dsl, to_latex)
 from .forms import (DiffForm, FormError, Immersion, ext_d, form_equal,
                     form_to_json, pullback_immersion, zero_form)
-from .homogeneity import grassmann_form, zermelo_residuals
-from .minimal import (BUILTIN_SURFACES, GridField, MetricSpec,
-                      conservation_residuals, krupka_form, minimal_lagrangian,
-                      reconstruct_and_check, solve_minimal_surface)
-from .variation import (VectorFieldSpec, is_invariance_generator,
-                        noether_current, noether_residual)
-from .acceptance import run_all
+
+if TYPE_CHECKING:
+    from .minimal import MetricSpec
+    from .variation import VectorFieldSpec
+
+# The other layers run their module bodies when a command first uses them,
+# so a process compiles only what its subcommand runs.  They are in
+# sys.modules from here on: perfbench/tracer.py reads each layer's module
+# there right after `import lepage.cli`.
+acceptance = lazy("lepage.acceptance")
+homogeneity = lazy("lepage.homogeneity")
+minimal = lazy("lepage.minimal")
+variation = lazy("lepage.variation")
 
 __all__ = ["ProblemError", "ProblemSpec", "load_problem", "main"]
 
@@ -127,12 +133,12 @@ def _parse_metric(obj: object, chart: JetChart) -> MetricSpec:
             _expect(obj["dim"] == chart.M,
                     f"metric dimension {obj.get('dim')} does not match the "
                     f"chart fiber dimension {chart.M}")
-            return MetricSpec.euclidean(chart.M)
+            return minimal.MetricSpec.euclidean(chart.M)
         if kind == "diagonal":
             entries = obj.get("entries")
             _expect(isinstance(entries, list) and len(entries) == chart.M,
                     f"diagonal metric needs {chart.M} entries")
-            return MetricSpec.diagonal(*[
+            return minimal.MetricSpec.diagonal(*[
                 _parse_expr(e, chart, "metric entry") for e in entries])
         if kind == "matrix":
             entries = obj.get("entries")
@@ -144,7 +150,7 @@ def _parse_metric(obj: object, chart: JetChart) -> MetricSpec:
                         f"matrix metric rows need {chart.M} entries")
                 rows.append(tuple(_parse_expr(e, chart, "metric entry")
                                   for e in row))
-            return MetricSpec(tuple(rows))
+            return minimal.MetricSpec(tuple(rows))
     except (ChartError, ExprError) as ex:
         raise ProblemError(f"metric: {ex}") from ex
     raise ProblemError(f"unknown metric kind {kind!r}")
@@ -182,7 +188,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
     if has_metric:
         metric = _parse_metric(raw["metric"], chart)
         try:
-            lagrangian = minimal_lagrangian(metric, chart.n)
+            lagrangian = minimal.minimal_lagrangian(metric, chart.n)
         except (ChartError, ExprError) as ex:
             raise ProblemError(f"metric: {ex}") from ex
     else:
@@ -197,7 +203,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
         _expect(isinstance(comps, list) and len(comps) == chart.M,
                 f"field {pos} needs {chart.M} components")
         try:
-            fields.append(VectorFieldSpec(chart, tuple(
+            fields.append(variation.VectorFieldSpec(chart, tuple(
                 _parse_expr(c, chart, f"field {pos} component") for c in comps)))
         except ChartError as ex:
             raise ProblemError(f"field {pos}: {ex}") from ex
@@ -321,7 +327,7 @@ def _build_equivalent(kind: str, prob: ProblemSpec, *, seed: int, tol: float,
     if kind == "krupka":
         if prob.metric is None:
             raise ProblemError("kind 'krupka' needs a metric problem")
-        return kind, krupka_form(prob.metric, prob.chart.n).form
+        return kind, minimal.krupka_form(prob.metric, prob.chart.n).form
     raise ProblemError(f"unknown equivalent kind {kind!r}")
 
 
@@ -341,6 +347,7 @@ def _sampling(args: argparse.Namespace, prob: ProblemSpec) -> tuple[int, float, 
 
 def _cmd_derive_el(args: argparse.Namespace) -> int:
     prob = load_problem(args.problem)
+    _sampling(args, prob)  # nothing is sampled, but bad settings still exit 2
     components = euler_lagrange(prob.lagrangian)
     if args.format == "latex":
         for e in components:
@@ -391,8 +398,8 @@ def _cmd_check_lepage(args: argparse.Namespace) -> int:
 def _cmd_check_zermelo(args: argparse.Namespace) -> int:
     prob = load_problem(args.problem)
     seed, tol, trials = _sampling(args, prob)
-    report = zermelo_residuals(prob.lagrangian.L, prob.chart, trials=trials,
-                               tol=tol, seed=seed)
+    report = homogeneity.zermelo_residuals(prob.lagrangian.L, prob.chart,
+                                           trials=trials, tol=tol, seed=seed)
     verdicts = {f"{i},{j}": res.verdict
                 for (i, j), res in sorted(report.verdicts.items())}
     payload = _report("check-zermelo", passed=report.passed, verdicts=verdicts)
@@ -411,16 +418,17 @@ def _cmd_noether(args: argparse.Namespace) -> int:
         raise ProblemError("noether needs a metric problem")
     if not prob.fields:
         raise ProblemError("noether needs at least one entry under 'fields'")
+    seed, tol, trials = _sampling(args, prob)
     adapted = AdaptedChart(prob.chart, tuple(range(1, prob.chart.n + 1)))
-    WG = grassmann_form(krupka_form(prob.metric, prob.chart.n), adapted)
+    WG = homogeneity.grassmann_form(
+        minimal.krupka_form(prob.metric, prob.chart.n), adapted)
     entries = []
     currents = []
     witness = None
-    seed, tol, trials = _sampling(args, prob)
     for pos, xi in enumerate(prob.fields):
-        invariant = bool(is_invariance_generator(xi, WG, trials=trials,
-                                                 tol=tol, seed=seed))
-        current = noether_current(xi, WG)
+        invariant = bool(variation.is_invariance_generator(
+            xi, WG, trials=trials, tol=tol, seed=seed))
+        current = variation.noether_current(xi, WG)
         currents.append(current)
         entry = {
             "components": [to_dsl(c) for c in xi.components],
@@ -434,7 +442,7 @@ def _cmd_noether(args: argparse.Namespace) -> int:
                 closure, zero, trials=trials, tol=tol, seed=seed))
         if not invariant and witness is None:
             witness = {"field": pos, "residual":
-                       form_to_json(noether_residual(xi, WG))}
+                       form_to_json(variation.noether_residual(xi, WG))}
         entries.append(entry)
     passed = all(e["invariant"] for e in entries)
     if args.format == "latex":
@@ -507,15 +515,16 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         args.max_iter if args.max_iter is not None
         else solver.get("max_iter", 20), "max_iter", 0)
 
-    if boundary in BUILTIN_SURFACES:
+    surfaces = minimal.BUILTIN_SURFACES
+    if boundary in surfaces:
         n = grid if grid is not None else 33
-        fn, shape, values = BUILTIN_SURFACES[boundary], (n, n), None
+        fn, shape, values = surfaces[boundary], (n, n), None
     else:
         path = Path(boundary)
         if not path.exists():
             raise ProblemError(
                 f"boundary {boundary!r} is neither a builtin "
-                f"({', '.join(sorted(BUILTIN_SURFACES))}) nor a file")
+                f"({', '.join(sorted(surfaces))}) nor a file")
         values = _load_grid_values(path)
         _require_finite(values, rect)
         shape = values.shape
@@ -530,15 +539,16 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
             if values is None:
                 # off its domain a builtin surface gives nan/inf, caught below
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    start = GridField.dirichlet(rect, shape, fn)
+                    start = minimal.GridField.dirichlet(rect, shape, fn)
             else:
-                start = GridField(rect, values)
+                start = minimal.GridField(rect, values)
         except ValueError as ex:
             raise ProblemError(f"domain {list(rect)}: {ex}") from ex
         _require_finite(start.values, rect)
-        result = solve_minimal_surface(start, tol=tol, max_iter=max_iter)
-        cons = conservation_residuals(result.field)
-        rec = reconstruct_and_check(result.field)
+        result = minimal.solve_minimal_surface(start, tol=tol,
+                                               max_iter=max_iter)
+        cons = minimal.conservation_residuals(result.field)
+        rec = minimal.reconstruct_and_check(result.field)
     except MemoryError as ex:
         raise ProblemError(f"a {shape[0]}x{shape[1]} grid does not fit in "
                            f"memory: {ex}") from ex
@@ -546,7 +556,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         "minsurf",
         grid={"nx": result.field.nx, "ny": result.field.ny,
               "domain": list(result.field.rect)},
-        boundary=boundary if boundary in BUILTIN_SURFACES else "file",
+        boundary=boundary if boundary in surfaces else "file",
         converged=result.converged,
         iterations=result.iterations,
         message=result.message,
@@ -566,7 +576,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    results = run_all(seed=seed)
+    results = acceptance.run_all(seed=seed)
     passed = sum(r.passed for r in results)
     if args.format == "json":
         _emit(_report("selftest", seed=seed,

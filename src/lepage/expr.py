@@ -34,7 +34,6 @@ first and second arguments.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import re
@@ -42,6 +41,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
+
+# hashlib.blake2b is this function; importing hashlib would also load
+# OpenSSL's libcrypto, about 3 MB per process, for nothing the sampler uses
+from _blake2 import blake2b
 
 __all__ = [
     "Sym", "Fun", "Root", "Expr", "PointAssignment", "EqualResult",
@@ -1155,7 +1158,7 @@ class EqualResult:
 
 def _stable_seed(*parts) -> int:
     text = "|".join(repr(p) for p in parts)
-    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    digest = blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lepage.acceptance
+import lepage.minimal
 from lepage import cli
 from lepage.acceptance import CriterionResult
 from lepage.cli import main
@@ -300,6 +302,41 @@ def test_sampling_flags_are_checked_after_overriding_the_file(capsys,
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("argv", [("derive-el", "--problem", ARCLENGTH),
+                                  ("noether", "--problem", MINIMAL)])
+@pytest.mark.parametrize("flags, message", [
+    (("--trials", "0"), "trials must be at least 1, got 0"),
+    (("--tol", "nan"), "tol must be a positive number, got nan"),
+    (("--tol", "-1"), "tol must be a positive number, got -1.0"),
+])
+def test_derive_el_and_noether_reject_bad_sampling_flags(
+        capsys, monkeypatch, argv, flags, message):
+    # derive-el samples nothing but takes the flags; noether checks them
+    # before it builds any form
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the Krupka form before checking flags")
+
+    monkeypatch.setattr(lepage.minimal, "krupka_form", unreachable)
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["derive-el", "noether"])
+@pytest.mark.parametrize("extra, message", [
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"tol": True}, "tol must be a positive number, got True"),
+])
+def test_derive_el_and_noether_reject_bad_sampling_settings(
+        capsys, tmp_path, command, extra, message):
+    path = write_problem(tmp_path, base_problem(fields=[["1", "0", "0"]],
+                                                **extra))
+    code, out, err = run_cli(capsys, command, "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # noether
 # ---------------------------------------------------------------------------
@@ -566,7 +603,7 @@ def test_minsurf_solve_beyond_memory_is_a_problem_error(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.00 GiB")
 
-    monkeypatch.setattr(cli, "solve_minimal_surface", out_of_memory)
+    monkeypatch.setattr(lepage.minimal, "solve_minimal_surface", out_of_memory)
     code, out, err = run_cli(capsys, "minsurf", "--grid", "9")
     assert (code, out) == (2, "")
     assert err == ("error: a 9x9 grid does not fit in memory: "
@@ -679,7 +716,7 @@ def test_selftest_json_subprocess_matches_golden(selftest_json):
 def test_selftest_text_reports_each_criterion_and_fails(capsys, monkeypatch):
     results = [CriterionResult(1, "one", True, "fine", 0.5),
                CriterionResult(2, "two", False, "broken", 1.25)]
-    monkeypatch.setattr(cli, "run_all", lambda seed: results)
+    monkeypatch.setattr(lepage.acceptance, "run_all", lambda seed: results)
     code, out, err = run_cli(capsys, "selftest")
     assert (code, err) == (1, "")
     assert out.splitlines() == ["PASS  1 one: fine [0.50s]",

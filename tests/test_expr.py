@@ -313,6 +313,25 @@ def test_equal_deterministic_for_seed():
     assert r1.witness.symbols == r2.witness.symbols
 
 
+def test_sampler_seed_is_an_8_byte_blake2b_of_the_parts():
+    # the sampler takes blake2b from _blake2, which is hashlib's own function,
+    # so every sampled point, witness and report stays what hashlib gave
+    import hashlib
+    assert expr_module.blake2b is hashlib.blake2b
+    for parts in ((0, 0, "sym", Sym("x", 1).key), (7, 19),
+                  (1702, 3, "sym", Sym("y1", 2, 1).key),
+                  (-4, 2, "fun", "g11", (1, 2), (0.5, -1.25))):
+        text = "|".join(map(repr, parts))
+        digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+        assert expr_module._stable_seed(*parts) == \
+            int.from_bytes(digest, "big")
+    assert expr_module._stable_seed(0, 0, "sym", Sym("x", 1).key) == \
+        7265411456830401962
+    s = Sym("y1", 2, 1)
+    point = expr_module.sample_assignment({s}, set(), 1702, 3)
+    assert point.symbols[s] == -0.5551567960312814
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 # ---------------------------------------------------------------------------

@@ -204,8 +204,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The benchmark's nine symbolic CLI commands, each run at --seed 0 by the
 # process below; numpy's package body imports numpy.* submodules, so none
-# being loaded after them shows that the body never ran.  minsurf then needs
-# numpy in the same process and must still find it.
+# being loaded after them shows that the body never ran.  Nor do they load
+# OpenSSL (_hashlib).  minsurf then needs numpy in the same process and must
+# still find it.
 CLI_NO_NUMPY = """
 import contextlib, io, sys
 from lepage.cli import main
@@ -224,6 +225,7 @@ commands += [("check-lepage", "--problem", minimal, "--kind", kind)
                           "fundamental", "fundamental-homogeneous")]
 print([run(*argv, "--seed", "0") for argv in commands])
 print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+print("_hashlib" in sys.modules)
 print(run("minsurf", "--grid", "17"))
 """
 
@@ -241,4 +243,11 @@ def test_symbolic_modules_load_no_numpy():
     code = ("import sys, lepage.equivalents, lepage.homogeneity; "
             "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
     assert fresh_python(code).strip() == "[]"
-    assert fresh_python(CLI_NO_NUMPY).splitlines() == [str([0] * 9), "[]", "0"]
+    assert fresh_python(CLI_NO_NUMPY).splitlines() == \
+        [str([0] * 9), "[]", "False", "0"]
+
+
+def test_every_layer_loads_without_openssl():
+    # the sampler's blake2b comes from _blake2, not hashlib
+    code = "import sys, lepage.acceptance; print('_hashlib' in sys.modules)"
+    assert fresh_python(code).strip() == "False"

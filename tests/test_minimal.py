@@ -714,6 +714,18 @@ def test_cli_import_loads_no_scipy():
                              env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+    # lepage.cli binds these lazily: they sit in sys.modules, but until a
+    # command uses one its type stays the lazy loader's and its body, not
+    # even compiled, has not run
+    deferred = [f"lepage.{name}" for name in (
+        "acceptance", "minimal", "variation", "homogeneity", "_kernels")]
+    code = (f"import sys, types, lepage.cli\n"
+            f"print(sorted(m for m in {deferred!r} "
+            f"if type(sys.modules.get(m)) is types.ModuleType))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
