@@ -2,18 +2,21 @@
 
 ``interior_residual`` evaluates the central-difference graph equation at the
 interior nodes, ``interior_gradient`` gives its first differences alone,
-``interior_jacobian_stencil`` writes its Jacobian with respect to the
-interior values as a 9-point operator kept as five coefficient fields per
-node (``FiveFieldBlock``), and ``cell_circulation`` takes trapezoid-rule
-loop integrals around the grid cells.  The rest are the Newton solver's
-grid operations on 9-point operators, in the dtype of their operands:
-probing a stencil, applying it, its residual, a colour Gauss-Seidel sweep,
-a copy as 9-point blocks of a given dtype, the max norm, bilinear
-prolongation and its transpose, and the operator's sparse triplets.
+``interior_jacobian_stencil`` gives its Jacobian with respect to the
+interior values as a 9-point operator whose colour blocks are five
+coefficient fields per node (``FiveFieldBlock``), each formed from u when a
+kernel reads it (``GraphJacobian``), and ``cell_circulation`` takes
+trapezoid-rule loop integrals around the grid cells.  The rest are the
+Newton solver's grid operations on 9-point operators, in the dtype of their
+operands: probing a stencil, applying it, its residual, a colour
+Gauss-Seidel sweep, a copy as 9-point blocks of a given dtype, the max
+norm, bilinear prolongation and its transpose, and the operator's sparse
+triplets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 from ._numpy import np
@@ -46,37 +49,19 @@ def interior_residual(u, hx, hy):
 
 
 def interior_jacobian_stencil(u, hx, hy):
-    """Colour blocks of the interior-to-interior residual Jacobian.
+    """Colour blocks of the interior-to-interior residual Jacobian at u.
 
     The layout is that of the 9-point operators below: Sc[a, b] holds, at
     the nodes (i, j) of its colour, the derivative of the residual at (i, j)
-    with respect to u at (i + a - 1, j + b - 1).  Each block keeps the five
-    coefficient fields of ``FiveFieldBlock``, 5 values per node instead of
-    9.  Boundary nodes are Dirichlet data, so couplings that reach them are
-    0.  The fields are made one at a time, each from the derivatives it
-    needs, and go into the blocks as they are made.
+    with respect to u at (i + a - 1, j + b - 1).  Each block is a
+    ``FiveFieldBlock``, 5 values per node instead of 9.  Boundary nodes are
+    Dirichlet data, so couplings that reach them are 0.  The result is a
+    read-only sequence of the four blocks that forms a block from u each
+    time it is read and keeps none, so a kernel that reads one colour at a
+    time holds one colour's fields; ``list()`` of it forms all four.  u must
+    not change while the sequence is in use.
     """
-    mx, my = u.shape[0] - 2, u.shape[1] - 2
-    blocks = [np.empty((5, len(range(p, mx, 2)), len(range(q, my, 2))))
-              for p, q in COLOURS]
-
-    def store(k, F):
-        for (p, q), Fc in zip(COLOURS, blocks):
-            Fc[k] = F[p::2, q::2]
-
-    ux, uy = interior_gradient(u, hx, hy)
-    store(0, (1.0 + uy * uy) / (hx * hx))  # ax = A / hx^2
-    store(2, (1.0 + ux * ux) / (hy * hy))  # by = B / hy^2
-    store(4, -2.0 * ux * uy / (4.0 * hx * hy))  # cxy = C / 4 hx hy
-    c = u[1:-1, 1:-1]
-    uxy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * hx * hy)
-    uyy = (u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]) / (hy * hy)
-    store(1, (2.0 * ux * uyy - 2.0 * uy * uxy) / (2.0 * hx))  # dx = D / 2 hx
-    del uyy
-    uxx = (u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]) / (hx * hx)
-    store(3, (2.0 * uy * uxx - 2.0 * ux * uxy) / (2.0 * hy))  # ey = E / 2 hy
-    return [FiveFieldBlock(F, _edges(p, mx), _edges(q, my))
-            for (p, q), F in zip(COLOURS, blocks)]
+    return GraphJacobian(u, hx, hy)
 
 
 def cell_circulation(P, Q, hx, hy):
@@ -136,10 +121,6 @@ class FiveFieldBlock:
         self.fields, self.rows, self.cols = fields, rows, cols
 
     @property
-    def dtype(self):
-        return self.fields.dtype
-
-    @property
     def shape(self):
         return (3, 3) + self.fields.shape[1:]
 
@@ -159,6 +140,77 @@ class FiveFieldBlock:
         if self.cols[b] is not None:
             S[:, self.cols[b]] = 0.0
         return S
+
+
+def _colour_fields(u, hx, hy, p, q):
+    # FiveFieldBlock's five fields at the nodes of colour (p, q), from the
+    # derivatives of interior_residual taken on strided views of u.  Each
+    # field is written in place, operation by operation in the order of its
+    # formula (A/hx^2 is (1 + uy uy) / (hx hx), D/2hx is (2 ux uyy - 2 uy
+    # uxy) / (2 hx), and so on), and doubling is exact, so every entry is
+    # bit for bit the one that full-grid derivatives give
+    mx, my = u.shape[0] - 2, u.shape[1] - 2
+
+    def at(d, e):  # u at the neighbours (d - 1, e - 1) of the nodes
+        return u[p + d:mx + d:2, q + e:my + e:2]
+
+    ux = at(2, 1) - at(0, 1)
+    ux /= 2.0 * hx
+    uy = at(1, 2) - at(1, 0)
+    uy /= 2.0 * hy
+    F = np.empty((5,) + ux.shape)
+    ax, dx, by, ey, cxy = F
+    np.multiply(uy, uy, out=ax)
+    ax += 1.0
+    ax /= hx * hx
+    np.multiply(ux, ux, out=by)
+    by += 1.0
+    by /= hy * hy
+    np.multiply(ux, -2.0, out=cxy)
+    cxy *= uy
+    cxy /= 4.0 * hx * hy
+    ux *= 2.0  # from here on 2 ux and 2 uy, as D and E take them
+    uy *= 2.0
+    uxy = at(2, 2) - at(2, 0)
+    uxy -= at(0, 2)
+    uxy += at(0, 0)
+    uxy /= 4.0 * hx * hy
+    c2 = 2.0 * at(1, 1)
+    second = at(1, 2) - c2  # uyy, then uxx
+    second += at(1, 0)
+    second /= hy * hy
+    np.multiply(ux, second, out=dx)
+    np.subtract(at(2, 1), c2, out=second)
+    second += at(0, 1)
+    second /= hx * hx
+    np.multiply(uy, second, out=ey)
+    np.multiply(uy, uxy, out=second)
+    dx -= second
+    dx /= 2.0 * hx
+    np.multiply(ux, uxy, out=second)
+    ey -= second
+    ey /= 2.0 * hy
+    return F
+
+
+class GraphJacobian(Sequence):
+    """The graph equation's Jacobian at u as ``interior_jacobian_stencil``
+    gives it: a sequence of the four colour blocks in which block c is a
+    ``FiveFieldBlock`` formed from u when it is read."""
+
+    __slots__ = ("u", "hx", "hy")
+
+    def __init__(self, u, hx, hy):
+        self.u, self.hx, self.hy = u, hx, hy
+
+    def __len__(self):
+        return len(COLOURS)
+
+    def __getitem__(self, c):
+        p, q = COLOURS[c]
+        mx, my = self.u.shape[0] - 2, self.u.shape[1] - 2
+        return FiveFieldBlock(_colour_fields(self.u, self.hx, self.hy, p, q),
+                              _edges(p, mx), _edges(q, my))
 
 
 @lru_cache(maxsize=None)
@@ -194,20 +246,27 @@ def _colour_apply(Sc, x, p, q):
     return y
 
 
+# stencil_apply and stencil_residual read each block once, by index, and
+# take the result's dtype from the first colour's product, so a sequence
+# that forms its blocks when read forms one at a time, and each once
+
 def stencil_apply(blocks, x):
     """S x on an (mx, my) grid."""
-    y = np.empty(x.shape, np.result_type(blocks[0].dtype, x))
-    for (p, q), Sc in zip(COLOURS, blocks):
-        y[p::2, q::2] = _colour_apply(Sc, x, p, q)
+    for c, (p, q) in enumerate(COLOURS):
+        yc = _colour_apply(blocks[c], x, p, q)
+        if not c:
+            y = np.empty(x.shape, yc.dtype)
+        y[p::2, q::2] = yc
     return y
 
 
 def stencil_residual(blocks, x, f):
     """f - S x on an (mx, my) grid."""
-    r = np.empty(f.shape, np.result_type(blocks[0].dtype, x, f))
-    for (p, q), Sc in zip(COLOURS, blocks):
-        np.subtract(f[p::2, q::2], _colour_apply(Sc, x, p, q),
-                    out=r[p::2, q::2])
+    for c, (p, q) in enumerate(COLOURS):
+        yc = _colour_apply(blocks[c], x, p, q)
+        if not c:
+            r = np.empty(f.shape, np.result_type(yc, f))
+        np.subtract(f[p::2, q::2], yc, out=r[p::2, q::2])
     return r
 
 

@@ -17,12 +17,13 @@ from math import factorial
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from . import _kernels
-from ._numpy import np
+from ._numpy import lazy, np
 
 # The numeric workbench needs only numpy and _kernels: the symbolic layers
 # are imported inside the functions that use them, so a process that only
-# solves loads none of them.
+# solves loads none of them, and _kernels is bound lazily, so a process
+# that only builds metric Lagrangians runs none of it.
+_kernels = lazy("lepage._kernels")
 if TYPE_CHECKING:
     from .charts import JetChart
     from .equivalents import HorizontalNForm, Lagrangian
@@ -211,6 +212,14 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or min(self.values.shape) < 3:
             raise ValueError("grid needs at least 3 x 3 nodes")
+        # the stencils divide by these products, and the floor and the gate
+        # square the spacings
+        hx, hy = self.hx, self.hy
+        if not all(0.0 < h2 < float("inf")
+                   for h2 in (hx * hx, hy * hy, hx * hy)):
+            raise ValueError(f"grid spacings hx = {hx!r}, hy = {hy!r} are out "
+                             f"of range: hx*hx, hy*hy and hx*hy must be "
+                             f"positive and finite")
 
     @property
     def nx(self) -> int:
@@ -468,24 +477,35 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
 def _multigrid_solve(S, b: np.ndarray):
     """x with S x = b by float64 refinement of float32 corrections, or None.
 
-    S serves only the float64 refinement residual b - S x and the Galerkin
-    product of the first coarse level.  The corrections run in float32, on
-    a float32 copy of S and on coarse operators that are each made in
-    float64 from the next finer one and kept in float32.  Returns None when
-    an operator is beyond float32 range, the coarsest solve cannot be made,
-    or a step does not shrink the residual or the test still fails after
-    the first solve and _REFINE_STEPS refinements.
+    S serves only the float64 refinement residual b - S x, the test's
+    ||S|| and the Galerkin product of the first coarse level.  The set-up
+    reads S's blocks once into a list, for ||S||, that product and a
+    float32 copy in this order, and drops the list before the first
+    correction; the residual then reads S one block at a time, so a
+    Jacobian that forms its blocks when read (``_kernels.GraphJacobian``)
+    holds no more than one colour's fields while the corrections run.  The
+    corrections run in float32, on the float32 copy of S and on coarse
+    operators that are each made in float64 from the next finer one and
+    kept in float32.  Returns None when an operator is beyond float32
+    range, the coarsest solve cannot be made, or a step does not shrink the
+    residual or the test still fails after the first solve and
+    _REFINE_STEPS refinements.
     """
     k = _kernels
     shapes = _grid_levels(*b.shape)
-    stencils, level = [], S
+    level = list(S)
+    tol = k.stencil_norm(level) * np.finfo(np.float64).eps * np.sqrt(b.size)
+    stencils = []
     for fine, shape in zip(shapes, shapes[1:]):
+        # the Galerkin product first, so that the probe's scratch and the
+        # float32 copy are not held at once
+        coarser = k.probe_stencil(
+            lambda e, finer=level: k.restrict(
+                k.stencil_apply(finer, k.prolong(e, fine)), shape), *shape)
         stencils.append(k.stencil_blocks(level, np.float32))
         if not all(np.isfinite(Sc).all() for Sc in stencils[-1]):
             return None
-        level = k.probe_stencil(
-            lambda e, finer=level: k.restrict(
-                k.stencil_apply(finer, k.prolong(e, fine)), shape), *shape)
+        level = coarser
     stencils.append(level)  # the coarsest, solved by `coarse` alone
     coarse = _coarse_solver(level, *shapes[-1])
     if coarse is None:
@@ -497,10 +517,9 @@ def _multigrid_solve(S, b: np.ndarray):
     def psolve(v):
         return _vcycle(stencils, shapes, coarse, 0, v.reshape(b.shape)).ravel()
 
-    tol = k.stencil_norm(S) * np.finfo(np.float64).eps * np.sqrt(b.size)
     x, last = np.zeros(b.shape), np.inf
     for solves in range(_REFINE_STEPS + 2):  # the first, then refinements
-        r = b - k.stencil_apply(S, x)
+        r = k.stencil_residual(S, x, b)
         rmax = np.max(np.abs(r))
         passed = rmax <= np.max(np.abs(x)) * tol
         if passed and (len(stencils) == 1 or rmax == 0):
@@ -528,11 +547,14 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     """Solve S x = b by a mixed-precision multigrid solve; x comes flat.
 
     S is a 9-point operator in ``_kernels``' colour-block layout on the
-    interior grid of shape ``b.shape``, as the Newton solver's Jacobians
-    are, whose blocks keep five float64 coefficient fields per node.  The
-    grid is coarsened into a multigrid hierarchy: while the longer side
-    exceeds 15 nodes, each side longer than 15 becomes m, from 2m + 1 or 2m
-    nodes, so a thin grid coarsens along its long side only.  The coarse
+    interior grid of shape ``b.shape``: a list of the four colour blocks,
+    or a sequence that forms each when it is read, as the Newton solver's
+    Jacobians do, five float64 coefficient fields per node at a time.  The
+    solve holds all four blocks only while it sets up; the float64
+    refinement residual reads one at a time.  The grid is coarsened into a
+    multigrid hierarchy: while the longer side exceeds 15 nodes, each side
+    longer than 15 becomes m, from 2m + 1 or 2m nodes, so a thin grid
+    coarsens along its long side only.  The coarse
     operators are Galerkin products P^T S P with bilinear P, each made in
     float64 from the next finer one and kept in float32, and only the
     coarsest one, of at most 15 x 15 = 225 nodes, is solved directly, once

@@ -491,6 +491,22 @@ def test_minsurf_degenerate_domain(capsys):
     assert "degenerate rectangle" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--domain=0,1e-170,0,1e-170"],
+    ["--boundary", "plane", "--domain=0,1e-170,0,1"],
+    ["--boundary", "paraboloid", "--domain=0,1e-170,0,1"],
+    ["--boundary", "plane", "--domain=0,1e200,0,1e200"],
+])
+def test_minsurf_rejects_grid_spacings_that_square_to_0_or_inf(capsys, argv):
+    # the floor and the gate square the spacings; hx * hx underflows to 0
+    # at 1e-170 / 8 and overflows at 1e200 / 8
+    code, out, err = run_cli(capsys, "minsurf", "--grid", "9", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: domain [")
+    assert err.endswith("must be positive and finite\n")
+    assert err.count("\n") == 1
+
+
 def test_minsurf_rejects_non_finite_builtin_boundary(capsys):
     # log(cos x / cos y) is nan where cos x and cos y differ in sign
     code, out, err = run_cli(capsys, "minsurf", "--grid", "9",

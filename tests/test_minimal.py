@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,11 @@ def test_gridfield_validation():
         GridField(SQUARE, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         GridField((1.0, 1.0, 0.0, 1.0), np.zeros((5, 5)))
+    # spacings whose squares or product underflow to 0 or overflow
+    for rect in [(0.0, 1e-170, 0.0, 1.0), (0.0, 1.0, 0.0, 1e-170),
+                 (0.0, 1e200, 0.0, 1.0), (0.0, 1.0, 0.0, 1e200)]:
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            GridField(rect, np.zeros((9, 9)))
 
 
 def test_gridfield_geometry():
@@ -398,6 +405,40 @@ def test_kernels_match_reference_loops_bit_for_bit(shape):
     for edge in (full[0, :, 0], full[2, :, -1], full[:, 0, :, 0],
                  full[:, 2, :, -1]):
         assert np.all(edge == 0.0)
+
+
+def full_grid_fields(u, hx, hy):
+    # the five fields of FiveFieldBlock at every interior node, from the
+    # full-grid derivatives
+    ux, uy, uxx, uyy, uxy = _kernels._stencil_derivatives(u, hx, hy)
+    return np.stack([(1.0 + uy * uy) / (hx * hx),
+                     (2.0 * ux * uyy - 2.0 * uy * uxy) / (2.0 * hx),
+                     (1.0 + ux * ux) / (hy * hy),
+                     (2.0 * uy * uxx - 2.0 * ux * uxy) / (2.0 * hy),
+                     -2.0 * ux * uy / (4.0 * hx * hy)])
+
+
+def test_colour_blocks_formed_from_u_are_the_full_grid_fields():
+    # each colour block, formed from u's strided neighbours when it is
+    # read, holds bit for bit the full-grid fields at its nodes, on odd,
+    # even and thin interior grids
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spacing = st.floats(1e-3, 1e3)
+
+    @hypothesis.settings(derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(1, 40), st.integers(1, 40), spacing,
+                      spacing, st.integers(0, 2 ** 32 - 1))
+    def check(mx, my, hx, hy, seed):
+        u = np.random.default_rng(seed).standard_normal((mx + 2, my + 2))
+        want = full_grid_fields(u, hx, hy)
+        S = _kernels.interior_jacobian_stencil(u, hx, hy)
+        assert len(S) == len(_kernels.COLOURS)
+        for c, (p, q) in enumerate(_kernels.COLOURS):
+            fields = S[c].fields
+            assert fields.flags.c_contiguous
+            assert_same_bits(fields, np.ascontiguousarray(want[:, p::2, q::2]))
+    check()
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (3, 9), (9, 3),
@@ -726,6 +767,20 @@ def test_cli_import_loads_no_scipy():
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # a metric problem builds its Lagrangian in lepage.minimal and solves no
+    # grid, so the kernels' body does not run
+    problem = Path(__file__).resolve().parents[1] / "problems" / "minimal_r3.json"
+    code = (f"import contextlib, io, sys, types\n"
+            f"from lepage.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['check-lepage', '--kind', 'krupka', "
+            f"'--problem', {str(problem)!r}])\n"
+            f"print(code, [m for m in ('lepage.minimal', 'lepage._kernels') "
+            f"if type(sys.modules.get(m)) is types.ModuleType])")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 ['lepage.minimal']"
 
 
 def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
@@ -749,31 +804,60 @@ def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
     assert calls == [(31, 31)] * res.iterations
 
 
+def reachable(roots):
+    # objects reachable from roots through containers, instances, closures
+    # and default arguments, and from arrays to the arrays they view; not
+    # through modules, classes or a function's globals
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return out
+
+
 def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
-    # the solve is the memory peak of a Newton step; anything as large as a
-    # colour block of J kept alive by the solver adds to that peak.  J comes
-    # as five float64 coefficient fields per node
-    seen = []
-    factor_solve = lepage.minimal.spsolve
+    # BiCGSTAB runs at the memory peak of a Newton step.  The Jacobian forms
+    # its five float64 fields per node when a block is read; the solve
+    # reads them once to set up, and while BiCGSTAB runs no field and no
+    # float64 coefficient array of the fine grid is reachable from the
+    # solve's frames: _multigrid_solve, spsolve and the Newton loop
+    m, seen = lepage.minimal, []
+    inner = m._bicgstab
 
-    def inspecting_spsolve(S, b):
-        caller = sys._getframe(1)
-        owned = {id(Sc.fields) for Sc in S}
-        least = min(Sc.fields.size for Sc in S)
-        values = []
-        for v in caller.f_locals.values():
-            values.extend(v if isinstance(v, (tuple, list)) else [v])
-        large = [v for v in values if isinstance(v, np.ndarray)
-                 and v.size >= least and id(v) not in owned]
-        seen.append((caller.f_code.co_name,
-                     sum(Sc.fields.size for Sc in S), len(large)))
-        return factor_solve(S, b)
+    def inspecting_bicgstab(matvec, b, rtol, maxiter, psolve):
+        frames, frame = [], sys._getframe(1)
+        while frame.f_code.co_name != "test_solver_holds_no_copy_of_the_" \
+                "jacobian_while_factoring":
+            frames.append(frame)
+            frame = frame.f_back
+        names = [f.f_code.co_name for f in frames]
+        assert names[:2] == ["_multigrid_solve", "spsolve"]
+        mx, my = frames[0].f_locals["b"].shape
+        colours = {(len(range(p, mx, 2)), len(range(q, my, 2)))
+                   for p, q in _kernels.COLOURS}
+        held = [v for v in reachable([f.f_locals for f in frames])
+                if isinstance(v, _kernels.FiveFieldBlock)
+                or isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.ndim > 2 and v.shape[-2:] in colours]
+        seen.append((names, len(held)))
+        return inner(matvec, b, rtol, maxiter, psolve)
 
-    monkeypatch.setattr(lepage.minimal, "spsolve", inspecting_spsolve)
+    monkeypatch.setattr(m, "_bicgstab", inspecting_bicgstab)
     res = scherk_solution(33)
     assert res.converged
-    assert seen and all(name == "solve_minimal_surface" and size == 5 * 31 * 31
-                        and large == 0 for name, size, large in seen)
+    assert seen and all(names[2] == "solve_minimal_surface" and held == 0
+                        for names, held in seen)
 
 
 # Reference factor-solve: one float64 MMD-ordered SuperLU of the operator,
@@ -1059,20 +1143,22 @@ def traced_peak(fn, nodes):
 
 
 def test_newton_solve_and_conservation_check_hold_few_arrays():
-    # Scherk N=257, a grid that coarsens to 15 x 15.  Assembly holds the
-    # Jacobian's 5 float64 fields per node and the derivatives that the
-    # field being made needs.  The solve must hold those fields, their
-    # float32 9-point copy and the coarse float32 operators, u, the
-    # residual, the refinement iterate, the float32 Krylov vectors and the
-    # operator's scratch, and no copies of them; the conservation check and
-    # reconstruction hold the circulations and potentials they return plus
-    # one current pair at a time
+    # Scherk N=257, a grid that coarsens to 15 x 15.  The Jacobian forms a
+    # colour block when it is read, and forming one holds its fields, a
+    # quarter of 5 float64 values per node, and the derivatives that the
+    # field being made needs.  The solve holds all four blocks only while it
+    # sets up; while it corrects it must hold their float32 9-point copy and
+    # the coarse float32 operators, u, the residual, the refinement iterate,
+    # the float32 Krylov vectors and the operator's scratch, and no copies
+    # of them; the conservation check and reconstruction hold the
+    # circulations and potentials they return plus one current pair at a
+    # time
     scherk_solution(33)  # lazy set-up happens outside the reading
     N = 257
     bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES["scherk"])
+    S = _kernels.interior_jacobian_stencil(bound.values, bound.hx, bound.hy)
     _, assembly = traced_peak(
-        lambda: _kernels.interior_jacobian_stencil(bound.values, bound.hx,
-                                                   bound.hy), (N - 2) ** 2)
+        lambda: [S[c].fields.size for c in range(len(S))], (N - 2) ** 2)
     res, solve = traced_peak(
         lambda: solve_minimal_surface(bound, tol=1e-10, max_iter=12),
         (N - 2) ** 2)
@@ -1082,8 +1168,8 @@ def test_newton_solve_and_conservation_check_hold_few_arrays():
                  reconstruct_and_check(res.field)), (N - 2) ** 2)
     assert cons.passed() and rec.passed
     # float64 values per interior node
-    assert assembly <= 13.5
-    assert solve <= 21.0
+    assert assembly <= 4.0
+    assert solve <= 16.5
     assert check <= 18.0
 
 
