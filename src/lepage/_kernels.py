@@ -142,23 +142,38 @@ class FiveFieldBlock:
         return S
 
 
+# the fields are made in bands of about this many nodes, whose derivatives
+# stay in cache while each field is made from them
+_BAND_NODES = 16384
+
+
 def _colour_fields(u, hx, hy, p, q):
-    # FiveFieldBlock's five fields at the nodes of colour (p, q), from the
-    # derivatives of interior_residual taken on strided views of u.  Each
-    # field is written in place, operation by operation in the order of its
-    # formula (A/hx^2 is (1 + uy uy) / (hx hx), D/2hx is (2 ux uyy - 2 uy
-    # uxy) / (2 hx), and so on), and doubling is exact, so every entry is
-    # bit for bit the one that full-grid derivatives give
+    # FiveFieldBlock's five fields at the nodes of colour (p, q), band by
+    # band of its rows
     mx, my = u.shape[0] - 2, u.shape[1] - 2
+    F = np.empty((5, len(range(p, mx, 2)), len(range(q, my, 2))))
+    rows = max(1, _BAND_NODES // max(1, F.shape[2]))
+    for k in range(0, F.shape[1], rows):
+        _band_fields(u, hx, hy, p + 2 * k, q, F[:, k:k + rows])
+    return F
+
+
+def _band_fields(u, hx, hy, i, q, F):
+    # the fields F at the nodes i, i + 2, ... of rows and q, q + 2, ... of
+    # columns, from the derivatives of interior_residual taken on strided
+    # views of u.  Each field is written in place, operation by operation
+    # in the order of its formula (A/hx^2 is (1 + uy uy) / (hx hx), D/2hx is
+    # (2 ux uyy - 2 uy uxy) / (2 hx), and so on), and doubling is exact, so
+    # every entry is bit for bit the one that full-grid derivatives give
+    n, my = F.shape[1], u.shape[1] - 2
 
     def at(d, e):  # u at the neighbours (d - 1, e - 1) of the nodes
-        return u[p + d:mx + d:2, q + e:my + e:2]
+        return u[i + d:i + d + 2 * n - 1:2, q + e:my + e:2]
 
     ux = at(2, 1) - at(0, 1)
     ux /= 2.0 * hx
     uy = at(1, 2) - at(1, 0)
     uy /= 2.0 * hy
-    F = np.empty((5,) + ux.shape)
     ax, dx, by, ey, cxy = F
     np.multiply(uy, uy, out=ax)
     ax += 1.0
@@ -190,7 +205,6 @@ def _colour_fields(u, hx, hy, p, q):
     np.multiply(ux, uxy, out=second)
     ey -= second
     ey /= 2.0 * hy
-    return F
 
 
 class GraphJacobian(Sequence):

@@ -1145,8 +1145,8 @@ def traced_peak(fn, nodes):
 def test_newton_solve_and_conservation_check_hold_few_arrays():
     # Scherk N=257, a grid that coarsens to 15 x 15.  The Jacobian forms a
     # colour block when it is read, and forming one holds its fields, a
-    # quarter of 5 float64 values per node, and the derivatives that the
-    # field being made needs.  The solve holds all four blocks only while it
+    # quarter of 5 float64 values per node, and the derivatives of the band
+    # of its rows being made.  The solve holds all four blocks only while it
     # sets up; while it corrects it must hold their float32 9-point copy and
     # the coarse float32 operators, u, the residual, the refinement iterate,
     # the float32 Krylov vectors and the operator's scratch, and no copies
