@@ -147,17 +147,6 @@ class FiveFieldBlock:
 _BAND_NODES = 16384
 
 
-def _colour_fields(u, hx, hy, p, q):
-    # FiveFieldBlock's five fields at the nodes of colour (p, q), band by
-    # band of its rows
-    mx, my = u.shape[0] - 2, u.shape[1] - 2
-    F = np.empty((5, len(range(p, mx, 2)), len(range(q, my, 2))))
-    rows = max(1, _BAND_NODES // max(1, F.shape[2]))
-    for k in range(0, F.shape[1], rows):
-        _band_fields(u, hx, hy, p + 2 * k, q, F[:, k:k + rows])
-    return F
-
-
 def _band_fields(u, hx, hy, i, q, F):
     # the fields F at the nodes i, i + 2, ... of rows and q, q + 2, ... of
     # columns, from the derivatives of interior_residual taken on strided
@@ -221,10 +210,13 @@ class GraphJacobian(Sequence):
         return len(COLOURS)
 
     def __getitem__(self, c):
-        p, q = COLOURS[c]
-        mx, my = self.u.shape[0] - 2, self.u.shape[1] - 2
-        return FiveFieldBlock(_colour_fields(self.u, self.hx, self.hy, p, q),
-                              _edges(p, mx), _edges(q, my))
+        (p, q), u = COLOURS[c], self.u
+        mx, my = u.shape[0] - 2, u.shape[1] - 2
+        F = np.empty((5, len(range(p, mx, 2)), len(range(q, my, 2))))
+        rows = max(1, _BAND_NODES // max(1, F.shape[2]))
+        for k in range(0, F.shape[1], rows):
+            _band_fields(u, self.hx, self.hy, p + 2 * k, q, F[:, k:k + rows])
+        return FiveFieldBlock(F, _edges(p, mx), _edges(q, my))
 
 
 @lru_cache(maxsize=None)

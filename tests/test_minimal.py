@@ -827,22 +827,18 @@ def reachable(roots):
 
 
 def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
-    # BiCGSTAB runs at the memory peak of a Newton step.  The Jacobian forms
-    # its five float64 fields per node when a block is read; the solve
-    # reads them once to set up, and while BiCGSTAB runs no field and no
-    # float64 coefficient array of the fine grid is reachable from the
-    # solve's frames: _multigrid_solve, spsolve and the Newton loop
+    # BiCGSTAB runs within a few percent of a Newton step's memory peak and
+    # for most of its time.  The Jacobian forms its five float64 fields per
+    # node when a block is read; the solve reads them once to set up, and
+    # while BiCGSTAB runs no field and no float64 coefficient array of the
+    # fine grid is reachable from the solve's frames: _multigrid_solve,
+    # spsolve and the Newton loop
     m, seen = lepage.minimal, []
     inner = m._bicgstab
 
     def inspecting_bicgstab(matvec, b, rtol, maxiter, psolve):
-        frames, frame = [], sys._getframe(1)
-        while frame.f_code.co_name != "test_solver_holds_no_copy_of_the_" \
-                "jacobian_while_factoring":
-            frames.append(frame)
-            frame = frame.f_back
-        names = [f.f_code.co_name for f in frames]
-        assert names[:2] == ["_multigrid_solve", "spsolve"]
+        caller = sys._getframe(1)
+        frames = [caller, caller.f_back, caller.f_back.f_back]
         mx, my = frames[0].f_locals["b"].shape
         colours = {(len(range(p, mx, 2)), len(range(q, my, 2)))
                    for p, q in _kernels.COLOURS}
@@ -850,14 +846,14 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
                 if isinstance(v, _kernels.FiveFieldBlock)
                 or isinstance(v, np.ndarray) and v.dtype == np.float64
                 and v.ndim > 2 and v.shape[-2:] in colours]
-        seen.append((names, len(held)))
+        seen.append(([f.f_code.co_name for f in frames], len(held)))
         return inner(matvec, b, rtol, maxiter, psolve)
 
     monkeypatch.setattr(m, "_bicgstab", inspecting_bicgstab)
     res = scherk_solution(33)
     assert res.converged
-    assert seen and all(names[2] == "solve_minimal_surface" and held == 0
-                        for names, held in seen)
+    solver = ["_multigrid_solve", "spsolve", "solve_minimal_surface"]
+    assert seen and all(names == solver and held == 0 for names, held in seen)
 
 
 # Reference factor-solve: one float64 MMD-ordered SuperLU of the operator,
