@@ -215,11 +215,11 @@ class GridField:
         # the stencils divide by these products, and the floor and the gate
         # square the spacings
         hx, hy = self.hx, self.hy
-        if not all(0.0 < h2 < float("inf")
+        if not all(0.0 < h2 < float("inf") and 1.0 / h2 < float("inf")
                    for h2 in (hx * hx, hy * hy, hx * hy)):
             raise ValueError(f"grid spacings hx = {hx!r}, hy = {hy!r} are out "
-                             f"of range: hx*hx, hy*hy and hx*hy must be "
-                             f"positive and finite")
+                             f"of range: hx*hx, hy*hy and hx*hy and their "
+                             f"reciprocals must be positive and finite")
 
     @property
     def nx(self) -> int:
@@ -335,42 +335,33 @@ BUILTIN_SURFACES: dict[str, Callable] = {
 # Newton solver
 # ---------------------------------------------------------------------------
 
-# scipy is imported only by spsolve's float64 fallback, so processes that
-# never fall back do not pay for it; the solver looks spsolve and
-# csr_matrix up as module globals.
-
+# not called by lepage: perfbench's tracer wraps it by name
 def csr_matrix(*args, **kwargs):
     """scipy.sparse.csr_matrix, imported on first call."""
     from scipy.sparse import csr_matrix as _csr_matrix
     return _csr_matrix(*args, **kwargs)
 
 
-def _stencil_csr(S, mx: int, my: int):
-    """The 9-point operator S on an (mx, my) grid as a CSR matrix, with row
-    and column i*my + j for node (i, j)."""
-    return csr_matrix(_kernels.stencil_coo(S, mx, my), shape=(mx * my,) * 2)
-
-
 _REFINE_STEPS = 30  # LAPACK dsgesv's ITERMAX
 _COARSEST_SIDE = 15  # grids with no longer side are solved directly
-_INNER_RTOL = 1e-3   # float32 BiCGSTAB's relative residual target per outer step
+_INNER_RTOL = 1e-3   # BiCGSTAB's relative residual target per outer step
 _INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
 
 
-def _coarse_solver(S, mx: int, my: int):
-    """A float32 solve f -> x of S x = f on an (mx, my) grid, or None.
+def _coarse_solver(S, mx: int, my: int, dtype):
+    """A solve f -> x of S x = f on an (mx, my) grid in ``dtype``, or None.
 
     The grid has at most _COARSEST_SIDE ** 2 nodes, so the matrix is
-    inverted densely.  None means an entry beyond float32 range or a matrix
-    that float32 finds singular.
+    inverted densely.  None means an entry beyond the range of ``dtype`` or
+    a matrix that ``dtype`` finds singular.
     """
     data, (rows, cols) = _kernels.stencil_coo(S, mx, my)
     with np.errstate(over="ignore"):
-        data32 = data.astype(np.float32)
-    if not np.all(np.isfinite(data32)):
+        data = data.astype(dtype)
+    if not np.all(np.isfinite(data)):
         return None
-    A = np.zeros((mx * my,) * 2, dtype=np.float32)
-    A[rows, cols] = data32
+    A = np.zeros((mx * my,) * 2, dtype=dtype)
+    A[rows, cols] = data
     try:
         inverse = np.linalg.inv(A)
     except np.linalg.LinAlgError:  # "Singular matrix"
@@ -474,21 +465,21 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
     return x
 
 
-def _multigrid_solve(S, b: np.ndarray):
-    """x with S x = b by float64 refinement of float32 corrections, or None.
+def _multigrid_solve(S, b: np.ndarray, dtype):
+    """x with S x = b by float64 refinement of ``dtype`` corrections, or None.
 
     S serves only the float64 refinement residual b - S x, the test's
     ||S|| and the Galerkin product of the first coarse level.  The set-up
-    reads S's blocks once into a list, for ||S||, that product and a
-    float32 copy in this order, and drops the list before the first
+    reads S's blocks once into a list, for ||S||, that product and a copy
+    in ``dtype`` in this order, and drops the list before the first
     correction; the residual then reads S one block at a time, so a
     Jacobian that forms its blocks when read (``_kernels.GraphJacobian``)
     holds no more than one colour's fields while the corrections run.  The
-    corrections run in float32, on the float32 copy of S and on coarse
-    operators that are each made in float64 from the next finer one and
-    kept in float32.  Returns None when an operator is beyond float32
-    range, the coarsest solve cannot be made, or a step does not shrink the
-    residual or the test still fails after the first solve and
+    corrections run in ``dtype``, on the copy of S and on coarse operators
+    that are each made in float64 from the next finer one and kept in
+    ``dtype``.  Returns None when an operator is beyond the range of
+    ``dtype``, the coarsest solve cannot be made, or a step does not shrink
+    the residual or the test still fails after the first solve and
     _REFINE_STEPS refinements.
     """
     k = _kernels
@@ -498,16 +489,16 @@ def _multigrid_solve(S, b: np.ndarray):
     stencils = []
     for fine, shape in zip(shapes, shapes[1:]):
         # the Galerkin product first, so that the probe's scratch and the
-        # float32 copy are not held at once
+        # copy are not held at once
         coarser = k.probe_stencil(
             lambda e, finer=level: k.restrict(
                 k.stencil_apply(finer, k.prolong(e, fine)), shape), *shape)
-        stencils.append(k.stencil_blocks(level, np.float32))
+        stencils.append(k.stencil_blocks(level, dtype))
         if not all(np.isfinite(Sc).all() for Sc in stencils[-1]):
             return None
         level = coarser
     stencils.append(level)  # the coarsest, solved by `coarse` alone
-    coarse = _coarse_solver(level, *shapes[-1])
+    coarse = _coarse_solver(level, *shapes[-1], dtype)
     if coarse is None:
         return None
 
@@ -529,14 +520,14 @@ def _multigrid_solve(S, b: np.ndarray):
         last = rmax
         if len(stencils) == 1:  # the coarse solve itself
             with np.errstate(over="ignore"):
-                x += coarse(r.ravel().astype(np.float32)).reshape(b.shape)
+                x += coarse(r.ravel().astype(dtype)).reshape(b.shape)
             continue
         # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale;
         # once the test holds, one more correction settles x further inside
         # it, where a float64 inner solve would have left it
         with np.errstate(all="ignore"):
             r /= rmax
-            r = r.astype(np.float32)
+            r = r.astype(dtype)
             y = _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve)
             x += rmax * y.reshape(b.shape)
         if passed:
@@ -571,22 +562,16 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     smoother is four-colour Gauss-Seidel; once the test holds, one more
     correction is made.  When this fails -- S or b outside float32 range, a
     float32 matrix that is singular, or a loop that stalls or does not
-    reach the test -- S is factored in float64 by an MMD-ordered SuperLU
-    with panels of 4 columns.
-    Only an exactly singular float64 factor gives a non-finite x, as
-    scipy's spsolve does.  scipy is imported only for that factor, so a
-    solve that needs no fallback loads none of it.
+    reach the test -- the same solve runs again with float64 in place of
+    float32 throughout: the copy of S, the coarse operators, the dense
+    coarse inverse, the V-cycle and BiCGSTAB.  When that fails as well, x
+    is all NaN.
     """
-    x = _multigrid_solve(S, b)
-    if x is not None:
-        return x
-    from scipy.sparse.linalg import splu
-    try:
-        lu = splu(_stencil_csr(S, *b.shape).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A", panel_size=4)
-    except RuntimeError:  # "Factor is exactly singular"
-        return np.full(b.size, np.nan)
-    return lu.solve(b.ravel())
+    for dtype in (np.float32, np.float64):
+        x = _multigrid_solve(S, b, dtype)
+        if x is not None:
+            return x
+    return np.full(b.size, np.nan)
 
 
 @dataclass

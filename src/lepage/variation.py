@@ -1,9 +1,9 @@
 """Vector fields along the configuration space and their variational role.
 
-Prolongation to jet and quotient-chart coordinates, closed-form flows for
-constant and linear fields, the invariance residual modulo the contact
-ideal, Noether currents, and tensor-product quadrature checks of the first
-variation formula and of reparameterization invariance.
+Prolongation to jet and quotient-chart coordinates, the invariance
+residual modulo the contact ideal, Noether currents, and tensor-product
+quadrature checks of the first variation formula and of
+reparameterization invariance.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
 from .equivalents import HorizontalNForm, Lagrangian, euler_lagrange, \
     lagrangian_of
 from .expr import (
-    EqualResult, Expr, PointAssignment, Sym, ZERO, const, diff, evaluate,
+    EqualResult, Expr, PointAssignment, Sym, ZERO, const, evaluate,
     expr_sum, free_symbols, substitute, sym_expr, x,
 )
 from .forms import (
@@ -27,7 +27,7 @@ from .forms import (
 __all__ = [
     "VectorFieldSpec", "FirstVariationReport",
     "prolong_jet", "prolong_grassmann", "noether_residual",
-    "is_invariance_generator", "noether_current", "flow",
+    "is_invariance_generator", "noether_current",
     "first_variation_check", "reparameterization_invariance",
 ]
 
@@ -66,28 +66,6 @@ class VectorFieldSpec:
 
     def component(self, K: int) -> Expr:
         return self.components[K - 1]
-
-    @property
-    def is_constant(self) -> bool:
-        return all(not free_symbols(c) for c in self.components)
-
-    def linear_matrix(self) -> np.ndarray | None:
-        """Coefficient matrix when every component is linear homogeneous."""
-        M = self.chart.M
-        out = np.zeros((M, M))
-        for K in range(1, M + 1):
-            comp = self.component(K)
-            rebuilt = ZERO
-            for L in range(1, M + 1):
-                c = diff(comp, Sym("y", L))
-                val = c.as_fraction()
-                if val is None:
-                    return None
-                out[K - 1][L - 1] = float(val)
-                rebuilt = rebuilt + c * sym_expr(Sym("y", L))
-            if not (rebuilt - comp).is_zero:
-                return None
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +109,6 @@ def prolong_grassmann(xi: VectorFieldSpec, ad: AdaptedChart) -> VectorField:
                 for p in ad.selected)
             comps[Sym("w1", sig, it)] = value
     return VectorField(chart, comps, adapted=ad)
-
-
-# ---------------------------------------------------------------------------
-# closed-form flows
-# ---------------------------------------------------------------------------
-
-def flow(xi: VectorFieldSpec, t: float, values: np.ndarray
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """Flow map and its derivative matrix at time t.
-
-    Available for constant fields (translations) and linear homogeneous
-    fields (matrix exponentials); other fields have no closed-form flow.
-    """
-    M = xi.chart.M
-    values = np.asarray(values, dtype=float)
-    if xi.is_constant:
-        shift = np.array([evaluate(xi.component(K), PointAssignment({}))
-                          for K in range(1, M + 1)])
-        return values + t * shift, np.eye(M)
-    A = xi.linear_matrix()
-    if A is None:
-        raise ChartError("closed-form flow needs a constant or linear field")
-    from scipy.linalg import expm
-    T = expm(t * A)
-    return T @ values, T
 
 
 # ---------------------------------------------------------------------------

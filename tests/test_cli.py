@@ -496,10 +496,13 @@ def test_minsurf_degenerate_domain(capsys):
     ["--boundary", "plane", "--domain=0,1e-170,0,1"],
     ["--boundary", "paraboloid", "--domain=0,1e-170,0,1"],
     ["--boundary", "plane", "--domain=0,1e200,0,1e200"],
+    ["--boundary", "paraboloid", "--domain=0,1e-159,0,1e-159"],
+    ["--boundary", "scherk", "--domain=0,1e-159,0,1e-159"],
 ])
 def test_minsurf_rejects_grid_spacings_that_square_to_0_or_inf(capsys, argv):
     # the floor and the gate square the spacings; hx * hx underflows to 0
-    # at 1e-170 / 8 and overflows at 1e200 / 8
+    # at 1e-170 / 8 and overflows at 1e200 / 8, and at 1e-159 / 8 it is
+    # subnormal, so the stencils' 1 / (hx * hx) overflows
     code, out, err = run_cli(capsys, "minsurf", "--grid", "9", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: domain [")

@@ -9,8 +9,8 @@ import pytest
 
 from lepage.charts import AdaptedChart, ChartError, JetChart
 from lepage.expr import (
-    ONE, PointAssignment, Sym, ZERO, const, equal, evaluate, expr_sum,
-    sqrt_expr, sym_expr, wj, x, yj, yy,
+    ONE, PointAssignment, Sym, ZERO, const, diff, equal, evaluate, expr_sum,
+    free_symbols, sqrt_expr, sym_expr, wj, x, yj, yy,
 )
 from lepage.forms import (
     FormError, Immersion, dw, ext_d, form, form_equal, pullback_immersion,
@@ -21,7 +21,7 @@ from lepage.equivalents import (
 )
 from lepage.homogeneity import grassmann_form
 from lepage.variation import (
-    VectorFieldSpec, first_variation_check, flow, is_invariance_generator,
+    VectorFieldSpec, first_variation_check, is_invariance_generator,
     noether_current, noether_residual, prolong_grassmann, prolong_jet,
     reparameterization_invariance,
 )
@@ -48,6 +48,51 @@ GRASSMANN_SPEED = sqrt_expr(ONE + wj(3, 1) ** 2 + wj(3, 2) ** 2)
 
 
 # ---------------------------------------------------------------------------
+# closed-form flows of constant and linear fields, the oracle for the
+# prolonged fields
+# ---------------------------------------------------------------------------
+
+def is_constant(xi: VectorFieldSpec) -> bool:
+    return all(not free_symbols(c) for c in xi.components)
+
+
+def linear_matrix(xi: VectorFieldSpec) -> np.ndarray | None:
+    """Coefficient matrix when every component is linear homogeneous."""
+    M = xi.chart.M
+    out = np.zeros((M, M))
+    for K in range(1, M + 1):
+        comp = xi.component(K)
+        rebuilt = ZERO
+        for L in range(1, M + 1):
+            c = diff(comp, Sym("y", L))
+            val = c.as_fraction()
+            if val is None:
+                return None
+            out[K - 1][L - 1] = float(val)
+            rebuilt = rebuilt + c * sym_expr(Sym("y", L))
+        if not (rebuilt - comp).is_zero:
+            return None
+    return out
+
+
+def flow(xi: VectorFieldSpec, t: float, values: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Flow map and its derivative matrix at time t: a translation for a
+    constant field, a matrix exponential for a linear homogeneous one."""
+    M = xi.chart.M
+    values = np.asarray(values, dtype=float)
+    if is_constant(xi):
+        shift = np.array([evaluate(xi.component(K), PointAssignment({}))
+                          for K in range(1, M + 1)])
+        return values + t * shift, np.eye(M)
+    A = linear_matrix(xi)
+    if A is None:
+        raise ChartError("closed-form flow needs a constant or linear field")
+    T = pytest.importorskip("scipy.linalg").expm(t * A)
+    return T @ values, T
+
+
+# ---------------------------------------------------------------------------
 # field declarations
 # ---------------------------------------------------------------------------
 
@@ -62,13 +107,13 @@ def test_field_spec_validation():
 
 def test_field_constructors():
     c = VectorFieldSpec.constant(CH11, (2, -1))
-    assert c.is_constant
+    assert is_constant(c)
     assert equal(c.component(1), const(2))
     rot = VectorFieldSpec.linear(CH11, [[0, -1], [1, 0]])
-    assert not rot.is_constant
-    A = rot.linear_matrix()
+    assert not is_constant(rot)
+    A = linear_matrix(rot)
     assert A is not None and A[0][1] == -1.0 and A[1][0] == 1.0
-    assert VectorFieldSpec(CH11, (yy(1) ** 2, ZERO)).linear_matrix() is None
+    assert linear_matrix(VectorFieldSpec(CH11, (yy(1) ** 2, ZERO))) is None
 
 
 # ---------------------------------------------------------------------------
