@@ -27,6 +27,6 @@ def lazy(name: str):
     return module
 
 
-# _kernels, minimal, variation, acceptance and cli take np from here, so the
-# symbolic commands never run numpy.
+# _kernels, minimal, variation, acceptance and cli take np from here (the
+# exact layers and metric do not), so the symbolic commands never run numpy.
 np = lazy("numpy")

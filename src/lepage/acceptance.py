@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from ._numpy import np
+from ._numpy import lazy, np
 from .charts import AdaptedChart, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _lepage_verdict,
                           caratheodory, euler_lagrange, fundamental,
@@ -26,12 +26,12 @@ from .forms import (DiffForm, Immersion, dx, dy, ext_d, form, form_equal,
                     horizontalize, om, pullback_immersion, to_contact,
                     to_coordinate, wedge, zero_form)
 from .homogeneity import grassmann_form, zermelo_residuals
-from .minimal import (BUILTIN_SURFACES, GridField, MetricSpec,
-                      conservation_residuals, graph_el_residual, krupka_form,
-                      minimal_lagrangian, reconstruct_and_check, scherk_expr,
-                      solve_minimal_surface, verify_coincidence)
+from .metric import (MetricSpec, graph_el_residual, krupka_form,
+                     minimal_lagrangian, scherk_expr, verify_coincidence)
 from .variation import (VectorFieldSpec, first_variation_check, noether_current,
                         noether_residual, reparameterization_invariance)
+
+minimal = lazy("lepage.minimal")  # run by the first grid criterion
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "run_one"]
 
@@ -93,8 +93,9 @@ def _jacobian_lagrangian() -> Lagrangian:
 
 
 def _scherk_solve(N: int):
-    bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES["scherk"])
-    return solve_minimal_surface(bound, tol=1e-10, max_iter=12)
+    bound = minimal.GridField.dirichlet(SQUARE, (N, N),
+                                        minimal.BUILTIN_SURFACES["scherk"])
+    return minimal.solve_minimal_surface(bound, tol=1e-10, max_iter=12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +258,8 @@ def _newton_convergence(seed: int) -> tuple[bool, str]:
     ok = True
     for N in (17, 33, 65):
         res = _scherk_solve(N)
-        exact = GridField.from_function(SQUARE, (N, N),
-                                        BUILTIN_SURFACES["scherk"]).values
+        exact = minimal.GridField.from_function(
+            SQUARE, (N, N), minimal.BUILTIN_SURFACES["scherk"]).values
         errors.append(float(np.abs(res.field.values - exact).max()))
         iters.append(res.iterations)
         ok = ok and res.converged and res.final_residual < 1e-10
@@ -273,15 +274,15 @@ def _newton_convergence(seed: int) -> tuple[bool, str]:
 def _conservation_gates(seed: int) -> tuple[bool, str]:
     """Converged currents pass the cell gates; a non-solution fails them."""
     solved = _scherk_solve(65)
-    cons = conservation_residuals(solved.field)
-    rec = reconstruct_and_check(solved.field)
+    cons = minimal.conservation_residuals(solved.field)
+    rec = minimal.reconstruct_and_check(solved.field)
     gate = cons.gate(10.0)
     ok = solved.converged and cons.passed(10.0) and rec.passed
-    parab = GridField.from_function(SQUARE, (65, 65),
-                                    BUILTIN_SURFACES["paraboloid"])
-    pcons = conservation_residuals(parab)
+    parab = minimal.GridField.from_function(
+        SQUARE, (65, 65), minimal.BUILTIN_SURFACES["paraboloid"])
+    pcons = minimal.conservation_residuals(parab)
     # run the control far past the gates so every stage residual is populated
-    prec = reconstruct_and_check(parab, gate_factor=1e30)
+    prec = minimal.reconstruct_and_check(parab, gate_factor=1e30)
     ok = ok and not pcons.passed(10.0) and prec.rovnice_residual > gate
     return ok, (f"converged solution: max circulation {cons.max_circulation:.3e} "
                 f"and relation residual {rec.rovnice_residual:.3e} under gate "

@@ -29,7 +29,7 @@ from .forms import (DiffForm, FormError, Immersion, ext_d, form_equal,
                     form_to_json, pullback_immersion, zero_form)
 
 if TYPE_CHECKING:
-    from .minimal import MetricSpec
+    from .metric import MetricSpec
     from .variation import VectorFieldSpec
 
 # The other layers run their module bodies when a command first uses them,
@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 # there right after `import lepage.cli`.
 acceptance = lazy("lepage.acceptance")
 homogeneity = lazy("lepage.homogeneity")
+metric = lazy("lepage.metric")
 minimal = lazy("lepage.minimal")
 variation = lazy("lepage.variation")
 
@@ -133,12 +134,12 @@ def _parse_metric(obj: object, chart: JetChart) -> MetricSpec:
             _expect(obj["dim"] == chart.M,
                     f"metric dimension {obj.get('dim')} does not match the "
                     f"chart fiber dimension {chart.M}")
-            return minimal.MetricSpec.euclidean(chart.M)
+            return metric.MetricSpec.euclidean(chart.M)
         if kind == "diagonal":
             entries = obj.get("entries")
             _expect(isinstance(entries, list) and len(entries) == chart.M,
                     f"diagonal metric needs {chart.M} entries")
-            return minimal.MetricSpec.diagonal(*[
+            return metric.MetricSpec.diagonal(*[
                 _parse_expr(e, chart, "metric entry") for e in entries])
         if kind == "matrix":
             entries = obj.get("entries")
@@ -150,7 +151,7 @@ def _parse_metric(obj: object, chart: JetChart) -> MetricSpec:
                         f"matrix metric rows need {chart.M} entries")
                 rows.append(tuple(_parse_expr(e, chart, "metric entry")
                                   for e in row))
-            return minimal.MetricSpec(tuple(rows))
+            return metric.MetricSpec(tuple(rows))
     except (ChartError, ExprError) as ex:
         raise ProblemError(f"metric: {ex}") from ex
     raise ProblemError(f"unknown metric kind {kind!r}")
@@ -184,11 +185,11 @@ def load_problem(path: str | Path) -> ProblemSpec:
     has_lagrangian = "lagrangian" in raw
     _expect(has_metric != has_lagrangian,
             "problem file must declare exactly one of 'metric' or 'lagrangian'")
-    metric: MetricSpec | None = None
+    g: MetricSpec | None = None
     if has_metric:
-        metric = _parse_metric(raw["metric"], chart)
+        g = _parse_metric(raw["metric"], chart)
         try:
-            lagrangian = minimal.minimal_lagrangian(metric, chart.n)
+            lagrangian = metric.minimal_lagrangian(g, chart.n)
         except (ChartError, ExprError) as ex:
             raise ProblemError(f"metric: {ex}") from ex
     else:
@@ -223,7 +224,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
     _expect(isinstance(solver, dict) and set(solver) <= _SOLVER_KEYS,
             f"solver block accepts keys {sorted(_SOLVER_KEYS)}")
 
-    return ProblemSpec(chart, lagrangian, metric, tuple(fields), immersion,
+    return ProblemSpec(chart, lagrangian, g, tuple(fields), immersion,
                        dict(solver), raw.get("seed", 0), raw.get("tol", 1e-9),
                        raw.get("trials", 20))
 
@@ -327,7 +328,7 @@ def _build_equivalent(kind: str, prob: ProblemSpec, *, seed: int, tol: float,
     if kind == "krupka":
         if prob.metric is None:
             raise ProblemError("kind 'krupka' needs a metric problem")
-        return kind, minimal.krupka_form(prob.metric, prob.chart.n).form
+        return kind, metric.krupka_form(prob.metric, prob.chart.n).form
     raise ProblemError(f"unknown equivalent kind {kind!r}")
 
 
@@ -421,13 +422,17 @@ def _cmd_noether(args: argparse.Namespace) -> int:
     seed, tol, trials = _sampling(args, prob)
     adapted = AdaptedChart(prob.chart, tuple(range(1, prob.chart.n + 1)))
     WG = homogeneity.grassmann_form(
-        minimal.krupka_form(prob.metric, prob.chart.n), adapted)
+        metric.krupka_form(prob.metric, prob.chart.n), adapted)
     entries = []
     currents = []
     witness = None
     for pos, xi in enumerate(prob.fields):
-        invariant = bool(variation.is_invariance_generator(
-            xi, WG, trials=trials, tol=tol, seed=seed))
+        # built once: the verdict, and the witness if this field fails first
+        residual = variation.noether_residual(xi, WG)
+        invariant = bool(form_equal(
+            residual, zero_form(residual.chart, residual.degree, residual.mode,
+                                adapted=residual.adapted),
+            trials=trials, tol=tol, seed=seed))
         current = variation.noether_current(xi, WG)
         currents.append(current)
         entry = {
@@ -441,8 +446,7 @@ def _cmd_noether(args: argparse.Namespace) -> int:
             entry["closed_along_immersion"] = bool(form_equal(
                 closure, zero, trials=trials, tol=tol, seed=seed))
         if not invariant and witness is None:
-            witness = {"field": pos, "residual":
-                       form_to_json(variation.noether_residual(xi, WG))}
+            witness = {"field": pos, "residual": form_to_json(residual)}
         entries.append(entry)
     passed = all(e["invariant"] for e in entries)
     if args.format == "latex":

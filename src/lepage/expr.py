@@ -1297,11 +1297,39 @@ def _resolve_coord(name: str) -> Sym | None:
     return None
 
 
+# parentheses and function applications together; each level costs the
+# parser four frames and later passes over the tree more
+MAX_NESTING = 100
+
+
+def _number(text: str, off: int) -> Fraction:
+    # int() and Fraction() refuse integers past Python's digit limit, and
+    # the token pattern admits a decimal numerator such as 1.5/2
+    try:
+        if "/" not in text:
+            return Fraction(text)
+        p, q = text.split("/")
+        if int(q) == 0:
+            raise ParseError("zero denominator in rational literal", off)
+        return Fraction(int(p), int(q))
+    except ValueError:
+        shown = (repr(text) if len(text) <= 24 else
+                 f"'{text[:10]}...{text[-10:]}' of {len(text)} characters")
+        raise ParseError(f"cannot read the number {shown}", off) from None
+
+
 class _Parser:
     def __init__(self, text: str, chart=None):
         self.toks = _Tokens(text)
         self.chart = chart
         self.arities: dict[str, int] = {}
+        self.depth = 0
+
+    def open_group(self, off: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"more than {MAX_NESTING} nested parentheses "
+                             f"and function applications", off)
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -1352,23 +1380,18 @@ class _Parser:
                 kind, text, off = self.toks.next()
             if kind != "NUMBER" or any(ch in text for ch in "./"):
                 raise ParseError("exponent must be an integer", off)
-            return base ** (sign * int(text))
+            return base ** (sign * int(_number(text, off)))
         return base
 
     def atom(self) -> Expr:
         kind, text, off = self.toks.next()
         if kind == "NUMBER":
-            if "/" in text:
-                p, q = text.split("/")
-                if int(q) == 0:
-                    raise ParseError("zero denominator in rational literal", off)
-                return const(Fraction(int(p), int(q)))
-            if "." in text:
-                return const(Fraction(text))
-            return const(int(text))
+            return const(_number(text, off))
         if text == "(":
+            self.open_group(off)
             e = self.expr()
             self.toks.expect(")")
+            self.depth -= 1
             return e
         if kind != "IDENT":
             raise ParseError(f"unexpected token {text!r}", off)
@@ -1383,6 +1406,7 @@ class _Parser:
 
     def application(self, name: str, off: int) -> Expr:
         self.toks.expect("(")
+        self.open_group(off)
         args = [self.expr()]
         while True:
             kind, text, aoff = self.toks.peek()
@@ -1392,6 +1416,7 @@ class _Parser:
             else:
                 break
         self.toks.expect(")")
+        self.depth -= 1
         if name == "sqrt":
             if len(args) != 1:
                 raise ParseError("sqrt takes one argument", off)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import lepage.acceptance
+import lepage.metric
 import lepage.minimal
+import lepage.variation
 from lepage import cli
 from lepage.acceptance import CriterionResult
 from lepage.cli import main
@@ -18,6 +20,7 @@ from lepage.expr import EqualResult, ONE, const, sqrt_expr
 from lepage.forms import DiffForm, dw, dx
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 MINIMAL = str(PROBLEMS / "minimal_r3.json")
 ARCLENGTH = str(PROBLEMS / "arclength_r2.json")
 
@@ -302,6 +305,24 @@ def test_sampling_flags_are_checked_after_overriding_the_file(capsys,
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("command", ["derive-el", "check-zermelo"])
+@pytest.mark.parametrize("lagrangian, message", [
+    ("(" * 250 + "y1_1" + ")" * 250,
+     "lagrangian: more than 100 nested parentheses and function "
+     "applications (at offset 100)"),
+    ("1" * 4400 + "*y1_1",
+     "lagrangian: cannot read the number '1111111111...1111111111' of "
+     "4400 characters (at offset 0)"),
+])
+def test_unparseable_lagrangians_exit_2(capsys, tmp_path, command, lagrangian,
+                                        message):
+    path = write_problem(tmp_path, {"chart": {"n": 1, "m": 1},
+                                    "lagrangian": lagrangian})
+    code, out, err = run_cli(capsys, command, "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [("derive-el", "--problem", ARCLENGTH),
                                   ("noether", "--problem", MINIMAL)])
 @pytest.mark.parametrize("flags, message", [
@@ -316,7 +337,7 @@ def test_derive_el_and_noether_reject_bad_sampling_flags(
     def unreachable(*args, **kwargs):
         raise AssertionError("built the Krupka form before checking flags")
 
-    monkeypatch.setattr(lepage.minimal, "krupka_form", unreachable)
+    monkeypatch.setattr(lepage.metric, "krupka_form", unreachable)
     code, out, err = run_cli(capsys, *argv, *flags)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
@@ -360,6 +381,27 @@ def test_noether_scaling_field_fails(capsys, tmp_path):
     assert code == 1
     assert report["passed"] is False
     assert report["witness"]["field"] == 0
+
+
+def test_noether_builds_each_invariance_residual_once(capsys, tmp_path,
+                                                     monkeypatch):
+    # a translation and a rotation are isometries, a scaling of y1 is not;
+    # each residual decides its field's verdict, and the failing one is also
+    # the witness, so three fields take three residuals
+    build = lepage.variation.noether_residual
+    calls = []
+
+    def counting_residual(xi, eta):
+        calls.append(xi)
+        return build(xi, eta)
+
+    monkeypatch.setattr(lepage.variation, "noether_residual", counting_residual)
+    path = write_problem(tmp_path, base_problem(
+        fields=[["1", "0", "0"], ["y2", "-y1", "0"], ["y1", "0", "0"]]))
+    code, out, err = run_cli(capsys, "noether", "--problem", path)
+    assert (code, err) == (1, "")
+    assert len(calls) == 3
+    assert out == (GOLDEN / "noether_failing_field.out").read_text()
 
 
 def test_noether_residual_zero_but_not_canonical(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from lepage.equivalents import (
     fundamental_homogeneous, hilbert_caratheodory, is_lepage, lagrangian_of,
     poincare_cartan,
 )
-from lepage.minimal import MetricSpec, krupka_form, minimal_lagrangian
+from lepage.metric import MetricSpec, krupka_form, minimal_lagrangian
 
 CH21 = JetChart(n=2, m=1, order=1)
 CH22 = JetChart(n=2, m=2, order=1)

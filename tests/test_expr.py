@@ -366,6 +366,30 @@ def test_parse_errors_carry_offsets():
         parse("F(x1) + F(x1, x2)")  # inconsistent arity
 
 
+def test_parse_nesting_limit_counts_groups_and_applications():
+    assert parse("(" * 100 + "x1" + ")" * 100) == x(1)
+    with pytest.raises(ParseError, match="more than 100 nested") as err:
+        parse("(" * 101 + "x1" + ")" * 101)
+    assert err.value.offset == 100
+    nested = yy(1)
+    for _ in range(50):
+        nested = sqrt_expr(nested)
+    assert parse("sqrt(" * 50 + "(" * 50 + "y1" + ")" * 100) == nested
+    with pytest.raises(ParseError, match="more than 100 nested"):
+        parse("sqrt(" * 50 + "(" * 51 + "y1" + ")" * 101)
+    with pytest.raises(ParseError, match="more than 100 nested"):
+        parse("(" * 250 + "x1" + ")" * 250)
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 4400, "1/" + "3" * 4400, "2" * 4400 + "/3", "0." + "5" * 4400,
+    "x1^" + "2" * 4400, "1.5/2",
+])
+def test_parse_unreadable_numbers_raise_parse_error(text):
+    with pytest.raises(ParseError, match="cannot read the number"):
+        parse(text)
+
+
 def test_parse_chart_validation():
     from lepage.charts import JetChart
     chart = JetChart(n=2, m=1, order=1)

@@ -1,4 +1,6 @@
-"""Tests for the minimal-submanifold module, symbolic and numeric."""
+"""Tests for the minimal-submanifold example: the metric area Lagrangians,
+their Lepage forms and the symbolic graph equation (``lepage.metric``), and
+the numeric graph workbench (``lepage.minimal``)."""
 
 from __future__ import annotations
 
@@ -22,12 +24,11 @@ from lepage.expr import (ONE, PointAssignment, Sym, atan_expr, const, equal,
                          evaluate, exp_expr, expr_sum, sqrt_expr, substitute,
                          x, yj, yy)
 from lepage.homogeneity import zermelo_residuals
-from lepage.minimal import (BUILTIN_SURFACES, GridField,
-                            MetricSpec, coincidence_report,
-                            conservation_residuals, graph_el_residual,
-                            krupka_form, minimal_lagrangian,
-                            reconstruct_and_check, scherk_expr,
-                            solve_minimal_surface, verify_coincidence)
+from lepage.metric import (MetricSpec, coincidence_report, graph_el_residual,
+                           krupka_form, minimal_lagrangian, scherk_expr,
+                           verify_coincidence)
+from lepage.minimal import (BUILTIN_SURFACES, GridField, conservation_residuals,
+                            reconstruct_and_check, solve_minimal_surface)
 
 EUC2 = MetricSpec.euclidean(2)
 EUC3 = MetricSpec.euclidean(3)
@@ -228,20 +229,20 @@ def test_dirichlet_interpolates_linear_data_exactly():
 
 def test_interior_derivatives_exact_for_quadratic():
     f = GridField.from_function(SQUARE, (9, 9), BUILTIN_SURFACES["paraboloid"])
-    jets = f.interior_derivatives()
+    ux, uy, uxx, uyy, uxy = _kernels._stencil_derivatives(f.values, f.hx, f.hy)
     X, Y = f.meshes()
-    assert np.allclose(jets["ux"], 2 * X[1:-1, 1:-1])
-    assert np.allclose(jets["uy"], 2 * Y[1:-1, 1:-1])
-    assert np.allclose(jets["uxx"], 2.0)
-    assert np.allclose(jets["uxy"], 0.0)
-    assert np.allclose(jets["uyy"], 2.0)
+    assert np.allclose(ux, 2 * X[1:-1, 1:-1])
+    assert np.allclose(uy, 2 * Y[1:-1, 1:-1])
+    assert np.allclose(uxx, 2.0)
+    assert np.allclose(uxy, 0.0)
+    assert np.allclose(uyy, 2.0)
 
 
 def test_graph_residual_grid_matches_symbolic():
     f = GridField.from_function(SQUARE, (9, 9), BUILTIN_SURFACES["paraboloid"])
     X, Y = f.meshes()
     want = 4.0 + 8.0 * X[1:-1, 1:-1] ** 2 + 8.0 * Y[1:-1, 1:-1] ** 2
-    assert np.allclose(graph_el_residual(f), want)
+    assert np.allclose(lepage.minimal.graph_el_residual(f), want)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +730,7 @@ def test_solver_leaves_paraboloid_boundary_for_other_interior():
     parab = GridField.from_function(SQUARE, (33, 33), BUILTIN_SURFACES["paraboloid"])
     assert np.max(np.abs(res.field.values - parab.values)) > 0.5
     # the paraboloid itself is nowhere near a discrete solution
-    assert np.min(np.abs(graph_el_residual(parab))) >= 3.0
+    assert np.min(np.abs(lepage.minimal.graph_el_residual(parab))) >= 3.0
 
 
 SOLVES_WITHOUT_SCIPY = """
@@ -755,11 +756,13 @@ assert conservation_residuals(out.field).passed()
 assert reconstruct_and_check(out.field).passed
 """
 
-SYMBOLIC_FROM_MINIMAL = """
-from lepage.minimal import (MetricSpec, graph_el_residual, minimal_lagrangian,
-                            scherk_expr)
-assert minimal_lagrangian(MetricSpec.euclidean(3), 2).chart.n == 2
-assert graph_el_residual(scherk_expr()).is_zero
+# the README's metric quick tour, exact arithmetic only
+METRIC_TOUR = """
+from lepage.equivalents import is_lepage
+from lepage.metric import MetricSpec, krupka_form, minimal_lagrangian
+euc = MetricSpec.euclidean(3)
+lam = minimal_lagrangian(euc, 2)
+assert is_lepage(krupka_form(euc, 2).form, lam, guards=[lam.L]).passed
 """
 
 # with scipy blocked: a solve that needs the float64 run (float32 overflows
@@ -788,19 +791,19 @@ print("solved")
 
 SYMBOLIC_LAYERS = [f"lepage.{name}" for name in (
     "expr", "charts", "forms", "equivalents", "homogeneity", "variation",
-    "acceptance", "cli")]
+    "metric", "acceptance", "cli")]
 
 
 def test_cli_import_loads_no_scipy():
     # nor do Newton solves, on odd and even grids alike, and solves run
     # with scipy blocked, the float64 run included;
     # the numeric workbench alone loads no symbolic layer either, and the
-    # symbolic functions of lepage.minimal import the layers they use
+    # metric area Lagrangians load no numpy
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for code, banned in (("import lepage.cli", []), (SOLVES_WITHOUT_SCIPY, []),
                          (NUMERIC_TOUR, SYMBOLIC_LAYERS),
-                         (SYMBOLIC_FROM_MINIMAL, [])):
+                         (METRIC_TOUR, ["numpy"])):
         # a None entry blocks an import and is not a loaded module
         report = (f"print(sorted(m for m, mod in sys.modules.items() "
                   f"if mod is not None and (m.startswith('scipy') "
@@ -814,7 +817,8 @@ def test_cli_import_loads_no_scipy():
     # command uses one its type stays the lazy loader's and its body, not
     # even compiled, has not run
     deferred = [f"lepage.{name}" for name in (
-        "acceptance", "minimal", "variation", "homogeneity", "_kernels")]
+        "acceptance", "metric", "minimal", "variation", "homogeneity",
+        "_kernels")]
     code = (f"import sys, types, lepage.cli\n"
             f"print(sorted(m for m in {deferred!r} "
             f"if type(sys.modules.get(m)) is types.ModuleType))")
@@ -822,8 +826,8 @@ def test_cli_import_loads_no_scipy():
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-    # a metric problem builds its Lagrangian in lepage.minimal and solves no
-    # grid, so the kernels' body does not run
+    # a metric problem builds its Lagrangian in lepage.metric and solves no
+    # grid, so neither the workbench's body nor the kernels' runs
     problem = Path(__file__).resolve().parents[1] / "problems" / "minimal_r3.json"
     code = (f"import contextlib, io, sys, types\n"
             f"from lepage.cli import main\n"
@@ -835,7 +839,7 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 ['lepage.minimal']"
+    assert out.stdout.strip() == "0 []"
     out = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
