@@ -9,9 +9,10 @@ kernel reads it (``GraphJacobian``), and ``cell_circulation`` takes
 trapezoid-rule loop integrals around the grid cells.  The rest are the
 Newton solver's grid operations on 9-point operators, in the dtype of their
 operands: probing a stencil, applying it, its residual, a colour
-Gauss-Seidel sweep, a copy as 9-point blocks of a given dtype, the max
-norm, bilinear prolongation and its transpose, and the operator's sparse
-triplets.
+Gauss-Seidel sweep, copies in a given dtype (as 9-point blocks, or a
+Jacobian's as six fields per node, ``SixFieldBlock``) and a test that the
+couplings they read are finite, the max norm, bilinear prolongation and its
+transpose, and the operator's sparse triplets.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ def cell_circulation(P, Q, hx, hy):
 # coefficients without strides.  The kernels read a block Sc only through
 # Sc[a, b], the (a, b) coefficient at the block's nodes: a block is either
 # a contiguous (3, 3, ...) array, S[:, :, p::2, q::2], of any float dtype,
-# or a FiveFieldBlock.  They skip the couplings that leave the grid rather
-# than pad the grid.  No two nodes of one colour share a 9-point stencil.
+# a FiveFieldBlock or a SixFieldBlock.  They skip the couplings that leave
+# the grid rather than pad the grid.  A SixFieldBlock does not hold those
+# couplings as 0, so stencil_norm and stencil_coo, which read them, take
+# the other kinds only.  No two nodes of one colour share a 9-point stencil.
 # Coarse node I of a side that coarsens sits on fine node 2I + 1, so a fine
 # side of 2m + 1 or 2m nodes coarsens to m.
 
@@ -301,6 +304,66 @@ def stencil_blocks(blocks, dtype):
                     S[a, b] = Sc[a, b]
             out.append(S)
     return out
+
+
+class SixFieldBlock:
+    """A colour block of the graph equation's Jacobian in another dtype.
+
+    ``fields`` is a contiguous (6, ...) array of ax - dx, ax + dx, by - ey,
+    by + ey, cxy and the centre -2 ax - 2 by, each formed in float64 from a
+    ``FiveFieldBlock``'s fields and rounded once to the dtype.  Sc[a, b] is
+    a view of its field, and -cxy at (0, 2) and (2, 0) is formed when read;
+    negation is exact, so every coupling equals the rounded one of the
+    five-field block bit for bit.  Couplings that reach a boundary node hold
+    the value, not 0: the kernels that apply an operator do not read them.
+    """
+
+    __slots__ = ("fields",)
+
+    _FIELD = {(0, 1): 0, (2, 1): 1, (1, 0): 2, (1, 2): 3, (0, 0): 4,
+              (2, 2): 4, (0, 2): 4, (2, 0): 4, (1, 1): 5}
+
+    def __init__(self, block, dtype):
+        ax, dx, by, ey, cxy = block.fields
+        F = self.fields = np.empty((6,) + cxy.shape, dtype)
+        F[0] = ax - dx
+        F[1] = ax + dx
+        F[2] = by - ey
+        F[3] = by + ey
+        F[4] = cxy
+        F[5] = -2.0 * ax - 2.0 * by
+
+    def __getitem__(self, ab):
+        S = self.fields[self._FIELD[ab]]
+        return -S if ab in ((0, 2), (2, 0)) else S
+
+
+def stencil_copy(blocks, dtype):
+    """Replace the blocks of the list ``blocks`` by copies in ``dtype``.
+
+    A ``FiveFieldBlock`` becomes a ``SixFieldBlock``, any other block the
+    contiguous (3, 3, ...) array of ``stencil_blocks``.  The list is
+    converted one colour at a time, so it holds no more than one colour's
+    block twice.  Entries beyond the range of ``dtype`` become infinite.
+    """
+    with np.errstate(over="ignore"):
+        for c, Sc in enumerate(blocks):
+            blocks[c] = (SixFieldBlock(Sc, dtype)
+                         if isinstance(Sc, FiveFieldBlock)
+                         else stencil_blocks([Sc], dtype)[0])
+
+
+def stencil_finite(blocks, shape):
+    """Whether every coupling of the operator on an interior grid of
+    ``shape`` that stays in the grid, and so every one the kernels read,
+    is finite."""
+    for (p, q), Sc in zip(COLOURS, blocks):
+        rows, cols = _reach(p, shape[0]), _reach(q, shape[1])
+        for a in range(3):
+            for b in range(3):
+                if not np.isfinite(Sc[a, b][rows[a][0], cols[b][0]]).all():
+                    return False
+    return True
 
 
 def stencil_norm(blocks):

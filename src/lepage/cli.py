@@ -568,8 +568,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         residuals={"equation": result.final_residual,
                    "relation": rec.rovnice_residual,
                    "reconstruction_stage": rec.stage},
-        circulations={**{name: float(np.max(np.abs(cells)))
-                         for name, cells in sorted(cons.circulations.items())},
+        circulations={**dict(sorted(cons.circulations.items())),
                       "gate": cons.gate(10.0)},
     )
     _emit(payload)

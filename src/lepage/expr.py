@@ -1190,7 +1190,9 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
 
     Sample points violating a domain guard (negative radicand, near-zero
     denominator, or a guard expression that fails to stay above a small
-    positive threshold) are skipped.  Following the engine contract, a single
+    positive threshold) are skipped, and so are points where evaluation
+    overflows a float (``OverflowError``, as from a huge power or
+    coefficient).  Following the engine contract, a single
     surviving sample suffices for an 'equal' verdict; 'unknown' is returned
     only when every point was skipped.
     """
@@ -1220,7 +1222,7 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
                 continue
             va = evaluate(a, assign)
             vb = evaluate(b, assign)
-        except DomainError:
+        except (DomainError, OverflowError):
             continue
         used += 1
         dev = abs(va - vb)
@@ -1487,6 +1489,35 @@ def _atom_str(atom) -> str:
     return f"{name}({', '.join(to_dsl(a) for a in atom.args)})"
 
 
+# decimal digits per printed integer literal, under Python's int-to-str
+# limit (4300 by default), which the parser's literals share
+_LITERAL_DIGITS = 4000
+
+
+def _int_str(n: int) -> str:
+    # n >= 0 in decimal; past _LITERAL_DIGITS digits as a parenthesized sum
+    # of literals times powers of ten, which parses back to n
+    chunk = 10 ** _LITERAL_DIGITS
+    if n < chunk:
+        return str(n)
+    parts, k = [], 0
+    while n:
+        n, c = divmod(n, chunk)
+        if c:
+            parts.append(f"{c}*10^{k}" if k else str(c))
+        k += _LITERAL_DIGITS
+    return "(" + " + ".join(reversed(parts)) + ")"
+
+
+def _magnitude_str(mag: Fraction) -> str:
+    # |coefficient| as a factor: p/q as a literal, or p*q^-1 when either is
+    # too long for one
+    p, q = mag.numerator, mag.denominator
+    if max(p, q) < 10 ** _LITERAL_DIGITS:
+        return str(mag)
+    return _int_str(p) if q == 1 else f"{_int_str(p)}*{_int_str(q)}^-1"
+
+
 def _poly_str(terms) -> str:
     if not terms:
         return "0"
@@ -1497,9 +1528,9 @@ def _poly_str(terms) -> str:
         mag = abs(coeff)
         body = "*".join(factors)
         if not factors:
-            body = str(mag)
+            body = _magnitude_str(mag)
         elif mag != 1:
-            body = f"{mag}*{body}"
+            body = f"{_magnitude_str(mag)}*{body}"
         if idx == 0:
             parts.append(body if coeff > 0 else f"-{body}")
         else:

@@ -272,17 +272,18 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
 
     S serves only the float64 refinement residual b - S x, the test's
     ||S|| and the Galerkin product of the first coarse level.  The set-up
-    reads S's blocks once into a list, for ||S||, that product and a copy
-    in ``dtype`` in this order, and drops the list before the first
-    correction; the residual then reads S one block at a time, so a
-    Jacobian that forms its blocks when read (``_kernels.GraphJacobian``)
+    reads S's blocks once into a list, for ||S|| and that product, then
+    replaces each block of the list by its copy in ``dtype``, one colour at
+    a time (``_kernels.stencil_copy``: six fields per node for a Jacobian's
+    ``FiveFieldBlock``); the residual then reads S one block at a time, so
+    a Jacobian that forms its blocks when read (``_kernels.GraphJacobian``)
     holds no more than one colour's fields while the corrections run.  The
     corrections run in ``dtype``, on the copy of S and on coarse operators
     that are each made in float64 from the next finer one and kept in
-    ``dtype``.  Returns None when an operator is beyond the range of
-    ``dtype``, the coarsest solve cannot be made, or a step does not shrink
-    the residual or the test still fails after the first solve and
-    _REFINE_STEPS refinements.
+    ``dtype``.  Returns None when a coupling that stays in the grid is
+    beyond the range of ``dtype``, the coarsest solve cannot be made, or a
+    step does not shrink the residual or the test still fails after the
+    first solve and _REFINE_STEPS refinements.
     """
     k = _kernels
     shapes = _grid_levels(*b.shape)
@@ -291,13 +292,14 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
     stencils = []
     for fine, shape in zip(shapes, shapes[1:]):
         # the Galerkin product first, so that the probe's scratch and the
-        # copy are not held at once
+        # copy are not held at once; the copy then replaces each block
         coarser = k.probe_stencil(
             lambda e, finer=level: k.restrict(
                 k.stencil_apply(finer, k.prolong(e, fine)), shape), *shape)
-        stencils.append(k.stencil_blocks(level, dtype))
-        if not all(np.isfinite(Sc).all() for Sc in stencils[-1]):
+        k.stencil_copy(level, dtype)
+        if not k.stencil_finite(level, fine):
             return None
+        stencils.append(level)
         level = coarser
     stencils.append(level)  # the coarsest, solved by `coarse` alone
     coarse = _coarse_solver(level, *shapes[-1], dtype)
@@ -362,12 +364,14 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     float32 BiCGSTAB, to a relative residual of 1e-3 or 20 iterations, on a
     float32 copy of S and preconditioned with a float32 V(1,1)-cycle whose
     smoother is four-colour Gauss-Seidel; once the test holds, one more
-    correction is made.  When this fails -- S or b outside float32 range, a
-    float32 matrix that is singular, or a loop that stalls or does not
-    reach the test -- the same solve runs again with float64 in place of
-    float32 throughout: the copy of S, the coarse operators, the dense
-    coarse inverse, the V-cycle and BiCGSTAB.  When that fails as well, x
-    is all NaN.
+    correction is made.  A Jacobian's copy keeps six fields per node, its
+    distinct coupling values (``_kernels.SixFieldBlock``), and any other
+    operator's the nine couplings.  When this fails -- a coupling of S or
+    b outside float32 range, a float32 matrix that is singular, or a loop
+    that stalls or does not reach the test -- the same solve runs again
+    with float64 in place of float32 throughout: the copy of S, made by the
+    same builder, the coarse operators, the dense coarse inverse, the
+    V-cycle and BiCGSTAB.  When that fails as well, x is all NaN.
     """
     for dtype in (np.float32, np.float64):
         x = _multigrid_solve(S, b, dtype)
@@ -494,15 +498,16 @@ def _gate(hx: float, hy: float, factor: float) -> float:
 
 @dataclass
 class ConservationReport:
-    """Per-cell circulations of the three graph currents, area-normalized."""
+    """The largest |circulation| over the grid cells of each of the three
+    graph currents, area-normalized, by current name."""
 
-    circulations: dict[str, np.ndarray]
+    circulations: dict[str, float]
     hx: float
     hy: float
 
     @property
     def max_circulation(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.circulations.values())
+        return max(self.circulations.values())
 
     def gate(self, factor: float = 10.0) -> float:
         return _gate(self.hx, self.hy, factor)
@@ -511,9 +516,14 @@ class ConservationReport:
         return self.max_circulation <= self.gate(factor)
 
     def describe(self) -> str:
-        parts = [f"{name}: {float(np.max(np.abs(c))):.3e}"
-                 for name, c in self.circulations.items()]
+        parts = [f"{name}: {c:.3e}" for name, c in self.circulations.items()]
         return "max cell circulations " + ", ".join(parts)
+
+
+def _max_circulation(P: np.ndarray, Q: np.ndarray, hx: float,
+                     hy: float) -> float:
+    circ = _kernels.cell_circulation(P, Q, hx, hy)
+    return float(np.max(np.abs(circ, out=circ)))
 
 
 def conservation_residuals(u: GridField) -> ConservationReport:
@@ -521,26 +531,30 @@ def conservation_residuals(u: GridField) -> ConservationReport:
 
     Currents are sampled at the interior nodes, where central differences
     keep the derivative error a smooth field; circulations over boundary
-    cells would amplify the one-sided stencil mismatch by 1/h.
+    cells would amplify the one-sided stencil mismatch by 1/h.  Only each
+    current's largest |circulation| is kept.
     """
     ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
     circ = {}
     for name, (P, Q) in _current_components(ux, uy):
-        circ[name] = _kernels.cell_circulation(P, Q, u.hx, u.hy)
+        circ[name] = _max_circulation(P, Q, u.hx, u.hy)
         del P, Q  # before the next pair is made
     return ConservationReport(circ, u.hx, u.hy)
 
 
 @dataclass
 class ReconstructionReport:
-    """Gates of the conservation-to-extremal round trip on one grid."""
+    """Gates of the conservation-to-extremal round trip on one grid.
+
+    The figures are maxima over the grid; the potentials they are taken
+    from are not kept.
+    """
 
     stage: str  # 'ok' or the first failing gate
     max_circulation: float
     rovnice_residual: float
     el_residual: float
     gate: float
-    potentials: dict[str, np.ndarray] | None = None
 
     @property
     def passed(self) -> bool:
@@ -569,20 +583,6 @@ def _potential(P: np.ndarray, Q: np.ndarray, hx: float, hy: float) -> np.ndarray
     return row[:, None] + cols
 
 
-def _potential_defect(pots: dict[str, np.ndarray], ux: np.ndarray,
-                      uy: np.ndarray, h: float, axis: int) -> float:
-    # max |u_x f' + u_y g' - h'| for the derivatives along one axis, summed
-    # in place in that order
-    defect = np.gradient(pots["f"], h, axis=axis, edge_order=2)
-    defect *= ux
-    dg = np.gradient(pots["g"], h, axis=axis, edge_order=2)
-    dg *= uy
-    defect += dg
-    del dg
-    defect -= np.gradient(pots["h"], h, axis=axis, edge_order=2)
-    return float(np.max(np.abs(defect, out=defect)))
-
-
 def reconstruct_and_check(u: GridField, *,
                           gate_factor: float = 10.0) -> ReconstructionReport:
     """Integrate the currents to potentials f, g, h and close the loop.
@@ -591,21 +591,32 @@ def reconstruct_and_check(u: GridField, *,
     potentials satisfy u_x f_* + u_y g_* - h_* = 0 in both base directions,
     and the graph equation residual is below the same gate.  The closedness
     figures are those of ``conservation_residuals``, taken from the same
-    current pairs that are integrated.
+    current pairs that are integrated.  Each potential is integrated, its
+    two derivatives go into the two directions' defects, and it is dropped
+    before the next current is made.
     """
     ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
-    circs, pots = [], {}
+    circs, defects = [], [None, None]
+    # u_x f' + u_y g' - h' along each axis, summed in place in that order
     for name, (P, Q) in _current_components(ux, uy):
-        circ = _kernels.cell_circulation(P, Q, u.hx, u.hy)
-        circs.append(float(np.max(np.abs(circ))))
-        del circ  # only its maximum is part of the result
-        pots[name] = _potential(P, Q, u.hx, u.hy)
+        circs.append(_max_circulation(P, Q, u.hx, u.hy))
+        pot = _potential(P, Q, u.hx, u.hy)
         del P, Q  # before the next pair is made
+        for axis, h in ((0, u.hx), (1, u.hy)):
+            d = np.gradient(pot, h, axis=axis, edge_order=2)
+            if name == "f":
+                defects[axis] = np.multiply(d, ux, out=d)
+            elif name == "g":
+                defects[axis] += np.multiply(d, uy, out=d)
+            else:
+                defects[axis] -= d
+            del d  # before the next derivative is made
+        del pot  # before the next pair is made
     gate, circ_max = _gate(u.hx, u.hy, gate_factor), max(circs)
     rovnice = 0.0
-    for axis, h in ((0, u.hx), (1, u.hy)):
-        rovnice = max(rovnice, _potential_defect(pots, ux, uy, h, axis))
-    del ux, uy  # graph_el_residual makes its own
+    for defect in defects:
+        rovnice = max(rovnice, float(np.max(np.abs(defect, out=defect))))
+    del ux, uy, defects  # graph_el_residual makes its own
     el = float(np.max(np.abs(graph_el_residual(u))))
     if circ_max > gate:
         stage = "closedness"
@@ -615,4 +626,4 @@ def reconstruct_and_check(u: GridField, *,
         stage = "equation"
     else:
         stage = "ok"
-    return ReconstructionReport(stage, circ_max, rovnice, el, gate, pots)
+    return ReconstructionReport(stage, circ_max, rovnice, el, gate)

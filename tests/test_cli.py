@@ -16,7 +16,7 @@ from lepage import cli
 from lepage.acceptance import CriterionResult
 from lepage.cli import main
 from lepage.equivalents import is_lepage, poincare_cartan
-from lepage.expr import EqualResult, ONE, const, sqrt_expr
+from lepage.expr import EqualResult, ONE, const, parse, sqrt_expr
 from lepage.forms import DiffForm, dw, dx
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -253,6 +253,28 @@ def test_check_zermelo_reports_unknown_verdict(capsys, tmp_path):
     assert report["verdicts"] == {"1,1": "unknown"}
     assert set(report["witness"]) == {"index", "residual"}
     assert report["witness"]["index"] == [1, 1]
+
+
+@pytest.mark.parametrize("lagrangian, verdicts, residual", [
+    # |y1_1| > 1 overflows a float, and |y1_1| < 1 underflows to 0
+    ("y1_1^99999999", {"equal", "unequal", "unknown"},
+     "99999998*y1_1^99999999"),
+    # the constant itself is too large for a float, so every sample is
+    # skipped, and its residual has more digits than one literal may hold
+    ("2^1000000", {"unknown"}, "-2^1000000"),
+])
+def test_check_zermelo_overflowing_samples_give_a_verdict(
+        capsys, tmp_path, lagrangian, verdicts, residual):
+    path = write_problem(tmp_path, {"schema": "lepage-problem/1",
+                                    "chart": {"n": 1, "m": 1},
+                                    "lagrangian": lagrangian})
+    code, out, err = run_cli(capsys, "check-zermelo", "--problem", path)
+    report = json.loads(out)
+    assert err == ""
+    assert report["verdicts"]["1,1"] in verdicts
+    assert code == (0 if report["passed"] else 1)
+    if "witness" in report:
+        assert parse(report["witness"]["residual"]) == parse(residual)
 
 
 def nonhomogeneous_problem(tmp_path, extra: str = "") -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,15 @@ def test_equal_unknown_when_all_points_skipped():
     assert r.verdict == "unknown"
 
 
+def test_equal_skips_samples_that_overflow():
+    a = yj(1, 1)
+    # 2^2000 is beyond a float, so every point is skipped
+    assert equal(const(2) ** 2000 * a, a).verdict == "unknown"
+    # a^999 overflows where |a| > 1; the points with |a| < 1 still count
+    r = equal(a ** 999 + a, a ** 999 + 2 * a)
+    assert r.verdict == "unequal" and abs(r.witness.symbols[Sym("y1", 1, 1)]) < 1
+
+
 def test_equal_respects_guards():
     a = yj(1, 1)
     e1 = sqrt_expr(a * a)  # |a|
@@ -410,6 +420,18 @@ def test_print_parse_roundtrip_on_printed_corpus():
         reparsed = parse(printed)
         assert reparsed == e
         assert to_dsl(reparsed) == printed
+
+
+def test_literals_too_long_for_one_token_print_as_sums_of_powers():
+    # a literal of more digits than int() reads is printed as a sum of
+    # shorter ones times powers of ten, and parses back
+    a = yj(1, 1)
+    for e in (const(2) ** 20000, -(const(3) ** 9000) * a + const(5) / 7,
+              a / (const(2) ** 20000 + 1), const(10) ** 8000):
+        printed = to_dsl(e)
+        assert parse(printed) == e
+        assert max(map(len, re.findall(r"\d+", printed))) <= 4000
+    assert to_dsl(-(const(10) ** 3999)) == "-1" + "0" * 3999
 
 
 def test_latex_output_smoke():
