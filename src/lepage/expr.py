@@ -1510,10 +1510,10 @@ def _int_str(n: int) -> str:
 
 
 def _magnitude_str(mag: Fraction) -> str:
-    # |coefficient| as a factor: p/q as a literal, or p*q^-1 when either is
-    # too long for one
+    # |coefficient| as a factor: p/q as a literal, or p*q^-1 when either may
+    # be too long for one (3 bits per decimal digit undercounts, 2^3 < 10)
     p, q = mag.numerator, mag.denominator
-    if max(p, q) < 10 ** _LITERAL_DIGITS:
+    if max(p, q).bit_length() <= 3 * _LITERAL_DIGITS:
         return str(mag)
     return _int_str(p) if q == 1 else f"{_int_str(p)}*{_int_str(q)}^-1"
 
