@@ -235,6 +235,15 @@ def _reach(p, n):
     return tuple(out)
 
 
+def _signed(Sc, ab):
+    # (S, negated) with Sc[a, b] == -S if negated else S, so that a kernel
+    # reads a six-field block's -cxy as cxy without forming it; y - S * x
+    # equals y + (-S) * x bit for bit
+    if isinstance(Sc, SixFieldBlock):
+        return Sc.fields[Sc._FIELD[ab]], ab in Sc._NEGATED
+    return Sc[ab], False
+
+
 def _colour_apply(Sc, x, p, q):
     # (S x) at the nodes of colour (p, q), from the couplings that stay in
     # the grid, summed in (a, b) order as a CSR row sums its entries
@@ -250,8 +259,12 @@ def _colour_apply(Sc, x, p, q):
         for b in range(3):
             if a or b:
                 (k, i), (l, j) = rows[a], cols[b]
+                S, negated = _signed(Sc, (a, b))
                 yc = y[k, l]
-                yc += Sc[a, b][k, l] * x[i, j]
+                if negated:
+                    yc -= S[k, l] * x[i, j]
+                else:
+                    yc += S[k, l] * x[i, j]
     return y
 
 
@@ -312,16 +325,18 @@ class SixFieldBlock:
     ``fields`` is a contiguous (6, ...) array of ax - dx, ax + dx, by - ey,
     by + ey, cxy and the centre -2 ax - 2 by, each formed in float64 from a
     ``FiveFieldBlock``'s fields and rounded once to the dtype.  Sc[a, b] is
-    a view of its field, and -cxy at (0, 2) and (2, 0) is formed when read;
-    negation is exact, so every coupling equals the rounded one of the
-    five-field block bit for bit.  Couplings that reach a boundary node hold
-    the value, not 0: the kernels that apply an operator do not read them.
+    a view of its field, and -cxy at (0, 2) and (2, 0) is formed when read,
+    though the kernels subtract cxy there instead; negation is exact, so
+    every coupling equals the rounded one of the five-field block bit for
+    bit.  Couplings that reach a boundary node hold the value, not 0: the
+    kernels that apply an operator do not read them.
     """
 
     __slots__ = ("fields",)
 
     _FIELD = {(0, 1): 0, (2, 1): 1, (1, 0): 2, (1, 2): 3, (0, 0): 4,
               (2, 2): 4, (0, 2): 4, (2, 0): 4, (1, 1): 5}
+    _NEGATED = ((0, 2), (2, 0))
 
     def __init__(self, block, dtype):
         ax, dx, by, ey, cxy = block.fields
@@ -335,7 +350,7 @@ class SixFieldBlock:
 
     def __getitem__(self, ab):
         S = self.fields[self._FIELD[ab]]
-        return -S if ab in ((0, 2), (2, 0)) else S
+        return -S if ab in self._NEGATED else S
 
 
 def stencil_copy(blocks, dtype):
@@ -361,7 +376,8 @@ def stencil_finite(blocks, shape):
         rows, cols = _reach(p, shape[0]), _reach(q, shape[1])
         for a in range(3):
             for b in range(3):
-                if not np.isfinite(Sc[a, b][rows[a][0], cols[b][0]]).all():
+                S = _signed(Sc, (a, b))[0]
+                if not np.isfinite(S[rows[a][0], cols[b][0]]).all():
                     return False
     return True
 

@@ -1063,18 +1063,18 @@ class PointAssignment:
         return ", ".join(parts)
 
 
-def _eval_atom(atom, assign: PointAssignment) -> float:
+def _eval_atom(atom, assign: PointAssignment, strict: bool) -> float:
     if isinstance(atom, Sym):
         try:
             return float(assign.symbols[atom])
         except KeyError:
             raise MissingValueError(f"no value for symbol {sym_name(atom)}") from None
     if isinstance(atom, Root):
-        v = evaluate(atom.arg, assign)
+        v = _evaluate(atom.arg, assign, strict)
         if v <= 0.0:
             raise DomainError(f"nonpositive radicand {v:.3g}")
         return math.sqrt(v)
-    argvals = tuple(evaluate(a, assign) for a in atom.args)
+    argvals = tuple(_evaluate(a, assign, strict) for a in atom.args)
     if atom.analytic:
         u = argvals[0]
         if atom.name == "sin":
@@ -1102,20 +1102,38 @@ def _eval_atom(atom, assign: PointAssignment) -> float:
 
 
 def evaluate(e: Expr, assign: PointAssignment) -> float:
+    return _evaluate(e, assign, False)
+
+
+def _evaluate(e: Expr, assign: PointAssignment, strict: bool) -> float:
+    # strict: a term that underflows to 0 raises DomainError and a value
+    # that overflows to inf or nan raises OverflowError, as a power that
+    # leaves float range does, so that no sample is decided by a value that
+    # lost its magnitude
     def eval_terms(terms) -> float:
         total = 0.0
         for mono, coeff in terms:
             v = float(coeff)
+            zero_atom = False
             for at, ex in mono:
-                v *= _eval_atom(at, assign) ** ex
+                a = _eval_atom(at, assign, strict)
+                zero_atom = zero_atom or a == 0.0
+                v *= a ** ex
+            if strict and not zero_atom and v == 0.0:
+                raise DomainError("a term underflows to 0")
             total += v
+        if strict and not math.isfinite(total):
+            raise OverflowError("a sum of terms overflows")
         return total
 
     num = eval_terms(e.num)
     den = eval_terms(e.den)
     if abs(den) < DEN_EPS:
         raise DomainError(f"denominator within {DEN_EPS} of zero")
-    return num / den
+    v = num / den
+    if strict and not math.isfinite(v):
+        raise OverflowError("a quotient overflows")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1190,11 +1208,12 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
 
     Sample points violating a domain guard (negative radicand, near-zero
     denominator, or a guard expression that fails to stay above a small
-    positive threshold) are skipped, and so are points where evaluation
-    overflows a float (``OverflowError``, as from a huge power or
-    coefficient).  Following the engine contract, a single
-    surviving sample suffices for an 'equal' verdict; 'unknown' is returned
-    only when every point was skipped.
+    positive threshold) are skipped, and so are points where a value
+    leaves float range: a power, product, sum or quotient that overflows,
+    or a nonzero term that underflows to 0 (as a huge power or coefficient
+    does), since such a value cannot tell the two sides apart.  Following
+    the engine contract, a single surviving sample suffices for an 'equal'
+    verdict; 'unknown' is returned only when every point was skipped.
     """
     a = _coerce(a)
     b = _coerce(b)
@@ -1215,13 +1234,13 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
         try:
             ok = True
             for g in guards:
-                if evaluate(g, assign) <= GUARD_EPS:
+                if _evaluate(g, assign, True) <= GUARD_EPS:
                     ok = False
                     break
             if not ok:
                 continue
-            va = evaluate(a, assign)
-            vb = evaluate(b, assign)
+            va = _evaluate(a, assign, True)
+            vb = _evaluate(b, assign, True)
         except (DomainError, OverflowError):
             continue
         used += 1

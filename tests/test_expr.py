@@ -307,6 +307,22 @@ def test_equal_skips_samples_that_overflow():
     assert r.verdict == "unequal" and abs(r.witness.symbols[Sym("y1", 1, 1)]) < 1
 
 
+def test_equal_skips_samples_that_lose_their_magnitude():
+    a = yj(1, 1)
+    # |a| > 1 overflows a^99999999 and |a| < 1 underflows it to 0, where
+    # both sides would read 0 and look equal
+    assert equal(a ** 99999999, 2 * a ** 99999999).verdict == "unknown"
+    assert equal(const(2) ** -2000 * a, a).verdict == "unknown"
+    # 10^308 * sqrt(a^2 + 4) is a finite coefficient times a value >= 2,
+    # whose product is inf on both sides
+    big = const(10) ** 308 * sqrt_expr(a * a + 4)
+    assert equal(big, big + a).verdict == "unknown"
+    # a term that is 0 because an atom is 0 is no underflow
+    b = yj(2, 1)
+    point = PointAssignment({Sym("y1", 1, 1): 0.0, Sym("y1", 2, 1): 1.5})
+    assert expr_module._evaluate(a * b ** 3 + b, point, True) == 1.5
+
+
 def test_equal_respects_guards():
     a = yj(1, 1)
     e1 = sqrt_expr(a * a)  # |a|
@@ -427,7 +443,8 @@ def test_literals_too_long_for_one_token_print_as_sums_of_powers():
     # shorter ones times powers of ten, and parses back
     a = yj(1, 1)
     for e in (const(2) ** 20000, -(const(3) ** 9000) * a + const(5) / 7,
-              a / (const(2) ** 20000 + 1), const(10) ** 8000):
+              a / (const(2) ** 20000 + 1), const(10) ** 8000,
+              const(2) ** 20000 / 7 * a):
         printed = to_dsl(e)
         assert parse(printed) == e
         assert max(map(len, re.findall(r"\d+", printed))) <= 4000
