@@ -1070,11 +1070,11 @@ def _eval_atom(atom, assign: PointAssignment, strict: bool) -> float:
         except KeyError:
             raise MissingValueError(f"no value for symbol {sym_name(atom)}") from None
     if isinstance(atom, Root):
-        v = _evaluate(atom.arg, assign, strict)
+        v = evaluate(atom.arg, assign, strict=strict)
         if v <= 0.0:
             raise DomainError(f"nonpositive radicand {v:.3g}")
         return math.sqrt(v)
-    argvals = tuple(_evaluate(a, assign, strict) for a in atom.args)
+    argvals = tuple(evaluate(a, assign, strict=strict) for a in atom.args)
     if atom.analytic:
         u = argvals[0]
         if atom.name == "sin":
@@ -1101,15 +1101,16 @@ def _eval_atom(atom, assign: PointAssignment, strict: bool) -> float:
     return float(entry)
 
 
-def evaluate(e: Expr, assign: PointAssignment) -> float:
-    return _evaluate(e, assign, False)
+def evaluate(e: Expr, assign: PointAssignment, *,
+             strict: bool = False) -> float:
+    """The value of e at a point.
 
-
-def _evaluate(e: Expr, assign: PointAssignment, strict: bool) -> float:
-    # strict: a term that underflows to 0 raises DomainError and a value
-    # that overflows to inf or nan raises OverflowError, as a power that
-    # leaves float range does, so that no sample is decided by a value that
-    # lost its magnitude
+    With ``strict``, as for a sampled comparison, a nonzero term that
+    underflows to 0 raises DomainError, and a product, sum or quotient
+    that overflows to inf or nan raises OverflowError, as a power that
+    leaves float range always does; so no value that lost its magnitude is
+    returned.
+    """
     def eval_terms(terms) -> float:
         total = 0.0
         for mono, coeff in terms:
@@ -1234,13 +1235,13 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
         try:
             ok = True
             for g in guards:
-                if _evaluate(g, assign, True) <= GUARD_EPS:
+                if evaluate(g, assign, strict=True) <= GUARD_EPS:
                     ok = False
                     break
             if not ok:
                 continue
-            va = _evaluate(a, assign, True)
-            vb = _evaluate(b, assign, True)
+            va = evaluate(a, assign, strict=True)
+            vb = evaluate(b, assign, strict=True)
         except (DomainError, OverflowError):
             continue
         used += 1

@@ -320,7 +320,7 @@ def test_equal_skips_samples_that_lose_their_magnitude():
     # a term that is 0 because an atom is 0 is no underflow
     b = yj(2, 1)
     point = PointAssignment({Sym("y1", 1, 1): 0.0, Sym("y1", 2, 1): 1.5})
-    assert expr_module._evaluate(a * b ** 3 + b, point, True) == 1.5
+    assert evaluate(a * b ** 3 + b, point, strict=True) == 1.5
 
 
 def test_equal_respects_guards():
