@@ -227,9 +227,6 @@ class AdaptedChart:
         g = sqrt_extract_candidate(g, delta)
         return cancel_candidate(g, delta)
 
-    def from_adapted(self, g: Expr) -> Expr:
-        return substitute(g, self.w_in_terms_of_y())
-
 
 def adapted_derivative(f: Expr, i: int, adapted: AdaptedChart) -> Expr:
     """The cut derivative D_i f = df/dw^i + w^s_i df/dw^s on the adapted chart."""

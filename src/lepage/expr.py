@@ -14,8 +14,10 @@ stay canonical:
 * ``sin(u)^2 -> 1 - cos(u)^2``.
 
 Because construction always canonicalizes, structural equality of two
-results means the computations agree coefficient by coefficient.  ``equal``
-settles the remaining cases by seeded random evaluation.
+results means the computations agree coefficient by coefficient.  ``==``
+compares the terms themselves, which every expression holds once; the hash
+is that of ``Expr.key``, a nested tuple built on first use and not kept.
+``equal`` settles the remaining cases by seeded random evaluation.
 
 The printable surface syntax is::
 
@@ -259,15 +261,18 @@ def _poly_of(terms) -> Poly:
 
 def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Poly | None]:
     """Merge two monomials; return (residual mono, extra poly factor or None)."""
-    exps: dict = {}
-    for at, e in m1:
-        exps[at] = exps.get(at, 0) + e
-    for at, e in m2:
-        exps[at] = exps.get(at, 0) + e
+    # an atom of one factor keeps its (atom, exponent) pair: products share pairs
+    pairs: dict = {}
+    for pair in m1:
+        pairs[pair[0]] = pair
+    for pair in m2:
+        at = pair[0]
+        old = pairs.get(at)
+        pairs[at] = pair if old is None else (at, old[1] + pair[1])
     extra: Poly | None = None
     residual = []
-    for at in exps:
-        e = exps[at]
+    for pair in pairs.values():
+        at, e = pair
         if e == 0:
             continue
         fold = _fold_square(at) if e >= 2 else None
@@ -278,7 +283,7 @@ def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Poly | None]:
             if r:
                 residual.append((at, 1))
         else:
-            residual.append((at, e))
+            residual.append(pair)
     residual.sort(key=lambda pair: pair[0].key)
     return tuple(residual), extra
 
@@ -339,10 +344,12 @@ def _p_div_mono(p: Poly, mono_content: dict) -> Poly:
     out: Poly = {}
     for mono, coeff in p.items():
         rebuilt = []
-        for at, e in mono:
-            e -= mono_content.get(at, 0)
-            if e:
-                rebuilt.append((at, e))
+        for pair in mono:
+            k = mono_content.get(pair[0], 0)
+            if not k:
+                rebuilt.append(pair)
+            elif pair[1] != k:
+                rebuilt.append((pair[0], pair[1] - k))
         out[tuple(rebuilt)] = coeff
     return out
 
@@ -422,17 +429,19 @@ def _p_exact_div(num: Poly, den: Poly) -> Poly | None:
 class Expr:
     """Immutable scalar expression in canonical rational normal form."""
 
-    __slots__ = ("num", "den", "key", "_hash", "_syms")
+    __slots__ = ("num", "den", "_hash", "_syms")
 
     def __init__(self, num_terms: tuple, den_terms: tuple):
         self.num = num_terms
         self.den = den_terms
-        self.key = (
-            tuple((_mono_key(m), (c.numerator, c.denominator)) for m, c in num_terms),
-            tuple((_mono_key(m), (c.numerator, c.denominator)) for m, c in den_terms),
-        )
         self._hash = None
         self._syms = None
+
+    @property
+    def key(self) -> tuple:
+        """The terms as nested tuples of atom keys; built on each call, not stored."""
+        return tuple(tuple((_mono_key(m), (c.numerator, c.denominator))
+                           for m, c in terms) for terms in (self.num, self.den))
 
     # -- construction ------------------------------------------------------
 
@@ -463,7 +472,9 @@ class Expr:
     # -- hashing / equality -------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Expr) and self.key == other.key
+        # as comparing keys: atoms compare by key, and Fractions are normalised
+        return self is other or (isinstance(other, Expr) and self.num == other.num
+                                 and self.den == other.den)
 
     def __hash__(self):
         if self._hash is None:
@@ -1146,7 +1157,8 @@ class EqualResult:
     """Verdict of a sampled comparison of two expressions or two forms.
 
     'unknown' means every sample was skipped; it never passes.  ``word`` is
-    the basis word that decided a failed form comparison.
+    the basis word that decided a failed form comparison.  ``skipped`` counts
+    skipped samples by reason: 'guard', 'domain' (DomainError) and 'overflow'.
     """
 
     verdict: str  # 'equal' | 'unequal' | 'unknown'
@@ -1155,6 +1167,8 @@ class EqualResult:
     samples: int = 0
     max_deviation: float = 0.0
     word: tuple | None = None
+    skipped: dict[str, int] = field(
+        default_factory=lambda: {"guard": 0, "domain": 0, "overflow": 0})
 
     def __bool__(self) -> bool:
         return self.verdict == "equal"
@@ -1228,33 +1242,30 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
     for g in guards:
         symbols |= set(free_symbols(g))
         signatures |= opaque_signatures(g)
-    used = 0
-    worst = 0.0
+    res = EqualResult("unknown")
+    skipped = res.skipped
     for trial in range(trials):
         assign = sample_assignment(symbols, signatures, seed, trial)
         try:
-            ok = True
-            for g in guards:
-                if evaluate(g, assign, strict=True) <= GUARD_EPS:
-                    ok = False
-                    break
-            if not ok:
+            if any(evaluate(g, assign, strict=True) <= GUARD_EPS for g in guards):
+                skipped["guard"] += 1
                 continue
             va = evaluate(a, assign, strict=True)
             vb = evaluate(b, assign, strict=True)
-        except (DomainError, OverflowError):
+        except (DomainError, OverflowError) as exc:
+            skipped["domain" if isinstance(exc, DomainError) else "overflow"] += 1
             continue
-        used += 1
+        res.samples += 1
         dev = abs(va - vb)
         scale = max(1.0, abs(va), abs(vb))
-        worst = max(worst, dev / scale)
+        res.max_deviation = max(res.max_deviation, dev / scale)
         if dev > tol * scale:
-            return EqualResult("unequal", witness=assign,
-                               witness_values=(va, vb), samples=used,
-                               max_deviation=worst)
-    if used == 0:
-        return EqualResult("unknown")
-    return EqualResult("equal", samples=used, max_deviation=worst)
+            res.verdict = "unequal"
+            res.witness, res.witness_values = assign, (va, vb)
+            return res
+    if res.samples:
+        res.verdict = "equal"
+    return res
 
 
 # ---------------------------------------------------------------------------

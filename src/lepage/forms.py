@@ -769,7 +769,7 @@ def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
 
     A failure is the first unequal coefficient's verdict, or else the last
     unknown one, with ``word`` set; 'equal' sums the coefficients' samples
-    and keeps their largest deviation.
+    and keeps their largest deviation; ``skipped`` sums all their skip counts.
     """
     if a.degree != b.degree:
         return EqualResult("unequal")
@@ -777,21 +777,22 @@ def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
     words = sorted(set(a2.terms) | set(b2.terms),
                    key=lambda w: tuple(c.key for c in w))
     unknown = None
-    samples = 0
-    worst = 0.0
+    total = EqualResult("equal")
     for word in words:
         res = equal(a2.terms.get(word, ZERO), b2.terms.get(word, ZERO),
                     trials=trials, tol=tol, seed=seed, guards=guards)
         res.word = word
+        for reason, k in res.skipped.items():
+            total.skipped[reason] += k
+        # each result shares the running sums, so the one returned has them
+        res.skipped = total.skipped
         if res.verdict == "unequal":
             return res
         if res.verdict == "unknown":
             unknown = res
-        samples += res.samples
-        worst = max(worst, res.max_deviation)
-    if unknown is not None:
-        return unknown
-    return EqualResult("equal", samples=samples, max_deviation=worst)
+        total.samples += res.samples
+        total.max_deviation = max(total.max_deviation, res.max_deviation)
+    return total if unknown is None else unknown
 
 
 def form_to_json(a: DiffForm) -> dict:

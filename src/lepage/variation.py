@@ -16,18 +16,17 @@ from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
 from .equivalents import HorizontalNForm, Lagrangian, euler_lagrange, \
     lagrangian_of
 from .expr import (
-    EqualResult, Expr, PointAssignment, Sym, ZERO, const, evaluate,
+    Expr, PointAssignment, Sym, ZERO, const, evaluate,
     expr_sum, free_symbols, substitute, sym_expr, x,
 )
 from .forms import (
-    DiffForm, FormError, Immersion, VectorField, contract, dx, form_equal,
-    lie_derivative, pullback_immersion, reduce_contact_ideal, zero_form,
+    DiffForm, FormError, Immersion, VectorField, contract, dx, lie_derivative,
+    pullback_immersion, reduce_contact_ideal, zero_form,
 )
 
 __all__ = [
     "VectorFieldSpec", "FirstVariationReport",
-    "prolong_jet", "prolong_grassmann", "noether_residual",
-    "is_invariance_generator", "noether_current",
+    "prolong_jet", "prolong_grassmann", "noether_residual", "noether_current",
     "first_variation_check", "reparameterization_invariance",
 ]
 
@@ -124,17 +123,6 @@ def noether_residual(xi: VectorFieldSpec, eta: DiffForm) -> DiffForm:
                          adapted=eta.adapted)
     prolonged = prolong_grassmann(xi, eta.adapted)
     return reduce_contact_ideal(lie_derivative(prolonged, eta))
-
-
-def is_invariance_generator(xi: VectorFieldSpec, eta: DiffForm, *,
-                            trials: int = 20, tol: float = 1e-9,
-                            seed: int = 0, guards=()) -> EqualResult:
-    """Sampled verdict on the invariance residual being zero."""
-    residual = noether_residual(xi, eta)
-    return form_equal(residual, zero_form(residual.chart, residual.degree,
-                                          residual.mode,
-                                          adapted=residual.adapted),
-                      trials=trials, tol=tol, seed=seed, guards=guards)
 
 
 def noether_current(xi: VectorFieldSpec, W: DiffForm) -> DiffForm:

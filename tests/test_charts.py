@@ -139,15 +139,20 @@ def test_z_entries_invert_the_minor():
             assert (total - const(1 if k == j else 0)).is_zero
 
 
+def from_adapted(ad: AdaptedChart, g):
+    """The inverse of ``ad.to_adapted`` on first-order jet data."""
+    return substitute(g, ad.w_in_terms_of_y())
+
+
 def test_adapted_roundtrip_identities():
     chart = JetChart(n=2, m=1, order=1)
     ad = AdaptedChart(chart, (1, 2))
     for s in [Sym("y1", 3, 1), Sym("y1", 3, 2), Sym("y", 2), Sym("y1", 1, 2)]:
         f = sym_expr(s)
-        assert (ad.from_adapted(ad.to_adapted(f)) - f).is_zero
+        assert (from_adapted(ad, ad.to_adapted(f)) - f).is_zero
     for s in [Sym("w1", 3, 1), Sym("w", 1), Sym("w1", 2, 2)]:
         g = sym_expr(s)
-        assert (ad.to_adapted(ad.from_adapted(g)) - g).is_zero
+        assert (ad.to_adapted(from_adapted(ad, g)) - g).is_zero
 
 
 def test_to_adapted_extracts_minor_from_lagrangian():

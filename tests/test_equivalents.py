@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -171,6 +172,19 @@ def test_trivial_lagrangian_closed_and_null():
     lam = Lagrangian(CH21, yj(1, 1))
     assert all(e.is_zero for e in euler_lagrange(lam))
     assert ext_d(fundamental(lam)).is_zero
+
+
+def test_fundamental_of_area_stays_inside_its_memory_budget():
+    # traced peak: 1.82 MB while every Expr also stored its key and each
+    # monomial product built fresh (atom, exponent) pairs; 0.88 MB since
+    lam = minimal_lagrangian(MetricSpec.euclidean(3), 2)
+    tracemalloc.start()
+    try:
+        fundamental(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3e6
 
 
 def test_caratheodory_rejects_zero():

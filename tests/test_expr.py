@@ -331,6 +331,24 @@ def test_equal_respects_guards():
     assert equal(e1, a).verdict == "unequal"
 
 
+def test_equal_counts_skipped_samples_by_reason():
+    a, b = yj(1, 1), yj(2, 1)
+    # the guard rejects b <= GUARD_EPS before sqrt(a) with a < 0 leaves the
+    # domain; the points with a, b > 0 agree
+    r = equal(sqrt_expr(a) * sqrt_expr(b), sqrt_expr(a * b), guards=[b])
+    assert r.verdict == "equal"
+    assert r.skipped["guard"] > 0 and r.skipped["domain"] > 0
+    assert r.skipped["overflow"] == 0
+    assert r.samples + sum(r.skipped.values()) == 20
+    assert r.describe() == (f"equal ({r.samples} samples, "
+                            f"max deviation {r.max_deviation:.3g})")
+    huge = equal(const(2) ** 2000 * a, a)
+    assert huge.skipped == {"guard": 0, "domain": 0, "overflow": 20}
+    tiny = equal(const(2) ** -2000 * a, a)
+    assert tiny.skipped == {"guard": 0, "domain": 20, "overflow": 0}
+    assert equal(a, a).skipped == {"guard": 0, "domain": 0, "overflow": 0}
+
+
 def test_equal_deterministic_for_seed():
     a, b = yj(1, 1), yj(2, 1)
     r1 = equal(a * b, a + b, seed=5)
@@ -483,3 +501,58 @@ def test_free_symbols_and_node_count():
     e = sqrt_expr(1 + yj(1, 1) ** 2) * opaque("g", yy(2))
     syms = free_symbols(e)
     assert Sym("y1", 1, 1) in syms and Sym("y", 2) in syms
+
+
+# ---------------------------------------------------------------------------
+# properties of equality and hashing
+# ---------------------------------------------------------------------------
+
+def ref_key(e) -> tuple:
+    """The key every Expr stored before equality compared terms directly."""
+    def mono_key(mono):
+        return tuple((at.key, k) for at, k in mono)
+
+    return (tuple((mono_key(m), (c.numerator, c.denominator)) for m, c in e.num),
+            tuple((mono_key(m), (c.numerator, c.denominator)) for m, c in e.den))
+
+
+def _expr_strategy(st):
+    leaves = st.one_of(
+        st.sampled_from([sym_expr(s) for s in SYMS[:6]]),
+        st.fractions(-3, 3, max_denominator=4).map(const))
+
+    def extend(inner):
+        pairs = st.tuples(inner, inner)
+        return st.one_of(
+            pairs.map(lambda p: p[0] + p[1]),
+            pairs.map(lambda p: p[0] - p[1]),
+            pairs.map(lambda p: p[0] * p[1]),
+            pairs.map(lambda p: p[0] / (p[1] * p[1] + 1)),
+            inner.map(lambda e: sqrt_expr(e * e + 1)),
+            inner.map(exp_expr),
+            pairs.map(lambda p: opaque("F", p[0], p[1])))
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def test_equality_and_hash_follow_the_reference_key():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    exprs = _expr_strategy(st)
+
+    @hyp.settings(max_examples=150, derandomize=True, deadline=None)
+    @hyp.given(exprs, exprs)
+    def check(e, f):
+        # pairs equal by construction, a pair sharing a numerator, and a
+        # random pair
+        pairs = [(e * f, f * e), (e + f, f + e), (e, parse(to_dsl(e))),
+                 (e, expr_module.Expr(e.num, e.den)), (e, e / (f * f + 1)),
+                 (e, f)]
+        for u, v in pairs:
+            assert hash(u) == hash(ref_key(u))
+            assert (u == v) is (ref_key(u) == ref_key(v))
+            assert (v == u) is (u == v)
+        assert e * f == f * e and e + f == f + e
+        assert parse(to_dsl(e)) == e
+
+    check()

@@ -595,3 +595,18 @@ def test_form_equal_verdict_fields():
     assert unknown.verdict == "unknown" and not unknown
     assert unknown.witness is None and unknown.word == (dx(2),)
     assert unknown.describe() == "unknown at word dx2"
+
+
+def test_form_equal_sums_skip_counts_over_coefficients():
+    root2, root3, root6 = (sqrt_expr(const(k)) for k in (2, 3, 6))
+    per_word = equal(root2 * root3, root6, trials=8, seed=1, guards=[yy(1)])
+    assert 0 < per_word.skipped["guard"] < 8
+    c = form(CH21, "coordinate", {(dx(1),): root6, (dx(2),): root2 * root3})
+    d = form(CH21, "coordinate", {(dx(1),): root2 * root3, (dx(2),): root6})
+    both = form_equal(c, d, trials=8, seed=1, guards=[yy(1)])
+    assert both.verdict == "equal"
+    assert both.skipped["guard"] == 2 * per_word.skipped["guard"]
+    assert both.samples == 2 * per_word.samples
+    unknown = form_equal(c, d, trials=8, seed=1, guards=[-ONE])
+    assert unknown.verdict == "unknown"
+    assert unknown.skipped == {"guard": 16, "domain": 0, "overflow": 0}
