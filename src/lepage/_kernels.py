@@ -8,11 +8,12 @@ coefficient fields per node (``FiveFieldBlock``), each formed from u when a
 kernel reads it (``GraphJacobian``), and ``cell_circulation`` takes
 trapezoid-rule loop integrals around the grid cells.  The rest are the
 Newton solver's grid operations on 9-point operators, in the dtype of their
-operands: probing a stencil, applying it, its residual, a colour
-Gauss-Seidel sweep, copies in a given dtype (as 9-point blocks, or a
-Jacobian's as six fields per node, ``SixFieldBlock``) and a test that the
-couplings they read are finite, the max norm, bilinear prolongation and its
-transpose, and the operator's sparse triplets.
+operands: applying one, its residual, a colour Gauss-Seidel sweep, copies
+in a given dtype (as 9-point blocks, or a Jacobian's as six fields per
+node, ``SixFieldBlock``) and a test that the couplings they read are
+finite, the max norm, bilinear prolongation added in place and its
+transpose, the Galerkin coarse operator composed from the fine stencil, and
+the operator's sparse triplets.
 """
 
 from __future__ import annotations
@@ -45,8 +46,15 @@ def _stencil_derivatives(u, hx, hy):
 
 
 def interior_residual(u, hx, hy):
-    ux, uy, uxx, uyy, uxy = _stencil_derivatives(u, hx, hy)
-    return (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy + (1.0 + ux * ux) * uyy
+    """The graph equation at the interior nodes, made in bands of about
+    _BAND_NODES nodes, each from the derivatives of its rows alone."""
+    out = np.empty((u.shape[0] - 2, u.shape[1] - 2), np.result_type(u, 1.0))
+    rows = max(1, _BAND_NODES // max(1, out.shape[1]))
+    for i in range(0, out.shape[0], rows):
+        ux, uy, uxx, uyy, uxy = _stencil_derivatives(u[i:i + rows + 2], hx, hy)
+        out[i:i + rows] = ((1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
+                           + (1.0 + ux * ux) * uyy)
+    return out
 
 
 def interior_jacobian_stencil(u, hx, hy):
@@ -98,11 +106,15 @@ def cell_circulation(P, Q, hx, hy):
 COLOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+_NOWHERE = slice(0, 0)
+_INSIDE = (_NOWHERE,) * 3  # by offset, no node's neighbour is off the side
+
+
 def _edges(p, n):
     # by offset a, the node of colour p on a side of n nodes whose
-    # neighbour at offset a - 1 is a boundary node, or None
-    return (0 if p == 0 else None, None,
-            -1 if (n - 1 - p) % 2 == 0 else None)
+    # neighbour at offset a - 1 is a boundary node, or no node
+    return (0 if p == 0 else _NOWHERE, _NOWHERE,
+            -1 if (n - 1 - p) % 2 == 0 else _NOWHERE)
 
 
 class FiveFieldBlock:
@@ -138,10 +150,8 @@ class FiveFieldBlock:
             S = by + ey if b else by - ey
         else:
             S = -2.0 * ax - 2.0 * by
-        if self.rows[a] is not None:
-            S[self.rows[a]] = 0.0
-        if self.cols[b] is not None:
-            S[:, self.cols[b]] = 0.0
+        S[self.rows[a]] = 0.0
+        S[:, self.cols[b]] = 0.0
         return S
 
 
@@ -388,30 +398,34 @@ def stencil_norm(blocks):
                      .max(initial=0.0)) for Sc in blocks)
 
 
-def prolong(xc, shape):
-    """Bilinear interpolation from an (m, n) grid to ``shape``.
+def _interpolated(v, n):
+    # bilinear interpolation along axis 0 from v's side to n nodes, as
+    # (fine nodes, values) pairs: v at the odd nodes, the mean of the two
+    # neighbours at the even ones and half the one at an end; or v itself
+    m = v.shape[0]
+    if n == m:
+        return ((slice(None), v),)
+    even = np.empty((len(range(0, n, 2)),) + v.shape[1:], v.dtype)
+    even[0] = 0.5 * v[0]
+    np.add(v[:-1], v[1:], out=even[1:m])
+    even[1:m] *= 0.5
+    if n % 2:  # node 2m
+        even[m] = 0.5 * v[-1]
+    return ((slice(1, 2 * m, 2), v), (slice(0, n, 2), even))
 
-    A side of m nodes goes to 2m + 1, or to 2m as if to 2m + 1 with the
-    last fine node dropped; a side whose length ``shape`` keeps is left as
-    it is.
-    """
-    for axis, n in enumerate(shape):
-        v = np.moveaxis(xc, axis, 0)
-        m = v.shape[0]
-        if n == m:
-            continue
-        out = np.empty((n,) + v.shape[1:], v.dtype)
-        out[1::2] = v
-        out[0] = 0.5 * v[0]
-        out[2:2 * m:2] = 0.5 * (v[:-1] + v[1:])
-        if n % 2:  # node 2m
-            out[-1] = 0.5 * v[-1]
-        xc = np.moveaxis(out, 0, axis)
-    return xc
+
+def prolong_add(x, xc):
+    """x += P xc in place, rows first, P bilinear interpolation from xc's
+    grid to x's: a side of m nodes goes to 2m + 1, or to 2m as if to 2m + 1
+    with the last fine node dropped, or stays as it is."""
+    for rows, v in _interpolated(xc, x.shape[0]):
+        for cols, w in _interpolated(v.T, x.shape[1]):
+            x[rows, cols] += w.T
+    return x
 
 
 def restrict(f, shape):
-    """The transpose of ``prolong``, from a fine grid to ``shape``."""
+    """The transpose of bilinear interpolation, from a fine grid to ``shape``."""
     for axis, m in enumerate(shape):
         v = np.moveaxis(f, axis, 0)
         if m == v.shape[0]:
@@ -429,30 +443,85 @@ def restrict(f, shape):
     return f
 
 
-def probe_stencil(apply, mx, my):
-    """Colour blocks of the 9-point stencil of the linear map ``apply``.
+@lru_cache(maxsize=None)
+def _windows(P, n, m):
+    # The restriction window of coarse nodes I = P, P + 2, ... on a side of
+    # n fine nodes coarsened to m, in restrict's order (2I, 2I + 2, 2I + 1,
+    # or I on a kept side), and how many nodes have a node 2I + 2.  By
+    # window node: its fine colour, its slice of it, and by offset a the
+    # targets I + A - 1 of weight w != 0 at the neighbour, (A, w, ks), ks
+    # the coarse nodes whose window node and neighbour lie on the side.
+    K = len(range(P, m, 2))
+    if n == m:
+        return ((P, slice(0, K), tuple((slice(a, a + 1), 1.0, ks) for a, (ks, _)
+                                       in enumerate(_reach(P, n)))),), K
 
-    Nine probes, each the indicator of the nodes with (i mod 3, j mod 3) =
-    (s, t): in every 3 x 3 neighbourhood exactly one node is probed, so each
-    image entry is one stencil coefficient.  Row i = p + 2k of colour (p, q)
-    meets the probed node at offset a - 1 when 2k = s - p - a + 1 (mod 3),
-    that is k = 2 (s - p - a + 1) (mod 3).
+    def span(ok):  # the coarse nodes where ok(2I), as a slice of the colour
+        ks = [k for k in range(K) if ok(2 * P + 4 * k)]
+        return slice(ks[0], ks[-1] + 1) if ks else slice(0, 0)
+
+    windows = []
+    for d in (0, 2, 1):
+        # the neighbour 2I + d + a - 1 is 2J + 1 where d + a = 2A
+        terms = tuple((slice(s // 2, s // 2 + 1 + s % 2), 1.0 - 0.5 * (s % 2),
+                       span(lambda i: 0 <= i + s - 1 < n and i + d < n))
+                      for s in range(d, d + 3))
+        f, kw = P + d // 2, span(lambda i: i + d < n).stop
+        windows.append((d % 2, slice(f, f + 2 * kw, 2), terms))
+    return tuple(windows), span(lambda i: i + 2 < n).stop
+
+
+def _fold(part, windows, kr, axis):
+    # restrict's sum over one side's window, (l + r) / 2 + m, with no r
+    # past node kr, of the shares part(window) made as they are needed
+    t = part(windows[0])
+    if len(windows) > 1:
+        cut = (slice(None),) * axis + (slice(0, kr),)
+        t[cut] += part(windows[1])[cut]
+        t *= 0.5
+        t += part(windows[2])
+    return t
+
+
+def galerkin_product(blocks, fine, coarse):
+    """Colour blocks, float64, of P^T S P on the interior grid ``coarse``:
+    S the colour blocks ``blocks`` on ``fine``, P bilinear interpolation.
+
+    Composed from the fine stencil (Trottenberg, Oosterlee & Schueller,
+    *Multigrid*, 2001): at each node of coarse node I's restriction window,
+    the sum over (a, b), in the kernels' order, of S[a, b] times the
+    bilinear weight (1, 1/2 or 1/4) of the target I + (A - 1, B - 1) at the
+    neighbour, the window then combined as ``restrict`` combines it.  Terms
+    of weight 0 or off the grid are left out, and targets off the grid get
+    0, so each entry is bit for bit the image of the probe that is 1 at the
+    target.  A ``FiveFieldBlock`` forms each coupling once per window node.
     """
-    blocks = [np.zeros((3, 3, len(range(p, mx, 2)), len(range(q, my, 2))))
-              for p, q in COLOURS]
-    for s in range(3):
-        for t in range(3):
-            e = np.zeros((mx, my))
-            e[s::3, t::3] = 1.0
-            y = apply(e)
-            for (p, q), Sc in zip(COLOURS, blocks):
-                yc = y[p::2, q::2]
-                for a in range(3):
-                    for b in range(3):
-                        k0 = 2 * (s - p - a + 1) % 3
-                        l0 = 2 * (t - q - b + 1) % 3
-                        Sc[a, b, k0::3, l0::3] = yc[k0::3, l0::3]
-    return blocks
+    out = []
+    for P, Q in COLOURS:
+        (rows, kr), (cols, lr) = (_windows(P, fine[0], coarse[0]),
+                                  _windows(Q, fine[1], coarse[1]))
+        shape = (3, 3, len(range(P, coarse[0], 2)), len(range(Q, coarse[1], 2)))
+
+        def part(r, c):
+            (f, fr, rterms), (g, fc, cterms) = r, c
+            Sc = blocks[COLOURS.index((f, g))]
+            Sc = (FiveFieldBlock(Sc.fields[:, fr, fc], _INSIDE, _INSIDE)
+                  if isinstance(Sc, FiveFieldBlock) else Sc[:, :, fr, fc])
+            y = np.zeros(shape)
+            for a, (A, wa, ks) in enumerate(rterms):
+                for b, (B, wb, ls) in enumerate(cterms):
+                    S = Sc[a, b][ks, ls]
+                    y[A, B, ks, ls] += S if wa * wb == 1.0 else S * (wa * wb)
+            return y
+
+        Z = _fold(lambda c: _fold(lambda r: part(r, c), rows, kr, 2),
+                  cols, lr, 3)
+        for a, (i, j) in enumerate(zip(_edges(P, coarse[0]),
+                                       _edges(Q, coarse[1]))):
+            Z[a, :, i] = 0.0
+            Z[:, a, :, j] = 0.0
+        out.append(Z)
+    return out
 
 
 def stencil_coo(blocks, mx, my):

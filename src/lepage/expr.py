@@ -603,20 +603,22 @@ def _make(num: Poly, den: Poly) -> Expr:
         clear = {((root, 1),): Fraction(1)}
         num = _p_mul(num, clear)
         den = _p_mul(den, clear)
-    # scale so the denominator's first term has coefficient 1
+    # scale so the denominator's first term has coefficient 1, keeping
+    # den_terms, the denominator in canonical order, sorted once
     den_terms = sorted(den.items(), key=lambda kv: _mono_key(kv[0]))
     lead = den_terms[0][1]
     if lead != 1:
         inv = Fraction(1) / lead
         num = {m: c * inv for m, c in num.items()}
         den = {m: c * inv for m, c in den.items()}
+        den_terms = [(m, den[m]) for m, _ in den_terms]
     if den != {_EMPTY_MONO: Fraction(1)}:
         q = _p_exact_div(num, den)
         if q is not None:
-            num, den = q, {_EMPTY_MONO: Fraction(1)}
+            num, den_terms = q, [(_EMPTY_MONO, Fraction(1))]
         if not num:
             return Expr((), ((_EMPTY_MONO, Fraction(1)),))
-    return Expr(Expr._freeze(num), Expr._freeze(den))
+    return Expr(Expr._freeze(num), tuple(den_terms))
 
 
 ZERO = Expr((), ((_EMPTY_MONO, Fraction(1)),))
@@ -1122,8 +1124,16 @@ def evaluate(e: Expr, assign: PointAssignment, *,
     leaves float range always does; so no value that lost its magnitude is
     returned.
     """
-    def eval_terms(terms) -> float:
-        total = 0.0
+    return _evaluate(e, assign, strict)[0]
+
+
+def _evaluate(e: Expr, assign: PointAssignment,
+              strict: bool) -> tuple[float, float]:
+    # (value, size) of e at a point, where size is the sum of the
+    # numerator's |terms| over |denominator|: the magnitude that the
+    # value's rounding error follows, taken in the same pass
+    def eval_terms(terms) -> tuple[float, float]:
+        total = size = 0.0
         for mono, coeff in terms:
             v = float(coeff)
             zero_atom = False
@@ -1134,18 +1144,19 @@ def evaluate(e: Expr, assign: PointAssignment, *,
             if strict and not zero_atom and v == 0.0:
                 raise DomainError("a term underflows to 0")
             total += v
-        if strict and not math.isfinite(total):
+            size += abs(v)
+        if strict and not math.isfinite(size):
             raise OverflowError("a sum of terms overflows")
-        return total
+        return total, size
 
-    num = eval_terms(e.num)
-    den = eval_terms(e.den)
+    num, size = eval_terms(e.num)
+    den = eval_terms(e.den)[0]
     if abs(den) < DEN_EPS:
         raise DomainError(f"denominator within {DEN_EPS} of zero")
-    v = num / den
-    if strict and not math.isfinite(v):
+    v, size = num / den, size / abs(den)
+    if strict and not math.isfinite(size):
         raise OverflowError("a quotient overflows")
-    return v
+    return v, size
 
 
 # ---------------------------------------------------------------------------
@@ -1226,7 +1237,10 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
     positive threshold) are skipped, and so are points where a value
     leaves float range: a power, product, sum or quotient that overflows,
     or a nonzero term that underflows to 0 (as a huge power or coefficient
-    does), since such a value cannot tell the two sides apart.  Following
+    does), since such a value cannot tell the two sides apart.  A sample
+    agrees when |a - b| <= tol times the largest of |a|, |b| and the
+    sides' term magnitudes (the sum of the numerator's |terms| over
+    |denominator|), so scaling both sides changes no verdict.  Following
     the engine contract, a single surviving sample suffices for an 'equal'
     verdict; 'unknown' is returned only when every point was skipped.
     """
@@ -1250,15 +1264,16 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
             if any(evaluate(g, assign, strict=True) <= GUARD_EPS for g in guards):
                 skipped["guard"] += 1
                 continue
-            va = evaluate(a, assign, strict=True)
-            vb = evaluate(b, assign, strict=True)
+            va, ma = _evaluate(a, assign, True)
+            vb, mb = _evaluate(b, assign, True)
         except (DomainError, OverflowError) as exc:
             skipped["domain" if isinstance(exc, DomainError) else "overflow"] += 1
             continue
         res.samples += 1
         dev = abs(va - vb)
-        scale = max(1.0, abs(va), abs(vb))
-        res.max_deviation = max(res.max_deviation, dev / scale)
+        scale = max(abs(va), abs(vb), ma, mb)
+        res.max_deviation = max(res.max_deviation,
+                                dev / scale if scale else 0.0)
         if dev > tol * scale:
             res.verdict = "unequal"
             res.witness, res.witness_values = assign, (va, vb)

@@ -198,7 +198,7 @@ def _vcycle(stencils, shapes, coarse, level: int,
     x = np.zeros_like(f)
     k.colour_gauss_seidel(S, x, f)
     r = k.restrict(k.stencil_residual(S, x, f), shapes[level + 1])
-    x += k.prolong(_vcycle(stencils, shapes, coarse, level + 1, r), f.shape)
+    k.prolong_add(x, _vcycle(stencils, shapes, coarse, level + 1, r))
     k.colour_gauss_seidel(S, x, f, order=(3, 2, 1, 0))
     return x
 
@@ -271,19 +271,22 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
     """x with S x = b by float64 refinement of ``dtype`` corrections, or None.
 
     S serves only the float64 refinement residual b - S x, the test's
-    ||S|| and the Galerkin product of the first coarse level.  The set-up
-    reads S's blocks once into a list, for ||S|| and that product, then
-    replaces each block of the list by its copy in ``dtype``, one colour at
-    a time (``_kernels.stencil_copy``: six fields per node for a Jacobian's
-    ``FiveFieldBlock``); the residual then reads S one block at a time, so
-    a Jacobian that forms its blocks when read (``_kernels.GraphJacobian``)
-    holds no more than one colour's fields while the corrections run.  The
+    ||S|| and the first coarse level's Galerkin product.  The set-up reads
+    S's blocks once into a list, for ||S|| and that product, which
+    ``_kernels.galerkin_product`` composes from the fine stencil one coarse
+    colour at a time, with no fine-grid scratch; it then replaces each
+    block of the list by its copy in ``dtype``, one colour at a time (six
+    fields per node for a Jacobian's ``FiveFieldBlock``).  The first
+    residual, at x = 0, is b; each later one reads S one block at a time,
+    so a Jacobian that forms its blocks when read (``GraphJacobian``) holds
+    one colour's fields at most while the corrections run, and the last
+    correction and its ``dtype`` residual are dropped first.  The
     corrections run in ``dtype``, on the copy of S and on coarse operators
-    that are each made in float64 from the next finer one and kept in
-    ``dtype``.  Returns None when a coupling that stays in the grid is
-    beyond the range of ``dtype``, the coarsest solve cannot be made, or a
-    step does not shrink the residual or the test still fails after the
-    first solve and _REFINE_STEPS refinements.
+    each composed in float64 from the next finer one and kept in ``dtype``.
+    Returns None when a coupling that stays in the grid is beyond the range
+    of ``dtype``, the coarsest solve cannot be made, or a step does not
+    shrink the residual or the test still fails after the first solve and
+    _REFINE_STEPS refinements.
     """
     k = _kernels
     shapes = _grid_levels(*b.shape)
@@ -291,11 +294,9 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
     tol = k.stencil_norm(level) * np.finfo(np.float64).eps * np.sqrt(b.size)
     stencils = []
     for fine, shape in zip(shapes, shapes[1:]):
-        # the Galerkin product first, so that the probe's scratch and the
-        # copy are not held at once; the copy then replaces each block
-        coarser = k.probe_stencil(
-            lambda e, finer=level: k.restrict(
-                k.stencil_apply(finer, k.prolong(e, fine)), shape), *shape)
+        # the Galerkin product first, so that its scratch and the copy are
+        # not held at once; the copy then replaces each block
+        coarser = k.galerkin_product(level, fine, shape)
         k.stencil_copy(level, dtype)
         if not k.stencil_finite(level, fine):
             return None
@@ -314,7 +315,9 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
 
     x, last = np.zeros(b.shape), np.inf
     for solves in range(_REFINE_STEPS + 2):  # the first, then refinements
-        r = k.stencil_residual(S, x, b)
+        # at x = 0 the residual is b: every coupling of S that the kernels
+        # read is finite (stencil_finite, or the coarse solver's own test)
+        r = k.stencil_residual(S, x, b) if solves else b.copy()
         rmax = np.max(np.abs(r))
         passed = rmax <= np.max(np.abs(x)) * tol
         if passed and (len(stencils) == 1 or rmax == 0):
@@ -334,6 +337,7 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
             r = r.astype(dtype)
             y = _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve)
             x += rmax * y.reshape(b.shape)
+        del r, y  # not held through the next residual
         if passed:
             return x.ravel()
 
@@ -342,36 +346,25 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     """Solve S x = b by a mixed-precision multigrid solve; x comes flat.
 
     S is a 9-point operator in ``_kernels``' colour-block layout on the
-    interior grid of shape ``b.shape``: a list of the four colour blocks,
-    or a sequence that forms each when it is read, as the Newton solver's
-    Jacobians do, five float64 coefficient fields per node at a time.  The
-    solve holds all four blocks only while it sets up; the float64
-    refinement residual reads one at a time.  The grid is coarsened into a
-    multigrid hierarchy: while the longer side exceeds 15 nodes, each side
-    longer than 15 becomes m, from 2m + 1 or 2m nodes, so a thin grid
-    coarsens along its long side only.  The coarse
-    operators are Galerkin products P^T S P with bilinear P, each made in
-    float64 from the next finer one and kept in float32, and only the
-    coarsest one, of at most 15 x 15 = 225 nodes, is solved directly, once
-    per call: its float32 dense inverse is applied as a matrix-vector
-    product.  The solve uses three precisions (Carson & Higham, SIAM J.
-    Sci. Comput. 40, 2018): a float64 loop refines x until LAPACK dsgesv's
-    test ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max norms), for at
-    most 30 refinements after the first solve (Buttari et al., ACM TOMS
-    34(4), 2008), and the corrections are float32.  On a grid that does not
-    coarsen each correction is the float32 coarse solve, and x is returned
-    as soon as the test holds.  On one that does, each correction is
-    float32 BiCGSTAB, to a relative residual of 1e-3 or 20 iterations, on a
-    float32 copy of S and preconditioned with a float32 V(1,1)-cycle whose
-    smoother is four-colour Gauss-Seidel; once the test holds, one more
-    correction is made.  A Jacobian's copy keeps six fields per node, its
-    distinct coupling values (``_kernels.SixFieldBlock``), and any other
-    operator's the nine couplings.  When this fails -- a coupling of S or
-    b outside float32 range, a float32 matrix that is singular, or a loop
-    that stalls or does not reach the test -- the same solve runs again
-    with float64 in place of float32 throughout: the copy of S, made by the
-    same builder, the coarse operators, the dense coarse inverse, the
-    V-cycle and BiCGSTAB.  When that fails as well, x is all NaN.
+    interior grid of shape ``b.shape``: the four colour blocks, or a
+    sequence that forms each when it is read, as the Newton solver's
+    Jacobians do.  While the longer side exceeds 15 nodes, each side longer
+    than 15 coarsens from 2m + 1 or 2m nodes to m.  The coarse operators
+    are Galerkin products P^T S P with bilinear P, composed in float64 and
+    kept in float32; only the coarsest, of at most 15 x 15 nodes, is solved
+    directly, by its float32 dense inverse.  Three precisions (Carson &
+    Higham, SIAM J. Sci. Comput. 40, 2018): a float64 loop refines x until
+    LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max
+    norms), for at most 30 refinements after the first solve (Buttari et
+    al., ACM TOMS 34(4), 2008), with float32 corrections: the coarse solve
+    on a grid that does not coarsen, returned once the test holds, and
+    otherwise BiCGSTAB to a relative residual of 1e-3 or 20 iterations on a
+    float32 copy of S (six fields per node for a Jacobian,
+    ``_kernels.SixFieldBlock``), preconditioned with a V(1,1)-cycle of
+    four-colour Gauss-Seidel, plus one more correction once the test holds.
+    When that fails (a coupling of S or b beyond float32 range, a singular
+    float32 matrix, a loop that stalls or misses the test) the same solve
+    runs in float64 throughout; when that fails too, x is all NaN.
     """
     for dtype in (np.float32, np.float64):
         x = _multigrid_solve(S, b, dtype)

@@ -240,6 +240,21 @@ def test_check_zermelo_fails_with_witness(capsys, tmp_path):
     assert report["witness"]["point"]
 
 
+@pytest.mark.parametrize("factor", ["1", "1/1000000000000", "1000000000000"])
+@pytest.mark.parametrize("lagrangian, passed", [
+    ("y1_1^2", False), ("sqrt(y1_1^2 + y2_1^2)", True)])
+def test_check_zermelo_verdict_ignores_a_constant_factor(
+        capsys, tmp_path, lagrangian, passed, factor):
+    # the sampled comparison is relative to the residual's terms, so a
+    # residual that is small only because the integrand is does not pass
+    payload = json.loads(Path(ARCLENGTH).read_text())
+    payload["lagrangian"] = f"{factor}*({lagrangian})"
+    path = write_problem(tmp_path, payload)
+    code, report = run_json(capsys, "check-zermelo", "--problem", path)
+    assert report["passed"] is passed
+    assert code == (0 if passed else 1)
+
+
 def test_check_zermelo_reports_unknown_verdict(capsys, tmp_path):
     # every sample violates the radicand guard, so the residual is undecided
     path = write_problem(tmp_path, {

@@ -349,6 +349,22 @@ def test_equal_counts_skipped_samples_by_reason():
     assert equal(a, a).skipped == {"guard": 0, "domain": 0, "overflow": 0}
 
 
+def test_equal_tolerance_follows_the_terms():
+    a = yj(1, 1)
+    # a nonzero residual is unequal to 0 however small a constant scales it
+    for c in (Fraction(1, 10 ** 12), Fraction(1), Fraction(10 ** 12)):
+        assert equal(const(c) * a * a, const(0)).verdict == "unequal"
+        assert equal(const(c) * (a + 1) ** 2,
+                     const(c) * (a * a + 2 * a + 1)).verdict == "equal"
+    # rounding error is measured against the terms, not the value: the
+    # difference of equal radicals rounds to about 1e-16 of its terms
+    root = sqrt_expr(const(2)) * sqrt_expr(const(3)) - sqrt_expr(const(6))
+    assert not root.is_zero
+    r = equal(root, const(0))
+    assert r.verdict == "equal" and r.samples == 20
+    assert r.max_deviation < 1e-15
+
+
 def test_equal_deterministic_for_seed():
     a, b = yj(1, 1), yj(2, 1)
     r1 = equal(a * b, a + b, seed=5)

@@ -1,8 +1,11 @@
 """Golden corpus: byte-for-byte stdout of fixed CLI commands at seed 0.
 
 The corpus holds the nine commands of the benchmark's symbolic CLI mix,
-``check-lepage`` for every equivalent kind on both problem files, and
-``selftest --format json``.  The selftest file is checked by
+``check-lepage`` for every equivalent kind on both problem files,
+``minsurf`` on both builtin surfaces at an even and an odd grid and with
+the defaults of ``minimal_r3.json`` (the solver's iterates, its residual
+history and the conservation figures; ``minsurf`` samples nothing and
+takes no seed), and ``selftest --format json``.  The selftest file is checked by
 ``tests/test_cli.py`` against the session's one ``python -m lepage.cli``
 selftest process (``conftest.selftest_json``), which the acceptance tests
 read too, so the criteria run once per test session.  A change that alters printed output on
@@ -44,6 +47,12 @@ def _cases() -> dict[str, tuple[tuple[str, ...], int]]:
         "lepage-w_minimal_r3": (("lepage", "--problem", PROBLEMS["minimal_r3"],
                                  "--kind", "w"), 0),
     }
+    for surface in ("scherk", "paraboloid"):
+        for grid in ("64", "65"):
+            cases[f"minsurf_{surface}_{grid}"] = (
+                ("minsurf", "--boundary", surface, "--grid", grid), 0)
+    cases["minsurf_minimal_r3"] = (("minsurf", "--problem",
+                                    PROBLEMS["minimal_r3"]), 0)
     for pname, path in PROBLEMS.items():
         for kind in KINDS:
             # krupka needs a metric problem: exit 2, nothing on stdout
@@ -61,7 +70,8 @@ def run(argv: tuple[str, ...]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        status = main([*argv, "--seed", "0"])
+        seed = () if argv[0] == "minsurf" else ("--seed", "0")
+        status = main([*argv, *seed])
     return status, out.getvalue()
 
 
