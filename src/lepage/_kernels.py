@@ -425,7 +425,7 @@ def prolong_add(x, xc):
 
 
 def restrict(f, shape):
-    """The transpose of bilinear interpolation, from a fine grid to ``shape``."""
+    """The transpose of ``prolong_add``, from a fine grid to ``shape``."""
     for axis, m in enumerate(shape):
         v = np.moveaxis(f, axis, 0)
         if m == v.shape[0]:
@@ -447,14 +447,14 @@ def restrict(f, shape):
 def _windows(P, n, m):
     # The restriction window of coarse nodes I = P, P + 2, ... on a side of
     # n fine nodes coarsened to m, in restrict's order (2I, 2I + 2, 2I + 1,
-    # or I on a kept side), and how many nodes have a node 2I + 2.  By
-    # window node: its fine colour, its slice of it, and by offset a the
-    # targets I + A - 1 of weight w != 0 at the neighbour, (A, w, ks), ks
-    # the coarse nodes whose window node and neighbour lie on the side.
+    # or I on a kept side).  By window node: its fine colour, its slice of
+    # it, and by offset a the targets I + A - 1 of weight w != 0 at the
+    # neighbour, (A, w, ks), ks the coarse nodes whose window node and
+    # neighbour lie on the side.
     K = len(range(P, m, 2))
     if n == m:
-        return ((P, slice(0, K), tuple((slice(a, a + 1), 1.0, ks) for a, (ks, _)
-                                       in enumerate(_reach(P, n)))),), K
+        return (P, slice(0, K), tuple((slice(a, a + 1), 1.0, ks) for a, (ks, _)
+                                      in enumerate(_reach(P, n)))),
 
     def span(ok):  # the coarse nodes where ok(2I), as a slice of the colour
         ks = [k for k in range(K) if ok(2 * P + 4 * k)]
@@ -468,16 +468,17 @@ def _windows(P, n, m):
                       for s in range(d, d + 3))
         f, kw = P + d // 2, span(lambda i: i + d < n).stop
         windows.append((d % 2, slice(f, f + 2 * kw, 2), terms))
-    return tuple(windows), span(lambda i: i + 2 < n).stop
+    return tuple(windows)
 
 
-def _fold(part, windows, kr, axis):
-    # restrict's sum over one side's window, (l + r) / 2 + m, with no r
-    # past node kr, of the shares part(window) made as they are needed
+def _fold(part, windows):
+    # restrict's sum over one side's window, (l + r) / 2 + m, of the shares
+    # part(window) made as they are needed.  A share starts from +0.0, so
+    # it is never -0.0, and where node 2I + 2 is off the side r is +0.0
+    # and l + r is l, as restrict takes it
     t = part(windows[0])
     if len(windows) > 1:
-        cut = (slice(None),) * axis + (slice(0, kr),)
-        t[cut] += part(windows[1])[cut]
+        t += part(windows[1])
         t *= 0.5
         t += part(windows[2])
     return t
@@ -498,9 +499,10 @@ def galerkin_product(blocks, fine, coarse):
     """
     out = []
     for P, Q in COLOURS:
-        (rows, kr), (cols, lr) = (_windows(P, fine[0], coarse[0]),
-                                  _windows(Q, fine[1], coarse[1]))
-        shape = (3, 3, len(range(P, coarse[0], 2)), len(range(Q, coarse[1], 2)))
+        rows = _windows(P, fine[0], coarse[0])
+        cols = _windows(Q, fine[1], coarse[1])
+        shape = (3, 3) + tuple(len(range(p, n, 2))
+                               for p, n in zip((P, Q), coarse))
 
         def part(r, c):
             (f, fr, rterms), (g, fc, cterms) = r, c
@@ -514,8 +516,7 @@ def galerkin_product(blocks, fine, coarse):
                     y[A, B, ks, ls] += S if wa * wb == 1.0 else S * (wa * wb)
             return y
 
-        Z = _fold(lambda c: _fold(lambda r: part(r, c), rows, kr, 2),
-                  cols, lr, 3)
+        Z = _fold(lambda c: _fold(lambda r: part(r, c), rows), cols)
         for a, (i, j) in enumerate(zip(_edges(P, coarse[0]),
                                        _edges(Q, coarse[1]))):
             Z[a, :, i] = 0.0
