@@ -5,7 +5,8 @@ The corpus holds the nine commands of the benchmark's symbolic CLI mix,
 ``minsurf`` on both builtin surfaces at an even and an odd grid and with
 the defaults of ``minimal_r3.json`` (the solver's iterates, its residual
 history and the conservation figures; ``minsurf`` samples nothing and
-takes no seed), and ``selftest --format json``.  The selftest file is checked by
+takes no seed), the LaTeX output of ``lepage``, ``derive-el`` and
+``noether``, and ``selftest --format json``.  The selftest file is checked by
 ``tests/test_cli.py`` against the session's one ``python -m lepage.cli``
 selftest process (``conftest.selftest_json``), which the acceptance tests
 read too, so the criteria run once per test session.  A change that alters printed output on
@@ -59,6 +60,22 @@ def _cases() -> dict[str, tuple[tuple[str, ...], int]]:
             status = 2 if (pname, kind) == ("arclength", "krupka") else 0
             cases[f"check-lepage_{pname}_{kind}"] = (
                 ("check-lepage", "--problem", path, "--kind", kind), status)
+    # LaTeX output: the covector and atom spellings; the other minimal_r3
+    # kinds print 40-188 KB each and add no spelling these do not
+    latex = ("--format", "latex")
+    for kind in KINDS:
+        status = 2 if kind == "krupka" else 0
+        cases[f"lepage-latex_arclength_{kind}"] = (
+            ("lepage", "--problem", PROBLEMS["arclength"], "--kind", kind,
+             *latex), status)
+    for kind in ("poincare-cartan", "hilbert-caratheodory", "krupka"):
+        cases[f"lepage-latex_minimal_r3_{kind}"] = (
+            ("lepage", "--problem", PROBLEMS["minimal_r3"], "--kind", kind,
+             *latex), 0)
+    cases["derive-el-latex_arclength"] = (
+        ("derive-el", "--problem", PROBLEMS["arclength"], *latex), 0)
+    cases["noether-latex_minimal_r3"] = (
+        ("noether", "--problem", PROBLEMS["minimal_r3"], *latex), 0)
     return cases
 
 
