@@ -233,25 +233,12 @@ def load_problem(path: str | Path) -> ProblemSpec:
 # rendering
 # ---------------------------------------------------------------------------
 
-_COVECTOR_LATEX = {
-    "dx": "\\mathrm{{d}}x^{{{a}}}",
-    "dy": "\\mathrm{{d}}y^{{{a}}}",
-    "dy1": "\\mathrm{{d}}y^{{{a}}}_{{{b}}}",
-    "om": "\\omega^{{{a}}}",
-    "om1": "\\omega^{{{a}}}_{{{b}}}",
-    "dw": "\\mathrm{{d}}w^{{{a}}}",
-    "dw1": "\\mathrm{{d}}w^{{{a}}}_{{{b}}}",
-    "omt": "\\tilde{{\\omega}}^{{{a}}}",
-}
-
-
 def _form_to_latex(a: DiffForm) -> str:
     if a.is_zero:
         return "0"
     parts = []
-    for word, coeff in sorted(a.items(), key=lambda t: tuple(c.key for c in t[0])):
-        factors = " \\wedge ".join(
-            _COVECTOR_LATEX[c.kind].format(a=c.a, b=c.b) for c in word)
+    for word, coeff in a.items():
+        factors = " \\wedge ".join(c.latex() for c in word)
         if not factors:
             parts.append(to_latex(coeff))
         else:

@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # hashlib.blake2b is this function; importing hashlib would also load
 # OpenSSL's libcrypto, about 3 MB per process, for nothing the sampler uses
@@ -95,7 +95,11 @@ class ExpressionSizeError(ExprError):
 # symbols and atoms
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {"x": 0, "y": 1, "y1": 2, "y2": 3, "w": 4, "w1": 5, "z": 6, "a": 7}
+# kind -> (letter, number of lower indices), in rank order
+_SYM_KINDS = {"x": ("x", 0), "y": ("y", 0), "y1": ("y", 1), "y2": ("y", 2),
+              "w": ("w", 0), "w1": ("w", 1), "z": ("z", 1), "a": ("a", 1)}
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_SYM_KINDS)}
+_KIND_OF = {spelling: kind for kind, spelling in _SYM_KINDS.items()}
 
 
 class Sym:
@@ -135,25 +139,15 @@ class Sym:
         return sym_name(self)
 
 
+def _spelling(s: Sym) -> tuple[str, str]:
+    """The letter of s and the digits of its lower indices."""
+    letter, lower = _SYM_KINDS[s.kind]
+    return letter, "".join(str(i) for i in (s.b, s.c)[:lower])
+
+
 def sym_name(s: Sym) -> str:
-    if s.kind == "x":
-        return f"x{s.a}"
-    if s.kind == "y":
-        return f"y{s.a}"
-    if s.kind == "y1":
-        return f"y{s.a}_{s.b}"
-    if s.kind == "y2":
-        return f"y{s.a}_{s.b}{s.c}"
-    if s.kind == "w":
-        return f"w{s.a}"
-    if s.kind == "w1":
-        return f"w{s.a}_{s.b}"
-    if s.kind == "z":
-        return f"z{s.a}_{s.b}"
-    return f"a{s.a}_{s.b}"
-
-
-ANALYTIC_NAMES = ("sin", "cos", "exp", "log", "atan")
+    letter, lower = _spelling(s)
+    return f"{letter}{s.a}_{lower}" if lower else f"{letter}{s.a}"
 
 
 class Fun:
@@ -218,6 +212,8 @@ def _mono_key(mono: Mono):
 # ---------------------------------------------------------------------------
 
 _EMPTY_MONO: Mono = ()
+# the terms of the polynomial 1, the denominator of every polynomial
+_UNIT_TERMS = ((_EMPTY_MONO, Fraction(1)),)
 
 
 def _p_const(c: Fraction) -> Poly:
@@ -248,15 +244,11 @@ def _check_size(p: Poly) -> Poly:
 def _fold_square(atom) -> Poly | None:
     """Return the polynomial equal to atom^2 if a fold rule applies."""
     if isinstance(atom, Root):
-        return dict(_poly_of(atom.arg.num))
+        return dict(atom.arg.num)
     if isinstance(atom, Fun) and atom.analytic and atom.name == "sin":
         cos_atom = Fun("cos", (), atom.args, True)
         return {_EMPTY_MONO: Fraction(1), ((cos_atom, 2),): Fraction(-1)}
     return None
-
-
-def _poly_of(terms) -> Poly:
-    return dict(terms)
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Poly | None]:
@@ -457,11 +449,10 @@ class Expr:
 
     @property
     def is_one(self) -> bool:
-        return (self.num == ((_EMPTY_MONO, Fraction(1)),)
-                and self.den == ((_EMPTY_MONO, Fraction(1)),))
+        return self.num == _UNIT_TERMS and self.den == _UNIT_TERMS
 
     def as_fraction(self) -> Fraction | None:
-        if self.den != ((_EMPTY_MONO, Fraction(1)),):
+        if self.den != _UNIT_TERMS:
             return None
         if not self.num:
             return Fraction(0)
@@ -494,12 +485,11 @@ class Expr:
             return other
         if other.is_zero:
             return self
-        n1, d1 = _poly_of(self.num), _poly_of(self.den)
-        n2, d2 = _poly_of(other.num), _poly_of(other.den)
+        n1, d1 = dict(self.num), dict(self.den)
+        n2, d2 = dict(other.num), dict(other.den)
         if self.den == other.den:
-            out = dict(n1)
-            _p_add_into(out, n2)
-            return _make(out, d1)
+            _p_add_into(n1, n2)
+            return _make(n1, d1)
         # when one denominator divides the other, keep the larger one
         q = _p_exact_div(d2, d1)
         if q is not None:
@@ -538,8 +528,8 @@ class Expr:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        return _make(_p_mul(_poly_of(self.num), _poly_of(other.num)),
-                     _p_mul(_poly_of(self.den), _poly_of(other.den)))
+        return _make(_p_mul(dict(self.num), dict(other.num)),
+                     _p_mul(dict(self.den), dict(other.den)))
 
     __rmul__ = __mul__
 
@@ -549,8 +539,8 @@ class Expr:
             return NotImplemented
         if other.is_zero:
             raise ExprError("division by the zero expression")
-        return _make(_p_mul(_poly_of(self.num), _poly_of(other.den)),
-                     _p_mul(_poly_of(self.den), _poly_of(other.num)))
+        return _make(_p_mul(dict(self.num), dict(other.den)),
+                     _p_mul(dict(self.den), dict(other.num)))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -566,10 +556,10 @@ class Expr:
         if k < 0:
             if self.is_zero:
                 raise ExprError("zero expression to a negative power")
-            return _make(_p_pow(_poly_of(self.den), -k),
-                         _p_pow(_poly_of(self.num), -k))
-        return _make(_p_pow(_poly_of(self.num), k),
-                     _p_pow(_poly_of(self.den), k))
+            return _make(_p_pow(dict(self.den), -k),
+                         _p_pow(dict(self.num), -k))
+        return _make(_p_pow(dict(self.num), k),
+                     _p_pow(dict(self.den), k))
 
 
 def _coerce(v) -> Expr:
@@ -585,7 +575,7 @@ def _make(num: Poly, den: Poly) -> Expr:
     if not den:
         raise ExprError("division by zero while normalizing")
     if not num:
-        return Expr((), ((_EMPTY_MONO, Fraction(1)),))
+        return ZERO
     # cancel atom content shared by numerator and denominator
     cn = _atom_content(num)
     cd = _atom_content(den)
@@ -615,14 +605,14 @@ def _make(num: Poly, den: Poly) -> Expr:
     if den != {_EMPTY_MONO: Fraction(1)}:
         q = _p_exact_div(num, den)
         if q is not None:
-            num, den_terms = q, [(_EMPTY_MONO, Fraction(1))]
+            num, den_terms = q, _UNIT_TERMS
         if not num:
-            return Expr((), ((_EMPTY_MONO, Fraction(1)),))
+            return ZERO
     return Expr(Expr._freeze(num), tuple(den_terms))
 
 
-ZERO = Expr((), ((_EMPTY_MONO, Fraction(1)),))
-ONE = Expr(((_EMPTY_MONO, Fraction(1)),), ((_EMPTY_MONO, Fraction(1)),))
+ZERO = Expr((), _UNIT_TERMS)
+ONE = Expr(_UNIT_TERMS, _UNIT_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +623,16 @@ def const(v) -> Expr:
     c = Fraction(v)
     if c == 0:
         return ZERO
-    return Expr(((_EMPTY_MONO, c),), ((_EMPTY_MONO, Fraction(1)),))
+    return Expr(((_EMPTY_MONO, c),), _UNIT_TERMS)
+
+
+def _atom_expr(atom) -> Expr:
+    """The expression made of one atom."""
+    return Expr(((((atom, 1),), Fraction(1)),), _UNIT_TERMS)
 
 
 def sym_expr(s: Sym) -> Expr:
-    return Expr(((((s, 1),), Fraction(1)),), ((_EMPTY_MONO, Fraction(1)),))
+    return _atom_expr(s)
 
 
 def x(i: int) -> Expr:
@@ -691,8 +686,8 @@ def sqrt_expr(e: Expr) -> Expr:
     e = _coerce(e)
     if e.is_zero:
         return ZERO
-    num = _poly_of(e.num)
-    den = _poly_of(e.den)
+    num = dict(e.num)
+    den = dict(e.den)
     radic = _p_mul(num, den)
     coeffs = list(radic.values())
     g_num = 0
@@ -710,10 +705,9 @@ def sqrt_expr(e: Expr) -> Expr:
     if len(radicand) == 1 and _EMPTY_MONO in radicand and radicand[_EMPTY_MONO] == 1:
         root_part = ONE
     else:
-        arg = Expr(Expr._freeze(radicand), ((_EMPTY_MONO, Fraction(1)),))
-        root_part = Expr((((((Root(arg)), 1),), Fraction(1)),),
-                         ((_EMPTY_MONO, Fraction(1)),))
-    return const(scale) * root_part / Expr(e.den, ((_EMPTY_MONO, Fraction(1)),))
+        arg = Expr(Expr._freeze(radicand), _UNIT_TERMS)
+        root_part = _atom_expr(Root(arg))
+    return const(scale) * root_part / Expr(e.den, _UNIT_TERMS)
 
 
 def opaque(name: str, *args, deriv: tuple[int, ...] = ()) -> Expr:
@@ -723,26 +717,17 @@ def opaque(name: str, *args, deriv: tuple[int, ...] = ()) -> Expr:
     for d in deriv:
         if not 1 <= d <= len(exprs):
             raise ExprError(f"derivative slot {d} out of range for {name!r}")
-    atom = Fun(name, tuple(deriv), exprs, False)
-    return Expr(((((atom, 1),), Fraction(1)),), ((_EMPTY_MONO, Fraction(1)),))
+    return _atom_expr(Fun(name, tuple(deriv), exprs, False))
 
 
 def analytic(name: str, arg) -> Expr:
     arg = _coerce(arg)
-    if name not in ANALYTIC_NAMES:
+    if name not in _ANALYTIC:
         raise ExprError(f"unknown analytic function {name!r}")
-    f = arg.as_fraction()
-    if f is not None:
-        if f == 0 and name in ("sin", "atan"):
-            return ZERO
-        if f == 0 and name == "cos":
-            return ONE
-        if f == 0 and name == "exp":
-            return ONE
-        if f == 1 and name == "log":
-            return ZERO
-    atom = Fun(name, (), (arg,), True)
-    return Expr(((((atom, 1),), Fraction(1)),), ((_EMPTY_MONO, Fraction(1)),))
+    special = _ANALYTIC[name].special.get(arg.as_fraction())
+    if special is not None:
+        return special
+    return _atom_expr(Fun(name, (), (arg,), True))
 
 
 def sin_expr(a) -> Expr:
@@ -763,6 +748,34 @@ def log_expr(a) -> Expr:
 
 def atan_expr(a) -> Expr:
     return analytic("atan", a)
+
+
+def _exp_value(u: float) -> float:
+    if u > 700.0:
+        raise DomainError("exp overflow")
+    return math.exp(u)
+
+
+def _log_value(u: float) -> float:
+    if u <= 0.0:
+        raise DomainError(f"log of nonpositive value {u:.3g}")
+    return math.log(u)
+
+
+class _Analytic(NamedTuple):
+    value: Callable[[float], float]  # raises DomainError off the domain
+    derivative: Callable[[Expr], Expr]
+    special: dict  # rational argument -> exact value
+
+
+_ANALYTIC = {
+    "sin": _Analytic(math.sin, cos_expr, {0: ZERO}),
+    "cos": _Analytic(math.cos, lambda u: -sin_expr(u), {0: ONE}),
+    "exp": _Analytic(_exp_value, exp_expr, {0: ONE}),
+    "log": _Analytic(_log_value, lambda u: ONE / u, {1: ZERO}),
+    "atan": _Analytic(math.atan, lambda u: ONE / (ONE + u * u), {0: ZERO}),
+}
+ANALYTIC_NAMES = tuple(_ANALYTIC)
 
 
 def levi_civita(perm: Sequence[int]) -> int:
@@ -875,8 +888,7 @@ def transform_atoms(e: Expr, fn: Callable) -> Expr:
             return r
         if at.analytic:
             return analytic(at.name, new_args[0])
-        atom = Fun(at.name, at.deriv, new_args, False)
-        return Expr(((((atom, 1),), Fraction(1)),), ((_EMPTY_MONO, Fraction(1)),))
+        return _atom_expr(Fun(at.name, at.deriv, new_args, False))
 
     def rebuild_poly(terms) -> Expr:
         total = ZERO
@@ -911,14 +923,14 @@ def sqrt_extract_candidate(e: Expr, cand: Expr) -> Expr:
     orientation branch is the intended caller.
     """
     cand = _coerce(cand)
-    if cand.den != ((_EMPTY_MONO, Fraction(1)),):
+    if cand.den != _UNIT_TERMS:
         raise ExprError("square extraction candidate must be polynomial")
-    cand_sq = _p_pow(_poly_of(cand.num), 2)
+    cand_sq = _p_pow(dict(cand.num), 2)
 
     def fn(atom):
         if not isinstance(atom, Root):
             return None
-        radicand = _poly_of(atom.arg.num)
+        radicand = dict(atom.arg.num)
         factor = ONE
         while True:
             q = _p_exact_div(radicand, cand_sq)
@@ -928,8 +940,7 @@ def sqrt_extract_candidate(e: Expr, cand: Expr) -> Expr:
             factor = factor * cand
         if factor.is_one:
             return None
-        return factor * sqrt_expr(Expr(Expr._freeze(radicand),
-                                       ((_EMPTY_MONO, Fraction(1)),)))
+        return factor * sqrt_expr(Expr(Expr._freeze(radicand), _UNIT_TERMS))
 
     return transform_atoms(e, fn)
 
@@ -937,9 +948,9 @@ def sqrt_extract_candidate(e: Expr, cand: Expr) -> Expr:
 def cancel_candidate(e: Expr, cand: Expr) -> Expr:
     """Cancel common powers of a known polynomial factor from num and den."""
     cand = _coerce(cand)
-    if cand.den != ((_EMPTY_MONO, Fraction(1)),) or cand.is_zero:
+    if cand.den != _UNIT_TERMS or cand.is_zero:
         raise ExprError("cancellation candidate must be a nonzero polynomial")
-    cp = _poly_of(cand.num)
+    cp = dict(cand.num)
 
     def strip(p: Poly) -> tuple[Poly, int]:
         k = 0
@@ -950,8 +961,8 @@ def cancel_candidate(e: Expr, cand: Expr) -> Expr:
             p = q
             k += 1
 
-    num, kn = strip(_poly_of(e.num))
-    den, kd = strip(_poly_of(e.den))
+    num, kn = strip(dict(e.num))
+    den, kd = strip(dict(e.den))
     k = min(kn, kd)
     if k == 0:
         return e
@@ -974,8 +985,8 @@ def expr_sum(items: Iterable[Expr]) -> Expr:
     for den_terms, members in groups.items():
         acc: Poly = {}
         for m in members:
-            _p_add_into(acc, _poly_of(m.num))
-        total = total + _make(acc, _poly_of(den_terms))
+            _p_add_into(acc, dict(m.num))
+        total = total + _make(acc, dict(den_terms))
     return total
 
 
@@ -990,9 +1001,8 @@ def _atom_diff(atom, s: Sym) -> Expr:
         inner = diff(atom.arg, s)
         if inner.is_zero:
             return ZERO
-        root = Expr(((((atom, 1),), Fraction(1)),), ((_EMPTY_MONO, Fraction(1)),))
         # d sqrt(u) = du * sqrt(u) / (2 u), keeping denominators root-free
-        return inner * root / (const(2) * atom.arg)
+        return inner * _atom_expr(atom) / (const(2) * atom.arg)
     # function application
     total = ZERO
     for slot, arg in enumerate(atom.args, start=1):
@@ -1000,21 +1010,10 @@ def _atom_diff(atom, s: Sym) -> Expr:
         if darg.is_zero:
             continue
         if atom.analytic:
-            u = atom.args[0]
-            if atom.name == "sin":
-                outer = cos_expr(u)
-            elif atom.name == "cos":
-                outer = -sin_expr(u)
-            elif atom.name == "exp":
-                outer = exp_expr(u)
-            elif atom.name == "log":
-                outer = ONE / u
-            else:  # atan
-                outer = ONE / (ONE + u * u)
+            outer = _ANALYTIC[atom.name].derivative(atom.args[0])
         else:
-            partial = Fun(atom.name, atom.deriv + (slot,), atom.args, False)
-            outer = Expr(((((partial, 1),), Fraction(1)),),
-                         ((_EMPTY_MONO, Fraction(1)),))
+            outer = _atom_expr(
+                Fun(atom.name, atom.deriv + (slot,), atom.args, False))
         total = total + outer * darg
     return total
 
@@ -1031,7 +1030,7 @@ def _poly_diff_expr(terms, s: Sym) -> Expr:
                 del rest[idx]
             else:
                 rest[idx] = (at, e - 1)
-            base = Expr(((tuple(rest), coeff * e),), ((_EMPTY_MONO, Fraction(1)),))
+            base = Expr(((tuple(rest), coeff * e),), _UNIT_TERMS)
             pieces.append(base * d)
     return expr_sum(pieces)
 
@@ -1042,8 +1041,8 @@ def diff(e: Expr, s: Sym) -> Expr:
         return ZERO
     dn = _poly_diff_expr(e.num, s)
     dd = _poly_diff_expr(e.den, s)
-    den_expr = Expr(e.den, ((_EMPTY_MONO, Fraction(1)),))
-    num_expr = Expr(e.num, ((_EMPTY_MONO, Fraction(1)),))
+    den_expr = Expr(e.den, _UNIT_TERMS)
+    num_expr = Expr(e.num, _UNIT_TERMS)
     if dd.is_zero:
         return dn / den_expr
     return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
@@ -1089,20 +1088,7 @@ def _eval_atom(atom, assign: PointAssignment, strict: bool) -> float:
         return math.sqrt(v)
     argvals = tuple(evaluate(a, assign, strict=strict) for a in atom.args)
     if atom.analytic:
-        u = argvals[0]
-        if atom.name == "sin":
-            return math.sin(u)
-        if atom.name == "cos":
-            return math.cos(u)
-        if atom.name == "exp":
-            if u > 700.0:
-                raise DomainError("exp overflow")
-            return math.exp(u)
-        if atom.name == "log":
-            if u <= 0.0:
-                raise DomainError(f"log of nonpositive value {u:.3g}")
-            return math.log(u)
-        return math.atan(u)
+        return _ANALYTIC[atom.name].value(argvals[0])
     try:
         entry = assign.functions[(atom.name, atom.deriv)]
     except KeyError:
@@ -1294,17 +1280,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<WS>\s+)
 """, re.VERBOSE)
 
-_COORD_RES = (
-    (re.compile(r"^x(\d)$"), lambda m: Sym("x", int(m.group(1)))),
-    (re.compile(r"^y(\d)$"), lambda m: Sym("y", int(m.group(1)))),
-    (re.compile(r"^y(\d)_(\d)$"), lambda m: Sym("y1", int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^y(\d)_(\d)(\d)$"),
-     lambda m: Sym("y2", int(m.group(1)), int(m.group(2)), int(m.group(3)))),
-    (re.compile(r"^w(\d)$"), lambda m: Sym("w", int(m.group(1)))),
-    (re.compile(r"^w(\d)_(\d)$"), lambda m: Sym("w1", int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^z(\d)_(\d)$"), lambda m: Sym("z", int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^a(\d)_(\d)$"), lambda m: Sym("a", int(m.group(1)), int(m.group(2)))),
-)
+# a letter, one upper index digit and the lower index digits
+_COORD_RE = re.compile(r"([a-z])(\d)(?:_(\d+))?")
 
 _OPAQUE_DERIV_RE = re.compile(r"^(?P<base>[A-Za-z][A-Za-z0-9_]*?)_d(?P<slots>\d+)$")
 
@@ -1338,11 +1315,12 @@ class _Tokens:
 
 
 def _resolve_coord(name: str) -> Sym | None:
-    for rx, build in _COORD_RES:
-        m = rx.match(name)
-        if m:
-            return build(m)
-    return None
+    m = _COORD_RE.fullmatch(name)
+    if m is None:
+        return None
+    letter, upper, lower = m.group(1), m.group(2), m.group(3) or ""
+    kind = _KIND_OF.get((letter, len(lower)))
+    return None if kind is None else Sym(kind, int(upper), *map(int, lower))
 
 
 # parentheses and function applications together; each level costs the
@@ -1587,7 +1565,7 @@ def _poly_str(terms) -> str:
 def to_dsl(e: Expr) -> str:
     """Canonical printable form; parse(to_dsl(e)) rebuilds e."""
     num_str = _poly_str(e.num)
-    if e.den == ((_EMPTY_MONO, Fraction(1)),):
+    if e.den == _UNIT_TERMS:
         return num_str
     den_str = _poly_str(e.den)
     if len(e.num) > 1 or e.num[0][0] != _EMPTY_MONO or e.num[0][1] < 0:
@@ -1597,28 +1575,13 @@ def to_dsl(e: Expr) -> str:
 
 def _atom_latex(atom, exp: int) -> str:
     if isinstance(atom, Sym):
-        s = atom
-        if s.kind == "x":
-            core = f"x^{{{s.a}}}"
-        elif s.kind == "y":
-            core = f"y^{{{s.a}}}"
-        elif s.kind == "y1":
-            core = f"y^{{{s.a}}}_{{{s.b}}}"
-        elif s.kind == "y2":
-            core = f"y^{{{s.a}}}_{{{s.b}{s.c}}}"
-        elif s.kind == "w":
-            core = f"w^{{{s.a}}}"
-        elif s.kind == "w1":
-            core = f"w^{{{s.a}}}_{{{s.b}}}"
-        elif s.kind == "z":
-            core = f"z^{{{s.a}}}_{{{s.b}}}"
-        else:
-            core = f"a^{{{s.a}}}_{{{s.b}}}"
+        letter, lower = _spelling(atom)
+        core = f"{letter}^{{{atom.a}}}" + (f"_{{{lower}}}" if lower else "")
     elif isinstance(atom, Root):
         core = f"\\sqrt{{{to_latex(atom.arg)}}}"
     else:
         name = atom.name
-        if name in ANALYTIC_NAMES:
+        if atom.analytic:
             args = to_latex(atom.args[0])
             core = f"\\{name}\\left({args}\\right)"
         else:
@@ -1654,6 +1617,6 @@ def _poly_latex(terms) -> str:
 
 def to_latex(e: Expr) -> str:
     num = _poly_latex(e.num)
-    if e.den == ((_EMPTY_MONO, Fraction(1)),):
+    if e.den == _UNIT_TERMS:
         return num
     return f"\\frac{{{num}}}{{{_poly_latex(e.den)}}}"

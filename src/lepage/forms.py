@@ -5,10 +5,7 @@ Words are tuples of covectors sorted by a fixed rank order
 
     dx < dy < dy_j < om < om_j < dw < dw_j < omt
 
-where ``om`` denotes the first-order contact covectors dy^K - y^K_j dx^j,
-``om_j`` their second-order companions dy^K_j - y^K_jl dx^l, and ``omt`` the
-adapted contact covectors dw^s - w^s_i dw^i.  Basis modes restrict which
-covector kinds may occur:
+Basis modes restrict which covector kinds may occur:
 
 * ``coordinate``      dx, dy, dy_j            (jet chart)
 * ``contact``         dx, om, om_j            (jet chart)
@@ -16,9 +13,18 @@ covector kinds may occur:
 * ``adapted-contact`` dw^i, omt, dw_j         (adapted chart)
 * ``base``            dx with coefficients in the base variables only
 
-Coordinate and contact mode are exchanged in one way only, by the
-definitional covector rewrite dy^K = om^K + y^K_j dx^j (``to_contact``) and
-its inverse (``to_coordinate``); every constructor and checker goes through it.
+The contact covectors are
+
+    om^K   = dy^K   - y^K_l dx^l         (l = 1..n)
+    om^K_j = dy^K_j - y^K_jl dx^l
+    omt^s  = dw^s   - w^s_i dw^i         (i over the selected labels)
+
+and they are written down once: ``_DIFFERENTIAL`` pairs each contact kind
+with its differential and ``_slopes`` gives the (slope, base covector)
+terms.  The basis changes (``to_contact``/``to_coordinate`` and
+``to_adapted_contact``/``from_adapted_contact``), ``horizontalize`` and the
+pairing in ``contract`` read them there, and every constructor and checker
+goes through these.
 """
 
 from __future__ import annotations
@@ -53,8 +59,17 @@ class FormError(ExprError):
 # covectors
 # ---------------------------------------------------------------------------
 
-_COV_RANK = {"dx": 0, "dy": 1, "dy1": 2, "om": 3, "om1": 4,
-             "dw": 5, "dw1": 6, "omt": 7}
+# kind -> LaTeX stem, in rank order; a kind ending in 1 carries a lower index
+_COV_LATEX = {"dx": "\\mathrm{d}x", "dy": "\\mathrm{d}y", "dy1": "\\mathrm{d}y",
+              "om": "\\omega", "om1": "\\omega", "dw": "\\mathrm{d}w",
+              "dw1": "\\mathrm{d}w", "omt": "\\tilde{\\omega}"}
+_COV_RANK = {kind: rank for rank, kind in enumerate(_COV_LATEX)}
+# each contact kind and the differential it is formed from
+_DIFFERENTIAL = {"om": "dy", "om1": "dy1", "omt": "dw"}
+_CONTACT = {d: c for c, d in _DIFFERENTIAL.items()}
+# each differential kind and the coordinate kind it differentiates
+_COORDINATE = {"dx": "x", "dy": "y", "dy1": "y1", "dw": "w", "dw1": "w1"}
+_COVECTOR = {s: d for d, s in _COORDINATE.items()}
 
 
 class Covector:
@@ -76,9 +91,13 @@ class Covector:
         return self._hash
 
     def name(self) -> str:
-        if self.kind in ("dx", "dy", "dw", "om", "omt"):
-            return f"{self.kind}{self.a}"
-        return f"{self.kind[:-1]}{self.a}_{self.b}"
+        if self.kind.endswith("1"):
+            return f"{self.kind[:-1]}{self.a}_{self.b}"
+        return f"{self.kind}{self.a}"
+
+    def latex(self) -> str:
+        lower = f"_{{{self.b}}}" if self.kind.endswith("1") else ""
+        return f"{_COV_LATEX[self.kind]}^{{{self.a}}}{lower}"
 
     def __repr__(self):
         return self.name()
@@ -349,86 +368,73 @@ def substitute_covectors(a: DiffForm, fn: Callable[[Covector], list],
     return DiffForm(a.chart, a.degree, new_mode, out, adapted=adapted)
 
 
-def to_contact(a: DiffForm) -> DiffForm:
-    """Definitional rewrite into the contact basis on the jet chart."""
-    if a.mode == "contact":
+def _coordinate(cov: Covector) -> Sym:
+    """The coordinate that a differential covector differentiates."""
+    return Sym(_COORDINATE[cov.kind], cov.a, cov.b)
+
+
+def _slopes(cov: Covector, a: DiffForm) -> list[tuple[Sym, Covector]]:
+    """The (slope, base covector) pairs of the contact covector over cov.
+
+    cov is a contact covector or its differential, on the chart of a; the
+    contact covector is the differential minus the slopes times the bases.
+    """
+    kind = _DIFFERENTIAL.get(cov.kind, cov.kind)
+    if kind == "dw":
+        return [(Sym("w1", cov.a, i), dw(i)) for i in a.adapted.selected]
+    ls = range(1, a.chart.n + 1)
+    if kind == "dy":
+        return [(Sym("y1", cov.a, l), dx(l)) for l in ls]
+    return [(Sym("y2", cov.a, cov.b, l), dx(l)) for l in ls]
+
+
+def _change_basis(a: DiffForm, mode: str) -> DiffForm:
+    """Rewrite a into mode by the contact definitions.
+
+    Into a contact mode each differential becomes its contact covector plus
+    the slope terms (dy^K_j = om^K_j + y^K_jl dx^l raises the order of the
+    coefficients); out of one each contact covector becomes its differential
+    minus them.  dx and the selected dw^i are base covectors and stay.
+    """
+    if a.mode == mode:
         return a
-    if a.mode != "coordinate":
-        raise FormError(f"cannot move mode {a.mode!r} to the contact basis")
-    chart = a.chart
+    into_contact = mode in ("contact", "adapted-contact")
+    partner = _CONTACT if into_contact else _DIFFERENTIAL
 
     def fn(cov: Covector):
-        if cov.kind == "dx":
+        kind = partner.get(cov.kind)
+        if kind is None or (kind == "omt" and cov.a not in a.adapted.complement):
             return [(ONE, cov)]
-        if cov.kind == "dy":
-            out = [(ONE, om(cov.a))]
-            out += [(sym_expr(Sym("y1", cov.a, l)), dx(l))
-                    for l in range(1, chart.n + 1)]
-            return out
-        # dy^K_j = om^K_j + y^K_jl dx^l raises the order of the coefficients
-        out = [(ONE, omj(cov.a, cov.b))]
-        out += [(sym_expr(Sym("y2", cov.a, cov.b, l)), dx(l))
-                for l in range(1, chart.n + 1)]
-        return out
+        return [(ONE, Covector(kind, cov.a, cov.b))] + [
+            (sym_expr(s) if into_contact else -sym_expr(s), base)
+            for s, base in _slopes(cov, a)]
 
-    return substitute_covectors(a, fn, "contact")
+    return substitute_covectors(a, fn, mode)
+
+
+def to_contact(a: DiffForm) -> DiffForm:
+    """Definitional rewrite into the contact basis on the jet chart."""
+    if a.mode not in ("coordinate", "contact"):
+        raise FormError(f"cannot move mode {a.mode!r} to the contact basis")
+    return _change_basis(a, "contact")
 
 
 def to_coordinate(a: DiffForm) -> DiffForm:
-    if a.mode == "coordinate":
-        return a
-    if a.mode != "contact":
+    if a.mode not in ("contact", "coordinate"):
         raise FormError(f"cannot move mode {a.mode!r} to the coordinate basis")
-    chart = a.chart
-
-    def fn(cov: Covector):
-        if cov.kind == "dx":
-            return [(ONE, cov)]
-        if cov.kind == "om":
-            out = [(ONE, dy(cov.a))]
-            out += [(-sym_expr(Sym("y1", cov.a, l)), dx(l))
-                    for l in range(1, chart.n + 1)]
-            return out
-        out = [(ONE, dyj(cov.a, cov.b))]
-        out += [(-sym_expr(Sym("y2", cov.a, cov.b, l)), dx(l))
-                for l in range(1, chart.n + 1)]
-        return out
-
-    return substitute_covectors(a, fn, "coordinate")
+    return _change_basis(a, "coordinate")
 
 
 def to_adapted_contact(a: DiffForm) -> DiffForm:
-    if a.mode == "adapted-contact":
-        return a
-    if a.mode != "adapted":
+    if a.mode not in ("adapted", "adapted-contact"):
         raise FormError("adapted-contact conversion expects an adapted form")
-    ad = a.adapted
-
-    def fn(cov: Covector):
-        if cov.kind == "dw" and cov.a in ad.complement:
-            out = [(ONE, omt(cov.a))]
-            out += [(sym_expr(Sym("w1", cov.a, it)), dw(it)) for it in ad.selected]
-            return out
-        return [(ONE, cov)]
-
-    return substitute_covectors(a, fn, "adapted-contact")
+    return _change_basis(a, "adapted-contact")
 
 
 def from_adapted_contact(a: DiffForm) -> DiffForm:
-    if a.mode == "adapted":
-        return a
-    if a.mode != "adapted-contact":
+    if a.mode not in ("adapted-contact", "adapted"):
         raise FormError("expected an adapted-contact form")
-    ad = a.adapted
-
-    def fn(cov: Covector):
-        if cov.kind == "omt":
-            out = [(ONE, dw(cov.a))]
-            out += [(-sym_expr(Sym("w1", cov.a, it)), dw(it)) for it in ad.selected]
-            return out
-        return [(ONE, cov)]
-
-    return substitute_covectors(a, fn, "adapted")
+    return _change_basis(a, "adapted")
 
 
 # ---------------------------------------------------------------------------
@@ -436,37 +442,28 @@ def from_adapted_contact(a: DiffForm) -> DiffForm:
 # ---------------------------------------------------------------------------
 
 def _coefficient_differential(f: Expr, a: DiffForm) -> list:
-    chart = a.chart
+    """The (partial derivative, differential) terms of df in symbol order."""
+    adapted = a.mode.startswith("adapted")
+    syms = free_symbols(f)
+    if not adapted and any(s.kind == "y2" for s in syms):
+        raise FormError(
+            "exterior derivative needs second-order covectors for "
+            "second-order coefficients; not representable here")
+    allowed = _MODE_KINDS["adapted" if adapted else "coordinate"]
     out = []
-    if a.mode in ("coordinate", "contact", "base"):
-        syms = free_symbols(f)
-        if any(s.kind == "y2" for s in syms):
-            raise FormError(
-                "exterior derivative needs second-order covectors for "
-                "second-order coefficients; not representable here")
-        for s in sorted(syms, key=lambda t: t.key):
-            if s.kind == "x":
-                out.append((diff(f, s), dx(s.a)))
-            elif s.kind == "y":
-                out.append((diff(f, s), dy(s.a)))
-            elif s.kind == "y1":
-                out.append((diff(f, s), dyj(s.a, s.b)))
-            elif a.mode == "base":
-                raise FormError(f"base-mode coefficient depends on {s!r}")
-            else:
-                raise FormError(f"coefficient depends on foreign symbol {s!r}")
-        return out
-    # adapted charts
-    ad = a.adapted
-    for s in sorted(free_symbols(f), key=lambda t: t.key):
-        if s.kind == "w":
-            out.append((diff(f, s), dw(s.a)))
-        elif s.kind == "w1" and s.a in ad.complement:
-            out.append((diff(f, s), dwj(s.a, s.b)))
-        else:
+    for s in sorted(syms, key=lambda t: t.key):
+        kind = _COVECTOR.get(s.kind)
+        # the slopes w^s_i are coordinates for s in the complement only
+        if kind in allowed and (kind != "dw1" or s.a in a.adapted.complement):
+            out.append((diff(f, s), Covector(kind, s.a, s.b)))
+        elif adapted:
             raise FormError(
                 f"adapted coefficient depends on {s!r}; forms on the "
                 "quotient chart use only fiber and contact-slope symbols")
+        elif a.mode == "base":
+            raise FormError(f"base-mode coefficient depends on {s!r}")
+        else:
+            raise FormError(f"coefficient depends on foreign symbol {s!r}")
     return out
 
 
@@ -502,35 +499,14 @@ class VectorField:
         return self.components.get(s, ZERO)
 
 
-def _pair(field: VectorField, cov: Covector, chart: JetChart) -> Expr:
-    if cov.kind == "dx":
-        return field.component(Sym("x", cov.a))
-    if cov.kind == "dy":
-        return field.component(Sym("y", cov.a))
-    if cov.kind == "dy1":
-        return field.component(Sym("y1", cov.a, cov.b))
-    if cov.kind == "om":
-        base = field.component(Sym("y", cov.a))
-        correction = expr_sum(
-            sym_expr(Sym("y1", cov.a, l)) * field.component(Sym("x", l))
-            for l in range(1, chart.n + 1))
-        return base - correction
-    if cov.kind == "om1":
-        base = field.component(Sym("y1", cov.a, cov.b))
-        correction = expr_sum(
-            sym_expr(Sym("y2", cov.a, cov.b, l)) * field.component(Sym("x", l))
-            for l in range(1, chart.n + 1))
-        return base - correction
-    if cov.kind == "dw":
-        return field.component(Sym("w", cov.a))
-    if cov.kind == "dw1":
-        return field.component(Sym("w1", cov.a, cov.b))
-    # omt
-    base = field.component(Sym("w", cov.a))
-    ad = field.adapted
-    correction = expr_sum(
-        sym_expr(Sym("w1", cov.a, it)) * field.component(Sym("w", it))
-        for it in ad.selected) if ad is not None else ZERO
+def _pair(field: VectorField, cov: Covector, a: DiffForm) -> Expr:
+    """The value of cov, a covector of the form a, on field."""
+    kind = _DIFFERENTIAL.get(cov.kind)
+    if kind is None:
+        return field.component(_coordinate(cov))
+    base = field.component(Sym(_COORDINATE[kind], cov.a, cov.b))
+    correction = expr_sum(sym_expr(s) * field.component(_coordinate(b))
+                          for s, b in _slopes(cov, a))
     return base - correction
 
 
@@ -541,7 +517,7 @@ def contract(field: VectorField, a: DiffForm) -> DiffForm:
     out: dict[Word, Expr] = {}
     for word, coeff in a.terms.items():
         for pos, cov in enumerate(word):
-            val = _pair(field, cov, a.chart)
+            val = _pair(field, cov, a)
             if val.is_zero:
                 continue
             rest = word[:pos] + word[pos + 1:]
@@ -557,16 +533,11 @@ def horizontalize(a: DiffForm) -> DiffForm:
     src = to_coordinate(a) if a.mode == "contact" else a
     if src.mode not in ("coordinate", "base"):
         raise FormError("horizontalization lives on the jet chart")
-    chart = src.chart
 
     def fn(cov: Covector):
         if cov.kind == "dx":
             return [(ONE, cov)]
-        if cov.kind == "dy":
-            return [(sym_expr(Sym("y1", cov.a, k)), dx(k))
-                    for k in range(1, chart.n + 1)]
-        return [(sym_expr(Sym("y2", cov.a, cov.b, k)), dx(k))
-                for k in range(1, chart.n + 1)]
+        return [(sym_expr(s), base) for s, base in _slopes(cov, src)]
 
     return substitute_covectors(src, fn, "coordinate")
 
@@ -577,7 +548,7 @@ def contact_component(a: DiffForm, k: int) -> DiffForm:
     if c.mode != "contact":
         raise FormError("contact components live on the jet chart")
     out = {w: coeff for w, coeff in c.terms.items()
-           if sum(1 for cov in w if cov.kind in ("om", "om1")) == k}
+           if sum(1 for cov in w if cov.kind in _DIFFERENTIAL) == k}
     return DiffForm(c.chart, c.degree, "contact", out, adapted=c.adapted)
 
 
@@ -634,47 +605,32 @@ class Immersion:
 
 
 def pullback_immersion(a: DiffForm, zeta: Immersion) -> DiffForm:
-    """Pull a form back along the prolonged immersion; result is base-mode."""
-    chart = a.chart
-    if a.mode == "contact":
-        src = a
-        coeff_map = zeta.substitution()
+    """Pull a form back along the prolonged immersion; result is base-mode.
 
-        def fn(cov: Covector):
-            if cov.kind == "dx":
-                return [(ONE, cov)]
-            return []  # contact covectors vanish along prolongations
-    elif a.mode == "coordinate":
-        src = a
-        coeff_map = zeta.substitution()
-
-        def fn(cov: Covector):
-            if cov.kind == "dx":
-                return [(ONE, cov)]
-            if cov.kind == "dy":
-                return [(zeta.jet1(cov.a, j), dx(j))
-                        for j in range(1, chart.n + 1)]
-            return [(zeta.jet2(cov.a, cov.b, k), dx(k))
-                    for k in range(1, chart.n + 1)]
-    elif a.mode in ("adapted", "adapted-contact"):
-        src = from_adapted_contact(a) if a.mode == "adapted-contact" else a
-        coeff_map = zeta.adapted_substitution(src.adapted)
-
-        def fn(cov: Covector):
-            value = coeff_map[Sym("w", cov.a) if cov.kind == "dw"
-                              else Sym("w1", cov.a, cov.b)]
-            return [(diff(value, Sym("x", j)), dx(j))
-                    for j in range(1, chart.n + 1)]
-    elif a.mode == "base":
+    A differential pulls back to the differential of its coordinate's value
+    along the immersion, and a contact covector to zero.
+    """
+    if a.mode == "base":
         return a
+    if a.mode in ("coordinate", "contact"):
+        src, coeff_map = a, zeta.substitution()
     else:
-        raise FormError(f"cannot pull back mode {a.mode!r}")
+        src = from_adapted_contact(a)
+        coeff_map = zeta.adapted_substitution(src.adapted)
+    xs = range(1, a.chart.n + 1)
+
+    def fn(cov: Covector):
+        if cov.kind == "dx":
+            return [(ONE, cov)]
+        if cov.kind in _DIFFERENTIAL:
+            return []  # contact covectors vanish along prolongations
+        value = coeff_map[_coordinate(cov)]
+        return [(diff(value, Sym("x", j)), dx(j)) for j in xs]
 
     def coeff_fn(c: Expr) -> Expr:
         return substitute(c, coeff_map)
 
-    out = substitute_covectors(src, fn, "base", coeff_fn=coeff_fn, adapted=None)
-    return out
+    return substitute_covectors(src, fn, "base", coeff_fn=coeff_fn, adapted=None)
 
 
 # ---------------------------------------------------------------------------

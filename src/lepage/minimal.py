@@ -500,7 +500,8 @@ class ConservationReport:
 
     @property
     def max_circulation(self) -> float:
-        return max(self.circulations.values())
+        # nan if any circulation is, which max() would skip unless first
+        return float(np.max(list(self.circulations.values())))
 
     def gate(self, factor: float = 10.0) -> float:
         return _gate(self.hx, self.hy, factor)
@@ -605,18 +606,13 @@ def reconstruct_and_check(u: GridField, *,
                 defects[axis] -= d
             del d  # before the next derivative is made
         del pot  # before the next pair is made
-    gate, circ_max = _gate(u.hx, u.hy, gate_factor), max(circs)
-    rovnice = 0.0
-    for defect in defects:
-        rovnice = max(rovnice, float(np.max(np.abs(defect, out=defect))))
+    # np.max, unlike max(), keeps a nan figure
+    gate, circ_max = _gate(u.hx, u.hy, gate_factor), float(np.max(circs))
+    rovnice = float(np.max([np.max(np.abs(d, out=d)) for d in defects]))
     del ux, uy, defects  # graph_el_residual makes its own
     el = float(np.max(np.abs(graph_el_residual(u))))
-    if circ_max > gate:
-        stage = "closedness"
-    elif rovnice > gate:
-        stage = "potential-system"
-    elif el > gate:
-        stage = "equation"
-    else:
-        stage = "ok"
+    figures = (("closedness", circ_max), ("potential-system", rovnice),
+               ("equation", el))
+    # the first gate whose figure is not within it; a nan figure is not
+    stage = next((name for name, v in figures if not v <= gate), "ok")
     return ReconstructionReport(stage, circ_max, rovnice, el, gate)

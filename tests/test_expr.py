@@ -572,3 +572,76 @@ def test_equality_and_hash_follow_the_reference_key():
         assert parse(to_dsl(e)) == e
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for diff
+# ---------------------------------------------------------------------------
+
+ORACLE_SYMS = (Sym("x", 1), Sym("y", 1), Sym("y1", 1, 1))
+
+
+def to_sympy(sp, e):
+    """The sympy expression of e, read from its printed form."""
+    return sp.sympify(to_dsl(e).replace("^", "**"))
+
+
+def test_diff_agrees_with_sympy():
+    hyp = pytest.importorskip("hypothesis")
+    sp = pytest.importorskip("sympy")
+    st = hyp.strategies
+    gens = [sym_expr(s) for s in ORACLE_SYMS]
+    monos = st.tuples(st.integers(-3, 3),
+                      st.lists(st.sampled_from(gens), min_size=1, max_size=2))
+    polys = st.lists(monos, min_size=1, max_size=3).map(
+        lambda ms: expr_sum(const(c) * math.prod(fs, start=ONE) for c, fs in ms))
+    functions = st.sampled_from([sin_expr, cos_expr, exp_expr, log_expr,
+                                 atan_expr, sqrt_expr])
+
+    def extend(inner):
+        pairs = st.tuples(inner, inner)
+        return st.one_of(pairs.map(lambda p: p[0] + p[1]),
+                         pairs.map(lambda p: p[0] * p[1]),
+                         st.tuples(functions, inner).map(lambda p: p[0](p[1])))
+
+    # every example applies a function to a composition of polynomials
+    exprs = st.tuples(functions, st.recursive(polys, extend, max_leaves=3)).map(
+        lambda p: p[0](p[1]))
+    decided = {"exact": 0, "sampled": 0, "unknown": 0}
+
+    def same_at_points(lhs, rhs, e, rng) -> bool | None:
+        # None when every point leaves the domain of e or of a value
+        seen = False
+        for _ in range(3):
+            point = {s: Fraction(rng.randint(1, 20), 10) * rng.choice((-1, 1))
+                     for s in ORACLE_SYMS}
+            try:
+                evaluate(e, PointAssignment({s: float(v) for s, v in point.items()}))
+            except (DomainError, OverflowError):
+                continue
+            subs = {sp.Symbol(str(s)): sp.Rational(v.numerator, v.denominator)
+                    for s, v in point.items()}
+            a, b = (sp.N(t, 30, subs=subs) for t in (lhs, rhs))
+            if not all(v.is_finite and v.is_real for v in (a, b)):
+                continue
+            seen = True
+            if abs(a - b) > sp.Float("1e-20", 30) * max(1, abs(a)):
+                return False
+        return True if seen else None
+
+    @hyp.settings(max_examples=50)
+    @hyp.given(st.tuples(exprs, exprs).map(lambda p: p[0] * p[1]),
+               st.sampled_from(ORACLE_SYMS), st.integers(0, 2**32))
+    def check(e, s, seed):
+        lhs = sp.diff(to_sympy(sp, e), sp.Symbol(str(s)))
+        rhs = to_sympy(sp, diff(e, s))
+        if sp.expand(lhs - rhs) == 0:
+            decided["exact"] += 1
+            return
+        same = same_at_points(lhs, rhs, e, random.Random(seed))
+        # a difference sympy cannot simplify is no evidence of inequality
+        assert same is not False, (to_dsl(e), s)
+        decided["sampled" if same else "unknown"] += 1
+
+    check()
+    assert decided["unknown"] < decided["exact"] + decided["sampled"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
 import pytest
@@ -465,6 +465,18 @@ def test_adapted_contact_generator_definition():
     assert equal(c.coefficient((dw(2),)), -wj(3, 2))
 
 
+def test_contract_pairs_omt_in_the_forms_chart():
+    # omt^2 = dw^2 - w^2_1 dw^1 on the form's chart, whatever the field carries
+    ch = JetChart(1, 1, 1)
+    ad = AdaptedChart(ch, (1,))
+    a = DiffForm(ch, 1, "adapted-contact", {(omt(2),): ONE}, adapted=ad)
+    comps = {Sym("w", 1): ONE, Sym("w", 2): ONE}
+    expect = ONE - wj(2, 1)
+    for field_chart in (None, ad):
+        X = VectorField(ch, comps, adapted=field_chart)
+        assert contract(X, a).coefficient(()) == expect
+
+
 def test_contact_ideal_kills_generators():
     lhs = form(CH21, "adapted-contact", {(omt(3), dw(1)): ww(2) * wj(3, 1)},
                adapted=AD21)
@@ -610,3 +622,120 @@ def test_form_equal_sums_skip_counts_over_coefficients():
     unknown = form_equal(c, d, trials=8, seed=1, guards=[-ONE])
     assert unknown.verdict == "unknown"
     assert unknown.skipped == {"guard": 16, "domain": 0, "overflow": 0}
+
+
+# ---------------------------------------------------------------------------
+# properties of the basis changes
+# ---------------------------------------------------------------------------
+
+def _basis_strategies(st):
+    """Strategies for forms, vector fields and immersions on CH21, all with
+    small integer polynomial coefficients."""
+    def polys(syms):
+        gens = [sym_expr(s) for s in syms]
+        monos = st.tuples(st.integers(-3, 3),
+                          st.lists(st.sampled_from(gens), max_size=2))
+        return st.lists(monos, min_size=1, max_size=3).map(
+            lambda ms: expr_sum(const(c) * prod(fs, start=ONE) for c, fs in ms))
+
+    @st.composite
+    def forms(draw, mode, pool, syms, adapted=None):
+        degree = draw(st.integers(1, 2))
+        words = st.lists(st.sampled_from(pool), min_size=degree,
+                         max_size=degree, unique=True).map(tuple)
+        terms = draw(st.dictionaries(words, polys(syms), min_size=1, max_size=3))
+        return form(CH21, mode, terms, adapted=adapted)
+
+    def fields(syms, adapted=None):
+        return st.dictionaries(st.sampled_from(syms), polys(syms),
+                               max_size=3).map(
+            lambda comps: VectorField(CH21, comps, adapted=adapted))
+
+    def immersions(selected=(1, 2)):
+        # x^k in the k-th selected label plus terms of degree two and more,
+        # so the selected minor of the jets is 1 at the origin
+        higher = polys([Sym("x", 1), Sym("x", 2)]).map(lambda p: p * x(1) * x(2))
+
+        def immersion(qs):
+            return Immersion(CH21, tuple(
+                q + (x(selected.index(K) + 1) if K in selected else ZERO)
+                for K, q in enumerate(qs, start=1)))
+
+        return st.tuples(higher, higher, higher).map(immersion)
+
+    return forms, fields, immersions
+
+
+def test_jet_basis_changes_are_exact_and_define_contact_forms():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    forms, fields, immersions = _basis_strategies(st)
+    n, M = CH21.n, CH21.M
+    syms = [Sym("x", i) for i in range(1, n + 1)]
+    syms += [Sym("y", K) for K in range(1, M + 1)]
+    syms += [Sym("y1", K, j) for K in range(1, M + 1) for j in range(1, n + 1)]
+    pools = {
+        "coordinate": [dx(i) for i in range(1, n + 1)]
+        + [dy(K) for K in range(1, M + 1)]
+        + [dyj(K, j) for K in range(1, M + 1) for j in range(1, n + 1)],
+        "contact": [dx(i) for i in range(1, n + 1)]
+        + [om(K) for K in range(1, M + 1)]
+        + [omj(K, j) for K in range(1, M + 1) for j in range(1, n + 1)],
+    }
+    a_forms = st.sampled_from(sorted(pools)).flatmap(
+        lambda mode: forms(mode, pools[mode], syms))
+
+    @hyp.settings(max_examples=40)
+    @hyp.given(a_forms, fields(syms), immersions())
+    def check(a, X, zeta):
+        there, back = ((to_contact, to_coordinate) if a.mode == "coordinate"
+                       else (to_coordinate, to_contact))
+        assert back(there(a)) == a
+        assert back(contract(X, there(a))) == contract(X, a)
+        # the contact covectors pull back to zero along prolongations, and
+        # the coordinate-mode pullback reads the immersion's own jets
+        c = to_contact(a)
+        lhs = pullback_immersion(to_coordinate(c), zeta)
+        assert (lhs - pullback_immersion(contact_component(c, 0), zeta)).is_zero
+
+    check()
+
+
+def test_adapted_basis_changes_are_exact_and_define_contact_forms():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    forms, fields, immersions = _basis_strategies(st)
+
+    @st.composite
+    def cases(draw):
+        ad = AdaptedChart(CH21, draw(st.sampled_from([(1, 2), (1, 3), (2, 3)])))
+        slopes = [(s, i) for s in ad.complement for i in ad.selected]
+        syms = [Sym("w", K) for K in range(1, CH21.M + 1)]
+        syms += [Sym("w1", s, i) for s, i in slopes]
+        pools = {
+            "adapted": [dw(K) for K in range(1, CH21.M + 1)]
+            + [dwj(s, i) for s, i in slopes],
+            "adapted-contact": [dw(i) for i in ad.selected]
+            + [omt(s) for s in ad.complement] + [dwj(s, i) for s, i in slopes],
+        }
+        mode = draw(st.sampled_from(sorted(pools)))
+        return (draw(forms(mode, pools[mode], syms, ad)),
+                draw(fields(syms, ad)), draw(immersions(ad.selected)))
+
+    @hyp.settings(max_examples=25)
+    @hyp.given(cases())
+    def check(case):
+        a, X, zeta = case
+        there, back = ((to_adapted_contact, from_adapted_contact)
+                       if a.mode == "adapted"
+                       else (from_adapted_contact, to_adapted_contact))
+        assert back(there(a)) == a
+        assert back(contract(X, there(a))) == contract(X, a)
+        # omt pulls back to zero: only the omt-free words survive
+        c = to_adapted_contact(a)
+        free = DiffForm(CH21, c.degree, c.mode, adapted=c.adapted, terms={
+            w: v for w, v in c.terms.items() if all(cv.kind != "omt" for cv in w)})
+        lhs = pullback_immersion(c, zeta)
+        assert (lhs - pullback_immersion(free, zeta)).is_zero
+
+    check()

@@ -1486,3 +1486,17 @@ def test_reconstruction_perturbed_scherk_fails_closedness():
     assert not rec.passed
     assert rec.stage == "closedness"
     assert "fail at closedness" in rec.describe()
+
+
+def test_nan_figures_fail_the_conservation_gates():
+    # finite data whose slopes square to inf: a current is nan and so are
+    # the figures taken from it, and a nan figure is within no gate
+    values = np.repeat(np.arange(1.0, 8.0)[:, None] * 1e200, 7, axis=1)
+    field = GridField(SQUARE, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cons = conservation_residuals(field)
+        rec = reconstruct_and_check(field)
+    assert np.isnan(cons.circulations["g"])
+    assert np.isnan(cons.max_circulation) and not cons.passed()
+    assert np.isnan(rec.max_circulation) and np.isnan(rec.el_residual)
+    assert rec.stage == "closedness" and not rec.passed
