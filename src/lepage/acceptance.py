@@ -158,8 +158,10 @@ def _fundamental_vs_homogeneous(seed: int) -> tuple[bool, str]:
     ok = True
     for dim in (3, 4):
         lam = minimal_lagrangian(MetricSpec.euclidean(dim), 2)
+        # this comparison is the one verify=True would repeat
         res = form_equal(fundamental(lam),
-                         fundamental_homogeneous(lam, trials=8, seed=seed),
+                         fundamental_homogeneous(lam, verify=False, trials=8,
+                                                 seed=seed),
                          trials=20, tol=1e-9, seed=seed)
         ok = ok and res.verdict == "equal"
         parts.append(f"surface area in R^{dim}: {res.verdict}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,8 +279,20 @@ def _json_default(obj: object) -> object:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _finite(obj: object) -> object:
+    """obj with each non-finite float replaced by None, printed as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(_finite(payload), indent=2, sort_keys=True,
+                     default=_json_default))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +549,12 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         except ValueError as ex:
             raise ProblemError(f"domain {list(rect)}: {ex}") from ex
         _require_finite(start.values, rect)
-        result = minimal.solve_minimal_surface(start, tol=tol,
-                                               max_iter=max_iter)
-        cons = minimal.conservation_residuals(result.field)
-        rec = minimal.reconstruct_and_check(result.field)
+        # a solve that overflows reports its figures as null, not warnings
+        with np.errstate(all="ignore"):
+            result = minimal.solve_minimal_surface(start, tol=tol,
+                                                   max_iter=max_iter)
+            cons = minimal.conservation_residuals(result.field)
+            rec = minimal.reconstruct_and_check(result.field)
     except MemoryError as ex:
         raise ProblemError(f"a {shape[0]}x{shape[1]} grid does not fit in "
                            f"memory: {ex}") from ex

@@ -441,8 +441,8 @@ def from_adapted_contact(a: DiffForm) -> DiffForm:
 # exterior derivative, contraction, horizontalization
 # ---------------------------------------------------------------------------
 
-def _coefficient_differential(f: Expr, a: DiffForm) -> list:
-    """The (partial derivative, differential) terms of df in symbol order."""
+def _differentials(f: Expr, a: DiffForm) -> list[tuple[Sym, Covector]]:
+    """The symbols of f in key order, each with its differential on a's chart."""
     adapted = a.mode.startswith("adapted")
     syms = free_symbols(f)
     if not adapted and any(s.kind == "y2" for s in syms):
@@ -455,7 +455,7 @@ def _coefficient_differential(f: Expr, a: DiffForm) -> list:
         kind = _COVECTOR.get(s.kind)
         # the slopes w^s_i are coordinates for s in the complement only
         if kind in allowed and (kind != "dw1" or s.a in a.adapted.complement):
-            out.append((diff(f, s), Covector(kind, s.a, s.b)))
+            out.append((s, Covector(kind, s.a, s.b)))
         elif adapted:
             raise FormError(
                 f"adapted coefficient depends on {s!r}; forms on the "
@@ -467,16 +467,19 @@ def _coefficient_differential(f: Expr, a: DiffForm) -> list:
     return out
 
 
+def _differential_basis(a: DiffForm) -> DiffForm:
+    """a in the basis of differentials: contact covectors are rewritten."""
+    return _change_basis(a, {"contact": "coordinate",
+                             "adapted-contact": "adapted"}.get(a.mode, a.mode))
+
+
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative; contact-basis input is converted first."""
-    src = a
-    if a.mode == "contact":
-        src = to_coordinate(a)
-    elif a.mode == "adapted-contact":
-        src = from_adapted_contact(a)
+    src = _differential_basis(a)
     out: dict[Word, Expr] = {}
     for word, coeff in src.terms.items():
-        for dcoeff, cov in _coefficient_differential(coeff, src):
+        for s, cov in _differentials(coeff, src):
+            dcoeff = diff(coeff, s)
             if dcoeff.is_zero:
                 continue
             sign, new_word = _merge_words((cov,), word)
@@ -557,8 +560,37 @@ def contact_component(a: DiffForm, k: int) -> DiffForm:
 # ---------------------------------------------------------------------------
 
 def lie_derivative(field: VectorField, a: DiffForm) -> DiffForm:
-    """Cartan formula i_X d a + d i_X a."""
-    return contract(field, ext_d(a)) + ext_d(contract(field, a))
+    """Lie derivative L_X a by the coordinate formula
+
+        L_X(f dz^I) = X(f) dz^I
+                      + f sum_k dz^i1 ^ .. ^ d(X^ik) ^ .. ^ dz^in,
+
+    where X(f) = sum_s X^s df/ds and X^ik is the component of X along z^ik.
+    Contact-basis input is converted first, as in ``ext_d``.  f is
+    differentiated only along the symbols where X has a nonzero component;
+    the result equals Cartan's formula i_X d a + d i_X a.
+    """
+    src = _differential_basis(a)
+    out: dict[Word, Expr] = {}
+
+    def add(word: Word, c: Expr) -> None:
+        if not c.is_zero:
+            out[word] = out.get(word, ZERO) + c
+
+    for word, coeff in src.terms.items():
+        along = [(field.component(s), s) for s, _ in _differentials(coeff, src)]
+        add(word, expr_sum(c * diff(coeff, s) for c, s in along
+                           if not c.is_zero))
+        for pos, cov in enumerate(word):
+            comp = field.component(_coordinate(cov))
+            rest = word[:pos] + word[pos + 1:]
+            for s, dcov in _differentials(comp, src):
+                # dcov in place pos is (-1)^pos dcov ^ rest
+                sign, new_word = _merge_words((dcov,), rest)
+                if new_word is not None:
+                    dc = coeff * diff(comp, s)
+                    add(new_word, dc if sign * (-1) ** pos == 1 else -dc)
+    return DiffForm(src.chart, src.degree, src.mode, out, adapted=src.adapted)
 
 
 @dataclass(frozen=True)

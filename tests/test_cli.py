@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,27 @@ def test_minsurf_csv_roundtrip(capsys, tmp_path):
     assert code == 0
     assert report["boundary"] == "file"
     assert report["iterations"] == 0
+
+
+def test_minsurf_overflow_prints_strict_json(capsys, tmp_path):
+    # every value of row i is (i + 1) * 1e200: the solve overflows
+    csv = tmp_path / "huge.csv"
+    csv.write_text("".join(",".join([repr((i + 1) * 1e200)] * 7) + "\n"
+                           for i in range(7)))
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "minsurf", "--boundary", str(csv))
+    assert (code, err) == (1, "")
+    report = json.loads(out, parse_constant=reject)
+    assert report["converged"] is False
+    assert report["residuals"]["equation"] is None
+    assert report["residuals"]["relation"] is None
+    assert report["circulations"]["g"] is None
+    assert None in report["convergence"]
 
 
 def test_minsurf_unknown_boundary(capsys):

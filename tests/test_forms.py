@@ -23,6 +23,7 @@ from lepage.forms import (
     omj, omt, pullback_immersion, reduce_contact_ideal, to_adapted_contact,
     to_contact, to_coordinate, volume_form, wedge, wedge_all, zero_form,
 )
+from lepage.variation import VectorFieldSpec, prolong_grassmann, prolong_jet
 
 CH21 = JetChart(n=2, m=1, order=1)
 CH22 = JetChart(n=2, m=2, order=1)
@@ -628,22 +629,28 @@ def test_form_equal_sums_skip_counts_over_coefficients():
 # properties of the basis changes
 # ---------------------------------------------------------------------------
 
+def _polys(st, syms):
+    """Small integer polynomials in syms."""
+    gens = [sym_expr(s) for s in syms]
+    monos = st.tuples(st.integers(-3, 3),
+                      st.lists(st.sampled_from(gens), max_size=2))
+    return st.lists(monos, min_size=1, max_size=3).map(
+        lambda ms: expr_sum(const(c) * prod(fs, start=ONE) for c, fs in ms))
+
+
 def _basis_strategies(st):
     """Strategies for forms, vector fields and immersions on CH21, all with
-    small integer polynomial coefficients."""
+    small integer polynomial coefficients unless forms gets coeffs."""
     def polys(syms):
-        gens = [sym_expr(s) for s in syms]
-        monos = st.tuples(st.integers(-3, 3),
-                          st.lists(st.sampled_from(gens), max_size=2))
-        return st.lists(monos, min_size=1, max_size=3).map(
-            lambda ms: expr_sum(const(c) * prod(fs, start=ONE) for c, fs in ms))
+        return _polys(st, syms)
 
     @st.composite
-    def forms(draw, mode, pool, syms, adapted=None):
-        degree = draw(st.integers(1, 2))
+    def forms(draw, mode, pool, syms, adapted=None, coeffs=None, max_degree=2):
+        degree = draw(st.integers(1, max_degree))
         words = st.lists(st.sampled_from(pool), min_size=degree,
                          max_size=degree, unique=True).map(tuple)
-        terms = draw(st.dictionaries(words, polys(syms), min_size=1, max_size=3))
+        coeffs = polys(syms) if coeffs is None else coeffs
+        terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=3))
         return form(CH21, mode, terms, adapted=adapted)
 
     def fields(syms, adapted=None):
@@ -739,3 +746,108 @@ def test_adapted_basis_changes_are_exact_and_define_contact_forms():
         assert (lhs - pullback_immersion(free, zeta)).is_zero
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the Lie derivative against Cartan's formula
+# ---------------------------------------------------------------------------
+
+def _polynomial(e: Expr) -> bool:
+    return e.den == ONE.den
+
+
+def cartan(X: VectorField, a: DiffForm) -> DiffForm:
+    """The oracle: L_X a = i_X d a + d i_X a."""
+    return contract(X, ext_d(a)) + ext_d(contract(X, a))
+
+
+def test_lie_derivative_is_cartans_formula():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    forms, fields, _ = _basis_strategies(st)
+    n, M = CH21.n, CH21.M
+    ys = [Sym("y", K) for K in range(1, M + 1)]
+    jet_syms = [Sym("x", i) for i in range(1, n + 1)] + ys
+    jet_syms += [Sym("y1", K, j) for K in range(1, M + 1)
+                 for j in range(1, n + 1)]
+
+    def coeffs(syms):
+        # polynomials, and polynomials over a positive polynomial
+        rationals = st.tuples(_polys(st, syms), _polys(st, syms)).map(
+            lambda pq: pq[0] / (pq[1] * pq[1] + ONE))
+        return st.one_of(_polys(st, syms), rationals)
+
+    specs = st.tuples(*[_polys(st, ys)] * M).map(
+        lambda comps: VectorFieldSpec(CH21, comps))
+
+    @st.composite
+    def cases(draw):
+        mode = draw(st.sampled_from(
+            ["coordinate", "contact", "adapted", "adapted-contact"]))
+        if mode in ("coordinate", "contact"):
+            pool = [dx(i) for i in range(1, n + 1)]
+            if mode == "coordinate":
+                pool += [dy(K) for K in range(1, M + 1)]
+                pool += [dyj(K, j) for K in range(1, M + 1)
+                         for j in range(1, n + 1)]
+            else:  # om^K_j would need second-order coefficients for d
+                pool += [om(K) for K in range(1, M + 1)]
+            a = draw(forms(mode, pool, jet_syms, coeffs=coeffs(jet_syms),
+                           max_degree=3))
+            X = draw(st.one_of(specs.map(lambda xi: prolong_jet(xi, order=1)),
+                               fields(jet_syms)))
+            return a, X
+        ad = AdaptedChart(CH21, draw(st.sampled_from([(1, 2), (1, 3), (2, 3)])))
+        slopes = [(s, i) for s in ad.complement for i in ad.selected]
+        syms = [Sym("w", K) for K in range(1, M + 1)]
+        syms += [Sym("w1", s, i) for s, i in slopes]
+        pool = [dwj(s, i) for s, i in slopes]
+        if mode == "adapted":
+            pool += [dw(K) for K in range(1, M + 1)]
+        else:
+            pool += [dw(i) for i in ad.selected] + [omt(s) for s in ad.complement]
+        a = draw(forms(mode, pool, syms, ad, coeffs=coeffs(syms), max_degree=3))
+        X = draw(st.one_of(specs.map(lambda xi: prolong_grassmann(xi, ad)),
+                           fields(syms, ad)))
+        return a, X
+
+    @hyp.settings(max_examples=60)
+    @hyp.given(cases())
+    def check(case):
+        a, X = case
+        lie, oracle = lie_derivative(X, a), cartan(X, a)
+        assert (lie - oracle).is_zero
+        # Cartan's route can leave a common factor in a rational coefficient
+        # that the normal form does not cancel: L_X of dw3_1^dw3_2/(1 + w1^2)
+        # along X = w1^2 d/dw3 + 2 w1 d/dw3_1 is 2/(1 + w1^2) dw1^dw3_2, and
+        # Cartan's formula gives (2 + 2 w1^2)/(1 + w1^2)^2 there
+        if all(_polynomial(c) for c in [*a.terms.values(),
+                                         *X.components.values()]):
+            assert lie == oracle
+
+    check()
+
+
+def test_lie_derivative_keeps_the_basis_of_differentials():
+    X = VectorField(CH21, {Sym("y", 1): yy(2), Sym("x", 1): yj(3, 2)})
+    a = form(CH21, "contact", {(om(1), dx(2)): yy(3) * x(1)})
+    assert lie_derivative(X, a).mode == "coordinate"
+    assert lie_derivative(X, a) == cartan(X, a)
+    Xw = VectorField(CH21, {Sym("w", 3): ww(1), Sym("w1", 3, 2): ww(2)},
+                     adapted=AD21)
+    b = form(CH21, "adapted-contact", {(omt(3), dw(1)): wj(3, 1)}, adapted=AD21)
+    assert lie_derivative(Xw, b).mode == "adapted"
+    assert lie_derivative(Xw, b) == cartan(Xw, b)
+
+
+@pytest.mark.parametrize("bad", [
+    form(CH21.raised(), "coordinate", {(dx(1),): sym_expr(Sym("y2", 1, 1, 1))}),
+    form(CH21, "adapted", {(dw(1),): wj(1, 2)}, adapted=AD21),
+], ids=["second-order", "minor-entry"])
+def test_lie_derivative_rejects_what_ext_d_rejects(bad):
+    X = VectorField(CH21, {Sym("x", 1): ONE, Sym("w", 1): ONE})
+    with pytest.raises(FormError) as by_d:
+        ext_d(bad)
+    with pytest.raises(FormError) as by_lie:
+        lie_derivative(X, bad)
+    assert str(by_lie.value) == str(by_d.value)

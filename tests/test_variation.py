@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+
+import lepage.forms
 
 from lepage.charts import AdaptedChart, ChartError, JetChart
 from lepage.expr import (
@@ -13,8 +16,8 @@ from lepage.expr import (
     free_symbols, sqrt_expr, sym_expr, wj, x, yj, yy,
 )
 from lepage.forms import (
-    FormError, Immersion, dw, ext_d, form, form_equal, pullback_immersion,
-    volume_form, zero_form,
+    FormError, Immersion, contract, dw, ext_d, form, form_equal,
+    lie_derivative, pullback_immersion, volume_form, zero_form,
 )
 from lepage.equivalents import (
     HorizontalNForm, Lagrangian, fundamental_homogeneous, poincare_cartan,
@@ -421,3 +424,45 @@ def test_reparameterization_shear_validation():
     lam, _, zeta = setup_variation()
     with pytest.raises(FormError):
         reparameterization_invariance(lam, zeta, x(1), (0, 1, 0, 1), points=4)
+
+
+# ---------------------------------------------------------------------------
+# the Lie derivative of the area forms against Cartan's formula
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def area_form_and_d(kind: str):
+    """An area form in R^3 and its exterior derivative, built once."""
+    lam = area_lagrangian()
+    W = {"fundamental-homogeneous":
+         lambda: fundamental_homogeneous(lam, verify=False, trials=8, seed=1),
+         "poincare-cartan": lambda: poincare_cartan(lam),
+         "grassmann": grassmann_area_form}[kind]()
+    return W, ext_d(W)
+
+
+@pytest.mark.parametrize("components", [
+    (ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE),
+    (yy(2), -yy(1), ZERO),
+], ids=["translation-1", "translation-2", "translation-3", "rotation"])
+@pytest.mark.parametrize("kind", [
+    "fundamental-homogeneous", "poincare-cartan", "grassmann"])
+def test_lie_derivative_of_area_forms_is_cartans_formula(kind, components):
+    W, dW = area_form_and_d(kind)
+    xi = VectorFieldSpec(CH21, components)
+    X = (prolong_grassmann(xi, AD21) if kind == "grassmann"
+         else prolong_jet(xi, order=1))
+    assert lie_derivative(X, W) == contract(X, dW) + ext_d(contract(X, W))
+
+
+def test_lie_derivative_takes_no_derivative_along_absent_directions(
+        monkeypatch):
+    # the area form has no y3 in it, so the translation along y3 costs no diff
+    W, _ = area_form_and_d("fundamental-homogeneous")
+    X = prolong_jet(VectorFieldSpec.constant(CH21, (0, 0, 1)), order=1)
+    calls = []
+    real = lepage.forms.diff
+    monkeypatch.setattr(lepage.forms, "diff",
+                        lambda e, s: calls.append(s) or real(e, s))
+    assert lie_derivative(X, W).is_zero
+    assert calls == []
