@@ -105,9 +105,9 @@ def _scherk_solve(N: int):
 def _homogeneity_suite(seed: int) -> tuple[bool, str]:
     """Area integrand passes every slope-weight identity; controls fail."""
     lam = minimal_lagrangian(MetricSpec.euclidean(3), 2)
-    report = zermelo_residuals(lam.L, lam.chart, trials=20, seed=seed)
-    zero = all(e.is_zero for e in report.residuals.values())
-    parts = [f"area integrand: all {len(report.residuals)} residuals normalize to zero"
+    verdicts = zermelo_residuals(lam.L, lam.chart, trials=20, seed=seed)
+    zero = all(v and v.decided_by == "structural" for v in verdicts.values())
+    parts = [f"area integrand: all {len(verdicts)} residuals normalize to zero"
              if zero else "area integrand residuals do not vanish"]
     ok = zero
     controls = (("affine slope", yj(1, 1) + ONE), ("squared slope", yj(1, 1) ** 2))
@@ -139,10 +139,14 @@ def _equivalence_suite(seed: int) -> tuple[bool, str]:
             # the definitional check, independent of is_lepage's comparison
             # with the Poincare-Cartan form
             rho = ctor(lam)
-            verdict = _lepage_verdict(rho, ext_d(rho), lam, trials=20,
-                                      tol=1e-9, seed=seed, guards=[lam.L])
-            if not verdict:
-                failures.append(f"{lname}/{cname} {verdict.detail}")
+            bad = _lepage_verdict(rho, ext_d(rho), lam, trials=20, tol=1e-9,
+                                  seed=seed, guards=[lam.L]).witness()
+            if bad is not None:
+                label, res = bad
+                what = ("horizontal part differs from the Lagrangian volume "
+                        "form" if label == "horizontal" else
+                        f"defect at fiber index {label.a}, base index {label.b}")
+                failures.append(f"{lname}/{cname} {what}: {res.describe()}")
                 continue
             contractions += len(lam.chart.jet1_symbols())
     if failures:
@@ -191,12 +195,18 @@ def _metric_coincidence(seed: int) -> tuple[bool, str]:
     parts: list[str] = []
     ok = True
     for label, g in metrics:
-        rep = verify_coincidence(g, 2, trials=50, tol=1e-9, seed=seed)
-        ok = ok and rep.passed
-        if rep.passed:
-            parts.append(f"{label}: all pairs agree at 50 samples")
+        verdicts = verify_coincidence(g, 2, trials=50, tol=1e-9, seed=seed)
+        bad = verdicts.witness()
+        ok = ok and bad is None
+        if bad is None:
+            structural = sum(v.decided_by == "structural"
+                             for v in verdicts.values())
+            how = ("structurally" if structural == len(verdicts) else
+                   f"({structural} structurally, the rest by sampling)")
+            parts.append(f"{label}: all {len(verdicts)} pairs agree {how}")
         else:
-            parts.append(f"{label}: disagreement {rep.witnesses()}")
+            (a, b), res = bad
+            parts.append(f"{label}: {a} vs {b} disagree: {res.describe()}")
     return ok, "; ".join(parts)
 
 

@@ -379,38 +379,41 @@ def _cmd_check_lepage(args: argparse.Namespace) -> int:
     seed, tol, trials = _sampling(args, prob)
     kind, rho = _build_equivalent(args.kind, prob, seed=seed, tol=tol,
                                   trials=trials)
-    verdict = is_lepage(rho, prob.lagrangian, trials=trials, tol=tol,
-                        seed=seed, guards=[prob.lagrangian.L])
-    payload = _report("check-lepage", kind=kind, passed=verdict.passed,
-                      vertical_contractions_vanish=verdict.direction is None,
-                      carries_lagrangian=verdict.carries_lagrangian)
-    res = verdict.result
-    if verdict.direction is not None:
-        payload["witness"] = _witness(res, direction=str(verdict.direction),
-                                      word=_word_json(res.word))
-    elif not verdict.carries_lagrangian:
+    verdicts = is_lepage(rho, prob.lagrangian, trials=trials, tol=tol,
+                         seed=seed, guards=[prob.lagrangian.L])
+    # a failing jet direction is the witness before the horizontal part
+    label, res = verdicts.witness() or (None, None)
+    payload = _report("check-lepage", kind=kind, passed=verdicts.passed,
+                      vertical_contractions_vanish=label in (None, "horizontal"),
+                      carries_lagrangian=bool(verdicts.get("horizontal", True)))
+    if label == "horizontal":
         payload["witness"] = {"detail": "horizontal part differs from the "
                                         "Lagrangian volume form",
                               "word": _word_json(res.word)}
+    elif label is not None:
+        payload["witness"] = _witness(res, direction=str(label),
+                                      word=_word_json(res.word))
     _emit(payload)
-    return 0 if verdict.passed else 1
+    return 0 if verdicts.passed else 1
 
 
 def _cmd_check_zermelo(args: argparse.Namespace) -> int:
     prob = load_problem(args.problem)
     seed, tol, trials = _sampling(args, prob)
-    report = homogeneity.zermelo_residuals(prob.lagrangian.L, prob.chart,
-                                           trials=trials, tol=tol, seed=seed)
-    verdicts = {f"{i},{j}": res.verdict
-                for (i, j), res in sorted(report.verdicts.items())}
-    payload = _report("check-zermelo", passed=report.passed, verdicts=verdicts)
-    bad = report.witness()
+    F, chart = prob.lagrangian.L, prob.chart
+    verdicts = homogeneity.zermelo_residuals(F, chart, trials=trials, tol=tol,
+                                             seed=seed)
+    payload = _report("check-zermelo", passed=verdicts.passed,
+                      verdicts={f"{i},{j}": res.verdict
+                                for (i, j), res in verdicts.items()})
+    bad = verdicts.witness()
     if bad is not None:
         (i, j), res = bad
-        payload["witness"] = _witness(
-            res, index=[i, j], residual=to_dsl(report.residuals[(i, j)]))
+        residual = homogeneity.zermelo_residual(F, chart, i, j)
+        payload["witness"] = _witness(res, index=[i, j],
+                                      residual=to_dsl(residual))
     _emit(payload)
-    return 0 if report.passed else 1
+    return 0 if verdicts.passed else 1
 
 
 def _cmd_noether(args: argparse.Namespace) -> int:

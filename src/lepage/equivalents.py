@@ -12,7 +12,7 @@ part of the exterior derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 
 from .charts import ChartError, JetChart, formal_derivative
 from .expr import (
-    EqualResult, Expr, ExprError, ONE, Sym, ZERO, const, diff, expr_sum,
-    free_symbols, levi_civita,
+    EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff,
+    expr_sum, free_symbols, levi_civita,
 )
 from .forms import (
     DiffForm, FormError, VectorField, dx, dy, om, form,
@@ -30,7 +30,7 @@ from .forms import (
 )
 
 __all__ = [
-    "Lagrangian", "HorizontalNForm", "DerivativeTensors", "LepageVerdict",
+    "Lagrangian", "HorizontalNForm", "DerivativeTensors",
     "poincare_cartan", "fundamental", "caratheodory", "hilbert_caratheodory",
     "fundamental_homogeneous", "lagrangian_of", "is_lepage", "euler_lagrange",
     "el_form_check",
@@ -174,12 +174,12 @@ def caratheodory(lam: Lagrangian) -> DiffForm:
 
 def _require_homogeneous(lam: Lagrangian, trials: int, tol: float, seed: int):
     from .homogeneity import zermelo_residuals
-    report = zermelo_residuals(lam.L, lam.chart, trials=trials, tol=tol,
-                               seed=seed)
-    if not report.passed:
-        raise ExprError(
-            "Lagrange function is not positive homogeneous: "
-            + report.describe())
+    bad = zermelo_residuals(lam.L, lam.chart, trials=trials, tol=tol,
+                            seed=seed).witness()
+    if bad is not None:
+        (j, l), res = bad
+        raise ExprError("Lagrange function is not positive homogeneous: "
+                        f"residual at (j={j}, l={l}) is {res.describe()}")
 
 
 def hilbert_caratheodory(lam: Lagrangian, *, trials: int = 50,
@@ -259,34 +259,9 @@ def lagrangian_of(rho: HorizontalNForm) -> Lagrangian:
     return Lagrangian(chart, horizontal.terms.get(word, ZERO))
 
 
-@dataclass
-class LepageVerdict:
-    """Outcome of a Lepage test and the comparison that decided a failure.
-
-    ``direction`` is the first jet symbol whose contraction does not vanish,
-    or ``None``; ``result`` is that contraction's comparison, or else the
-    failing horizontal-part comparison.  ``decided_by`` names the test that
-    gave the verdict: ``"contact"`` for the structural comparison with the
-    Poincare-Cartan form, ``"definitional"`` for the sampled contractions.
-    """
-
-    passed: bool
-    carries_lagrangian: bool = True
-    direction: Sym | None = None
-    result: EqualResult | None = None
-    detail: str = ""
-    decided_by: str = "definitional"
-
-    def __bool__(self):
-        return self.passed
-
-    def describe(self) -> str:
-        return "pass" if self.passed else f"fail: {self.detail}"
-
-
 def is_lepage(rho: DiffForm, lam: Lagrangian, *, trials: int = 50,
               tol: float = 1e-9, seed: int = 0,
-              guards: Sequence[Expr] = ()) -> LepageVerdict:
+              guards: Sequence[Expr] = ()) -> Verdicts:
     """Lepage test: h(rho) is the Lagrangian volume form and h(i_xi d rho) = 0.
 
     An n-form on the first-order chart whose 0- and 1-contact parts are
@@ -295,14 +270,16 @@ def is_lepage(rho: DiffForm, lam: Lagrangian, *, trials: int = 50,
     d keeps a form at least 2-contact, because d om^K = -om^K_j ^ dx^j;
     i_xi removes at most one contact factor;
     h kills every contact form, so h(i_xi d rho) = h(i_xi d Theta) = 0.
-    Any other form gets the definitional test.  Fields vertical over the
-    configuration space are pointwise combinations of the first-jet
-    coordinate fields and contraction is pointwise linear, so those fields
-    decide the condition; they are checked in ``chart.jet1_symbols()`` order
-    up to the first one not sampled equal to zero.
+    That pass is one structural entry keyed "contact".  Any other form gets
+    the definitional test.  Fields vertical over the configuration space are
+    pointwise combinations of the first-jet coordinate fields and
+    contraction is pointwise linear, so those fields decide the condition;
+    they are checked in ``chart.jet1_symbols()`` order up to the first one
+    not sampled equal to zero, each keyed by its jet symbol, and the
+    horizontal-part comparison follows, keyed "horizontal".
     """
     if _matches_poincare_cartan(rho, lam):
-        return LepageVerdict(True, decided_by="contact")
+        return Verdicts(contact=EqualResult("equal", decided_by="structural"))
     return _lepage_verdict(rho, ext_d(rho), lam, trials=trials, tol=tol,
                            seed=seed, guards=guards)
 
@@ -324,27 +301,20 @@ def _matches_poincare_cartan(rho: DiffForm, lam: Lagrangian) -> bool:
 
 
 def _lepage_verdict(rho: DiffForm, drho: DiffForm, lam: Lagrangian,
-                    **options) -> LepageVerdict:
+                    **options) -> Verdicts:
     # is_lepage's definitional test with d rho given, for callers that need
     # d rho themselves or want this test whatever rho is
     chart = lam.chart
-    carried = form_equal(horizontalize(rho), lam.volume(), **options)
-    carries = bool(carried)
+    verdicts = Verdicts()
     for s in chart.jet1_symbols():
         defect = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
-        res = form_equal(defect, zero_form(chart, chart.n, defect.mode),
-                         **options)
-        if not res:
-            return LepageVerdict(
-                False, carries, s, res,
-                f"defect at fiber index {s.a}, base index {s.b}: "
-                + res.describe())
-    if not carries:
-        return LepageVerdict(
-            False, False, None, carried,
-            "horizontal part differs from the Lagrangian volume form: "
-            + carried.describe())
-    return LepageVerdict(True)
+        verdicts[s] = form_equal(defect, zero_form(chart, chart.n, defect.mode),
+                                 **options)
+        if not verdicts[s]:
+            break
+    verdicts["horizontal"] = form_equal(horizontalize(rho), lam.volume(),
+                                        **options)
+    return verdicts
 
 
 def euler_lagrange(lam: Lagrangian) -> tuple[Expr, ...]:
@@ -360,15 +330,19 @@ def euler_lagrange(lam: Lagrangian) -> tuple[Expr, ...]:
 
 
 def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
-                  seed: int = 0, guards: Sequence[Expr] = ()) -> LepageVerdict:
-    """The 1-contact part of d rho carries exactly the Euler-Lagrange terms."""
+                  seed: int = 0, guards: Sequence[Expr] = ()) -> Verdicts:
+    """The 1-contact part of d rho carries exactly the Euler-Lagrange terms.
+
+    The definitional Lepage test's entries come first; when they pass, the
+    1-contact comparison follows, keyed "1-contact".
+    """
     chart = rho.chart
     lam = lagrangian_of(rho)
     drho = ext_d(rho.form)
-    lepage = _lepage_verdict(rho.form, drho, lam, trials=trials, tol=tol,
-                             seed=seed, guards=guards)
-    if not lepage.passed:
-        return replace(lepage, detail="not a Lepage form: " + lepage.detail)
+    verdicts = _lepage_verdict(rho.form, drho, lam, trials=trials, tol=tol,
+                               seed=seed, guards=guards)
+    if not verdicts:
+        return verdicts
     one_contact = contact_component(drho, 1)
     expressions = euler_lagrange(lam)
     expected: dict[tuple, Expr] = {}
@@ -380,9 +354,6 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
         zero_form(chart.raised(), chart.n + 1, "contact")
     lifted = DiffForm(chart.raised(), one_contact.degree, one_contact.mode,
                       one_contact.terms)
-    res = form_equal(lifted, target, trials=trials, tol=tol, seed=seed,
-                     guards=guards)
-    if not res:
-        return LepageVerdict(False, result=res,
-                             detail="1-contact part mismatch: " + res.describe())
-    return LepageVerdict(True)
+    verdicts["1-contact"] = form_equal(lifted, target, trials=trials, tol=tol,
+                                       seed=seed, guards=guards)
+    return verdicts

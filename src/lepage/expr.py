@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from _blake2 import blake2b
 
 __all__ = [
-    "Sym", "Fun", "Root", "Expr", "PointAssignment", "EqualResult",
+    "Sym", "Fun", "Root", "Expr", "PointAssignment", "EqualResult", "Verdicts",
     "ExprError", "ParseError", "EvalError", "DomainError",
     "MissingValueError", "ExpressionSizeError",
     "const", "sym_expr", "x", "yy", "yj", "yjk", "ww", "wj", "zz", "aa",
@@ -1149,13 +1149,15 @@ def _evaluate(e: Expr, assign: PointAssignment,
 # probabilistic equality
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EqualResult:
     """Verdict of a sampled comparison of two expressions or two forms.
 
     'unknown' means every sample was skipped; it never passes.  ``word`` is
     the basis word that decided a failed form comparison.  ``skipped`` counts
     skipped samples by reason: 'guard', 'domain' (DomainError) and 'overflow'.
+    ``decided_by`` is 'structural' when normal forms (or form degrees)
+    decided without a sample, else 'sampled'.
     """
 
     verdict: str  # 'equal' | 'unequal' | 'unknown'
@@ -1166,6 +1168,7 @@ class EqualResult:
     word: tuple | None = None
     skipped: dict[str, int] = field(
         default_factory=lambda: {"guard": 0, "domain": 0, "overflow": 0})
+    decided_by: str = "sampled"  # 'structural' | 'sampled'
 
     def __bool__(self) -> bool:
         return self.verdict == "equal"
@@ -1184,6 +1187,25 @@ class EqualResult:
         head = at + ": " if at else ""
         return (f"{head}unequal: lhs={va:.9g} rhs={vb:.9g} at "
                 f"{self.witness.describe()}")
+
+
+class Verdicts(dict):
+    """Comparisons keyed by label, in the order they were taken.
+
+    Passes, as a property and as a truth value, when every comparison is
+    equal; ``witness()`` is the first (label, result) that is not.
+    """
+
+    @property
+    def passed(self) -> bool:
+        return all(self.values())
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    def witness(self) -> tuple[object, EqualResult] | None:
+        return next(((label, res) for label, res in self.items() if not res),
+                    None)
 
 
 def _stable_seed(*parts) -> int:
@@ -1232,18 +1254,15 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
     """
     a = _coerce(a)
     b = _coerce(b)
-    if a == b:
-        return EqualResult("equal", samples=0)
-    d = a - b
-    if d.is_zero:
-        return EqualResult("equal", samples=0)
+    if a == b or (a - b).is_zero:
+        return EqualResult("equal", decided_by="structural")
     symbols = set(free_symbols(a)) | set(free_symbols(b))
     signatures = opaque_signatures(a) | opaque_signatures(b)
     for g in guards:
         symbols |= set(free_symbols(g))
         signatures |= opaque_signatures(g)
-    res = EqualResult("unknown")
-    skipped = res.skipped
+    skipped = {"guard": 0, "domain": 0, "overflow": 0}
+    samples, worst = 0, 0.0
     for trial in range(trials):
         assign = sample_assignment(symbols, signatures, seed, trial)
         try:
@@ -1255,18 +1274,15 @@ def equal(a: Expr, b: Expr, *, trials: int = 20, tol: float = 1e-9,
         except (DomainError, OverflowError) as exc:
             skipped["domain" if isinstance(exc, DomainError) else "overflow"] += 1
             continue
-        res.samples += 1
+        samples += 1
         dev = abs(va - vb)
         scale = max(abs(va), abs(vb), ma, mb)
-        res.max_deviation = max(res.max_deviation,
-                                dev / scale if scale else 0.0)
+        worst = max(worst, dev / scale if scale else 0.0)
         if dev > tol * scale:
-            res.verdict = "unequal"
-            res.witness, res.witness_values = assign, (va, vb)
-            return res
-    if res.samples:
-        res.verdict = "equal"
-    return res
+            return EqualResult("unequal", assign, (va, vb), samples, worst,
+                               skipped=skipped)
+    return EqualResult("equal" if samples else "unknown", samples=samples,
+                       max_deviation=worst, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

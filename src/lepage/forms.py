@@ -29,7 +29,7 @@ goes through these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -757,30 +757,34 @@ def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
 
     A failure is the first unequal coefficient's verdict, or else the last
     unknown one, with ``word`` set; 'equal' sums the coefficients' samples
-    and keeps their largest deviation; ``skipped`` sums all their skip counts.
+    and keeps their largest deviation, and is structural when every
+    coefficient was; ``skipped`` sums the skip counts of the coefficients
+    compared.
     """
     if a.degree != b.degree:
-        return EqualResult("unequal")
+        return EqualResult("unequal", decided_by="structural")
     a2, b2 = _align(a, b)
     words = sorted(set(a2.terms) | set(b2.terms),
                    key=lambda w: tuple(c.key for c in w))
-    unknown = None
-    total = EqualResult("equal")
+    skipped = {"guard": 0, "domain": 0, "overflow": 0}
+    samples, worst, unknown = 0, 0.0, None
     for word in words:
         res = equal(a2.terms.get(word, ZERO), b2.terms.get(word, ZERO),
                     trials=trials, tol=tol, seed=seed, guards=guards)
-        res.word = word
         for reason, k in res.skipped.items():
-            total.skipped[reason] += k
-        # each result shares the running sums, so the one returned has them
-        res.skipped = total.skipped
+            skipped[reason] += k
         if res.verdict == "unequal":
-            return res
+            return replace(res, word=word, skipped=skipped)
         if res.verdict == "unknown":
-            unknown = res
-        total.samples += res.samples
-        total.max_deviation = max(total.max_deviation, res.max_deviation)
-    return total if unknown is None else unknown
+            # shares the running skip counts, so it ends with every word's
+            unknown = replace(res, word=word, skipped=skipped)
+        samples += res.samples
+        worst = max(worst, res.max_deviation)
+    if unknown is not None:
+        return unknown
+    return EqualResult("equal", samples=samples, max_deviation=worst,
+                       skipped=skipped,
+                       decided_by="sampled" if samples else "structural")
 
 
 def form_to_json(a: DiffForm) -> dict:

@@ -7,63 +7,38 @@ chart obtained by extracting the selected-minor determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .charts import AdaptedChart, JetChart, gl_act_symbolic, group_det_symbolic
 from .expr import (
-    EqualResult, Expr, ExprError, Sym, ZERO, diff, equal, expr_sum,
+    EqualResult, Expr, ExprError, Sym, Verdicts, ZERO, diff, equal, expr_sum,
     free_symbols, sym_expr,
 )
 
 __all__ = [
-    "ZermeloReport", "zermelo_residuals",
+    "zermelo_residual", "zermelo_residuals",
     "check_equivariance", "grassmann_projection", "grassmann_form",
 ]
 
 
-@dataclass
-class ZermeloReport:
-    """Residuals of the homogeneity identities, one per base-index pair."""
-
-    chart: JetChart
-    residuals: Mapping[tuple[int, int], Expr]
-    verdicts: Mapping[tuple[int, int], EqualResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-    def witness(self) -> tuple[tuple[int, int], EqualResult] | None:
-        """The first index pair in sorted order whose verdict is not equal."""
-        return next(((key, v) for key, v in sorted(self.verdicts.items())
-                     if not v), None)
-
-    def describe(self) -> str:
-        bad = self.witness()
-        if bad is None:
-            return "all residuals vanish"
-        (j, l), verdict = bad
-        return f"residual at (j={j}, l={l}) is {verdict.describe()}"
+def zermelo_residual(F: Expr, chart: JetChart, j: int, l: int) -> Expr:
+    """Residual sum_K y^K_l dF/dy^K_j - delta^j_l F of one homogeneity identity."""
+    contracted = expr_sum(
+        diff(F, Sym("y1", K, j)) * sym_expr(Sym("y1", K, l))
+        for K in range(1, chart.M + 1))
+    return contracted - F if j == l else contracted
 
 
 def zermelo_residuals(F: Expr, chart: JetChart, *, trials: int = 50,
                       tol: float = 1e-9, seed: int = 0,
-                      guards: Sequence[Expr] = ()) -> ZermeloReport:
-    """Residual matrix of the homogeneity identities for a velocity function."""
+                      guards: Sequence[Expr] = ()) -> Verdicts:
+    """Homogeneity identities of a velocity function, keyed by the base-index
+    pair (j, l) in sorted order, each its residual's comparison with zero."""
     chart.validate_expr(F, max_order=1)
-    residuals: dict[tuple[int, int], Expr] = {}
-    verdicts: dict[tuple[int, int], EqualResult] = {}
-    for j in range(1, chart.n + 1):
-        for l in range(1, chart.n + 1):
-            contracted = expr_sum(
-                diff(F, Sym("y1", K, j)) * sym_expr(Sym("y1", K, l))
-                for K in range(1, chart.M + 1))
-            residual = contracted - F if j == l else contracted
-            residuals[(j, l)] = residual
-            verdicts[(j, l)] = equal(residual, ZERO, trials=trials, tol=tol,
-                                     seed=seed, guards=guards)
-    return ZermeloReport(chart, residuals, verdicts)
+    return Verdicts(
+        ((j, l), equal(zermelo_residual(F, chart, j, l), ZERO, trials=trials,
+                       tol=tol, seed=seed, guards=guards))
+        for j in range(1, chart.n + 1) for l in range(1, chart.n + 1))
 
 
 def check_equivariance(F: Expr, chart: JetChart, *, trials: int = 20,

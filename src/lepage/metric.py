@@ -14,12 +14,12 @@ from typing import Mapping
 from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, fundamental_homogeneous,
                           hilbert_caratheodory)
-from .expr import (ONE, ZERO, EqualResult, Expr, ExprError, Sym, const,
+from .expr import (ONE, ZERO, Expr, ExprError, Sym, Verdicts, const,
                    cos_expr, det_expr, diff, expr_sum, free_symbols, log_expr,
                    sqrt_expr, sym_expr, yj)
 from .forms import DiffForm, form_equal
 
-__all__ = ["MetricSpec", "CoincidenceReport", "minimal_lagrangian",
+__all__ = ["MetricSpec", "minimal_lagrangian",
            "krupka_form", "coincidence_report", "verify_coincidence",
            "graph_el_residual", "scherk_expr"]
 
@@ -120,39 +120,22 @@ def krupka_form(g: MetricSpec, n: int) -> HorizontalNForm:
     return HorizontalNForm.from_tensor(chart, coefficients)
 
 
-@dataclass
-class CoincidenceReport:
-    """Pairwise comparison verdicts among labelled horizontal forms."""
-
-    results: dict[tuple[str, str], EqualResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.results.values())
-
-    def witnesses(self) -> dict[tuple[str, str], str]:
-        return {pair: r.describe()
-                for pair, r in self.results.items() if not r}
-
-    def describe(self) -> str:
-        lines = [f"{a} vs {b}: {r.describe()}"
-                 for (a, b), r in self.results.items()]
-        return "\n".join(lines)
-
-
 def coincidence_report(forms: Mapping[str, DiffForm], *, trials: int = 50,
                        tol: float = 1e-9, seed: int = 0,
-                       guards=()) -> CoincidenceReport:
-    results = {}
-    for (na, fa), (nb, fb) in combinations(forms.items(), 2):
-        results[(na, nb)] = form_equal(fa, fb, trials=trials, tol=tol,
-                                       seed=seed, guards=guards)
-    return CoincidenceReport(results)
+                       guards=()) -> Verdicts:
+    """Pairwise comparisons of labelled forms, keyed by label pair in the
+    mapping's order."""
+    return Verdicts(
+        ((na, nb), form_equal(fa, fb, trials=trials, tol=tol, seed=seed,
+                              guards=guards))
+        for (na, fa), (nb, fb) in combinations(forms.items(), 2))
 
 
 def verify_coincidence(g: MetricSpec, n: int, *, trials: int = 50,
-                       tol: float = 1e-9, seed: int = 0) -> CoincidenceReport:
-    """Compare the three homogeneous Lepage constructions of the area Lagrangian."""
+                       tol: float = 1e-9, seed: int = 0) -> Verdicts:
+    """Compare the three homogeneous Lepage constructions of the area
+    Lagrangian, keyed ("fundamental", "product"), ("fundamental", "metric")
+    and ("product", "metric")."""
     chart = _metric_chart(g, n)
     if chart.n not in (1, 2) or chart.m not in (1, 2):
         raise ChartError("coincidence check is guarded to n, m in {1, 2}")

@@ -183,6 +183,10 @@ def _integrate_boundary(one_form: DiffForm, rect, points: int) -> float:
     return total
 
 
+def _rel_difference(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
 @dataclass
 class FirstVariationReport:
     lhs: float
@@ -194,13 +198,8 @@ class FirstVariationReport:
         return self.volume_term + self.boundary_term
 
     @property
-    def abs_difference(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
     def rel_difference(self) -> float:
-        scale = max(1.0, abs(self.lhs), abs(self.rhs))
-        return self.abs_difference / scale
+        return _rel_difference(self.lhs, self.rhs)
 
     def describe(self) -> str:
         return (f"lhs={self.lhs:.12g} rhs={self.rhs:.12g} "
@@ -247,13 +246,8 @@ class ReparameterizationReport:
     reparameterized: float
 
     @property
-    def abs_difference(self) -> float:
-        return abs(self.original - self.reparameterized)
-
-    @property
     def rel_difference(self) -> float:
-        scale = max(1.0, abs(self.original), abs(self.reparameterized))
-        return self.abs_difference / scale
+        return _rel_difference(self.original, self.reparameterized)
 
     def describe(self) -> str:
         return (f"integral {self.original:.12g} vs reparameterized "

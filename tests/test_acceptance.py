@@ -41,3 +41,19 @@ def test_run_one_in_process():
     print(result.line())
     assert (result.number, result.title) == (1, TITLES[1])
     assert result.passed, result.line()
+
+
+def test_equivalence_failure_names_integrand_constructor_and_direction(
+        monkeypatch):
+    # the bare volume form has the right horizontal part, but its vertical
+    # contractions do not vanish for a jet-dependent integrand
+    import lepage.acceptance as acceptance
+    monkeypatch.setattr(acceptance, "caratheodory", lambda lam: lam.volume())
+    ok, detail = acceptance._equivalence_suite(0)
+    assert not ok
+    failures = detail.split("; ")
+    assert [f.split(" ", 1)[0] for f in failures] == [
+        "arclength/caratheodory", "area/caratheodory", "jacobian/caratheodory"]
+    assert failures[0].startswith(
+        "arclength/caratheodory defect at fiber index 1, base index 1: "
+        "unequal at word dx1: unequal: lhs=")

@@ -116,7 +116,8 @@ def test_check_lepage_passes_each_kind(capsys, monkeypatch, kind):
     assert report["passed"] is True
     assert report["carries_lagrangian"] is True
     assert report["vertical_contractions_vanish"] is True
-    assert [v.decided_by for v in verdicts] == ["contact"]
+    assert [list(v) for v in verdicts] == [["contact"]]
+    assert verdicts[0]["contact"].decided_by == "structural"
     assert "decided_by" not in out
 
 
@@ -214,6 +215,20 @@ def test_krupka_requires_metric(capsys):
                            "--kind", "krupka")
     assert code == 2
     assert "metric" in err
+
+
+@pytest.mark.parametrize("kind", ["w", "hilbert-caratheodory"])
+def test_homogeneous_kinds_name_the_failing_residual(capsys, tmp_path, kind):
+    # both constructors first require the Zermelo conditions; the message
+    # names the first failing index pair and its sampled witness
+    path = write_problem(tmp_path, {"chart": {"n": 1, "m": 1},
+                                    "lagrangian": "y1_1^2 + y2_1^2"})
+    code, out, err = run_cli(capsys, "lepage", "--problem", path,
+                             "--kind", kind, "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: Lagrange function is not positive homogeneous: "
+                   "residual at (j=1, l=1) is unequal: lhs=3.65915495 rhs=0 "
+                   "at y1_1=-0.341643, y2_1=-1.88214\n")
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_is_lepage_area_form():
     rho = HorizontalNForm(CH21, W)
     verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
     assert verdict.passed
-    assert verdict.describe() == "pass"
+    assert verdict.witness() is None
 
 
 def test_is_lepage_rejects_jet_dependent_defect():
@@ -257,7 +257,8 @@ def test_is_lepage_rejects_jet_dependent_defect():
                                      {(dy(1), dy(2)): yj(1, 1)}))
     verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
     assert not verdict.passed
-    assert "defect at fiber index 1" in verdict.detail
+    direction, res = verdict.witness()
+    assert direction.a == 1 and res.verdict == "unequal"
 
 
 def test_is_lepage_degree_mismatch_fails_with_description():
@@ -266,9 +267,11 @@ def test_is_lepage_degree_mismatch_fails_with_description():
     verdict = is_lepage(rho, Lagrangian(CH11, yj(1, 1) ** 2), trials=5,
                         seed=0)
     assert not verdict.passed
-    assert verdict.decided_by == "definitional"
-    assert verdict.describe() == ("fail: defect at fiber index 1, base index "
-                                  "1: unequal: the forms differ in degree")
+    assert "contact" not in verdict
+    direction, res = verdict.witness()
+    assert direction == Sym("y1", 1, 1)
+    assert res.describe() == "unequal: the forms differ in degree"
+    assert res.decided_by == "structural"
 
 
 def closed_defect(rho: HorizontalNForm, P: int, s: int):
@@ -319,8 +322,8 @@ def test_is_lepage_matches_closed_defect_formula(label):
         assert (res.verdict == "equal") == vanishes[s], s
     verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
     assert verdict.passed == all(vanishes.values())
-    assert verdict.direction == next(
-        (s for s in chart.jet1_symbols() if not vanishes[s]), None)
+    failing = [s for s, res in verdict.items() if s != "horizontal" and not res]
+    assert failing == [s for s in chart.jet1_symbols() if not vanishes[s]][:1]
     assert (label == "jet-dependent") == (not verdict.passed)
 
 
@@ -369,8 +372,9 @@ def test_constructors_take_the_contact_path(integrand, ctor):
     lam = INTEGRANDS[integrand]()
     verdict = is_lepage(CONSTRUCTORS[ctor](lam), lam, trials=20, seed=0,
                         guards=[lam.L])
-    assert verdict.passed and verdict.carries_lagrangian
-    assert verdict.decided_by == "contact"
+    assert verdict.passed and verdict.get("horizontal", True)
+    assert list(verdict) == ["contact"]
+    assert verdict["contact"].decided_by == "structural"
 
 
 @pytest.mark.parametrize("ctor", sorted(CONSTRUCTORS))
@@ -379,9 +383,9 @@ def test_contact_path_agrees_with_definitional(ctor):
     rho = CONSTRUCTORS[ctor](lam)
     fast = is_lepage(rho, lam, trials=20, seed=0, guards=[lam.L])
     slow = definitional(rho, lam, trials=20, seed=0, guards=[lam.L])
-    assert fast.decided_by == "contact"
-    assert slow.decided_by == "definitional"
-    assert fast.passed and slow.passed and slow.carries_lagrangian
+    assert list(fast) == ["contact"]
+    assert "contact" not in slow and list(slow)[-1] == "horizontal"
+    assert fast.passed and slow.passed and slow["horizontal"]
 
 
 def random_two_contact(chart, rng: random.Random) -> DiffForm:
@@ -403,7 +407,7 @@ def test_theta_plus_two_contact_form_passes_both_paths(seed):
     rho = poincare_cartan(lam) + random_two_contact(CH21, random.Random(seed))
     for candidate in (rho, to_coordinate(rho)):
         verdict = is_lepage(candidate, lam, trials=10, seed=1)
-        assert verdict.passed and verdict.decided_by == "contact"
+        assert verdict.passed and list(verdict) == ["contact"]
         assert definitional(candidate, lam, trials=10, seed=1).passed
 
 
@@ -413,9 +417,9 @@ def test_one_contact_perturbation_falls_through_and_fails():
     rho = poincare_cartan(lam) + bump
     verdict = is_lepage(rho, lam, trials=10, seed=1)
     assert verdict == definitional(rho, lam, trials=10, seed=1)
-    assert verdict.decided_by == "definitional"
+    assert "contact" not in verdict
     assert not verdict.passed
-    assert verdict.detail.startswith("defect at fiber index 1, base index 2")
+    assert verdict.witness()[0] == Sym("y1", 1, 2)
 
 
 def test_exact_contact_term_falls_through_and_passes():
@@ -425,13 +429,13 @@ def test_exact_contact_term_falls_through_and_passes():
     rho = poincare_cartan(lam) + to_contact(ext_d(nu))
     verdict = is_lepage(rho, lam, trials=10, seed=1)
     assert verdict.passed
-    assert verdict.decided_by == "definitional"
+    assert "contact" not in verdict
 
 
 def test_order_two_chart_falls_through():
     raised = Lagrangian(CH21.raised(), dirichlet_lagrangian().L)
     verdict = is_lepage(poincare_cartan(raised), raised, trials=10, seed=1)
-    assert verdict.decided_by == "definitional"
+    assert "contact" not in verdict
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +493,9 @@ def test_el_form_check_fails_on_unknown_one_contact_part(monkeypatch):
                                      {(dy(1), dy(2)): yy(3)}))
     verdict = el_form_check(rho, trials=8, seed=3)
     assert not verdict.passed
-    assert verdict.result.verdict == "unknown"
-    assert verdict.detail == ("1-contact part mismatch: "
-                              "unknown at word om1^dx1^dx2")
+    label, res = verdict.witness()
+    assert label == "1-contact" and res.verdict == "unknown"
+    assert res.describe() == "unknown at word om1^dx1^dx2"
 
 
 def test_el_form_check_gate():
@@ -499,4 +503,6 @@ def test_el_form_check_gate():
                                      {(dy(1), dy(2)): yj(1, 1)}))
     verdict = el_form_check(rho, trials=6, seed=3)
     assert not verdict.passed
-    assert "not a Lepage form" in verdict.detail
+    # the Lepage test fails at a jet direction, so no 1-contact comparison
+    assert "1-contact" not in verdict
+    assert isinstance(verdict.witness()[0], Sym)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 import lepage.expr as expr_module
 from lepage.expr import (
     DomainError, EqualResult, ExpressionSizeError, ParseError, PointAssignment,
-    Sym, aa, analytic, atan_expr, cancel_candidate, const, cos_expr, det_expr,
+    Sym, Verdicts, aa, analytic, atan_expr, cancel_candidate, const, cos_expr, det_expr,
     diff, equal, evaluate, exp_expr, expr_sum, free_symbols, levi_civita,
     log_expr, opaque, parse, sin_expr, sqrt_expr,
     sqrt_extract_candidate, substitute, sym_expr, to_dsl, to_latex, wj, ww, x,
@@ -347,6 +348,54 @@ def test_equal_counts_skipped_samples_by_reason():
     tiny = equal(const(2) ** -2000 * a, a)
     assert tiny.skipped == {"guard": 0, "domain": 20, "overflow": 0}
     assert equal(a, a).skipped == {"guard": 0, "domain": 0, "overflow": 0}
+
+
+def test_equal_records_how_it_was_decided():
+    a, b = yj(1, 1), yj(2, 1)
+    assert equal(a, a).decided_by == "structural"
+    same = equal((a + b) ** 2, a * a + const(2) * a * b + b * b)
+    assert same.verdict == "equal" and same.decided_by == "structural"
+    assert same.samples == 0
+    # sqrt(a) sqrt(b) = sqrt(a b) holds only where a, b > 0: no normal form
+    # decides it, the guarded samples do
+    roots = equal(sqrt_expr(a) * sqrt_expr(b), sqrt_expr(a * b),
+                  guards=[a, b])
+    assert roots.verdict == "equal" and roots.decided_by == "sampled"
+    assert roots.samples > 0
+    assert equal(a, b).decided_by == "sampled"
+
+
+def test_equal_result_is_frozen():
+    res = equal(yj(1, 1), yj(2, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.verdict = "equal"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.decided_by = "structural"
+
+
+def test_verdicts_pass_rule_and_first_witness():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entries = st.lists(
+        st.tuples(st.integers(-20, 20),
+                  st.sampled_from(["equal", "unequal", "unknown"])),
+        max_size=8, unique_by=lambda entry: entry[0])
+
+    @hyp.given(entries)
+    def check(entries):
+        results = [(label, EqualResult(verdict)) for label, verdict in entries]
+        verdicts = Verdicts(results)
+        expected = all(res.verdict == "equal" for _, res in results)
+        assert verdicts.passed is expected and bool(verdicts) is expected
+        assert verdicts.passed is all(verdicts.values())
+        # the first failure in the order the comparisons were taken
+        failing = [(label, res) for label, res in results if not res]
+        assert verdicts.witness() == (failing[0] if failing else None)
+
+    check()
+    unknown = Verdicts(a=EqualResult("equal"), b=EqualResult("unknown"))
+    assert not unknown.passed and not unknown
+    assert unknown.witness() == ("b", unknown["b"])
 
 
 def test_equal_tolerance_follows_the_terms():

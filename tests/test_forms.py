@@ -625,6 +625,27 @@ def test_form_equal_sums_skip_counts_over_coefficients():
     assert unknown.skipped == {"guard": 16, "domain": 0, "overflow": 0}
 
 
+def test_form_equal_records_how_it_was_decided():
+    a, b = yj(1, 1), yj(3, 2)
+    # every coefficient difference normalizes to zero
+    c = form(CH21, "coordinate", {(dx(1),): (a + b) ** 2, (dx(2),): a * b})
+    d = form(CH21, "coordinate", {(dx(1),): a * a + const(2) * a * b + b * b,
+                                  (dx(2),): b * a})
+    res = form_equal(c, d, trials=5, seed=0)
+    assert res.verdict == "equal" and res.decided_by == "structural"
+    assert res.samples == 0
+    assert form_equal(c, to_contact(d), trials=5, seed=0).decided_by == \
+        "structural"
+    # one sampled coefficient makes the whole comparison sampled
+    root2, root3, root6 = (sqrt_expr(const(k)) for k in (2, 3, 6))
+    e = c + form(CH21, "coordinate", {(dy(1),): root2 * root3})
+    f = d + form(CH21, "coordinate", {(dy(1),): root6})
+    mixed = form_equal(e, f, trials=5, seed=0)
+    assert mixed.verdict == "equal" and mixed.decided_by == "sampled"
+    # differing degrees decide without a sample
+    assert form_equal(c, volume_form(CH21)).decided_by == "structural"
+
+
 # ---------------------------------------------------------------------------
 # properties of the basis changes
 # ---------------------------------------------------------------------------

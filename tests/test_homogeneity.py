@@ -15,7 +15,8 @@ from lepage.expr import (
     to_dsl, wj, x, yj, yy,
 )
 from lepage.homogeneity import (
-    check_equivariance, grassmann_projection, zermelo_residuals,
+    check_equivariance, grassmann_projection, zermelo_residual,
+    zermelo_residuals,
 )
 
 CH21 = JetChart(n=2, m=1, order=1)
@@ -57,7 +58,7 @@ INHOMOGENEOUS = [
 def test_zermelo_passes_for_homogeneous(label, chart, F):
     report = zermelo_residuals(F, chart, trials=10, seed=1)
     assert report.passed
-    assert report.describe() == "all residuals vanish"
+    assert report.witness() is None
 
 
 @pytest.mark.parametrize("label,chart,F", INHOMOGENEOUS,
@@ -67,25 +68,25 @@ def test_zermelo_fails_for_inhomogeneous(label, chart, F):
     assert not report.passed
     key, verdict = report.witness()
     assert verdict.verdict == "unequal"
-    assert "residual at" in report.describe()
+    assert key in report and not report[key]
 
 
 def test_zermelo_residual_values():
     # for F = y^1_1 + 1 the (1,1) residual is exactly -1
-    report = zermelo_residuals(yj(1, 1) + const(1), CH21, trials=5, seed=1)
-    assert equal(report.residuals[(1, 1)], -ONE)
-    assert equal(report.residuals[(1, 2)], yj(1, 2))
-    assert report.residuals[(2, 1)].is_zero
+    F = yj(1, 1) + const(1)
+    assert equal(zermelo_residual(F, CH21, 1, 1), -ONE)
+    assert equal(zermelo_residual(F, CH21, 1, 2), yj(1, 2))
+    assert zermelo_residual(F, CH21, 2, 1).is_zero
     # for F = (y^1_1)^2 the (1,1) residual equals F itself
-    report2 = zermelo_residuals(yj(1, 1) ** 2, CH21, trials=5, seed=1)
-    assert equal(report2.residuals[(1, 1)], yj(1, 1) ** 2)
+    assert equal(zermelo_residual(yj(1, 1) ** 2, CH21, 1, 1), yj(1, 1) ** 2)
 
 
 def test_zermelo_polynomial_cases_close_symbolically():
     # polynomial homogeneous functions give exact zero residuals
     F = yj(1, 1) * yj(2, 2) - yj(2, 1) * yj(1, 2)
     report = zermelo_residuals(F, CH21, trials=5, seed=1)
-    assert all(r.is_zero for r in report.residuals.values())
+    assert all(r.decided_by == "structural" for r in report.values())
+    assert all(zermelo_residual(F, CH21, j, l).is_zero for j, l in report)
 
 
 def test_check_zermelo_wrapper():

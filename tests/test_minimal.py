@@ -141,8 +141,8 @@ def test_krupka_form_is_lepage():
 def test_coincidence_across_metrics(metric, n):
     rep = verify_coincidence(metric, n, trials=20, seed=0)
     assert rep.passed
-    assert not rep.witnesses()
-    assert "equal" in rep.describe()
+    assert rep.witness() is None
+    assert all(r.verdict == "equal" for r in rep.values())
 
 
 def test_coincidence_guard():
@@ -161,7 +161,7 @@ def test_coincidence_control_fails():
              "product": hilbert_caratheodory(lam)}
     rep = coincidence_report(forms, trials=10, seed=0, guards=[lam.L])
     assert not rep.passed
-    assert ("fundamental", "product") in rep.witnesses()
+    assert rep.witness()[0] == ("fundamental", "product")
 
 
 # ---------------------------------------------------------------------------
