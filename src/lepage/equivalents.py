@@ -189,6 +189,11 @@ def hilbert_caratheodory(lam: Lagrangian, *, trials: int = 50,
         raise ExprError("Hilbert-Caratheodory form needs a nonvanishing "
                         "Lagrange function")
     _require_homogeneous(lam, trials, tol, seed)
+    return _hilbert_caratheodory(lam)
+
+
+def _hilbert_caratheodory(lam: Lagrangian) -> DiffForm:
+    # the construction alone, for a Lagrange function known to be homogeneous
     chart = lam.chart
     n, M = chart.n, chart.M
     tensors = DerivativeTensors(lam.L)
@@ -223,6 +228,18 @@ def fundamental_homogeneous(lam: Lagrangian, *, verify: bool = True,
     constructor coefficientwise.
     """
     _require_homogeneous(lam, trials, tol, seed)
+    built = _fundamental_homogeneous(lam)
+    if verify:
+        res = form_equal(built, fundamental(lam), trials=20, tol=tol, seed=seed)
+        if res.verdict == "unequal":
+            raise ExprError(
+                "homogeneous fundamental equivalent disagrees with the "
+                "generic constructor: " + res.describe())
+    return built
+
+
+def _fundamental_homogeneous(lam: Lagrangian) -> DiffForm:
+    # the construction alone, for a Lagrange function known to be homogeneous
     chart = lam.chart
     n, M = chart.n, chart.M
     tensors = DerivativeTensors(lam.L)
@@ -236,15 +253,8 @@ def fundamental_homogeneous(lam: Lagrangian, *, verify: bool = True,
                 continue
             word = tuple(dy(K) for K in Ks)
             acc[word] = acc.get(word, ZERO) + const(sign * weight) * deriv
-    built = form(chart, "coordinate", acc) if acc else \
+    return form(chart, "coordinate", acc) if acc else \
         zero_form(chart, n, "coordinate")
-    if verify:
-        res = form_equal(built, fundamental(lam), trials=20, tol=tol, seed=seed)
-        if res.verdict == "unequal":
-            raise ExprError(
-                "homogeneous fundamental equivalent disagrees with the "
-                "generic constructor: " + res.describe())
-    return built
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ chart obtained by extracting the selected-minor determinant.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .charts import AdaptedChart, JetChart, gl_act_symbolic, group_det_symbolic
 from .expr import (
-    EqualResult, Expr, ExprError, Sym, Verdicts, ZERO, diff, equal, expr_sum,
-    free_symbols, sym_expr,
+    EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff, equal,
+    expr_sum, free_symbols, substitute, sym_expr,
 )
 
 __all__ = [
@@ -44,16 +45,26 @@ def zermelo_residuals(F: Expr, chart: JetChart, *, trials: int = 50,
 def check_equivariance(F: Expr, chart: JetChart, *, trials: int = 20,
                        tol: float = 1e-9, seed: int = 0,
                        guards: Sequence[Expr] = ()) -> EqualResult:
-    """Decide F(y a) = det(a) F(y) over the orientation-preserving group.
+    """Decide F(y g) = det(g) F(y) over the orientation-preserving group.
 
-    The group entries a^l_j are sampled with the jets, and det(a) joins the
-    guards, so a sample counts only where det(a) > GUARD_EPS; a witness
-    point names the a entries it was drawn at.
+    The group element is g = I + a / (4 n^2), near the identity, with the
+    entries a^l_j sampled with the jets from +-[0.1, 2].  Each entry of
+    g - I is then at most 1/(2 n^2), so ||g - I|| <= 1/(2 n) and
+    det(g) >= (1 - 1/(2 n))^n >= 1/2: the guard det(g) > GUARD_EPS holds at
+    every point, and only a caller's guard or the domain can skip a trial.
+    Both sides are analytic in g on the connected group GL+, so an identity
+    that holds near I holds on all of it.  A witness point names the a
+    entries it was drawn at.
     """
     chart.validate_expr(F, max_order=1)
-    det = group_det_symbolic(chart.n)
-    return equal(gl_act_symbolic(F, chart), det * F, trials=trials, tol=tol,
-                 seed=seed, guards=[det, *guards])
+    n = chart.n
+    scale = const(Fraction(1, 4 * n * n))
+    near = {Sym("a", l, j): scale * sym_expr(Sym("a", l, j))
+            + (ONE if l == j else ZERO)
+            for l in range(1, n + 1) for j in range(1, n + 1)}
+    det = substitute(group_det_symbolic(n), near)
+    return equal(substitute(gl_act_symbolic(F, chart), near), det * F,
+                 trials=trials, tol=tol, seed=seed, guards=[det, *guards])
 
 
 def grassmann_projection(F: Expr, adapted: AdaptedChart, *, trials: int = 30,

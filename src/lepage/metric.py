@@ -12,8 +12,8 @@ from math import factorial
 from typing import Mapping
 
 from .charts import ChartError, JetChart
-from .equivalents import (HorizontalNForm, Lagrangian, fundamental_homogeneous,
-                          hilbert_caratheodory)
+from .equivalents import (HorizontalNForm, Lagrangian, _fundamental_homogeneous,
+                          _hilbert_caratheodory, _require_homogeneous)
 from .expr import (ONE, ZERO, Expr, ExprError, Sym, Verdicts, const,
                    cos_expr, det_expr, diff, expr_sum, free_symbols, log_expr,
                    sqrt_expr, sym_expr, yj)
@@ -135,15 +135,19 @@ def verify_coincidence(g: MetricSpec, n: int, *, trials: int = 50,
                        tol: float = 1e-9, seed: int = 0) -> Verdicts:
     """Compare the three homogeneous Lepage constructions of the area
     Lagrangian, keyed ("fundamental", "product"), ("fundamental", "metric")
-    and ("product", "metric")."""
+    and ("product", "metric").
+
+    The area Lagrangian's homogeneity, which ``fundamental_homogeneous`` and
+    ``hilbert_caratheodory`` each check, is checked once for both.
+    """
     chart = _metric_chart(g, n)
     if chart.n not in (1, 2) or chart.m not in (1, 2):
         raise ChartError("coincidence check is guarded to n, m in {1, 2}")
     lam = minimal_lagrangian(g, n)
+    _require_homogeneous(lam, trials, tol, seed)
     forms = {
-        "fundamental": fundamental_homogeneous(lam, verify=False,
-                                               trials=trials, seed=seed),
-        "product": hilbert_caratheodory(lam, trials=trials, seed=seed),
+        "fundamental": _fundamental_homogeneous(lam),
+        "product": _hilbert_caratheodory(lam),
         "metric": krupka_form(g, n).form,
     }
     return coincidence_report(forms, trials=trials, tol=tol, seed=seed,

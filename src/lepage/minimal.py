@@ -150,12 +150,52 @@ _INNER_RTOL = 1e-3   # BiCGSTAB's relative residual target per outer step
 _INNER_STEPS = 20    # BiCGSTAB's iteration limit per outer step
 
 
+def _dense_inverse(A: np.ndarray) -> np.ndarray | None:
+    """A^-1 by Gauss-Jordan elimination with partial pivoting, in A's dtype,
+    or None on an exactly zero pivot.
+
+    The elimination runs on [A | I] and reads A's lower and upper
+    bandwidths from its nonzeros.  The downward sweep picks each pivot from
+    the rows that can be nonzero in its column, at most the lower bandwidth
+    below it, and updates only those rows, from the pivot's column onward in
+    A's half and in the columns of I's half that these rows can reach.  The
+    upward sweep clears each row's part above the diagonal, at most both
+    bandwidths wide, by one vector-matrix product, and divides the row by its
+    pivot.  So the work is O(n^2 (lower + upper bandwidth)), not O(n^3), and
+    only elementwise numpy and matrix-vector products run: no LAPACK call,
+    and OpenBLAS does not map its level-3 work buffer.
+    """
+    n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    low = int(np.max(rows - cols, initial=0))
+    up = int(np.max(cols - rows, initial=0))
+    W = np.zeros((n, 2 * n), dtype=A.dtype)
+    W[:, :n] = A
+    np.fill_diagonal(W[:, n:], 1)
+    for k in range(n):
+        end = min(n, k + low + 1)  # rows below end are zero in column k
+        p = k + int(np.abs(W[k:end, k]).argmax())
+        if W[p, k] == 0:
+            return None
+        if p != k:
+            W[[k, p], k:n + end] = W[[p, k], k:n + end]
+        W[k + 1:end, k:n + end] -= (W[k + 1:end, k, None] / W[k, k]
+                                    * W[k, k:n + end])
+    X = W[:, n:]
+    for k in range(n - 1, -1, -1):
+        right = min(n, k + low + up + 1)  # U's band in row k
+        X[k] -= W[k, k + 1:right] @ X[k + 1:right]
+        X[k] /= W[k, k]
+    return X.copy()
+
+
 def _coarse_solver(S, mx: int, my: int, dtype):
     """A solve f -> x of S x = f on an (mx, my) grid in ``dtype``, or None.
 
     The grid has at most _COARSEST_SIDE ** 2 nodes, so the matrix is
-    inverted densely.  None means an entry beyond the range of ``dtype`` or
-    a matrix that ``dtype`` finds singular.
+    inverted densely, by ``_dense_inverse``, and the inverse is applied as
+    a matrix-vector product.  None means an entry of the matrix or its
+    inverse beyond the range of ``dtype``, or an exactly zero pivot.
     """
     data, (rows, cols) = _kernels.stencil_coo(S, mx, my)
     with np.errstate(over="ignore"):
@@ -164,11 +204,9 @@ def _coarse_solver(S, mx: int, my: int, dtype):
         return None
     A = np.zeros((mx * my,) * 2, dtype=dtype)
     A[rows, cols] = data
-    try:
-        inverse = np.linalg.inv(A)
-    except np.linalg.LinAlgError:  # "Singular matrix"
-        return None
-    if not np.all(np.isfinite(inverse)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = _dense_inverse(A)
+    if inverse is None or not np.all(np.isfinite(inverse)):
         return None
     return lambda f: inverse @ f
 
@@ -352,7 +390,9 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     than 15 coarsens from 2m + 1 or 2m nodes to m.  The coarse operators
     are Galerkin products P^T S P with bilinear P, composed in float64 and
     kept in float32; only the coarsest, of at most 15 x 15 nodes, is solved
-    directly, by its float32 dense inverse.  Three precisions (Carson &
+    directly, by its float32 dense inverse, made by banded Gauss-Jordan
+    elimination in numpy (``_dense_inverse``), not by LAPACK.  Three
+    precisions (Carson &
     Higham, SIAM J. Sci. Comput. 40, 2018): a float64 loop refines x until
     LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max
     norms), for at most 30 refinements after the first solve (Buttari et
@@ -362,9 +402,10 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     float32 copy of S (six fields per node for a Jacobian,
     ``_kernels.SixFieldBlock``), preconditioned with a V(1,1)-cycle of
     four-colour Gauss-Seidel, plus one more correction once the test holds.
-    When that fails (a coupling of S or b beyond float32 range, a singular
-    float32 matrix, a loop that stalls or misses the test) the same solve
-    runs in float64 throughout; when that fails too, x is all NaN.
+    When that fails (a coupling of S or b beyond float32 range, a zero
+    pivot in the float32 elimination, a loop that stalls or misses the test)
+    the same solve runs in float64 throughout, with a float64 elimination;
+    when that fails too, x is all NaN.
     """
     for dtype in (np.float32, np.float64):
         x = _multigrid_solve(S, b, dtype)

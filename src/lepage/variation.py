@@ -8,6 +8,7 @@ reparameterization invariance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -140,12 +141,42 @@ def noether_current(xi: VectorFieldSpec, W: DiffForm) -> DiffForm:
 # quadrature checks
 # ---------------------------------------------------------------------------
 
-def _gauss_nodes(a: float, b: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    from numpy.polynomial.legendre import leggauss
+def _legendre(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # P_n(t) by the three-term recurrence, and P_n'(t) from P_n and P_{n-1}
+    before, value = np.ones_like(t), t
+    for k in range(2, n + 1):
+        before, value = value, ((2 * k - 1) * t * value - (k - 1) * before) / k
+    return value, n * (before - t * value) / ((1 - t) * (1 + t))
 
-    nodes, weights = leggauss(points)
+
+def _gauss_nodes(a: float, b: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes, ascending, and weights of ``points`` points on
+    [a, b].
+
+    Each root t of P_n starts from Tricomi's estimate and takes Newton steps
+    on the three-term recurrence until a step is below 2 eps; the weight is
+    2 / ((1 - t^2) P_n'(t)^2) at the last iterate.  As numpy's ``leggauss``
+    does, the rule is then made symmetric about 0 and the weights are scaled
+    to sum to 2.
+    """
+    n = operator.index(points)
+    if n < 1:
+        raise ValueError(f"points must be a positive integer, got {points!r}")
+    i = np.arange(n, 0, -1)
+    t = ((1 - 1 / (8 * n ** 2) + 1 / (8 * n ** 3))
+         * np.cos(np.pi * (4 * i - 1) / (4 * n + 2)))
+    for _ in range(10):  # at most four steps are taken for n up to 200
+        value, slope = _legendre(t, n)
+        step = value / slope
+        t -= step
+        if np.max(np.abs(step)) <= 2 * np.finfo(float).eps:
+            break
+    w = 2 / ((1 - t) * (1 + t) * _legendre(t, n)[1] ** 2)
+    t = (t - t[::-1]) / 2
+    w = (w + w[::-1]) / 2
+    w *= 2 / w.sum()
     half = (b - a) / 2.0
-    return (a + b) / 2.0 + half * nodes, half * weights
+    return (a + b) / 2.0 + half * t, half * w
 
 
 def _integrate_cell(coeff: Expr, rect, points: int) -> float:

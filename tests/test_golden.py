@@ -14,12 +14,15 @@ purpose re-baselines it with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its change log which outputs moved.
+which rewrites only the files whose bytes changed, prints each one's
+changed lines (old, then new) and ends by naming them, or by saying that
+nothing changed; the change log lists the outputs that moved.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import sys
 from pathlib import Path
@@ -100,11 +103,60 @@ def test_golden_stdout(name):
     assert got == (GOLDEN / f"{name}.out").read_text()
 
 
-if __name__ == "__main__":
+def test_rebaseline_names_the_files_that_moved(monkeypatch, tmp_path,
+                                              capsys):
+    case = "check-zermelo_arclength"
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "CASES",
+                        {case: CASES[case]})
+    monkeypatch.setattr(sys.modules[__name__], "SELFTEST", {})
+    assert rebaseline() == [case]
+    assert capsys.readouterr().out.startswith(f"{case}: new file, ")
+    assert rebaseline() == []
+    assert capsys.readouterr().out == ("nothing changed: all 1 golden files "
+                                       "are byte-identical\n")
+    path = tmp_path / f"{case}.out"
+    text = path.read_text()
+    path.write_text(text.replace("\n", "\nstale line\n", 1))
+    assert rebaseline() == [case]
+    out = capsys.readouterr().out
+    assert f"{case}: changed, {len(text) + 11} -> {len(text)} bytes" in out
+    assert "\n-stale line\n" in out
+    assert out.endswith(f"1 of 1 golden files changed: {case}\n")
+    assert path.read_text() == text
+
+
+def rebaseline() -> list[str]:
+    """Write every golden file anew; print a line-level diff of each file
+    whose bytes changed, and return their names."""
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, status) in sorted({**CASES, **SELFTEST}.items()):
+    cases = sorted({**CASES, **SELFTEST}.items())
+    changed = []
+    for name, (argv, status) in cases:
         got_status, got = run(argv)
         if got_status != status:
             sys.exit(f"{name}: exit status {got_status}, expected {status}")
-        (GOLDEN / f"{name}.out").write_text(got)
-        print(name, len(got), "bytes")
+        path = GOLDEN / f"{name}.out"
+        old = path.read_text() if path.exists() else None
+        if got == old:
+            continue
+        changed.append(name)
+        path.write_text(got)
+        if old is None:
+            print(f"{name}: new file, {len(got)} bytes")
+            continue
+        print(f"{name}: changed, {len(old)} -> {len(got)} bytes")
+        sys.stdout.writelines(difflib.unified_diff(
+            old.splitlines(keepends=True), got.splitlines(keepends=True),
+            f"{path.name} (old)", f"{path.name} (new)", n=0))
+    if changed:
+        print(f"{len(changed)} of {len(cases)} golden files changed: "
+              + ", ".join(changed))
+    else:
+        print(f"nothing changed: all {len(cases)} golden files are "
+              f"byte-identical")
+    return changed
+
+
+if __name__ == "__main__":
+    rebaseline()

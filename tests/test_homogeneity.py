@@ -141,6 +141,21 @@ def test_equivariance_detects_failure(label, chart, F):
     assert "a1_1=" in res.describe()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_equivariance_counts_every_trial(seed):
+    # the group element is drawn near the identity, where det stays above
+    # the guard, so no trial is skipped
+    for chart, F in ((CH21, area_function(CH21)),
+                     (CH11, sqrt_expr(yj(1, 1) ** 2 + yj(2, 1) ** 2))):
+        res = check_equivariance(F, chart, trials=20, seed=seed)
+        assert res.verdict == "equal" and res.samples == 20
+        assert res.skipped == {"guard": 0, "domain": 0, "overflow": 0}
+    # the squared speed is homogeneous of degree 2, not 1: not equivariant
+    control = check_equivariance(yj(1, 1) ** 2 + yj(2, 1) ** 2, CH11,
+                                 trials=20, seed=seed)
+    assert control.verdict == "unequal"
+
+
 def test_equivariance_skips_samples_a_caller_guard_rejects():
     # a guard at or below GUARD_EPS skips the sample, negative ones included
     res = check_equivariance(area_function(CH21), CH21, trials=8, seed=4,

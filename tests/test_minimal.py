@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lepage.homogeneity
 import lepage.minimal
 from lepage import _kernels
 from lepage.charts import ChartError, JetChart
@@ -143,6 +144,19 @@ def test_coincidence_across_metrics(metric, n):
     assert rep.passed
     assert rep.witness() is None
     assert all(r.verdict == "equal" for r in rep.values())
+
+
+def test_coincidence_checks_homogeneity_once(monkeypatch):
+    # the fundamental and product constructions share one Zermelo check
+    calls = []
+    original = lepage.homogeneity.zermelo_residuals
+
+    def record(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(lepage.homogeneity, "zermelo_residuals", record)
+    assert verify_coincidence(EUC3, 2, trials=20, seed=0).passed
+    assert calls == [minimal_lagrangian(EUC3, 2).L]
 
 
 def test_coincidence_guard():
@@ -837,7 +851,10 @@ EXITS = {  # exit: tol, max_iter, converged, message, accepted steps
     "converged": (1e-10, 20, True, "", 2),
     "max_iter": (1e-14, 1, False, "residual ", 1),
     "floor": (1e-14, 20, True, "stagnated at the roundoff floor ", 2),
-    "damping": (1e-14, 20, False, "stagnated under damping", 5),
+    # with the floor at 0, steps are accepted while the residual, already at
+    # roundoff level (1.9e-14 to 1.4e-14 here), keeps shrinking, so this count
+    # follows the last bits of the coarse inverse (5 with LAPACK's)
+    "damping": (1e-14, 20, False, "stagnated under damping", 6),
     "singular": (1e-10, 20, False, "singular Jacobian", 0),
 }
 
@@ -991,6 +1008,67 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "solved"
 
 
+# with numpy's LAPACK entry points made to raise: a Newton solve, a solve
+# whose float32 copy overflows so that only the float64 elimination runs,
+# and both quadrature checks
+LAPACK_BLOCKED = """
+import sys
+from fractions import Fraction
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a LAPACK routine was called")
+
+for name in ("inv", "solve", "eigvalsh", "eigh"):
+    setattr(np.linalg, name, refuse)
+
+from lepage import _kernels
+from lepage.equivalents import lagrangian_of
+from lepage.expr import const, x
+from lepage.forms import Immersion
+from lepage.metric import MetricSpec, krupka_form
+from lepage.minimal import (BUILTIN_SURFACES, GridField, solve_minimal_surface,
+                            spsolve)
+from lepage.variation import (VectorFieldSpec, first_variation_check,
+                              reparameterization_invariance)
+
+bound = GridField.dirichlet((-1, 1, -1, 1), (33, 33), BUILTIN_SURFACES["scherk"])
+assert solve_minimal_surface(bound).converged
+bound = GridField.dirichlet((-1, 1, -1, 1), (17, 17), BUILTIN_SURFACES["scherk"])
+u, hx, hy = bound.values, bound.hx, bound.hy
+S = [_kernels.FiveFieldBlock(Sc.fields * 1e36, Sc.rows, Sc.cols)
+     for Sc in _kernels.interior_jacobian_stencil(u, hx, hy)]
+b = -_kernels.interior_residual(u, hx, hy)
+step = spsolve(S, b).reshape(b.shape)
+tol = _kernels.stencil_norm(S) * np.finfo(float).eps * np.sqrt(b.size)
+r = _kernels.stencil_residual(S, step, b)
+assert np.max(np.abs(r)) <= np.max(np.abs(step)) * tol
+
+K = krupka_form(MetricSpec.euclidean(3), 2)
+zeta = Immersion(K.chart, (x(1), x(2), x(1) * x(2) * const(Fraction(1, 10))))
+rect = (0.0, 1.0, 0.0, 1.0)
+xi = VectorFieldSpec.constant(K.chart, (0, 0, 1))
+assert first_variation_check(K, xi, zeta, rect, points=4).rel_difference < 1e-12
+shear = x(2) ** 2 * const(Fraction(1, 10))
+rep = reparameterization_invariance(lagrangian_of(K), zeta, shear, rect,
+                                    points=4)
+assert rep.rel_difference < 1e-12
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+
+
+def test_solves_and_quadrature_call_no_lapack():
+    # a dense LAPACK call makes OpenBLAS map its level-3 work buffer, and
+    # leggauss loads numpy.polynomial; neither happens now
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", LAPACK_BLOCKED],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_solver_scipy_entry_points_are_module_globals(monkeypatch):
     # the Newton loop looks spsolve up at call time, once per step, so a
     # caller may rebind it; csr_matrix stays bound for callers that wrap it
@@ -1099,15 +1177,67 @@ def random_stencil(shape, seed):
 
 @pytest.fixture
 def factors(monkeypatch):
-    """("inv", dtype name, rows) of each matrix inverted by np.linalg.inv,
-    in call order."""
-    calls, original = [], np.linalg.inv
+    """("inv", dtype name, rows) of each matrix given to the coarse solve's
+    ``_dense_inverse``, in call order, whether or not it is invertible."""
+    calls, original = [], lepage.minimal._dense_inverse
 
     def record(A):
         calls.append(("inv", A.dtype.name, A.shape[0]))
         return original(A)
-    monkeypatch.setattr(np.linalg, "inv", record)
+    monkeypatch.setattr(lepage.minimal, "_dense_inverse", record)
     return calls
+
+
+def general_stencil(shape, seed):
+    # random couplings with no diagonal dominance, so the elimination pivots
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1, 1, (3, 3, len(range(p, shape[0], 2)),
+                                len(range(q, shape[1], 2))))
+            for p, q in _kernels.COLOURS]
+
+
+def max_row_sum(M):
+    return float(np.max(np.sum(np.abs(M), axis=1)))
+
+
+# The coarse solve's elimination against LAPACK's inverse.  The bounds are
+# fixed from the dtype's eps: a backward-stable inverse X of an n x n matrix
+# has ||A X - I|| <= n eps ||A|| ||X|| (max row sums), and then
+# ||X - A^-1|| <= ||A^-1|| ||A X - I||, so two inverses that both meet the
+# first bound differ by at most n eps ||A|| (||X|| + ||X_ref||) ||X_ref||.
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", [random_stencil, general_stencil])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 4), (3, 15), (15, 1),
+                                   (15, 15)])
+def test_dense_inverse_matches_lapack(dtype, make, shape):
+    for seed in range(3):
+        A = stencil_matrix(make(shape, seed), *shape).astype(dtype)
+        X = lepage.minimal._dense_inverse(A)
+        assert X.dtype == dtype and X.shape == A.shape
+        n, eps = A.shape[0], float(np.finfo(dtype).eps)
+        a, x = A.astype(float), X.astype(float)
+        ref = np.linalg.inv(A).astype(float)
+        bound = n * eps * max_row_sum(a)
+        assert max_row_sum(a @ x - np.eye(n)) <= bound * max_row_sum(x)
+        assert max_row_sum(a @ ref - np.eye(n)) <= bound * max_row_sum(ref)
+        assert (max_row_sum(x - ref) <= bound * (max_row_sum(x)
+                + max_row_sum(ref)) * max_row_sum(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_inverse_gives_none_on_an_exactly_zero_pivot(dtype):
+    S = random_stencil((5, 4), 0)
+    S[1][:, :, 1, 0] = 0.0  # no coupling at all in one node's row
+    singular = [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 1.0]],
+                np.zeros((3, 3)), stencil_matrix(S, 5, 4)]
+    for A in singular:
+        A = np.array(A, dtype=dtype)
+        assert np.linalg.matrix_rank(A) < A.shape[0]
+        assert lepage.minimal._dense_inverse(A) is None
+    # a zero where the first pivot would be is not singular: a swap finds one
+    assert lepage.minimal._dense_inverse(
+        np.array([[0.0, 1.0], [1.0, 1.0]], dtype=dtype)) is not None
 
 
 def test_spsolve_matches_dense_solve():
@@ -1236,12 +1366,14 @@ def one_newton_system(name, shape):
             -_kernels.interior_residual(u, hx, hy))
 
 
-# Reference: one float32 inverse of S, refined in float64 until LAPACK
-# dsgesv's test holds, at most 30 times; None when it does not.
+# Reference: one float32 inverse of S, by the coarse solve's elimination,
+# refined in float64 until LAPACK dsgesv's test holds, at most 30 times;
+# None when it does not.
 
 def refined_float32_solve(S, b):
     tol = inf_norm(S, b.shape) * np.finfo(float).eps * np.sqrt(b.size)
-    solve = np.linalg.inv(stencil_matrix(S, *b.shape).astype(np.float32))
+    solve = lepage.minimal._dense_inverse(
+        stencil_matrix(S, *b.shape).astype(np.float32))
     x = (solve @ b.ravel().astype(np.float32)).astype(np.float64)
     for _ in range(30):
         r = b.ravel() - stencil_matvec(S, x, b.shape)

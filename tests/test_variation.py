@@ -24,8 +24,9 @@ from lepage.equivalents import (
 )
 from lepage.homogeneity import grassmann_form
 from lepage.variation import (
-    VectorFieldSpec, first_variation_check, noether_current, noether_residual,
-    prolong_grassmann, prolong_jet, reparameterization_invariance,
+    VectorFieldSpec, _gauss_nodes, first_variation_check, noether_current,
+    noether_residual, prolong_grassmann, prolong_jet,
+    reparameterization_invariance,
 )
 
 CH21 = JetChart(n=2, m=1, order=1)
@@ -396,6 +397,62 @@ def test_first_variation_extremal_drops_volume_term():
     rep = first_variation_check(HW, xi, plane, (0.0, 1.0, 0.0, 1.0), points=12)
     assert abs(rep.volume_term) < 1e-12
     assert rep.rel_difference <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def test_gauss_legendre_matches_leggauss():
+    from numpy.polynomial.legendre import leggauss
+    for n in range(1, 65):
+        nodes, weights = _gauss_nodes(-1.0, 1.0, n)
+        want_nodes, want_weights = leggauss(n)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.max(np.abs(nodes - want_nodes)) <= 2 * EPS
+        # leggauss's own weights are up to 22 eps from the exact rule
+        # (n = 41), so they are matched to 32 eps; the test below holds
+        # these weights to 2 eps of the exact rule
+        assert np.max(np.abs(weights - want_weights)) <= 32 * EPS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 41, 64])
+def test_gauss_legendre_matches_exact_rule(n):
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = _gauss_nodes(-1.0, 1.0, n)
+    with mpmath.workdps(40):
+        for t, w in zip(nodes, weights):
+            # Newton on P_n from the float node, at 40 digits
+            root = mpmath.mpf(t)
+            for _ in range(3):
+                before, value = mpmath.mpf(1), root
+                for k in range(2, n + 1):
+                    before, value = value, ((2 * k - 1) * root * value
+                                            - (k - 1) * before) / k
+                slope = n * (before - root * value) / (1 - root ** 2)
+                root -= value / slope
+            exact = 2 / ((1 - root ** 2) * slope ** 2)
+            assert abs(t - root) <= EPS
+            assert abs(w - exact) <= 2 * EPS
+
+
+def test_gauss_legendre_integrates_monomials_exactly():
+    for n in range(1, 65):
+        nodes, weights = _gauss_nodes(-1.0, 1.0, n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(weights * nodes ** k) - exact) <= 1e-14
+
+
+@pytest.mark.parametrize("points, error", [(0, ValueError), (-1, ValueError),
+                                           (2.5, TypeError)])
+def test_gauss_legendre_rejects_a_point_count_that_is_not_positive(points,
+                                                                   error):
+    with pytest.raises(error):
+        _gauss_nodes(0.0, 1.0, points)
 
 
 # ---------------------------------------------------------------------------
