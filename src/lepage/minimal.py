@@ -392,11 +392,11 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     kept in float32; only the coarsest, of at most 15 x 15 nodes, is solved
     directly, by its float32 dense inverse, made by banded Gauss-Jordan
     elimination in numpy (``_dense_inverse``), not by LAPACK.  Three
-    precisions (Carson &
-    Higham, SIAM J. Sci. Comput. 40, 2018): a float64 loop refines x until
-    LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S|| eps sqrt(n) holds (max
-    norms), for at most 30 refinements after the first solve (Buttari et
-    al., ACM TOMS 34(4), 2008), with float32 corrections: the coarse solve
+    precisions (Carson & Higham, SIAM J. Sci. Comput. 40, 2018): a float64
+    loop refines x until LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S||
+    eps sqrt(n) holds (max norms), for at most 30 refinements after the
+    first solve (Buttari et al., ACM TOMS 34(4), 2008), with float32
+    corrections: the coarse solve
     on a grid that does not coarsen, returned once the test holds, and
     otherwise BiCGSTAB to a relative residual of 1e-3 or 20 iterations on a
     float32 copy of S (six fields per node for a Jacobian,

@@ -103,32 +103,9 @@ def test_golden_stdout(name):
     assert got == (GOLDEN / f"{name}.out").read_text()
 
 
-def test_rebaseline_names_the_files_that_moved(monkeypatch, tmp_path,
-                                              capsys):
-    case = "check-zermelo_arclength"
-    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
-    monkeypatch.setattr(sys.modules[__name__], "CASES",
-                        {case: CASES[case]})
-    monkeypatch.setattr(sys.modules[__name__], "SELFTEST", {})
-    assert rebaseline() == [case]
-    assert capsys.readouterr().out.startswith(f"{case}: new file, ")
-    assert rebaseline() == []
-    assert capsys.readouterr().out == ("nothing changed: all 1 golden files "
-                                       "are byte-identical\n")
-    path = tmp_path / f"{case}.out"
-    text = path.read_text()
-    path.write_text(text.replace("\n", "\nstale line\n", 1))
-    assert rebaseline() == [case]
-    out = capsys.readouterr().out
-    assert f"{case}: changed, {len(text) + 11} -> {len(text)} bytes" in out
-    assert "\n-stale line\n" in out
-    assert out.endswith(f"1 of 1 golden files changed: {case}\n")
-    assert path.read_text() == text
-
-
 def rebaseline() -> list[str]:
-    """Write every golden file anew; print a line-level diff of each file
-    whose bytes changed, and return their names."""
+    """Run every golden case, rewrite each file whose bytes changed, print
+    its changed lines, and return the names of the files that changed."""
     GOLDEN.mkdir(exist_ok=True)
     cases = sorted({**CASES, **SELFTEST}.items())
     changed = []
@@ -156,6 +133,29 @@ def rebaseline() -> list[str]:
         print(f"nothing changed: all {len(cases)} golden files are "
               f"byte-identical")
     return changed
+
+
+def test_rebaseline_names_the_files_that_moved(monkeypatch, tmp_path,
+                                              capsys):
+    case = "check-zermelo_arclength"
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "CASES",
+                        {case: CASES[case]})
+    monkeypatch.setattr(sys.modules[__name__], "SELFTEST", {})
+    assert rebaseline() == [case]
+    assert capsys.readouterr().out.startswith(f"{case}: new file, ")
+    assert rebaseline() == []
+    assert capsys.readouterr().out == ("nothing changed: all 1 golden files "
+                                       "are byte-identical\n")
+    path = tmp_path / f"{case}.out"
+    text = path.read_text()
+    path.write_text(text.replace("\n", "\nstale line\n", 1))
+    assert rebaseline() == [case]
+    out = capsys.readouterr().out
+    assert f"{case}: changed, {len(text) + 11} -> {len(text)} bytes" in out
+    assert "\n-stale line\n" in out
+    assert out.endswith(f"1 of 1 golden files changed: {case}\n")
+    assert path.read_text() == text
 
 
 if __name__ == "__main__":
