@@ -3,17 +3,15 @@
 ``interior_residual`` evaluates the central-difference graph equation at the
 interior nodes, ``interior_gradient`` gives its first differences alone,
 ``interior_jacobian_stencil`` gives its Jacobian with respect to the
-interior values as a 9-point operator whose colour blocks are five
-coefficient fields per node (``FiveFieldBlock``), each formed from u when a
-kernel reads it (``GraphJacobian``), and ``cell_circulation`` takes
-trapezoid-rule loop integrals around the grid cells.  The rest are the
-Newton solver's grid operations on 9-point operators, in the dtype of their
-operands: applying one, its residual, a colour Gauss-Seidel sweep, copies
-in a given dtype (as 9-point blocks, or a Jacobian's as six fields per
-node, ``SixFieldBlock``) and a test that the couplings they read are
-finite, the max norm, bilinear prolongation added in place and its
-transpose, the Galerkin coarse operator composed from the fine stencil, and
-the operator's sparse triplets.
+interior values as a 9-point operator whose colour blocks hold its six
+distinct couplings per node, each block formed from u when a kernel reads
+it (``GraphJacobian``), and ``cell_circulation`` takes trapezoid-rule loop
+integrals around the grid cells.  The rest are the Newton solver's grid
+operations on 9-point operators, in the dtype of their operands: applying
+one, its residual, a colour Gauss-Seidel sweep, a copy in a given dtype and
+a test that the couplings they read are finite, the max norm, bilinear
+prolongation added in place and its transpose, the Galerkin coarse operator
+composed from the fine stencil, and the operator's sparse triplets.
 """
 
 from __future__ import annotations
@@ -62,13 +60,14 @@ def interior_jacobian_stencil(u, hx, hy):
 
     The layout is that of the 9-point operators below: Sc[a, b] holds, at
     the nodes (i, j) of its colour, the derivative of the residual at (i, j)
-    with respect to u at (i + a - 1, j + b - 1).  Each block is a
-    ``FiveFieldBlock``, 5 values per node instead of 9.  Boundary nodes are
-    Dirichlet data, so couplings that reach them are 0.  The result is a
-    read-only sequence of the four blocks that forms a block from u each
-    time it is read and keeps none, so a kernel that reads one colour at a
-    time holds one colour's fields; ``list()`` of it forms all four.  u must
-    not change while the sequence is in use.
+    with respect to u at (i + a - 1, j + b - 1).  Each block is a ``Block``
+    of layout ``SIX``, 6 values per node instead of 9.  Boundary nodes are
+    Dirichlet data, so the couplings that reach them are not part of the
+    operator; the block holds the formula's value there, which no kernel
+    reads.  The result is a read-only sequence of the four blocks that
+    forms a block from u each time it is read and keeps none, so a kernel
+    that reads one colour at a time holds one colour's fields; ``list()``
+    of it forms all four.  u must not change while the sequence is in use.
     """
     return GraphJacobian(u, hx, hy)
 
@@ -93,66 +92,46 @@ def cell_circulation(P, Q, hx, hy):
 # coefficient S[di + 1, dj + 1, i, j]; entries that reach outside the grid
 # are zero.  It is stored as four colour blocks, one per (p, q) in COLOURS,
 # for the nodes (p::2, q::2), so that a Gauss-Seidel colour reads its
-# coefficients without strides.  The kernels read a block Sc only through
-# Sc[a, b], the (a, b) coefficient at the block's nodes: a block is either
-# a contiguous (3, 3, ...) array, S[:, :, p::2, q::2], of any float dtype,
-# a FiveFieldBlock or a SixFieldBlock.  They skip the couplings that leave
-# the grid rather than pad the grid.  A SixFieldBlock does not hold those
-# couplings as 0, so stencil_norm and stencil_coo, which read them, take
-# the other kinds only.  No two nodes of one colour share a 9-point stencil.
+# coefficients without strides.  Each is a Block: its distinct couplings at
+# the block's nodes, and the layout that gives each (a, b) its field and
+# sign.  The kernels skip the couplings that leave the grid rather than pad
+# the grid, so a block may hold any value there.  No two nodes of one
+# colour share a 9-point stencil.
 # Coarse node I of a side that coarsens sits on fine node 2I + 1, so a fine
 # side of 2m + 1 or 2m nodes coarsens to m.
 
 COLOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-_NOWHERE = slice(0, 0)
-_INSIDE = (_NOWHERE,) * 3  # by offset, no node's neighbour is off the side
+class Block:
+    """A colour block of a 9-point operator.
 
-
-def _edges(p, n):
-    # by offset a, the node of colour p on a side of n nodes whose
-    # neighbour at offset a - 1 is a boundary node, or no node
-    return (0 if p == 0 else _NOWHERE, _NOWHERE,
-            -1 if (n - 1 - p) % 2 == 0 else _NOWHERE)
-
-
-class FiveFieldBlock:
-    """A colour block of the graph equation's Jacobian as five fields.
-
-    ``fields`` is a contiguous (5, ...) array of ax = A/hx^2, dx = D/2hx,
-    by = B/hy^2, ey = E/2hy and cxy = C/4hxhy at the block's nodes, and
-    Sc[a, b] forms a fresh coefficient array from them: ax -+ dx at (0, 1)
-    and (2, 1), by -+ ey at (1, 0) and (1, 2), cxy at (0, 0) and (2, 2),
-    -cxy at (0, 2) and (2, 0), and -2 ax - 2 by at the centre, with 0 on
-    couplings that reach a boundary node.  Each entry is, bit for bit, the
-    one formed node by node from A to E: A/hx^2 +- D/2hx and so on, and
-    -2A/hx^2 - 2B/hy^2 at the centre, because doubling is exact.
+    ``fields`` is a contiguous (k, ...) array, of any float dtype, of the
+    block's distinct couplings at its nodes, and ``layout`` maps each (a, b)
+    to (field, negated): Sc[a, b] is a view of the field, or its negation,
+    formed when read.  The kernels subtract a negated field's products
+    instead of forming it, which is exact, so they give the bits of the
+    block whose fields hold each coupling as it is.
     """
 
-    __slots__ = ("fields", "rows", "cols")
+    __slots__ = ("fields", "layout")
 
-    def __init__(self, fields, rows, cols):
-        self.fields, self.rows, self.cols = fields, rows, cols
-
-    @property
-    def shape(self):
-        return (3, 3) + self.fields.shape[1:]
+    def __init__(self, fields, layout):
+        self.fields, self.layout = fields, layout
 
     def __getitem__(self, ab):
-        a, b = ab
-        ax, dx, by, ey, cxy = self.fields
-        if a != 1 and b != 1:
-            S = cxy.copy() if a == b else -cxy
-        elif a != 1:
-            S = ax + dx if a else ax - dx
-        elif b != 1:
-            S = by + ey if b else by - ey
-        else:
-            S = -2.0 * ax - 2.0 * by
-        S[self.rows[a]] = 0.0
-        S[:, self.cols[b]] = 0.0
-        return S
+        field, negated = self.layout[ab]
+        return -self.fields[field] if negated else self.fields[field]
+
+
+# any operator, one field per coupling in (a, b) order
+NINE = {(a, b): (3 * a + b, False) for a in range(3) for b in range(3)}
+# the graph equation's Jacobian: ax - dx, ax + dx, by - ey, by + ey, cxy
+# and the centre -2 ax - 2 by, for ax = A/hx^2, dx = D/2hx, by = B/hy^2,
+# ey = E/2hy and cxy = C/4hxhy, with -cxy at (0, 2) and (2, 0)
+SIX = {(0, 1): (0, False), (2, 1): (1, False), (1, 0): (2, False),
+       (1, 2): (3, False), (0, 0): (4, False), (2, 2): (4, False),
+       (0, 2): (4, True), (2, 0): (4, True), (1, 1): (5, False)}
 
 
 # the fields are made in bands of about this many nodes, whose derivatives
@@ -161,12 +140,15 @@ _BAND_NODES = 16384
 
 
 def _band_fields(u, hx, hy, i, q, F):
-    # the fields F at the nodes i, i + 2, ... of rows and q, q + 2, ... of
-    # columns, from the derivatives of interior_residual taken on strided
-    # views of u.  Each field is written in place, operation by operation
-    # in the order of its formula (A/hx^2 is (1 + uy uy) / (hx hx), D/2hx is
+    # the SIX fields F at the nodes i, i + 2, ... of rows and q, q + 2, ...
+    # of columns, from the derivatives of interior_residual taken on
+    # strided views of u.  dx, ax, ey and by are written in place into the
+    # slots of ax -+ dx and by -+ ey, operation by operation in the order of
+    # their formulas (A/hx^2 is (1 + uy uy) / (hx hx), D/2hx is
     # (2 ux uyy - 2 uy uxy) / (2 hx), and so on), and doubling is exact, so
-    # every entry is bit for bit the one that full-grid derivatives give
+    # every coupling is bit for bit the one written out node by node from
+    # full-grid derivatives: A/hx^2 +- D/2hx and so on, and
+    # -2A/hx^2 - 2B/hy^2 at the centre
     n, my = F.shape[1], u.shape[1] - 2
 
     def at(d, e):  # u at the neighbours (d - 1, e - 1) of the nodes
@@ -176,7 +158,7 @@ def _band_fields(u, hx, hy, i, q, F):
     ux /= 2.0 * hx
     uy = at(1, 2) - at(1, 0)
     uy /= 2.0 * hy
-    ax, dx, by, ey, cxy = F
+    dx, ax, ey, by, cxy, centre = F
     np.multiply(uy, uy, out=ax)
     ax += 1.0
     ax /= hx * hx
@@ -207,12 +189,19 @@ def _band_fields(u, hx, hy, i, q, F):
     np.multiply(ux, uxy, out=second)
     ey -= second
     ey /= 2.0 * hy
+    np.multiply(ax, -2.0, out=centre)
+    np.multiply(by, 2.0, out=second)
+    centre -= second
+    for lo, hi in ((dx, ax), (ey, by)):
+        np.subtract(hi, lo, out=second)
+        hi += lo
+        lo[...] = second
 
 
 class GraphJacobian(Sequence):
     """The graph equation's Jacobian at u as ``interior_jacobian_stencil``
     gives it: a sequence of the four colour blocks in which block c is a
-    ``FiveFieldBlock`` formed from u when it is read."""
+    ``SIX`` ``Block`` formed from u when it is read."""
 
     __slots__ = ("u", "hx", "hy")
 
@@ -225,11 +214,11 @@ class GraphJacobian(Sequence):
     def __getitem__(self, c):
         (p, q), u = COLOURS[c], self.u
         mx, my = u.shape[0] - 2, u.shape[1] - 2
-        F = np.empty((5, len(range(p, mx, 2)), len(range(q, my, 2))))
+        F = np.empty((6, len(range(p, mx, 2)), len(range(q, my, 2))))
         rows = max(1, _BAND_NODES // max(1, F.shape[2]))
         for k in range(0, F.shape[1], rows):
             _band_fields(u, self.hx, self.hy, p + 2 * k, q, F[:, k:k + rows])
-        return FiveFieldBlock(F, _edges(p, mx), _edges(q, my))
+        return Block(F, SIX)
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +236,10 @@ def _reach(p, n):
 
 def _signed(Sc, ab):
     # (S, negated) with Sc[a, b] == -S if negated else S, so that a kernel
-    # reads a six-field block's -cxy as cxy without forming it; y - S * x
-    # equals y + (-S) * x bit for bit
-    if isinstance(Sc, SixFieldBlock):
-        return Sc.fields[Sc._FIELD[ab]], ab in Sc._NEGATED
-    return Sc[ab], False
+    # reads a negated field without forming it; y - S * x equals
+    # y + (-S) * x bit for bit
+    field, negated = Sc.layout[ab]
+    return Sc.fields[field], negated
 
 
 def _colour_apply(Sc, x, p, q):
@@ -313,89 +301,48 @@ def colour_gauss_seidel(blocks, x, f, order=(0, 1, 2, 3)):
         xc += (f[p::2, q::2] - _colour_apply(Sc, x, p, q)) / Sc[1, 1]
 
 
-def stencil_blocks(blocks, dtype):
-    """The operator as contiguous (3, 3, ...) colour blocks of ``dtype``.
-
-    Entries beyond the range of ``dtype`` become infinite.
-    """
-    out = []
-    with np.errstate(over="ignore"):
-        for Sc in blocks:
-            S = np.empty(Sc.shape, dtype)
-            for a in range(3):
-                for b in range(3):
-                    S[a, b] = Sc[a, b]
-            out.append(S)
-    return out
-
-
-class SixFieldBlock:
-    """A colour block of the graph equation's Jacobian in another dtype.
-
-    ``fields`` is a contiguous (6, ...) array of ax - dx, ax + dx, by - ey,
-    by + ey, cxy and the centre -2 ax - 2 by, each formed in float64 from a
-    ``FiveFieldBlock``'s fields and rounded once to the dtype.  Sc[a, b] is
-    a view of its field, and -cxy at (0, 2) and (2, 0) is formed when read,
-    though the kernels subtract cxy there instead; negation is exact, so
-    every coupling equals the rounded one of the five-field block bit for
-    bit.  Couplings that reach a boundary node hold the value, not 0: the
-    kernels that apply an operator do not read them.
-    """
-
-    __slots__ = ("fields",)
-
-    _FIELD = {(0, 1): 0, (2, 1): 1, (1, 0): 2, (1, 2): 3, (0, 0): 4,
-              (2, 2): 4, (0, 2): 4, (2, 0): 4, (1, 1): 5}
-    _NEGATED = ((0, 2), (2, 0))
-
-    def __init__(self, block, dtype):
-        ax, dx, by, ey, cxy = block.fields
-        F = self.fields = np.empty((6,) + cxy.shape, dtype)
-        F[0] = ax - dx
-        F[1] = ax + dx
-        F[2] = by - ey
-        F[3] = by + ey
-        F[4] = cxy
-        F[5] = -2.0 * ax - 2.0 * by
-
-    def __getitem__(self, ab):
-        S = self.fields[self._FIELD[ab]]
-        return -S if ab in self._NEGATED else S
-
-
 def stencil_copy(blocks, dtype):
     """Replace the blocks of the list ``blocks`` by copies in ``dtype``.
 
-    A ``FiveFieldBlock`` becomes a ``SixFieldBlock``, any other block the
-    contiguous (3, 3, ...) array of ``stencil_blocks``.  The list is
-    converted one colour at a time, so it holds no more than one colour's
-    block twice.  Entries beyond the range of ``dtype`` become infinite.
+    The list is converted one colour at a time, so it holds no more than
+    one colour's block twice.  Entries beyond the range of ``dtype`` become
+    infinite.
     """
     with np.errstate(over="ignore"):
         for c, Sc in enumerate(blocks):
-            blocks[c] = (SixFieldBlock(Sc, dtype)
-                         if isinstance(Sc, FiveFieldBlock)
-                         else stencil_blocks([Sc], dtype)[0])
+            blocks[c] = Block(Sc.fields.astype(dtype), Sc.layout)
+
+
+def _in_grid(Sc, p, q, shape):
+    # (nodes, S) by (a, b) in order: the nodes of colour (p, q), as slices
+    # of the block, whose (a, b) coupling stays in an interior grid of
+    # ``shape``, and the field that holds that coupling up to its sign
+    rows, cols = _reach(p, shape[0]), _reach(q, shape[1])
+    for a in range(3):
+        for b in range(3):
+            yield (rows[a][0], cols[b][0]), _signed(Sc, (a, b))[0]
 
 
 def stencil_finite(blocks, shape):
     """Whether every coupling of the operator on an interior grid of
     ``shape`` that stays in the grid, and so every one the kernels read,
     is finite."""
+    return all(np.isfinite(S[nodes]).all()
+               for (p, q), Sc in zip(COLOURS, blocks)
+               for nodes, S in _in_grid(Sc, p, q, shape))
+
+
+def stencil_norm(blocks, shape):
+    """The max norm of the operator on an interior grid of ``shape``: its
+    largest row sum of |S[a, b]| over the couplings that stay in the grid,
+    each row summed in (a, b) order as a CSR row sums its entries."""
+    norms = []
     for (p, q), Sc in zip(COLOURS, blocks):
-        rows, cols = _reach(p, shape[0]), _reach(q, shape[1])
-        for a in range(3):
-            for b in range(3):
-                S = _signed(Sc, (a, b))[0]
-                if not np.isfinite(S[rows[a][0], cols[b][0]]).all():
-                    return False
-    return True
-
-
-def stencil_norm(blocks):
-    """The operator's max norm: its largest row sum of |S[a, b]|."""
-    return max(float(sum(np.abs(Sc[a, b]) for a in range(3) for b in range(3))
-                     .max(initial=0.0)) for Sc in blocks)
+        total = np.zeros(Sc.fields.shape[1:], Sc.fields.dtype)
+        for nodes, S in _in_grid(Sc, p, q, shape):
+            total[nodes] += np.abs(S[nodes])
+        norms.append(float(total.max(initial=0.0)))
+    return max(norms)
 
 
 def _interpolated(v, n):
@@ -485,8 +432,9 @@ def _fold(part, windows):
 
 
 def galerkin_product(blocks, fine, coarse):
-    """Colour blocks, float64, of P^T S P on the interior grid ``coarse``:
-    S the colour blocks ``blocks`` on ``fine``, P bilinear interpolation.
+    """``NINE`` colour blocks, float64, of P^T S P on the interior grid
+    ``coarse``: S the colour blocks ``blocks`` on ``fine``, P bilinear
+    interpolation.
 
     Composed from the fine stencil (Trottenberg, Oosterlee & Schueller,
     *Multigrid*, 2001): at each node of coarse node I's restriction window,
@@ -495,7 +443,7 @@ def galerkin_product(blocks, fine, coarse):
     neighbour, the window then combined as ``restrict`` combines it.  Terms
     of weight 0 or off the grid are left out, and targets off the grid get
     0, so each entry is bit for bit the image of the probe that is 1 at the
-    target.  A ``FiveFieldBlock`` forms each coupling once per window node.
+    target.
     """
     out = []
     for P, Q in COLOURS:
@@ -507,8 +455,7 @@ def galerkin_product(blocks, fine, coarse):
         def part(r, c):
             (f, fr, rterms), (g, fc, cterms) = r, c
             Sc = blocks[COLOURS.index((f, g))]
-            Sc = (FiveFieldBlock(Sc.fields[:, fr, fc], _INSIDE, _INSIDE)
-                  if isinstance(Sc, FiveFieldBlock) else Sc[:, :, fr, fc])
+            Sc = Block(Sc.fields[:, fr, fc], Sc.layout)
             y = np.zeros(shape)
             for a, (A, wa, ks) in enumerate(rterms):
                 for b, (B, wb, ls) in enumerate(cterms):
@@ -517,11 +464,11 @@ def galerkin_product(blocks, fine, coarse):
             return y
 
         Z = _fold(lambda c: _fold(lambda r: part(r, c), rows), cols)
-        for a, (i, j) in enumerate(zip(_edges(P, coarse[0]),
-                                       _edges(Q, coarse[1]))):
-            Z[a, :, i] = 0.0
-            Z[:, a, :, j] = 0.0
-        out.append(Z)
+        for a, ((i, _), (j, _)) in enumerate(zip(_reach(P, coarse[0]),
+                                                 _reach(Q, coarse[1]))):
+            Z[a, :, :i.start] = Z[a, :, i.stop:] = 0.0
+            Z[:, a, :, :j.start] = Z[:, a, :, j.stop:] = 0.0
+        out.append(Block(Z.reshape((9,) + shape[2:]), NINE))
     return out
 
 

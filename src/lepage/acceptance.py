@@ -286,15 +286,15 @@ def _newton_convergence(seed: int) -> tuple[bool, str]:
 def _conservation_gates(seed: int) -> tuple[bool, str]:
     """Converged currents pass the cell gates; a non-solution fails them."""
     solved = _scherk_solve(65)
-    cons = minimal.conservation_residuals(solved.field)
     rec = minimal.reconstruct_and_check(solved.field)
+    cons = rec.conservation
     gate = cons.gate(10.0)
     ok = solved.converged and cons.passed(10.0) and rec.passed
     parab = minimal.GridField.from_function(
         SQUARE, (65, 65), minimal.BUILTIN_SURFACES["paraboloid"])
-    pcons = minimal.conservation_residuals(parab)
     # run the control far past the gates so every stage residual is populated
     prec = minimal.reconstruct_and_check(parab, gate_factor=1e30)
+    pcons = prec.conservation
     ok = ok and not pcons.passed(10.0) and prec.rovnice_residual > gate
     return ok, (f"converged solution: max circulation {cons.max_circulation:.3e} "
                 f"and relation residual {rec.rovnice_residual:.3e} under gate "

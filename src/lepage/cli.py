@@ -474,8 +474,8 @@ def _domain(text: str) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
-# conservation_residuals and reconstruct_and_check take differences across
-# the interior nodes, so every side needs at least three of them
+# reconstruct_and_check takes differences across the interior nodes, so
+# every side needs at least three of them
 MIN_GRID = 5
 
 
@@ -556,8 +556,8 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         with np.errstate(all="ignore"):
             result = minimal.solve_minimal_surface(start, tol=tol,
                                                    max_iter=max_iter)
-            cons = minimal.conservation_residuals(result.field)
             rec = minimal.reconstruct_and_check(result.field)
+            cons = rec.conservation
     except MemoryError as ex:
         raise ProblemError(f"a {shape[0]}x{shape[1]} grid does not fit in "
                            f"memory: {ex}") from ex

@@ -313,8 +313,8 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
     S's blocks once into a list, for ||S|| and that product, which
     ``_kernels.galerkin_product`` composes from the fine stencil one coarse
     colour at a time, with no fine-grid scratch; it then replaces each
-    block of the list by its copy in ``dtype``, one colour at a time (six
-    fields per node for a Jacobian's ``FiveFieldBlock``).  The first
+    block of the list by its copy in ``dtype``, one colour at a time, with
+    as many fields per node as the block has.  The first
     residual, at x = 0, is b; each later one reads S one block at a time,
     so a Jacobian that forms its blocks when read (``GraphJacobian``) holds
     one colour's fields at most while the corrections run, and the last
@@ -329,7 +329,8 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
     k = _kernels
     shapes = _grid_levels(*b.shape)
     level = list(S)
-    tol = k.stencil_norm(level) * np.finfo(np.float64).eps * np.sqrt(b.size)
+    eps = np.finfo(np.float64).eps
+    tol = k.stencil_norm(level, b.shape) * eps * np.sqrt(b.size)
     stencils = []
     for fine, shape in zip(shapes, shapes[1:]):
         # the Galerkin product first, so that its scratch and the copy are
@@ -384,7 +385,7 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     """Solve S x = b by a mixed-precision multigrid solve; x comes flat.
 
     S is a 9-point operator in ``_kernels``' colour-block layout on the
-    interior grid of shape ``b.shape``: the four colour blocks, or a
+    interior grid of shape ``b.shape``: the four ``_kernels.Block``s, or a
     sequence that forms each when it is read, as the Newton solver's
     Jacobians do.  While the longer side exceeds 15 nodes, each side longer
     than 15 coarsens from 2m + 1 or 2m nodes to m.  The coarse operators
@@ -396,12 +397,11 @@ def spsolve(S, b: np.ndarray) -> np.ndarray:
     loop refines x until LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S||
     eps sqrt(n) holds (max norms), for at most 30 refinements after the
     first solve (Buttari et al., ACM TOMS 34(4), 2008), with float32
-    corrections: the coarse solve
-    on a grid that does not coarsen, returned once the test holds, and
-    otherwise BiCGSTAB to a relative residual of 1e-3 or 20 iterations on a
-    float32 copy of S (six fields per node for a Jacobian,
-    ``_kernels.SixFieldBlock``), preconditioned with a V(1,1)-cycle of
-    four-colour Gauss-Seidel, plus one more correction once the test holds.
+    corrections: the coarse solve on a grid that does not coarsen, returned
+    once the test holds, and otherwise BiCGSTAB to a relative residual of
+    1e-3 or 20 iterations on a float32 copy of S (six fields per node for a
+    Jacobian), preconditioned with a V(1,1)-cycle of four-colour
+    Gauss-Seidel, plus one more correction once the test holds.
     When that fails (a coupling of S or b beyond float32 range, a zero
     pivot in the float32 elimination, a loop that stalls or misses the test)
     the same solve runs in float64 throughout, with a float64 elimination;
@@ -582,14 +582,19 @@ class ReconstructionReport:
     """Gates of the conservation-to-extremal round trip on one grid.
 
     The figures are maxima over the grid; the potentials they are taken
-    from are not kept.
+    from are not kept.  ``conservation`` is the closedness report of the
+    currents that were integrated, the one ``conservation_residuals`` gives.
     """
 
     stage: str  # 'ok' or the first failing gate
-    max_circulation: float
+    conservation: ConservationReport
     rovnice_residual: float
     el_residual: float
     gate: float
+
+    @property
+    def max_circulation(self) -> float:
+        return self.conservation.max_circulation
 
     @property
     def passed(self) -> bool:
@@ -625,16 +630,16 @@ def reconstruct_and_check(u: GridField, *,
     Passes when the currents are numerically closed, the reconstructed
     potentials satisfy u_x f_* + u_y g_* - h_* = 0 in both base directions,
     and the graph equation residual is below the same gate.  The closedness
-    figures are those of ``conservation_residuals``, taken from the same
+    report is the one ``conservation_residuals`` gives, taken from the same
     current pairs that are integrated.  Each potential is integrated, its
     two derivatives go into the two directions' defects, and it is dropped
     before the next current is made.
     """
     ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
-    circs, defects = [], [None, None]
+    circs, defects = {}, [None, None]
     # u_x f' + u_y g' - h' along each axis, summed in place in that order
     for name, (P, Q) in _current_components(ux, uy):
-        circs.append(_max_circulation(P, Q, u.hx, u.hy))
+        circs[name] = _max_circulation(P, Q, u.hx, u.hy)
         pot = _potential(P, Q, u.hx, u.hy)
         del P, Q  # before the next pair is made
         for axis, h in ((0, u.hx), (1, u.hy)):
@@ -647,13 +652,14 @@ def reconstruct_and_check(u: GridField, *,
                 defects[axis] -= d
             del d  # before the next derivative is made
         del pot  # before the next pair is made
+    conservation = ConservationReport(circs, u.hx, u.hy)
+    gate = _gate(u.hx, u.hy, gate_factor)
     # np.max, unlike max(), keeps a nan figure
-    gate, circ_max = _gate(u.hx, u.hy, gate_factor), float(np.max(circs))
     rovnice = float(np.max([np.max(np.abs(d, out=d)) for d in defects]))
     del ux, uy, defects  # graph_el_residual makes its own
     el = float(np.max(np.abs(graph_el_residual(u))))
-    figures = (("closedness", circ_max), ("potential-system", rovnice),
-               ("equation", el))
+    figures = (("closedness", conservation.max_circulation),
+               ("potential-system", rovnice), ("equation", el))
     # the first gate whose figure is not within it; a nan figure is not
     stage = next((name for name, v in figures if not v <= gate), "ok")
-    return ReconstructionReport(stage, circ_max, rovnice, el, gate)
+    return ReconstructionReport(stage, conservation, rovnice, el, gate)

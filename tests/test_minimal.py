@@ -393,6 +393,28 @@ def stencil_matvec(S, x, shape):
     return np.bincount(rows, data * x.ravel()[cols], shape[0] * shape[1])
 
 
+def coefficients(S, shape):
+    # the operator's (3, 3, mx, my) coefficients from its triplets, 0 where
+    # a coupling leaves the grid
+    data, (rows, cols) = _kernels.stencil_coo(S, *shape)
+    (i, j), (ii, jj) = divmod(rows, shape[1]), divmod(cols, shape[1])
+    out = np.zeros((3, 3) + tuple(shape))
+    out[ii - i + 1, jj - j + 1, i, j] = data
+    return out
+
+
+def nine_point(arrays):
+    # contiguous (3, 3, ...) colour arrays as NINE blocks that view them
+    return [_kernels.Block(S.reshape((9,) + S.shape[2:]), _kernels.NINE)
+            for S in arrays]
+
+
+def nine_point_copy(blocks):
+    # the operator's blocks in the NINE layout, each coupling as it is
+    return [_kernels.Block(np.stack([Sc[ab] for ab in _kernels.NINE]),
+                           _kernels.NINE) for Sc in blocks]
+
+
 def inf_norm(S, shape):
     # the operator's max norm, each row summed as stencil_matvec sums it
     data, (rows, _) = _kernels.stencil_coo(S, *shape)
@@ -422,40 +444,40 @@ def test_kernels_match_reference_loops_bit_for_bit(shape):
                      circulation_loop(P, Q, hx, hy))
     rows, cols, vals = jacobian_loop(u, hx, hy)
     S, mx, my = kernel_stencil(u, hx, hy)
-    # five contiguous float64 coefficient fields per node
-    assert all(Sc.fields.shape[0] == 5 and Sc.fields.dtype == np.float64
-               and Sc.fields.flags.c_contiguous for Sc in S)
+    # six contiguous float64 coefficient fields per node
+    assert all(Sc.fields.shape[0] == 6 and Sc.fields.dtype == np.float64
+               and Sc.fields.flags.c_contiguous
+               and Sc.layout is _kernels.SIX for Sc in S)
     data, (got_rows, got_cols) = _kernels.stencil_coo(S, mx, my)
     # the loop lists each row's entries in ascending columns
     order = np.lexsort((got_cols, got_rows))
     assert np.array_equal(got_rows[order], rows)
     assert np.array_equal(got_cols[order], cols)
     assert_same_bits(data[order], vals)
-    # every Sc[a, b] is the loop's coefficient bit for bit, and +0.0 on the
-    # couplings that reach boundary nodes, which the loop leaves out
+    # every Sc[a, b] that stays in the grid is the loop's coefficient bit
+    # for bit
     want = np.zeros((3, 3, mx, my))
     (i, j), (ii, jj) = divmod(rows, my), divmod(cols, my)
     want[ii - i + 1, jj - j + 1, i, j] = vals
-    full = np.empty((3, 3, mx, my))
     for (p, q), Sc in zip(_kernels.COLOURS, S):
+        rows_in, cols_in = _kernels._reach(p, mx), _kernels._reach(q, my)
         for a in range(3):
             for b in range(3):
-                assert_same_bits(Sc[a, b], want[a, b, p::2, q::2])
-                full[a, b, p::2, q::2] = Sc[a, b]
-    for edge in (full[0, :, 0], full[2, :, -1], full[:, 0, :, 0],
-                 full[:, 2, :, -1]):
-        assert np.all(edge == 0.0)
+                (k, _), (l, _) = rows_in[a], cols_in[b]
+                assert_same_bits(Sc[a, b][k, l],
+                                 want[a, b, p::2, q::2][k, l])
 
 
 def full_grid_fields(u, hx, hy):
-    # the five fields of FiveFieldBlock at every interior node, from the
+    # the six fields of the SIX layout at every interior node, from the
     # full-grid derivatives
     ux, uy, uxx, uyy, uxy = _kernels._stencil_derivatives(u, hx, hy)
-    return np.stack([(1.0 + uy * uy) / (hx * hx),
-                     (2.0 * ux * uyy - 2.0 * uy * uxy) / (2.0 * hx),
-                     (1.0 + ux * ux) / (hy * hy),
-                     (2.0 * uy * uxx - 2.0 * ux * uxy) / (2.0 * hy),
-                     -2.0 * ux * uy / (4.0 * hx * hy)])
+    ax = (1.0 + uy * uy) / (hx * hx)
+    dx = (2.0 * ux * uyy - 2.0 * uy * uxy) / (2.0 * hx)
+    by = (1.0 + ux * ux) / (hy * hy)
+    ey = (2.0 * uy * uxx - 2.0 * ux * uxy) / (2.0 * hy)
+    return np.stack([ax - dx, ax + dx, by - ey, by + ey,
+                     -2.0 * ux * uy / (4.0 * hx * hy), -2.0 * ax - 2.0 * by])
 
 
 def test_colour_blocks_formed_from_u_are_the_full_grid_fields():
@@ -481,26 +503,27 @@ def test_colour_blocks_formed_from_u_are_the_full_grid_fields():
     check()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(3, 9), (14, 13), (33, 33)])
-def test_six_field_copy_is_the_nine_point_copy_bit_for_bit(shape):
-    # the solve's copy of the fine Jacobian holds six fields per node; every
-    # coupling that stays in the grid is the 9-point copy's, and the kernels
-    # give the same bits on both
+def test_six_field_layout_is_the_nine_point_layout_bit_for_bit(dtype, shape):
+    # the Jacobian's SIX blocks and the NINE blocks of the same couplings,
+    # each copied to dtype as the solve copies it: every coupling that
+    # stays in the grid is the same, and the kernels give the same bits on
+    # both
     S, mx, my = kernel_stencil(random_surface(shape))
-    nine = _kernels.stencil_blocks(S, np.float32)
-    six = list(S)
-    _kernels.stencil_copy(six, np.float32)
+    six, nine = list(S), nine_point_copy(S)
+    _kernels.stencil_copy(six, dtype)
+    _kernels.stencil_copy(nine, dtype)
     for (p, q), Sc, Sn in zip(_kernels.COLOURS, six, nine):
-        assert isinstance(Sc, _kernels.SixFieldBlock)
-        assert Sc.fields.shape[0] == 6 and Sc.fields.dtype == np.float32
+        assert Sc.layout is _kernels.SIX and Sn.layout is _kernels.NINE
+        assert Sc.fields.shape[0] == 6 and Sc.fields.dtype == dtype
         assert Sc.fields.flags.c_contiguous
         rows, cols = _kernels._reach(p, mx), _kernels._reach(q, my)
         for a in range(3):
             for b in range(3):
                 (k, _), (l, _) = rows[a], cols[b]
                 assert_same_bits(Sc[a, b][k, l], Sn[a, b][k, l])
-    x, f = np.random.default_rng(2).standard_normal((2, mx, my),
-                                                    dtype=np.float32)
+    x, f = np.random.default_rng(2).standard_normal((2, mx, my), dtype=dtype)
     assert_same_bits(_kernels.stencil_apply(six, x),
                      _kernels.stencil_apply(nine, x))
     assert_same_bits(_kernels.stencil_residual(six, x, f),
@@ -517,20 +540,61 @@ def test_stencil_finite_reads_only_couplings_in_the_grid(shape):
     # a non-finite coupling that stays in the grid is found; one that
     # reaches a boundary node is not read
     S, mx, my = kernel_stencil(random_surface(shape))
-    blocks = _kernels.stencil_blocks(S, np.float64)
+    blocks = nine_point_copy(S)
     assert _kernels.stencil_finite(blocks, (mx, my))
     for c, (p, q) in enumerate(_kernels.COLOURS):
         rows, cols = _kernels._reach(p, mx), _kernels._reach(q, my)
         for a in range(3):
             for b in range(3):
                 (k, _), (l, _) = rows[a], cols[b]
-                mask = np.zeros(blocks[c].shape[2:], bool)
+                mask = np.zeros(blocks[c].fields.shape[1:], bool)
                 mask[k, l] = True
                 for inside in (True, False):
-                    bad = [Sc.copy() for Sc in blocks]
+                    bad = [_kernels.Block(Sc.fields.copy(), Sc.layout)
+                           for Sc in blocks]
                     bad[c][a, b][mask == inside] = np.inf
                     found = not _kernels.stencil_finite(bad, (mx, my))
                     assert found == (inside and mask.any())
+
+
+def same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (9, 14), (33, 34),
+                                   (66, 19)])
+def test_stencil_norm_is_the_triplet_row_sum_bit_for_bit(shape):
+    # the max norm sums each row's couplings in the grid as the triplets
+    # list them, on the Jacobian and on a Galerkin level, and reads no
+    # coupling that leaves the grid, whatever it holds
+    S, mx, my = kernel_stencil(random_surface(shape))
+    six = list(S)
+    levels = [(six, (mx, my))]
+    shapes = lepage.minimal._grid_levels(mx, my)
+    if len(shapes) > 1:
+        levels.append((_kernels.galerkin_product(six, *shapes[:2]), shapes[1]))
+    for blocks, grid in levels:
+        want = inf_norm(blocks, grid)
+        assert same_float(_kernels.stencil_norm(blocks, grid), want)
+        for bad in (1e300, np.nan):
+            nine = nine_point_copy(blocks)
+            for (p, q), Sc in zip(_kernels.COLOURS, nine):
+                rows = _kernels._reach(p, grid[0])
+                cols = _kernels._reach(q, grid[1])
+                for a in range(3):
+                    for b in range(3):
+                        (k, _), (l, _) = rows[a], cols[b]
+                        outside = np.ones(Sc.fields.shape[1:], bool)
+                        outside[k, l] = False
+                        Sc[a, b][outside] = bad
+            assert same_float(_kernels.stencil_norm(nine, grid), want)
+    # the Jacobian's ax - dx couples row 0 of colours (0, q) to boundary
+    # nodes only
+    for bad in (1e300, np.nan):
+        blocks = [_kernels.Block(Sc.fields.copy(), Sc.layout) for Sc in six]
+        blocks[0].fields[0, 0] = blocks[1].fields[0, 0] = bad
+        assert same_float(_kernels.stencil_norm(blocks, (mx, my)),
+                          inf_norm(six, (mx, my)))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (3, 9), (9, 3),
@@ -594,7 +658,7 @@ def prolong(xc, shape):
 
 
 def probe_stencil(apply, mx, my):
-    """Colour blocks of the 9-point stencil of the linear map ``apply``.
+    """NINE colour blocks of the 9-point stencil of the linear map ``apply``.
 
     Nine probes, each the indicator of the nodes with (i mod 3, j mod 3) =
     (s, t): in every 3 x 3 neighbourhood exactly one node is probed, so each
@@ -602,21 +666,21 @@ def probe_stencil(apply, mx, my):
     meets the probed node at offset a - 1 when 2k = s - p - a + 1 (mod 3),
     that is k = 2 (s - p - a + 1) (mod 3).
     """
-    blocks = [np.zeros((3, 3, len(range(p, mx, 2)), len(range(q, my, 2))))
+    arrays = [np.zeros((3, 3, len(range(p, mx, 2)), len(range(q, my, 2))))
               for p, q in _kernels.COLOURS]
     for s in range(3):
         for t in range(3):
             e = np.zeros((mx, my))
             e[s::3, t::3] = 1.0
             y = apply(e)
-            for (p, q), Sc in zip(_kernels.COLOURS, blocks):
+            for (p, q), Sc in zip(_kernels.COLOURS, arrays):
                 yc = y[p::2, q::2]
                 for a in range(3):
                     for b in range(3):
                         k0 = 2 * (s - p - a + 1) % 3
                         l0 = 2 * (t - q - b + 1) % 3
                         Sc[a, b, k0::3, l0::3] = yc[k0::3, l0::3]
-    return blocks
+    return nine_point(arrays)
 
 
 def probed_galerkin_product(blocks, fine, coarse):
@@ -640,8 +704,8 @@ def probed(u):
 def test_probe_stencil_recovers_the_jacobian(shape):
     J, blocks, mx, my = probed(random_surface(shape))
     got = probe_stencil(lambda e: (J @ e.ravel()).reshape(mx, my), mx, my)
-    for a, b in zip(got, _kernels.stencil_blocks(blocks, np.float64)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(coefficients(got, (mx, my)),
+                          coefficients(blocks, (mx, my)))
     x, f = np.random.default_rng(1).standard_normal((2, mx, my))
     Sx = _kernels.stencil_apply(blocks, x)
     assert np.allclose(Sx.ravel(), J @ x.ravel(), rtol=1e-14, atol=1e-12)
@@ -686,7 +750,8 @@ def test_coarse_stencil_is_the_galerkin_product():
         stencil = k.galerkin_product(list(blocks), fine, coarse)
         for got, want in zip(stencil, probed_galerkin_product(blocks, fine,
                                                                coarse)):
-            assert_same_bits(got, want)
+            assert got.layout is _kernels.NINE
+            assert_same_bits(got.fields, want.fields)
         P = np.kron(*(interpolation_matrix(m, n) for m, n in zip(coarse, fine)))
         want = P.T @ J @ P
         got = stencil_matrix(stencil, *coarse)
@@ -698,7 +763,7 @@ def test_coarse_stencil_is_the_galerkin_product():
 def test_galerkin_product_is_the_probed_product_bit_for_bit():
     # the product composed from the fine stencil equals, byte for byte, the
     # one probed through prolongation, the fine operator and restriction:
-    # from a Jacobian's five-field blocks (level 0) and from the 9-point
+    # from a Jacobian's six-field blocks (level 0) and from the 9-point
     # blocks of that product (a coarser level), on odd, even, thin and
     # semi-coarsened grids
     hypothesis = pytest.importorskip("hypothesis")
@@ -717,7 +782,7 @@ def test_galerkin_product_is_the_probed_product_bit_for_bit():
             got = _kernels.galerkin_product(level, fine, coarse)
             want = probed_galerkin_product(level, fine, coarse)
             for g, w in zip(got, want):
-                assert_same_bits(g, w)
+                assert_same_bits(g.fields, w.fields)
             level = got
     check()
 
@@ -941,11 +1006,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 bound = GridField.dirichlet((-1, 1, -1, 1), (65, 65),
                             BUILTIN_SURFACES["scherk"])
 u, hx, hy = bound.values, bound.hx, bound.hy
-S = [_kernels.FiveFieldBlock(Sc.fields * 1e36, Sc.rows, Sc.cols)
+S = [_kernels.Block(Sc.fields * 1e36, Sc.layout)
      for Sc in _kernels.interior_jacobian_stencil(u, hx, hy)]
 b = -_kernels.interior_residual(u, hx, hy)
 x = spsolve(S, b).reshape(b.shape)
-tol = _kernels.stencil_norm(S) * np.finfo(float).eps * np.sqrt(b.size)
+tol = _kernels.stencil_norm(S, b.shape) * np.finfo(float).eps * np.sqrt(b.size)
 r = _kernels.stencil_residual(S, x, b)
 assert np.max(np.abs(r)) <= np.max(np.abs(x)) * tol
 print("solved")
@@ -1036,11 +1101,11 @@ bound = GridField.dirichlet((-1, 1, -1, 1), (33, 33), BUILTIN_SURFACES["scherk"]
 assert solve_minimal_surface(bound).converged
 bound = GridField.dirichlet((-1, 1, -1, 1), (17, 17), BUILTIN_SURFACES["scherk"])
 u, hx, hy = bound.values, bound.hx, bound.hy
-S = [_kernels.FiveFieldBlock(Sc.fields * 1e36, Sc.rows, Sc.cols)
+S = [_kernels.Block(Sc.fields * 1e36, Sc.layout)
      for Sc in _kernels.interior_jacobian_stencil(u, hx, hy)]
 b = -_kernels.interior_residual(u, hx, hy)
 step = spsolve(S, b).reshape(b.shape)
-tol = _kernels.stencil_norm(S) * np.finfo(float).eps * np.sqrt(b.size)
+tol = _kernels.stencil_norm(S, b.shape) * np.finfo(float).eps * np.sqrt(b.size)
 r = _kernels.stencil_residual(S, step, b)
 assert np.max(np.abs(r)) <= np.max(np.abs(step)) * tol
 
@@ -1113,11 +1178,11 @@ def reachable(roots):
 
 def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
     # BiCGSTAB runs within a few percent of a Newton step's memory peak and
-    # for most of its time.  The Jacobian forms its five float64 fields per
+    # for most of its time.  The Jacobian forms its six float64 fields per
     # node when a block is read; the solve reads them once to set up, and
-    # while BiCGSTAB runs no field and no float64 coefficient array of the
-    # fine grid is reachable from the solve's frames: _multigrid_solve,
-    # spsolve and the Newton loop
+    # while BiCGSTAB runs no float64 block and no float64 coefficient array
+    # of the fine grid is reachable from the solve's frames:
+    # _multigrid_solve, spsolve and the Newton loop
     m, seen = lepage.minimal, []
     inner = m._bicgstab
 
@@ -1128,7 +1193,9 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
         colours = {(len(range(p, mx, 2)), len(range(q, my, 2)))
                    for p, q in _kernels.COLOURS}
         held = [v for v in reachable([f.f_locals for f in frames])
-                if isinstance(v, _kernels.FiveFieldBlock)
+                if isinstance(v, _kernels.Block)
+                and v.fields.dtype == np.float64
+                and v.fields.shape[1:] in colours
                 or isinstance(v, np.ndarray) and v.dtype == np.float64
                 and v.ndim > 2 and v.shape[-2:] in colours]
         seen.append(([f.f_code.co_name for f in frames], len(held)))
@@ -1166,12 +1233,9 @@ def stencil_of(A, shape):
 
 def random_stencil(shape, seed):
     # diagonally dominant, with random couplings
-    rng = np.random.default_rng(seed)
-    S = [rng.uniform(-1, 1, (3, 3, len(range(p, shape[0], 2)),
-                             len(range(q, shape[1], 2))))
-         for p, q in _kernels.COLOURS]
+    S = general_stencil(shape, seed)
     for Sc in S:
-        Sc[1, 1] += 8.0
+        Sc.fields[4] += 8.0  # the centre
     return S
 
 
@@ -1191,9 +1255,9 @@ def factors(monkeypatch):
 def general_stencil(shape, seed):
     # random couplings with no diagonal dominance, so the elimination pivots
     rng = np.random.default_rng(seed)
-    return [rng.uniform(-1, 1, (3, 3, len(range(p, shape[0], 2)),
-                                len(range(q, shape[1], 2))))
-            for p, q in _kernels.COLOURS]
+    return nine_point([rng.uniform(-1, 1, (3, 3, len(range(p, shape[0], 2)),
+                                           len(range(q, shape[1], 2))))
+                       for p, q in _kernels.COLOURS])
 
 
 def max_row_sum(M):
@@ -1228,7 +1292,7 @@ def test_dense_inverse_matches_lapack(dtype, make, shape):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dense_inverse_gives_none_on_an_exactly_zero_pivot(dtype):
     S = random_stencil((5, 4), 0)
-    S[1][:, :, 1, 0] = 0.0  # no coupling at all in one node's row
+    S[1].fields[:, 1, 0] = 0.0  # no coupling at all in one node's row
     singular = [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 1.0]],
                 np.zeros((3, 3)), stencil_matrix(S, 5, 4)]
     for A in singular:
@@ -1279,7 +1343,8 @@ def test_spsolve_float32_singular_falls_back_to_float64(factors):
 
 
 def test_spsolve_beyond_float32_range_falls_back_to_float64(factors):
-    S = [Sc * 1e39 for Sc in random_stencil((3, 2), 4)]
+    S = [_kernels.Block(Sc.fields * 1e39, Sc.layout)
+         for Sc in random_stencil((3, 2), 4)]
     b = np.random.default_rng(4).standard_normal((3, 2))
     x = lepage.minimal.spsolve(S, b)
     # the float32 copy overflows before anything is inverted
@@ -1477,7 +1542,7 @@ def traced_peak(fn, nodes):
 def test_newton_solve_and_conservation_check_hold_few_arrays():
     # Scherk N=257, a grid that coarsens to 15 x 15.  The Jacobian forms a
     # colour block when it is read, and forming one holds its fields, a
-    # quarter of 5 float64 values per node, and the derivatives of the band
+    # quarter of 6 float64 values per node, and the derivatives of the band
     # of its rows being made.  The solve holds all four blocks only while it
     # sets up, and replaces each by its float32 six-field copy after the
     # first Galerkin product; while it corrects it must hold that copy and
@@ -1518,8 +1583,7 @@ def test_fallback_ignores_an_overflow_that_no_coupling_reads(factors):
     for shape, first in (((3, 65), ("inv", "float32", 15)),
                          ((5, 65), ("inv", "float64", 3 * 15))):
         S, b = one_newton_system("paraboloid", shape)
-        S = [_kernels.FiveFieldBlock(Sc.fields.copy(), Sc.rows, Sc.cols)
-             for Sc in S]
+        S = [_kernels.Block(Sc.fields.copy(), Sc.layout) for Sc in S]
         want = lepage.minimal.spsolve(S, b)
         S[0].fields[4, 0, 0] = 1e39
         factors.clear()
@@ -1542,8 +1606,7 @@ def test_multigrid_failure_falls_back_to_float64(factors):
     # a float32 overflow in the operator ends the float32 solve before its
     # coarsest grid is inverted; the float64 solve inverts that grid instead
     S, b = one_newton_system("scherk", (65, 65))
-    S = [_kernels.FiveFieldBlock(Sc.fields * 1e36, Sc.rows, Sc.cols)
-         for Sc in S]
+    S = [_kernels.Block(Sc.fields * 1e36, Sc.layout) for Sc in S]
     x = lepage.minimal.spsolve(S, b)
     assert factors == [("inv", "float64", 15 * 15)]
     assert meets_dsgesv_test(S, x, b)
@@ -1618,6 +1681,24 @@ def test_reconstruction_perturbed_scherk_fails_closedness():
     assert not rec.passed
     assert rec.stage == "closedness"
     assert "fail at closedness" in rec.describe()
+
+
+@pytest.mark.parametrize("name, shape", [("scherk", (33, 33)),
+                                         ("scherk", (65, 33)),
+                                         ("paraboloid", (33, 33)),
+                                         ("paraboloid", (17, 40))])
+def test_reconstruction_carries_the_conservation_report(name, shape):
+    # the reconstruction's closedness report, from the currents it
+    # integrates, is conservation_residuals' own, on solved and unsolved
+    # grids
+    bound = GridField.dirichlet(SQUARE, shape, BUILTIN_SURFACES[name])
+    for field in (bound, solve_minimal_surface(bound, max_iter=12).field):
+        rec, cons = reconstruct_and_check(field), conservation_residuals(field)
+        assert rec.conservation == cons
+        assert list(rec.conservation.circulations) == list(cons.circulations)
+        assert all(same_float(rec.conservation.circulations[k], c)
+                   for k, c in cons.circulations.items())
+        assert same_float(rec.max_circulation, cons.max_circulation)
 
 
 def test_nan_figures_fail_the_conservation_gates():
