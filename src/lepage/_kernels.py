@@ -5,8 +5,9 @@ interior nodes, ``interior_gradient`` gives its first differences alone,
 ``interior_jacobian_stencil`` gives its Jacobian with respect to the
 interior values as a 9-point operator whose colour blocks hold its six
 distinct couplings per node, each block formed from u when a kernel reads
-it (``GraphJacobian``), and ``cell_circulation`` takes trapezoid-rule loop
-integrals around the grid cells.  The rest are the Newton solver's grid
+it (``GraphJacobian``), ``GraphRHS`` is the Newton right-hand side -F(u),
+formed from u anew each time it is copied, and ``cell_circulation`` takes
+trapezoid-rule loop integrals around the grid cells.  The rest are the Newton solver's grid
 operations on 9-point operators, in the dtype of their operands: applying
 one, its residual, a colour Gauss-Seidel sweep, a copy in a given dtype and
 a test that the couplings they read are finite, the max norm, bilinear
@@ -221,6 +222,30 @@ class GraphJacobian(Sequence):
         return Block(F, SIX)
 
 
+class GraphRHS:
+    """-F(u), the graph equation's residual at u negated: the right-hand
+    side of a Newton step at the interior nodes, formed from u anew by each
+    ``copy()``, so that it is held only while it is read.  u must not
+    change while it is in use."""
+
+    __slots__ = ("u", "hx", "hy")
+
+    def __init__(self, u, hx, hy):
+        self.u, self.hx, self.hy = u, hx, hy
+
+    @property
+    def shape(self):
+        return self.u.shape[0] - 2, self.u.shape[1] - 2
+
+    @property
+    def size(self):
+        return (self.u.shape[0] - 2) * (self.u.shape[1] - 2)
+
+    def copy(self):
+        r = interior_residual(self.u, self.hx, self.hy)
+        return np.negative(r, out=r)
+
+
 @lru_cache(maxsize=None)
 def _reach(p, n):
     # by offset a, (nodes, neighbours): the nodes p, p + 2, ... of a side of
@@ -280,14 +305,14 @@ def stencil_apply(blocks, x):
     return y
 
 
-def stencil_residual(blocks, x, f):
-    """f - S x on an (mx, my) grid."""
+def stencil_residual(blocks, x, f, out=None):
+    """f - S x on an (mx, my) grid, into ``out`` if given, which may be f."""
     for c, (p, q) in enumerate(COLOURS):
         yc = _colour_apply(blocks[c], x, p, q)
-        if not c:
-            r = np.empty(f.shape, np.result_type(yc, f))
-        np.subtract(f[p::2, q::2], yc, out=r[p::2, q::2])
-    return r
+        if out is None:
+            out = np.empty(f.shape, np.result_type(yc, f))
+        np.subtract(f[p::2, q::2], yc, out=out[p::2, q::2])
+    return out
 
 
 def colour_gauss_seidel(blocks, x, f, order=(0, 1, 2, 3)):

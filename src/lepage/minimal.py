@@ -97,19 +97,30 @@ class GridField:
     def dirichlet(cls, rect, shape: tuple[int, int],
                   fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
                   ) -> "GridField":
-        """Boundary data from fn; interior filled by transfinite interpolation."""
-        out = cls.from_function(rect, shape, fn)
-        u = out.values
+        """Boundary data from fn; interior filled by transfinite interpolation.
+
+        fn is evaluated on the four edges alone, each given as a 2-D mesh of
+        one row or one column of nodes.
+        """
+        out = cls(tuple(map(float, rect)), np.zeros(shape))
+        xs, ys = out.xs, out.ys
+
+        def edge(x, y):
+            X, Y = np.meshgrid(x, y, indexing="ij")
+            return np.asarray(fn(X, Y), dtype=float).ravel()
+
+        first, last = edge(xs[:1], ys), edge(xs[-1:], ys)
+        low, high = edge(xs, ys[:1]), edge(xs, ys[-1:])
         s = np.linspace(0.0, 1.0, out.nx)[:, None]
         t = np.linspace(0.0, 1.0, out.ny)[None, :]
-        blend = ((1 - s) * u[0, :][None, :] + s * u[-1, :][None, :]
-                 + (1 - t) * u[:, 0][:, None] + t * u[:, -1][:, None]
-                 - (1 - s) * (1 - t) * u[0, 0] - (1 - s) * t * u[0, -1]
-                 - s * (1 - t) * u[-1, 0] - s * t * u[-1, -1])
-        blend[0, :] = u[0, :]
-        blend[-1, :] = u[-1, :]
-        blend[:, 0] = u[:, 0]
-        blend[:, -1] = u[:, -1]
+        blend = ((1 - s) * first[None, :] + s * last[None, :]
+                 + (1 - t) * low[:, None] + t * high[:, None]
+                 - (1 - s) * (1 - t) * first[0] - (1 - s) * t * first[-1]
+                 - s * (1 - t) * last[0] - s * t * last[-1])
+        blend[0, :] = first
+        blend[-1, :] = last
+        blend[:, 0] = low
+        blend[:, -1] = high
         out.values = blend
         return out
 
@@ -305,7 +316,7 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
     return x
 
 
-def _multigrid_solve(S, b: np.ndarray, dtype):
+def _multigrid_solve(S, b, dtype):
     """x with S x = b by float64 refinement of ``dtype`` corrections, or None.
 
     S serves only the float64 refinement residual b - S x, the test's
@@ -314,11 +325,14 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
     ``_kernels.galerkin_product`` composes from the fine stencil one coarse
     colour at a time, with no fine-grid scratch; it then replaces each
     block of the list by its copy in ``dtype``, one colour at a time, with
-    as many fields per node as the block has.  The first
-    residual, at x = 0, is b; each later one reads S one block at a time,
-    so a Jacobian that forms its blocks when read (``GraphJacobian``) holds
-    one colour's fields at most while the corrections run, and the last
-    correction and its ``dtype`` residual are dropped first.  The
+    as many fields per node as the block has.  b is read only by
+    ``b.copy()``, once for each float64 residual, which is then written
+    into that fresh b in place: the first, at x = 0, is b itself, and each
+    later one reads S one block at a time.  So a Jacobian that forms its
+    blocks when read (``GraphJacobian``) holds one colour's fields at most
+    while the corrections run, a right-hand side formed when read
+    (``GraphRHS``) is held only as the residual, and the last correction
+    and its ``dtype`` residual are dropped first.  The
     corrections run in ``dtype``, on the copy of S and on coarse operators
     each composed in float64 from the next finer one and kept in ``dtype``.
     Returns None when a coupling that stays in the grid is beyond the range
@@ -354,9 +368,12 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
 
     x, last = np.zeros(b.shape), np.inf
     for solves in range(_REFINE_STEPS + 2):  # the first, then refinements
-        # at x = 0 the residual is b: every coupling of S that the kernels
-        # read is finite (stencil_finite, or the coarse solver's own test)
-        r = k.stencil_residual(S, x, b) if solves else b.copy()
+        # a fresh b, into which b - S x is written; at x = 0 the residual is
+        # b: every coupling of S that the kernels read is finite
+        # (stencil_finite, or the coarse solver's own test)
+        r = b.copy()
+        if solves:
+            k.stencil_residual(S, x, r, out=r)
         rmax = np.max(np.abs(r))
         passed = rmax <= np.max(np.abs(x)) * tol
         if passed and (len(stencils) == 1 or rmax == 0):
@@ -381,13 +398,17 @@ def _multigrid_solve(S, b: np.ndarray, dtype):
             return x.ravel()
 
 
-def spsolve(S, b: np.ndarray) -> np.ndarray:
+def spsolve(S, b) -> np.ndarray:
     """Solve S x = b by a mixed-precision multigrid solve; x comes flat.
 
     S is a 9-point operator in ``_kernels``' colour-block layout on the
     interior grid of shape ``b.shape``: the four ``_kernels.Block``s, or a
     sequence that forms each when it is read, as the Newton solver's
-    Jacobians do.  While the longer side exceeds 15 nodes, each side longer
+    Jacobians do.  b is an array of that shape, or an object with its
+    ``shape`` and ``size`` whose ``copy()`` forms the array anew, as the
+    Newton solver's right-hand side -F(u) (``_kernels.GraphRHS``) does; it
+    is read once for each float64 residual b - S x, which is written into
+    the fresh copy.  While the longer side exceeds 15 nodes, each side longer
     than 15 coarsens from 2m + 1 or 2m nodes to m.  The coarse operators
     are Galerkin products P^T S P with bilinear P, composed in float64 and
     kept in float32; only the coarsest, of at most 15 x 15 nodes, is solved
@@ -446,6 +467,11 @@ def _roundoff_floor(u: np.ndarray, hx: float, hy: float) -> float:
             * (1.0 + float(np.max(ux * ux + uy * uy))))
 
 
+def _max_abs(r: np.ndarray) -> float:
+    # max |r|, taken in place: r is not read again
+    return float(np.max(np.abs(r, out=r)))
+
+
 def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
                           max_iter: int = 20) -> SolveResult:
     """Damped Newton iteration on the central-difference graph equation.
@@ -458,6 +484,13 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
     improves above the floor ends it as a failure.
     ``iterations`` counts the accepted steps, so ``history`` holds
     ``iterations + 1`` residuals on every exit.
+
+    The input's values are never written: the iteration starts from the
+    input's own array, each accepted step makes a new one, and an exit
+    before the first returns a copy, so the result never shares memory
+    with the input.  Each step's Jacobian and right-hand side -F(u) are
+    formed from u when the linear solve reads them, and only the largest
+    |F| of each residual is kept.
     """
     if (isinstance(tol, bool) or not isinstance(tol, Real)
             or not 0 < tol < float("inf")):
@@ -467,48 +500,51 @@ def solve_minimal_surface(boundary: GridField, *, tol: float = 1e-10,
             or max_iter < 0):
         raise ValueError(f"max_iter must be a non-negative integer, "
                          f"got {max_iter!r}")
-    u = boundary.values.copy()
+    # u is the input's own array until a step is accepted: nothing writes
+    # to it, and an exit before that returns a copy
+    u = boundary.values
     hx, hy = boundary.hx, boundary.hy
-    res = _kernels.interior_residual(u, hx, hy)
-    rmax = float(np.max(np.abs(res)))
+
+    def result(converged, iterations, message=""):
+        values = u.copy() if u is boundary.values else u
+        return SolveResult(GridField(boundary.rect, values), converged,
+                           iterations, history, message)
+
+    rmax = _max_abs(_kernels.interior_residual(u, hx, hy))
     history = [rmax]
     for it in range(1, max_iter + 1):
         if rmax < tol:
-            return SolveResult(GridField(boundary.rect, u), True, it - 1,
-                               history)
+            return result(True, it - 1)
         # below the floor, which steps a solve finds depends on the last
         # bits of the linear solve, so none is tried
         floor = _roundoff_floor(u, hx, hy)
         if rmax <= floor:
-            return SolveResult(GridField(boundary.rect, u), True, it - 1,
-                               history, f"stagnated at the roundoff floor "
-                               f"{floor:.3e}")
-        # res becomes the right-hand side; below, only its shape is read
-        np.negative(res, out=res)
-        delta = spsolve(_kernels.interior_jacobian_stencil(u, hx, hy), res)
+            return result(True, it - 1, f"stagnated at the roundoff floor "
+                                        f"{floor:.3e}")
+        # the right-hand side -F(u), like the Jacobian, is formed from u
+        # each time the solve reads it
+        delta = spsolve(_kernels.interior_jacobian_stencil(u, hx, hy),
+                        _kernels.GraphRHS(u, hx, hy))
         if not np.all(np.isfinite(delta)):
-            return SolveResult(GridField(boundary.rect, u), False, it - 1,
-                               history, "singular Jacobian")
+            return result(False, it - 1, "singular Jacobian")
         step = 1.0
         while True:
             trial = u.copy()
-            trial[1:-1, 1:-1] += step * delta.reshape(res.shape)
-            res_new = _kernels.interior_residual(trial, hx, hy)
-            rmax_new = float(np.max(np.abs(res_new)))
+            inner = trial[1:-1, 1:-1]
+            inner += step * delta.reshape(inner.shape)
+            rmax_new = _max_abs(_kernels.interior_residual(trial, hx, hy))
             if rmax_new < rmax or step < 1e-8:
                 break
             step *= 0.5
         del delta  # not held through the next step's solve
         if rmax_new >= rmax:
             # the rejected trial leaves u, and so history[-1], as it was
-            return SolveResult(GridField(boundary.rect, u), False, it - 1,
-                               history, "stagnated under damping")
-        u, res, rmax = trial, res_new, rmax_new
+            return result(False, it - 1, "stagnated under damping")
+        u, rmax = trial, rmax_new
         history.append(rmax)
     converged = rmax < tol
-    msg = "" if converged else f"residual {rmax:.3e} after {max_iter} steps"
-    return SolveResult(GridField(boundary.rect, u), converged, max_iter,
-                       history, msg)
+    return result(converged, max_iter, "" if converged else
+                  f"residual {rmax:.3e} after {max_iter} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +597,78 @@ def _max_circulation(P: np.ndarray, Q: np.ndarray, hx: float,
     return float(np.max(np.abs(circ, out=circ)))
 
 
+def _row_bands(n: int, width: int):
+    # (lo, i0, i1, hi): bands [i0, i1) of n interior rows of ``width``
+    # nodes, about _BAND_NODES nodes each and the last at least two rows,
+    # and the rows [lo, hi) each is read with: one more on either side, for
+    # the x-differences and the cells between two bands, and at least
+    # three, as np.gradient's one-sided differences at the edges take them
+    rows = max(1, _kernels._BAND_NODES // max(1, width))
+    for i0 in range(0, max(1, n - 1), rows):
+        i1 = i0 + rows if i0 + rows < n - 1 else n
+        yield max(0, i0 - 1), i0, i1, min(n, max(i1 + 1, 3))
+
+
+def _grid_figures(u: GridField, integrate: bool):
+    """The largest |circulation| of each current, and with ``integrate``
+    the largest potential-system defect and graph equation residual.
+
+    The grid is read in row bands (``_row_bands``), each figure is the
+    largest of its bands' maxima, and every value a band takes is the one
+    the whole grid gives, so the figures are bit for bit those of the
+    whole grid.  A band's potential is the integral down the first interior
+    column, made from that column's currents, plus the integral along each
+    of the band's rows.
+    """
+    v, hx, hy = u.values, u.hx, u.hy
+    n = u.nx - 2
+    if integrate:
+        ux, uy = _kernels.interior_gradient(v[:, :3], hx, hy)
+        first = {name: P for name, (P, _) in _current_components(ux, uy)}
+    circs, defects, el = {}, [], []
+    for lo, i0, i1, hi in _row_bands(n, u.ny - 2):
+        ux, uy = _kernels.interior_gradient(v[lo:hi + 2], hx, hy)
+        own = slice(i0 - lo, i1 - lo)
+        cells = slice(i0 - lo, min(i1 + 1, n) - lo)  # their corner rows
+        sums = [None, None]
+        # u_x f' + u_y g' - h' along each axis, summed in place in that order
+        for name, (P, Q) in _current_components(ux, uy):
+            circs.setdefault(name, []).append(
+                _max_circulation(P[cells], Q[cells], hx, hy))
+            if not integrate:
+                continue
+            pot = _potential(first[name], Q, hx, hy, slice(lo, hi))
+            del P, Q  # before the next pair is made
+            for axis, d in enumerate(
+                    (np.gradient(pot, hx, axis=0, edge_order=2)[own],
+                     np.gradient(pot[own], hy, axis=1, edge_order=2))):
+                if name == "f":
+                    sums[axis] = np.multiply(d, ux[own], out=d)
+                elif name == "g":
+                    sums[axis] += np.multiply(d, uy[own], out=d)
+                else:
+                    sums[axis] -= d
+        if integrate:
+            defects += [_max_abs(d) for d in sums]
+            el.append(_max_abs(_kernels.interior_residual(v[i0:i1 + 2],
+                                                          hx, hy)))
+    # np.max, unlike max(), keeps a nan figure
+    circs = {name: float(np.max(c)) for name, c in circs.items()}
+    if not integrate:
+        return circs
+    return circs, float(np.max(defects)), float(np.max(el))
+
+
 def conservation_residuals(u: GridField) -> ConservationReport:
     """Discrete closedness of the graph currents, cell by cell.
 
     Currents are sampled at the interior nodes, where central differences
     keep the derivative error a smooth field; circulations over boundary
     cells would amplify the one-sided stencil mismatch by 1/h.  Only each
-    current's largest |circulation| is kept.
+    current's largest |circulation| is kept, and the grid is read in row
+    bands of about ``_kernels._BAND_NODES`` nodes.
     """
-    ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
-    circ = {}
-    for name, (P, Q) in _current_components(ux, uy):
-        circ[name] = _max_circulation(P, Q, u.hx, u.hy)
-        del P, Q  # before the next pair is made
-    return ConservationReport(circ, u.hx, u.hy)
+    return ConservationReport(_grid_figures(u, False), u.hx, u.hy)
 
 
 @dataclass
@@ -616,11 +710,13 @@ def _cumulative_trapezoid(y: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
-def _potential(P: np.ndarray, Q: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    # cumulative trapezoid along the first row, then up each column
+def _potential(P: np.ndarray, Q: np.ndarray, hx: float, hy: float,
+               rows: slice = slice(None)) -> np.ndarray:
+    # cumulative trapezoid down the first column of P, then along each row
+    # of Q, which holds P's rows ``rows``
     row = _cumulative_trapezoid(P[:, 0], hx)
     cols = _cumulative_trapezoid(Q, hy)
-    return row[:, None] + cols
+    return row[rows, None] + cols
 
 
 def reconstruct_and_check(u: GridField, *,
@@ -631,33 +727,15 @@ def reconstruct_and_check(u: GridField, *,
     potentials satisfy u_x f_* + u_y g_* - h_* = 0 in both base directions,
     and the graph equation residual is below the same gate.  The closedness
     report is the one ``conservation_residuals`` gives, taken from the same
-    current pairs that are integrated.  Each potential is integrated, its
-    two derivatives go into the two directions' defects, and it is dropped
-    before the next current is made.
+    current pairs that are integrated.  The grid is read in row bands of
+    about ``_kernels._BAND_NODES`` nodes: each band's currents are made
+    once, each potential is integrated over the band, its two derivatives
+    go into the two directions' defects, and only maxima outlive the band,
+    so no array of the grid's size is held.
     """
-    ux, uy = _kernels.interior_gradient(u.values, u.hx, u.hy)
-    circs, defects = {}, [None, None]
-    # u_x f' + u_y g' - h' along each axis, summed in place in that order
-    for name, (P, Q) in _current_components(ux, uy):
-        circs[name] = _max_circulation(P, Q, u.hx, u.hy)
-        pot = _potential(P, Q, u.hx, u.hy)
-        del P, Q  # before the next pair is made
-        for axis, h in ((0, u.hx), (1, u.hy)):
-            d = np.gradient(pot, h, axis=axis, edge_order=2)
-            if name == "f":
-                defects[axis] = np.multiply(d, ux, out=d)
-            elif name == "g":
-                defects[axis] += np.multiply(d, uy, out=d)
-            else:
-                defects[axis] -= d
-            del d  # before the next derivative is made
-        del pot  # before the next pair is made
+    circs, rovnice, el = _grid_figures(u, True)
     conservation = ConservationReport(circs, u.hx, u.hy)
     gate = _gate(u.hx, u.hy, gate_factor)
-    # np.max, unlike max(), keeps a nan figure
-    rovnice = float(np.max([np.max(np.abs(d, out=d)) for d in defects]))
-    del ux, uy, defects  # graph_el_residual makes its own
-    el = float(np.max(np.abs(graph_el_residual(u))))
     figures = (("closedness", conservation.max_circulation),
                ("potential-system", rovnice), ("equation", el))
     # the first gate whose figure is not within it; a nan figure is not

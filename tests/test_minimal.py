@@ -241,6 +241,44 @@ def test_dirichlet_interpolates_linear_data_exactly():
     assert np.allclose(f.values, exact.values)
 
 
+def whole_mesh_dirichlet(rect, shape, fn):
+    # Reference: fn on the whole mesh, then the transfinite interpolation
+    # of its edges
+    u = GridField.from_function(rect, shape, fn).values
+    s = np.linspace(0.0, 1.0, shape[0])[:, None]
+    t = np.linspace(0.0, 1.0, shape[1])[None, :]
+    blend = ((1 - s) * u[0, :][None, :] + s * u[-1, :][None, :]
+             + (1 - t) * u[:, 0][:, None] + t * u[:, -1][:, None]
+             - (1 - s) * (1 - t) * u[0, 0] - (1 - s) * t * u[0, -1]
+             - s * (1 - t) * u[-1, 0] - s * t * u[-1, -1])
+    blend[0, :] = u[0, :]
+    blend[-1, :] = u[-1, :]
+    blend[:, 0] = u[:, 0]
+    blend[:, -1] = u[:, -1]
+    return blend
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SURFACES))
+def test_dirichlet_evaluates_the_edges_alone_bit_for_bit(name):
+    # fn sees the four edges, each as a 2-D mesh of one row or column, and
+    # the field is the whole-mesh construction's bit for bit
+    fn, seen = BUILTIN_SURFACES[name], []
+
+    def edges_only(X, Y):
+        seen.append(X.shape)
+        assert X.shape == Y.shape and 1 in X.shape
+        return fn(X, Y)
+
+    for rect in (SQUARE, (-1.5, 1.5, -1.5, 1.5), (0.0, 1.0, -0.5, 0.7)):
+        for shape in ((3, 3), (17, 17), (18, 33), (129, 5), (257, 257),
+                      (1025, 1025)):
+            seen.clear()
+            got = GridField.dirichlet(rect, shape, edges_only)
+            assert sorted(seen) == sorted([(1, shape[1])] * 2
+                                          + [(shape[0], 1)] * 2)
+            assert_same_bits(got.values, whole_mesh_dirichlet(rect, shape, fn))
+
+
 def test_interior_derivatives_exact_for_quadratic():
     f = GridField.from_function(SQUARE, (9, 9), BUILTIN_SURFACES["paraboloid"])
     ux, uy, uxx, uyy, uxy = _kernels._stencil_derivatives(f.values, f.hx, f.hy)
@@ -941,6 +979,42 @@ def test_every_exit_counts_accepted_steps(monkeypatch, exit):
     assert len(res.history) == steps + 1
 
 
+# exit: start, tol, max_iter, message, accepted steps
+ALIASING = {
+    "converged at entry": ("settled", 1e-10, 20, "", 0),
+    "converged": ("boundary", 1e-10, 20, "", 2),
+    "floor at entry": ("settled", 1e-14, 20, "stagnated at the roundoff", 0),
+    "floor": ("boundary", 1e-14, 20, "stagnated at the roundoff", 2),
+    "singular": ("nan", 1e-10, 20, "singular Jacobian", 0),
+    "damping at entry": ("settled", 1e-14, 20, "stagnated under damping", 0),
+    "damping": ("boundary", 1e-14, 20, "stagnated under damping", 6),
+    "max_iter 0": ("boundary", 1e-10, 0, "residual ", 0),
+    "max_iter": ("boundary", 1e-14, 1, "residual ", 1),
+}
+
+
+@pytest.mark.parametrize("exit", ALIASING)
+def test_solver_never_writes_or_returns_its_input(monkeypatch, exit):
+    # the Newton loop starts from the input's own array and writes nothing
+    # to it; an exit before the first accepted step returns a copy
+    start, tol, max_iter, message, steps = ALIASING[exit]
+    if exit.startswith("damping"):
+        monkeypatch.setattr(lepage.minimal, "_roundoff_floor",
+                            lambda u, hx, hy: 0.0)
+    field = GridField.dirichlet(SQUARE, (17, 17), BUILTIN_SURFACES["scherk"])
+    if start == "settled":  # where the same solve from the boundary ended
+        field = solve_minimal_surface(field, tol=tol, max_iter=max_iter).field
+    if start == "nan":
+        field.values[1:-1, 1:-1] = np.nan
+    kept = field.values.copy()
+    res = solve_minimal_surface(field, tol=tol, max_iter=max_iter)
+    assert res.message.startswith(message) and res.iterations == steps
+    assert field.values.tobytes() == kept.tobytes()
+    assert not np.shares_memory(res.field.values, field.values)
+    if not steps:
+        assert_same_bits(res.field.values, kept)
+
+
 def test_roundoff_floor_formula():
     u = np.zeros((5, 5))
     u[2, 2] = 3.0  # central differences give |grad u| = 3 / (2 h) next to it
@@ -1213,6 +1287,7 @@ def test_solver_holds_no_copy_of_the_jacobian_while_factoring(monkeypatch):
 def float64_spsolve(S, b):
     scipy_sparse = pytest.importorskip("scipy.sparse")
     linalg = pytest.importorskip("scipy.sparse.linalg")
+    b = b.copy()  # the Newton loop's right-hand side is formed when read
     n = b.size
     J = scipy_sparse.csc_matrix(_kernels.stencil_coo(S, *b.shape),
                                 shape=(n, n))
@@ -1525,54 +1600,87 @@ def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
 
 
 def traced_peak(fn, nodes):
-    """fn() and its allocation high-water mark over entry, in float64
-    arrays of `nodes` entries; numpy reports its buffers to tracemalloc,
-    so the reading does not depend on the allocator or the machine."""
+    """fn(), its allocation high-water mark over entry, in float64 arrays of
+    `nodes` entries, and where the mark was reached (``peak_site``).  numpy
+    reports its buffers to tracemalloc, so the reading does not depend on
+    the allocator or the machine."""
+    site = [0, ()]
+
+    def locate(frame, event, arg):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > site[0]:
+            site[:] = [peak, peak_site(frame, event)]
+
     tracemalloc.start()
+    profile = sys.getprofile()
     try:
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
+        sys.setprofile(locate)
         out = fn()
+        sys.setprofile(profile)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
+        sys.setprofile(profile)
         tracemalloc.stop()
-    return out, (peak - entry) / (8 * nodes)
+    return out, (peak - entry) / (8 * nodes), site[1]
 
 
-def test_newton_solve_and_conservation_check_hold_few_arrays():
-    # Scherk N=257, a grid that coarsens to 15 x 15.  The Jacobian forms a
-    # colour block when it is read, and forming one holds its fields, a
-    # quarter of 6 float64 values per node, and the derivatives of the band
-    # of its rows being made.  The solve holds all four blocks only while it
-    # sets up, and replaces each by its float32 six-field copy after the
-    # first Galerkin product; while it corrects it must hold that copy and
-    # the coarse float32 operators, u, the residual, the refinement iterate,
-    # the float32 Krylov vectors and the operator's scratch, and no copies
-    # of them: the Galerkin product is composed from the stencil, the
-    # V-cycle adds its prolonged correction in place, the refinement loop
-    # drops its float32 residual and correction before the next residual,
-    # and each damped trial's residual is made in bands.  The conservation
-    # check and reconstruction hold one current pair, one potential and the
-    # two defect sums at a time, and their reports keep only maxima
+def peak_site(frame, event, depth=5):
+    # the innermost function names, outward, of the frame that was running
+    # when tracemalloc's peak rose: read at each call and return, a rise is
+    # the work of the returning frame, or of the caller of one being entered
+    if event == "call":
+        frame = frame.f_back
+    names = []
+    while frame is not None and len(names) < depth:
+        names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return " < ".join(names)
+
+
+# float64 values per interior node, solve and checks, by grid side
+PEAK_GATES = {257: (11.5, 4.1), 513: (9.7, 1.2)}
+
+
+@pytest.mark.parametrize("N", PEAK_GATES)
+def test_newton_solve_and_conservation_check_hold_few_arrays(N):
+    # Scherk grids, which coarsen to 15 x 15.  The Jacobian forms a colour
+    # block when it is read, and forming one holds its fields, a quarter of
+    # 6 float64 values per node, and the derivatives of the band of its rows
+    # being made; the right-hand side -F(u) is formed from u when it is
+    # read, too, and the Newton loop holds no copy of its input.  The solve
+    # holds all four blocks only while it sets up, and replaces each by its
+    # float32 six-field copy after the first Galerkin product; while it
+    # corrects it must hold that copy and the coarse float32 operators, the
+    # refinement residual, written into the fresh right-hand side, and
+    # iterate, the float32 Krylov vectors and the operator's scratch, and
+    # no copies of them: the Galerkin product is composed from the stencil,
+    # the V-cycle adds its prolonged correction in place, the refinement
+    # loop drops its float32 residual and correction before the next
+    # residual, and each damped trial's residual is made in bands.  The
+    # conservation check and reconstruction read the grid in row bands and
+    # keep only maxima, so they stay well under the solve.  At N=257 the
+    # solve's peak is in a refinement residual, where one band of the
+    # Jacobian is a whole colour; at N=513 it is in BiCGSTAB's matvec
     scherk_solution(33)  # lazy set-up happens outside the reading
-    N = 257
     bound = GridField.dirichlet(SQUARE, (N, N), BUILTIN_SURFACES["scherk"])
+    nodes = (N - 2) ** 2
     S = _kernels.interior_jacobian_stencil(bound.values, bound.hx, bound.hy)
-    _, assembly = traced_peak(
-        lambda: [S[c].fields.size for c in range(len(S))], (N - 2) ** 2)
-    res, solve = traced_peak(
-        lambda: solve_minimal_surface(bound, tol=1e-10, max_iter=12),
-        (N - 2) ** 2)
+    _, assembly, _ = traced_peak(
+        lambda: [S[c].fields.size for c in range(len(S))], nodes)
+    res, solve, solve_site = traced_peak(
+        lambda: solve_minimal_surface(bound, tol=1e-10, max_iter=12), nodes)
     assert res.converged
-    (cons, rec), check = traced_peak(
+    (cons, rec), check, check_site = traced_peak(
         lambda: (conservation_residuals(res.field),
-                 reconstruct_and_check(res.field)), (N - 2) ** 2)
+                 reconstruct_and_check(res.field)), nodes)
     assert cons.passed() and rec.passed
     assert not [v for v in reachable([cons, rec]) if isinstance(v, np.ndarray)]
-    # float64 values per interior node
+    solve_gate, check_gate = PEAK_GATES[N]
     assert assembly <= 4.0
-    assert solve <= 12.35
-    assert check <= 10.5
+    assert solve <= solve_gate, f"solve peaks at {solve:.3f} in {solve_site}"
+    assert check <= check_gate, f"checks peak at {check:.3f} in {check_site}"
 
 
 def test_fallback_ignores_an_overflow_that_no_coupling_reads(factors):
@@ -1699,6 +1807,57 @@ def test_reconstruction_carries_the_conservation_report(name, shape):
         assert all(same_float(rec.conservation.circulations[k], c)
                    for k, c in cons.circulations.items())
         assert same_float(rec.max_circulation, cons.max_circulation)
+
+
+def whole_grid_figures(u):
+    # Reference: the checks as they read the whole grid at once, each
+    # current's largest |circulation|, the largest potential-system defect
+    # and the largest graph equation residual
+    m, hx, hy = lepage.minimal, u.hx, u.hy
+    ux, uy = _kernels.interior_gradient(u.values, hx, hy)
+    circs, defects = {}, [None, None]
+    for name, (P, Q) in m._current_components(ux, uy):
+        circs[name] = np.max(np.abs(_kernels.cell_circulation(P, Q, hx, hy)))
+        pot = m._potential(P, Q, hx, hy)
+        for axis, h in ((0, hx), (1, hy)):
+            d = np.gradient(pot, h, axis=axis, edge_order=2)
+            if name == "f":
+                defects[axis] = d * ux
+            elif name == "g":
+                defects[axis] += d * uy
+            else:
+                defects[axis] -= d
+    rovnice = np.max([np.max(np.abs(d)) for d in defects])
+    el = np.max(np.abs(_kernels.interior_residual(u.values, hx, hy)))
+    return circs, rovnice, el
+
+
+@pytest.mark.parametrize("band", [1, 40, 300, _kernels._BAND_NODES])
+@pytest.mark.parametrize("shape", [(5, 5), (33, 33), (34, 34), (129, 33)])
+def test_banded_checks_are_the_whole_grid_checks_bit_for_bit(monkeypatch,
+                                                             band, shape):
+    # bands of about `band` nodes put their seams inside these grids, the
+    # last down to two rows; every figure is the whole grid's, bit for bit
+    monkeypatch.setattr(_kernels, "_BAND_NODES", band)
+    n, width = shape[0] - 2, shape[1] - 2
+    bands = list(lepage.minimal._row_bands(n, width))
+    assert [(i0, i1) for _, i0, i1, _ in bands] == list(zip(
+        [i0 for _, i0, _, _ in bands], [i0 for _, i0, _, _ in bands[1:]] + [n]))
+    assert bands[-1][2] - bands[-1][1] >= min(2, n)
+    if band < _kernels._BAND_NODES and n > 3:
+        assert len(bands) > 1
+    for name in ("scherk", "paraboloid"):
+        bound = GridField.dirichlet(SQUARE, shape, BUILTIN_SURFACES[name])
+        solved = solve_minimal_surface(bound, max_iter=12).field
+        for field in (bound, solved):
+            circs, rovnice, el = whole_grid_figures(field)
+            cons = conservation_residuals(field)
+            rec = reconstruct_and_check(field)
+            for got in (cons.circulations, rec.conservation.circulations):
+                assert list(got) == list(circs)
+                assert all(same_float(got[k], c) for k, c in circs.items())
+            assert same_float(rec.rovnice_residual, rovnice)
+            assert same_float(rec.el_residual, el)
 
 
 def test_nan_figures_fail_the_conservation_gates():
