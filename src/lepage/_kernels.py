@@ -7,12 +7,13 @@ interior values as a 9-point operator whose colour blocks hold its six
 distinct couplings per node, each block formed from u when a kernel reads
 it (``GraphJacobian``), ``GraphRHS`` is the Newton right-hand side -F(u),
 formed from u anew each time it is copied, and ``cell_circulation`` takes
-trapezoid-rule loop integrals around the grid cells.  The rest are the Newton solver's grid
-operations on 9-point operators, in the dtype of their operands: applying
-one, its residual, a colour Gauss-Seidel sweep, a copy in a given dtype and
-a test that the couplings they read are finite, the max norm, bilinear
-prolongation added in place and its transpose, the Galerkin coarse operator
-composed from the fine stencil, and the operator's sparse triplets.
+trapezoid-rule loop integrals around the grid cells.  The rest are the
+Newton solver's grid operations on 9-point operators, in the dtype of their
+operands: applying one, its residual, a colour Gauss-Seidel sweep, a copy in
+a given dtype and a test that the couplings they read are finite, the max
+norm, bilinear prolongation added in place and its transpose, the Galerkin
+coarse operator composed from the fine stencil, and the operator's sparse
+triplets.
 """
 
 from __future__ import annotations
@@ -228,18 +229,12 @@ class GraphRHS:
     ``copy()``, so that it is held only while it is read.  u must not
     change while it is in use."""
 
-    __slots__ = ("u", "hx", "hy")
+    __slots__ = ("u", "hx", "hy", "shape", "size")
 
     def __init__(self, u, hx, hy):
         self.u, self.hx, self.hy = u, hx, hy
-
-    @property
-    def shape(self):
-        return self.u.shape[0] - 2, self.u.shape[1] - 2
-
-    @property
-    def size(self):
-        return (self.u.shape[0] - 2) * (self.u.shape[1] - 2)
+        self.shape = (u.shape[0] - 2, u.shape[1] - 2)
+        self.size = self.shape[0] * self.shape[1]
 
     def copy(self):
         r = interior_residual(self.u, self.hx, self.hy)
