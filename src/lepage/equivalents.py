@@ -12,10 +12,10 @@ part of the exterior derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .charts import ChartError, JetChart, formal_derivative
@@ -30,7 +30,7 @@ from .forms import (
 )
 
 __all__ = [
-    "Lagrangian", "HorizontalNForm", "DerivativeTensors",
+    "Lagrangian", "HorizontalNForm",
     "poincare_cartan", "fundamental", "caratheodory", "hilbert_caratheodory",
     "fundamental_homogeneous", "lagrangian_of", "is_lepage", "euler_lagrange",
     "el_form_check",
@@ -39,10 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """First-order Lagrange function attached to a jet chart."""
+    """First-order Lagrange function attached to a jet chart.
+
+    Every jet derivative of L that the constructors and the Euler-Lagrange
+    expressions read comes from ``derivative``, which keeps one table per
+    Lagrangian; the table takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     chart: JetChart
     L: Expr
+    _derivatives: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         for s in free_symbols(self.L):
@@ -53,25 +60,18 @@ class Lagrangian:
     def volume(self) -> DiffForm:
         return volume_form(self.chart).scale(self.L)
 
+    def derivative(self, pairs: Sequence[tuple[int, int]] = ()) -> Expr:
+        """Iterated derivative of L by y^K_j over the (K, j) pairs.
 
-class DerivativeTensors:
-    """Iterated jet-derivative tensors of a scalar, memoized per multi-index.
-
-    Keys are sorted tuples of (fiber index, base index) pairs; sorting is
-    valid because mixed partials commute.
-    """
-
-    def __init__(self, L: Expr):
-        self.cache: dict[tuple, Expr] = {(): L}
-
-    def get(self, pairs: Sequence[tuple[int, int]]) -> Expr:
+        Memoized per sorted multi-index; sorting is valid because mixed
+        partials commute.
+        """
         key = tuple(sorted(pairs))
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        prefix, (K, j) = key[:-1], key[-1]
-        value = diff(self.get(prefix), Sym("y1", K, j))
-        self.cache[key] = value
+        value = self._derivatives.get(key)
+        if value is None:
+            value = diff(self.derivative(key[:-1]), Sym("y1", *key[-1])) \
+                if key else self.L
+            self._derivatives[key] = value
         return value
 
 
@@ -120,7 +120,7 @@ def poincare_cartan(lam: Lagrangian) -> DiffForm:
     result = volume_form(chart).scale(lam.L)
     for K in range(1, chart.M + 1):
         for j in range(1, chart.n + 1):
-            coeff = diff(lam.L, Sym("y1", K, j))
+            coeff = lam.derivative(((K, j),))
             if coeff.is_zero:
                 continue
             one_form = DiffForm(chart, 1, "contact", {(om(K),): coeff})
@@ -138,7 +138,6 @@ def fundamental(lam: Lagrangian) -> DiffForm:
     """
     chart = lam.chart
     n, M = chart.n, chart.M
-    tensors = DerivativeTensors(lam.L)
     acc: dict[tuple, Expr] = {}
     for k in range(0, n + 1):
         weight = Fraction(1, factorial(n - k) * factorial(k) ** 2)
@@ -146,7 +145,7 @@ def fundamental(lam: Lagrangian) -> DiffForm:
             sign = levi_civita(p)
             base_word = tuple(dx(i) for i in p[k:])
             for Ks in product(range(1, M + 1), repeat=k):
-                deriv = tensors.get(tuple(zip(Ks, p[:k])))
+                deriv = lam.derivative(tuple(zip(Ks, p[:k])))
                 if deriv.is_zero:
                     continue
                 word = tuple(om(K) for K in Ks) + base_word
@@ -165,7 +164,7 @@ def caratheodory(lam: Lagrangian) -> DiffForm:
     for k in range(1, chart.n + 1):
         terms: dict[tuple, Expr] = {(dx(k),): ONE}
         for K in range(1, chart.M + 1):
-            coeff = diff(lam.L, Sym("y1", K, k)) / lam.L
+            coeff = lam.derivative(((K, k),)) / lam.L
             if not coeff.is_zero:
                 terms[(om(K),)] = coeff
         factors.append(DiffForm(chart, 1, "contact", terms))
@@ -196,19 +195,13 @@ def _hilbert_caratheodory(lam: Lagrangian) -> DiffForm:
     # the construction alone, for a Lagrange function known to be homogeneous
     chart = lam.chart
     n, M = chart.n, chart.M
-    tensors = DerivativeTensors(lam.L)
     scale = const(Fraction(1, factorial(n))) / lam.L ** (n - 1)
     acc: dict[tuple, Expr] = {}
     for p in permutations(range(1, n + 1)):
         sign = levi_civita(p)
         for Ks in product(range(1, M + 1), repeat=n):
-            coeff = ONE
-            for K, j in zip(Ks, p):
-                part = tensors.get(((K, j),))
-                if part.is_zero:
-                    coeff = ZERO
-                    break
-                coeff = coeff * part
+            coeff = prod((lam.derivative(((K, j),)) for K, j in zip(Ks, p)),
+                         start=ONE)
             if coeff.is_zero:
                 continue
             word = tuple(dy(K) for K in Ks)
@@ -242,13 +235,12 @@ def _fundamental_homogeneous(lam: Lagrangian) -> DiffForm:
     # the construction alone, for a Lagrange function known to be homogeneous
     chart = lam.chart
     n, M = chart.n, chart.M
-    tensors = DerivativeTensors(lam.L)
     weight = Fraction(1, factorial(n) ** 2)
     acc: dict[tuple, Expr] = {}
     for p in permutations(range(1, n + 1)):
         sign = levi_civita(p)
         for Ks in product(range(1, M + 1), repeat=n):
-            deriv = tensors.get(tuple(zip(Ks, p)))
+            deriv = lam.derivative(tuple(zip(Ks, p)))
             if deriv.is_zero:
                 continue
             word = tuple(dy(K) for K in Ks)
@@ -333,7 +325,7 @@ def euler_lagrange(lam: Lagrangian) -> tuple[Expr, ...]:
     out = []
     for K in range(1, chart.M + 1):
         divergence = expr_sum(
-            formal_derivative(diff(lam.L, Sym("y1", K, j)), j, chart)
+            formal_derivative(lam.derivative(((K, j),)), j, chart)
             for j in range(1, chart.n + 1))
         out.append(diff(lam.L, Sym("y", K)) - divergence)
     return tuple(out)

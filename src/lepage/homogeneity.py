@@ -67,6 +67,13 @@ def check_equivariance(F: Expr, chart: JetChart, *, trials: int = 20,
                  trials=trials, tol=tol, seed=seed, guards=[det, *guards])
 
 
+def _minor_leftovers(e: Expr, adapted: AdaptedChart) -> list[Sym]:
+    # the selected-minor entries that e still depends on, in key order
+    minor = {Sym("w1", it, j) for it in adapted.selected
+             for j in range(1, adapted.chart.n + 1)}
+    return sorted(minor & set(free_symbols(e)), key=lambda s: s.key)
+
+
 def grassmann_projection(F: Expr, adapted: AdaptedChart, *, trials: int = 30,
                          tol: float = 1e-9, seed: int = 0) -> Expr:
     """Quotient-chart factor of a homogeneous function.
@@ -78,10 +85,7 @@ def grassmann_projection(F: Expr, adapted: AdaptedChart, *, trials: int = 30,
     Fw = adapted.to_adapted(F)
     det_w = adapted.minor_det_w()
     FG = Fw / det_w
-    minor_syms = {Sym("w1", it, j) for it in adapted.selected
-                  for j in range(1, adapted.chart.n + 1)}
-    leftovers = sorted(minor_syms & set(free_symbols(FG)),
-                       key=lambda s: s.key)
+    leftovers = _minor_leftovers(FG, adapted)
     if leftovers:
         raise ExprError(
             "function does not factor through the quotient chart; residual "
@@ -104,13 +108,10 @@ def grassmann_form(hform, adapted: AdaptedChart) -> "DiffForm":
     """
     from .forms import DiffForm, dw, form, zero_form
     chart = adapted.chart
-    minor_syms = {Sym("w1", it, j) for it in adapted.selected
-                  for j in range(1, chart.n + 1)}
     terms = {}
     for word, coeff in hform.form.terms.items():
         value = adapted.to_adapted(coeff)
-        leftovers = sorted(minor_syms & set(free_symbols(value)),
-                           key=lambda s: s.key)
+        leftovers = _minor_leftovers(value, adapted)
         if leftovers:
             raise ExprError(
                 "coefficient does not descend to the quotient chart; "

@@ -124,9 +124,6 @@ class GridField:
         out.values = blend
         return out
 
-    def copy(self) -> "GridField":
-        return GridField(self.rect, self.values.copy())
-
 
 # ---------------------------------------------------------------------------
 # graph equation

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -19,7 +20,7 @@ from lepage.forms import (
     horizontalize, om, to_contact, to_coordinate, volume_form, zero_form,
 )
 from lepage.equivalents import (
-    DerivativeTensors, HorizontalNForm, Lagrangian, _lepage_verdict,
+    HorizontalNForm, Lagrangian, _lepage_verdict,
     caratheodory, el_form_check, euler_lagrange, fundamental,
     fundamental_homogeneous, hilbert_caratheodory, is_lepage, lagrangian_of,
     poincare_cartan,
@@ -78,12 +79,57 @@ def test_lagrangian_rejects_second_order():
 
 
 def test_derivative_tensors_memoize_sorted():
-    L = yj(1, 1) ** 2 * yj(2, 2)
-    t = DerivativeTensors(L)
-    a = t.get(((1, 1), (2, 2)))
-    b = t.get(((2, 2), (1, 1)))
+    lam = Lagrangian(CH21, yj(1, 1) ** 2 * yj(2, 2))
+    a = lam.derivative(((1, 1), (2, 2)))
+    b = lam.derivative(((2, 2), (1, 1)))
     assert a is b
     assert equal(a, const(2) * yj(1, 1))
+    assert lam.derivative() is lam.L
+
+
+def test_derivative_is_iterated_diff_in_any_order():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    jets = [("y1", K, j) for K in range(1, CH22.M + 1)
+            for j in range(1, CH22.n + 1)]
+    atoms = jets + [("y", K) for K in range(1, CH22.M + 1)]
+
+    @st.composite
+    def cases(draw):
+        # a polynomial, and pairs drawn mostly from the jets it carries
+        monos = draw(st.lists(st.tuples(
+            st.integers(-3, 3), st.lists(st.sampled_from(atoms), max_size=3)),
+            min_size=1, max_size=4))
+        L = expr_sum(const(c) * prod((sym_expr(Sym(*a)) for a in factors),
+                                     start=ONE) for c, factors in monos)
+        carried = [a[1:] for _, factors in monos for a in factors
+                   if a[0] == "y1"]
+        pool = carried + [a[1:] for a in jets[:2]]
+        pairs = draw(st.lists(st.sampled_from(pool), max_size=3))
+        return L, pairs, draw(st.permutations(pairs))
+
+    @hyp.settings(max_examples=60)
+    @hyp.given(cases())
+    def check(case):
+        L, pairs, permuted = case
+        lam = Lagrangian(CH22, L)
+        expected = L
+        for K, j in pairs:
+            expected = diff(expected, Sym("y1", K, j))
+        assert lam.derivative(pairs) == expected
+        assert lam.derivative(permuted) is lam.derivative(pairs)
+
+    check()
+
+
+def test_lagrangian_identity_ignores_its_derivative_table():
+    fresh = dirichlet_lagrangian()
+    used = dirichlet_lagrangian()
+    text = repr(used)
+    fundamental(used)
+    assert used._derivatives
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == text
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +266,17 @@ def test_area_equivalents_coincide():
         assert form_equal(W, HC, trials=10, seed=7).verdict == "equal"
         C = caratheodory(lam)
         assert form_equal(C, HC, trials=10, seed=9).verdict == "equal"
+
+
+def test_homogeneous_equivalents_skip_vanishing_derivatives():
+    # L = y^1_1 does not depend on y^2_1, so every dy2 word has a zero factor
+    chart = JetChart(1, 1, 1)
+    lam = Lagrangian(chart, yj(1, 1))
+    dy1 = form(chart, "coordinate", {(dy(1),): ONE})
+    for rho in (hilbert_caratheodory(lam, trials=10, seed=1),
+                fundamental_homogeneous(lam, trials=10, seed=1),
+                to_coordinate(caratheodory(lam))):
+        assert rho == dy1
 
 
 def test_skew_pair_control_separates_equivalents():

@@ -500,6 +500,33 @@ def test_contact_ideal_keeps_quotient():
     assert (again - rb).is_zero
 
 
+AD22 = AdaptedChart(CH22, (1, 2))
+
+
+def test_contact_ideal_inter_reduces_generators():
+    # 3-forms meet generators (dw^1 ^ dw^s_1 + dw^2 ^ dw^s_2) ^ chi that share
+    # their largest word, so the normal form needs the generators reduced
+    # against each other first
+    b = form(CH22, "adapted", {(dw(2), dwj(3, 2), dwj(4, 2)): ONE},
+             adapted=AD22)
+    rb = reduce_contact_ideal(b)
+    assert rb == form(CH22, "adapted-contact",
+                      {(dw(1), dwj(3, 1), dwj(4, 2)): -ONE}, adapted=AD22)
+    b = b + form(CH22, "adapted", {(dwj(3, 1), dwj(3, 2), dwj(4, 1)): ww(3)},
+                 adapted=AD22)
+    rb = reduce_contact_ideal(b)
+    basis = [dw(1), dw(2)] + [dwj(s, i) for s in (3, 4) for i in (1, 2)]
+    c = ww(3) - const(2) * wj(4, 1)
+    for s in (3, 4):
+        d_omt = form(CH22, "adapted",
+                     {(dw(1), dwj(s, 1)): c, (dw(2), dwj(s, 2)): c},
+                     adapted=AD22)
+        for chi in basis:
+            gen = wedge(d_omt, form(CH22, "adapted", {(chi,): ONE},
+                                    adapted=AD22))
+            assert reduce_contact_ideal(b + gen) == rb
+
+
 def test_adapted_d_rejects_minor_entries():
     bad = form(CH21, "adapted", {(dw(1),): wj(1, 2)}, adapted=AD21)
     with pytest.raises(FormError):
