@@ -49,7 +49,7 @@ def interior_residual(u, hx, hy):
     """The graph equation at the interior nodes, made in bands of about
     _BAND_NODES nodes, each from the derivatives of its rows alone."""
     out = np.empty((u.shape[0] - 2, u.shape[1] - 2), np.result_type(u, 1.0))
-    rows = max(1, _BAND_NODES // max(1, out.shape[1]))
+    rows = band_rows(out.shape[1])
     for i in range(0, out.shape[0], rows):
         ux, uy, uxx, uyy, uxy = _stencil_derivatives(u[i:i + rows + 2], hx, hy)
         out[i:i + rows] = ((1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
@@ -141,6 +141,12 @@ SIX = {(0, 1): (0, False), (2, 1): (1, False), (1, 0): (2, False),
 _BAND_NODES = 16384
 
 
+def band_rows(width):
+    """The rows of ``width`` nodes in one band: about _BAND_NODES nodes,
+    and at least one row."""
+    return max(1, _BAND_NODES // max(1, width))
+
+
 def _band_fields(u, hx, hy, i, q, F):
     # the SIX fields F at the nodes i, i + 2, ... of rows and q, q + 2, ...
     # of columns, from the derivatives of interior_residual taken on
@@ -217,7 +223,7 @@ class GraphJacobian(Sequence):
         (p, q), u = COLOURS[c], self.u
         mx, my = u.shape[0] - 2, u.shape[1] - 2
         F = np.empty((6, len(range(p, mx, 2)), len(range(q, my, 2))))
-        rows = max(1, _BAND_NODES // max(1, F.shape[2]))
+        rows = band_rows(F.shape[2])
         for k in range(0, F.shape[1], rows):
             _band_fields(u, self.hx, self.hy, p + 2 * k, q, F[:, k:k + rows])
         return Block(F, SIX)

@@ -24,7 +24,7 @@ from .expr import (ONE, ZERO, Expr, PointAssignment, Sym, atan_expr, const,
                    sym_expr, x, yj, yy)
 from .forms import (DiffForm, Immersion, dx, dy, ext_d, form, form_equal,
                     horizontalize, om, pullback_immersion, to_contact,
-                    to_coordinate, wedge, zero_form)
+                    to_coordinate, wedge)
 from .homogeneity import grassmann_form, zermelo_residuals
 from .metric import (MetricSpec, graph_el_residual, krupka_form,
                      minimal_lagrangian, scherk_expr, verify_coincidence)
@@ -79,10 +79,7 @@ def _random_form(chart: JetChart, degree: int, mode: str,
         if coeff.is_zero:
             coeff = const(rng.randint(1, 3))
         acc[word] = acc.get(word, ZERO) + coeff
-    acc = {w: c for w, c in acc.items() if not c.is_zero}
-    if not acc:
-        return zero_form(chart, degree, mode)
-    return form(chart, mode, acc)
+    return form(chart, mode, acc, degree=degree)
 
 
 def _jacobian_lagrangian() -> Lagrangian:
@@ -105,14 +102,15 @@ def _scherk_solve(N: int):
 def _homogeneity_suite(seed: int) -> tuple[bool, str]:
     """Area integrand passes every slope-weight identity; controls fail."""
     lam = minimal_lagrangian(MetricSpec.euclidean(3), 2)
-    verdicts = zermelo_residuals(lam.L, lam.chart, trials=20, seed=seed)
+    verdicts = zermelo_residuals(lam, trials=20, seed=seed)
     zero = all(v and v.decided_by == "structural" for v in verdicts.values())
     parts = [f"area integrand: all {len(verdicts)} residuals normalize to zero"
              if zero else "area integrand residuals do not vanish"]
     ok = zero
     controls = (("affine slope", yj(1, 1) + ONE), ("squared slope", yj(1, 1) ** 2))
     for label, ctrl in controls:
-        rep = zermelo_residuals(ctrl, lam.chart, trials=20, seed=seed)
+        rep = zermelo_residuals(Lagrangian(lam.chart, ctrl), trials=20,
+                                seed=seed)
         bad = rep.witness()
         if bad is None:
             ok = False
@@ -288,14 +286,13 @@ def _conservation_gates(seed: int) -> tuple[bool, str]:
     solved = _scherk_solve(65)
     rec = minimal.reconstruct_and_check(solved.field)
     cons = rec.conservation
-    gate = cons.gate(10.0)
-    ok = solved.converged and cons.passed(10.0) and rec.passed
+    gate = cons.gate()
+    ok = solved.converged and cons.passed() and rec.passed
     parab = minimal.GridField.from_function(
         SQUARE, (65, 65), minimal.BUILTIN_SURFACES["paraboloid"])
-    # run the control far past the gates so every stage residual is populated
-    prec = minimal.reconstruct_and_check(parab, gate_factor=1e30)
+    prec = minimal.reconstruct_and_check(parab)
     pcons = prec.conservation
-    ok = ok and not pcons.passed(10.0) and prec.rovnice_residual > gate
+    ok = ok and not pcons.passed() and prec.rovnice_residual > gate
     return ok, (f"converged solution: max circulation {cons.max_circulation:.3e} "
                 f"and relation residual {rec.rovnice_residual:.3e} under gate "
                 f"{gate:.3e}; paraboloid control: circulation "

@@ -73,22 +73,26 @@ class JetChart:
     def raised(self) -> "JetChart":
         return JetChart(self.n, self.m, 2)
 
+    def check_symbol(self, s: Sym, order: int | None = None) -> None:
+        """Raise ChartError unless s lies in this chart's index ranges.
+
+        x^i takes i in 1..n; y^K, w^K, y^K_j and y^K_jk take K in 1..M and
+        their lower indices in 1..n; y^K_jk needs jet order 2 (``order``,
+        by default the chart's).  Other kinds are not checked.
+        """
+        if s.kind == "x" and not 1 <= s.a <= self.n:
+            raise ChartError(f"base index {s.a} outside 1..{self.n}")
+        if s.kind in ("y", "w", "y1", "y2") and not 1 <= s.a <= self.M:
+            raise ChartError(f"fiber index {s.a} outside 1..{self.M}")
+        for j in {"y1": (s.b,), "y2": (s.b, s.c)}.get(s.kind, ()):
+            if not 1 <= j <= self.n:
+                raise ChartError(f"base index {j} outside 1..{self.n}")
+        if s.kind == "y2" and (self.order if order is None else order) < 2:
+            raise ChartError("second-order symbol on a first-order chart")
+
     def validate_expr(self, e: Expr, *, max_order: int | None = None) -> None:
-        order = max_order if max_order is not None else self.order
         for s in free_symbols(e):
-            if s.kind in ("w", "w1", "z", "a"):
-                continue
-            if s.kind == "x" and not 1 <= s.a <= self.n:
-                raise ChartError(f"symbol {s!r} outside chart base range")
-            if s.kind in ("y", "y1", "y2") and not 1 <= s.a <= self.M:
-                raise ChartError(f"symbol {s!r} outside chart fiber range")
-            if s.kind == "y1" and not 1 <= s.b <= self.n:
-                raise ChartError(f"symbol {s!r} outside chart base range")
-            if s.kind == "y2":
-                if order < 2:
-                    raise ChartError(f"second-order symbol {s!r} on order-1 data")
-                if not (1 <= s.b <= self.n and 1 <= s.c <= self.n):
-                    raise ChartError(f"symbol {s!r} outside chart base range")
+            self.check_symbol(s, max_order)
 
 
 def contains_order2(e: Expr) -> bool:

@@ -305,31 +305,31 @@ _KIND_ALIASES = {
     "w": "fundamental-homogeneous",
     "omega": "krupka",
 }
-_KINDS = ("poincare-cartan", "fundamental", "caratheodory",
-          "fundamental-homogeneous", "hilbert-caratheodory", "krupka")
 
 
-def _build_equivalent(kind: str, prob: ProblemSpec, *, seed: int, tol: float,
-                      trials: int) -> tuple[str, DiffForm]:
+def _krupka(prob: ProblemSpec, sampling: dict) -> DiffForm:
+    if prob.metric is None:
+        raise ProblemError("kind 'krupka' needs a metric problem")
+    return metric.krupka_form(prob.metric, prob.chart.n).form
+
+
+# each kind's constructor, from the problem and the sampling settings
+_EQUIVALENTS = {
+    "poincare-cartan": lambda prob, s: poincare_cartan(prob.lagrangian),
+    "fundamental": lambda prob, s: fundamental(prob.lagrangian),
+    "caratheodory": lambda prob, s: caratheodory(prob.lagrangian),
+    "fundamental-homogeneous":
+        lambda prob, s: fundamental_homogeneous(prob.lagrangian, **s),
+    "hilbert-caratheodory":
+        lambda prob, s: hilbert_caratheodory(prob.lagrangian, **s),
+    "krupka": _krupka,
+}
+
+
+def _build_equivalent(kind: str, prob: ProblemSpec,
+                      **sampling) -> tuple[str, DiffForm]:
     kind = _KIND_ALIASES.get(kind, kind)
-    lam = prob.lagrangian
-    if kind == "poincare-cartan":
-        return kind, poincare_cartan(lam)
-    if kind == "fundamental":
-        return kind, fundamental(lam)
-    if kind == "caratheodory":
-        return kind, caratheodory(lam)
-    if kind == "fundamental-homogeneous":
-        return kind, fundamental_homogeneous(lam, trials=trials, tol=tol,
-                                             seed=seed)
-    if kind == "hilbert-caratheodory":
-        return kind, hilbert_caratheodory(lam, trials=trials, tol=tol,
-                                          seed=seed)
-    if kind == "krupka":
-        if prob.metric is None:
-            raise ProblemError("kind 'krupka' needs a metric problem")
-        return kind, metric.krupka_form(prob.metric, prob.chart.n).form
-    raise ProblemError(f"unknown equivalent kind {kind!r}")
+    return kind, _EQUIVALENTS[kind](prob, sampling)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +400,8 @@ def _cmd_check_lepage(args: argparse.Namespace) -> int:
 def _cmd_check_zermelo(args: argparse.Namespace) -> int:
     prob = load_problem(args.problem)
     seed, tol, trials = _sampling(args, prob)
-    F, chart = prob.lagrangian.L, prob.chart
-    verdicts = homogeneity.zermelo_residuals(F, chart, trials=trials, tol=tol,
+    lam = prob.lagrangian
+    verdicts = homogeneity.zermelo_residuals(lam, trials=trials, tol=tol,
                                              seed=seed)
     payload = _report("check-zermelo", passed=verdicts.passed,
                       verdicts={f"{i},{j}": res.verdict
@@ -409,7 +409,7 @@ def _cmd_check_zermelo(args: argparse.Namespace) -> int:
     bad = verdicts.witness()
     if bad is not None:
         (i, j), res = bad
-        residual = homogeneity.zermelo_residual(F, chart, i, j)
+        residual = homogeneity.zermelo_residual(lam, i, j)
         payload["witness"] = _witness(res, index=[i, j],
                                       residual=to_dsl(residual))
     _emit(payload)
@@ -574,7 +574,7 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
                    "relation": rec.rovnice_residual,
                    "reconstruction_stage": rec.stage},
         circulations={**dict(sorted(cons.circulations.items())),
-                      "gate": cons.gate(10.0)},
+                      "gate": cons.gate()},
     )
     _emit(payload)
     if args.csv is not None:
@@ -609,6 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Equivalents, extremal equations, invariants, and a "
                     "minimal-surface workbench over jet charts.")
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = sorted(set(_EQUIVALENTS) | set(_KIND_ALIASES))
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--problem", required=True, help="problem JSON file")
@@ -626,14 +627,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lepage", parents=[common],
                        help="construct an equivalent of the problem integrand")
-    p.add_argument("--kind", required=True,
-                   choices=sorted(set(_KINDS) | set(_KIND_ALIASES)))
+    p.add_argument("--kind", required=True, choices=kinds)
     p.set_defaults(handler=_cmd_lepage)
 
     p = sub.add_parser("check-lepage", parents=[common],
                        help="verify the constructed equivalent")
-    p.add_argument("--kind", required=True,
-                   choices=sorted(set(_KINDS) | set(_KIND_ALIASES)))
+    p.add_argument("--kind", required=True, choices=kinds)
     p.set_defaults(handler=_cmd_check_lepage)
 
     p = sub.add_parser("check-zermelo", parents=[common],

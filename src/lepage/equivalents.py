@@ -18,10 +18,10 @@ from itertools import permutations, product
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .charts import ChartError, JetChart, formal_derivative
+from .charts import JetChart, formal_derivative
 from .expr import (
     EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff,
-    expr_sum, free_symbols, levi_civita,
+    expr_sum, levi_civita,
 )
 from .forms import (
     DiffForm, FormError, VectorField, dx, dy, om, form,
@@ -52,9 +52,6 @@ class Lagrangian:
                                compare=False)
 
     def __post_init__(self):
-        for s in free_symbols(self.L):
-            if s.kind == "y2":
-                raise ChartError("Lagrange function must be first order")
         self.chart.validate_expr(self.L, max_order=1)
 
     def volume(self) -> DiffForm:
@@ -101,9 +98,7 @@ class HorizontalNForm:
         """Build from skew-tensor values at arbitrary fiber index tuples."""
         terms = {tuple(dy(K) for K in Ks): coeff
                  for Ks, coeff in coefficients.items()}
-        built = form(chart, "coordinate", terms) if terms else \
-            zero_form(chart, chart.n, "coordinate")
-        return cls(chart, built)
+        return cls(chart, form(chart, "coordinate", terms, degree=chart.n))
 
     def coefficient(self, Ks: Sequence[int]) -> Expr:
         """Skew tensor value at an arbitrary index tuple."""
@@ -151,8 +146,7 @@ def fundamental(lam: Lagrangian) -> DiffForm:
                 word = tuple(om(K) for K in Ks) + base_word
                 coeff = const(sign * weight) * deriv
                 acc[word] = acc.get(word, ZERO) + coeff
-    return form(chart, "contact", acc) if acc else \
-        zero_form(chart, n, "contact")
+    return form(chart, "contact", acc, degree=n)
 
 
 def caratheodory(lam: Lagrangian) -> DiffForm:
@@ -173,8 +167,7 @@ def caratheodory(lam: Lagrangian) -> DiffForm:
 
 def _require_homogeneous(lam: Lagrangian, trials: int, tol: float, seed: int):
     from .homogeneity import zermelo_residuals
-    bad = zermelo_residuals(lam.L, lam.chart, trials=trials, tol=tol,
-                            seed=seed).witness()
+    bad = zermelo_residuals(lam, trials=trials, tol=tol, seed=seed).witness()
     if bad is not None:
         (j, l), res = bad
         raise ExprError("Lagrange function is not positive homogeneous: "
@@ -206,9 +199,7 @@ def _hilbert_caratheodory(lam: Lagrangian) -> DiffForm:
                 continue
             word = tuple(dy(K) for K in Ks)
             acc[word] = acc.get(word, ZERO) + const(sign) * coeff
-    built = form(chart, "coordinate", acc) if acc else \
-        zero_form(chart, n, "coordinate")
-    return built.scale(scale)
+    return form(chart, "coordinate", acc, degree=n).scale(scale)
 
 
 def fundamental_homogeneous(lam: Lagrangian, *, verify: bool = True,
@@ -245,8 +236,7 @@ def _fundamental_homogeneous(lam: Lagrangian) -> DiffForm:
                 continue
             word = tuple(dy(K) for K in Ks)
             acc[word] = acc.get(word, ZERO) + const(sign * weight) * deriv
-    return form(chart, "coordinate", acc) if acc else \
-        zero_form(chart, n, "coordinate")
+    return form(chart, "coordinate", acc, degree=n)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +342,7 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
     for K in range(1, chart.M + 1):
         if not expressions[K - 1].is_zero:
             expected[(om(K),) + base_word] = expressions[K - 1]
-    target = form(chart.raised(), "contact", expected) if expected else \
-        zero_form(chart.raised(), chart.n + 1, "contact")
+    target = form(chart.raised(), "contact", expected, degree=chart.n + 1)
     lifted = DiffForm(chart.raised(), one_contact.degree, one_contact.mode,
                       one_contact.terms)
     verdicts["1-contact"] = form_equal(lifted, target, trials=trials, tol=tol,

@@ -1443,7 +1443,11 @@ class _Parser:
         sym = _resolve_coord(text)
         if sym is None:
             raise ParseError(f"unknown identifier {text!r}", off)
-        self.validate_sym(sym, off)
+        if self.chart is not None:
+            try:
+                self.chart.check_symbol(sym)
+            except ExprError as exc:
+                raise ParseError(str(exc), off) from None
         return sym_expr(sym)
 
     def application(self, name: str, off: int) -> Expr:
@@ -1490,27 +1494,10 @@ class _Parser:
         except ExprError as exc:
             raise ParseError(str(exc), off) from None
 
-    def validate_sym(self, sym: Sym, off: int) -> None:
-        chart = self.chart
-        if chart is None:
-            return
-        M = chart.m + chart.n
-        if sym.kind == "x" and not 1 <= sym.a <= chart.n:
-            raise ParseError(f"base index {sym.a} outside 1..{chart.n}", off)
-        if sym.kind in ("y", "w") and not 1 <= sym.a <= M:
-            raise ParseError(f"fiber index {sym.a} outside 1..{M}", off)
-        if sym.kind in ("y1", "y2"):
-            if not 1 <= sym.a <= M:
-                raise ParseError(f"fiber index {sym.a} outside 1..{M}", off)
-            for j in (sym.b, sym.c):
-                if j and not 1 <= j <= chart.n:
-                    raise ParseError(f"base index {j} outside 1..{chart.n}", off)
-        if sym.kind == "y2" and chart.order < 2:
-            raise ParseError("second-order symbol on a first-order chart", off)
-
 
 def parse(text: str, chart=None) -> Expr:
-    """Parse surface syntax into a canonical expression."""
+    """Parse surface syntax into a canonical expression; with a chart, each
+    coordinate symbol must pass ``chart.check_symbol``."""
     return _Parser(text, chart).parse()
 
 

@@ -277,9 +277,10 @@ def zero_form(chart: JetChart, degree: int, mode: str = "coordinate",
 
 def form(chart: JetChart, mode: str,
          terms: Mapping[Sequence[Covector], Expr | int],
-         adapted: AdaptedChart | None = None) -> DiffForm:
-    """Build a form from possibly unsorted words."""
-    degree = None
+         adapted: AdaptedChart | None = None,
+         degree: int | None = None) -> DiffForm:
+    """Build a form from possibly unsorted words, of ``degree`` or else
+    the length of the first word."""
     acc: dict[Word, Expr] = {}
     for word, coeff in terms.items():
         word = tuple(word)

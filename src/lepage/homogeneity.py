@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .charts import AdaptedChart, JetChart, gl_act_symbolic, group_det_symbolic
+from .charts import AdaptedChart, gl_act_symbolic, group_det_symbolic
 from .expr import (
-    EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff, equal,
+    EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, equal,
     expr_sum, free_symbols, substitute, sym_expr,
 )
 
@@ -22,30 +22,32 @@ __all__ = [
 ]
 
 
-def zermelo_residual(F: Expr, chart: JetChart, j: int, l: int) -> Expr:
-    """Residual sum_K y^K_l dF/dy^K_j - delta^j_l F of one homogeneity identity."""
+def zermelo_residual(lam: "Lagrangian", j: int, l: int) -> Expr:
+    """Residual sum_K y^K_l dL/dy^K_j - delta^j_l L of one homogeneity
+    identity, read from the Lagrangian's derivative table."""
     contracted = expr_sum(
-        diff(F, Sym("y1", K, j)) * sym_expr(Sym("y1", K, l))
-        for K in range(1, chart.M + 1))
-    return contracted - F if j == l else contracted
+        lam.derivative(((K, j),)) * sym_expr(Sym("y1", K, l))
+        for K in range(1, lam.chart.M + 1))
+    return contracted - lam.L if j == l else contracted
 
 
-def zermelo_residuals(F: Expr, chart: JetChart, *, trials: int = 50,
+def zermelo_residuals(lam: "Lagrangian", *, trials: int = 50,
                       tol: float = 1e-9, seed: int = 0,
                       guards: Sequence[Expr] = ()) -> Verdicts:
-    """Homogeneity identities of a velocity function, keyed by the base-index
-    pair (j, l) in sorted order, each its residual's comparison with zero."""
-    chart.validate_expr(F, max_order=1)
+    """Homogeneity identities of a Lagrange function, keyed by the
+    base-index pair (j, l) in sorted order, each its residual's comparison
+    with zero."""
+    n = lam.chart.n
     return Verdicts(
-        ((j, l), equal(zermelo_residual(F, chart, j, l), ZERO, trials=trials,
+        ((j, l), equal(zermelo_residual(lam, j, l), ZERO, trials=trials,
                        tol=tol, seed=seed, guards=guards))
-        for j in range(1, chart.n + 1) for l in range(1, chart.n + 1))
+        for j in range(1, n + 1) for l in range(1, n + 1))
 
 
-def check_equivariance(F: Expr, chart: JetChart, *, trials: int = 20,
+def check_equivariance(lam: "Lagrangian", *, trials: int = 20,
                        tol: float = 1e-9, seed: int = 0,
                        guards: Sequence[Expr] = ()) -> EqualResult:
-    """Decide F(y g) = det(g) F(y) over the orientation-preserving group.
+    """Decide L(y g) = det(g) L(y) over the orientation-preserving group.
 
     The group element is g = I + a / (4 n^2), near the identity, with the
     entries a^l_j sampled with the jets from +-[0.1, 2].  Each entry of
@@ -56,7 +58,7 @@ def check_equivariance(F: Expr, chart: JetChart, *, trials: int = 20,
     that holds near I holds on all of it.  A witness point names the a
     entries it was drawn at.
     """
-    chart.validate_expr(F, max_order=1)
+    F, chart = lam.L, lam.chart
     n = chart.n
     scale = const(Fraction(1, 4 * n * n))
     near = {Sym("a", l, j): scale * sym_expr(Sym("a", l, j))
@@ -106,7 +108,7 @@ def grassmann_form(hform, adapted: AdaptedChart) -> "DiffForm":
     selected-minor entries, which holds exactly when they are homogeneous of
     degree zero in the velocities.
     """
-    from .forms import DiffForm, dw, form, zero_form
+    from .forms import DiffForm, dw, form
     chart = adapted.chart
     terms = {}
     for word, coeff in hform.form.terms.items():
@@ -117,6 +119,5 @@ def grassmann_form(hform, adapted: AdaptedChart) -> "DiffForm":
                 "coefficient does not descend to the quotient chart; "
                 f"residual dependence on {', '.join(map(str, leftovers))}")
         terms[tuple(dw(c.a) for c in word)] = value
-    if not terms:
-        return zero_form(chart, hform.form.degree, "adapted", adapted=adapted)
-    return form(chart, "adapted", terms, adapted=adapted)
+    return form(chart, "adapted", terms, adapted=adapted,
+                degree=hform.form.degree)

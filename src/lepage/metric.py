@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 from typing import Mapping
 
 from .charts import ChartError, JetChart
@@ -104,13 +104,7 @@ def krupka_form(g: MetricSpec, n: int) -> HorizontalNForm:
     for Ks in product(range(1, M + 1), repeat=n):
         acc = ZERO
         for Ls in product(range(1, M + 1), repeat=n):
-            weight = ONE
-            for K, L in zip(Ks, Ls):
-                entry = g.entry(K, L)
-                if entry.is_zero:
-                    weight = ZERO
-                    break
-                weight = weight * entry
+            weight = prod((g.entry(K, L) for K, L in zip(Ks, Ls)), start=ONE)
             if weight.is_zero:
                 continue
             D = det_expr([[yj(L, k) for k in range(1, n + 1)] for L in Ls])

@@ -558,11 +558,6 @@ def _current_components(ux: np.ndarray, uy: np.ndarray):
     yield "h", (-uy / S, ux / S)
 
 
-def _gate(hx: float, hy: float, factor: float) -> float:
-    # closed smooth currents circulate O(h^2) per unit cell area
-    return factor * max(hx, hy) ** 2
-
-
 @dataclass
 class ConservationReport:
     """The largest |circulation| over the grid cells of each of the three
@@ -578,7 +573,8 @@ class ConservationReport:
         return float(np.max(list(self.circulations.values())))
 
     def gate(self, factor: float = 10.0) -> float:
-        return _gate(self.hx, self.hy, factor)
+        # closed smooth currents circulate O(h^2) per unit cell area
+        return factor * max(self.hx, self.hy) ** 2
 
     def passed(self, factor: float = 10.0) -> bool:
         return self.max_circulation <= self.gate(factor)
@@ -596,11 +592,11 @@ def _max_circulation(P: np.ndarray, Q: np.ndarray, hx: float,
 
 def _row_bands(n: int, width: int):
     # (lo, i0, i1, hi): bands [i0, i1) of n interior rows of ``width``
-    # nodes, about _BAND_NODES nodes each and the last at least two rows,
+    # nodes, ``_kernels.band_rows`` rows each and the last at least two,
     # and the rows [lo, hi) each is read with: one more on either side, for
     # the x-differences and the cells between two bands, and at least
     # three, as np.gradient's one-sided differences at the edges take them
-    rows = max(1, _kernels._BAND_NODES // max(1, width))
+    rows = _kernels.band_rows(width)
     for i0 in range(0, max(1, n - 1), rows):
         i1 = i0 + rows if i0 + rows < n - 1 else n
         yield max(0, i0 - 1), i0, i1, min(n, max(i1 + 1, 3))
@@ -663,7 +659,7 @@ def conservation_residuals(u: GridField) -> ConservationReport:
     keep the derivative error a smooth field; circulations over boundary
     cells would amplify the one-sided stencil mismatch by 1/h.  Only each
     current's largest |circulation| is kept, and the grid is read in row
-    bands of about ``_kernels._BAND_NODES`` nodes.
+    bands of ``_kernels.band_rows`` rows.
     """
     return ConservationReport(_grid_figures(u, False), u.hx, u.hy)
 
@@ -716,8 +712,7 @@ def _potential(P: np.ndarray, Q: np.ndarray, hx: float, hy: float,
     return row[rows, None] + cols
 
 
-def reconstruct_and_check(u: GridField, *,
-                          gate_factor: float = 10.0) -> ReconstructionReport:
+def reconstruct_and_check(u: GridField) -> ReconstructionReport:
     """Integrate the currents to potentials f, g, h and close the loop.
 
     Passes when the currents are numerically closed, the reconstructed
@@ -725,14 +720,14 @@ def reconstruct_and_check(u: GridField, *,
     and the graph equation residual is below the same gate.  The closedness
     report is the one ``conservation_residuals`` gives, taken from the same
     current pairs that are integrated.  The grid is read in row bands of
-    about ``_kernels._BAND_NODES`` nodes: each band's currents are made
-    once, each potential is integrated over the band, its two derivatives
-    go into the two directions' defects, and only maxima outlive the band,
-    so no array of the grid's size is held.
+    ``_kernels.band_rows`` rows: each band's currents are made once, each
+    potential is integrated over the band, its two derivatives go into the
+    two directions' defects, and only maxima outlive the band, so no array
+    of the grid's size is held.
     """
     circs, rovnice, el = _grid_figures(u, True)
     conservation = ConservationReport(circs, u.hx, u.hy)
-    gate = _gate(u.hx, u.hy, gate_factor)
+    gate = conservation.gate()
     figures = (("closedness", conservation.max_circulation),
                ("potential-system", rovnice), ("equation", el))
     # the first gate whose figure is not within it; a nan figure is not

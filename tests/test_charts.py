@@ -13,9 +13,9 @@ from lepage.charts import (
     gl_act_symbolic, group_det_symbolic,
 )
 from lepage.expr import (
-    PointAssignment, Sym, const, det_expr, diff, equal, evaluate, expr_sum,
-    free_symbols, opaque, parse, sqrt_expr, substitute, sym_expr, to_dsl, wj,
-    ww, x, yj, yy,
+    ParseError, PointAssignment, Sym, const, det_expr, diff, equal, evaluate,
+    expr_sum, free_symbols, opaque, parse, sqrt_expr, substitute, sym_expr,
+    sym_name, to_dsl, wj, ww, x, yj, yy,
 )
 
 
@@ -55,6 +55,61 @@ def test_chart_expr_validation():
         chart.validate_expr(yj(4, 1))
     with pytest.raises(ChartError):
         chart.validate_expr(parse("y1_12"))
+
+
+def _range_error(s: Sym, n: int, M: int, order: int) -> str | None:
+    # the chart's index rule as a table: each checked kind's indices, in the
+    # order they are checked, with the label and the top of their range
+    ranges = {"x": [("base", s.a, n)],
+              "y": [("fiber", s.a, M)], "w": [("fiber", s.a, M)],
+              "y1": [("fiber", s.a, M), ("base", s.b, n)],
+              "y2": [("fiber", s.a, M), ("base", s.b, n), ("base", s.c, n)]}
+    for label, i, top in ranges.get(s.kind, ()):
+        if not 1 <= i <= top:
+            return f"{label} index {i} outside 1..{top}"
+    if s.kind == "y2" and order < 2:
+        return "second-order symbol on a first-order chart"
+    return None
+
+
+def test_check_symbol_follows_the_range_table():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    lower = {"x": 0, "y": 0, "y1": 1, "y2": 2, "w": 0, "w1": 1, "z": 1, "a": 1}
+
+    @st.composite
+    def cases(draw):
+        kind = draw(st.sampled_from(sorted(lower)))
+        indices = draw(st.lists(st.integers(0, 9), min_size=1 + lower[kind],
+                                max_size=1 + lower[kind]))
+        chart = JetChart(draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                         draw(st.integers(1, 2)))
+        return Sym(kind, *indices), chart, draw(st.sampled_from((None, 1, 2)))
+
+    def error(call):
+        try:
+            call()
+        except ChartError as exc:
+            return str(exc)
+        return None
+
+    @hyp.settings(max_examples=400)
+    @hyp.given(cases())
+    def check(case):
+        s, chart, order = case
+        want = _range_error(s, chart.n, chart.M, chart.order)
+        assert error(lambda: chart.check_symbol(s)) == want
+        assert error(lambda: chart.validate_expr(sym_expr(s))) == want
+        assert error(lambda: chart.check_symbol(s, order)) == _range_error(
+            s, chart.n, chart.M, chart.order if order is None else order)
+        if want is None:
+            assert parse(sym_name(s), chart) == sym_expr(s)
+        else:
+            with pytest.raises(ParseError) as info:
+                parse(sym_name(s), chart)
+            assert str(info.value) == f"{want} (at offset 0)"
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -810,6 +810,22 @@ def test_problem_accepts_integral_float_chart_sizes(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("symbol, message", [
+    ("y5_1", "fiber index 5 outside 1..3"),
+    ("y1_3", "base index 3 outside 1..2"),
+    ("x3", "base index 3 outside 1..2"),
+    ("y2_11", "second-order symbol on a first-order chart"),
+    ("w4", "fiber index 4 outside 1..3"),
+])
+def test_out_of_range_symbols_name_the_index(capsys, tmp_path, symbol,
+                                             message):
+    path = write_problem(tmp_path, {"chart": {"n": 2, "m": 1},
+                                    "lagrangian": symbol})
+    code, out, err = run_cli(capsys, "derive-el", "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: lagrangian: {message} (at offset 0)\n"
+
+
 def test_problem_rejects_bad_fiber_index(capsys, tmp_path):
     path = write_problem(tmp_path, {
         "schema": "lepage-problem/1",

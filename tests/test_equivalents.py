@@ -390,7 +390,7 @@ def test_lepage_horizontal_forms_have_homogeneous_lagrangian():
                                      {(dy(1), dy(3)): yy(2) * const(2)}))
     assert is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1).passed
     lam = lagrangian_of(rho)
-    assert zermelo_residuals(lam.L, CH21, trials=10, seed=1).passed
+    assert zermelo_residuals(lam, trials=10, seed=1).passed
 
 
 # ---------------------------------------------------------------------------

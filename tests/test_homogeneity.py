@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lepage.charts import AdaptedChart, JetChart
+from lepage.equivalents import Lagrangian, fundamental_homogeneous
 from lepage.expr import (
     ExprError, ONE, Sym, const, diff, equal, expr_sum, sqrt_expr, sym_expr,
     to_dsl, wj, x, yj, yy,
@@ -56,7 +57,7 @@ INHOMOGENEOUS = [
 @pytest.mark.parametrize("label,chart,F", HOMOGENEOUS,
                          ids=[h[0] for h in HOMOGENEOUS])
 def test_zermelo_passes_for_homogeneous(label, chart, F):
-    report = zermelo_residuals(F, chart, trials=10, seed=1)
+    report = zermelo_residuals(Lagrangian(chart, F), trials=10, seed=1)
     assert report.passed
     assert report.witness() is None
 
@@ -64,7 +65,7 @@ def test_zermelo_passes_for_homogeneous(label, chart, F):
 @pytest.mark.parametrize("label,chart,F", INHOMOGENEOUS,
                          ids=[h[0] for h in INHOMOGENEOUS])
 def test_zermelo_fails_for_inhomogeneous(label, chart, F):
-    report = zermelo_residuals(F, chart, trials=10, seed=1)
+    report = zermelo_residuals(Lagrangian(chart, F), trials=10, seed=1)
     assert not report.passed
     key, verdict = report.witness()
     assert verdict.verdict == "unequal"
@@ -73,26 +74,62 @@ def test_zermelo_fails_for_inhomogeneous(label, chart, F):
 
 def test_zermelo_residual_values():
     # for F = y^1_1 + 1 the (1,1) residual is exactly -1
-    F = yj(1, 1) + const(1)
-    assert equal(zermelo_residual(F, CH21, 1, 1), -ONE)
-    assert equal(zermelo_residual(F, CH21, 1, 2), yj(1, 2))
-    assert zermelo_residual(F, CH21, 2, 1).is_zero
+    F = Lagrangian(CH21, yj(1, 1) + const(1))
+    assert equal(zermelo_residual(F, 1, 1), -ONE)
+    assert equal(zermelo_residual(F, 1, 2), yj(1, 2))
+    assert zermelo_residual(F, 2, 1).is_zero
     # for F = (y^1_1)^2 the (1,1) residual equals F itself
-    assert equal(zermelo_residual(yj(1, 1) ** 2, CH21, 1, 1), yj(1, 1) ** 2)
+    assert equal(zermelo_residual(Lagrangian(CH21, yj(1, 1) ** 2), 1, 1),
+                 yj(1, 1) ** 2)
 
 
 def test_zermelo_polynomial_cases_close_symbolically():
     # polynomial homogeneous functions give exact zero residuals
-    F = yj(1, 1) * yj(2, 2) - yj(2, 1) * yj(1, 2)
-    report = zermelo_residuals(F, CH21, trials=5, seed=1)
+    F = Lagrangian(CH21, yj(1, 1) * yj(2, 2) - yj(2, 1) * yj(1, 2))
+    report = zermelo_residuals(F, trials=5, seed=1)
     assert all(r.decided_by == "structural" for r in report.values())
-    assert all(zermelo_residual(F, CH21, j, l).is_zero for j, l in report)
+    assert all(zermelo_residual(F, j, l).is_zero for j, l in report)
+
+
+def test_zermelo_residual_is_the_contracted_identity():
+    # the oracle differentiates F itself; the residual reads the table
+    for _, chart, F in HOMOGENEOUS + INHOMOGENEOUS:
+        lam = Lagrangian(chart, F)
+        for j in range(1, chart.n + 1):
+            for l in range(1, chart.n + 1):
+                want = expr_sum(diff(F, Sym("y1", K, j))
+                                * sym_expr(Sym("y1", K, l))
+                                for K in range(1, chart.M + 1))
+                if j == l:
+                    want = want - F
+                assert zermelo_residual(lam, j, l) == want
+
+
+def test_zermelo_residuals_read_the_derivative_table(monkeypatch):
+    import lepage.equivalents as equivalents
+    lam = Lagrangian(CH22, area_function(CH22))
+    assert zermelo_residuals(lam, trials=5, seed=1).passed
+    first = [((K, j),) for K in range(1, CH22.M + 1)
+             for j in range(1, CH22.n + 1)]
+    assert set(lam._derivatives) == {()} | set(first)
+    # the homogeneous construction then differentiates only the first
+    # derivatives, each second-order entry of its n-th tensor once
+    firsts = [lam.derivative(k) for k in first]
+    differentiated = []
+
+    def counting(e, s):
+        differentiated.append(e)
+        return diff(e, s)
+    monkeypatch.setattr(equivalents, "diff", counting)
+    fundamental_homogeneous(lam, verify=False)
+    assert len(differentiated) == CH22.M ** 2
+    assert all(any(e is d for d in firsts) for e in differentiated)
 
 
 def test_check_zermelo_wrapper():
-    assert zermelo_residuals(area_function(CH21), CH21, trials=8,
+    assert zermelo_residuals(Lagrangian(CH21, area_function(CH21)), trials=8,
                              seed=2).passed
-    assert not zermelo_residuals(yj(1, 1) ** 2, CH21, trials=8,
+    assert not zermelo_residuals(Lagrangian(CH21, yj(1, 1) ** 2), trials=8,
                                  seed=2).passed
 
 
@@ -121,7 +158,7 @@ def test_differentiated_identity():
 @pytest.mark.parametrize("label,chart,F", HOMOGENEOUS,
                          ids=[h[0] for h in HOMOGENEOUS])
 def test_equivariance_matches_homogeneity(label, chart, F):
-    res = check_equivariance(F, chart, trials=8, seed=4)
+    res = check_equivariance(Lagrangian(chart, F), trials=8, seed=4)
     assert res.verdict == "equal"
     if "sqrt" in to_dsl(F):
         assert res.samples > 0
@@ -134,7 +171,7 @@ def test_equivariance_matches_homogeneity(label, chart, F):
 @pytest.mark.parametrize("label,chart,F", INHOMOGENEOUS,
                          ids=[h[0] for h in INHOMOGENEOUS])
 def test_equivariance_detects_failure(label, chart, F):
-    res = check_equivariance(F, chart, trials=8, seed=4)
+    res = check_equivariance(Lagrangian(chart, F), trials=8, seed=4)
     assert res.verdict == "unequal"
     assert res.witness is not None
     assert Sym("a", 1, 1) in res.witness.symbols
@@ -147,19 +184,19 @@ def test_equivariance_counts_every_trial(seed):
     # the guard, so no trial is skipped
     for chart, F in ((CH21, area_function(CH21)),
                      (CH11, sqrt_expr(yj(1, 1) ** 2 + yj(2, 1) ** 2))):
-        res = check_equivariance(F, chart, trials=20, seed=seed)
+        res = check_equivariance(Lagrangian(chart, F), trials=20, seed=seed)
         assert res.verdict == "equal" and res.samples == 20
         assert res.skipped == {"guard": 0, "domain": 0, "overflow": 0}
     # the squared speed is homogeneous of degree 2, not 1: not equivariant
-    control = check_equivariance(yj(1, 1) ** 2 + yj(2, 1) ** 2, CH11,
-                                 trials=20, seed=seed)
+    control = check_equivariance(
+        Lagrangian(CH11, yj(1, 1) ** 2 + yj(2, 1) ** 2), trials=20, seed=seed)
     assert control.verdict == "unequal"
 
 
 def test_equivariance_skips_samples_a_caller_guard_rejects():
     # a guard at or below GUARD_EPS skips the sample, negative ones included
-    res = check_equivariance(area_function(CH21), CH21, trials=8, seed=4,
-                             guards=[-ONE])
+    res = check_equivariance(Lagrangian(CH21, area_function(CH21)), trials=8,
+                             seed=4, guards=[-ONE])
     assert res.verdict == "unknown" and not res
     assert res.samples == 0
 

@@ -93,11 +93,9 @@ def test_area_lagrangian_graph_substitution():
 
 
 def test_area_lagrangians_are_homogeneous():
-    assert zermelo_residuals(minimal_lagrangian(EUC3, 2).L,
-                             JetChart(2, 1, 1)).passed
+    assert zermelo_residuals(minimal_lagrangian(EUC3, 2)).passed
     curved = MetricSpec.diagonal(exp_expr(yy(1)), ONE, ONE)
-    assert zermelo_residuals(minimal_lagrangian(curved, 2).L,
-                             JetChart(2, 1, 1)).passed
+    assert zermelo_residuals(minimal_lagrangian(curved, 2)).passed
 
 
 def test_dimension_guards():
@@ -156,7 +154,7 @@ def test_coincidence_checks_homogeneity_once(monkeypatch):
         return original(*args, **kwargs)
     monkeypatch.setattr(lepage.homogeneity, "zermelo_residuals", record)
     assert verify_coincidence(EUC3, 2, trials=20, seed=0).passed
-    assert calls == [minimal_lagrangian(EUC3, 2).L]
+    assert calls == [minimal_lagrangian(EUC3, 2)]
 
 
 def test_coincidence_guard():
