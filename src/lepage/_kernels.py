@@ -46,14 +46,26 @@ def _stencil_derivatives(u, hx, hy):
 
 
 def interior_residual(u, hx, hy):
-    """The graph equation at the interior nodes, made in bands of about
-    _BAND_NODES nodes, each from the derivatives of its rows alone."""
+    """The graph equation at the interior nodes, made in bands of
+    ``band_rows`` rows, each from the derivatives of its rows alone."""
     out = np.empty((u.shape[0] - 2, u.shape[1] - 2), np.result_type(u, 1.0))
-    rows = band_rows(out.shape[1])
+    rows = band_rows(out.shape[1], out.shape[0])
     for i in range(0, out.shape[0], rows):
         ux, uy, uxx, uyy, uxy = _stencil_derivatives(u[i:i + rows + 2], hx, hy)
-        out[i:i + rows] = ((1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
-                           + (1.0 + ux * ux) * uyy)
+        # (1 + uy uy) uxx - 2 ux uy uxy + (1 + ux ux) uyy, operation by
+        # operation in that order, in place in uxx and one scratch array
+        t = np.multiply(uy, uy)
+        t += 1.0
+        uxx *= t
+        np.multiply(ux, 2.0, out=t)
+        t *= uy
+        t *= uxy
+        uxx -= t
+        np.multiply(ux, ux, out=t)
+        t += 1.0
+        t *= uyy
+        np.add(uxx, t, out=out[i:i + rows])
+        del ux, uy, uxx, uyy, uxy, t  # not held while the next band's are made
     return out
 
 
@@ -110,30 +122,53 @@ class Block:
 
     ``fields`` is a contiguous (k, ...) array, of any float dtype, of the
     block's distinct couplings at its nodes, and ``layout`` maps each (a, b)
-    to (field, negated): Sc[a, b] is a view of the field, or its negation,
-    formed when read.  The kernels subtract a negated field's products
-    instead of forming it, which is exact, so they give the bits of the
-    block whose fields hold each coupling as it is.
+    to (terms, negated): Sc[a, b] is the field of index terms[0], a view,
+    or the sum of the fields it names, in order, formed in their dtype when
+    read, and negated, also when read, if ``negated``.  The kernels subtract
+    a negated coupling's products instead of forming it, which is exact, so
+    they give the bits of the block whose fields hold each coupling as it is.
     """
 
-    __slots__ = ("fields", "layout")
+    __slots__ = ("fields", "layout", "_views")
 
     def __init__(self, fields, layout):
         self.fields, self.layout = fields, layout
+        # each coupling that is one field, as a view of it, with its sign,
+        # made once: the kernels read them many times over
+        self._views = {ab: (fields[terms[0]], negated)
+                       for ab, (terms, negated) in layout.items()
+                       if len(terms) == 1}
+
+    def signed(self, ab):
+        """(S, negated) with Sc[a, b] == -S if negated else S, so that a
+        kernel reads a negated coupling without forming it: y - S * x
+        equals y + (-S) * x bit for bit."""
+        view = self._views.get(ab)
+        if view is not None:
+            return view
+        terms, negated = self.layout[ab]
+        S = np.add(self.fields[terms[0]], self.fields[terms[1]])
+        for t in terms[2:]:
+            S += self.fields[t]
+        return S, negated
 
     def __getitem__(self, ab):
-        field, negated = self.layout[ab]
-        return -self.fields[field] if negated else self.fields[field]
+        S, negated = self.signed(ab)
+        return -S if negated else S
 
 
 # any operator, one field per coupling in (a, b) order
-NINE = {(a, b): (3 * a + b, False) for a in range(3) for b in range(3)}
+NINE = {(a, b): ((3 * a + b,), False) for a in range(3) for b in range(3)}
 # the graph equation's Jacobian: ax - dx, ax + dx, by - ey, by + ey, cxy
 # and the centre -2 ax - 2 by, for ax = A/hx^2, dx = D/2hx, by = B/hy^2,
 # ey = E/2hy and cxy = C/4hxhy, with -cxy at (0, 2) and (2, 0)
-SIX = {(0, 1): (0, False), (2, 1): (1, False), (1, 0): (2, False),
-       (1, 2): (3, False), (0, 0): (4, False), (2, 2): (4, False),
-       (0, 2): (4, True), (2, 0): (4, True), (1, 1): (5, False)}
+SIX = {(0, 1): ((0,), False), (2, 1): ((1,), False), (1, 0): ((2,), False),
+       (1, 2): ((3,), False), (0, 0): ((4,), False), (2, 2): ((4,), False),
+       (0, 2): ((4,), True), (2, 0): ((4,), True), (1, 1): ((5,), False)}
+# the solve's copy of a SIX block: its first five fields, and the centre
+# -((ax - dx) + (ax + dx) + (by - ey) + (by + ey)), the sum of the four
+# arms, negated, formed when read
+FIVE = {**SIX, (1, 1): ((0, 1, 2, 3), True)}
 
 
 # the fields are made in bands of about this many nodes, whose derivatives
@@ -141,10 +176,11 @@ SIX = {(0, 1): (0, False), (2, 1): (1, False), (1, 0): (2, False),
 _BAND_NODES = 16384
 
 
-def band_rows(width):
-    """The rows of ``width`` nodes in one band: about _BAND_NODES nodes,
-    and at least one row."""
-    return max(1, _BAND_NODES // max(1, width))
+def band_rows(width, rows):
+    """The rows in one band of ``rows`` rows of ``width`` nodes: about
+    _BAND_NODES nodes, at most a quarter of the rows, rounded up, so that
+    no band is the whole, and at least one row."""
+    return max(1, min(_BAND_NODES // max(1, width), -(-rows // 4)))
 
 
 def _band_fields(u, hx, hy, i, q, F):
@@ -223,7 +259,7 @@ class GraphJacobian(Sequence):
         (p, q), u = COLOURS[c], self.u
         mx, my = u.shape[0] - 2, u.shape[1] - 2
         F = np.empty((6, len(range(p, mx, 2)), len(range(q, my, 2))))
-        rows = band_rows(F.shape[2])
+        rows = band_rows(F.shape[2], F.shape[1])
         for k in range(0, F.shape[1], rows):
             _band_fields(u, self.hx, self.hy, p + 2 * k, q, F[:, k:k + rows])
         return Block(F, SIX)
@@ -260,17 +296,10 @@ def _reach(p, n):
     return tuple(out)
 
 
-def _signed(Sc, ab):
-    # (S, negated) with Sc[a, b] == -S if negated else S, so that a kernel
-    # reads a negated field without forming it; y - S * x equals
-    # y + (-S) * x bit for bit
-    field, negated = Sc.layout[ab]
-    return Sc.fields[field], negated
-
-
-def _colour_apply(Sc, x, p, q):
+def _colour_apply(Sc, x, p, q, centre=None):
     # (S x) at the nodes of colour (p, q), from the couplings that stay in
-    # the grid, summed in (a, b) order as a CSR row sums its entries
+    # the grid, summed in (a, b) order as a CSR row sums its entries;
+    # centre, if given, is Sc.signed((1, 1)), formed by the caller
     rows, cols = _reach(p, x.shape[0]), _reach(q, x.shape[1])
     (k, i), (l, j) = rows[0], cols[0]
     S = Sc[0, 0]
@@ -283,7 +312,8 @@ def _colour_apply(Sc, x, p, q):
         for b in range(3):
             if a or b:
                 (k, i), (l, j) = rows[a], cols[b]
-                S, negated = _signed(Sc, (a, b))
+                S, negated = (centre if (a, b) == (1, 1) and centre is not None
+                              else Sc.signed((a, b)))
                 yc = y[k, l]
                 if negated:
                     yc -= S[k, l] * x[i, j]
@@ -316,27 +346,50 @@ def stencil_residual(blocks, x, f, out=None):
     return out
 
 
-def colour_gauss_seidel(blocks, x, f, order=(0, 1, 2, 3)):
+def colour_gauss_seidel(blocks, x, f, order=(0, 1, 2, 3), zero=False):
     """One Gauss-Seidel sweep for S x = f, colour by colour, in place.
 
-    Each colour is one vectorized update.
+    Each colour is one vectorized update, which forms the colour's centre
+    coupling once, for its product and its division; dividing by -S and
+    adding is subtracting the quotient by S, bit for bit.  ``zero`` says
+    that x is +0.0 on entry and every coupling in the grid finite, so that
+    the first colour's S x is a zero, whose sign f - S x can take only
+    where f is a zero, and adding the step to +0.0 drops it: that product
+    is not made, and the sweep gives the bits of the full one.
     """
-    for c in order:
+    for n, c in enumerate(order):
         (p, q), Sc = COLOURS[c], blocks[c]
+        centre = Sc.signed((1, 1))
+        if zero and not n:
+            step = np.divide(f[p::2, q::2], centre[0])
+        else:
+            step = _colour_apply(Sc, x, p, q, centre)
+            np.subtract(f[p::2, q::2], step, out=step)
+            step /= centre[0]
         xc = x[p::2, q::2]
-        xc += (f[p::2, q::2] - _colour_apply(Sc, x, p, q)) / Sc[1, 1]
+        if centre[1]:
+            xc -= step
+        else:
+            xc += step
+
+
+def block_copy(Sc, dtype):
+    """The copy of block Sc in ``dtype``: of a ``SIX`` block its first five
+    fields, in the ``FIVE`` layout, whose centre is formed from the copied
+    arms when read, and of any other block all its fields, in its layout.
+    Entries beyond the range of ``dtype`` become infinite."""
+    fields, layout = ((Sc.fields[:5], FIVE) if Sc.layout is SIX
+                      else (Sc.fields, Sc.layout))
+    with np.errstate(over="ignore"):
+        return Block(fields.astype(dtype), layout)
 
 
 def stencil_copy(blocks, dtype):
-    """Replace the blocks of the list ``blocks`` by copies in ``dtype``.
-
-    The list is converted one colour at a time, so it holds no more than
-    one colour's block twice.  Entries beyond the range of ``dtype`` become
-    infinite.
-    """
-    with np.errstate(over="ignore"):
-        for c, Sc in enumerate(blocks):
-            blocks[c] = Block(Sc.fields.astype(dtype), Sc.layout)
+    """Replace the blocks of the list ``blocks`` by their ``block_copy``s
+    in ``dtype``, one colour at a time, so that the list holds no more than
+    one colour's block twice."""
+    for c, Sc in enumerate(blocks):
+        blocks[c] = block_copy(Sc, dtype)
 
 
 def _in_grid(Sc, p, q, shape):
@@ -346,7 +399,7 @@ def _in_grid(Sc, p, q, shape):
     rows, cols = _reach(p, shape[0]), _reach(q, shape[1])
     for a in range(3):
         for b in range(3):
-            yield (rows[a][0], cols[b][0]), _signed(Sc, (a, b))[0]
+            yield (rows[a][0], cols[b][0]), Sc.signed((a, b))[0]
 
 
 def stencil_finite(blocks, shape):
@@ -358,17 +411,21 @@ def stencil_finite(blocks, shape):
                for nodes, S in _in_grid(Sc, p, q, shape))
 
 
+def colour_norm(Sc, p, q, shape):
+    """The largest row sum of |S[a, b]| over the couplings that stay in an
+    interior grid of ``shape``, at the nodes of colour (p, q), whose block
+    is Sc, each row summed in (a, b) order as a CSR row sums its entries."""
+    total = np.zeros(Sc.fields.shape[1:], Sc.fields.dtype)
+    for nodes, S in _in_grid(Sc, p, q, shape):
+        total[nodes] += np.abs(S[nodes])
+    return float(total.max(initial=0.0))
+
+
 def stencil_norm(blocks, shape):
-    """The max norm of the operator on an interior grid of ``shape``: its
-    largest row sum of |S[a, b]| over the couplings that stay in the grid,
-    each row summed in (a, b) order as a CSR row sums its entries."""
-    norms = []
-    for (p, q), Sc in zip(COLOURS, blocks):
-        total = np.zeros(Sc.fields.shape[1:], Sc.fields.dtype)
-        for nodes, S in _in_grid(Sc, p, q, shape):
-            total[nodes] += np.abs(S[nodes])
-        norms.append(float(total.max(initial=0.0)))
-    return max(norms)
+    """The max norm of the operator on an interior grid of ``shape``: the
+    largest ``colour_norm`` of its colours."""
+    return max(colour_norm(Sc, p, q, shape)
+               for (p, q), Sc in zip(COLOURS, blocks))
 
 
 def _interpolated(v, n):
@@ -459,17 +516,17 @@ def _fold(part, windows):
 
 def galerkin_product(blocks, fine, coarse):
     """``NINE`` colour blocks, float64, of P^T S P on the interior grid
-    ``coarse``: S the colour blocks ``blocks`` on ``fine``, P bilinear
-    interpolation.
+    ``coarse``: S the colour blocks ``blocks`` on ``fine``, in any float
+    dtype, P bilinear interpolation.
 
     Composed from the fine stencil (Trottenberg, Oosterlee & Schueller,
     *Multigrid*, 2001): at each node of coarse node I's restriction window,
     the sum over (a, b), in the kernels' order, of S[a, b] times the
     bilinear weight (1, 1/2 or 1/4) of the target I + (A - 1, B - 1) at the
     neighbour, the window then combined as ``restrict`` combines it.  Terms
-    of weight 0 or off the grid are left out, and targets off the grid get
-    0, so each entry is bit for bit the image of the probe that is 1 at the
-    target.
+    of weight 0 or off the grid are left out, targets off the grid get 0,
+    and every product and sum is taken in float64, so each entry is bit for
+    bit the image of the probe that is 1 at the target.
     """
     out = []
     for P, Q in COLOURS:
@@ -486,7 +543,9 @@ def galerkin_product(blocks, fine, coarse):
             for a, (A, wa, ks) in enumerate(rterms):
                 for b, (B, wb, ls) in enumerate(cterms):
                     S = Sc[a, b][ks, ls]
-                    y[A, B, ks, ls] += S if wa * wb == 1.0 else S * (wa * wb)
+                    if wa * wb != 1.0:
+                        S = np.multiply(S, wa * wb, dtype=np.float64)
+                    y[A, B, ks, ls] += S
             return y
 
         Z = _fold(lambda c: _fold(lambda r: part(r, c), rows), cols)

@@ -158,22 +158,26 @@ def _fundamental_vs_homogeneous(seed: int) -> tuple[bool, str]:
     """The two fundamental constructions agree on area, differ on a pairing."""
     parts: list[str] = []
     ok = True
+    # each pair of forms is built first and its Lagrangian, with the table
+    # of its derivatives, dropped before the forms are compared
     for dim in (3, 4):
         lam = minimal_lagrangian(MetricSpec.euclidean(dim), 2)
+        forms = (fundamental(lam),
+                 fundamental_homogeneous(lam, verify=False, trials=8,
+                                         seed=seed))
+        del lam
         # this comparison is the one verify=True would repeat
-        res = form_equal(fundamental(lam),
-                         fundamental_homogeneous(lam, verify=False, trials=8,
-                                                 seed=seed),
-                         trials=20, tol=1e-9, seed=seed)
+        res = form_equal(*forms, trials=20, tol=1e-9, seed=seed)
         ok = ok and res.verdict == "equal"
         parts.append(f"surface area in R^{dim}: {res.verdict}")
     ch = JetChart(2, 2, 1)
     L = (yj(1, 1) * yj(2, 2) - yj(2, 1) * yj(1, 2)
          + yj(3, 1) * yj(4, 2) - yj(4, 1) * yj(3, 2))
     lam = Lagrangian(ch, L)
-    res = form_equal(fundamental_homogeneous(lam, trials=8, seed=seed),
-                     caratheodory(lam), trials=20, tol=1e-9, seed=seed,
-                     guards=[L])
+    forms = (fundamental_homogeneous(lam, trials=8, seed=seed),
+             caratheodory(lam))
+    del lam
+    res = form_equal(*forms, trials=20, tol=1e-9, seed=seed, guards=[L])
     if res.witness is not None:
         point = {str(s): round(v, 4) for s, v in res.witness.symbols.items()}
         a, b = res.witness_values

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .expr import (
     Expr, ExprError, Sym, cancel_candidate, const, det_expr, diff, expr_sum,
-    free_symbols, sqrt_extract_candidate, substitute, sym_expr,
+    free_symbols, sqrt_extract_candidate, substitute, sym_expr, sym_name,
 )
 
 __all__ = [
@@ -78,8 +78,11 @@ class JetChart:
 
         x^i takes i in 1..n; y^K, w^K, y^K_j and y^K_jk take K in 1..M and
         their lower indices in 1..n; y^K_jk needs jet order 2 (``order``,
-        by default the chart's).  Other kinds are not checked.
+        by default the chart's).  The adapted-chart coordinates w^K_j and
+        z^k_i and the group entries a^l_j are not jet-chart coordinates.
         """
+        if s.kind in ("w1", "z", "a"):
+            raise ChartError(f"{sym_name(s)} is not a jet-chart coordinate")
         if s.kind == "x" and not 1 <= s.a <= self.n:
             raise ChartError(f"base index {s.a} outside 1..{self.n}")
         if s.kind in ("y", "w", "y1", "y2") and not 1 <= s.a <= self.M:

@@ -242,46 +242,49 @@ def _vcycle(stencils, shapes, coarse, level: int,
         return coarse(f.ravel()).reshape(f.shape)
     k, S = _kernels, stencils[level]
     x = np.zeros_like(f)
-    k.colour_gauss_seidel(S, x, f)
+    k.colour_gauss_seidel(S, x, f, zero=True)
     r = k.restrict(k.stencil_residual(S, x, f), shapes[level + 1])
     k.prolong_add(x, _vcycle(stencils, shapes, coarse, level + 1, r))
     k.colour_gauss_seidel(S, x, f, order=(3, 2, 1, 0))
     return x
 
 
-def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
-              psolve) -> np.ndarray:
-    """Right-preconditioned BiCGSTAB for A x = b from x = 0 (H. A. van der
-    Vorst, SIAM J. Sci. Stat. Comput. 13, 1992).
+def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int, psolve,
+              x: np.ndarray, scale=1) -> None:
+    """Right-preconditioned BiCGSTAB for A y = b from y = 0 (H. A. van der
+    Vorst, SIAM J. Sci. Stat. Comput. 13, 1992), adding scale y into the
+    flat iterate x in place.
 
     The arithmetic of scipy 1.17's ``bicgstab`` with atol = rtol ||b||, in
-    b's dtype: it stops when ||r|| < atol, and returns the current x on a
-    rho or omega breakdown (below eps^2 of that dtype), when <r~, v> = 0,
-    or after maxiter steps.
+    b's dtype: it stops when ||r|| < atol, and on a rho or omega breakdown
+    (below eps^2 of that dtype), when <r~, v> = 0, or after maxiter steps.
+    y itself is never made: p^ and s^ are multiplied in place by
+    alpha scale and omega scale, each rounded to b's dtype, and added into
+    x, which may be of a wider dtype, as soon as each is known.  So a zero
+    x of b's dtype, with scale 1, ends as scipy's x bit for bit: the same
+    terms are added to it in the same order.
 
-    Besides b it holds x, r and p, v from its matvec to the next update of
-    p, and p^ or s^ only until its multiple is added to x; alpha p^ goes
-    into x as soon as alpha is known, before s^ is made, which adds the
-    same terms to x in the same order as scipy.  b itself serves as the
-    shadow residual r~, so neither the caller nor psolve may write to b
+    Besides b and x it holds r and p, v from its matvec to the next update
+    of p, and p^ or s^ only until it is added to x.  b itself serves as
+    the shadow residual r~, so neither the caller nor psolve may write to b
     while this runs, and psolve must not write to its argument.  A zero b
-    is returned as it is.
+    leaves x as it is.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
-        return b
+        return
     atol = rtol * float(bnorm)
     breakdown = np.finfo(b.dtype).eps ** 2
-    x, r = np.zeros_like(b), b.copy()
+    r = b.copy()
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
-            return x
+            return
         rho = np.dot(b, r)
         if np.abs(rho) < breakdown:
-            return x
+            return
         if iteration:
             if np.abs(omega) < breakdown:
-                return x
+                return
             beta = (rho / rho_prev) * (alpha / omega)
             p -= omega * v
             del v
@@ -293,66 +296,70 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int,
         v = matvec(phat)
         rv = np.dot(b, v)
         if rv == 0:
-            return x
+            return
         alpha = rho / rv
-        phat *= alpha
+        phat *= b.dtype.type(alpha * scale)
         x += phat
         del phat
         r -= alpha * v  # r is now scipy's s
         if np.linalg.norm(r) < atol:
-            return x
+            return
         shat = psolve(r)
         t = matvec(shat)
         omega = np.dot(t, r) / np.dot(t, t)
-        shat *= omega
+        shat *= b.dtype.type(omega * scale)
         x += shat
         del shat
         r -= omega * t
         del t
         rho_prev = rho
-    return x
 
 
 def _multigrid_solve(S, b, dtype):
     """x with S x = b by float64 refinement of ``dtype`` corrections, or None.
 
-    S serves only the float64 refinement residual b - S x, the test's
-    ||S|| and the first coarse level's Galerkin product.  The set-up reads
-    S's blocks once into a list, for ||S|| and that product, which
-    ``_kernels.galerkin_product`` composes from the fine stencil one coarse
-    colour at a time, with no fine-grid scratch; it then replaces each
-    block of the list by its copy in ``dtype``, one colour at a time, with
-    as many fields per node as the block has.  b is read only by
-    ``b.copy()``, once for each float64 residual, which is then written
-    into that fresh b in place: the first, at x = 0, is b itself, and each
-    later one reads S one block at a time.  So a Jacobian that forms its
-    blocks when read (``GraphJacobian``) holds one colour's fields at most
-    while the corrections run, a right-hand side formed when read
-    (``GraphRHS``) is held only as the residual, and the last correction
-    and its ``dtype`` residual are dropped first.  The
-    corrections run in ``dtype``, on the copy of S and on coarse operators
-    each composed in float64 from the next finer one and kept in ``dtype``.
-    Returns None when a coupling that stays in the grid is beyond the range
-    of ``dtype``, the coarsest solve cannot be made, or a step does not
-    shrink the residual or the test still fails after the first solve and
-    _REFINE_STEPS refinements.
+    S serves only the float64 refinement residual b - S x and the test's
+    ||S||.  The set-up reads each block of S once, for its colour's share
+    of ||S|| and, on a grid that coarsens, its copy in ``dtype``
+    (``_kernels.block_copy``: a ``SIX`` block's copy keeps five fields and
+    forms its centre from them when read), so that there it holds one
+    block of S at most.  Each coarse operator is composed in float64 by
+    ``_kernels.galerkin_product`` from the next finer level's copy, one
+    coarse colour at a time, with no fine-grid scratch, and then replaced
+    by its own copy, one colour at a time; the coarsest stays float64 for
+    the coarse solver, which copies it itself.  A grid that does not
+    coarsen is solved by the coarse solver alone, from S as it is.  b is
+    read only by ``b.copy()``, once for each float64 residual, which is
+    then written into that fresh b in place: the first, at x = 0, is b
+    itself, and each later one reads S one block at a time.  So a Jacobian
+    that forms its blocks when read (``GraphJacobian``) holds one colour's
+    fields at most while the corrections run, a right-hand side formed when
+    read (``GraphRHS``) is held only as the residual, and the last
+    ``dtype`` residual is dropped first.  BiCGSTAB runs on the residual
+    scaled to unit size and adds its updates, scaled back, into the
+    float64 x itself, so neither a ``dtype`` correction nor its float64
+    multiple is made.  Returns None when a coupling that stays in the grid
+    is beyond the range of ``dtype``, the coarsest solve cannot be made, or
+    a step does not shrink the residual or the test still fails after the
+    first solve and _REFINE_STEPS refinements.
     """
     k = _kernels
     shapes = _grid_levels(*b.shape)
-    level = list(S)
-    eps = np.finfo(np.float64).eps
-    tol = k.stencil_norm(level, b.shape) * eps * np.sqrt(b.size)
-    stencils = []
+    level, norm = [], 0.0
+    for c, (p, q) in enumerate(k.COLOURS):
+        Sc = S[c]
+        norm = max(norm, k.colour_norm(Sc, p, q, b.shape))
+        level.append(k.block_copy(Sc, dtype) if len(shapes) > 1 else Sc)
+    del Sc
+    tol = norm * np.finfo(np.float64).eps * np.sqrt(b.size)
+    stencils = [level]
     for fine, shape in zip(shapes, shapes[1:]):
-        # the Galerkin product first, so that its scratch and the copy are
-        # not held at once; the copy then replaces each block
-        coarser = k.galerkin_product(level, fine, shape)
-        k.stencil_copy(level, dtype)
         if not k.stencil_finite(level, fine):
             return None
+        level = k.galerkin_product(level, fine, shape)
+        if shape != shapes[-1]:
+            k.stencil_copy(level, dtype)
         stencils.append(level)
-        level = coarser
-    stencils.append(level)  # the coarsest, solved by `coarse` alone
     coarse = _coarse_solver(level, *shapes[-1], dtype)
     if coarse is None:
         return None
@@ -363,36 +370,37 @@ def _multigrid_solve(S, b, dtype):
     def psolve(v):
         return _vcycle(stencils, shapes, coarse, 0, v.reshape(b.shape)).ravel()
 
-    x, last = np.zeros(b.shape), np.inf
+    x, last = np.zeros(b.size), np.inf
     for solves in range(_REFINE_STEPS + 2):  # the first, then refinements
         # a fresh b, into which b - S x is written; at x = 0 the residual is
         # b: every coupling of S that the kernels read is finite
         # (stencil_finite, or the coarse solver's own test)
         r = b.copy()
         if solves:
-            k.stencil_residual(S, x, r, out=r)
+            k.stencil_residual(S, x.reshape(b.shape), r, out=r)
         rmax = np.max(np.abs(r))
         passed = rmax <= np.max(np.abs(x)) * tol
         if passed and (len(stencils) == 1 or rmax == 0):
-            return x.ravel()
+            return x
         if not passed and (not rmax < last or solves > _REFINE_STEPS):
             return None  # nan, or no progress
         last = rmax
         if len(stencils) == 1:  # the coarse solve itself
             with np.errstate(over="ignore"):
-                x += coarse(r.ravel().astype(dtype)).reshape(b.shape)
+                x += coarse(r.ravel().astype(dtype))
             continue
-        # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale;
-        # once the test holds, one more correction settles x further inside
-        # it, where a float64 inner solve would have left it
+        # the breakdown tests are absolute, so BiCGSTAB sees r at unit scale
+        # and adds its correction into x at rmax; once the test holds, one
+        # more correction settles x further inside it, where a float64
+        # inner solve would have left it
         with np.errstate(all="ignore"):
             r /= rmax
             r = r.astype(dtype)
-            y = _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve)
-            x += rmax * y.reshape(b.shape)
-        del r, y  # not held through the next residual
+            _bicgstab(matvec, r.ravel(), _INNER_RTOL, _INNER_STEPS, psolve,
+                      x, rmax)
+        del r  # not held through the next residual
         if passed:
-            return x.ravel()
+            return x
 
 
 def spsolve(S, b) -> np.ndarray:
@@ -407,19 +415,22 @@ def spsolve(S, b) -> np.ndarray:
     is read once for each float64 residual b - S x, which is written into
     the fresh copy.  While the longer side exceeds 15 nodes, each side longer
     than 15 coarsens from 2m + 1 or 2m nodes to m.  The coarse operators
-    are Galerkin products P^T S P with bilinear P, composed in float64 and
-    kept in float32; only the coarsest, of at most 15 x 15 nodes, is solved
-    directly, by its float32 dense inverse, made by banded Gauss-Jordan
-    elimination in numpy (``_dense_inverse``), not by LAPACK.  Three
+    are Galerkin products P^T S P with bilinear P, each composed in float64
+    from the float32 copy of the next finer one and kept in float32; only
+    the coarsest, of at most 15 x 15 nodes, is solved directly, by its
+    float32 dense inverse, made by banded Gauss-Jordan elimination in numpy
+    (``_dense_inverse``), not by LAPACK.  Three
     precisions (Carson & Higham, SIAM J. Sci. Comput. 40, 2018): a float64
     loop refines x until LAPACK dsgesv's test ||b - S x|| <= ||x|| ||S||
     eps sqrt(n) holds (max norms), for at most 30 refinements after the
     first solve (Buttari et al., ACM TOMS 34(4), 2008), with float32
     corrections: the coarse solve on a grid that does not coarsen, returned
     once the test holds, and otherwise BiCGSTAB to a relative residual of
-    1e-3 or 20 iterations on a float32 copy of S (six fields per node for a
-    Jacobian), preconditioned with a V(1,1)-cycle of four-colour
-    Gauss-Seidel, plus one more correction once the test holds.
+    1e-3 or 20 iterations on a float32 copy of S (five fields per node for
+    a Jacobian, whose centre is formed from its four arms when read),
+    preconditioned with a V(1,1)-cycle of four-colour Gauss-Seidel and
+    adding its updates straight into the float64 x, plus one more
+    correction once the test holds.
     When that fails (a coupling of S or b beyond float32 range, a zero
     pivot in the float32 elimination, a loop that stalls or misses the test)
     the same solve runs in float64 throughout, with a float64 elimination;
@@ -596,7 +607,7 @@ def _row_bands(n: int, width: int):
     # and the rows [lo, hi) each is read with: one more on either side, for
     # the x-differences and the cells between two bands, and at least
     # three, as np.gradient's one-sided differences at the edges take them
-    rows = _kernels.band_rows(width)
+    rows = _kernels.band_rows(width, n)
     for i0 in range(0, max(1, n - 1), rows):
         i1 = i0 + rows if i0 + rows < n - 1 else n
         yield max(0, i0 - 1), i0, i1, min(n, max(i1 + 1, 3))

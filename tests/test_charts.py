@@ -58,8 +58,11 @@ def test_chart_expr_validation():
 
 
 def _range_error(s: Sym, n: int, M: int, order: int) -> str | None:
-    # the chart's index rule as a table: each checked kind's indices, in the
-    # order they are checked, with the label and the top of their range
+    # the chart's index rule as a table: the kinds that are not jet-chart
+    # coordinates, then each checked kind's indices, in the order they are
+    # checked, with the label and the top of their range
+    if s.kind in ("w1", "z", "a"):
+        return f"{sym_name(s)} is not a jet-chart coordinate"
     ranges = {"x": [("base", s.a, n)],
               "y": [("fiber", s.a, M)], "w": [("fiber", s.a, M)],
               "y1": [("fiber", s.a, M), ("base", s.b, n)],

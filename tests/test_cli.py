@@ -826,6 +826,22 @@ def test_out_of_range_symbols_name_the_index(capsys, tmp_path, symbol,
     assert err == f"error: lagrangian: {message} (at offset 0)\n"
 
 
+@pytest.mark.parametrize("command", ["derive-el", "check-zermelo"])
+@pytest.mark.parametrize("lagrangian", ["w1_1*y1_1", "z1_2 + y1_1",
+                                        "a1_1*y1_1"])
+def test_adapted_chart_symbols_are_input_errors(capsys, tmp_path, command,
+                                                lagrangian):
+    # w^K_j, z^k_i and a^l_j are no jet-chart coordinates: neither command
+    # reads such a Lagrangian as a function of a free variable
+    path = write_problem(tmp_path, {"chart": {"n": 2, "m": 1},
+                                    "lagrangian": lagrangian})
+    code, out, err = run_cli(capsys, command, "--problem", path)
+    name = lagrangian.split("*")[0].split(" ")[0]
+    assert (code, out) == (2, "")
+    assert err == (f"error: lagrangian: {name} is not a jet-chart coordinate "
+                   f"(at offset 0)\n")
+
+
 def test_problem_rejects_bad_fiber_index(capsys, tmp_path):
     path = write_problem(tmp_path, {
         "schema": "lepage-problem/1",
