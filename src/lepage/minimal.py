@@ -345,13 +345,13 @@ def _multigrid_solve(S, b, dtype):
     """
     k = _kernels
     shapes = _grid_levels(*b.shape)
-    level, norm = [], 0.0
+    level, norms = [], []
     for c, (p, q) in enumerate(k.COLOURS):
         Sc = S[c]
-        norm = max(norm, k.colour_norm(Sc, p, q, b.shape))
+        norms.append(k.colour_norm(Sc, p, q, b.shape))
         level.append(k.block_copy(Sc, dtype) if len(shapes) > 1 else Sc)
     del Sc
-    tol = norm * np.finfo(np.float64).eps * np.sqrt(b.size)
+    tol = max(norms) * np.finfo(np.float64).eps * np.sqrt(b.size)
     stencils = [level]
     for fine, shape in zip(shapes, shapes[1:]):
         if not k.stencil_finite(level, fine):
