@@ -129,24 +129,18 @@ class Block:
     they give the bits of the block whose fields hold each coupling as it is.
     """
 
-    __slots__ = ("fields", "layout", "_views")
+    __slots__ = ("fields", "layout")
 
     def __init__(self, fields, layout):
         self.fields, self.layout = fields, layout
-        # each coupling that is one field, as a view of it, with its sign,
-        # made once: the kernels read them many times over
-        self._views = {ab: (fields[terms[0]], negated)
-                       for ab, (terms, negated) in layout.items()
-                       if len(terms) == 1}
 
     def signed(self, ab):
         """(S, negated) with Sc[a, b] == -S if negated else S, so that a
         kernel reads a negated coupling without forming it: y - S * x
         equals y + (-S) * x bit for bit."""
-        view = self._views.get(ab)
-        if view is not None:
-            return view
         terms, negated = self.layout[ab]
+        if len(terms) == 1:
+            return self.fields[terms[0]], negated
         S = np.add(self.fields[terms[0]], self.fields[terms[1]])
         for t in terms[2:]:
             S += self.fields[t]
@@ -419,13 +413,6 @@ def colour_norm(Sc, p, q, shape):
     for nodes, S in _in_grid(Sc, p, q, shape):
         total[nodes] += np.abs(S[nodes])
     return float(total.max(initial=0.0))
-
-
-def stencil_norm(blocks, shape):
-    """The max norm of the operator on an interior grid of ``shape``: the
-    largest ``colour_norm`` of its colours."""
-    return max(colour_norm(Sc, p, q, shape)
-               for (p, q), Sc in zip(COLOURS, blocks))
 
 
 def _interpolated(v, n):

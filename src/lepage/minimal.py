@@ -250,7 +250,7 @@ def _vcycle(stencils, shapes, coarse, level: int,
 
 
 def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int, psolve,
-              x: np.ndarray, scale=1) -> None:
+              x: np.ndarray, scale: float) -> None:
     """Right-preconditioned BiCGSTAB for A y = b from y = 0 (H. A. van der
     Vorst, SIAM J. Sci. Stat. Comput. 13, 1992), adding scale y into the
     flat iterate x in place.
@@ -262,7 +262,9 @@ def _bicgstab(matvec, b: np.ndarray, rtol: float, maxiter: int, psolve,
     alpha scale and omega scale, each rounded to b's dtype, and added into
     x, which may be of a wider dtype, as soon as each is known.  So a zero
     x of b's dtype, with scale 1, ends as scipy's x bit for bit: the same
-    terms are added to it in the same order.
+    terms are added to it in the same order.  The scaled update is made in
+    b's dtype: where it leaves that dtype's range it is infinite, and where
+    it is subnormal it loses bits.
 
     Besides b and x it holds r and p, v from its matvec to the next update
     of p, and p^ or s^ only until it is added to x.  b itself serves as
@@ -350,7 +352,7 @@ def _multigrid_solve(S, b, dtype):
         Sc = S[c]
         norms.append(k.colour_norm(Sc, p, q, b.shape))
         level.append(k.block_copy(Sc, dtype) if len(shapes) > 1 else Sc)
-    del Sc
+        del Sc  # not held while the next colour is formed
     tol = max(norms) * np.finfo(np.float64).eps * np.sqrt(b.size)
     stencils = [level]
     for fine, shape in zip(shapes, shapes[1:]):
@@ -376,8 +378,9 @@ def _multigrid_solve(S, b, dtype):
         # b: every coupling of S that the kernels read is finite
         # (stencil_finite, or the coarse solver's own test)
         r = b.copy()
-        if solves:
-            k.stencil_residual(S, x.reshape(b.shape), r, out=r)
+        if solves:  # a correction that overflowed makes r nan: no progress
+            with np.errstate(invalid="ignore", over="ignore"):
+                k.stencil_residual(S, x.reshape(b.shape), r, out=r)
         rmax = np.max(np.abs(r))
         passed = rmax <= np.max(np.abs(x)) * tol
         if passed and (len(stencils) == 1 or rmax == 0):
@@ -431,8 +434,10 @@ def spsolve(S, b) -> np.ndarray:
     preconditioned with a V(1,1)-cycle of four-colour Gauss-Seidel and
     adding its updates straight into the float64 x, plus one more
     correction once the test holds.
-    When that fails (a coupling of S or b beyond float32 range, a zero
-    pivot in the float32 elimination, a loop that stalls or misses the test)
+    When that fails (a coupling of S or b beyond float32 range, a
+    correction that, scaled back to the residual's size in float32, leaves
+    float32's normal range, a zero pivot in the float32 elimination, a
+    loop that stalls or misses the test)
     the same solve runs in float64 throughout, with a float64 elimination;
     when that fails too, x is all NaN.
     """

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +692,12 @@ def same_float(a, b):
     return float(a).hex() == float(b).hex()
 
 
+def stencil_norm(blocks, shape):
+    # the operator's max norm: the largest colour_norm of its colours
+    return max(_kernels.colour_norm(Sc, p, q, shape)
+               for (p, q), Sc in zip(_kernels.COLOURS, blocks))
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (9, 14), (33, 34),
                                    (66, 19)])
 def test_stencil_norm_is_the_triplet_row_sum_bit_for_bit(shape):
@@ -705,7 +712,7 @@ def test_stencil_norm_is_the_triplet_row_sum_bit_for_bit(shape):
         levels.append((_kernels.galerkin_product(six, *shapes[:2]), shapes[1]))
     for blocks, grid in levels:
         want = inf_norm(blocks, grid)
-        assert same_float(_kernels.stencil_norm(blocks, grid), want)
+        assert same_float(stencil_norm(blocks, grid), want)
         for bad in (1e300, np.nan):
             nine = nine_point_copy(blocks)
             for (p, q), Sc in zip(_kernels.COLOURS, nine):
@@ -717,13 +724,13 @@ def test_stencil_norm_is_the_triplet_row_sum_bit_for_bit(shape):
                         outside = np.ones(Sc.fields.shape[1:], bool)
                         outside[k, l] = False
                         Sc[a, b][outside] = bad
-            assert same_float(_kernels.stencil_norm(nine, grid), want)
+            assert same_float(stencil_norm(nine, grid), want)
     # the Jacobian's ax - dx couples row 0 of colours (0, q) to boundary
     # nodes only
     for bad in (1e300, np.nan):
         blocks = [_kernels.Block(Sc.fields.copy(), Sc.layout) for Sc in six]
         blocks[0].fields[0, 0] = blocks[1].fields[0, 0] = bad
-        assert same_float(_kernels.stencil_norm(blocks, (mx, my)),
+        assert same_float(stencil_norm(blocks, (mx, my)),
                           inf_norm(six, (mx, my)))
 
 
@@ -1215,7 +1222,9 @@ S = [_kernels.Block(Sc.fields * 1e36, Sc.layout)
      for Sc in _kernels.interior_jacobian_stencil(u, hx, hy)]
 b = -_kernels.interior_residual(u, hx, hy)
 x = spsolve(S, b).reshape(b.shape)
-tol = _kernels.stencil_norm(S, b.shape) * np.finfo(float).eps * np.sqrt(b.size)
+norm = max(_kernels.colour_norm(Sc, p, q, b.shape)
+           for (p, q), Sc in zip(_kernels.COLOURS, S))
+tol = norm * np.finfo(float).eps * np.sqrt(b.size)
 r = _kernels.stencil_residual(S, x, b)
 assert np.max(np.abs(r)) <= np.max(np.abs(x)) * tol
 print("solved")
@@ -1310,7 +1319,9 @@ S = [_kernels.Block(Sc.fields * 1e36, Sc.layout)
      for Sc in _kernels.interior_jacobian_stencil(u, hx, hy)]
 b = -_kernels.interior_residual(u, hx, hy)
 step = spsolve(S, b).reshape(b.shape)
-tol = _kernels.stencil_norm(S, b.shape) * np.finfo(float).eps * np.sqrt(b.size)
+norm = max(_kernels.colour_norm(Sc, p, q, b.shape)
+           for (p, q), Sc in zip(_kernels.COLOURS, S))
+tol = norm * np.finfo(float).eps * np.sqrt(b.size)
 r = _kernels.stencil_residual(S, step, b)
 assert np.max(np.abs(r)) <= np.max(np.abs(step)) * tol
 
@@ -1560,6 +1571,22 @@ def test_spsolve_beyond_float32_range_falls_back_to_float64(factors):
     assert np.allclose(x, want, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e-40])
+def test_spsolve_scaled_beyond_float32_updates_falls_back_to_float64(scale):
+    # BiCGSTAB's updates, scaled back to the residual's size in float32,
+    # overflow or are subnormal, so the float32 run stalls and the float64
+    # run solves, quietly
+    S, b = one_newton_system("paraboloid", (33, 33))
+    b = b * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lepage.minimal._multigrid_solve(S, b, np.float32) is None
+        x = lepage.minimal.spsolve(S, b)
+    assert meets_dsgesv_test(S, x, b)
+    want = lepage.minimal.spsolve(S, b / scale) * scale
+    assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_spsolve_too_ill_conditioned_to_refine_matches_dense_solve(
         factors):
     # a 1-D Laplacian on a 1 x 10 grid, shifted to 4e-10 above singular:
@@ -1715,7 +1742,7 @@ def test_bicgstab_matches_scipy_bit_for_bit(monkeypatch, shape):
     def both(matvec, rhs, rtol, maxiter, psolve, iterate, scale):
         kept = rhs.copy()
         x = np.zeros_like(rhs)
-        ours(matvec, rhs, rtol, maxiter, psolve, x)
+        ours(matvec, rhs, rtol, maxiter, psolve, x, 1)
         # rhs doubles as the shadow residual, so nothing may write to it
         assert rhs.tobytes() == kept.tobytes()
 
