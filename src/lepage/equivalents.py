@@ -21,12 +21,12 @@ from typing import Mapping, Sequence
 from .charts import JetChart, formal_derivative
 from .expr import (
     EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff,
-    expr_sum, levi_civita,
+    equal, expr_sum, levi_civita,
 )
 from .forms import (
     DiffForm, FormError, VectorField, dx, dy, om, form,
-    zero_form, wedge, wedge_all, volume_form, omega_marginal, horizontalize,
-    contact_component, contract, ext_d, form_equal, to_contact,
+    wedge, wedge_all, volume_form, omega_marginal, horizontalize,
+    contact_component, contract, ext_d, form_equal, form_vanishes, to_contact,
 )
 
 __all__ = [
@@ -151,16 +151,14 @@ def fundamental(lam: Lagrangian) -> DiffForm:
 
 def caratheodory(lam: Lagrangian) -> DiffForm:
     """Product-form Lepage equivalent; needs a nonvanishing Lagrange function."""
-    if lam.L.is_zero:
+    if equal(lam.L, ZERO):
         raise ExprError("Caratheodory form needs a nonvanishing Lagrange function")
     chart = lam.chart
     factors = []
     for k in range(1, chart.n + 1):
         terms: dict[tuple, Expr] = {(dx(k),): ONE}
         for K in range(1, chart.M + 1):
-            coeff = lam.derivative(((K, k),)) / lam.L
-            if not coeff.is_zero:
-                terms[(om(K),)] = coeff
+            terms[(om(K),)] = lam.derivative(((K, k),)) / lam.L
         factors.append(DiffForm(chart, 1, "contact", terms))
     return wedge_all(factors).scale(lam.L)
 
@@ -177,7 +175,7 @@ def _require_homogeneous(lam: Lagrangian, trials: int, tol: float, seed: int):
 def hilbert_caratheodory(lam: Lagrangian, *, trials: int = 50,
                          tol: float = 1e-9, seed: int = 0) -> DiffForm:
     """Caratheodory form of a homogeneous Lagrange function, on pure dy words."""
-    if lam.L.is_zero:
+    if equal(lam.L, ZERO, trials=trials, tol=tol, seed=seed):
         raise ExprError("Hilbert-Caratheodory form needs a nonvanishing "
                         "Lagrange function")
     _require_homogeneous(lam, trials, tol, seed)
@@ -277,7 +275,7 @@ def is_lepage(rho: DiffForm, lam: Lagrangian, *, trials: int = 50,
 
 
 def _matches_poincare_cartan(rho: DiffForm, lam: Lagrangian) -> bool:
-    # the 0- and 1-contact parts of rho and Theta agree word by word
+    # 0- and 1-contact parts agree structurally; a miss falls back to sampling
     chart = lam.chart
     if (chart.order != 1 or rho.chart != chart or rho.degree != chart.n
             or rho.mode not in ("coordinate", "contact")):
@@ -300,8 +298,10 @@ def _lepage_verdict(rho: DiffForm, drho: DiffForm, lam: Lagrangian,
     verdicts = Verdicts()
     for s in chart.jet1_symbols():
         defect = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
-        verdicts[s] = form_equal(defect, zero_form(chart, chart.n, defect.mode),
-                                 **options)
+        # a defect of degree other than n is no zero n-form
+        verdicts[s] = (form_vanishes(defect, **options)
+                       if defect.degree == chart.n else
+                       EqualResult("unequal", decided_by="structural"))
         if not verdicts[s]:
             break
     verdicts["horizontal"] = form_equal(horizontalize(rho), lam.volume(),
@@ -337,11 +337,8 @@ def el_form_check(rho: HorizontalNForm, *, trials: int = 20, tol: float = 1e-9,
         return verdicts
     one_contact = contact_component(drho, 1)
     expressions = euler_lagrange(lam)
-    expected: dict[tuple, Expr] = {}
     base_word = tuple(dx(i) for i in range(1, chart.n + 1))
-    for K in range(1, chart.M + 1):
-        if not expressions[K - 1].is_zero:
-            expected[(om(K),) + base_word] = expressions[K - 1]
+    expected = {(om(K),) + base_word: e for K, e in enumerate(expressions, 1)}
     target = form(chart.raised(), "contact", expected, degree=chart.n + 1)
     lifted = DiffForm(chart.raised(), one_contact.degree, one_contact.mode,
                       one_contact.terms)

@@ -265,8 +265,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Poly | None]:
     residual = []
     for pair in pairs.values():
         at, e = pair
-        if e == 0:
-            continue
         fold = _fold_square(at) if e >= 2 else None
         if fold is not None:
             q, r = divmod(e, 2)

@@ -47,7 +47,7 @@ __all__ = [
     "wedge_all", "ext_d", "contract", "horizontalize", "contact_component",
     "to_contact", "to_coordinate", "lie_derivative",
     "pullback_immersion", "to_adapted_contact", "from_adapted_contact",
-    "reduce_contact_ideal", "form_equal", "form_to_json",
+    "reduce_contact_ideal", "form_equal", "form_vanishes", "form_to_json",
 ]
 
 
@@ -786,6 +786,11 @@ def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
     return EqualResult("equal", samples=samples, max_deviation=worst,
                        skipped=skipped,
                        decided_by="sampled" if samples else "structural")
+
+
+def form_vanishes(a: DiffForm, **options) -> EqualResult:
+    """The zero test of a form: ``form_equal`` with 0·a, its zero form."""
+    return form_equal(a, a.scale(ZERO), **options)
 
 
 def form_to_json(a: DiffForm) -> dict:

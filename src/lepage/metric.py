@@ -15,8 +15,8 @@ from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _fundamental_homogeneous,
                           _hilbert_caratheodory, _require_homogeneous)
 from .expr import (ONE, ZERO, Expr, ExprError, Sym, Verdicts, const,
-                   cos_expr, det_expr, diff, expr_sum, free_symbols, log_expr,
-                   sqrt_expr, sym_expr, yj)
+                   cos_expr, det_expr, diff, equal, expr_sum, free_symbols,
+                   log_expr, sqrt_expr, sym_expr, yj)
 from .forms import DiffForm, form_equal
 
 __all__ = ["MetricSpec", "minimal_lagrangian",
@@ -44,7 +44,7 @@ class MetricSpec:
                     if s.kind != "y":
                         raise ExprError("metric entries may depend on "
                                         "configuration coordinates only")
-                if K < L and not (self.entries[K][L] - self.entries[L][K]).is_zero:
+                if K < L and not equal(self.entries[K][L], self.entries[L][K]):
                     raise ExprError(f"metric not symmetric at ({K + 1}, {L + 1})")
 
     @classmethod

@@ -256,6 +256,29 @@ def test_check_zermelo_fails_with_witness(capsys, tmp_path):
     assert report["witness"]["point"]
 
 
+def test_check_zermelo_accepts_a_metric_symmetric_up_to_its_normal_form(
+        capsys, tmp_path):
+    # sqrt(2)*sqrt(3) and sqrt(6) have different normal forms; the symmetry
+    # check compares them with the sampled zero test
+    path = write_problem(tmp_path, base_problem(metric={
+        "kind": "matrix",
+        "entries": [["2", "sqrt(2)*sqrt(3)", "0"], ["sqrt(6)", "4", "0"],
+                    ["0", "0", "1"]]}))
+    code, report = run_json(capsys, "check-zermelo", "--problem", path)
+    assert code == 0
+    assert report["passed"] is True
+
+
+def test_check_zermelo_rejects_an_asymmetric_metric(capsys, tmp_path):
+    path = write_problem(tmp_path, base_problem(metric={
+        "kind": "matrix",
+        "entries": [["2", "sqrt(5)", "0"], ["sqrt(6)", "4", "0"],
+                    ["0", "0", "1"]]}))
+    code, out, err = run_cli(capsys, "check-zermelo", "--problem", path)
+    assert (code, out) == (2, "")
+    assert err == "error: metric: metric not symmetric at (1, 2)\n"
+
+
 @pytest.mark.parametrize("factor", ["1", "1/1000000000000", "1000000000000"])
 @pytest.mark.parametrize("lagrangian, passed", [
     ("y1_1^2", False), ("sqrt(y1_1^2 + y2_1^2)", True)])

@@ -17,7 +17,7 @@ from lepage.expr import (
 )
 from lepage.forms import (
     DiffForm, VectorField, contract, dx, dy, ext_d, form, form_equal,
-    horizontalize, om, to_contact, to_coordinate, volume_form, zero_form,
+    form_vanishes, horizontalize, om, to_contact, to_coordinate, volume_form,
 )
 from lepage.equivalents import (
     HorizontalNForm, Lagrangian, _lepage_verdict,
@@ -238,6 +238,19 @@ def test_caratheodory_rejects_zero():
         caratheodory(Lagrangian(CH21, ZERO))
 
 
+# sqrt(2)*sqrt(3) - sqrt(6): zero, but not in normal form
+HIDDEN_ZERO = sqrt_expr(const(2)) * sqrt_expr(const(3)) - sqrt_expr(const(6))
+
+
+def test_product_constructors_reject_a_zero_the_normal_form_misses():
+    lam = Lagrangian(CH11, HIDDEN_ZERO * yj(1, 1))
+    assert not lam.L.is_zero
+    with pytest.raises(ExprError, match="nonvanishing Lagrange function"):
+        caratheodory(lam)
+    with pytest.raises(ExprError, match="nonvanishing Lagrange function"):
+        hilbert_caratheodory(lam, trials=10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # homogeneous constructors
 # ---------------------------------------------------------------------------
@@ -374,8 +387,7 @@ def test_is_lepage_matches_closed_defect_formula(label):
     for s in chart.jet1_symbols():
         vanishes[s] = closed_defect(rho, s.a, s.b).is_zero
         generic = horizontalize(contract(VectorField(chart, {s: ONE}), drho))
-        res = form_equal(generic, zero_form(chart, chart.n, generic.mode),
-                         trials=10, seed=1)
+        res = form_vanishes(generic, trials=10, seed=1)
         assert (res.verdict == "equal") == vanishes[s], s
     verdict = is_lepage(rho.form, lagrangian_of(rho), trials=10, seed=1)
     assert verdict.passed == all(vanishes.values())
@@ -466,6 +478,19 @@ def test_theta_plus_two_contact_form_passes_both_paths(seed):
         verdict = is_lepage(candidate, lam, trials=10, seed=1)
         assert verdict.passed and list(verdict) == ["contact"]
         assert definitional(candidate, lam, trials=10, seed=1).passed
+
+
+def test_definitional_test_samples_a_defect_the_normal_form_misses():
+    # the hidden zero puts sqrt(2)*sqrt(3) - sqrt(6) into the y1_1
+    # contraction of d rho, so the Poincare-Cartan shortcut misses and the
+    # definitional test must sample the defect
+    lam = dirichlet_lagrangian()
+    rho = poincare_cartan(lam) + form(
+        CH21, "contact", {(dx(1), dx(2)): HIDDEN_ZERO * yj(1, 1)})
+    verdict = is_lepage(rho, lam, trials=10, seed=1)
+    assert "contact" not in verdict
+    assert verdict.passed
+    assert verdict[Sym("y1", 1, 1)].decided_by == "sampled"
 
 
 def test_one_contact_perturbation_falls_through_and_fails():

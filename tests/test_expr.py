@@ -239,6 +239,18 @@ def test_substitute_into_functions_and_roots():
     assert sub == expected
 
 
+@pytest.mark.parametrize("e, sub, printed", [
+    # sin(0) and exp(0) take their special values
+    (sin_expr(yy(1)) + exp_expr(yy(1) * yy(2)), {Sym("y", 1): ZERO}, "1"),
+    (atan_expr(yy(1)) + sin_expr(yy(2)),
+     {Sym("y", 1): ZERO, Sym("y", 2): yy(1)}, "sin(y1)"),
+    (exp_expr(yy(1)) * cos_expr(yy(2)), {Sym("y", 1): yy(2) + 1},
+     "cos(y2)*exp(1 + y2)"),
+])
+def test_substitute_into_analytic_functions(e, sub, printed):
+    assert to_dsl(substitute(e, sub)) == printed
+
+
 def test_substitute_numeric_consistency():
     rng = random.Random(17)
     for _ in range(20):
@@ -350,6 +362,35 @@ def test_equal_counts_skipped_samples_by_reason():
     assert equal(a, a).skipped == {"guard": 0, "domain": 0, "overflow": 0}
 
 
+@pytest.mark.parametrize("text", [
+    "sqrt(2)*sqrt(3) - sqrt(6)",
+    "exp(y1)*exp(y2) - exp(y1 + y2)",
+    "cos(2*y1) - 2*cos(y1)^2 + 1",
+])
+def test_zero_test_samples_the_zeros_the_normal_form_misses(text):
+    e = parse(text)
+    assert not e.is_zero
+    res = equal(e, ZERO)
+    assert res.verdict == "equal" and res.decided_by == "sampled"
+    assert res.samples == 20
+
+
+@pytest.mark.parametrize("text", [
+    "(x1 + 1)^2 - x1^2 - 2*x1 - 1",
+    "sin(y1)^2 + cos(y1)^2 - 1",
+    "sqrt(8) - 2*sqrt(2)",
+])
+def test_zero_test_passes_structural_zeros_with_no_sample(text):
+    res = equal(parse(text), ZERO)
+    assert res.verdict == "equal" and res.decided_by == "structural"
+    assert res.samples == 0
+
+
+def test_zero_test_fails_a_small_nonzero_multiple():
+    res = equal(parse("1/1000000000000*y1_1"), ZERO)
+    assert res.verdict == "unequal" and res.samples == 1
+
+
 def test_equal_records_how_it_was_decided():
     a, b = yj(1, 1), yj(2, 1)
     assert equal(a, a).decided_by == "structural"
@@ -459,6 +500,16 @@ def test_parse_grammar_forms():
     assert parse("z1_2 * a2_1") == zz(1, 2) * aa(2, 1)
 
 
+def test_parse_determinants():
+    assert parse("det2(y1_1, y1_2, y2_1, y2_2)") == det_expr(
+        [[yj(1, 1), yj(1, 2)], [yj(2, 1), yj(2, 2)]])
+    entries = [[yj(K, j) for j in (1, 2, 3)] for K in (1, 2, 3)]
+    e = parse("det3(" + ", ".join(to_dsl(v) for row in entries for v in row)
+              + ")")
+    assert e == det_expr(entries)
+    assert parse(to_dsl(e)) == e
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse("x1 + ")
@@ -541,6 +592,12 @@ def test_latex_output_smoke():
     assert to_latex(sin_expr(x(1))) == "\\sin\\left(x^{1}\\right)"
 
 
+def test_latex_of_opaque_functions_and_their_derivatives():
+    assert to_latex(opaque("g", x(1), x(2), deriv=(1,))) == \
+        "g_{,1}\\left(x^{1}, x^{2}\\right)"
+    assert to_latex(opaque("g", x(1))) == "g\\left(x^{1}\\right)"
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -619,6 +676,38 @@ def test_equality_and_hash_follow_the_reference_key():
             assert (v == u) is (u == v)
         assert e * f == f * e and e + f == f + e
         assert parse(to_dsl(e)) == e
+
+    check()
+
+
+def _exponents(e):
+    # every exponent stored in e's terms and in the terms of its atoms'
+    # arguments and radicands
+    for terms in (e.num, e.den):
+        for mono, _ in terms:
+            for at, k in mono:
+                yield k
+                if isinstance(at, expr_module.Root):
+                    yield from _exponents(at.arg)
+                elif isinstance(at, expr_module.Fun):
+                    for inner in at.args:
+                        yield from _exponents(inner)
+
+
+def test_stored_exponents_stay_positive():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    exprs = _expr_strategy(st)
+
+    @hyp.settings(max_examples=150, derandomize=True, deadline=None)
+    @hyp.given(exprs, exprs, st.integers(-3, 3), st.sampled_from(SYMS[:6]))
+    def check(e, f, k, s):
+        results = [e + f, e - f, e * f, e / (f * f + 1), diff(e, s),
+                   diff(e * f, s)]
+        if k >= 0 or not e.is_zero:
+            results.append(e ** k)
+        for r in results:
+            assert all(p >= 1 for p in _exponents(r))
 
     check()
 
