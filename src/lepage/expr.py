@@ -220,9 +220,9 @@ def _p_const(c: Fraction) -> Poly:
     return {} if c == 0 else {_EMPTY_MONO: c}
 
 
-def _p_add_into(target: Poly, src: Poly, scale: Fraction = Fraction(1)) -> None:
+def _p_add_into(target: Poly, src: Poly) -> None:
     for mono, coeff in src.items():
-        new = target.get(mono, Fraction(0)) + coeff * scale
+        new = target.get(mono, Fraction(0)) + coeff
         if new == 0:
             target.pop(mono, None)
         else:
@@ -239,6 +239,12 @@ def _check_size(p: Poly) -> Poly:
         raise ExpressionSizeError(
             f"normal form grew to {size} nodes, above the cap {NODE_CAP}")
     return p
+
+
+def _foldable(atom) -> bool:
+    """Whether a power of atom folds: a root, or an analytic sin."""
+    return isinstance(atom, Root) or (isinstance(atom, Fun) and atom.analytic
+                                      and atom.name == "sin")
 
 
 def _fold_square(atom) -> Poly | None:
@@ -311,14 +317,14 @@ def _p_pow(p: Poly, k: int) -> Poly:
     return result
 
 
-def _atom_content(p: Poly) -> dict:
+def _atom_content(monos: Iterable[Mono]) -> dict:
     """Atoms occurring in every monomial, with their minimal exponents."""
-    it = iter(p.items())
+    it = iter(monos)
     first = next(it, None)
     if first is None:
         return {}
-    content = {at: e for at, e in first[0]}
-    for mono, _ in it:
+    content = {at: e for at, e in first}
+    for mono in it:
         here = dict(mono)
         for at in list(content):
             if at in here:
@@ -345,13 +351,17 @@ def _p_div_mono(p: Poly, mono_content: dict) -> Poly:
 
 
 def _p_has_foldable(p: Poly) -> bool:
+    return any(_foldable(at) for mono in p for at, _ in mono)
+
+
+def _degrees(p: Poly) -> dict:
+    """The highest exponent of each atom of p."""
+    out: dict = {}
     for mono in p:
-        for at, _ in mono:
-            if isinstance(at, Root):
-                return True
-            if isinstance(at, Fun) and at.analytic and at.name == "sin":
-                return True
-    return False
+        for at, e in mono:
+            if e > out.get(at, 0):
+                out[at] = e
+    return out
 
 
 def _p_exact_div(num: Poly, den: Poly) -> Poly | None:
@@ -366,8 +376,20 @@ def _p_exact_div(num: Poly, den: Poly) -> Poly | None:
         return {}
     if _p_has_foldable(den):
         return None
-    atoms = sorted({at for mono in list(num) + list(den) for at, _ in mono},
-                   key=lambda a: a.key)
+    # deg_a(q*den) = deg_a(q) + deg_a(den) for every atom a, so den divides
+    # num only if no atom has a higher degree in den than in num; this also
+    # makes den's atoms a subset of num's
+    num_deg = _degrees(num)
+    for at, k in _degrees(den).items():
+        if k > num_deg.get(at, 0):
+            return None
+    return _p_dense_div(num, den, sorted(num_deg, key=lambda a: a.key))
+
+
+def _p_dense_div(num: Poly, den: Poly, atoms: list) -> Poly | None:
+    """Divide num by den term by term, as exponent vectors over atoms (every
+    atom of both, in key order); None when a leading term does not divide
+    or the loop outruns its guard."""
     index = {at: i for i, at in enumerate(atoms)}
     nvars = len(atoms)
 
@@ -526,8 +548,13 @@ class Expr:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        return _make(_p_mul(dict(self.num), dict(other.num)),
-                     _p_mul(dict(self.den), dict(other.den)))
+        product = _scale(self, other)
+        if product is None:
+            product = _scale(other, self)
+        if product is None:
+            product = _make(_p_mul(dict(self.num), dict(other.num)),
+                            _p_mul(dict(self.den), dict(other.den)))
+        return product
 
     __rmul__ = __mul__
 
@@ -566,6 +593,40 @@ def _coerce(v) -> Expr:
     if isinstance(v, (int, Fraction)):
         return const(v)
     return NotImplemented
+
+
+def _scale(e: Expr, t: Expr) -> Expr | None:
+    """The product e*t without `_make`, or None when it may need `_make`.
+
+    Let e = n/d, as `_make` left it, and let t = c*m be one term over 1.
+    When m has no foldable atom, d's atom content holds no root and meets
+    neither m nor n's atom content, `_make(c*m*n, d)` changes nothing but
+    the order of the terms:
+    - no monomial folds, as m brings no foldable atom and n holds none
+      squared;
+    - the content the two sides share is that of n and d, which is empty;
+    - no root is cleared, and d's leading coefficient stays 1;
+    - with the atoms as independent variables, as `_p_exact_div` takes
+      them, d is coprime to m, so d divides c*m*n only if it divides n,
+      which `_make` found it does not. When d has foldable atoms the
+      division is never tried, and d = 1 needs none.
+
+    n's content is tested too because clearing a root can leave content
+    that n and d share: `_make` keeps x1/(sqrt(x1)*x2) as
+    x1*sqrt(x1)/(x1*x2).
+    """
+    if len(t.num) != 1 or t.den != _UNIT_TERMS:
+        return None
+    mono = t.num[0][0]
+    if any(_foldable(at) for at, _ in mono):
+        return None
+    if e.den != _UNIT_TERMS:
+        content = _atom_content(m for m, _ in e.den)
+        if content and (any(isinstance(at, Root) for at in content)
+                        or any(at in content for at, _ in mono)
+                        or content.keys() & _atom_content(m for m, _ in e.num)):
+            return None
+    return Expr(Expr._freeze(_p_mul(dict(e.num), dict(t.num))), e.den)
 
 
 def _make(num: Poly, den: Poly) -> Expr:

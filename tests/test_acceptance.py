@@ -108,8 +108,9 @@ def test_known_solutions_sample_the_zeros_they_cannot_normalize(monkeypatch):
                         lambda u: residual(u) + HIDDEN_ZERO * x(1))
     ok, detail = acceptance._known_solutions(0)
     assert ok, detail
-    assert detail.startswith("opaque-coefficient plane zero: True; "
-                             "log-cosine-ratio graph zero: True; ")
+    assert detail == ("opaque-coefficient plane zero: True; "
+                      "log-cosine-ratio graph zero: True; "
+                      "arctangent graph zero: True")
 
 
 def test_invariance_suite_samples_the_zeros_it_cannot_normalize(monkeypatch):

@@ -713,6 +713,121 @@ def test_stored_exponents_stay_positive():
 
 
 # ---------------------------------------------------------------------------
+# ring axioms, and the shortcuts of the exact core against its general path
+# ---------------------------------------------------------------------------
+
+def test_ring_axioms_and_linearity_of_diff():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    exprs = _expr_strategy(st)
+    decided = {"structural": 0, "sampled": 0}
+
+    @hyp.settings(max_examples=100)
+    @hyp.given(exprs, exprs, exprs, st.fractions(-3, 3, max_denominator=4),
+               st.sampled_from(SYMS[:6]))
+    def check(a, b, c, k, s):
+        laws = [((a * b) * c, a * (b * c)), ((a + b) + c, a + (b + c)),
+                (a * (b + c), a * b + a * c),
+                (diff(a + b, s), diff(a, s) + diff(b, s)),
+                (diff(k * a, s), k * diff(a, s))]
+        if not b.is_zero:
+            laws.append(((a / b) * b, a))
+        for lhs, rhs in laws:
+            res = equal(lhs, rhs, seed=1)
+            assert res, (to_dsl(lhs), to_dsl(rhs), res.describe())
+            decided[res.decided_by] += 1
+
+    check()
+    # the normal form, not the sampler, decides most of the laws
+    assert decided["structural"] > 4 * decided["sampled"]
+
+
+def _factor_atoms():
+    # symbols, a root, an analytic sin, and a root of a sum
+    return [x(1), x(2), yj(1, 1), sqrt_expr(x(1)), sin_expr(x(2)),
+            sqrt_expr(x(1) + x(2) ** 2)]
+
+
+def _term_strategy(st):
+    """c*m for a small c and a product m of up to three atoms."""
+    monos = st.lists(st.sampled_from(_factor_atoms()), max_size=3).map(
+        lambda fs: math.prod(fs, start=ONE))
+    coeffs = st.fractions(-3, 3, max_denominator=4).filter(lambda c: c != 0)
+    return st.tuples(coeffs, monos).map(lambda p: const(p[0]) * p[1])
+
+
+def _quotient_strategy(st):
+    """n/d from sums of terms, d with and without monomial content."""
+    polys = st.lists(_term_strategy(st), min_size=1, max_size=3).map(expr_sum)
+    dens = st.tuples(polys, _term_strategy(st)).map(lambda p: p[0] * p[1])
+    return st.tuples(polys, st.one_of(polys, dens, st.just(ONE))).filter(
+        lambda p: not p[1].is_zero).map(lambda p: p[0] / p[1])
+
+
+def test_single_term_product_matches_the_general_path():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    shortcut = {"taken": 0, "declined": 0}
+
+    root = sqrt_expr(x(1))
+    # eight rounds of root clearing leave a root in this denominator
+    many_roots = ONE / math.prod((sqrt_expr(x(1) + k) for k in range(1, 10)),
+                                 start=ONE)
+
+    # the cases the shortcut must decline, which random draws seldom reach:
+    # m meets d's content, a root in m folds into d, n and d share content
+    # after a root was cleared, and d's content holds a root
+    @hyp.example(ONE / (x(1) * (x(2) + 1)), x(1))
+    @hyp.example(root / x(1), root)
+    @hyp.example(x(1) / (root * x(2)), x(3))
+    @hyp.example(many_roots, x(2))
+    @hyp.settings(max_examples=300)
+    @hyp.given(_quotient_strategy(st), _term_strategy(st))
+    def check(e, t):
+        general = expr_module._make(
+            expr_module._p_mul(dict(e.num), dict(t.num)),
+            expr_module._p_mul(dict(e.den), dict(t.den)))
+        fast = expr_module._scale(e, t)
+        if fast is None:
+            shortcut["declined"] += 1
+        else:
+            shortcut["taken"] += 1
+            assert (fast.num, fast.den) == (general.num, general.den), (
+                to_dsl(e), to_dsl(t))
+        for product in (e * t, t * e):
+            assert (product.num, product.den) == (general.num, general.den)
+
+    check()
+    assert min(shortcut.values()) > 50, shortcut
+
+
+def test_degree_test_leaves_exact_division_unchanged():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    polys = st.lists(_term_strategy(st), min_size=1, max_size=3).map(expr_sum)
+    divides = {True: 0, False: 0}
+
+    def atoms_of(*ps):
+        found = {at for p in ps for mono in p for at, _ in mono}
+        return sorted(found, key=lambda at: at.key)
+
+    @hyp.settings(max_examples=300)
+    @hyp.given(polys, polys, st.booleans())
+    def check(a, b, multiple):
+        num = expr_module._p_mul(dict(a.num), dict(b.num)) if multiple \
+            else dict(a.num)
+        den = dict(b.num)
+        quotient = expr_module._p_exact_div(num, den)
+        if num and den and not expr_module._p_has_foldable(den):
+            without = expr_module._p_dense_div(num, den, atoms_of(num, den))
+            assert quotient == without
+        divides[quotient is not None] += 1
+
+    check()
+    assert min(divides.values()) > 50, divides
+
+
+# ---------------------------------------------------------------------------
 # sympy as an independent oracle for diff
 # ---------------------------------------------------------------------------
 
