@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
-from typing import Mapping, Sequence
+from math import factorial
+from typing import Sequence
 
 from .charts import JetChart, formal_derivative
 from .expr import (
@@ -25,7 +25,7 @@ from .expr import (
 )
 from .forms import (
     DiffForm, FormError, VectorField, dx, dy, om, form,
-    wedge, wedge_all, volume_form, omega_marginal, horizontalize,
+    wedge_all, volume_form, horizontalize,
     contact_component, contract, ext_d, form_equal, form_vanishes, to_contact,
 )
 
@@ -92,14 +92,6 @@ class HorizontalNForm:
                 raise FormError("horizontal forms carry fiber differentials only")
             self.chart.validate_expr(coeff, max_order=1)
 
-    @classmethod
-    def from_tensor(cls, chart: JetChart,
-                    coefficients: Mapping[tuple, Expr]) -> "HorizontalNForm":
-        """Build from skew-tensor values at arbitrary fiber index tuples."""
-        terms = {tuple(dy(K) for K in Ks): coeff
-                 for Ks, coeff in coefficients.items()}
-        return cls(chart, form(chart, "coordinate", terms, degree=chart.n))
-
     def coefficient(self, Ks: Sequence[int]) -> Expr:
         """Skew tensor value at an arbitrary index tuple."""
         return self.form.coefficient(tuple(dy(K) for K in Ks))
@@ -109,32 +101,18 @@ class HorizontalNForm:
 # constructors
 # ---------------------------------------------------------------------------
 
-def poincare_cartan(lam: Lagrangian) -> DiffForm:
-    """The least-contact Lepage equivalent on the jet chart."""
-    chart = lam.chart
-    result = volume_form(chart).scale(lam.L)
-    for K in range(1, chart.M + 1):
-        for j in range(1, chart.n + 1):
-            coeff = lam.derivative(((K, j),))
-            if coeff.is_zero:
-                continue
-            one_form = DiffForm(chart, 1, "contact", {(om(K),): coeff})
-            result = result + wedge(one_form, omega_marginal(chart, j))
-    return result
-
-
-def fundamental(lam: Lagrangian) -> DiffForm:
-    """Lepage equivalent collecting all iterated jet derivatives.
+def _layers(lam: Lagrangian, ks: Sequence[int], cov) -> dict[tuple, Expr]:
+    """The layers k in ks of the fundamental sum, by unsorted word.
 
     The degree-k layer sums, over fiber indices and permutations p of the
     base indices, the k-th derivative of the Lagrange function contracted
-    with the permutation sign, wedged as (contact)^k (dx)^(n-k), weighted
-    by 1/((n-k)! (k!)^2).
+    with the permutation sign, wedged as cov^k (dx)^(n-k), weighted by
+    1/((n-k)! (k!)^2).
     """
     chart = lam.chart
     n, M = chart.n, chart.M
     acc: dict[tuple, Expr] = {}
-    for k in range(0, n + 1):
+    for k in ks:
         weight = Fraction(1, factorial(n - k) * factorial(k) ** 2)
         for p in permutations(range(1, n + 1)):
             sign = levi_civita(p)
@@ -143,10 +121,25 @@ def fundamental(lam: Lagrangian) -> DiffForm:
                 deriv = lam.derivative(tuple(zip(Ks, p[:k])))
                 if deriv.is_zero:
                     continue
-                word = tuple(om(K) for K in Ks) + base_word
+                word = tuple(cov(K) for K in Ks) + base_word
                 coeff = const(sign * weight) * deriv
                 acc[word] = acc.get(word, ZERO) + coeff
-    return form(chart, "contact", acc, degree=n)
+    return acc
+
+
+def poincare_cartan(lam: Lagrangian) -> DiffForm:
+    """The least-contact Lepage equivalent on the jet chart: the 0- and
+    1-contact layers of the fundamental sum."""
+    return form(lam.chart, "contact", _layers(lam, (0, 1), om),
+                degree=lam.chart.n)
+
+
+def fundamental(lam: Lagrangian) -> DiffForm:
+    """Lepage equivalent collecting all iterated jet derivatives: every
+    layer of the fundamental sum (see ``_layers``)."""
+    n = lam.chart.n
+    return form(lam.chart, "contact", _layers(lam, range(n + 1), om),
+                degree=n)
 
 
 def caratheodory(lam: Lagrangian) -> DiffForm:
@@ -183,21 +176,14 @@ def hilbert_caratheodory(lam: Lagrangian, *, trials: int = 50,
 
 
 def _hilbert_caratheodory(lam: Lagrangian) -> DiffForm:
-    # the construction alone, for a Lagrange function known to be homogeneous
+    # the construction alone, for a Lagrange function known to be homogeneous:
+    # L^(1-n) times the wedge over k of sum_K dL/dy^K_k dy^K
     chart = lam.chart
-    n, M = chart.n, chart.M
-    scale = const(Fraction(1, factorial(n))) / lam.L ** (n - 1)
-    acc: dict[tuple, Expr] = {}
-    for p in permutations(range(1, n + 1)):
-        sign = levi_civita(p)
-        for Ks in product(range(1, M + 1), repeat=n):
-            coeff = prod((lam.derivative(((K, j),)) for K, j in zip(Ks, p)),
-                         start=ONE)
-            if coeff.is_zero:
-                continue
-            word = tuple(dy(K) for K in Ks)
-            acc[word] = acc.get(word, ZERO) + const(sign) * coeff
-    return form(chart, "coordinate", acc, degree=n).scale(scale)
+    factors = [DiffForm(chart, 1, "coordinate",
+                        {(dy(K),): lam.derivative(((K, k),))
+                         for K in range(1, chart.M + 1)})
+               for k in range(1, chart.n + 1)]
+    return wedge_all(factors).scale(ONE / lam.L ** (chart.n - 1))
 
 
 def fundamental_homogeneous(lam: Lagrangian, *, verify: bool = True,
@@ -212,7 +198,8 @@ def fundamental_homogeneous(lam: Lagrangian, *, verify: bool = True,
     _require_homogeneous(lam, trials, tol, seed)
     built = _fundamental_homogeneous(lam)
     if verify:
-        res = form_equal(built, fundamental(lam), trials=20, tol=tol, seed=seed)
+        res = form_equal(built, fundamental(lam), trials=trials, tol=tol,
+                         seed=seed)
         if res.verdict == "unequal":
             raise ExprError(
                 "homogeneous fundamental equivalent disagrees with the "
@@ -221,20 +208,10 @@ def fundamental_homogeneous(lam: Lagrangian, *, verify: bool = True,
 
 
 def _fundamental_homogeneous(lam: Lagrangian) -> DiffForm:
-    # the construction alone, for a Lagrange function known to be homogeneous
-    chart = lam.chart
-    n, M = chart.n, chart.M
-    weight = Fraction(1, factorial(n) ** 2)
-    acc: dict[tuple, Expr] = {}
-    for p in permutations(range(1, n + 1)):
-        sign = levi_civita(p)
-        for Ks in product(range(1, M + 1), repeat=n):
-            deriv = lam.derivative(tuple(zip(Ks, p)))
-            if deriv.is_zero:
-                continue
-            word = tuple(dy(K) for K in Ks)
-            acc[word] = acc.get(word, ZERO) + const(sign * weight) * deriv
-    return form(chart, "coordinate", acc, degree=n)
+    # the construction alone, for a Lagrange function known to be homogeneous:
+    # the top layer of the fundamental sum, on fiber differentials
+    n = lam.chart.n
+    return form(lam.chart, "coordinate", _layers(lam, (n,), dy), degree=n)
 
 
 # ---------------------------------------------------------------------------

@@ -599,21 +599,18 @@ def _scale(e: Expr, t: Expr) -> Expr | None:
     """The product e*t without `_make`, or None when it may need `_make`.
 
     Let e = n/d, as `_make` left it, and let t = c*m be one term over 1.
-    When m has no foldable atom, d's atom content holds no root and meets
-    neither m nor n's atom content, `_make(c*m*n, d)` changes nothing but
-    the order of the terms:
+    When m has no foldable atom, and d's atom content holds no root and
+    does not meet m, `_make(c*m*n, d)` changes nothing but the order of
+    the terms:
     - no monomial folds, as m brings no foldable atom and n holds none
       squared;
-    - the content the two sides share is that of n and d, which is empty;
+    - the content the two sides share is that of n and d, which `_make`
+      left empty;
     - no root is cleared, and d's leading coefficient stays 1;
     - with the atoms as independent variables, as `_p_exact_div` takes
       them, d is coprime to m, so d divides c*m*n only if it divides n,
       which `_make` found it does not. When d has foldable atoms the
       division is never tried, and d = 1 needs none.
-
-    n's content is tested too because clearing a root can leave content
-    that n and d share: `_make` keeps x1/(sqrt(x1)*x2) as
-    x1*sqrt(x1)/(x1*x2).
     """
     if len(t.num) != 1 or t.den != _UNIT_TERMS:
         return None
@@ -623,28 +620,32 @@ def _scale(e: Expr, t: Expr) -> Expr | None:
     if e.den != _UNIT_TERMS:
         content = _atom_content(m for m, _ in e.den)
         if content and (any(isinstance(at, Root) for at in content)
-                        or any(at in content for at, _ in mono)
-                        or content.keys() & _atom_content(m for m, _ in e.num)):
+                        or any(at in content for at, _ in mono)):
             return None
     return Expr(Expr._freeze(_p_mul(dict(e.num), dict(t.num))), e.den)
 
 
 def _make(num: Poly, den: Poly) -> Expr:
-    """Canonicalize a raw fraction of polynomials."""
+    """Canonicalize a raw fraction of polynomials.
+
+    Cancels the atom content numerator and denominator share and clears one
+    root from the denominator's content until neither step applies, so that
+    `_make` of the result's terms changes nothing.  The rounds are finitely
+    many: a cleared root leaves the denominator, and only roots nested in
+    its radicand, less deep, come in.
+    """
     if not den:
         raise ExprError("division by zero while normalizing")
     if not num:
         return ZERO
-    # cancel atom content shared by numerator and denominator
-    cn = _atom_content(num)
-    cd = _atom_content(den)
-    shared = {at: min(e, cd[at]) for at, e in cn.items() if at in cd}
-    if shared:
-        num = _p_div_mono(num, shared)
-        den = _p_div_mono(den, shared)
-    # clear square roots out of the denominator where they divide every term
-    for _ in range(8):
+    while True:
+        cn = _atom_content(num)
         cd = _atom_content(den)
+        shared = {at: min(e, cd[at]) for at, e in cn.items() if at in cd}
+        if shared:
+            num = _p_div_mono(num, shared)
+            den = _p_div_mono(den, shared)
+            cd = _atom_content(den)
         root = next((at for at in sorted(cd, key=lambda a: a.key)
                      if isinstance(at, Root)), None)
         if root is None:

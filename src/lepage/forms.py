@@ -43,8 +43,8 @@ from .expr import (
 __all__ = [
     "Covector", "DiffForm", "FormError", "Immersion", "VectorField",
     "dx", "dy", "dyj", "om", "omj", "dw", "dwj", "omt",
-    "form", "zero_form", "volume_form", "omega_marginal", "wedge",
-    "wedge_all", "ext_d", "contract", "horizontalize", "contact_component",
+    "form", "zero_form", "volume_form", "wedge", "wedge_all", "ext_d",
+    "contract", "horizontalize", "contact_component",
     "to_contact", "to_coordinate", "lie_derivative",
     "pullback_immersion", "to_adapted_contact", "from_adapted_contact",
     "reduce_contact_ideal", "form_equal", "form_vanishes", "form_to_json",
@@ -302,13 +302,6 @@ def volume_form(chart: JetChart, mode: str = "contact") -> DiffForm:
     if mode not in ("contact", "coordinate", "base"):
         raise FormError("volume form lives in a dx basis")
     return DiffForm(chart, chart.n, mode, {word: ONE})
-
-
-def omega_marginal(chart: JetChart, j: int, mode: str = "contact") -> DiffForm:
-    """The (n-1)-form obtained by plugging the j-th base direction into the volume."""
-    word = tuple(dx(i) for i in range(1, chart.n + 1) if i != j)
-    sign = (-1) ** (j - 1)
-    return DiffForm(chart, chart.n - 1, mode, {word: const(sign)})
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:

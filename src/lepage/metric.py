@@ -6,9 +6,7 @@ the numeric graph workbench is ``lepage.minimal``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
-from math import factorial, prod
+from itertools import combinations
 from typing import Mapping
 
 from .charts import ChartError, JetChart
@@ -17,7 +15,7 @@ from .equivalents import (HorizontalNForm, Lagrangian, _fundamental_homogeneous,
 from .expr import (ONE, ZERO, Expr, ExprError, Sym, Verdicts, const,
                    cos_expr, det_expr, diff, equal, expr_sum, free_symbols,
                    log_expr, sqrt_expr, sym_expr, yj)
-from .forms import DiffForm, form_equal
+from .forms import DiffForm, dy, form_equal, wedge_all
 
 __all__ = ["MetricSpec", "minimal_lagrangian",
            "krupka_form", "coincidence_report", "verify_coincidence",
@@ -91,27 +89,18 @@ def minimal_lagrangian(g: MetricSpec, n: int) -> Lagrangian:
 
 
 def krupka_form(g: MetricSpec, n: int) -> HorizontalNForm:
-    """Determinant-type Lepage form on fiber differentials.
-
-    Coefficient tensor (1/n!)(1/L) g_{K1 L1} ... g_{Kn Ln} D^{L1...Ln} where
-    D^{L1...Ln} is the determinant of the jet rows y^{L_t}_k.
-    """
+    """Determinant-type Lepage form on fiber differentials: L^-1 times the
+    wedge over k of sum_K (sum_L g_KL y^L_k) dy^K."""
     chart = _metric_chart(g, n)
     M = g.dim
+    factors = [DiffForm(chart, 1, "coordinate",
+                        {(dy(K),): expr_sum(g.entry(K, L) * yj(L, k)
+                                            for L in range(1, M + 1)
+                                            if not g.entry(K, L).is_zero)
+                         for K in range(1, M + 1)})
+               for k in range(1, n + 1)]
     L_fun = minimal_lagrangian(g, n).L
-    scale = const(Fraction(1, factorial(n))) / L_fun
-    coefficients: dict[tuple, Expr] = {}
-    for Ks in product(range(1, M + 1), repeat=n):
-        acc = ZERO
-        for Ls in product(range(1, M + 1), repeat=n):
-            weight = prod((g.entry(K, L) for K, L in zip(Ks, Ls)), start=ONE)
-            if weight.is_zero:
-                continue
-            D = det_expr([[yj(L, k) for k in range(1, n + 1)] for L in Ls])
-            acc = acc + weight * D
-        if not acc.is_zero:
-            coefficients[Ks] = acc * scale
-    return HorizontalNForm.from_tensor(chart, coefficients)
+    return HorizontalNForm(chart, wedge_all(factors).scale(ONE / L_fun))
 
 
 def coincidence_report(forms: Mapping[str, DiffForm], *, trials: int = 50,

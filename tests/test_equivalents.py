@@ -9,21 +9,23 @@ from math import prod
 
 import pytest
 
+import lepage.equivalents as equivalents_module
+import reference_equivalents as reference
 from lepage.acceptance import _jacobian_lagrangian
 from lepage.charts import ChartError, JetChart
 from lepage.expr import (
-    EqualResult, ExprError, ONE, Sym, ZERO, const, diff, equal, expr_sum,
-    levi_civita, sqrt_expr, sym_expr, to_dsl, x, yj, yy,
+    EqualResult, ExprError, ONE, Sym, ZERO, const, diff, equal, exp_expr,
+    expr_sum, levi_civita, sqrt_expr, sym_expr, to_dsl, x, yj, yy,
 )
 from lepage.forms import (
     DiffForm, VectorField, contract, dx, dy, ext_d, form, form_equal,
     form_vanishes, horizontalize, om, to_contact, to_coordinate, volume_form,
 )
 from lepage.equivalents import (
-    HorizontalNForm, Lagrangian, _lepage_verdict,
-    caratheodory, el_form_check, euler_lagrange, fundamental,
-    fundamental_homogeneous, hilbert_caratheodory, is_lepage, lagrangian_of,
-    poincare_cartan,
+    HorizontalNForm, Lagrangian, _fundamental_homogeneous,
+    _hilbert_caratheodory, _lepage_verdict, caratheodory, el_form_check,
+    euler_lagrange, fundamental, fundamental_homogeneous,
+    hilbert_caratheodory, is_lepage, lagrangian_of, poincare_cartan,
 )
 from lepage.metric import MetricSpec, krupka_form, minimal_lagrangian
 
@@ -252,6 +254,85 @@ def test_product_constructors_reject_a_zero_the_normal_form_misses():
 
 
 # ---------------------------------------------------------------------------
+# the constructions against the textbook sums of reference_equivalents
+# ---------------------------------------------------------------------------
+
+# (n, m): one, two and three base dimensions, one and two fiber dimensions
+REFERENCE_CHARTS = [JetChart(n, m, 1)
+                    for n, m in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1))]
+
+
+def _first_order_lagrangians(st):
+    """A polynomial P in a chart's coordinates, sqrt(P^2 + 1) or
+    exp(P) (1 + (y^1)^2), on one of REFERENCE_CHARTS.  P has a term with one
+    jet in each base direction, of distinct fibers, so that the product
+    forms seldom vanish."""
+
+    @st.composite
+    def lagrangians(draw):
+        chart = draw(st.sampled_from(REFERENCE_CHARTS))
+        n, M = chart.n, chart.M
+        jets = [yj(K, j) for K in range(1, M + 1) for j in range(1, n + 1)]
+        atoms = ([x(i) for i in range(1, n + 1)]
+                 + [yy(K) for K in range(1, M + 1)] + jets)
+        coeffs = st.integers(-3, 3).filter(bool)
+        monos = draw(st.lists(st.tuples(
+            coeffs, st.lists(st.sampled_from(atoms), max_size=3)),
+            max_size=3))
+        fibers = draw(st.permutations(range(1, M + 1)))
+        spanning = [yj(K, j) for j, K in enumerate(fibers[:n], 1)]
+        monos.append((draw(coeffs), spanning))
+        P = expr_sum(const(c) * prod(factors, start=ONE)
+                     for c, factors in monos)
+        shape = draw(st.sampled_from(("polynomial", "root", "exponential")))
+        if shape == "root":
+            return Lagrangian(chart, sqrt_expr(P * P + 1))
+        if shape == "exponential":
+            return Lagrangian(chart, exp_expr(P) * (ONE + yy(1) ** 2))
+        return Lagrangian(chart, P)
+
+    return lagrangians()
+
+
+def test_constructors_equal_their_textbook_sums():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=150)
+    @hyp.given(_first_order_lagrangians(hyp.strategies))
+    def check(lam):
+        hyp.assume(not lam.L.is_zero)
+        assert poincare_cartan(lam) == reference.poincare_cartan(lam)
+        assert (_fundamental_homogeneous(lam)
+                == reference.fundamental_homogeneous(lam))
+        assert (_hilbert_caratheodory(lam)
+                == reference.hilbert_caratheodory(lam))
+
+    check()
+
+
+REFERENCE_METRICS = {
+    "euclidean": MetricSpec.euclidean,
+    "diagonal": lambda dim: MetricSpec.diagonal(
+        ONE + yy(1) ** 2, *[const(K) for K in range(2, dim + 1)]),
+    "constant": lambda dim: MetricSpec(tuple(
+        tuple(const(2) if K == L else const(1) if abs(K - L) == 1 else ZERO
+              for L in range(dim)) for K in range(dim))),
+    # g_12 = g_21 = y^dim, one off-diagonal entry that depends on y
+    "y-dependent": lambda dim: MetricSpec(tuple(
+        tuple(const(2) if K == L else
+              yy(dim) if {K, L} == {0, 1} else ZERO
+              for L in range(dim)) for K in range(dim))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("metric", sorted(REFERENCE_METRICS))
+def test_krupka_form_equals_its_determinant_sum(metric, n):
+    g = REFERENCE_METRICS[metric](n + 1)
+    assert krupka_form(g, n).form == reference.krupka_form(g, n)
+
+
+# ---------------------------------------------------------------------------
 # homogeneous constructors
 # ---------------------------------------------------------------------------
 
@@ -260,6 +341,20 @@ def test_homogeneous_fundamental_matches_generic():
     W = fundamental_homogeneous(lam, verify=True, trials=10, seed=1)
     assert all(all(cov.kind == "dy" for cov in word) for word in W.terms)
     assert form_equal(W, fundamental(lam), trials=8, seed=5).verdict == "equal"
+
+
+def test_homogeneous_fundamental_cross_check_takes_the_callers_trials(
+        monkeypatch):
+    seen = []
+    real = equivalents_module.form_equal
+
+    def recording(a, b, **options):
+        seen.append(options["trials"])
+        return real(a, b, **options)
+
+    monkeypatch.setattr(equivalents_module, "form_equal", recording)
+    fundamental_homogeneous(area_lagrangian(CH21), trials=7, seed=1)
+    assert seen == [7]
 
 
 def test_homogeneous_constructors_reject_inhomogeneous():

@@ -764,19 +764,44 @@ def _quotient_strategy(st):
         lambda p: not p[1].is_zero).map(lambda p: p[0] / p[1])
 
 
+def _many_roots():
+    # nine roots in the denominator's content, each cleared in its own round
+    return ONE / math.prod((sqrt_expr(x(1) + k) for k in range(1, 10)),
+                           start=ONE)
+
+
+def test_make_leaves_its_own_output_unchanged():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    # content shared only after a root is cleared, nine roots to clear, and
+    # a draw that once came out of `_make` with content still shared
+    @hyp.example(x(1) / (sqrt_expr(x(1)) * x(2)))
+    @hyp.example(_many_roots())
+    @hyp.example(parse("(3/4*x1*x2^2*sqrt(x1) + 3/4*x1^2*sqrt(x1))"
+                       "*(x1*y1_1*sin(x2))^-1"))
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.one_of(_quotient_strategy(st), _expr_strategy(st)))
+    def check(e):
+        again = expr_module._make(dict(e.num), dict(e.den))
+        assert (again.num, again.den) == (e.num, e.den), to_dsl(e)
+        assert parse(to_dsl(e)) == e
+
+    check()
+
+
 def test_single_term_product_matches_the_general_path():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     shortcut = {"taken": 0, "declined": 0}
 
     root = sqrt_expr(x(1))
-    # eight rounds of root clearing leave a root in this denominator
-    many_roots = ONE / math.prod((sqrt_expr(x(1) + k) for k in range(1, 10)),
-                                 start=ONE)
+    # a denominator whose content holds nine roots
+    many_roots = _many_roots()
 
-    # the cases the shortcut must decline, which random draws seldom reach:
-    # m meets d's content, a root in m folds into d, n and d share content
-    # after a root was cleared, and d's content holds a root
+    # cases random draws seldom reach: m meets d's content, a root in m
+    # folds into d, content n and d share only after a root is cleared,
+    # and a denominator cleared of nine roots
     @hyp.example(ONE / (x(1) * (x(2) + 1)), x(1))
     @hyp.example(root / x(1), root)
     @hyp.example(x(1) / (root * x(2)), x(3))

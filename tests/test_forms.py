@@ -19,7 +19,7 @@ from lepage.expr import (
 from lepage.forms import (
     Covector, DiffForm, FormError, Immersion, VectorField, contact_component, contract, dw, dwj, dx, dy, dyj,
     ext_d, form, form_equal,
-    from_adapted_contact, horizontalize, lie_derivative, om, omega_marginal,
+    from_adapted_contact, horizontalize, lie_derivative, om,
     omj, omt, pullback_immersion, reduce_contact_ideal, to_adapted_contact,
     to_contact, to_coordinate, volume_form, wedge, wedge_all, zero_form,
 )
@@ -98,15 +98,6 @@ def test_coefficient_skew_access():
     assert equal(a.coefficient((dy(2), dy(1))), -x(1))
     assert a.coefficient((dy(1), dy(1))).is_zero
     assert a.coefficient((dy(1), dy(3))).is_zero
-
-
-def test_volume_and_marginal_identity():
-    for ch in (CH21, JetChart(n=3, m=1, order=1)):
-        vol = volume_form(ch, mode="coordinate")
-        for j in range(1, ch.n + 1):
-            dxj = form(ch, "coordinate", {(dx(j),): ONE})
-            assert (wedge(dxj, omega_marginal(ch, j, mode="coordinate"))
-                    - vol).is_zero
 
 
 def test_form_validation_errors():
