@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import lepage._sampling as sampling_module
 import lepage.expr as expr_module
 from lepage.expr import (
     DomainError, EqualResult, ExpressionSizeError, ParseError, PointAssignment,
@@ -144,9 +145,11 @@ def test_cancel_candidate_and_sqrt_extract():
 def test_node_cap_raises(monkeypatch):
     monkeypatch.setattr(expr_module, "NODE_CAP", 1000)
     base = expr_sum([yj(1, 1), yj(2, 1), yy(1), yy(2), x(1), x(2), const(1)])
-    with pytest.raises(ExpressionSizeError):
+    # base^8 has 13 299 nodes, above the patched cap and far below the real
+    # one, so a patch that misses the module _check_size reads fails at once
+    with pytest.raises(ExpressionSizeError, match="above the cap 1000"):
         e = base
-        for _ in range(12):
+        for _ in range(3):
             e = e * e
 
 
@@ -467,18 +470,18 @@ def test_sampler_seed_is_an_8_byte_blake2b_of_the_parts():
     # the sampler takes blake2b from _blake2, which is hashlib's own function,
     # so every sampled point, witness and report stays what hashlib gave
     import hashlib
-    assert expr_module.blake2b is hashlib.blake2b
+    assert sampling_module.blake2b is hashlib.blake2b
     for parts in ((0, 0, "sym", Sym("x", 1).key), (7, 19),
                   (1702, 3, "sym", Sym("y1", 2, 1).key),
                   (-4, 2, "fun", "g11", (1, 2), (0.5, -1.25))):
         text = "|".join(map(repr, parts))
         digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-        assert expr_module._stable_seed(*parts) == \
+        assert sampling_module._stable_seed(*parts) == \
             int.from_bytes(digest, "big")
-    assert expr_module._stable_seed(0, 0, "sym", Sym("x", 1).key) == \
+    assert sampling_module._stable_seed(0, 0, "sym", Sym("x", 1).key) == \
         7265411456830401962
     s = Sym("y1", 2, 1)
-    point = expr_module.sample_assignment({s}, set(), 1702, 3)
+    point = sampling_module.sample_assignment({s}, set(), 1702, 3)
     assert point.symbols[s] == -0.5551567960312814
 
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import lepage
@@ -71,3 +74,52 @@ def test_every_module_level_import_is_used():
                  for name, line in _module_level_imports(tree.body)
                  if name not in used]
     assert not dead, dead
+
+
+# Without a bytecode cache a process compiles each module it runs from
+# source, and CPython holds the module's tokens and syntax tree while it
+# does: compile() in a bare Python 3.11 interpreter peaks 70-90 B of RSS
+# above it per source byte, 4.5 MB for a 55.6 KB expr.py and 2.5 MB for
+# the 30.7 KB forms.py, so the largest module a command compiles sets
+# much of its peak memory
+MODULE_BYTES_CAP = 40_000
+
+
+def test_no_module_is_larger_than_the_compile_cap():
+    sizes = {path.name: path.stat().st_size
+             for path in Path(lepage.__file__).parent.glob("*.py")}
+    assert {name: size for name, size in sizes.items()
+            if size > MODULE_BYTES_CAP} == {}
+
+
+def _fresh_process(code: str) -> str:
+    src = str(Path(lepage.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_runs_the_bodies_of_exactly_these_modules():
+    # a layer that starts loading eagerly fails here before it shows as a
+    # benchmark regression; a module lepage.cli binds lazily sits in
+    # sys.modules with the lazy loader's type until a command uses it
+    out = _fresh_process("import sys, types, lepage.cli\n"
+                         "print(*sorted(m for m, mod in sys.modules.items() "
+                         "if m.partition('.')[0] == 'lepage' "
+                         "and type(mod) is types.ModuleType))")
+    assert out.split() == [
+        "lepage", "lepage._dsl", "lepage._numpy", "lepage._sampling",
+        "lepage.charts", "lepage.cli", "lepage.equivalents", "lepage.expr",
+        "lepage.forms"]
+
+
+def test_the_exact_core_imports_from_any_of_its_modules_first():
+    # lepage.expr imports its private modules at its end and they import
+    # it at theirs, so no order of first import finds a name missing
+    for first in ("lepage._dsl", "lepage._sampling", "lepage.expr"):
+        out = _fresh_process(f"import {first}\n"
+                             "from lepage.expr import equal, parse, to_dsl\n"
+                             "e = parse('sqrt(x1)*y1_2 + g_d1(x2)')\n"
+                             "print(to_dsl(e), equal(e, e + 1).verdict)")
+        assert out == "y1_2*sqrt(x1) + g_d1(x2) unequal\n", first
