@@ -23,7 +23,9 @@ The surface syntax is described in ``lepage._dsl``, which holds the parser
 and printers; ``lepage._sampling`` holds the evaluation, sample points and
 verdict classes behind ``evaluate`` and ``equal``.  Both are split off so
 that no process compiles the core in one piece: without a bytecode cache,
-compiling costs 70-90 bytes of peak memory per source byte.
+compiling costs 70-90 bytes of peak memory per source byte.  The public
+functions stay here and recurse through those helpers, so the three modules
+import each other, each as its last statement.
 """
 
 from __future__ import annotations
@@ -1198,4 +1200,4 @@ def to_latex(e: Expr) -> str:
 # last: these modules read this one's names, and either side may load first
 from ._sampling import (EqualResult, PointAssignment, Verdicts, _evaluate,
                         sample_assignment)
-from ._dsl import _Parser, _poly_latex, _poly_str
+from ._dsl import _Parser, _atom_str, _poly_latex, _poly_str

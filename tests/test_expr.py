@@ -503,6 +503,15 @@ def test_parse_grammar_forms():
     assert parse("z1_2 * a2_1") == zz(1, 2) * aa(2, 1)
 
 
+def test_every_atom_reprs_as_its_dsl_text():
+    for text in ("x1", "y1_2", "sqrt(x1)", "g11(y1, y2)", "g11_d2(y1, y2)",
+                 "sin(1 + x1)"):
+        [(mono, coeff)] = parse(text).num
+        [(atom, power)] = mono
+        assert (coeff, power) == (1, 1)
+        assert repr(atom) == str(atom) == text
+
+
 def test_parse_determinants():
     assert parse("det2(y1_1, y1_2, y2_1, y2_2)") == det_expr(
         [[yj(1, 1), yj(1, 2)], [yj(2, 1), yj(2, 2)]])
