@@ -21,16 +21,19 @@ The contact covectors are
 
 and they are written down once: ``_DIFFERENTIAL`` pairs each contact kind
 with its differential and ``_slopes`` gives the (slope, base covector)
-terms.  The basis changes (``to_contact``/``to_coordinate`` and
-``to_adapted_contact``/``from_adapted_contact``), ``horizontalize`` and the
-pairing in ``contract`` read them there, and every constructor and checker
-goes through these.
+terms.  ``_CONTACT_MODE`` pairs each basis of differentials with the contact
+basis on the same chart, and one routine, ``_change_basis``, does every move
+between them: the four public converters, ``form_equal``, ``ext_d``,
+``lie_derivative``, ``horizontalize``, ``contact_component``,
+``pullback_immersion`` and ``reduce_contact_ideal`` all go through it, and a
+move across chart families raises there.  ``horizontalize`` and the pairing
+in ``contract`` read the slopes too, and every constructor and checker goes
+through these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -142,6 +145,9 @@ _MODE_KINDS = {
     "adapted-contact": {"dw", "dw1", "omt"},
     "base": {"dx"},
 }
+# each basis of differentials and the contact basis on the same chart
+_CONTACT_MODE = {"coordinate": "contact", "adapted": "adapted-contact"}
+_DIFFERENTIAL_MODE = {c: d for d, c in _CONTACT_MODE.items()}
 
 Word = tuple  # tuple[Covector, ...] strictly increasing by key
 
@@ -297,11 +303,9 @@ def form(chart: JetChart, mode: str,
     return DiffForm(chart, degree, mode, acc, adapted=adapted)
 
 
-def volume_form(chart: JetChart, mode: str = "contact") -> DiffForm:
+def volume_form(chart: JetChart) -> DiffForm:
     word = tuple(dx(i) for i in range(1, chart.n + 1))
-    if mode not in ("contact", "coordinate", "base"):
-        raise FormError("volume form lives in a dx basis")
-    return DiffForm(chart, chart.n, mode, {word: ONE})
+    return DiffForm(chart, chart.n, "contact", {word: ONE})
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
@@ -331,17 +335,11 @@ def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
 # ---------------------------------------------------------------------------
 
 def substitute_covectors(a: DiffForm, fn: Callable[[Covector], list],
-                         new_mode: str,
-                         coeff_fn: Callable[[Expr], Expr] | None = None,
-                         adapted: AdaptedChart | None = None) -> DiffForm:
-    """Rewrite each covector as a linear combination given by fn."""
+                         new_mode: str) -> DiffForm:
+    """Rewrite each covector as a linear combination given by fn; the result
+    keeps a's adapted chart if new_mode is an adapted mode."""
     out: dict[Word, Expr] = {}
-    adapted = adapted if adapted is not None else a.adapted
     for word, coeff in a.terms.items():
-        if coeff_fn is not None:
-            coeff = coeff_fn(coeff)
-        if coeff.is_zero:
-            continue
         expanded = [((), coeff)]
         for cov in word:
             branches = fn(cov)
@@ -359,6 +357,7 @@ def substitute_covectors(a: DiffForm, fn: Callable[[Covector], list],
                 continue
             add = c if sign == 1 else -c
             out[sorted_word] = out.get(sorted_word, ZERO) + add
+    adapted = a.adapted if new_mode.startswith("adapted") else None
     return DiffForm(a.chart, a.degree, new_mode, out, adapted=adapted)
 
 
@@ -388,11 +387,14 @@ def _change_basis(a: DiffForm, mode: str) -> DiffForm:
     Into a contact mode each differential becomes its contact covector plus
     the slope terms (dy^K_j = om^K_j + y^K_jl dx^l raises the order of the
     coefficients); out of one each contact covector becomes its differential
-    minus them.  dx and the selected dw^i are base covectors and stay.
+    minus them.  dx and the selected dw^i are base covectors and stay.  Only
+    the modes that ``_CONTACT_MODE`` pairs are moved between.
     """
     if a.mode == mode:
         return a
-    into_contact = mode in ("contact", "adapted-contact")
+    into_contact = _CONTACT_MODE.get(a.mode) == mode
+    if not into_contact and _DIFFERENTIAL_MODE.get(a.mode) != mode:
+        raise FormError(f"cannot move mode {a.mode!r} to the {mode!r} basis")
     partner = _CONTACT if into_contact else _DIFFERENTIAL
 
     def fn(cov: Covector):
@@ -408,26 +410,18 @@ def _change_basis(a: DiffForm, mode: str) -> DiffForm:
 
 def to_contact(a: DiffForm) -> DiffForm:
     """Definitional rewrite into the contact basis on the jet chart."""
-    if a.mode not in ("coordinate", "contact"):
-        raise FormError(f"cannot move mode {a.mode!r} to the contact basis")
     return _change_basis(a, "contact")
 
 
 def to_coordinate(a: DiffForm) -> DiffForm:
-    if a.mode not in ("contact", "coordinate"):
-        raise FormError(f"cannot move mode {a.mode!r} to the coordinate basis")
     return _change_basis(a, "coordinate")
 
 
 def to_adapted_contact(a: DiffForm) -> DiffForm:
-    if a.mode not in ("adapted", "adapted-contact"):
-        raise FormError("adapted-contact conversion expects an adapted form")
     return _change_basis(a, "adapted-contact")
 
 
 def from_adapted_contact(a: DiffForm) -> DiffForm:
-    if a.mode not in ("adapted-contact", "adapted"):
-        raise FormError("expected an adapted-contact form")
     return _change_basis(a, "adapted")
 
 
@@ -463,8 +457,7 @@ def _differentials(f: Expr, a: DiffForm) -> list[tuple[Sym, Covector]]:
 
 def _differential_basis(a: DiffForm) -> DiffForm:
     """a in the basis of differentials: contact covectors are rewritten."""
-    return _change_basis(a, {"contact": "coordinate",
-                             "adapted-contact": "adapted"}.get(a.mode, a.mode))
+    return _change_basis(a, _DIFFERENTIAL_MODE.get(a.mode, a.mode))
 
 
 def ext_d(a: DiffForm) -> DiffForm:
@@ -527,9 +520,7 @@ def contract(field: VectorField, a: DiffForm) -> DiffForm:
 
 def horizontalize(a: DiffForm) -> DiffForm:
     """The horizontal part along prolonged immersions (dx-words only)."""
-    src = to_coordinate(a) if a.mode == "contact" else a
-    if src.mode not in ("coordinate", "base"):
-        raise FormError("horizontalization lives on the jet chart")
+    src = _change_basis(a, "coordinate")
 
     def fn(cov: Covector):
         if cov.kind == "dx":
@@ -541,9 +532,7 @@ def horizontalize(a: DiffForm) -> DiffForm:
 
 def contact_component(a: DiffForm, k: int) -> DiffForm:
     """The k-contact part of the order-raised form (k counts contact factors)."""
-    c = to_contact(a) if a.mode == "coordinate" else a
-    if c.mode != "contact":
-        raise FormError("contact components live on the jet chart")
+    c = _change_basis(a, "contact")
     out = {w: coeff for w, coeff in c.terms.items()
            if sum(1 for cov in w if cov.kind in _DIFFERENTIAL) == k}
     return DiffForm(c.chart, c.degree, "contact", out, adapted=c.adapted)
@@ -638,11 +627,11 @@ def pullback_immersion(a: DiffForm, zeta: Immersion) -> DiffForm:
     """
     if a.mode == "base":
         return a
-    if a.mode in ("coordinate", "contact"):
-        src, coeff_map = a, zeta.substitution()
+    if a.mode.startswith("adapted"):
+        src = _change_basis(a, "adapted")
+        coeff_map = zeta.adapted_substitution(a.adapted)
     else:
-        src = from_adapted_contact(a)
-        coeff_map = zeta.adapted_substitution(src.adapted)
+        src, coeff_map = a, zeta.substitution()
     xs = range(1, a.chart.n + 1)
 
     def fn(cov: Covector):
@@ -653,10 +642,8 @@ def pullback_immersion(a: DiffForm, zeta: Immersion) -> DiffForm:
         value = coeff_map[_coordinate(cov)]
         return [(diff(value, Sym("x", j)), dx(j)) for j in xs]
 
-    def coeff_fn(c: Expr) -> Expr:
-        return substitute(c, coeff_map)
-
-    return substitute_covectors(src, fn, "base", coeff_fn=coeff_fn, adapted=None)
+    src = src.map_coefficients(lambda c: substitute(c, coeff_map))
+    return substitute_covectors(src, fn, "base")
 
 
 # ---------------------------------------------------------------------------
@@ -672,82 +659,46 @@ def reduce_contact_ideal(a: DiffForm) -> DiffForm:
     (basis words) is eliminated by exact Gaussian reduction; generator
     coefficients are constants, so no division by symbols occurs.
     """
-    c = to_adapted_contact(a) if a.mode == "adapted" else a
-    if c.mode != "adapted-contact":
-        raise FormError("contact-ideal reduction expects an adapted form")
+    c = _change_basis(a, "adapted-contact")
     ad = c.adapted
-    residual = {w: coeff for w, coeff in c.terms.items()
-                if all(cov.kind != "omt" for cov in w)}
-    if c.degree < 2 or not residual:
-        return DiffForm(c.chart, c.degree, "adapted-contact", residual, adapted=ad)
-    # generators: (sum_i dw^i ^ dw^s_i) ^ chi over omt-free basis words chi
-    basis_cov = [dw(it) for it in ad.selected]
-    basis_cov += [dwj(s, it) for s in ad.complement for it in ad.selected]
-    gens = []
+    residual = DiffForm(c.chart, c.degree, c.mode,
+                        {w: coeff for w, coeff in c.terms.items()
+                         if all(cov.kind != "omt" for cov in w)}, adapted=ad)
+    if c.degree < 2 or residual.is_zero:
+        return residual
+    # generators (sum_i dw^i ^ dw^s_i) ^ chi over omt-free basis words chi
+    # (basis is in key order), each reduced against the earlier ones (RREF)
+    basis = [dw(i) for i in ad.selected]
+    basis += [dwj(s, i) for s in ad.complement for i in ad.selected]
+    gens: list[DiffForm] = []
     for s in ad.complement:
-        two_form = {}
-        for it in ad.selected:
-            sign, word = _sort_word((dw(it), dwj(s, it)))
-            two_form[word] = two_form.get(word, 0) + sign
-        for chi in combinations(sorted(basis_cov, key=lambda cv: cv.key),
-                                c.degree - 2):
-            gen: dict[Word, Fraction] = {}
-            for word2, coeff2 in two_form.items():
-                sign, merged = _merge_words(word2, tuple(chi))
-                if merged is None:
-                    continue
-                val = Fraction(coeff2 * sign)
-                gen[merged] = gen.get(merged, Fraction(0)) + val
-            gen = {w: v for w, v in gen.items() if v}
-            if gen:
+        d_omt = form(c.chart, c.mode, {(dw(i), dwj(s, i)): ONE
+                                       for i in ad.selected}, adapted=ad)
+        for chi in combinations(basis, c.degree - 2):
+            gen = wedge(d_omt, form(c.chart, c.mode, {chi: ONE}, adapted=ad))
+            for g in gens:
+                gen = _eliminate(gen, g)
+            if not gen.is_zero:
                 gens.append(gen)
-    # inter-reduce the constant-coefficient generators (exact RREF)
-    reduced_gens: list[dict] = []
-    for gen in gens:
-        for rg in reduced_gens:
-            pivot = max(rg, key=lambda w: tuple(cv.key for cv in w))
-            if pivot in gen:
-                factor = gen[pivot] / rg[pivot]
-                for w, v in rg.items():
-                    nv = gen.get(w, Fraction(0)) - factor * v
-                    if nv:
-                        gen[w] = nv
-                    else:
-                        gen.pop(w, None)
-        if gen:
-            reduced_gens.append(gen)
-    # eliminate pivot words from the residual
-    for rg in reduced_gens:
-        pivot = max(rg, key=lambda w: tuple(cv.key for cv in w))
-        coeff = residual.get(pivot)
-        if coeff is None or coeff.is_zero:
-            continue
-        factor = coeff / const(rg[pivot])
-        for w, v in rg.items():
-            residual[w] = residual.get(w, ZERO) - factor * const(v)
-    residual = {w: coeff for w, coeff in residual.items() if not coeff.is_zero}
-    return DiffForm(c.chart, c.degree, "adapted-contact", residual, adapted=ad)
+    for g in gens:
+        residual = _eliminate(residual, g)
+    return residual
+
+
+def _eliminate(f: DiffForm, g: DiffForm) -> DiffForm:
+    """f less the multiple of g that clears g's largest word from f."""
+    w = g.items()[-1][0]
+    return f - g.scale(f.terms[w] / g.terms[w]) if w in f.terms else f
 
 
 # ---------------------------------------------------------------------------
 # comparison and serialization
 # ---------------------------------------------------------------------------
 
-def _align(a: DiffForm, b: DiffForm) -> tuple[DiffForm, DiffForm]:
-    if a.mode == b.mode:
-        return a, b
-    movable = {"coordinate", "contact"}
-    if a.mode in movable and b.mode in movable:
-        return a, (to_contact(b) if a.mode == "contact" else to_coordinate(b))
-    if {a.mode, b.mode} <= {"adapted", "adapted-contact"}:
-        return ((a, from_adapted_contact(b)) if a.mode == "adapted"
-                else (a, to_adapted_contact(b)))
-    raise FormError(f"cannot compare modes {a.mode!r} and {b.mode!r}")
-
-
 def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
                seed: int = 0, guards: Sequence[Expr] = ()) -> EqualResult:
-    """Coefficient-wise comparison after aligning the basis modes.
+    """Coefficient-wise comparison of a with b moved into a's basis mode
+    (by ``_change_basis``, which does every mode move).
 
     A failure is the first unequal coefficient's verdict, or else the last
     unknown one, with ``word`` set; 'equal' sums the coefficients' samples
@@ -757,13 +708,13 @@ def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
     """
     if a.degree != b.degree:
         return EqualResult("unequal", decided_by="structural")
-    a2, b2 = _align(a, b)
-    words = sorted(set(a2.terms) | set(b2.terms),
+    b = _change_basis(b, a.mode)
+    words = sorted(set(a.terms) | set(b.terms),
                    key=lambda w: tuple(c.key for c in w))
     skipped = {"guard": 0, "domain": 0, "overflow": 0}
     samples, worst, unknown = 0, 0.0, None
     for word in words:
-        res = equal(a2.terms.get(word, ZERO), b2.terms.get(word, ZERO),
+        res = equal(a.terms.get(word, ZERO), b.terms.get(word, ZERO),
                     trials=trials, tol=tol, seed=seed, guards=guards)
         for reason, k in res.skipped.items():
             skipped[reason] += k

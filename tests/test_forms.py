@@ -14,7 +14,7 @@ from lepage.acceptance import _random_form as criterion11_random_form
 from lepage.charts import AdaptedChart, JetChart
 from lepage.expr import (
     ONE, Expr, Sym, ZERO, const, cos_expr, equal, expr_sum, free_symbols,
-    levi_civita, sin_expr, sqrt_expr, sym_expr, wj, ww, x, yj, yy,
+    levi_civita, sin_expr, sqrt_expr, sym_expr, to_dsl, wj, ww, x, yj, yy,
 )
 from lepage.forms import (
     Covector, DiffForm, FormError, Immersion, VectorField, contact_component, contract, dw, dwj, dx, dy, dyj,
@@ -518,6 +518,63 @@ def test_contact_ideal_inter_reduces_generators():
             assert reduce_contact_ideal(b + gen) == rb
 
 
+AD31 = AdaptedChart(JetChart(3, 1, 1), (1, 2, 3))
+
+# forms with symbolic coefficients whose words meet the generators' pivots,
+# each with its normal form: the coefficients' DSL text by word
+CONTACT_IDEAL_PINS = {
+    "2-form-n2m2": (AD22, "adapted", {
+        (dw(2), dwj(3, 2)): ww(3),
+        (dw(2), dwj(4, 2)): wj(4, 1) * ww(3),
+        (dw(1), dwj(4, 1)): const(2),
+        (dw(1), dw(2)): sin_expr(ww(4)),
+        (dwj(3, 1), dwj(4, 2)): wj(3, 2),
+        (dw(1), dw(3)): ww(4)}, {
+        ("dw1", "dw2"): "w4*w3_2 + sin(w4)",
+        ("dw1", "dw3_1"): "-w3",
+        ("dw1", "dw4_1"): "2 - w3*w4_1",
+        ("dw3_1", "dw4_2"): "w3_2"}),
+    "3-form-n2m2": (AD22, "adapted", {
+        (dw(2), dwj(3, 2), dwj(4, 2)): ww(3),
+        (dw(2), dwj(3, 2), dwj(4, 1)): ww(4) * wj(3, 1),
+        (dw(1), dw(2), dwj(4, 2)): const(3),
+        (dwj(3, 1), dwj(3, 2), dwj(4, 1)): ww(3),
+        (dw(1), dw(3), dwj(4, 2)): wj(4, 2)}, {
+        ("dw1", "dw3_1", "dw4_1"): "-w4*w3_1",
+        ("dw1", "dw3_1", "dw4_2"): "-w3",
+        ("dw3_1", "dw3_2", "dw4_1"): "w3"}),
+    "2-form-n3m1": (AD31, "adapted", {
+        (dw(3), dwj(4, 3)): ww(4),
+        (dw(2), dwj(4, 2)): wj(4, 1),
+        (dw(1), dw(4)): wj(4, 3),
+        (dwj(4, 1), dwj(4, 2)): cos_expr(ww(2))}, {
+        ("dw1", "dw2"): "w4_2*w4_3",
+        ("dw1", "dw3"): "w4_3^2",
+        ("dw1", "dw4_1"): "-w4",
+        ("dw2", "dw4_2"): "-w4 + w4_1",
+        ("dw4_1", "dw4_2"): "cos(w2)"}),
+    "3-form-n3m1-omt": (AD31, "adapted-contact", {
+        (dw(1), dw(2), omt(4)): ww(4),
+        (dw(1), dw(3), dwj(4, 3)): ww(4) * wj(4, 2),
+        (dw(2), dw(3), dwj(4, 3)): wj(4, 1),
+        (dw(3), dwj(4, 1), dwj(4, 3)): ww(4) - wj(4, 3),
+        (dw(1), dw(2), dw(3)): const(5)}, {
+        ("dw1", "dw2", "dw3"): "5",
+        ("dw1", "dw2", "dw4_1"): "w4_1",
+        ("dw1", "dw2", "dw4_2"): "-w4*w4_2",
+        ("dw2", "dw4_1", "dw4_2"): "-w4 + w4_3"}),
+}
+
+
+@pytest.mark.parametrize("case", CONTACT_IDEAL_PINS)
+def test_contact_ideal_normal_form_is_pinned(case):
+    ad, mode, terms, expected = CONTACT_IDEAL_PINS[case]
+    rb = reduce_contact_ideal(form(ad.chart, mode, terms, adapted=ad))
+    assert rb.mode == "adapted-contact"
+    assert {tuple(c.name() for c in w): to_dsl(coeff)
+            for w, coeff in rb.items()} == expected
+
+
 def test_adapted_d_rejects_minor_entries():
     bad = form(CH21, "adapted", {(dw(1),): wj(1, 2)}, adapted=AD21)
     with pytest.raises(FormError):
@@ -558,7 +615,7 @@ def test_pullback_commutes_with_d():
 def test_pullback_of_horizontal_volume():
     zeta = plane_immersion()
     L = expr_sum(yj(K, 1) ** 2 for K in range(1, 4))
-    a = volume_form(CH21, mode="contact").scale(L)
+    a = volume_form(CH21).scale(L)
     p = pullback_immersion(a, zeta)
     # jets of the plane: y^1_1 = 1, y^2_1 = 0, y^3_1 = 2
     assert equal(p.coefficient((dx(1), dx(2))), const(5))
@@ -597,6 +654,38 @@ def test_form_equal_across_modes():
     assert res.verdict == "unequal"
     assert res.word is not None
     assert "unequal at word" in res.describe()
+
+
+JET_1 = form(CH21, "coordinate", {(dy(1),): yy(2)})
+ADAPTED_1 = form(CH21, "adapted", {(dw(3),): ww(3)}, adapted=AD21)
+BASE_1 = form(CH21, "base", {(dx(1),): x(1)})
+FAMILY_CROSSINGS = {
+    **{f"{move.__name__}-{mode}": (move, a)
+       for move in (to_contact, to_coordinate)
+       for mode, a in (("adapted", ADAPTED_1),
+                       ("adapted-contact", to_adapted_contact(ADAPTED_1)),
+                       ("base", BASE_1))},
+    **{f"{move.__name__}-{mode}": (move, a)
+       for move in (to_adapted_contact, from_adapted_contact)
+       for mode, a in (("coordinate", JET_1), ("contact", to_contact(JET_1)),
+                       ("base", BASE_1))},
+    "horizontalize-adapted": (horizontalize, ADAPTED_1),
+    "contact_component-adapted": (lambda a: contact_component(a, 0),
+                                  ADAPTED_1),
+    "reduce_contact_ideal-coordinate": (reduce_contact_ideal, JET_1),
+    "form_equal-coordinate-adapted": (lambda a: form_equal(JET_1, a),
+                                      ADAPTED_1),
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_CROSSINGS)
+def test_moves_across_chart_families_raise(case):
+    # the jet chart's bases and the adapted chart's are never converted
+    # into each other, and base forms have no contact basis
+    move, a = FAMILY_CROSSINGS[case]
+    with pytest.raises(FormError, match=r"cannot move mode '[a-z-]+' to the "
+                                        r"'[a-z-]+' basis"):
+        move(a)
 
 
 def test_form_equal_degree_mismatch_describes_itself():

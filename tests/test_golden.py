@@ -16,7 +16,10 @@ purpose re-baselines it with
 
 which rewrites only the files whose bytes changed, prints each one's
 changed lines (old, then new) and ends by naming them, or by saying that
-nothing changed; the change log lists the outputs that moved.
+nothing changed; the change log lists the outputs that moved.  For a wider
+check than this corpus, ``tests/output_sweep.py`` records stdout, stderr
+and exit status of every symbolic subcommand in fresh processes, to be
+compared between two checkouts with ``diff -r``.
 """
 
 from __future__ import annotations
