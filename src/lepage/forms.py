@@ -519,8 +519,9 @@ def contract(field: VectorField, a: DiffForm) -> DiffForm:
 
 
 def horizontalize(a: DiffForm) -> DiffForm:
-    """The horizontal part along prolonged immersions (dx-words only)."""
-    src = _change_basis(a, "coordinate")
+    """The horizontal part along prolonged immersions (dx-words only), in
+    coordinate mode; a base-mode form is its own horizontal part."""
+    src = a if a.mode == "base" else _change_basis(a, "coordinate")
 
     def fn(cov: Covector):
         if cov.kind == "dx":

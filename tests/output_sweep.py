@@ -1,11 +1,11 @@
 """Record what every symbolic CLI command prints, to compare two checkouts.
 
-    python tests/output_sweep.py OUTDIR [--jobs N]
+    python tests/output_sweep.py OUTDIR
 
 runs ``python -m lepage.cli`` from this checkout's ``src`` as a fresh
-process per command and writes, for each command NAME, its stdout to
-``OUTDIR/NAME.out``, its stderr to ``OUTDIR/NAME.err`` and its exit status
-to ``OUTDIR/NAME.status``.  The commands, at ``--seed 0``, are ``lepage``
+process per command, one at a time, and writes, for each command NAME, its
+stdout to ``OUTDIR/NAME.out``, its stderr to ``OUTDIR/NAME.err`` and its
+exit status to ``OUTDIR/NAME.status``.  The commands, at ``--seed 0``, are ``lepage``
 and ``lepage --format latex`` for every equivalent kind, ``check-lepage``
 for every kind, ``derive-el`` in both formats, ``check-zermelo`` and
 ``noether`` in both formats, on each ``problems/*.json`` and on two Noether
@@ -30,7 +30,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,8 +84,6 @@ def run(argv: list[str], cwd: Path, outdir: Path, name: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir", type=Path)
-    ap.add_argument("--jobs", type=int, default=2,
-                    help="commands run at once (default 2)")
     args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,10 +98,8 @@ def main(argv: list[str] | None = None) -> int:
                 rel = str(path.relative_to(cwd))
                 for name, cmd in problem_commands(path.stem, rel).items():
                     jobs.append((cmd, cwd, name))
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            for job in [pool.submit(run, cmd, cwd, args.outdir, name)
-                        for cmd, cwd, name in jobs]:
-                job.result()
+        for cmd, cwd, name in jobs:
+            run(cmd, cwd, args.outdir, name)
     print(f"{len(jobs)} commands recorded in {args.outdir}")
     return 0
 

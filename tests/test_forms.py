@@ -309,6 +309,12 @@ def test_contact_decomposition_is_complete():
     assert (total - c).is_zero
 
 
+def test_base_form_is_its_own_horizontal_part():
+    a = form(CH21, "base", {(dx(1), dx(2)): x(1)})
+    h = horizontalize(a)
+    assert h.mode == "coordinate" and h.terms == a.terms
+
+
 def test_horizontal_part_is_zero_contact_component():
     rng = random.Random(9)
     a = random_form(CH21, 2, "coordinate", rng)
