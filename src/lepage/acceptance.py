@@ -70,15 +70,14 @@ def _random_form(chart: JetChart, degree: int, mode: str,
     gens += [yy(K) for K in range(1, chart.M + 1)]
     gens += [yj(K, j) for K in range(1, chart.M + 1)
              for j in range(1, chart.n + 1)]
-    acc: dict = {}
+    pairs = []
     for _ in range(terms):
         word = tuple(rng.sample(pool, degree))
         coeff = const(rng.randint(-3, 3)) * rng.choice(gens) \
             + const(rng.randint(-3, 3)) * rng.choice(gens)
-        if coeff.is_zero:
-            coeff = const(rng.randint(1, 3))
-        acc[word] = acc.get(word, ZERO) + coeff
-    return form(chart, mode, acc, degree=degree)
+        pairs.append((word, coeff if not coeff.is_zero
+                      else const(rng.randint(1, 3))))
+    return form(chart, mode, pairs, degree=degree)
 
 
 def _jacobian_lagrangian() -> Lagrangian:

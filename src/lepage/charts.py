@@ -94,7 +94,7 @@ class JetChart:
             raise ChartError("second-order symbol on a first-order chart")
 
     def validate_expr(self, e: Expr, *, max_order: int | None = None) -> None:
-        for s in free_symbols(e):
+        for s in sorted(free_symbols(e), key=lambda t: t.key):
             self.check_symbol(s, max_order)
 
 
@@ -243,7 +243,7 @@ def adapted_derivative(f: Expr, i: int, adapted: AdaptedChart) -> Expr:
     if bad:
         raise ChartError(
             "cut derivative is defined for functions of the fiber coordinates; "
-            f"found {bad[0]!r}")
+            f"found {min(bad, key=lambda t: t.key)!r}")
     pieces = [diff(f, Sym("w", i))]
     for s in adapted.complement:
         ds = diff(f, Sym("w", s))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .charts import JetChart, formal_derivative
 from .expr import (
@@ -101,8 +101,9 @@ class HorizontalNForm:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _layers(lam: Lagrangian, ks: Sequence[int], cov) -> dict[tuple, Expr]:
-    """The layers k in ks of the fundamental sum, by unsorted word.
+def _layers(lam: Lagrangian, ks: Sequence[int], cov) -> Iterator[tuple]:
+    """The (unsorted word, coefficient) pairs of the layers k in ks of the
+    fundamental sum, for ``form`` to sort and sum.
 
     The degree-k layer sums, over fiber indices and permutations p of the
     base indices, the k-th derivative of the Lagrange function contracted
@@ -111,7 +112,6 @@ def _layers(lam: Lagrangian, ks: Sequence[int], cov) -> dict[tuple, Expr]:
     """
     chart = lam.chart
     n, M = chart.n, chart.M
-    acc: dict[tuple, Expr] = {}
     for k in ks:
         weight = Fraction(1, factorial(n - k) * factorial(k) ** 2)
         for p in permutations(range(1, n + 1)):
@@ -121,10 +121,8 @@ def _layers(lam: Lagrangian, ks: Sequence[int], cov) -> dict[tuple, Expr]:
                 deriv = lam.derivative(tuple(zip(Ks, p[:k])))
                 if deriv.is_zero:
                     continue
-                word = tuple(cov(K) for K in Ks) + base_word
-                coeff = const(sign * weight) * deriv
-                acc[word] = acc.get(word, ZERO) + coeff
-    return acc
+                yield (tuple(cov(K) for K in Ks) + base_word,
+                       const(sign * weight) * deriv)
 
 
 def poincare_cartan(lam: Lagrangian) -> DiffForm:
@@ -257,14 +255,8 @@ def _matches_poincare_cartan(rho: DiffForm, lam: Lagrangian) -> bool:
     if (chart.order != 1 or rho.chart != chart or rho.degree != chart.n
             or rho.mode not in ("coordinate", "contact")):
         return False
-    c, theta = to_contact(rho), poincare_cartan(lam)
-    for k in (0, 1):
-        ours = contact_component(c, k).terms
-        theirs = contact_component(theta, k).terms
-        for word in ours.keys() | theirs.keys():
-            if not (ours.get(word, ZERO) - theirs.get(word, ZERO)).is_zero:
-                return False
-    return True
+    rest = to_contact(rho) - poincare_cartan(lam)
+    return all(contact_component(rest, k).is_zero for k in (0, 1))
 
 
 def _lepage_verdict(rho: DiffForm, drho: DiffForm, lam: Lagrangian,

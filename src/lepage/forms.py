@@ -29,18 +29,24 @@ between them: the four public converters, ``form_equal``, ``ext_d``,
 move across chart families raises there.  ``horizontalize`` and the pairing
 in ``contract`` read the slopes too, and every constructor and checker goes
 through these.
+
+Words are sorted, signed and summed in one place, ``form``: ``wedge``,
+``ext_d``, ``contract``, ``lie_derivative`` and ``substitute_covectors`` hand
+it their (word, coefficient) pairs, and only ``DiffForm.__add__`` also sums
+coefficients by word, of two forms already sorted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
 
 from .charts import AdaptedChart, JetChart
 from .expr import (
     EqualResult, Expr, ExprError, ONE, Sym, ZERO, const, diff, equal,
-    expr_sum, free_symbols, levi_civita, substitute, sym_expr, to_dsl,
+    expr_sum, free_symbols, substitute, sym_expr, to_dsl,
 )
 
 __all__ = [
@@ -152,37 +158,22 @@ _DIFFERENTIAL_MODE = {c: d for d, c in _CONTACT_MODE.items()}
 Word = tuple  # tuple[Covector, ...] strictly increasing by key
 
 
-def _merge_words(wa: Word, wb: Word) -> tuple[int, Word | None]:
-    """Wedge two sorted strict words; sign from counting crossings."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(wa) and j < len(wb):
-        ka, kb = wa[i].key, wb[j].key
-        if ka == kb:
-            return 0, None
-        if ka < kb:
-            out.append(wa[i])
-            i += 1
-        else:
-            if (len(wa) - i) % 2:
-                sign = -sign
-            out.append(wb[j])
-            j += 1
-    out.extend(wa[i:])
-    out.extend(wb[j:])
-    return sign, tuple(out)
-
-
 def _sort_word(word: Sequence[Covector]) -> tuple[int, Word | None]:
-    """Sort an arbitrary covector tuple, returning the permutation sign."""
-    keys = [c.key for c in word]
-    if len(set(keys)) != len(keys):
-        return 0, None
-    order = sorted(range(len(word)), key=lambda t: keys[t])
-    sign = levi_civita(tuple(order[i] + 1 for i in range(len(order))))
-    # levi_civita of the inverse permutation equals that of the permutation
-    return sign, tuple(word[t] for t in order)
+    """Sort a covector tuple by insertion, flipping the sign once per swap;
+    a word that repeats a covector gives (0, None)."""
+    out = list(word)
+    sign = 1
+    for i, cov in enumerate(word):
+        j = i
+        while j and out[j - 1].key > cov.key:
+            out[j] = out[j - 1]
+            sign = -sign
+            j -= 1
+        # the sorted prefix holds an equal covector only next to this one
+        if j and out[j - 1].key == cov.key:
+            return 0, None
+        out[j] = cov
+    return sign, tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +272,27 @@ def zero_form(chart: JetChart, degree: int, mode: str = "coordinate",
     return DiffForm(chart, degree, mode, {}, adapted=adapted)
 
 
-def form(chart: JetChart, mode: str,
-         terms: Mapping[Sequence[Covector], Expr | int],
+def form(chart: JetChart, mode: str, terms: Mapping | Iterable[tuple],
          adapted: AdaptedChart | None = None,
          degree: int | None = None) -> DiffForm:
-    """Build a form from possibly unsorted words, of ``degree`` or else
-    the length of the first word."""
+    """The form of (word, coefficient) pairs, given as a mapping from words
+    or as an iterable of pairs: the one place where words are sorted, signed
+    and summed.
+
+    Each word is sorted and its coefficient signed by the sort; a word that
+    repeats a covector, or a zero coefficient, adds nothing.  Coefficients
+    are summed by sorted word in the order given.  The degree is ``degree``,
+    or else the length of the first word.
+    """
     acc: dict[Word, Expr] = {}
-    for word, coeff in terms.items():
-        word = tuple(word)
+    for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
         if degree is None:
             degree = len(word)
         coeff = coeff if isinstance(coeff, Expr) else const(coeff)
         sign, sorted_word = _sort_word(word)
-        if sorted_word is None:
-            continue
-        add = coeff if sign == 1 else -coeff
-        acc[sorted_word] = acc.get(sorted_word, ZERO) + add
+        if sorted_word is not None and not coeff.is_zero:
+            add = coeff if sign == 1 else -coeff
+            acc[sorted_word] = acc.get(sorted_word, ZERO) + add
     if degree is None:
         raise FormError("cannot infer the degree of an empty term map")
     return DiffForm(chart, degree, mode, acc, adapted=adapted)
@@ -311,23 +306,15 @@ def volume_form(chart: JetChart) -> DiffForm:
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     if a.mode != b.mode:
         raise FormError(f"wedge across modes {a.mode!r} and {b.mode!r}")
-    out: dict[Word, Expr] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            sign, word = _merge_words(wa, wb)
-            if word is None:
-                continue
-            add = ca * cb if sign == 1 else -(ca * cb)
-            acc = out.get(word, ZERO) + add
-            out[word] = acc
-    return DiffForm(a.chart, a.degree + b.degree, a.mode, out, adapted=a.adapted)
+    # a pair that shares a covector is skipped before its product is formed
+    terms = ((wa + wb, ca * cb) for wa, ca in a.terms.items()
+             for wb, cb in b.terms.items() if set(wa).isdisjoint(wb))
+    return form(a.chart, a.mode, terms, adapted=a.adapted,
+                degree=a.degree + b.degree)
 
 
 def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
-    result = factors[0]
-    for f in factors[1:]:
-        result = wedge(result, f)
-    return result
+    return reduce(wedge, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +325,18 @@ def substitute_covectors(a: DiffForm, fn: Callable[[Covector], list],
                          new_mode: str) -> DiffForm:
     """Rewrite each covector as a linear combination given by fn; the result
     keeps a's adapted chart if new_mode is an adapted mode."""
-    out: dict[Word, Expr] = {}
-    for word, coeff in a.terms.items():
-        expanded = [((), coeff)]
-        for cov in word:
-            branches = fn(cov)
-            new_expanded = []
-            for partial_word, partial_coeff in expanded:
-                for branch_coeff, branch_cov in branches:
-                    c = partial_coeff * branch_coeff
-                    if c.is_zero:
-                        continue
-                    new_expanded.append((partial_word + (branch_cov,), c))
-            expanded = new_expanded
-        for raw_word, c in expanded:
-            sign, sorted_word = _sort_word(raw_word)
-            if sorted_word is None:
-                continue
-            add = c if sign == 1 else -c
-            out[sorted_word] = out.get(sorted_word, ZERO) + add
+    def terms():
+        for word, coeff in a.terms.items():
+            expanded = [((), coeff)]
+            for cov in word:
+                branches = fn(cov)
+                expanded = [(w + (branch_cov,), c) for w, partial in expanded
+                            for branch_coeff, branch_cov in branches
+                            if not (c := partial * branch_coeff).is_zero]
+            yield from expanded
+
     adapted = a.adapted if new_mode.startswith("adapted") else None
-    return DiffForm(a.chart, a.degree, new_mode, out, adapted=adapted)
+    return form(a.chart, new_mode, terms(), adapted=adapted, degree=a.degree)
 
 
 def _coordinate(cov: Covector) -> Sym:
@@ -463,18 +441,10 @@ def _differential_basis(a: DiffForm) -> DiffForm:
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative; contact-basis input is converted first."""
     src = _differential_basis(a)
-    out: dict[Word, Expr] = {}
-    for word, coeff in src.terms.items():
-        for s, cov in _differentials(coeff, src):
-            dcoeff = diff(coeff, s)
-            if dcoeff.is_zero:
-                continue
-            sign, new_word = _merge_words((cov,), word)
-            if new_word is None:
-                continue
-            add = dcoeff if sign == 1 else -dcoeff
-            out[new_word] = out.get(new_word, ZERO) + add
-    return DiffForm(src.chart, src.degree + 1, src.mode, out, adapted=src.adapted)
+    terms = (((cov,) + word, diff(coeff, s)) for word, coeff in src.terms.items()
+             for s, cov in _differentials(coeff, src))
+    return form(src.chart, src.mode, terms, adapted=src.adapted,
+                degree=src.degree + 1)
 
 
 @dataclass(frozen=True)
@@ -504,18 +474,15 @@ def contract(field: VectorField, a: DiffForm) -> DiffForm:
     """Interior product i_X a."""
     if a.degree == 0:
         raise FormError("cannot contract a 0-form")
-    out: dict[Word, Expr] = {}
-    for word, coeff in a.terms.items():
-        for pos, cov in enumerate(word):
-            val = _pair(field, cov, a)
-            if val.is_zero:
-                continue
-            rest = word[:pos] + word[pos + 1:]
-            add = coeff * val
-            if pos % 2:
-                add = -add
-            out[rest] = out.get(rest, ZERO) + add
-    return DiffForm(a.chart, a.degree - 1, a.mode, out, adapted=a.adapted)
+
+    def terms():
+        for word, coeff in a.terms.items():
+            for pos, cov in enumerate(word):
+                add = coeff * _pair(field, cov, a)
+                yield word[:pos] + word[pos + 1:], -add if pos % 2 else add
+
+    return form(a.chart, a.mode, terms(), adapted=a.adapted,
+                degree=a.degree - 1)
 
 
 def horizontalize(a: DiffForm) -> DiffForm:
@@ -555,26 +522,22 @@ def lie_derivative(field: VectorField, a: DiffForm) -> DiffForm:
     the result equals Cartan's formula i_X d a + d i_X a.
     """
     src = _differential_basis(a)
-    out: dict[Word, Expr] = {}
 
-    def add(word: Word, c: Expr) -> None:
-        if not c.is_zero:
-            out[word] = out.get(word, ZERO) + c
+    def terms():
+        for word, coeff in src.terms.items():
+            along = [(field.component(s), s)
+                     for s, _ in _differentials(coeff, src)]
+            yield word, expr_sum(c * diff(coeff, s) for c, s in along
+                                 if not c.is_zero)
+            for pos, cov in enumerate(word):
+                comp = field.component(_coordinate(cov))
+                for s, dcov in _differentials(comp, src):
+                    # d(X^ik) in place of dz^ik; the sort signs it
+                    yield (word[:pos] + (dcov,) + word[pos + 1:],
+                           coeff * diff(comp, s))
 
-    for word, coeff in src.terms.items():
-        along = [(field.component(s), s) for s, _ in _differentials(coeff, src)]
-        add(word, expr_sum(c * diff(coeff, s) for c, s in along
-                           if not c.is_zero))
-        for pos, cov in enumerate(word):
-            comp = field.component(_coordinate(cov))
-            rest = word[:pos] + word[pos + 1:]
-            for s, dcov in _differentials(comp, src):
-                # dcov in place pos is (-1)^pos dcov ^ rest
-                sign, new_word = _merge_words((dcov,), rest)
-                if new_word is not None:
-                    dc = coeff * diff(comp, s)
-                    add(new_word, dc if sign * (-1) ** pos == 1 else -dc)
-    return DiffForm(src.chart, src.degree, src.mode, out, adapted=src.adapted)
+    return form(src.chart, src.mode, terms(), adapted=src.adapted,
+                degree=src.degree)
 
 
 @dataclass(frozen=True)
@@ -590,7 +553,7 @@ class Immersion:
                 f"immersion needs {self.chart.M} components, got "
                 f"{len(self.components)}")
         for c in self.components:
-            for s in free_symbols(c):
+            for s in sorted(free_symbols(c), key=lambda t: t.key):
                 if s.kind != "x":
                     raise FormError(
                         f"immersion components depend on base variables only, "
@@ -661,29 +624,35 @@ def reduce_contact_ideal(a: DiffForm) -> DiffForm:
     coefficients are constants, so no division by symbols occurs.
     """
     c = _change_basis(a, "adapted-contact")
-    ad = c.adapted
     residual = DiffForm(c.chart, c.degree, c.mode,
                         {w: coeff for w, coeff in c.terms.items()
-                         if all(cov.kind != "omt" for cov in w)}, adapted=ad)
+                         if all(cov.kind != "omt" for cov in w)},
+                        adapted=c.adapted)
     if c.degree < 2 or residual.is_zero:
         return residual
-    # generators (sum_i dw^i ^ dw^s_i) ^ chi over omt-free basis words chi
-    # (basis is in key order), each reduced against the earlier ones (RREF)
+    for g in _contact_generators(c.adapted, c.degree):
+        residual = _eliminate(residual, g)
+    return residual
+
+
+@lru_cache
+def _contact_generators(ad: AdaptedChart, degree: int) -> tuple[DiffForm, ...]:
+    """The generators (sum_i dw^i ^ dw^s_i) ^ chi of degree ``degree``, over
+    omt-free basis words chi in key order, each reduced against the earlier
+    ones (RREF); they depend on the chart and the degree only."""
     basis = [dw(i) for i in ad.selected]
     basis += [dwj(s, i) for s in ad.complement for i in ad.selected]
     gens: list[DiffForm] = []
     for s in ad.complement:
-        d_omt = form(c.chart, c.mode, {(dw(i), dwj(s, i)): ONE
-                                       for i in ad.selected}, adapted=ad)
-        for chi in combinations(basis, c.degree - 2):
-            gen = wedge(d_omt, form(c.chart, c.mode, {chi: ONE}, adapted=ad))
+        for chi in combinations(basis, degree - 2):
+            gen = form(ad.chart, "adapted-contact",
+                       [((dw(i), dwj(s, i)) + chi, ONE) for i in ad.selected],
+                       adapted=ad, degree=degree)
             for g in gens:
                 gen = _eliminate(gen, g)
             if not gen.is_zero:
                 gens.append(gen)
-    for g in gens:
-        residual = _eliminate(residual, g)
-    return residual
+    return tuple(gens)
 
 
 def _eliminate(f: DiffForm, g: DiffForm) -> DiffForm:

@@ -147,7 +147,8 @@ def graph_el_residual(u: Expr) -> Expr:
     if not isinstance(u, Expr):
         raise TypeError("expected an expression")
     X1, X2 = Sym("x", 1), Sym("x", 2)
-    extra = [s for s in free_symbols(u) if s not in (X1, X2)]
+    extra = sorted((s for s in free_symbols(u) if s not in (X1, X2)),
+                   key=lambda t: t.key)
     if extra:
         raise ExprError(f"graph function depends on non-base symbols {extra}")
     ux, uy = diff(u, X1), diff(u, X2)

@@ -45,7 +45,7 @@ class VectorFieldSpec:
                 f"field needs {self.chart.M} components, got "
                 f"{len(self.components)}")
         for c in self.components:
-            for s in free_symbols(c):
+            for s in sorted(free_symbols(c), key=lambda t: t.key):
                 if s.kind != "y" or not 1 <= s.a <= self.chart.M:
                     raise ChartError(
                         "field components live on the configuration space; "

@@ -13,9 +13,9 @@ from lepage.charts import (
     gl_act_symbolic, group_det_symbolic,
 )
 from lepage.expr import (
-    ParseError, PointAssignment, Sym, const, det_expr, diff, equal, evaluate,
-    expr_sum, free_symbols, opaque, parse, sqrt_expr, substitute, sym_expr,
-    sym_name, to_dsl, wj, ww, x, yj, yy,
+    ExprError, ParseError, PointAssignment, Sym, const, det_expr, diff, equal,
+    evaluate, expr_sum, free_symbols, opaque, parse, sqrt_expr, substitute,
+    sym_expr, sym_name, to_dsl, wj, ww, x, yj, yy,
 )
 
 
@@ -113,6 +113,50 @@ def test_check_symbol_follows_the_range_table():
             assert str(info.value) == f"{want} (at offset 0)"
 
     check()
+
+
+def _error_naming(site: str):
+    """The call of each site that names an offending symbol of a free-symbol
+    set, on an expression that has two, with the text it must raise."""
+    from lepage.forms import Immersion
+    from lepage.metric import graph_el_residual
+    from lepage.variation import VectorFieldSpec
+    zero = const(0)
+    return {
+        "validate_expr": (lambda e: JetChart(2, 1, 1).validate_expr(e),
+                          "base index 7 outside 1..2"),
+        "adapted_derivative": (
+            lambda e: adapted_derivative(e, 1, AdaptedChart(JetChart(2, 2, 1),
+                                                            (1, 2))),
+            "cut derivative is defined for functions of the fiber "
+            "coordinates; found w3_2"),
+        "immersion": (lambda e: Immersion(JetChart(2, 1, 1), (e, zero, zero)),
+                      "immersion components depend on base variables only, "
+                      "found y1"),
+        "graph_el_residual": (graph_el_residual,
+                              "graph function depends on non-base symbols "
+                              "[x3, y1, y2, w1]"),
+        "vector_field": (
+            lambda e: VectorFieldSpec(JetChart(2, 1, 1), (e, zero, zero)),
+            "field components live on the configuration space; found x2"),
+    }[site]
+
+
+@pytest.mark.parametrize("site, text", [
+    ("validate_expr", "y9_1 + x7"), ("validate_expr", "x7 + y9_1"),
+    ("adapted_derivative", "w4_1 + w3_2"), ("adapted_derivative", "w3_2 + w4_1"),
+    ("immersion", "y3 + y1"), ("immersion", "y1 + y3"),
+    ("graph_el_residual", "y2 + y1 + w1 + x3"),
+    ("graph_el_residual", "x3 + w1 + y1 + y2"),
+    ("vector_field", "y4 + x2"), ("vector_field", "x2 + y4"),
+])
+def test_errors_name_offending_symbols_in_key_order(site, text):
+    # the first offending symbol in key order is named, or all are listed in
+    # key order, whatever order the expression was written in
+    call, message = _error_naming(site)
+    with pytest.raises(ExprError) as info:
+        call(parse(text))
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,97 @@ def test_form_validation_errors():
         form(CH21, "coordinate", {})
 
 
+# the covectors of CH22 in coordinate mode, and of AD22 in adapted-contact
+# mode, each with the symbols its coefficients may read
+SIGN_POOLS = {
+    "coordinate": (
+        [dx(i) for i in (1, 2)] + [dy(K) for K in range(1, 5)]
+        + [dyj(K, j) for K in range(1, 5) for j in (1, 2)],
+        [Sym("x", i) for i in (1, 2)] + [Sym("y", K) for K in range(1, 5)]
+        + [Sym("y1", K, j) for K in range(1, 5) for j in (1, 2)]),
+    "adapted-contact": (
+        [dw(i) for i in (1, 2)] + [omt(s) for s in (3, 4)]
+        + [dwj(s, i) for s in (3, 4) for i in (1, 2)],
+        [Sym("w", K) for K in range(1, 5)]
+        + [Sym("w1", s, i) for s in (3, 4) for i in (1, 2)]),
+}
+
+
+def test_form_signs_a_permuted_word_by_its_permutation():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    pool, syms = SIGN_POOLS["coordinate"]
+
+    @st.composite
+    def cases(draw):
+        word = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5,
+                             unique=True))
+        word = tuple(sorted(word, key=lambda c: c.key))
+        perm = tuple(draw(st.permutations(range(1, len(word) + 1))))
+        return word, perm, draw(_polys(st, syms))
+
+    @hyp.settings(max_examples=80)
+    @hyp.given(cases())
+    def check(case):
+        word, perm, c = case
+        permuted = tuple(word[p - 1] for p in perm)
+        assert form(CH22, "coordinate", {permuted: c}) == \
+            form(CH22, "coordinate", {word: c}).scale(levi_civita(perm))
+
+    check()
+
+
+def test_form_drops_a_word_that_repeats_a_covector():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    pool, _ = SIGN_POOLS["coordinate"]
+
+    @st.composite
+    def words(draw):
+        word = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                             unique=True))
+        repeat = draw(st.sampled_from(word))
+        word.insert(draw(st.integers(0, len(word))), repeat)
+        return tuple(word)
+
+    @hyp.settings(max_examples=60)
+    @hyp.given(words())
+    def check(word):
+        zero = form(CH22, "coordinate", {word: x(1) + ONE})
+        assert zero.is_zero and zero.degree == len(word)
+
+    check()
+
+
+def test_wedge_is_graded_commutative_and_associative_to_degree_three():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def one_form(draw, mode):
+        pool, syms = SIGN_POOLS[mode]
+        degree = draw(st.integers(1, 3))
+        words = st.lists(st.sampled_from(pool), min_size=degree,
+                         max_size=degree, unique=True).map(tuple)
+        terms = draw(st.dictionaries(words, _polys(st, syms), min_size=1,
+                                     max_size=3))
+        adapted = AD22 if mode == "adapted-contact" else None
+        return form(CH22, mode, terms, adapted=adapted, degree=degree)
+
+    triples = st.sampled_from(sorted(SIGN_POOLS)).flatmap(
+        lambda mode: st.tuples(*[one_form(mode)] * 3))
+
+    @hyp.settings(max_examples=40)
+    @hyp.given(triples)
+    def check(forms):
+        a, b, c = forms
+        sign = (-1) ** (a.degree * b.degree)
+        assert wedge(a, b) == wedge(b, a).scale(sign)
+        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # basis changes
 # ---------------------------------------------------------------------------
