@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from ._numpy import lazy, np
+from ._sampling import Frozen
 from .charts import AdaptedChart, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _lepage_verdict,
                           caratheodory, euler_lagrange, fundamental,
@@ -38,15 +38,14 @@ SQUARE = (-1.0, 1.0, -1.0, 1.0)
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Frozen):
     """Outcome of one criterion: verdict, human-readable detail, wall time."""
 
-    number: int
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
+    __slots__ = ("number", "title", "passed", "detail", "seconds")
+
+    def __init__(self, number: int, title: str, passed: bool, detail: str,
+                 seconds: float):
+        self._freeze(number, title, passed, detail, seconds)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -13,8 +13,9 @@ the orientation branch det(minor) > 0; samplers must guard minors positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
+from ._sampling import Frozen
 from .expr import (
     Expr, ExprError, Sym, cancel_candidate, const, det_expr, diff, expr_sum,
     free_symbols, sqrt_extract_candidate, substitute, sym_expr, sym_name,
@@ -30,21 +31,31 @@ class ChartError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class JetChart:
+class JetChart(Frozen):
     """A fibered chart on the jet space of immersed n-submanifolds."""
 
-    n: int
-    m: int
-    order: int = 1
+    __slots__ = ("n", "m", "order")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise ChartError(f"base dimension must lie in 1..4, got {self.n}")
-        if self.m < 1:
-            raise ChartError(f"fiber dimension must be >= 1, got {self.m}")
-        if self.order not in (1, 2):
-            raise ChartError(f"jet order must be 1 or 2, got {self.order}")
+    def __init__(self, n: int, m: int, order: int = 1):
+        if not 1 <= n <= 4:
+            raise ChartError(f"base dimension must lie in 1..4, got {n}")
+        if m < 1:
+            raise ChartError(f"fiber dimension must be >= 1, got {m}")
+        if order not in (1, 2):
+            raise ChartError(f"jet order must be 1 or 2, got {order}")
+        self._freeze(n, m, order)
+
+    def __eq__(self, other):
+        if other.__class__ is not JetChart:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"JetChart(n={self.n!r}, m={self.m!r}, order={self.order!r})"
 
     @property
     def M(self) -> int:
@@ -124,23 +135,30 @@ def formal_derivative(f: Expr, i: int, chart: JetChart) -> Expr:
 # adapted charts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdaptedChart:
+class AdaptedChart(Frozen):
     """Chart adapted to a regular selected minor of the first jet."""
 
-    chart: JetChart
-    selected: tuple[int, ...]
+    __slots__ = ("chart", "selected")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        cs = tuple(self.selected)
-        object.__setattr__(self, "selected", cs)
-        if len(cs) != self.chart.n:
+    def __init__(self, chart: JetChart, selected: tuple[int, ...]):
+        cs = tuple(selected)
+        if len(cs) != chart.n:
             raise ChartError(
-                f"selected tuple must have length n={self.chart.n}, got {cs}")
+                f"selected tuple must have length n={chart.n}, got {cs}")
         if list(cs) != sorted(set(cs)):
             raise ChartError(f"selected tuple must be strictly increasing: {cs}")
-        if not all(1 <= i <= self.chart.M for i in cs):
-            raise ChartError(f"selected labels outside 1..{self.chart.M}: {cs}")
+        if not all(1 <= i <= chart.M for i in cs):
+            raise ChartError(f"selected labels outside 1..{chart.M}: {cs}")
+        self._freeze(chart, cs)
+
+    def __eq__(self, other):
+        if other.__class__ is not AdaptedChart:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     @property
     def complement(self) -> tuple[int, ...]:

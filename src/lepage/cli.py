@@ -15,11 +15,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from ._numpy import lazy, np
+from ._sampling import Frozen
 from .charts import AdaptedChart, ChartError, JetChart
 from .equivalents import (Lagrangian, caratheodory, euler_lagrange,
                           fundamental, fundamental_homogeneous,
@@ -57,21 +57,24 @@ class ProblemError(Exception):
     """Raised when a problem file or command input cannot be used."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Validated problem file: chart, integrand, and optional geometry."""
+class ProblemSpec(Frozen):
+    """Validated problem file: chart, integrand, and optional geometry.
 
-    chart: JetChart
-    lagrangian: Lagrangian
-    metric: MetricSpec | None
-    fields: tuple[VectorFieldSpec, ...]
-    immersion: Immersion | None
-    solver: dict
-    # sampling defaults as the file gives them; _sampling checks them after
-    # the command-line flags are merged in
-    seed: object
-    tol: object
-    trials: object
+    ``seed``, ``tol`` and ``trials`` are the sampling defaults as the file
+    gives them; the function ``_sampling`` checks them after the
+    command-line flags are merged in.
+    """
+
+    __slots__ = ("chart", "lagrangian", "metric", "fields", "immersion",
+                 "solver", "seed", "tol", "trials")
+
+    def __init__(self, chart: JetChart, lagrangian: Lagrangian,
+                 metric: MetricSpec | None,
+                 fields: tuple[VectorFieldSpec, ...],
+                 immersion: Immersion | None, solver: dict,
+                 seed: object, tol: object, trials: object):
+        self._freeze(chart, lagrangian, metric, fields, immersion, solver,
+                     seed, tol, trials)
 
 
 # ---------------------------------------------------------------------------

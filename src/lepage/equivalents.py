@@ -12,12 +12,13 @@ part of the exterior derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from operator import attrgetter
 from typing import Iterator, Sequence
 
+from ._sampling import Frozen
 from .charts import JetChart, formal_derivative
 from .expr import (
     EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff,
@@ -37,22 +38,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Frozen):
     """First-order Lagrange function attached to a jet chart.
 
     Every jet derivative of L that the constructors and the Euler-Lagrange
     expressions read comes from ``derivative``, which keeps one table per
-    Lagrangian; the table takes no part in ``==``, ``hash`` or ``repr``.
+    Lagrangian; the table takes no part in ``==``, ``hash``, ``repr`` or
+    copies.
     """
 
-    chart: JetChart
-    L: Expr
-    _derivatives: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    __slots__ = ("chart", "L", "_derivatives")
+    _key = attrgetter("chart", "L")
 
-    def __post_init__(self):
-        self.chart.validate_expr(self.L, max_order=1)
+    def __init__(self, chart: JetChart, L: Expr):
+        chart.validate_expr(L, max_order=1)
+        self._freeze(chart, L, {})
+
+    def __eq__(self, other):
+        if other.__class__ is not Lagrangian:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"Lagrangian(chart={self.chart!r}, L={self.L!r})"
+
+    def __reduce__(self):
+        return Lagrangian, self._key(self)
 
     def volume(self) -> DiffForm:
         return volume_form(self.chart).scale(self.L)
@@ -72,8 +86,7 @@ class Lagrangian:
         return value
 
 
-@dataclass(frozen=True)
-class HorizontalNForm:
+class HorizontalNForm(Frozen):
     """n-form with skew coefficients on pure fiber differentials.
 
     Stores the skew tensor at strictly increasing fiber-index words; the
@@ -81,16 +94,16 @@ class HorizontalNForm:
     construction.
     """
 
-    chart: JetChart
-    form: DiffForm
+    __slots__ = ("chart", "form")
 
-    def __post_init__(self):
-        if self.form.degree != self.chart.n:
+    def __init__(self, chart: JetChart, form: DiffForm):
+        if form.degree != chart.n:
             raise FormError("horizontal form degree must match the base dimension")
-        for word, coeff in self.form.terms.items():
+        for word, coeff in form.terms.items():
             if any(cov.kind != "dy" for cov in word):
                 raise FormError("horizontal forms carry fiber differentials only")
-            self.chart.validate_expr(coeff, max_order=1)
+            chart.validate_expr(coeff, max_order=1)
+        self._freeze(chart, form)
 
     def coefficient(self, Ks: Sequence[int]) -> Expr:
         """Skew tensor value at an arbitrary index tuple."""

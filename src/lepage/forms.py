@@ -39,10 +39,10 @@ coefficients by word, of two forms already sorted.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import combinations
 
+from ._sampling import Frozen
 from .charts import AdaptedChart, JetChart
 from .expr import (
     EqualResult, Expr, ExprError, ONE, Sym, ZERO, const, diff, equal,
@@ -447,13 +447,14 @@ def ext_d(a: DiffForm) -> DiffForm:
                 degree=src.degree + 1)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """Vector field with components keyed by the coordinate they differentiate."""
 
-    chart: JetChart
-    components: Mapping[Sym, Expr]
-    adapted: AdaptedChart | None = None
+    __slots__ = ("chart", "components", "adapted")
+
+    def __init__(self, chart: JetChart, components: Mapping[Sym, Expr],
+                 adapted: AdaptedChart | None = None):
+        self._freeze(chart, components, adapted)
 
     def component(self, s: Sym) -> Expr:
         return self.components.get(s, ZERO)
@@ -540,24 +541,23 @@ def lie_derivative(field: VectorField, a: DiffForm) -> DiffForm:
                 degree=src.degree)
 
 
-@dataclass(frozen=True)
-class Immersion:
+class Immersion(Frozen):
     """Closed-form immersion of the base into the configuration space."""
 
-    chart: JetChart
-    components: tuple[Expr, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.M:
+    def __init__(self, chart: JetChart, components: tuple[Expr, ...]):
+        if len(components) != chart.M:
             raise FormError(
-                f"immersion needs {self.chart.M} components, got "
-                f"{len(self.components)}")
-        for c in self.components:
+                f"immersion needs {chart.M} components, got "
+                f"{len(components)}")
+        for c in components:
             for s in sorted(free_symbols(c), key=lambda t: t.key):
                 if s.kind != "x":
                     raise FormError(
                         f"immersion components depend on base variables only, "
                         f"found {s!r}")
+        self._freeze(chart, components)
 
     def jet1(self, K: int, j: int) -> Expr:
         return diff(self.components[K - 1], Sym("x", j))
@@ -688,11 +688,15 @@ def form_equal(a: DiffForm, b: DiffForm, *, trials: int = 20, tol: float = 1e-9,
                     trials=trials, tol=tol, seed=seed, guards=guards)
         for reason, k in res.skipped.items():
             skipped[reason] += k
-        if res.verdict == "unequal":
-            return replace(res, word=word, skipped=skipped)
-        if res.verdict == "unknown":
-            # shares the running skip counts, so it ends with every word's
-            unknown = replace(res, word=word, skipped=skipped)
+        if res.verdict != "equal":
+            # shares the running skip counts, so an unknown verdict ends
+            # with every word's
+            res = EqualResult(res.verdict, res.witness, res.witness_values,
+                              res.samples, res.max_deviation, word, skipped,
+                              res.decided_by)
+            if res.verdict == "unequal":
+                return res
+            unknown = res
         samples += res.samples
         worst = max(worst, res.max_deviation)
     if unknown is not None:

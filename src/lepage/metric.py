@@ -5,10 +5,10 @@ the numeric graph workbench is ``lepage.minimal``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
+from ._sampling import Frozen
 from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _fundamental_homogeneous,
                           _hilbert_caratheodory, _require_homogeneous)
@@ -26,24 +26,24 @@ __all__ = ["MetricSpec", "minimal_lagrangian",
 # metric data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Frozen):
     """Riemannian metric on the configuration space, entries over y-coordinates."""
 
-    entries: tuple[tuple[Expr, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        dim = len(self.entries)
-        if dim == 0 or any(len(row) != dim for row in self.entries):
+    def __init__(self, entries: tuple[tuple[Expr, ...], ...]):
+        dim = len(entries)
+        if dim == 0 or any(len(row) != dim for row in entries):
             raise ExprError("metric entries must form a square matrix")
         for K in range(dim):
             for L in range(dim):
-                for s in free_symbols(self.entries[K][L]):
+                for s in free_symbols(entries[K][L]):
                     if s.kind != "y":
                         raise ExprError("metric entries may depend on "
                                         "configuration coordinates only")
-                if K < L and not equal(self.entries[K][L], self.entries[L][K]):
+                if K < L and not equal(entries[K][L], entries[L][K]):
                     raise ExprError(f"metric not symmetric at ({K + 1}, {L + 1})")
+        self._freeze(entries)
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpec":

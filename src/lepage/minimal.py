@@ -8,7 +8,6 @@ and potential reconstruction; the exact side is ``lepage.metric``.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable
 
@@ -30,18 +29,18 @@ __all__ = ["GridField", "SolveResult", "ConservationReport",
 # grids
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GridField:
     """Nodal values on a uniform rectangle grid, boundary row/column fixed."""
 
-    rect: tuple[float, float, float, float]
-    values: np.ndarray
+    __slots__ = ("rect", "values")
 
-    def __post_init__(self):
-        a, b, c, d = self.rect
+    def __init__(self, rect: tuple[float, float, float, float],
+                 values: np.ndarray):
+        a, b, c, d = rect
         if not (a < b and c < d):
             raise ValueError("degenerate rectangle")
-        self.values = np.asarray(self.values, dtype=float)
+        self.rect = rect
+        self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 2 or min(self.values.shape) < 3:
             raise ValueError("grid needs at least 3 x 3 nodes")
         # the stencils divide by these products, and the floor and the gate
@@ -448,13 +447,16 @@ def spsolve(S, b) -> np.ndarray:
     return np.full(b.size, np.nan)
 
 
-@dataclass
 class SolveResult:
-    field: GridField
-    converged: bool
-    iterations: int
-    history: list[float] = field(default_factory=list)
-    message: str = ""
+    __slots__ = ("field", "converged", "iterations", "history", "message")
+
+    def __init__(self, field: GridField, converged: bool, iterations: int,
+                 history: list[float] | None = None, message: str = ""):
+        self.field = field
+        self.converged = converged
+        self.iterations = iterations
+        self.history = [] if history is None else history
+        self.message = message
 
     @property
     def final_residual(self) -> float:
@@ -574,14 +576,22 @@ def _current_components(ux: np.ndarray, uy: np.ndarray):
     yield "h", (-uy / S, ux / S)
 
 
-@dataclass
 class ConservationReport:
     """The largest |circulation| over the grid cells of each of the three
     graph currents, area-normalized, by current name."""
 
-    circulations: dict[str, float]
-    hx: float
-    hy: float
+    __slots__ = ("circulations", "hx", "hy")
+
+    def __init__(self, circulations: dict[str, float], hx: float, hy: float):
+        self.circulations = circulations
+        self.hx = hx
+        self.hy = hy
+
+    def __eq__(self, other):
+        if other.__class__ is not ConservationReport:
+            return NotImplemented
+        return ((self.circulations, self.hx, self.hy)
+                == (other.circulations, other.hx, other.hy))
 
     @property
     def max_circulation(self) -> float:
@@ -680,7 +690,6 @@ def conservation_residuals(u: GridField) -> ConservationReport:
     return ConservationReport(_grid_figures(u, False), u.hx, u.hy)
 
 
-@dataclass
 class ReconstructionReport:
     """Gates of the conservation-to-extremal round trip on one grid.
 
@@ -689,11 +698,17 @@ class ReconstructionReport:
     currents that were integrated, the one ``conservation_residuals`` gives.
     """
 
-    stage: str  # 'ok' or the first failing gate
-    conservation: ConservationReport
-    rovnice_residual: float
-    el_residual: float
-    gate: float
+    __slots__ = ("stage", "conservation", "rovnice_residual", "el_residual",
+                 "gate")
+
+    def __init__(self, stage: str,  # 'ok' or the first failing gate
+                 conservation: ConservationReport, rovnice_residual: float,
+                 el_residual: float, gate: float):
+        self.stage = stage
+        self.conservation = conservation
+        self.rovnice_residual = rovnice_residual
+        self.el_residual = el_residual
+        self.gate = gate
 
     @property
     def max_circulation(self) -> float:

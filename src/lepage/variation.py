@@ -9,9 +9,9 @@ reparameterization invariance.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._sampling import Frozen
 from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
     formal_derivative
 from .equivalents import HorizontalNForm, Lagrangian, euler_lagrange, \
@@ -32,24 +32,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VectorFieldSpec:
+class VectorFieldSpec(Frozen):
     """Vector field on the configuration space, components over y only."""
 
-    chart: JetChart
-    components: tuple[Expr, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.M:
+    def __init__(self, chart: JetChart, components: tuple[Expr, ...]):
+        if len(components) != chart.M:
             raise ChartError(
-                f"field needs {self.chart.M} components, got "
-                f"{len(self.components)}")
-        for c in self.components:
+                f"field needs {chart.M} components, got "
+                f"{len(components)}")
+        for c in components:
             for s in sorted(free_symbols(c), key=lambda t: t.key):
-                if s.kind != "y" or not 1 <= s.a <= self.chart.M:
+                if s.kind != "y" or not 1 <= s.a <= chart.M:
                     raise ChartError(
                         "field components live on the configuration space; "
                         f"found {s!r}")
+        self._freeze(chart, components)
 
     @classmethod
     def constant(cls, chart: JetChart, values) -> "VectorFieldSpec":
@@ -218,11 +217,13 @@ def _rel_difference(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-@dataclass
 class FirstVariationReport:
-    lhs: float
-    volume_term: float
-    boundary_term: float
+    __slots__ = ("lhs", "volume_term", "boundary_term")
+
+    def __init__(self, lhs: float, volume_term: float, boundary_term: float):
+        self.lhs = lhs
+        self.volume_term = volume_term
+        self.boundary_term = boundary_term
 
     @property
     def rhs(self) -> float:
@@ -271,10 +272,12 @@ def first_variation_check(rho: HorizontalNForm, xi: VectorFieldSpec,
     return FirstVariationReport(lhs, volume, boundary)
 
 
-@dataclass
 class ReparameterizationReport:
-    original: float
-    reparameterized: float
+    __slots__ = ("original", "reparameterized")
+
+    def __init__(self, original: float, reparameterized: float):
+        self.original = original
+        self.reparameterized = reparameterized
 
     @property
     def rel_difference(self) -> float:

@@ -34,18 +34,31 @@ def euclidean_gram_det(n: int, M: int):
 # ---------------------------------------------------------------------------
 
 def test_chart_validation():
-    with pytest.raises(ChartError):
-        JetChart(n=0, m=1)
-    with pytest.raises(ChartError):
-        JetChart(n=5, m=1)
-    with pytest.raises(ChartError):
-        JetChart(n=2, m=0)
-    with pytest.raises(ChartError):
-        JetChart(n=2, m=1, order=3)
+    for args, text in [((0, 1), "base dimension must lie in 1..4, got 0"),
+                       ((5, 1), "base dimension must lie in 1..4, got 5"),
+                       ((2, 0), "fiber dimension must be >= 1, got 0"),
+                       ((2, 1, 3), "jet order must be 1 or 2, got 3")]:
+        with pytest.raises(ChartError) as info:
+            JetChart(*args)
+        assert str(info.value) == text
     chart = JetChart(n=2, m=2, order=2)
     assert chart.M == 4
     assert len(chart.jet1_symbols()) == 8
     assert len(chart.jet2_symbols()) == 4 * 3
+
+
+def test_charts_compare_and_hash_by_their_fields():
+    # as the frozen dataclasses did: equal only to the same class, hashed as
+    # the tuple of the fields, so sets and caches keyed by charts iterate in
+    # the same order
+    chart = JetChart(2, 1, 1)
+    assert chart == JetChart(n=2, m=1) and chart != JetChart(2, 1, 2)
+    assert hash(chart) == hash((2, 1, 1)) and chart != (2, 1, 1)
+    ad = AdaptedChart(JetChart(2, 2), [1, 3])
+    assert ad.selected == (1, 3) and ad == AdaptedChart(JetChart(2, 2), (1, 3))
+    assert hash(ad) == hash((JetChart(2, 2), (1, 3)))
+    assert ad != (JetChart(2, 2), (1, 3))
+    assert repr(JetChart(2, 2, 2)) == "JetChart(n=2, m=2, order=2)"
 
 
 def test_chart_expr_validation():
@@ -221,12 +234,13 @@ def test_formal_derivatives_commute():
 
 def test_adapted_chart_validation():
     chart = JetChart(n=2, m=1, order=1)
-    with pytest.raises(ChartError):
-        AdaptedChart(chart, (2, 1))
-    with pytest.raises(ChartError):
-        AdaptedChart(chart, (1,))
-    with pytest.raises(ChartError):
-        AdaptedChart(chart, (1, 4))
+    for selected, text in [
+            ((2, 1), "selected tuple must be strictly increasing: (2, 1)"),
+            ((1,), "selected tuple must have length n=2, got (1,)"),
+            ((1, 4), "selected labels outside 1..3: (1, 4)")]:
+        with pytest.raises(ChartError) as info:
+            AdaptedChart(chart, selected)
+        assert str(info.value) == text
     ad = AdaptedChart(chart, (1, 3))
     assert ad.complement == (2,)
 

@@ -18,7 +18,7 @@ from lepage.expr import (
     expr_sum, levi_civita, sqrt_expr, sym_expr, to_dsl, x, yj, yy,
 )
 from lepage.forms import (
-    DiffForm, VectorField, contract, dx, dy, ext_d, form, form_equal,
+    DiffForm, FormError, VectorField, contract, dx, dy, ext_d, form, form_equal,
     form_vanishes, horizontalize, om, to_contact, to_coordinate, volume_form,
 )
 from lepage.equivalents import (
@@ -74,10 +74,22 @@ def vertical_jet_field(chart: JetChart, rng: random.Random) -> VectorField:
 
 def test_lagrangian_rejects_second_order():
     raised = CH21.raised()
-    with pytest.raises(ChartError):
+    with pytest.raises(ChartError,
+                       match="^second-order symbol on a first-order chart$"):
         Lagrangian(raised, sym_expr(Sym("y2", 1, 1, 1)))
-    with pytest.raises(ChartError):
+    with pytest.raises(ChartError, match=r"^fiber index 4 outside 1\.\.3$"):
         Lagrangian(CH21, yj(4, 1))
+
+
+def test_horizontal_form_validation():
+    one_form = DiffForm(CH21, 1, "coordinate", {(dy(1),): ONE})
+    with pytest.raises(FormError, match="^horizontal form degree must match "
+                                        "the base dimension$"):
+        HorizontalNForm(CH21, one_form)
+    mixed = DiffForm(CH21, 2, "coordinate", {(dx(1), dy(1)): ONE})
+    with pytest.raises(FormError, match="^horizontal forms carry fiber "
+                                        "differentials only$"):
+        HorizontalNForm(CH21, mixed)
 
 
 def test_derivative_tensors_memoize_sorted():
@@ -132,6 +144,12 @@ def test_lagrangian_identity_ignores_its_derivative_table():
     assert used._derivatives
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == text
+    assert text == ("Lagrangian(chart=JetChart(n=2, m=1, order=1), "
+                    "L=y3_1^2 + y3_2^2)")
+    # == and hash read the fields alone, as the frozen dataclass did, and
+    # each Lagrangian starts a table of its own
+    assert hash(used) == hash((CH21, used.L)) and used != (CH21, used.L)
+    assert not fresh._derivatives
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import random
@@ -411,10 +410,22 @@ def test_equal_records_how_it_was_decided():
 
 def test_equal_result_is_frozen():
     res = equal(yj(1, 1), yj(2, 1))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         res.verdict = "equal"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         res.decided_by = "structural"
+
+
+def test_verdicts_and_points_compare_by_value_with_their_own_tables():
+    a, b = EqualResult("equal"), EqualResult("equal")
+    assert a == b and a.skipped == {"guard": 0, "domain": 0, "overflow": 0}
+    a.skipped["guard"] += 1
+    assert a != b and b.skipped["guard"] == 0
+    assert b != ("equal", None, None, 0, 0.0, None, b.skipped, "sampled")
+    p = PointAssignment({Sym("x", 1): 0.5})
+    q = PointAssignment({Sym("x", 1): 0.5})
+    assert p == q and p.functions == {} and p.functions is not q.functions
+    assert p != (p.symbols, p.functions)
 
 
 def test_verdicts_pass_rule_and_first_witness():

@@ -688,10 +688,13 @@ def plane_immersion() -> Immersion:
 
 
 def test_immersion_validation():
-    with pytest.raises(FormError):
-        Immersion(CH21, (x(1), x(2)))
-    with pytest.raises(FormError):
-        Immersion(CH21, (x(1), x(2), yy(1)))
+    for components, text in [
+            ((x(1), x(2)), "immersion needs 3 components, got 2"),
+            ((x(1), x(2), yy(1)),
+             "immersion components depend on base variables only, found y1")]:
+        with pytest.raises(FormError) as info:
+            Immersion(CH21, components)
+        assert str(info.value) == text
 
 
 def test_contact_forms_pull_back_to_zero():

@@ -22,14 +22,15 @@ from lepage import _kernels
 from lepage.charts import ChartError, JetChart
 from lepage.equivalents import (Lagrangian, fundamental_homogeneous,
                                 hilbert_caratheodory, is_lepage, lagrangian_of)
-from lepage.expr import (ONE, PointAssignment, Sym, atan_expr, const, equal,
-                         evaluate, exp_expr, expr_sum, sqrt_expr, substitute,
-                         x, yj, yy)
+from lepage.expr import (ONE, ExprError, PointAssignment, Sym, atan_expr, const,
+                         equal, evaluate, exp_expr, expr_sum, sqrt_expr,
+                         substitute, x, yj, yy)
 from lepage.homogeneity import zermelo_residuals
 from lepage.metric import (MetricSpec, coincidence_report, graph_el_residual,
                            krupka_form, minimal_lagrangian, scherk_expr,
                            verify_coincidence)
-from lepage.minimal import (BUILTIN_SURFACES, GridField, conservation_residuals,
+from lepage.minimal import (BUILTIN_SURFACES, ConservationReport, GridField,
+                            SolveResult, conservation_residuals,
                             reconstruct_and_check, solve_minimal_surface)
 
 EUC2 = MetricSpec.euclidean(2)
@@ -51,12 +52,14 @@ def scherk_solution(N: int):
 # ---------------------------------------------------------------------------
 
 def test_metric_validation():
-    with pytest.raises(Exception):
-        MetricSpec(((ONE, ONE),))
-    with pytest.raises(Exception):
-        MetricSpec(((ONE, yy(1)), (yy(2), ONE)))
-    with pytest.raises(Exception):
-        MetricSpec(((yj(1, 1), ), ))
+    for entries, text in [
+            (((ONE, ONE),), "metric entries must form a square matrix"),
+            (((ONE, yy(1)), (yy(2), ONE)), "metric not symmetric at (1, 2)"),
+            (((yj(1, 1), ), ),
+             "metric entries may depend on configuration coordinates only")]:
+        with pytest.raises(ExprError) as info:
+            MetricSpec(entries)
+        assert str(info.value) == text
 
 
 def test_metric_constructors_and_definiteness():
@@ -214,9 +217,9 @@ def test_graph_residual_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_gridfield_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid needs at least 3 x 3 nodes$"):
         GridField(SQUARE, np.zeros((2, 5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degenerate rectangle$"):
         GridField((1.0, 1.0, 0.0, 1.0), np.zeros((5, 5)))
     # spacings whose squares or product underflow to 0 or overflow, or are
     # subnormal, so that their reciprocals overflow
@@ -1957,6 +1960,18 @@ def test_reconstruction_perturbed_scherk_fails_closedness():
     assert not rec.passed
     assert rec.stage == "closedness"
     assert "fail at closedness" in rec.describe()
+
+
+def test_results_and_reports_keep_their_own_state():
+    # a history list per result, and reports equal by value to reports alone
+    field = GridField(SQUARE, np.zeros((3, 3)))
+    a, b = SolveResult(field, False, 0), SolveResult(field, False, 0)
+    a.history.append(1.0)
+    assert b.history == []
+    report = ConservationReport({"f": 0.0}, 0.5, 0.5)
+    assert report == ConservationReport({"f": 0.0}, 0.5, 0.5)
+    assert report != ConservationReport({"f": 1.0}, 0.5, 0.5)
+    assert report != ({"f": 0.0}, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("name, shape", [("scherk", (33, 33)),

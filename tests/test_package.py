@@ -4,16 +4,30 @@ from __future__ import annotations
 
 import ast
 import builtins
+import copy
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import symtable
 import sys
 from pathlib import Path
 
+import pytest
+
 import lepage
+from lepage.acceptance import CriterionResult
+from lepage.charts import AdaptedChart, JetChart
+from lepage.cli import load_problem
+from lepage.equivalents import HorizontalNForm, Lagrangian
+from lepage.expr import PointAssignment, Sym, equal, x, yj
+from lepage.forms import DiffForm, Immersion, VectorField, dy
+from lepage.metric import MetricSpec
+from lepage.variation import VectorFieldSpec
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def test_public_names_exist_and_functions_are_defined_where_listed():
@@ -142,6 +156,51 @@ def test_no_module_every_cli_process_runs_is_larger_than_the_compile_cap():
             if size > MODULE_BYTES_CAP} == {}
 
 
+# What `import dataclasses` loads with it: inspect, which imports ast, dis
+# and tokenize, and copy.  With the methods each @dataclass compiles, they
+# cost a CLI process 0.7-1.0 MB of peak RSS and about 10 ms, and lepage
+# needs none of them
+DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
+
+# the nine commands of the benchmark's cli-symbolic workload
+CLI_COMMANDS = [
+    ["derive-el", "--problem", str(PROBLEMS / "arclength_r2.json")],
+    ["check-zermelo", "--problem", str(PROBLEMS / "arclength_r2.json")],
+    *(["check-lepage", "--problem", str(PROBLEMS / "minimal_r3.json"),
+       "--kind", kind]
+      for kind in ("krupka", "poincare-cartan", "caratheodory", "fundamental",
+                   "fundamental-homogeneous")),
+    ["noether", "--problem", str(PROBLEMS / "minimal_r3.json")],
+    ["lepage", "--problem", str(PROBLEMS / "minimal_r3.json"), "--kind", "w"],
+]
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted(Path(lepage.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
+@pytest.mark.parametrize("argv", [None, *CLI_COMMANDS],
+                         ids=["import", *("-".join([a[0], *a[4:]])
+                                          for a in CLI_COMMANDS)])
+def test_cli_processes_load_nothing_dataclasses_loads(argv):
+    run = "0" if argv is None else f"lepage.cli.main({argv!r})"
+    out = _fresh_process(f"import sys, lepage.cli\nstatus = {run}\n"
+                         f"print(status, sorted(m for m in "
+                         f"{DATACLASS_MODULES!r} if m in sys.modules))")
+    assert out.splitlines()[-1] == "0 []"
+
+
 def test_the_exact_core_imports_from_any_of_its_modules_first():
     # lepage.expr imports its private modules at its end and they import
     # it at theirs: evaluate, parse and to_dsl recurse through the moved
@@ -153,3 +212,46 @@ def test_the_exact_core_imports_from_any_of_its_modules_first():
                              "e = parse('sqrt(x1)*y1_2 + g_d1(x2)')\n"
                              "print(to_dsl(e), equal(e, e + 1).verdict)")
         assert out == "y1_2*sqrt(x1) + g_d1(x2) unequal\n", first
+
+
+# one instance of each class whose fields are fixed at construction
+CH21 = JetChart(2, 1)
+FROZEN_EXAMPLES = {
+    "PointAssignment": lambda: PointAssignment({Sym("x", 1): 0.5}),
+    "EqualResult": lambda: equal(yj(1, 1), yj(2, 1)),
+    "JetChart": lambda: JetChart(2, 1),
+    "AdaptedChart": lambda: AdaptedChart(CH21, (1, 3)),
+    "ProblemSpec": lambda: load_problem(PROBLEMS / "arclength_r2.json"),
+    "Lagrangian": lambda: Lagrangian(CH21, yj(3, 1) * yj(3, 2)),
+    "HorizontalNForm": lambda: HorizontalNForm(
+        CH21, DiffForm(CH21, 2, "coordinate", {(dy(1), dy(2)): x(1)})),
+    "VectorField": lambda: VectorField(CH21, {Sym("y", 1): x(1)},
+                                       AdaptedChart(CH21, (1, 2))),
+    "Immersion": lambda: Immersion(CH21, (x(1), x(2), x(1) * x(2))),
+    "MetricSpec": lambda: MetricSpec.euclidean(3),
+    "VectorFieldSpec": lambda: VectorFieldSpec.constant(CH21, (1, 0, 0)),
+    "CriterionResult": lambda: CriterionResult(1, "title", True, "detail", 0.5),
+}
+
+
+def _fields(obj) -> list:
+    return [getattr(obj, name)
+            for name in inspect.signature(type(obj)).parameters]
+
+
+@pytest.mark.parametrize("name", FROZEN_EXAMPLES)
+def test_frozen_classes_refuse_assignment_and_copy_field_by_field(name):
+    # as the frozen dataclasses they were did; copy, deepcopy and pickle
+    # call the constructor, since they cannot set the fields either
+    obj = FROZEN_EXAMPLES[name]()
+    assert type(obj).__name__ == name
+    first = next(iter(inspect.signature(type(obj)).parameters))
+    with pytest.raises(AttributeError) as assigned:
+        setattr(obj, first, None)
+    with pytest.raises(AttributeError) as deleted:
+        delattr(obj, first)
+    assert str(assigned.value) == f"cannot assign to field {first!r}"
+    assert str(deleted.value) == f"cannot delete field {first!r}"
+    for twin in (copy.copy(obj), copy.deepcopy(obj),
+                 pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and _fields(twin) == _fields(obj)

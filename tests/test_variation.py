@@ -100,12 +100,13 @@ def flow(xi: VectorFieldSpec, t: float, values: np.ndarray
 # ---------------------------------------------------------------------------
 
 def test_field_spec_validation():
-    with pytest.raises(ChartError):
-        VectorFieldSpec(CH21, (ONE, ONE))
-    with pytest.raises(ChartError):
-        VectorFieldSpec(CH21, (yj(1, 1), ZERO, ZERO))
-    with pytest.raises(ChartError):
-        VectorFieldSpec(CH21, (x(1), ZERO, ZERO))
+    found = "field components live on the configuration space; found"
+    for components, text in [((ONE, ONE), "field needs 3 components, got 2"),
+                             ((yj(1, 1), ZERO, ZERO), f"{found} y1_1"),
+                             ((x(1), ZERO, ZERO), f"{found} x1")]:
+        with pytest.raises(ChartError) as info:
+            VectorFieldSpec(CH21, components)
+        assert str(info.value) == text
 
 
 def test_field_constructors():
