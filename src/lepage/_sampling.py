@@ -2,46 +2,19 @@
 
 The machinery of ``lepage.expr.evaluate`` and ``equal``, split off so that no
 process compiles the exact core in one piece; import the classes from there.
-``Frozen``, the base of the package's immutable value classes, is here
-because this module loads before any other that defines one.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from operator import attrgetter
 from typing import Mapping
 
 # hashlib.blake2b is this function; importing hashlib would also load
 # OpenSSL's libcrypto, about 3 MB per process, for nothing the sampler uses
 from _blake2 import blake2b
 
-
-class Frozen:
-    """Base of the value classes whose fields are fixed at construction.
-
-    A subclass names its fields in ``__slots__`` in the order of its
-    constructor's parameters, and its ``__init__`` stores them with
-    ``_freeze``.  Assignment and deletion then raise AttributeError, as on a
-    frozen dataclass, so ``copy``, ``deepcopy`` and ``pickle``, which could
-    not set the slots either, call the class again with the fields.
-    """
-
-    __slots__ = ()
-
-    def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+from . import Frozen
 
 
 class PointAssignment(Frozen):
@@ -51,17 +24,12 @@ class PointAssignment(Frozen):
     callable taking the evaluated argument tuple.
     """
 
-    __slots__ = ("symbols", "functions")
-    _key = attrgetter(*__slots__)
+    __slots__ = _compared = ("symbols", "functions")
+    __hash__ = None
 
     def __init__(self, symbols: Mapping[Sym, float],
                  functions: Mapping[tuple, object] | None = None):
         self._freeze(symbols, {} if functions is None else functions)
-
-    def __eq__(self, other):
-        if other.__class__ is not PointAssignment:
-            return NotImplemented
-        return self._key(self) == self._key(other)
 
     def describe(self) -> str:
         parts = [f"{sym_name(s)}={v:.6g}"
@@ -142,9 +110,9 @@ class EqualResult(Frozen):
     decided without a sample, else 'sampled'.
     """
 
-    __slots__ = ("verdict", "witness", "witness_values", "samples",
-                 "max_deviation", "word", "skipped", "decided_by")
-    _key = attrgetter(*__slots__)
+    __slots__ = _compared = ("verdict", "witness", "witness_values", "samples",
+                             "max_deviation", "word", "skipped", "decided_by")
+    __hash__ = None
 
     def __init__(self, verdict: str,  # 'equal' | 'unequal' | 'unknown'
                  witness: PointAssignment | None = None,
@@ -157,11 +125,6 @@ class EqualResult(Frozen):
             skipped = {"guard": 0, "domain": 0, "overflow": 0}
         self._freeze(verdict, witness, witness_values, samples, max_deviation,
                      word, skipped, decided_by)
-
-    def __eq__(self, other):
-        if other.__class__ is not EqualResult:
-            return NotImplemented
-        return self._key(self) == self._key(other)
 
     def __bool__(self) -> bool:
         return self.verdict == "equal"

@@ -13,8 +13,8 @@ import time
 from fractions import Fraction
 from typing import Callable
 
+from . import Frozen
 from ._numpy import lazy, np
-from ._sampling import Frozen
 from .charts import AdaptedChart, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _lepage_verdict,
                           caratheodory, euler_lagrange, fundamental,

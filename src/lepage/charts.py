@@ -13,9 +13,7 @@ the orientation branch det(minor) > 0; samplers must guard minors positive.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-from ._sampling import Frozen
+from . import Frozen
 from .expr import (
     Expr, ExprError, Sym, cancel_candidate, const, det_expr, diff, expr_sum,
     free_symbols, sqrt_extract_candidate, substitute, sym_expr, sym_name,
@@ -34,8 +32,7 @@ class ChartError(ExprError):
 class JetChart(Frozen):
     """A fibered chart on the jet space of immersed n-submanifolds."""
 
-    __slots__ = ("n", "m", "order")
-    _key = attrgetter(*__slots__)
+    __slots__ = _compared = ("n", "m", "order")
 
     def __init__(self, n: int, m: int, order: int = 1):
         if not 1 <= n <= 4:
@@ -45,17 +42,6 @@ class JetChart(Frozen):
         if order not in (1, 2):
             raise ChartError(f"jet order must be 1 or 2, got {order}")
         self._freeze(n, m, order)
-
-    def __eq__(self, other):
-        if other.__class__ is not JetChart:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        return f"JetChart(n={self.n!r}, m={self.m!r}, order={self.order!r})"
 
     @property
     def M(self) -> int:
@@ -138,8 +124,7 @@ def formal_derivative(f: Expr, i: int, chart: JetChart) -> Expr:
 class AdaptedChart(Frozen):
     """Chart adapted to a regular selected minor of the first jet."""
 
-    __slots__ = ("chart", "selected")
-    _key = attrgetter(*__slots__)
+    __slots__ = _compared = ("chart", "selected")
 
     def __init__(self, chart: JetChart, selected: tuple[int, ...]):
         cs = tuple(selected)
@@ -151,14 +136,6 @@ class AdaptedChart(Frozen):
         if not all(1 <= i <= chart.M for i in cs):
             raise ChartError(f"selected labels outside 1..{chart.M}: {cs}")
         self._freeze(chart, cs)
-
-    def __eq__(self, other):
-        if other.__class__ is not AdaptedChart:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     @property
     def complement(self) -> tuple[int, ...]:

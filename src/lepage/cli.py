@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from . import Frozen
 from ._numpy import lazy, np
-from ._sampling import Frozen
 from .charts import AdaptedChart, ChartError, JetChart
 from .equivalents import (Lagrangian, caratheodory, euler_lagrange,
                           fundamental, fundamental_homogeneous,

@@ -15,10 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
-from operator import attrgetter
 from typing import Iterator, Sequence
 
-from ._sampling import Frozen
+from . import Frozen
 from .charts import JetChart, formal_derivative
 from .expr import (
     EqualResult, Expr, ExprError, ONE, Sym, Verdicts, ZERO, const, diff,
@@ -48,25 +47,11 @@ class Lagrangian(Frozen):
     """
 
     __slots__ = ("chart", "L", "_derivatives")
-    _key = attrgetter("chart", "L")
+    _compared = ("chart", "L")
 
     def __init__(self, chart: JetChart, L: Expr):
         chart.validate_expr(L, max_order=1)
         self._freeze(chart, L, {})
-
-    def __eq__(self, other):
-        if other.__class__ is not Lagrangian:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        return f"Lagrangian(chart={self.chart!r}, L={self.L!r})"
-
-    def __reduce__(self):
-        return Lagrangian, self._key(self)
 
     def volume(self) -> DiffForm:
         return volume_form(self.chart).scale(self.L)

@@ -89,7 +89,20 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_SYM_KINDS)}
 _KIND_OF = {spelling: kind for kind, spelling in _SYM_KINDS.items()}
 
 
-class Sym:
+class _Keyed:
+    """Base of the atoms and of ``forms.Covector``: equal within one class
+    by ``key``, and hashed by ``_hash``, which the constructor takes once."""
+
+    __slots__ = ("key", "_hash")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+
+class Sym(_Keyed):
     """A coordinate symbol on a jet or adapted chart.
 
     kind 'x'  : base coordinate x^a
@@ -102,7 +115,7 @@ class Sym:
     kind 'a'  : group-element entry a^a_b
     """
 
-    __slots__ = ("kind", "a", "b", "c", "key", "_hash")
+    __slots__ = ("kind", "a", "b", "c")
 
     def __init__(self, kind: str, a: int, b: int = 0, c: int = 0):
         if kind not in _KIND_RANK:
@@ -115,12 +128,6 @@ class Sym:
         self.c = c
         self.key = (0, _KIND_RANK[kind], a, b, c)
         self._hash = hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, Sym) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return sym_name(self)
@@ -137,14 +144,14 @@ def sym_name(s: Sym) -> str:
     return f"{letter}{s.a}_{lower}" if lower else f"{letter}{s.a}"
 
 
-class Fun:
+class Fun(_Keyed):
     """A function application atom; opaque unless name is analytic.
 
     For opaque atoms ``deriv`` is the sorted multi-index of argument slots
     (1-based) with respect to which formal partials were taken.
     """
 
-    __slots__ = ("name", "deriv", "args", "analytic", "key", "_hash")
+    __slots__ = ("name", "deriv", "args", "analytic")
 
     def __init__(self, name: str, deriv: tuple[int, ...], args: tuple["Expr", ...],
                  is_analytic: bool):
@@ -155,31 +162,19 @@ class Fun:
         self.key = (2, name, self.deriv, tuple(a.key for a in args))
         self._hash = hash(self.key)
 
-    def __eq__(self, other):
-        return isinstance(other, Fun) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return _atom_str(self)
 
 
-class Root:
+class Root(_Keyed):
     """sqrt of a polynomial expression (denominator-free by construction)."""
 
-    __slots__ = ("arg", "key", "_hash")
+    __slots__ = ("arg",)
 
     def __init__(self, arg: "Expr"):
         self.arg = arg
         self.key = (1, arg.key)
         self._hash = hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, Root) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return _atom_str(self)

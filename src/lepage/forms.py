@@ -42,11 +42,11 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from ._sampling import Frozen
+from . import Frozen
 from .charts import AdaptedChart, JetChart
 from .expr import (
-    EqualResult, Expr, ExprError, ONE, Sym, ZERO, const, diff, equal,
-    expr_sum, free_symbols, substitute, sym_expr, to_dsl,
+    EqualResult, Expr, ExprError, ONE, Sym, ZERO, _Keyed, const, diff,
+    equal, expr_sum, free_symbols, substitute, sym_expr, to_dsl,
 )
 
 __all__ = [
@@ -81,8 +81,8 @@ _COORDINATE = {"dx": "x", "dy": "y", "dy1": "y1", "dw": "w", "dw1": "w1"}
 _COVECTOR = {s: d for d, s in _COORDINATE.items()}
 
 
-class Covector:
-    __slots__ = ("kind", "a", "b", "key", "_hash")
+class Covector(_Keyed):
+    __slots__ = ("kind", "a", "b")
 
     def __init__(self, kind: str, a: int, b: int = 0):
         if kind not in _COV_RANK:
@@ -92,12 +92,6 @@ class Covector:
         self.b = b
         self.key = (_COV_RANK[kind], a, b)
         self._hash = hash(("cov", self.key))
-
-    def __eq__(self, other):
-        return isinstance(other, Covector) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def name(self) -> str:
         if self.kind.endswith("1"):

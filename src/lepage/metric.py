@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Mapping
 
-from ._sampling import Frozen
+from . import Frozen
 from .charts import ChartError, JetChart
 from .equivalents import (HorizontalNForm, Lagrangian, _fundamental_homogeneous,
                           _hilbert_caratheodory, _require_homogeneous)

@@ -11,6 +11,7 @@ import importlib
 from numbers import Integral, Real
 from typing import Callable
 
+from . import Frozen
 from ._numpy import lazy, np
 
 # _kernels runs on the first grid operation, so a process that sets up its
@@ -447,16 +448,13 @@ def spsolve(S, b) -> np.ndarray:
     return np.full(b.size, np.nan)
 
 
-class SolveResult:
+class SolveResult(Frozen):
     __slots__ = ("field", "converged", "iterations", "history", "message")
 
     def __init__(self, field: GridField, converged: bool, iterations: int,
                  history: list[float] | None = None, message: str = ""):
-        self.field = field
-        self.converged = converged
-        self.iterations = iterations
-        self.history = [] if history is None else history
-        self.message = message
+        self._freeze(field, converged, iterations,
+                     [] if history is None else history, message)
 
     @property
     def final_residual(self) -> float:
@@ -576,22 +574,15 @@ def _current_components(ux: np.ndarray, uy: np.ndarray):
     yield "h", (-uy / S, ux / S)
 
 
-class ConservationReport:
+class ConservationReport(Frozen):
     """The largest |circulation| over the grid cells of each of the three
     graph currents, area-normalized, by current name."""
 
-    __slots__ = ("circulations", "hx", "hy")
+    __slots__ = _compared = ("circulations", "hx", "hy")
+    __hash__ = None
 
     def __init__(self, circulations: dict[str, float], hx: float, hy: float):
-        self.circulations = circulations
-        self.hx = hx
-        self.hy = hy
-
-    def __eq__(self, other):
-        if other.__class__ is not ConservationReport:
-            return NotImplemented
-        return ((self.circulations, self.hx, self.hy)
-                == (other.circulations, other.hx, other.hy))
+        self._freeze(circulations, hx, hy)
 
     @property
     def max_circulation(self) -> float:
@@ -690,7 +681,7 @@ def conservation_residuals(u: GridField) -> ConservationReport:
     return ConservationReport(_grid_figures(u, False), u.hx, u.hy)
 
 
-class ReconstructionReport:
+class ReconstructionReport(Frozen):
     """Gates of the conservation-to-extremal round trip on one grid.
 
     The figures are maxima over the grid; the potentials they are taken
@@ -704,11 +695,7 @@ class ReconstructionReport:
     def __init__(self, stage: str,  # 'ok' or the first failing gate
                  conservation: ConservationReport, rovnice_residual: float,
                  el_residual: float, gate: float):
-        self.stage = stage
-        self.conservation = conservation
-        self.rovnice_residual = rovnice_residual
-        self.el_residual = el_residual
-        self.gate = gate
+        self._freeze(stage, conservation, rovnice_residual, el_residual, gate)
 
     @property
     def max_circulation(self) -> float:

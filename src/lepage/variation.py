@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import operator
 
+from . import Frozen
 from ._numpy import np
-from ._sampling import Frozen
 from .charts import AdaptedChart, ChartError, JetChart, adapted_derivative, \
     formal_derivative
 from .equivalents import HorizontalNForm, Lagrangian, euler_lagrange, \
@@ -26,7 +26,7 @@ from .forms import (
 )
 
 __all__ = [
-    "VectorFieldSpec", "FirstVariationReport",
+    "VectorFieldSpec", "FirstVariationReport", "ReparameterizationReport",
     "prolong_jet", "prolong_grassmann", "noether_residual", "noether_current",
     "first_variation_check", "reparameterization_invariance",
 ]
@@ -217,13 +217,11 @@ def _rel_difference(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-class FirstVariationReport:
+class FirstVariationReport(Frozen):
     __slots__ = ("lhs", "volume_term", "boundary_term")
 
     def __init__(self, lhs: float, volume_term: float, boundary_term: float):
-        self.lhs = lhs
-        self.volume_term = volume_term
-        self.boundary_term = boundary_term
+        self._freeze(lhs, volume_term, boundary_term)
 
     @property
     def rhs(self) -> float:
@@ -272,12 +270,11 @@ def first_variation_check(rho: HorizontalNForm, xi: VectorFieldSpec,
     return FirstVariationReport(lhs, volume, boundary)
 
 
-class ReparameterizationReport:
+class ReparameterizationReport(Frozen):
     __slots__ = ("original", "reparameterized")
 
     def __init__(self, original: float, reparameterized: float):
-        self.original = original
-        self.reparameterized = reparameterized
+        self._freeze(original, reparameterized)
 
     @property
     def rel_difference(self) -> float:

@@ -59,6 +59,8 @@ def test_charts_compare_and_hash_by_their_fields():
     assert hash(ad) == hash((JetChart(2, 2), (1, 3)))
     assert ad != (JetChart(2, 2), (1, 3))
     assert repr(JetChart(2, 2, 2)) == "JetChart(n=2, m=2, order=2)"
+    assert repr(AdaptedChart(JetChart(2, 2), (1, 3))) == \
+        "AdaptedChart(chart=JetChart(n=2, m=2, order=1), selected=(1, 3))"
 
 
 def test_chart_expr_validation():

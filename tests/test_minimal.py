@@ -1234,8 +1234,8 @@ print("solved")
 """
 
 SYMBOLIC_LAYERS = [f"lepage.{name}" for name in (
-    "expr", "charts", "forms", "equivalents", "homogeneity", "variation",
-    "metric", "acceptance", "cli")]
+    "expr", "_dsl", "_sampling", "charts", "forms", "equivalents",
+    "homogeneity", "variation", "metric", "acceptance", "cli")]
 
 
 def test_cli_import_loads_no_scipy():

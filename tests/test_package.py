@@ -25,22 +25,33 @@ from lepage.equivalents import HorizontalNForm, Lagrangian
 from lepage.expr import PointAssignment, Sym, equal, x, yj
 from lepage.forms import DiffForm, Immersion, VectorField, dy
 from lepage.metric import MetricSpec
-from lepage.variation import VectorFieldSpec
+from lepage.minimal import (ConservationReport, GridField,
+                            ReconstructionReport, SolveResult)
+from lepage.variation import (FirstVariationReport, ReparameterizationReport,
+                              VectorFieldSpec)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def test_public_names_exist_and_functions_are_defined_where_listed():
     # a function re-exported through another module's __all__ would be
-    # skipped by per-module function wrappers such as the benchmark's tracer
+    # skipped by per-module function wrappers such as the benchmark's tracer;
+    # and a public module lists every public class it defines
     for info in pkgutil.iter_modules(lepage.__path__):
         module = importlib.import_module(f"lepage.{info.name}")
-        for name in getattr(module, "__all__", ()):
+        listed = getattr(module, "__all__", ())
+        for name in listed:
             assert hasattr(module, name), f"{module.__name__}.{name}"
             obj = getattr(module, name)
             if inspect.isfunction(obj):
                 assert obj.__module__ == module.__name__, \
                     f"{module.__name__}.{name} is {obj.__module__}.{name}"
+        if not info.name.startswith("_"):
+            unlisted = [name for name, obj in vars(module).items()
+                        if inspect.isclass(obj) and not name.startswith("_")
+                        and obj.__module__ == module.__name__
+                        and name not in listed]
+            assert unlisted == [], module.__name__
 
 
 def _module_level_imports(body):
@@ -216,6 +227,7 @@ def test_the_exact_core_imports_from_any_of_its_modules_first():
 
 # one instance of each class whose fields are fixed at construction
 CH21 = JetChart(2, 1)
+CIRCULATIONS = ConservationReport({"f": 1e-6, "g": 2e-6, "h": 0.0}, 0.5, 0.5)
 FROZEN_EXAMPLES = {
     "PointAssignment": lambda: PointAssignment({Sym("x", 1): 0.5}),
     "EqualResult": lambda: equal(yj(1, 1), yj(2, 1)),
@@ -231,12 +243,21 @@ FROZEN_EXAMPLES = {
     "MetricSpec": lambda: MetricSpec.euclidean(3),
     "VectorFieldSpec": lambda: VectorFieldSpec.constant(CH21, (1, 0, 0)),
     "CriterionResult": lambda: CriterionResult(1, "title", True, "detail", 0.5),
+    "SolveResult": lambda: SolveResult(
+        GridField((0.0, 1.0, 0.0, 1.0), [[0.0] * 3] * 3), True, 2,
+        [1e-3, 1e-9], "converged"),
+    "ConservationReport": lambda: CIRCULATIONS,
+    "ReconstructionReport": lambda: ReconstructionReport(
+        "ok", CIRCULATIONS, 1e-10, 2e-9, 1e-6),
+    "FirstVariationReport": lambda: FirstVariationReport(1.5, 1.0, 0.5),
+    "ReparameterizationReport": lambda: ReparameterizationReport(2.0, 2.0),
 }
 
-
 def _fields(obj) -> list:
-    return [getattr(obj, name)
-            for name in inspect.signature(type(obj)).parameters]
+    # a GridField compares by identity, so its copy by rectangle and nodes
+    return [(v.rect, v.values.tolist()) if isinstance(v, GridField) else v
+            for v in (getattr(obj, name)
+                      for name in inspect.signature(type(obj)).parameters)]
 
 
 @pytest.mark.parametrize("name", FROZEN_EXAMPLES)
@@ -255,3 +276,32 @@ def test_frozen_classes_refuse_assignment_and_copy_field_by_field(name):
     for twin in (copy.copy(obj), copy.deepcopy(obj),
                  pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj) and _fields(twin) == _fields(obj)
+
+
+# the classes whose ==, hash and copies every other class takes: records
+# from Frozen, atoms and covectors from the keyed base, and the term-wise
+# equality of expressions and forms
+VALUE_RULES = ("Frozen", "_Keyed", "Expr", "DiffForm")
+
+
+def test_only_the_value_rules_define_equality_hash_and_copies():
+    # a class whose compared fields hold a dict may set __hash__ = None
+    found = []
+    for path in sorted(Path(lepage.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or cls.name in VALUE_RULES:
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name) and not (
+                                 t.id == "__hash__"
+                                 and isinstance(node.value, ast.Constant)
+                                 and node.value.value is None)]
+                else:
+                    continue
+                found += [f"{path.name}:{cls.name}.{name}" for name in names
+                          if name in ("__eq__", "__hash__", "__reduce__")]
+    assert found == []
