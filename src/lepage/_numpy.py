@@ -1,7 +1,10 @@
 """numpy, bound lazily: its package body runs on the first attribute access.
 
 ``lazy`` binds any module that way; ``lepage.cli`` uses it for the layers a
-subcommand may not need.
+subcommand may not need.  The rule: bind a module lazily only if some
+command or criterion that imports its binder never runs it.  One that all
+of them run gains nothing from waiting, and compiled after numpy has
+loaded, its compile adds to the process's peak memory.
 """
 
 from __future__ import annotations

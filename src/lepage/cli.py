@@ -576,9 +576,10 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         circulations={**dict(sorted(cons.circulations.items())),
                       "gate": cons.gate()},
     )
-    _emit(payload)
+    # the field first, so that a path it cannot write leaves stdout empty
     if args.csv is not None:
         np.savetxt(args.csv, result.field.values, delimiter=",")
+    _emit(payload)
     return 0 if result.converged else 1
 
 

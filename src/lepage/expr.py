@@ -101,6 +101,13 @@ class _Keyed:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # through the constructor, whose parameters are the slots in order, so
+        # that a copy takes its hash where it is loaded: a Fun's key holds its
+        # name, and a string hashes differently in each process
+        return type(self), tuple(getattr(self, name)
+                                 for name in type(self).__slots__)
+
 
 class Sym(_Keyed):
     """A coordinate symbol on a jet or adapted chart.
@@ -473,6 +480,10 @@ class Expr:
         if self._hash is None:
             self._hash = hash(self.key)
         return self._hash
+
+    def __reduce__(self):
+        # without the cached hash and symbols
+        return Expr, (self.num, self.den)
 
     def __repr__(self):
         return to_dsl(self)

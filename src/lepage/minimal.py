@@ -11,14 +11,13 @@ import importlib
 from numbers import Integral, Real
 from typing import Callable
 
-from . import Frozen
-from ._numpy import lazy, np
+from . import Frozen, _kernels
+from ._numpy import np
 
-# _kernels runs on the first grid operation, so a process that sets up its
-# grids and solves later compiles it only then.  Without bytecode caches,
-# `import lepage.minimal` took 16.9 ms this way and 20.1 ms with a plain
-# import (medians of 30 alternating fresh processes, 2-vCPU Linux).
-_kernels = lazy("lepage._kernels")
+# _kernels is imported with this module, not bound lazily: the commands and
+# criteria that run this module all solve grids, and compiling its 22.7 KB on
+# top of numpy's pages set their peak RSS, about 1 MB higher without a
+# bytecode cache.  Neither body touches numpy, which loads at the first grid.
 
 __all__ = ["GridField", "SolveResult", "ConservationReport",
            "ReconstructionReport", "graph_el_residual",

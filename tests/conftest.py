@@ -31,6 +31,20 @@ def hypothesis_home(tmp_path_factory) -> None:
         set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
 
 
+def fresh_python(*args: str, check: bool = True, env: dict | None = None,
+                 **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports lepage from src.
+
+    Its output is captured as text.  ``env`` adds variables to this process's
+    environment, and the other keywords go to ``subprocess.run``.
+    """
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=check, **kwargs)
+
+
 @pytest.fixture(scope="session")
 def selftest_json() -> subprocess.CompletedProcess:
     """One ``python -m lepage.cli selftest --format json --seed 0`` process.
@@ -38,9 +52,5 @@ def selftest_json() -> subprocess.CompletedProcess:
     The acceptance tests read each criterion's verdict from it and the
     golden test its bytes, so the eleven criteria run once per session.
     """
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "lepage.cli", "selftest", "--format", "json",
-         "--seed", "0"], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=600)
+    return fresh_python("-m", "lepage.cli", "selftest", "--format", "json",
+                        "--seed", "0", check=False, timeout=600)

@@ -577,6 +577,16 @@ def test_minsurf_solver_block_defaults(capsys):
     assert report["grid"]["ny"] == 33
 
 
+def test_minsurf_csv_to_an_unwritable_path_prints_only_the_error(capsys,
+                                                                  tmp_path):
+    csv = tmp_path / "missing" / "surface.csv"
+    code, out, err = run_cli(capsys, "minsurf", "--grid", "9",
+                             "--csv", str(csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(csv) in err
+
+
 def test_minsurf_csv_roundtrip(capsys, tmp_path):
     csv = tmp_path / "surface.csv"
     code, _ = run_json(capsys, "minsurf", "--grid", "17",

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
 from lepage.charts import AdaptedChart, JetChart
 from lepage.equivalents import Lagrangian, fundamental_homogeneous
 from lepage.expr import (
@@ -283,24 +281,15 @@ print(run("minsurf", "--grid", "17"))
 """
 
 
-def fresh_python(code: str) -> str:
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    return out.stdout
-
-
 def test_symbolic_modules_load_no_numpy():
     code = ("import sys, lepage.equivalents, lepage.homogeneity; "
             "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
-    assert fresh_python(code).strip() == "[]"
-    assert fresh_python(CLI_NO_NUMPY).splitlines() == \
-        [str([0] * 9), "[]", "False", "0"]
+    assert fresh_python("-c", code, cwd=ROOT).stdout.strip() == "[]"
+    out = fresh_python("-c", CLI_NO_NUMPY, cwd=ROOT).stdout
+    assert out.splitlines() == [str([0] * 9), "[]", "False", "0"]
 
 
 def test_every_layer_loads_without_openssl():
     # the sampler's blake2b comes from _blake2, not hashlib
     code = "import sys, lepage.acceptance; print('_hashlib' in sys.modules)"
-    assert fresh_python(code).strip() == "False"
+    assert fresh_python("-c", code, cwd=ROOT).stdout.strip() == "False"

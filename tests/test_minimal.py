@@ -5,8 +5,6 @@ the numeric graph workbench (``lepage.minimal``)."""
 from __future__ import annotations
 
 import gc
-import os
-import subprocess
 import sys
 import tracemalloc
 import types
@@ -18,6 +16,7 @@ import pytest
 
 import lepage.homogeneity
 import lepage.minimal
+from conftest import fresh_python
 from lepage import _kernels
 from lepage.charts import ChartError, JetChart
 from lepage.equivalents import (Lagrangian, fundamental_homogeneous,
@@ -1243,8 +1242,6 @@ def test_cli_import_loads_no_scipy():
     # with scipy blocked, the float64 run included;
     # the numeric workbench alone loads no symbolic layer either, and the
     # metric area Lagrangians load no numpy
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for code, banned in (("import lepage.cli", []), (SOLVES_WITHOUT_SCIPY, []),
                          (NUMERIC_TOUR, SYMBOLIC_LAYERS),
                          (METRIC_TOUR, ["numpy"])):
@@ -1252,23 +1249,18 @@ def test_cli_import_loads_no_scipy():
         report = (f"print(sorted(m for m, mod in sys.modules.items() "
                   f"if mod is not None and (m.startswith('scipy') "
                   f"or m in {banned!r})))")
-        out = subprocess.run([sys.executable, "-c",
-                              f"import sys\n{code}\n{report}"],
-                             env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, check=True)
+        out = fresh_python("-c", f"import sys\n{code}\n{report}")
         assert out.stdout.strip() == "[]"
-    # lepage.cli binds these lazily: they sit in sys.modules, but until a
-    # command uses one its type stays the lazy loader's and its body, not
-    # even compiled, has not run
+    # lepage.cli binds these lazily, and lepage.minimal imports _kernels:
+    # until a command uses one, it is absent or its type stays the lazy
+    # loader's, and its body, not even compiled, has not run
     deferred = [f"lepage.{name}" for name in (
         "acceptance", "metric", "minimal", "variation", "homogeneity",
         "_kernels")]
     code = (f"import sys, types, lepage.cli\n"
             f"print(sorted(m for m in {deferred!r} "
             f"if type(sys.modules.get(m)) is types.ModuleType))")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
+    out = fresh_python("-c", code)
     assert out.stdout.strip() == "[]"
     # a metric problem builds its Lagrangian in lepage.metric and solves no
     # grid, so neither the workbench's body nor the kernels' runs
@@ -1280,14 +1272,40 @@ def test_cli_import_loads_no_scipy():
             f"'--problem', {str(problem)!r}])\n"
             f"print(code, [m for m in ('lepage.minimal', 'lepage._kernels') "
             f"if type(sys.modules.get(m)) is types.ModuleType])")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
+    out = fresh_python("-c", code)
     assert out.stdout.strip() == "0 []"
-    out = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
+    out = fresh_python("-c", SCIPY_BLOCKED)
     assert out.stdout.strip() == "solved"
+
+
+# The files of the module bodies run after numpy's began, in a process that
+# records each body as it starts; a lepage module compiled there from source
+# would hold its tokens and syntax tree on top of numpy's pages
+AFTER_NUMPY = """
+import os, lepage
+numpy = next(i for i, name in enumerate(bodies)
+             if name.endswith(os.path.join("numpy", "__init__.py")))
+src = os.path.dirname(os.path.dirname(lepage.__file__))
+print([os.path.relpath(name, src) for name in bodies[numpy:]
+       if name.startswith(os.path.join(src, "lepage", ""))])
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "import lepage.minimal as m\n"
+    "m.solve_minimal_surface(m.GridField.dirichlet(\n"
+    "    (-1, 1, -1, 1), (17, 17), m.BUILTIN_SURFACES['scherk']))",
+    "import lepage.acceptance\nassert lepage.acceptance.run_one(7).passed",
+    "import contextlib, io\nfrom lepage import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(['minsurf', '--grid', '17']) == 0",
+], ids=["solve", "criterion-7", "minsurf"])
+def test_no_lepage_module_body_starts_after_numpy(code):
+    record = ("import sys\nbodies = []\n"
+              "sys.addaudithook(lambda event, args: event == 'exec' and "
+              "getattr(args[0], 'co_name', '') == '<module>' "
+              "and bodies.append(args[0].co_filename))\n")
+    assert fresh_python("-c", record + code + AFTER_NUMPY).stdout == "[]\n"
 
 
 # with numpy's LAPACK entry points made to raise: a Newton solve, a solve
@@ -1344,11 +1362,7 @@ print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
 def test_solves_and_quadrature_call_no_lapack():
     # a dense LAPACK call makes OpenBLAS map its level-3 work buffer, and
     # leggauss loads numpy.polynomial; neither happens now
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", LAPACK_BLOCKED],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True)
+    out = fresh_python("-c", LAPACK_BLOCKED, check=False)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 

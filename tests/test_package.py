@@ -7,17 +7,15 @@ import builtins
 import copy
 import importlib
 import inspect
-import os
 import pickle
 import pkgutil
-import subprocess
 import symtable
-import sys
 from pathlib import Path
 
 import pytest
 
 import lepage
+from conftest import fresh_python
 from lepage.acceptance import CriterionResult
 from lepage.charts import AdaptedChart, JetChart
 from lepage.cli import load_problem
@@ -130,22 +128,14 @@ CLI_MODULES = [
     "lepage.forms"]
 
 
-def _fresh_process(code: str) -> str:
-    src = str(Path(lepage.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True).stdout
-
-
 def test_cli_import_runs_the_bodies_of_exactly_these_modules():
     # a layer that starts loading eagerly fails here before it shows as a
     # benchmark regression; a module lepage.cli binds lazily sits in
     # sys.modules with the lazy loader's type until a command uses it
-    out = _fresh_process("import sys, types, lepage.cli\n"
-                         "print(*sorted(m for m, mod in sys.modules.items() "
-                         "if m.partition('.')[0] == 'lepage' "
-                         "and type(mod) is types.ModuleType))")
+    out = fresh_python("-c", "import sys, types, lepage.cli\n"
+                       "print(*sorted(m for m, mod in sys.modules.items() "
+                       "if m.partition('.')[0] == 'lepage' "
+                       "and type(mod) is types.ModuleType))").stdout
     assert out.split() == CLI_MODULES
 
 
@@ -206,9 +196,9 @@ def test_no_module_imports_dataclasses():
                                           for a in CLI_COMMANDS)])
 def test_cli_processes_load_nothing_dataclasses_loads(argv):
     run = "0" if argv is None else f"lepage.cli.main({argv!r})"
-    out = _fresh_process(f"import sys, lepage.cli\nstatus = {run}\n"
-                         f"print(status, sorted(m for m in "
-                         f"{DATACLASS_MODULES!r} if m in sys.modules))")
+    out = fresh_python("-c", f"import sys, lepage.cli\nstatus = {run}\n"
+                       f"print(status, sorted(m for m in "
+                       f"{DATACLASS_MODULES!r} if m in sys.modules))").stdout
     assert out.splitlines()[-1] == "0 []"
 
 
@@ -218,10 +208,10 @@ def test_the_exact_core_imports_from_any_of_its_modules_first():
     # helpers, and stay in expr so that per-module wrappers see them.  No
     # order of first import may find a name missing
     for first in ("lepage._dsl", "lepage._sampling", "lepage.expr"):
-        out = _fresh_process(f"import {first}\n"
-                             "from lepage.expr import equal, parse, to_dsl\n"
-                             "e = parse('sqrt(x1)*y1_2 + g_d1(x2)')\n"
-                             "print(to_dsl(e), equal(e, e + 1).verdict)")
+        out = fresh_python("-c", f"import {first}\n"
+                           "from lepage.expr import equal, parse, to_dsl\n"
+                           "e = parse('sqrt(x1)*y1_2 + g_d1(x2)')\n"
+                           "print(to_dsl(e), equal(e, e + 1).verdict)").stdout
         assert out == "y1_2*sqrt(x1) + g_d1(x2) unequal\n", first
 
 
@@ -276,6 +266,53 @@ def test_frozen_classes_refuse_assignment_and_copy_field_by_field(name):
     for twin in (copy.copy(obj), copy.deepcopy(obj),
                  pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj) and _fields(twin) == _fields(obj)
+
+
+# the same values built in each process: an opaque atom, a root over it, an
+# expression of both, a Lagrangian whose L is opaque in every coordinate, and
+# a form with such coefficients; a Fun's key holds its name, and covectors
+# hash a string with their key, so their hashes differ between processes
+TWO_PROCESS_VALUES = """
+import pickle, sys
+from lepage.charts import JetChart
+from lepage.equivalents import Lagrangian
+from lepage.expr import opaque, parse, to_dsl, x, yj, yy
+from lepage.forms import DiffForm, dx, dy
+
+chart = JetChart(2, 1)
+g, root = (parse(text).num[0][0][0][0] for text in ("g(x1)", "sqrt(g(x1))"))
+e = parse("g(x1)*y1") + parse("sqrt(g(x1))") / x(2)
+lam = Lagrangian(chart, opaque("L", x(1), x(2), yy(1), yj(1, 1), yj(1, 2)))
+rho = DiffForm(chart, 2, "coordinate",
+               {(dx(1), dx(2)): lam.L, (dx(1), dy(1)): e})
+fresh = {"Fun": g, "Root": root, "Expr": e, "Lagrangian": lam, "DiffForm": rho}
+hashed = ("Fun", "Root", "Expr", "Lagrangian")  # a DiffForm has no hash
+"""
+
+HASH_AND_DUMP = """
+for name in hashed:
+    hash(fresh[name])  # an expression caches its hash when it is first taken
+print(pickle.dumps(fresh).hex())
+"""
+
+LOAD_AND_COMPARE = """
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+failed = [name for name, value in fresh.items() if loaded[name] != value]
+failed += [f"hash {name}" for name in hashed
+           if fresh[name] not in {loaded[name]}]
+failed += [f"sum {to_dsl(loaded['Expr'] + e)}"] * (
+    not (loaded["Expr"] - e).is_zero)
+failed += ["form difference"] * (not (loaded["DiffForm"] - rho).is_zero)
+print(failed)
+"""
+
+
+def test_values_pickled_in_one_process_hash_anew_in_another():
+    dumped = fresh_python("-c", TWO_PROCESS_VALUES + HASH_AND_DUMP,
+                          env={"PYTHONHASHSEED": "1"}).stdout
+    out = fresh_python("-c", TWO_PROCESS_VALUES + LOAD_AND_COMPARE,
+                       env={"PYTHONHASHSEED": "2"}, input=dumped).stdout
+    assert out == "[]\n"
 
 
 # the classes whose ==, hash and copies every other class takes: records
