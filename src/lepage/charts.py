@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from . import Frozen
 from .expr import (
-    Expr, ExprError, Sym, cancel_candidate, const, det_expr, diff, expr_sum,
-    free_symbols, sqrt_extract_candidate, substitute, sym_expr, sym_name,
+    ONE, Expr, ExprError, Root, Sym, det_expr, diff, expr_sum, free_symbols,
+    sqrt_expr, substitute, sym_expr, sym_name, transform_atoms,
 )
 
 __all__ = [
@@ -144,43 +144,20 @@ class AdaptedChart(Frozen):
 
     # -- minors -------------------------------------------------------------
 
-    def minor_matrix_y(self) -> list[list[Expr]]:
-        """Rows indexed by selected labels, columns by base indices."""
-        return [[sym_expr(Sym("y1", it, j)) for j in range(1, self.chart.n + 1)]
-                for it in self.selected]
-
-    def minor_matrix_w(self) -> list[list[Expr]]:
-        return [[sym_expr(Sym("w1", it, j)) for j in range(1, self.chart.n + 1)]
-                for it in self.selected]
-
-    def minor_det_y(self) -> Expr:
-        return det_expr(self.minor_matrix_y())
-
-    def minor_det_w(self) -> Expr:
-        return det_expr(self.minor_matrix_w())
+    def minor_det(self, kind: str) -> Expr:
+        """det of the selected minor in the entries of ``kind``: "y1" on the
+        jet chart, "w1" on the adapted chart; rows are selected labels."""
+        return det_expr([[sym_expr(Sym(kind, it, j))
+                          for j in range(1, self.chart.n + 1)]
+                         for it in self.selected])
 
     def z_exprs(self) -> dict[tuple[int, int], Expr]:
-        """Entries z^k_i, i selected: the inverse of the selected minor.
-
-        Defined by sum_i z^k_i y^i_j = delta^k_j with i running over the
-        selected labels; each entry is a signed cofactor over the minor
-        determinant.
-        """
-        n = self.chart.n
-        A = self.minor_matrix_y()
-        det = self.minor_det_y()
-        out: dict[tuple[int, int], Expr] = {}
-        for k in range(1, n + 1):
-            for t, it in enumerate(self.selected):
-                sub = [[A[r][c] for c in range(n) if c != k - 1]
-                       for r in range(n) if r != t]
-                if sub:
-                    cof = det_expr(sub) if len(sub) > 1 else sub[0][0]
-                else:
-                    cof = const(1)
-                sign = -1 if (t + k - 1) % 2 else 1
-                out[(k, it)] = const(sign) * cof / det
-        return out
+        """Entries z^k_i, i selected, of the inverse of the selected minor,
+        sum_i z^k_i y^i_j = delta^k_j; by Jacobi's formula each is the
+        cofactor over the determinant, z^k_i = (d det / d y^i_k) / det."""
+        det = self.minor_det("y1")
+        return {(k, it): diff(det, Sym("y1", it, k)) / det
+                for k in range(1, self.chart.n + 1) for it in self.selected}
 
     # -- chart transitions ---------------------------------------------------
 
@@ -218,16 +195,42 @@ class AdaptedChart(Frozen):
     def to_adapted(self, f: Expr) -> Expr:
         """Express first-order jet data in adapted coordinates.
 
-        Substitutes the inverse chart map and then reduces the known minor
-        factor det(w^i_j) out of radicands and fractions (valid on the
-        positive branch).
+        Substitutes the inverse chart map and then strips the known minor
+        factor delta = det(w^i_j) by one rule: sqrt(delta^2k R) becomes
+        delta^k sqrt(R), and delta^a / delta^b keeps only delta^(a-b) or
+        delta^(b-a) (valid on the positive branch).
         """
         if contains_order2(f):
             raise ChartError("adapted charts carry first-order data only")
         g = substitute(f, self.y_in_terms_of_w())
-        delta = self.minor_det_w()
-        g = sqrt_extract_candidate(g, delta)
-        return cancel_candidate(g, delta)
+        delta = self.minor_det("w1")
+
+        def extract(atom):
+            if isinstance(atom, Root):
+                radicand, k = _strip(atom.arg, delta * delta)
+                if k:
+                    return delta ** k * sqrt_expr(radicand)
+
+        g = transform_atoms(g, extract)
+        num, a = _strip(Expr(g.num, ONE.den), delta)
+        den, b = _strip(Expr(g.den, ONE.den), delta)
+        k = min(a, b)
+        if k == 0:
+            return g
+        return num * delta ** (a - k) / (den * delta ** (b - k))
+
+
+def _strip(p: Expr, factor: Expr) -> tuple[Expr, int]:
+    """(p / factor^k, k) for the largest k with factor^k dividing the
+    polynomial p: factor divides p exactly when the quotient's denominator
+    is 1.  Every factor divides zero, so zero is returned with k = 0."""
+    k = 0
+    while not p.is_zero:
+        q = p / factor
+        if q.den != ONE.den:
+            break
+        p, k = q, k + 1
+    return p, k
 
 
 def adapted_derivative(f: Expr, i: int, adapted: AdaptedChart) -> Expr:

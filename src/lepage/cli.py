@@ -612,9 +612,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = sorted(set(_EQUIVALENTS) | set(_KIND_ALIASES))
 
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", required=True, help="problem JSON file")
+    # derive-el, lepage and noether can print LaTeX; the checks cannot
+    formatted = argparse.ArgumentParser(add_help=False, parents=[problem])
+    formatted.add_argument("--format", choices=("json", "latex"), default="json")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", required=True, help="problem JSON file")
-    common.add_argument("--format", choices=("json", "latex"), default="json")
     common.add_argument("--seed", type=int, default=None,
                         help="sampling seed (overrides the problem file)")
     common.add_argument("--tol", type=float, default=None,
@@ -622,25 +625,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=None,
                         help="sample count (overrides the problem file)")
 
-    p = sub.add_parser("derive-el", parents=[common],
+    p = sub.add_parser("derive-el", parents=[formatted, common],
                        help="source expressions of the extremal equations")
     p.set_defaults(handler=_cmd_derive_el)
 
-    p = sub.add_parser("lepage", parents=[common],
+    p = sub.add_parser("lepage", parents=[formatted, common],
                        help="construct an equivalent of the problem integrand")
     p.add_argument("--kind", required=True, choices=kinds)
     p.set_defaults(handler=_cmd_lepage)
 
-    p = sub.add_parser("check-lepage", parents=[common],
+    p = sub.add_parser("check-lepage", parents=[problem, common],
                        help="verify the constructed equivalent")
     p.add_argument("--kind", required=True, choices=kinds)
     p.set_defaults(handler=_cmd_check_lepage)
 
-    p = sub.add_parser("check-zermelo", parents=[common],
+    p = sub.add_parser("check-zermelo", parents=[problem, common],
                        help="homogeneity residuals of the problem integrand")
     p.set_defaults(handler=_cmd_check_zermelo)
 
-    p = sub.add_parser("noether", parents=[common],
+    p = sub.add_parser("noether", parents=[formatted, common],
                        help="currents and invariance residuals of the "
                             "declared fields")
     p.set_defaults(handler=_cmd_noether)

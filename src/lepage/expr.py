@@ -44,7 +44,7 @@ __all__ = [
     "log_expr", "atan_expr", "det_expr", "levi_civita",
     "diff", "substitute", "transform_atoms",
     "evaluate", "equal", "parse", "to_dsl", "to_latex", "expr_sum",
-    "free_symbols", "opaque_signatures", "sqrt_extract_candidate",
+    "free_symbols", "opaque_signatures",
 ]
 
 NODE_CAP = 500_000  # largest polynomial product, in nodes
@@ -967,63 +967,6 @@ def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
         return None
 
     return transform_atoms(e, fn)
-
-
-def sqrt_extract_candidate(e: Expr, cand: Expr) -> Expr:
-    """Rewrite sqrt(cand^2 * R) -> cand * sqrt(R) wherever the radicand divides.
-
-    Only valid on the branch where cand > 0; chart code that fixes an
-    orientation branch is the intended caller.
-    """
-    cand = _coerce(cand)
-    if cand.den != _UNIT_TERMS:
-        raise ExprError("square extraction candidate must be polynomial")
-    cand_sq = _p_pow(dict(cand.num), 2)
-
-    def fn(atom):
-        if not isinstance(atom, Root):
-            return None
-        radicand = dict(atom.arg.num)
-        factor = ONE
-        while True:
-            q = _p_exact_div(radicand, cand_sq)
-            if q is None:
-                break
-            radicand = q
-            factor = factor * cand
-        if factor.is_one:
-            return None
-        return factor * sqrt_expr(Expr(Expr._freeze(radicand), _UNIT_TERMS))
-
-    return transform_atoms(e, fn)
-
-
-def cancel_candidate(e: Expr, cand: Expr) -> Expr:
-    """Cancel common powers of a known polynomial factor from num and den."""
-    cand = _coerce(cand)
-    if cand.den != _UNIT_TERMS or cand.is_zero:
-        raise ExprError("cancellation candidate must be a nonzero polynomial")
-    cp = dict(cand.num)
-
-    def strip(p: Poly) -> tuple[Poly, int]:
-        k = 0
-        while True:
-            q = _p_exact_div(p, cp)
-            if q is None or not q:
-                return p, k
-            p = q
-            k += 1
-
-    num, kn = strip(dict(e.num))
-    den, kd = strip(dict(e.den))
-    k = min(kn, kd)
-    if k == 0:
-        return e
-    keep = _p_pow(cp, kn - k)
-    num = _p_mul(num, keep)
-    keep = _p_pow(cp, kd - k)
-    den = _p_mul(den, keep)
-    return _make(num, den)
 
 
 def expr_sum(items: Iterable[Expr]) -> Expr:

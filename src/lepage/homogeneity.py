@@ -69,35 +69,28 @@ def check_equivariance(lam: "Lagrangian", *, trials: int = 20,
                  trials=trials, tol=tol, seed=seed, guards=[det, *guards])
 
 
-def _minor_leftovers(e: Expr, adapted: AdaptedChart) -> list[Sym]:
-    # the selected-minor entries that e still depends on, in key order
+def _descended(e: Expr, adapted: AdaptedChart, what: str, hint: str = "") -> Expr:
+    # e, unless it still depends on selected-minor entries: then an error
+    # naming them in key order, between what and hint
     minor = {Sym("w1", it, j) for it in adapted.selected
              for j in range(1, adapted.chart.n + 1)}
-    return sorted(minor & set(free_symbols(e)), key=lambda s: s.key)
+    leftovers = sorted(minor & set(free_symbols(e)), key=lambda s: s.key)
+    if leftovers:
+        raise ExprError(f"{what}; residual dependence on "
+                        f"{', '.join(map(str, leftovers))}{hint}")
+    return e
 
 
-def grassmann_projection(F: Expr, adapted: AdaptedChart, *, trials: int = 30,
-                         tol: float = 1e-9, seed: int = 0) -> Expr:
+def grassmann_projection(F: Expr, adapted: AdaptedChart) -> Expr:
     """Quotient-chart factor of a homogeneous function.
 
     Rewrites F into the adapted chart and divides off the selected-minor
     determinant; the quotient must not retain any minor entries, which is
     exactly the homogeneity of F.
     """
-    Fw = adapted.to_adapted(F)
-    det_w = adapted.minor_det_w()
-    FG = Fw / det_w
-    leftovers = _minor_leftovers(FG, adapted)
-    if leftovers:
-        raise ExprError(
-            "function does not factor through the quotient chart; residual "
-            f"dependence on {', '.join(map(str, leftovers))} (is it "
-            "positive homogeneous?)")
-    check = equal(Fw, det_w * FG, trials=trials, tol=tol, seed=seed,
-                  guards=[det_w])
-    if check.verdict == "unequal":
-        raise ExprError("projection verification failed: " + check.describe())
-    return FG
+    return _descended(adapted.to_adapted(F) / adapted.minor_det("w1"), adapted,
+                      "function does not factor through the quotient chart",
+                      " (is it positive homogeneous?)")
 
 
 def grassmann_form(hform, adapted: AdaptedChart) -> "DiffForm":
@@ -112,12 +105,8 @@ def grassmann_form(hform, adapted: AdaptedChart) -> "DiffForm":
     chart = adapted.chart
     terms = {}
     for word, coeff in hform.form.terms.items():
-        value = adapted.to_adapted(coeff)
-        leftovers = _minor_leftovers(value, adapted)
-        if leftovers:
-            raise ExprError(
-                "coefficient does not descend to the quotient chart; "
-                f"residual dependence on {', '.join(map(str, leftovers))}")
-        terms[tuple(dw(c.a) for c in word)] = value
+        terms[tuple(dw(c.a) for c in word)] = _descended(
+            adapted.to_adapted(coeff), adapted,
+            "coefficient does not descend to the quotient chart")
     return form(chart, "adapted", terms, adapted=adapted,
                 degree=hform.form.degree)

@@ -1,4 +1,4 @@
-"""Record what every symbolic CLI command prints, to compare two checkouts.
+"""Record what CLI commands print, to compare two checkouts.
 
     python tests/output_sweep.py OUTDIR
 
@@ -10,9 +10,10 @@ and ``lepage --format latex`` for every equivalent kind, ``check-lepage``
 for every kind, ``derive-el`` in both formats, ``check-zermelo`` and
 ``noether`` in both formats, on each ``problems/*.json`` and on two Noether
 problems whose fields are not all symmetries (written here, to a temporary
-directory), and ``selftest --format json``.  Problem paths are passed
-relative to the working directory, so no output names a checkout.  A change
-that should print the same bytes is checked with
+directory), and ``selftest --format json``.  Five small ``minsurf`` runs,
+which take no seed, follow: three solves and two that exit 2.  Paths are
+passed relative to the working directory, so no output names a checkout.
+A change that should print the same bytes is checked with
 
     python tests/output_sweep.py /tmp/before      # in the parent checkout
     python tests/output_sweep.py /tmp/after       # in the changed one
@@ -49,6 +50,15 @@ WRITTEN_PROBLEMS = {
         "fields": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                    ["0", "0", "y4", "-y3"]]},
 }
+# the numeric workbench on small grids; the last two exit 2, on a directory
+# that does not exist and on a rectangle whose grid spacing squares to zero
+MINSURF = {
+    "minsurf_scherk_17": ["--boundary", "scherk", "--grid", "17"],
+    "minsurf_paraboloid_16": ["--boundary", "paraboloid", "--grid", "16"],
+    "minsurf_minimal_r3": ["--problem", "problems/minimal_r3.json"],
+    "minsurf_csv_missing_dir": ["--csv", "missing/x.csv"],
+    "minsurf_thin_domain": ["--domain=0,1,0,1e-300"],
+}
 
 
 def problem_commands(name: str, path: str) -> dict[str, list[str]]:
@@ -73,9 +83,9 @@ def run(argv: list[str], cwd: Path, outdir: Path, name: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "lepage.cli", *argv,
-                           "--seed", "0"], cwd=cwd, env=env,
-                          capture_output=True)
+    seed = [] if argv[0] == "minsurf" else ["--seed", "0"]
+    proc = subprocess.run([sys.executable, "-m", "lepage.cli", *argv, *seed],
+                          cwd=cwd, env=env, capture_output=True)
     (outdir / f"{name}.out").write_bytes(proc.stdout)
     (outdir / f"{name}.err").write_bytes(proc.stderr)
     (outdir / f"{name}.status").write_text(f"{proc.returncode}\n")
@@ -98,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
                 rel = str(path.relative_to(cwd))
                 for name, cmd in problem_commands(path.stem, rel).items():
                     jobs.append((cmd, cwd, name))
+        jobs += [(["minsurf", *argv], ROOT, name)
+                 for name, argv in MINSURF.items()]
         for cmd, cwd, name in jobs:
             run(cmd, cwd, args.outdir, name)
     print(f"{len(jobs)} commands recorded in {args.outdir}")

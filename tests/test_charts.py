@@ -13,9 +13,9 @@ from lepage.charts import (
     gl_act_symbolic, group_det_symbolic,
 )
 from lepage.expr import (
-    ExprError, ParseError, PointAssignment, Sym, const, det_expr, diff, equal,
-    evaluate, expr_sum, free_symbols, opaque, parse, sqrt_expr, substitute,
-    sym_expr, sym_name, to_dsl, wj, ww, x, yj, yy,
+    ExprError, ParseError, PointAssignment, Sym, ZERO, const, det_expr, diff,
+    equal, evaluate, expr_sum, free_symbols, opaque, parse, sqrt_expr,
+    substitute, sym_expr, sym_name, to_dsl, wj, ww, x, yj, yy,
 )
 
 
@@ -247,12 +247,14 @@ def test_adapted_chart_validation():
     assert ad.complement == (2,)
 
 
-def test_z_entries_invert_the_minor():
-    chart = JetChart(n=2, m=2, order=1)
-    ad = AdaptedChart(chart, (2, 3))
+@pytest.mark.parametrize("n, selected", [(1, (2,)), (2, (2, 3)),
+                                         (3, (1, 3, 4))],
+                         ids=["n1", "n2", "n3"])
+def test_z_entries_invert_the_minor(n, selected):
+    ad = AdaptedChart(JetChart(n=n, m=2, order=1), selected)
     z = ad.z_exprs()
-    for k in (1, 2):
-        for j in (1, 2):
+    for k in range(1, n + 1):
+        for j in range(1, n + 1):
             total = expr_sum(z[(k, it)] * yj(it, j) for it in ad.selected)
             assert (total - const(1 if k == j else 0)).is_zero
 
@@ -278,9 +280,40 @@ def test_to_adapted_extracts_minor_from_lagrangian():
     ad = AdaptedChart(chart, (1, 2))
     L = sqrt_expr(euclidean_gram_det(2, 3))
     Lw = ad.to_adapted(L)
-    delta = ad.minor_det_w()
+    delta = ad.minor_det("w1")
     LG = sqrt_expr(1 + wj(3, 1) ** 2 + wj(3, 2) ** 2)
     assert (Lw - delta * LG).is_zero
+
+
+# the selected minor det(y^i_j) on the jet chart, and the data it multiplies,
+# which the adapted chart leaves as they are
+AD21 = AdaptedChart(JetChart(n=2, m=1, order=1), (1, 2))
+DET_Y = AD21.minor_det("y1")
+DELTA = AD21.minor_det("w1")
+R_Y, R_W = 1 + yy(1) ** 2, 1 + ww(1) ** 2
+
+
+def test_to_adapted_takes_even_minor_powers_out_of_radicands():
+    assert AD21.to_adapted(sqrt_expr(DET_Y ** 2 * R_Y)) == DELTA * sqrt_expr(R_W)
+    assert (AD21.to_adapted(sqrt_expr(DET_Y ** 5 * R_Y))
+            == DELTA ** 2 * sqrt_expr(DELTA * R_W))
+    assert AD21.to_adapted(sqrt_expr(DET_Y * R_Y)) == sqrt_expr(DELTA * R_W)
+
+
+def test_to_adapted_cancels_minor_powers_of_a_fraction():
+    # delta^3 / delta keeps delta^2 above, delta / delta^3 keeps it below
+    assert (AD21.to_adapted(DET_Y ** 3 * yy(2) / (DET_Y * R_Y))
+            == DELTA ** 2 * ww(2) / R_W)
+    assert (AD21.to_adapted(DET_Y * yy(2) / (DET_Y ** 3 * R_Y))
+            == ww(2) / (DELTA ** 2 * R_W))
+    # delta on one side only is left alone
+    assert AD21.to_adapted(DET_Y * yy(2) / R_Y) == DELTA * ww(2) / R_W
+    assert AD21.to_adapted(yy(2) / (DET_Y * R_Y)) == ww(2) / (DELTA * R_W)
+
+
+def test_to_adapted_of_zero_is_zero():
+    # every power of delta divides zero: the strip must stop there
+    assert AD21.to_adapted(ZERO) == ZERO
 
 
 def test_adapted_derivative_formula_and_guard():

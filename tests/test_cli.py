@@ -236,6 +236,17 @@ def test_homogeneous_kinds_name_the_failing_residual(capsys, tmp_path, kind):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [("check-lepage", "--kind", "fundamental"),
+                                  ("check-zermelo",)])
+def test_check_commands_reject_format(capsys, argv):
+    # only derive-el, lepage and noether print LaTeX
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--problem", ARCLENGTH, "--format", "latex"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --format latex" in captured.err
+
+
 def test_check_zermelo_passes_minimal(capsys):
     code, report = run_json(capsys, "check-zermelo", "--problem", MINIMAL)
     assert code == 0

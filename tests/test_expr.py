@@ -14,11 +14,10 @@ import lepage._sampling as sampling_module
 import lepage.expr as expr_module
 from lepage.expr import (
     DomainError, EqualResult, ExpressionSizeError, ParseError, PointAssignment,
-    Sym, Verdicts, aa, analytic, atan_expr, cancel_candidate, const, cos_expr, det_expr,
-    diff, equal, evaluate, exp_expr, expr_sum, free_symbols, levi_civita,
-    log_expr, opaque, parse, sin_expr, sqrt_expr,
-    sqrt_extract_candidate, substitute, sym_expr, to_dsl, to_latex, wj, ww, x,
-    yj, yjk, yy, zz, ZERO, ONE,
+    Sym, Verdicts, aa, analytic, atan_expr, const, cos_expr, det_expr, diff,
+    equal, evaluate, exp_expr, expr_sum, free_symbols, levi_civita, log_expr,
+    opaque, parse, sin_expr, sqrt_expr, substitute, sym_expr, to_dsl,
+    to_latex, wj, x, yj, yjk, yy, zz, ZERO, ONE,
 )
 
 
@@ -128,17 +127,6 @@ def test_expr_sum_groups_denominators():
     s = sqrt_expr(a * a + 1)
     total = expr_sum([a / s, 1 / s, (a - 1) / s])
     assert (total - (2 * a) / s).is_zero
-
-
-def test_cancel_candidate_and_sqrt_extract():
-    a, b = wj(3, 1), wj(3, 2)
-    delta = ww(1) * ww(2) - ww(3)  # stand-in polynomial candidate
-    R = 1 + a * a + b * b
-    e = (delta * delta * a) / (delta * delta * R)
-    assert cancel_candidate(e, delta) == a / R
-    s = sqrt_expr(delta * delta * R)
-    extracted = sqrt_extract_candidate(s, delta)
-    assert extracted == delta * sqrt_expr(R)
 
 
 def test_node_cap_raises(monkeypatch):

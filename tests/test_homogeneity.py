@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import fresh_python
 from lepage.charts import AdaptedChart, JetChart
-from lepage.equivalents import Lagrangian, fundamental_homogeneous
+from lepage.equivalents import (
+    HorizontalNForm, Lagrangian, fundamental_homogeneous,
+)
 from lepage.expr import (
     ExprError, ONE, Sym, const, diff, equal, expr_sum, sqrt_expr, sym_expr,
     to_dsl, wj, x, yj, yy,
 )
 from lepage.homogeneity import (
-    check_equivariance, grassmann_projection, zermelo_residual,
-    zermelo_residuals,
+    check_equivariance, grassmann_form, grassmann_projection,
+    zermelo_residual, zermelo_residuals,
 )
+from lepage.metric import MetricSpec, krupka_form, minimal_lagrangian
 
 CH21 = JetChart(n=2, m=1, order=1)
 CH22 = JetChart(n=2, m=2, order=1)
@@ -206,20 +210,20 @@ def test_equivariance_skips_samples_a_caller_guard_rejects():
 def test_projection_curve_speed():
     ad = AdaptedChart(CH11, (1,))
     F = sqrt_expr(yj(1, 1) ** 2 + yj(2, 1) ** 2)
-    G = grassmann_projection(F, ad, trials=6, seed=5)
+    G = grassmann_projection(F, ad)
     assert equal(G, sqrt_expr(ONE + wj(2, 1) ** 2))
 
 
 def test_projection_area_m1():
     ad = AdaptedChart(CH21, (1, 2))
-    G = grassmann_projection(area_function(CH21), ad, trials=6, seed=5)
+    G = grassmann_projection(area_function(CH21), ad)
     assert equal(G, sqrt_expr(ONE + wj(3, 1) ** 2 + wj(3, 2) ** 2),
                  guards=[ONE + wj(3, 1) ** 2 + wj(3, 2) ** 2])
 
 
 def test_projection_area_m2():
     ad = AdaptedChart(CH22, (1, 2))
-    G = grassmann_projection(area_function(CH22), ad, trials=6, seed=5)
+    G = grassmann_projection(area_function(CH22), ad)
     minors = (wj(3, 1) * wj(4, 2) - wj(4, 1) * wj(3, 2)) ** 2
     slopes = expr_sum(wj(s, i) ** 2 for s in (3, 4) for i in (1, 2))
     assert equal(G, sqrt_expr(ONE + slopes + minors))
@@ -228,23 +232,38 @@ def test_projection_area_m2():
 def test_projection_polynomial():
     ad = AdaptedChart(CH21, (1, 2))
     F = yj(1, 1) * yj(2, 2) - yj(2, 1) * yj(1, 2)
-    G = grassmann_projection(F, ad, trials=6, seed=5)
+    G = grassmann_projection(F, ad)
     assert equal(G, ONE)
 
 
 def test_projection_respects_other_selections():
     # selecting rows (1, 3) swaps the roles of the fiber components
     ad = AdaptedChart(CH21, (1, 3))
-    G = grassmann_projection(area_function(CH21), ad, trials=6, seed=5)
+    G = grassmann_projection(area_function(CH21), ad)
     assert equal(G, sqrt_expr(ONE + wj(2, 1) ** 2 + wj(2, 3) ** 2))
 
 
 def test_projection_rejects_inhomogeneous():
     ad = AdaptedChart(CH21, (1, 2))
-    with pytest.raises(ExprError):
-        grassmann_projection(yj(1, 1) ** 2, ad, trials=6, seed=5)
-    with pytest.raises(ExprError):
-        grassmann_projection(yj(1, 1) + const(1), ad, trials=6, seed=5)
+    text = re.escape(
+        "function does not factor through the quotient chart; residual "
+        "dependence on w1_1, w1_2, w2_1, w2_2 (is it positive homogeneous?)")
+    with pytest.raises(ExprError, match=f"^{text}$"):
+        grassmann_projection(yj(1, 1) ** 2, ad)
+    with pytest.raises(ExprError, match=f"^{text}$"):
+        grassmann_projection(yj(1, 1) + const(1), ad)
+
+
+def test_grassmann_form_rejects_a_coefficient_of_nonzero_degree():
+    g = MetricSpec.euclidean(2)
+    W = krupka_form(g, 1)
+    ad = AdaptedChart(CH11, (1,))
+    assert grassmann_form(W, ad)  # degree-zero coefficients descend
+    # L times them has degree one
+    scaled = HorizontalNForm(CH11, W.form.scale(minimal_lagrangian(g, 1).L))
+    with pytest.raises(ExprError, match="^coefficient does not descend to the "
+                       "quotient chart; residual dependence on w1_1$"):
+        grassmann_form(scaled, ad)
 
 
 # ---------------------------------------------------------------------------
