@@ -108,8 +108,8 @@ def main(argv: list[str] | None = None) -> int:
                 rel = str(path.relative_to(cwd))
                 for name, cmd in problem_commands(path.stem, rel).items():
                     jobs.append((cmd, cwd, name))
-        jobs += [(["minsurf", *argv], ROOT, name)
-                 for name, argv in MINSURF.items()]
+        jobs += [(["minsurf", *flags], ROOT, name)
+                 for name, flags in MINSURF.items()]
         for cmd, cwd, name in jobs:
             run(cmd, cwd, args.outdir, name)
     print(f"{len(jobs)} commands recorded in {args.outdir}")
