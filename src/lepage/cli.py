@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -552,12 +553,17 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         except ValueError as ex:
             raise ProblemError(f"domain {list(rect)}: {ex}") from ex
         _require_finite(start.values, rect)
-        # a solve that overflows reports its figures as null, not warnings
-        with np.errstate(all="ignore"):
+        # the CSV file is opened, and so truncated, before the solve, so that
+        # a path it cannot write costs no solve and leaves stdout empty; a
+        # solve that overflows reports its figures as null, not warnings
+        with open(args.csv, "w") if args.csv is not None else nullcontext() \
+                as csv, np.errstate(all="ignore"):
             result = minimal.solve_minimal_surface(start, tol=tol,
                                                    max_iter=max_iter)
             rec = minimal.reconstruct_and_check(result.field)
             cons = rec.conservation
+            if csv is not None:
+                np.savetxt(csv, result.field.values, delimiter=",")
     except MemoryError as ex:
         raise ProblemError(f"a {shape[0]}x{shape[1]} grid does not fit in "
                            f"memory: {ex}") from ex
@@ -576,9 +582,6 @@ def _cmd_minsurf(args: argparse.Namespace) -> int:
         circulations={**dict(sorted(cons.circulations.items())),
                       "gate": cons.gate()},
     )
-    # the field first, so that a path it cannot write leaves stdout empty
-    if args.csv is not None:
-        np.savetxt(args.csv, result.field.values, delimiter=",")
     _emit(payload)
     return 0 if result.converged else 1
 
@@ -662,7 +665,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=None,
                    help="Newton step limit")
     p.add_argument("--csv", default=None,
-                   help="write the solved grid to this CSV file")
+                   help="write the solved grid to this CSV file, which is "
+                        "opened (and truncated) before the solve")
     p.set_defaults(handler=_cmd_minsurf)
 
     p = sub.add_parser("selftest", help="run every registered criterion")

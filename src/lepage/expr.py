@@ -90,8 +90,10 @@ _KIND_OF = {spelling: kind for kind, spelling in _SYM_KINDS.items()}
 
 
 class _Keyed:
-    """Base of the atoms and of ``forms.Covector``: equal within one class
-    by ``key``, and hashed by ``_hash``, which the constructor takes once."""
+    """Base of ``Fun``, ``Root`` and ``forms.Covector``: equal within one
+    class by ``key``, and hashed by ``_hash``, which the constructor takes
+    once.  ``Sym`` is not one of them: it is interned, one object per
+    symbol, and compares and hashes by identity."""
 
     __slots__ = ("key", "_hash")
 
@@ -109,7 +111,7 @@ class _Keyed:
                                  for name in type(self).__slots__)
 
 
-class Sym(_Keyed):
+class Sym:
     """A coordinate symbol on a jet or adapted chart.
 
     kind 'x'  : base coordinate x^a
@@ -120,21 +122,37 @@ class Sym(_Keyed):
     kind 'w1' : adapted jet w^a_b (b is a selected base label)
     kind 'z'  : inverse-minor entry z^a_b
     kind 'a'  : group-element entry a^a_b
+
+    Symbols are interned: the constructor returns the one object per symbol
+    from ``_table``, so ``==`` and ``hash`` are those of the object, and a
+    copy or an unpickled symbol is that object too.  The table holds one
+    entry per distinct symbol the process builds, bounded by the index
+    ranges of its charts, and never frees one.
     """
 
-    __slots__ = ("kind", "a", "b", "c")
+    __slots__ = ("kind", "a", "b", "c", "key")
+    _table: dict = {}  # key -> the symbol
 
-    def __init__(self, kind: str, a: int, b: int = 0, c: int = 0):
-        if kind not in _KIND_RANK:
+    def __new__(cls, kind: str, a: int, b: int = 0, c: int = 0):
+        rank = _KIND_RANK.get(kind)
+        if rank is None:
             raise ExprError(f"unknown symbol kind {kind!r}")
         if kind == "y2" and b > c:
             b, c = c, b
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.c = c
-        self.key = (0, _KIND_RANK[kind], a, b, c)
-        self._hash = hash(self.key)
+        key = (0, rank, a, b, c)
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.kind = kind
+            self.a = a
+            self.b = b
+            self.c = c
+            self.key = key
+            cls._table[key] = self
+        return self
+
+    def __reduce__(self):
+        return Sym, (self.kind, self.a, self.b, self.c)
 
     def __repr__(self):
         return sym_name(self)
@@ -166,7 +184,7 @@ class Fun(_Keyed):
         self.deriv = tuple(sorted(deriv))
         self.args = args
         self.analytic = is_analytic
-        self.key = (2, name, self.deriv, tuple(a.key for a in args))
+        self.key = (2, name, self.deriv, tuple([a.key for a in args]))
         self._hash = hash(self.key)
 
     def __repr__(self):
@@ -192,8 +210,13 @@ Mono = tuple  # tuple[tuple[Atom, int], ...], sorted by atom key
 Poly = dict  # Mono -> Fraction
 
 
+# The core builds its tuples from lists, not generators.  In CPython, tuple()
+# of a generator is allocated for 10 items and shrunk, so when it dies it
+# joins the free list of its own length, which only tuples made at that
+# length take from: those lists fill to 2000 entries each and keep them, and
+# at lengths 4-7 they held over 0.5 MB of a `check-lepage` process.
 def _mono_key(mono: Mono):
-    return tuple((at.key, e) for at, e in mono)
+    return tuple([(at.key, e) for at, e in mono])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +234,8 @@ def _p_const(c: Fraction) -> Poly:
 
 def _p_add_into(target: Poly, src: Poly) -> None:
     for mono, coeff in src.items():
-        new = target.get(mono, Fraction(0)) + coeff
+        old = target.get(mono)
+        new = coeff if old is None else old + coeff
         if new == 0:
             target.pop(mono, None)
         else:
@@ -247,18 +271,32 @@ def _fold_square(atom) -> Poly | None:
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Poly | None]:
-    """Merge two monomials; return (residual mono, extra poly factor or None)."""
+    """Merge two monomials; return (residual mono, extra poly factor or None).
+
+    Both are sorted by atom key, and so is the result.  Atoms are matched
+    by key, not identity, as a ``Fun`` or ``Root`` may be built twice."""
     # an atom of one factor keeps its (atom, exponent) pair: products share pairs
-    pairs: dict = {}
-    for pair in m1:
-        pairs[pair[0]] = pair
-    for pair in m2:
-        at = pair[0]
-        old = pairs.get(at)
-        pairs[at] = pair if old is None else (at, old[1] + pair[1])
+    merged = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        k1, k2 = p1[0].key, p2[0].key
+        if k1 < k2:
+            merged.append(p1)
+            i += 1
+        elif k2 < k1:
+            merged.append(p2)
+            j += 1
+        else:
+            merged.append((p2[0], p1[1] + p2[1]))
+            i += 1
+            j += 1
+    merged.extend(m1[i:])
+    merged.extend(m2[j:])
     extra: Poly | None = None
     residual = []
-    for pair in pairs.values():
+    for pair in merged:
         at, e = pair
         fold = _fold_square(at) if e >= 2 else None
         if fold is not None:
@@ -269,7 +307,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Poly | None]:
                 residual.append((at, 1))
         else:
             residual.append(pair)
-    residual.sort(key=lambda pair: pair[0].key)
     return tuple(residual), extra
 
 
@@ -282,7 +319,8 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
             mono, extra = _mono_mul(m1, m2)
             c = c1 * c2
             if extra is None:
-                new = out.get(mono, Fraction(0)) + c
+                old = out.get(mono)
+                new = c if old is None else old + c
                 if new == 0:
                     out.pop(mono, None)
                 else:
@@ -403,23 +441,24 @@ def _p_dense_div(num: Poly, den: Poly, atoms: list) -> Poly | None:
         if guard > limit:
             return None
         lead_n = max(dn)
-        diff = tuple(a - b for a, b in zip(lead_n, lead_d))
+        diff = tuple([a - b for a, b in zip(lead_n, lead_d)])
         if any(d < 0 for d in diff):
             return None
         c = dn[lead_n] / lead_dc
-        quotient[diff] = quotient.get(diff, Fraction(0)) + c
+        old = quotient.get(diff)
+        quotient[diff] = c if old is None else old + c
         for vec, coeff in dd.items():
-            tgt = tuple(a + b for a, b in zip(diff, vec))
-            new = dn.get(tgt, Fraction(0)) - c * coeff
+            tgt = tuple([a + b for a, b in zip(diff, vec)])
+            old = dn.get(tgt)
+            new = -(c * coeff) if old is None else old - c * coeff
             if new == 0:
                 dn.pop(tgt, None)
             else:
                 dn[tgt] = new
     out: Poly = {}
     for vec, coeff in quotient.items():
-        mono = tuple((atoms[i], e) for i, e in enumerate(vec) if e)
-        mono = tuple(sorted(mono, key=lambda pair: pair[0].key))
-        out[mono] = coeff
+        # atoms are in key order, so the monomial is too
+        out[tuple([(atoms[i], e) for i, e in enumerate(vec) if e])] = coeff
     return out
 
 
@@ -441,8 +480,8 @@ class Expr:
     @property
     def key(self) -> tuple:
         """The terms as nested tuples of atom keys; built on each call, not stored."""
-        return tuple(tuple((_mono_key(m), (c.numerator, c.denominator))
-                           for m, c in terms) for terms in (self.num, self.den))
+        return tuple([tuple([(_mono_key(m), (c.numerator, c.denominator))
+                             for m, c in terms]) for terms in (self.num, self.den)])
 
     # -- construction ------------------------------------------------------
 
@@ -472,7 +511,8 @@ class Expr:
     # -- hashing / equality -------------------------------------------------
 
     def __eq__(self, other):
-        # as comparing keys: atoms compare by key, and Fractions are normalised
+        # as comparing keys: a symbol is one object per key, other atoms
+        # compare by key, and Fractions are normalised
         return self is other or (isinstance(other, Expr) and self.num == other.num
                                  and self.den == other.den)
 
@@ -521,7 +561,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(tuple((m, -c) for m, c in self.num), self.den)
+        return Expr(tuple([(m, -c) for m, c in self.num]), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)

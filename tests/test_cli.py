@@ -13,6 +13,7 @@ import lepage.acceptance
 import lepage.metric
 import lepage.minimal
 import lepage.variation
+from conftest import fresh_python
 from lepage import cli
 from lepage.acceptance import CriterionResult
 from lepage.cli import main
@@ -588,8 +589,13 @@ def test_minsurf_solver_block_defaults(capsys):
     assert report["grid"]["ny"] == 33
 
 
-def test_minsurf_csv_to_an_unwritable_path_prints_only_the_error(capsys,
-                                                                  tmp_path):
+def test_minsurf_csv_to_an_unwritable_path_prints_only_the_error(
+        capsys, tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve started before the CSV path opened")
+
+    # the path is opened before the solve, so an unwritable one costs none
+    monkeypatch.setattr(lepage.minimal, "solve_minimal_surface", no_solve)
     csv = tmp_path / "missing" / "surface.csv"
     code, out, err = run_cli(capsys, "minsurf", "--grid", "9",
                              "--csv", str(csv))
@@ -914,6 +920,34 @@ def test_reports_are_byte_identical(capsys):
     _, second, _ = run_cli(capsys, "minsurf", "--grid", "17",
                            "--boundary", "scherk", "--domain=-1,1,-1,1")
     assert first == second
+
+
+# a symbol hashes as its object, so a set of symbols can iterate in another
+# order in each process; these commands must print the same bytes anyway
+@pytest.mark.parametrize("stem, argv", [
+    ("lepage-w_minimal_r3", ("lepage", "--problem", MINIMAL, "--kind", "w")),
+    ("derive-el-latex_arclength", ("derive-el", "--problem", ARCLENGTH,
+                                   "--format", "latex")),
+], ids=["lepage-w", "derive-el-latex"])
+def test_fresh_processes_print_the_golden_bytes(stem, argv):
+    outs = {fresh_python("-m", "lepage.cli", *argv, "--seed", "0",
+                         env={"PYTHONHASHSEED": str(k)}).stdout
+            for k in range(3)}
+    assert outs == {(GOLDEN / f"{stem}.out").read_text()}
+
+
+def test_two_bad_symbols_give_one_error_in_every_process(tmp_path):
+    problem = json.loads(Path(MINIMAL).read_text())
+    # neither x2 nor y1_2 is a configuration-space coordinate
+    problem["fields"] = [["y1_2 + x2", "0", "0"]]
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(problem))
+    runs = {(r.returncode, r.stdout, r.stderr) for r in (
+        fresh_python("-m", "lepage.cli", "noether", "--problem", str(path),
+                     check=False, env={"PYTHONHASHSEED": str(k)})
+        for k in range(5))}
+    assert runs == {(2, "", "error: field 0: field components live on the "
+                            "configuration space; found x2\n")}
 
 
 def test_selftest_json_subprocess_matches_golden(selftest_json):

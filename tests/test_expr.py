@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -721,6 +723,143 @@ def test_stored_exponents_stay_positive():
             assert all(p >= 1 for p in _exponents(r))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# interned symbols, and monomials merged by atom key
+# ---------------------------------------------------------------------------
+
+def test_symbols_are_interned():
+    assert Sym("x", 3) is Sym("x", 3)
+    assert Sym("y1", 2, 1) is not Sym("y1", 1, 2)
+    assert Sym("y", 1) is not Sym("w", 1)
+    s = Sym("y2", 1, 2, 1)
+    assert s is Sym("y2", 1, 1, 2) and (s.b, s.c) == (1, 2)
+    assert yjk(3, 2, 1).num == yjk(3, 1, 2).num
+
+
+def test_copies_and_pickles_of_a_symbol_are_the_symbol():
+    s = Sym("y2", 2, 2, 1)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin is s
+    e = yjk(2, 1, 2) * x(1) + sqrt_expr(yy(1) ** 2 + 1)
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e
+        assert {id(t) for t in free_symbols(twin)} == {id(t) for t in
+                                                       free_symbols(e)}
+
+
+def test_an_unknown_symbol_kind_raises_and_leaves_the_table_alone():
+    size = len(Sym._table)
+    for args in (("q", 1), ("y3", 1, 2, 1), ("", 0)):
+        with pytest.raises(expr_module.ExprError) as info:
+            Sym(*args)
+        assert str(info.value) == f"unknown symbol kind {args[0]!r}"
+    assert len(Sym._table) == size
+
+
+def dict_mono_mul(m1, m2):
+    """The rule `_mono_mul` followed before it merged: the pairs gathered in a
+    dict by atom, folded, then sorted by atom key."""
+    pairs = {}
+    for pair in m1:
+        pairs[pair[0]] = pair
+    for pair in m2:
+        at = pair[0]
+        old = pairs.get(at)
+        pairs[at] = pair if old is None else (at, old[1] + pair[1])
+    extra = None
+    residual = []
+    for pair in pairs.values():
+        at, e = pair
+        fold = expr_module._fold_square(at) if e >= 2 else None
+        if fold is not None:
+            q, r = divmod(e, 2)
+            fq = expr_module._p_pow(fold, q)
+            extra = fq if extra is None else expr_module._p_mul(extra, fq)
+            if r:
+                residual.append((at, 1))
+        else:
+            residual.append(pair)
+    residual.sort(key=lambda pair: pair[0].key)
+    return tuple(residual), extra
+
+
+def _merge_atoms():
+    """Atoms in groups of equal keys: each Root and Fun is built twice, as
+    two objects that compare equal, and a Sym is one object."""
+    def atom(e):
+        (((at, _),), _), = e.num
+        return at
+
+    def twice(make):
+        return [atom(make()), atom(make())]
+
+    return [[Sym("x", 1)], [Sym("y", 1)], [Sym("y1", 1, 1)],
+            [Sym("y2", 1, 1, 2)], [Sym("w1", 2, 1)],
+            twice(lambda: sqrt_expr(x(1) + 2)), twice(lambda: sqrt_expr(yy(1))),
+            twice(lambda: sin_expr(x(2))), twice(lambda: cos_expr(x(2))),
+            twice(lambda: opaque("F", x(1), yy(1))),
+            twice(lambda: opaque("F", x(1), yy(1), deriv=(2,))),
+            twice(lambda: exp_expr(yj(1, 1)))]
+
+
+def _random_mono(rng, groups):
+    picked = rng.sample(groups, rng.randint(0, 5))
+    pairs = [(rng.choice(group), rng.randint(1, 3)) for group in picked]
+    return tuple(sorted(pairs, key=lambda pair: pair[0].key))
+
+
+def test_merged_monomials_match_the_dict_rule():
+    groups = _merge_atoms()
+    for group in groups[5:]:
+        assert group[0] is not group[1] and group[0] == group[1]
+    rng = random.Random(45)
+    folds = twins = 0
+    for _ in range(3000):
+        m1, m2 = _random_mono(rng, groups), _random_mono(rng, groups)
+        mono, extra = expr_module._mono_mul(m1, m2)
+        want_mono, want_extra = dict_mono_mul(m1, m2)
+        assert expr_module._mono_key(mono) == expr_module._mono_key(want_mono)
+        assert mono == want_mono and extra == want_extra
+        keys = [at.key for at, _ in mono]
+        assert keys == sorted(set(keys)), mono
+        folds += extra is not None
+        twins += any(a is not b and a == b for a, _ in m1 for b, _ in m2)
+    assert folds > 300 and twins > 300, (folds, twins)
+    # twins merge into one power, and sqrt(u)^2 and sin(u)^2 fold
+    root, sin, fun = groups[5], groups[7], groups[9]
+    assert expr_module._mono_mul(((fun[0], 1),), ((fun[1], 2),)) == (
+        ((fun[1], 3),), None)
+    assert expr_module._mono_mul(((root[0], 1),), ((root[1], 1),)) == (
+        (), dict(root[0].arg.num))
+    mono, extra = expr_module._mono_mul(((sin[0], 2),), ((root[1], 1),))
+    assert mono == ((root[1], 1),)
+    assert extra == dict_mono_mul(((sin[0], 2),), ())[1]
+
+
+def _monos(e):
+    # every monomial of e's terms and of its atoms' arguments and radicands
+    for terms in (e.num, e.den):
+        for mono, _ in terms:
+            yield mono
+            for at, _ in mono:
+                if isinstance(at, expr_module.Root):
+                    yield from _monos(at.arg)
+                elif isinstance(at, expr_module.Fun):
+                    for inner in at.args:
+                        yield from _monos(inner)
+
+
+def test_make_keeps_every_monomial_sorted_by_key():
+    rng = random.Random(4)
+    for _ in range(200):
+        e = random_expr(rng, 3)
+        f = random_expr(rng, 2)
+        for r in (e, e * f, e / (f * f + 1), diff(e * f, rng.choice(SYMS))):
+            for mono in _monos(r):
+                keys = [at.key for at, _ in mono]
+                assert keys == sorted(set(keys)), to_dsl(r)
 
 
 # ---------------------------------------------------------------------------

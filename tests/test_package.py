@@ -316,9 +316,10 @@ def test_values_pickled_in_one_process_hash_anew_in_another():
 
 
 # the classes whose ==, hash and copies every other class takes: records
-# from Frozen, atoms and covectors from the keyed base, and the term-wise
-# equality of expressions and forms
-VALUE_RULES = ("Frozen", "_Keyed", "Expr", "DiffForm")
+# from Frozen, function and root atoms and covectors from the keyed base,
+# the interned symbols, whose copies are the table's objects, and the
+# term-wise equality of expressions and forms
+VALUE_RULES = ("Frozen", "_Keyed", "Sym", "Expr", "DiffForm")
 
 
 def test_only_the_value_rules_define_equality_hash_and_copies():
